@@ -14,31 +14,42 @@ type ReLU struct {
 
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
+	out := x.Clone()
+	r.rectify(out)
+	return out
+}
+
+// rectify applies the activation to x in place and records which
+// elements passed, for maskGrad.
+func (r *ReLU) rectify(x *tensor.Tensor) {
 	if cap(r.mask) < x.Size() {
 		r.mask = make([]bool, x.Size())
 	}
 	r.mask = r.mask[:x.Size()]
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-			r.mask[i] = true
-		} else {
-			r.mask[i] = false
+		pass := v > 0
+		r.mask[i] = pass
+		if !pass {
+			x.Data[i] = 0
 		}
 	}
-	return out
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(grad.Shape()...)
-	for i, v := range grad.Data {
-		if r.mask[i] {
-			out.Data[i] = v
+	out := grad.Clone()
+	r.maskGrad(out)
+	return out
+}
+
+// maskGrad zeroes, in place, the gradient of every element the last
+// rectify clamped.
+func (r *ReLU) maskGrad(grad *tensor.Tensor) {
+	for i, pass := range r.mask {
+		if !pass {
+			grad.Data[i] = 0
 		}
 	}
-	return out
 }
 
 // Params implements Layer.

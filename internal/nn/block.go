@@ -40,38 +40,46 @@ func NewTemporalBlock(r *tensor.RNG, cfg TemporalBlockConfig) *TemporalBlock {
 	return b
 }
 
-// Forward implements Layer.
+// Forward implements Layer. ReLU, dropout, the residual add and the
+// final ReLU are applied in place on the tensors the block's own
+// convolutions just allocated, so a pass allocates the conv outputs and
+// nothing else; x is never written and the returned tensor is fresh.
 func (b *TemporalBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	h := b.conv1.Forward(x, train)
-	h = b.relu1.Forward(h, train)
-	h = b.drop1.Forward(h, train)
+	b.relu1.rectify(h)
+	b.drop1.draw(h, train)
+	b.drop1.scale(h)
 	h = b.conv2.Forward(h, train)
-	h = b.relu2.Forward(h, train)
-	h = b.drop2.Forward(h, train)
+	b.relu2.rectify(h)
+	b.drop2.draw(h, train)
+	b.drop2.scale(h)
 	res := x
 	if b.downsample != nil {
 		res = b.downsample.Forward(x, train)
 	}
-	return b.finalReLU.Forward(h.Add(res), train)
+	h.AddInPlace(res)
+	b.finalReLU.rectify(h)
+	return h
 }
 
-// Backward implements Layer.
+// Backward implements Layer. Only the block's own gradient tensors are
+// rewritten in place; grad belongs to the caller and is left alone.
 func (b *TemporalBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	g := b.finalReLU.Backward(grad)
-	// Branch F(x).
-	gf := b.drop2.Backward(g)
-	gf = b.relu2.Backward(gf)
-	gf = b.conv2.Backward(gf)
-	gf = b.drop1.Backward(gf)
-	gf = b.relu1.Backward(gf)
-	dx := b.conv1.Backward(gf)
-	// Residual branch.
+	// The residual branch reads g before the F(x) branch rewrites it.
+	var dres *tensor.Tensor
 	if b.downsample != nil {
-		dx.AddInPlace(b.downsample.Backward(g))
+		dres = b.downsample.Backward(g)
 	} else {
-		dx.AddInPlace(g)
+		dres = g.Clone()
 	}
-	return dx
+	b.drop2.scale(g)
+	b.relu2.maskGrad(g)
+	gf := b.conv2.Backward(g)
+	b.drop1.scale(gf)
+	b.relu1.maskGrad(gf)
+	dx := b.conv1.Backward(gf)
+	return dx.AddInPlace(dres)
 }
 
 // Params implements Layer.

@@ -13,13 +13,6 @@ import (
 // tuning comment on parallelFlops in internal/tensor/matmul.go).
 const parFlops = 32 * 64 * 64
 
-// convBatchGrain is how many batch elements share one gradient shard in
-// the parallel conv backward pass. It is a fixed constant so the shard
-// boundaries — and therefore the floating-point reduction order — never
-// depend on the worker count (bitwise determinism), while keeping shard
-// memory at ceil(B/4) kernel-sized buffers.
-const convBatchGrain = 4
-
 // CausalConv1D is a dilated causal 1-D convolution (the paper's eq. 3–4).
 // Input and output have layout [batch, channels, time]; the output length
 // equals the input length thanks to left zero-padding of (K−1)·d samples,
@@ -34,8 +27,9 @@ const convBatchGrain = 4
 // and the packed tensor kernel does the arithmetic. Every output sample
 // is a single bias-seeded FMA chain ascending over those pairs, so the
 // result is row-independent — bitwise identical for any batch size and
-// any worker count. The backward pass shards over batches and reduces
-// in shard-index order for the same guarantee.
+// any worker count. Backward runs on the same kernel against the columns
+// Forward unrolled (see Backward), so its outputs are single ascending
+// FMA chains too and carry the same guarantee.
 type CausalConv1D struct {
 	InChannels  int
 	OutChannels int
@@ -50,14 +44,14 @@ type CausalConv1D struct {
 	G *Param // [out] magnitude
 	B *Param // [out] bias
 
-	x       *tensor.Tensor // cached input
-	wEff    *tensor.Tensor // effective kernel used in the last forward
-	wEffBuf *tensor.Tensor // reused storage for wEff under weight norm
+	wEffBuf *tensor.Tensor // reused storage for the effective kernel under weight norm
 	vNorms  []float64      // per-output-channel ‖V‖ from the last forward
 	padLeft int
 
 	// im2col scratch for the training forward; the arena path draws the
 	// same three buffers from its InferArena instead (see infer.go).
+	// Backward reads acol and wtr as the forward left them. The b·t-sized
+	// buffers only ever grow (see scratch2D).
 	acol *tensor.Tensor // [in·k, b·t] unrolled input columns
 	wtr  *tensor.Tensor // [in·k, out] transposed effective kernel
 	ycol *tensor.Tensor // [b·t, out] GEMM output, bias-seeded
@@ -68,9 +62,10 @@ type CausalConv1D struct {
 	colRun, outRun                   func(lo, hi int)
 
 	// Backward scratch, reused across steps.
+	gcol      *tensor.Tensor // [b·t, out] output gradient, gathered like ycol
+	dacol     *tensor.Tensor // [in·k, b·t] gradient w.r.t. acol
+	dwt       *tensor.Tensor // [in·k, out] gradient w.r.t. wtr
 	dwScratch *tensor.Tensor // [out, in, k] effective-kernel gradient
-	dwShards  []float64      // per-shard dW partials
-	dbShards  []float64      // per-shard bias partials
 
 	// Float32 serving-tier mirrors (see infer32.go). Quantize32 bakes the
 	// *effective* kernel — weight norm already applied — directly in its
@@ -163,22 +158,32 @@ func (c *CausalConv1D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	if x.Dim(1) != c.InChannels {
 		panic(fmt.Sprintf("nn: CausalConv1D channel mismatch: input %d, layer %d", x.Dim(1), c.InChannels))
 	}
-	c.x = x
-	w := c.effectiveKernel()
-	c.wEff = w
 	b, t := x.Dim(0), x.Dim(2)
 	in, out, k := c.InChannels, c.OutChannels, c.KernelSize
 	kk, m := in*k, b*t
-	if c.acol == nil || c.acol.Dim(0) != kk || c.acol.Dim(1) != m {
-		c.acol = tensor.New(kk, m)
-		c.ycol = tensor.New(m, out)
-	}
+	c.acol = scratch2D(c.acol, kk, m)
+	c.ycol = scratch2D(c.ycol, m, out)
 	if c.wtr == nil {
 		c.wtr = tensor.New(kk, out)
 	}
 	y := tensor.New(b, out, t)
-	c.convGemm(x, w, c.acol, c.wtr, c.ycol, y)
+	c.convGemm(x, c.effectiveKernel(), c.acol, c.wtr, c.ycol, y)
 	return y
+}
+
+// scratch2D returns a [rows, cols] scratch tensor, reusing buf's storage
+// whenever its capacity suffices: a layer that alternates between batch
+// sizes (training batches, the larger evaluation batches, a ragged last
+// batch) settles on one allocation instead of reallocating at every
+// switch. Contents are unspecified.
+func scratch2D(buf *tensor.Tensor, rows, cols int) *tensor.Tensor {
+	switch {
+	case buf == nil || cap(buf.Data) < rows*cols:
+		return tensor.New(rows, cols)
+	case buf.Dim(0) == rows && buf.Dim(1) == cols:
+		return buf
+	}
+	return tensor.FromSlice(buf.Data[:rows*cols], rows, cols)
 }
 
 // convGemm is the shared forward kernel of the training and
@@ -266,98 +271,78 @@ func (c *CausalConv1D) scatterRows(ycol, y *tensor.Tensor, lo, hi int) {
 	}
 }
 
-// Backward implements Layer.
+// Backward implements Layer. Both products run on the packed GEMM
+// against what Forward cached: with the output gradient gathered into
+// gcol (the layout of ycol), the kernel gradient is dwt = acol·gcol and
+// the gradient of the unrolled columns is dacol = wtr·gcolᵀ, which
+// foldCols sums back onto the input positions each column was copied
+// from. Every element of dwt and dacol is one ascending FMA chain and
+// every dx element a fixed ascending sum over taps, so the results do
+// not depend on the worker count, and a sample's dx row does not depend
+// on the rest of the batch.
 func (c *CausalConv1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	x := c.x
-	b, t := x.Dim(0), x.Dim(2)
-	in, out, k, d := c.InChannels, c.OutChannels, c.KernelSize, c.Dilation
-	w := c.wEff
-	per := out * in * k
-	if c.dwScratch == nil {
+	b, t := grad.Dim(0), grad.Dim(2)
+	in, out, k := c.InChannels, c.OutChannels, c.KernelSize
+	kk, m := in*k, b*t
+	c.gcol = scratch2D(c.gcol, m, out)
+	c.dacol = scratch2D(c.dacol, kk, m)
+	if c.dwt == nil {
+		c.dwt = tensor.New(kk, out)
 		c.dwScratch = tensor.New(out, in, k)
 	}
+
+	// The inverse of scatterRows, then dB as gcol's column sums.
+	gcol := c.gcol.Data
+	for u := 0; u < b*out; u++ {
+		grow := grad.Data[u*t : (u+1)*t]
+		base := u/out*t*out + u%out
+		for tt, g := range grow {
+			gcol[base+tt*out] = g
+		}
+	}
+	db := c.B.Grad.Data[:out]
+	for i := 0; i < m; i++ {
+		for co, g := range gcol[i*out : (i+1)*out] {
+			db[co] += g
+		}
+	}
+
+	c.acol.MatMulInto(c.gcol, c.dwt)
 	dW := c.dwScratch
-	dW.Zero()
-	dx := tensor.New(b, in, t)
-
-	shards := par.NumChunks(b, convBatchGrain)
-	if cap(c.dwShards) < shards*per {
-		c.dwShards = make([]float64, shards*per)
-	}
-	if cap(c.dbShards) < shards*out {
-		c.dbShards = make([]float64, shards*out)
-	}
-	dwShards := c.dwShards[:shards*per]
-	dbShards := c.dbShards[:shards*out]
-	for i := range dwShards {
-		dwShards[i] = 0
-	}
-	for i := range dbShards {
-		dbShards[i] = 0
-	}
-
-	// Each shard owns a fixed batch range: dx rows are disjoint, and dW/dB
-	// partials land in the shard's private buffers.
-	run := func(shard, lo, hi int) {
-		dwS := dwShards[shard*per : (shard+1)*per]
-		dbS := dbShards[shard*out : (shard+1)*out]
-		for bi := lo; bi < hi; bi++ {
-			xb := x.Data[bi*in*t : (bi+1)*in*t]
-			gb := grad.Data[bi*out*t : (bi+1)*out*t]
-			dxb := dx.Data[bi*in*t : (bi+1)*in*t]
-			for co := 0; co < out; co++ {
-				grow := gb[co*t : (co+1)*t]
-				s := 0.0
-				for _, g := range grow {
-					s += g
-				}
-				dbS[co] += s
-				for ci := 0; ci < in; ci++ {
-					xrow := xb[ci*t : (ci+1)*t]
-					dxrow := dxb[ci*t : (ci+1)*t]
-					wrow := w.Data[(co*in+ci)*k : (co*in+ci)*k+k]
-					dwrow := dwS[(co*in+ci)*k : (co*in+ci)*k+k]
-					for kk := 0; kk < k; kk++ {
-						off := (k - 1 - kk) * d
-						wv := wrow[kk]
-						acc := 0.0
-						for tt := off; tt < t; tt++ {
-							g := grow[tt]
-							acc += g * xrow[tt-off]
-							dxrow[tt-off] += g * wv
-						}
-						dwrow[kk] += acc
-					}
-				}
-			}
-		}
-	}
-	if b*out*in*k*t < parFlops {
-		for shard := 0; shard < shards; shard++ {
-			lo := shard * convBatchGrain
-			hi := lo + convBatchGrain
-			if hi > b {
-				hi = b
-			}
-			run(shard, lo, hi)
-		}
-	} else {
-		par.RunChunks(b, convBatchGrain, run)
-	}
-
-	// Deterministic reduction: fold shards in index order.
-	for shard := 0; shard < shards; shard++ {
-		dwS := dwShards[shard*per : (shard+1)*per]
-		for i, v := range dwS {
-			dW.Data[i] += v
-		}
-		dbS := dbShards[shard*out : (shard+1)*out]
-		for co, v := range dbS {
-			c.B.Grad.Data[co] += v
+	for p := 0; p < kk; p++ {
+		for co, v := range c.dwt.Data[p*out : (p+1)*out] {
+			dW.Data[co*kk+p] = v
 		}
 	}
 	c.accumulateKernelGrad(dW)
+
+	c.wtr.MatMulTInto(c.gcol, c.dacol)
+	dx := tensor.New(b, in, t)
+	c.foldCols(c.dacol, dx)
 	return dx
+}
+
+// foldCols is the adjoint of unrollCols (col2im): row p = (ci·k + kk) of
+// dacol is added onto channel ci of dx shifted back by that tap's
+// offset. Taps whose offset reaches past the window only ever saw
+// padding and contribute nothing.
+func (c *CausalConv1D) foldCols(dacol, dx *tensor.Tensor) {
+	in, k, d := c.InChannels, c.KernelSize, c.Dilation
+	b, t := dx.Dim(0), dx.Dim(2)
+	for u := 0; u < b*in; u++ {
+		bi, ci := u/in, u%in
+		dxrow := dx.Data[u*t : (u+1)*t]
+		for kk := 0; kk < k; kk++ {
+			off := (k - 1 - kk) * d
+			if off >= t {
+				continue
+			}
+			src := dacol.Data[((ci*k+kk)*b+bi)*t+off : ((ci*k+kk)*b+bi+1)*t]
+			for i, v := range src {
+				dxrow[i] += v
+			}
+		}
+	}
 }
 
 // accumulateKernelGrad routes the gradient w.r.t. the effective kernel into

@@ -71,7 +71,6 @@ type SpatialDropout1D struct {
 	rng *tensor.RNG
 
 	mask []float64 // per (batch, channel) keep-scale
-	dims [3]int
 }
 
 // NewSpatialDropout1D builds the layer with its own random stream.
@@ -84,32 +83,40 @@ func NewSpatialDropout1D(r *tensor.RNG, p float64) *SpatialDropout1D {
 
 // Forward implements Layer.
 func (d *SpatialDropout1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if !d.draw(x, train) {
+		return x
+	}
+	out := x.Clone()
+	d.scale(out)
+	return out
+}
+
+// draw replaces the mask with a fresh one for x — one random per
+// (batch, channel), in that order — and reports whether dropout is in
+// force. Outside training, or with P == 0, it draws nothing and clears
+// the mask.
+func (d *SpatialDropout1D) draw(x *tensor.Tensor, train bool) bool {
 	if x.Dims() != 3 {
 		panic(fmt.Sprintf("nn: SpatialDropout1D requires [batch, channels, time], got %v", x.Shape()))
 	}
 	if !train || d.P == 0 {
 		d.mask = nil
-		return x
+		return false
 	}
-	b, c, t := x.Dim(0), x.Dim(1), x.Dim(2)
-	d.dims = [3]int{b, c, t}
-	if cap(d.mask) < b*c {
-		d.mask = make([]float64, b*c)
+	bc := x.Dim(0) * x.Dim(1)
+	if cap(d.mask) < bc {
+		d.mask = make([]float64, bc)
 	}
-	d.mask = d.mask[:b*c]
+	d.mask = d.mask[:bc]
 	keep := 1 / (1 - d.P)
-	out := tensor.New(b, c, t)
-	for bc := 0; bc < b*c; bc++ {
+	for i := range d.mask {
 		if d.rng.Float64() < d.P {
-			d.mask[bc] = 0
-			continue
-		}
-		d.mask[bc] = keep
-		for tt := 0; tt < t; tt++ {
-			out.Data[bc*t+tt] = x.Data[bc*t+tt] * keep
+			d.mask[i] = 0
+		} else {
+			d.mask[i] = keep
 		}
 	}
-	return out
+	return true
 }
 
 // Backward implements Layer.
@@ -117,18 +124,29 @@ func (d *SpatialDropout1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.mask == nil {
 		return grad
 	}
-	b, c, t := d.dims[0], d.dims[1], d.dims[2]
-	out := tensor.New(b, c, t)
-	for bc := 0; bc < b*c; bc++ {
-		m := d.mask[bc]
+	out := grad.Clone()
+	d.scale(out)
+	return out
+}
+
+// scale applies the mask to x in place — forward and backward are the
+// same map: dropped (batch, channel) rows become zero, kept rows are
+// rescaled. With no mask in force it leaves x alone.
+func (d *SpatialDropout1D) scale(x *tensor.Tensor) {
+	if d.mask == nil {
+		return
+	}
+	t := x.Size() / len(d.mask)
+	for bc, m := range d.mask {
+		row := x.Data[bc*t : (bc+1)*t]
 		if m == 0 {
+			clear(row)
 			continue
 		}
-		for tt := 0; tt < t; tt++ {
-			out.Data[bc*t+tt] = grad.Data[bc*t+tt] * m
+		for i := range row {
+			row[i] *= m
 		}
 	}
-	return out
 }
 
 // Params implements Layer.

@@ -219,6 +219,14 @@ func packA(ap []float64, op *gemmOp, i0, rows int) {
 	if op.aTrans {
 		// a is k×m; logical row i is column i of a.
 		m := op.m
+		if rows == gemmMR {
+			for p := 0; p < k; p++ {
+				src := op.a[p*m+i0 : p*m+i0+gemmMR]
+				dst := ap[p*gemmMR : p*gemmMR+gemmMR]
+				dst[0], dst[1], dst[2], dst[3] = src[0], src[1], src[2], src[3]
+			}
+			return
+		}
 		for p := 0; p < k; p++ {
 			src := op.a[p*m+i0:]
 			dst := ap[p*gemmMR : p*gemmMR+gemmMR]

@@ -2,6 +2,7 @@ package train
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/nn"
@@ -207,5 +208,41 @@ func TestFitWithClipNormStable(t *testing.T) {
 		if math.IsNaN(l) || math.IsInf(l, 0) {
 			t.Fatal("training diverged despite gradient clipping")
 		}
+	}
+}
+
+// TestFitConvScratchSettles pins the grow-only im2col scratch of the
+// convolutions. An epoch alternates between training batches of 32, a
+// ragged last batch, and evaluation batches of 256 plus their own ragged
+// tail; scratch sized to the current batch would be reallocated at each
+// of those switches, every epoch. Once a first Fit has grown the buffers,
+// an epoch must allocate less than one evaluation-sized set of them —
+// the per-pass activations and gradients fit well inside that, the
+// thrash does not.
+func TestFitConvScratchSettles(t *testing.T) {
+	const in, ch, k, steps = 8, 16, 3, 16
+	r := tensor.NewRNG(5)
+	model := nn.NewSequential(
+		nn.NewTCN(r, nn.TCNConfig{InChannels: in, Channels: []int{ch}, KernelSize: k}),
+		&nn.LastStep{},
+		nn.NewDense(r, ch, 1),
+	)
+	tr := Dataset{X: tensor.RandN(r, 40, in, steps), Y: tensor.RandN(r, 40, 1)}
+	va := Dataset{X: tensor.RandN(r, 300, in, steps), Y: tensor.RandN(r, 300, 1)}
+	const epochs = 2
+	fit := func() { Fit(model, tr, va, Config{Epochs: epochs, BatchSize: 32}) }
+	fit()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fit()
+	runtime.ReadMemStats(&after)
+	perEpoch := (after.TotalAlloc - before.TotalAlloc) / epochs
+
+	// acol [in·k, b·t] + ycol [b·t, out] of conv1, conv2 and the 1×1
+	// downsample at the evaluation batch size.
+	scratch := uint64((in*k+ch)+(ch*k+ch)+(in+ch)) * 256 * steps * 8
+	if perEpoch >= scratch {
+		t.Fatalf("steady-state epoch allocates %d bytes, want < %d (one evaluation-sized scratch set)", perEpoch, scratch)
 	}
 }
