@@ -30,8 +30,8 @@ import (
 // Call it again after any weight update; InferForward32 panics if it has
 // never run.
 func (m *Model) Quantize32() {
-	for _, s := range m.stages {
-		nn.Quantize32(s.layer)
+	for _, l := range m.stages {
+		nn.Quantize32(l)
 	}
 }
 
@@ -39,9 +39,7 @@ func (m *Model) Quantize32() {
 // stage pipeline and fault points, on f32 arena storage.
 func (m *Model) InferForward32(a *nn.InferArena32, x *tensor.Tensor32) *tensor.Tensor32 {
 	fault.Disrupt("model.forward")
-	for _, s := range m.stages {
-		x = nn.Infer32(s.layer, a, x)
-	}
+	x = nn.InferChain32(a, m.stages, x)
 	fault.Corrupt32("model.forward.out", x.Data)
 	return x
 }

@@ -48,7 +48,8 @@ func (p *Predictor) ModelGen() (*Model, int64) {
 // Clone returns a deep copy of the model: same architecture, weights
 // copied, fresh layer-RNG streams (seeded deterministically), no shared
 // tensors. The clone is what fine-tuning mutates while the original
-// keeps serving.
+// keeps serving; it starts unfrozen (see nn.Freeze) whatever the
+// original is, so the copied weights are what it infers from.
 func (m *Model) Clone() *Model {
 	c := NewModel(tensor.NewRNG(0), m.Cfg)
 	src, dst := m.Params(), c.Params()
@@ -85,6 +86,7 @@ func (p *Predictor) SwapModel(m *Model, eval train.Dataset) (prev *Model, prevEv
 	prev, prevEval = p.model, p.test
 	p.model = m
 	p.model.Profile(p.Cfg.Profiler)
+	nn.Freeze(m) // published: its weights no longer move
 	if eval.X != nil {
 		p.test = eval
 	}
@@ -237,7 +239,9 @@ type Inferencer struct {
 }
 
 // NewInferencer returns an Inferencer serving m through p's pipeline.
+// m is frozen (see nn.Freeze): training it further unfreezes it again.
 func (p *Predictor) NewInferencer(m *Model) *Inferencer {
+	nn.Freeze(m)
 	return &Inferencer{p: p, m: m, arena: nn.NewInferArena()}
 }
 

@@ -339,6 +339,9 @@ func (p *Predictor) Fit(series [][]float64, target int) error {
 		TraceParent: fitSpan,
 		Tracer:      p.Cfg.Tracer,
 	})
+	// Training is over and the weights stay put until a SwapModel: bake
+	// the conv inference kernels once for the generation (see nn.Freeze).
+	nn.Freeze(p.model)
 	p.inferMu.Lock()
 	p.generation = 1
 	p.genSeq.Store(1)

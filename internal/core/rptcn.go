@@ -76,16 +76,12 @@ type Model struct {
 	out  *nn.Dense
 
 	// stages is the Fig. 5 data path as an ordered pipeline — each TCN
-	// block its own stage, then last/fc/attention/out. Forward and
-	// Backward run through it, so Profile can splice timing wrappers in
-	// without touching the concrete fields that back serialization.
-	stages []modelStage
-}
-
-// modelStage is one named step of the model's data path.
-type modelStage struct {
-	name  string
-	layer nn.Layer
+	// block its own stage, then last/fc/attention/out — and names labels
+	// it. Forward and Backward run through it, so Profile can splice
+	// timing wrappers in without touching the concrete fields that back
+	// serialization.
+	stages []nn.Layer
+	names  []string
 }
 
 // NewModel builds an RPTCN model. The zero-value ablation flags yield the
@@ -114,17 +110,20 @@ func NewModel(r *tensor.RNG, cfg Config) *Model {
 	}
 	m.out = nn.NewDense(r, width, cfg.Horizon)
 
-	for i, b := range m.tcn.Blocks {
-		m.stages = append(m.stages, modelStage{fmt.Sprintf("tcn[%d]", i), b})
+	stage := func(name string, l nn.Layer) {
+		m.names, m.stages = append(m.names, name), append(m.stages, l)
 	}
-	m.stages = append(m.stages, modelStage{"last", m.last})
+	for i, b := range m.tcn.Blocks {
+		stage(fmt.Sprintf("tcn[%d]", i), b)
+	}
+	stage("last", m.last)
 	if m.fc != nil {
-		m.stages = append(m.stages, modelStage{"fc", m.fc})
+		stage("fc", m.fc)
 	}
 	if m.attn != nil {
-		m.stages = append(m.stages, modelStage{"attention", m.attn})
+		stage("attention", m.attn)
 	}
-	m.stages = append(m.stages, modelStage{"out", m.out})
+	stage("out", m.out)
 	return m
 }
 
@@ -134,8 +133,8 @@ func NewModel(r *tensor.RNG, cfg Config) *Model {
 // both one atomic load when no injector is active.
 func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	fault.Disrupt("model.forward")
-	for _, s := range m.stages {
-		x = s.layer.Forward(x, train)
+	for _, l := range m.stages {
+		x = l.Forward(x, train)
 	}
 	fault.Corrupt("model.forward.out", x.Data)
 	return x
@@ -145,12 +144,12 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 // used by batched serving. It visits the same fault points as Forward
 // ("model.forward" disruption, "model.forward.out" corruption) and
 // produces output bitwise identical to Forward(x, false), drawing every
-// intermediate from the arena so a warmed-up pass allocates nothing.
+// intermediate from the arena so a warmed-up pass allocates nothing. The
+// TCN stages feed LastStep, so nn.InferChain computes them inside the
+// receptive cone of the final time step only.
 func (m *Model) InferForward(a *nn.InferArena, x *tensor.Tensor) *tensor.Tensor {
 	fault.Disrupt("model.forward")
-	for _, s := range m.stages {
-		x = nn.Infer(s.layer, a, x)
-	}
+	x = nn.InferChain(a, m.stages, x)
 	fault.Corrupt("model.forward.out", x.Data)
 	return x
 }
@@ -158,18 +157,12 @@ func (m *Model) InferForward(a *nn.InferArena, x *tensor.Tensor) *tensor.Tensor 
 // Children implements nn.ChildLayers, exposing the stage pipeline (the
 // profiled wrappers when Profile was called) so generic traversals reach
 // the dropout layers' random streams for checkpointing.
-func (m *Model) Children() []nn.Layer {
-	out := make([]nn.Layer, len(m.stages))
-	for i, s := range m.stages {
-		out[i] = s.layer
-	}
-	return out
-}
+func (m *Model) Children() []nn.Layer { return m.stages }
 
 // Backward implements nn.Layer.
 func (m *Model) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	for i := len(m.stages) - 1; i >= 0; i-- {
-		grad = m.stages[i].layer.Backward(grad)
+		grad = m.stages[i].Backward(grad)
 	}
 	return grad
 }
@@ -183,8 +176,8 @@ func (m *Model) Profile(p *nn.Profiler) {
 	if p == nil {
 		return
 	}
-	for i, s := range m.stages {
-		m.stages[i].layer = p.Wrap(s.name, s.layer)
+	for i, l := range m.stages {
+		m.stages[i] = p.Wrap(m.names[i], l)
 	}
 }
 

@@ -106,6 +106,7 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 	if err := nn.LoadParams(bytes.NewReader(dump.Weights), p.model); err != nil {
 		return nil, err
 	}
+	nn.Freeze(p.model)
 	p.generation = 1
 	p.genSeq.Store(1)
 	return p, nil

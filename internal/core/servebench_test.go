@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -72,3 +73,47 @@ func BenchmarkServingBatchedArena32(b *testing.B) {
 		}
 	}
 }
+
+// lastStepModel is the standing benchmark's serving model — 12 input
+// channels into 16/16/16 temporal blocks, k=3, d=1/2/4, window 32,
+// weight norm on — published the way Fit publishes one, plus a batch of
+// random windows.
+func lastStepModel(batch int) (*Model, *tensor.Tensor) {
+	r := tensor.NewRNG(9)
+	m := NewModel(r, Config{InChannels: 12, Channels: []int{16, 16, 16}, KernelSize: 3, WeightNorm: true, Horizon: 5})
+	nn.Freeze(m)
+	return m, tensor.RandN(r, batch, 12, 32)
+}
+
+func benchInferLastStep(b *testing.B, batch int) {
+	m, x := lastStepModel(batch)
+	arena := nn.NewInferArena()
+	m.InferForward(arena, x)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arena.Reset()
+		m.InferForward(arena, x)
+	}
+}
+
+func benchInferLastStepF32(b *testing.B, batch int) {
+	m, x := lastStepModel(batch)
+	m.Quantize32()
+	x32 := x.To32()
+	arena := nn.NewInferArena32()
+	m.InferForward32(arena, x32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		arena.Reset()
+		m.InferForward32(arena, x32)
+	}
+}
+
+// BenchmarkInferLastStep* time the model forward alone — the cone under
+// LastStep on frozen kernels — at the two batch sizes serving sees.
+func BenchmarkInferLastStepB1(b *testing.B)     { benchInferLastStep(b, 1) }
+func BenchmarkInferLastStepB32(b *testing.B)    { benchInferLastStep(b, 32) }
+func BenchmarkInferLastStepF32B1(b *testing.B)  { benchInferLastStepF32(b, 1) }
+func BenchmarkInferLastStepF32B32(b *testing.B) { benchInferLastStepF32(b, 32) }

@@ -78,6 +78,7 @@ func (si *ShardInferencer) refresh() error {
 	}
 	if si.model == nil || gen != si.gen {
 		si.model = m.Clone()
+		nn.Freeze(si.model)
 		si.gen = gen
 	}
 	return nil

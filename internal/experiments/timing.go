@@ -20,9 +20,13 @@ import (
 // TCNs parameters on the running time of this model ... apply the model to
 // the real-time resource usage prediction").
 //
-// InferLatency is the mean; InferP50/InferP99 come from an obs.Histogram
-// over the individual repetitions, because real-time serving cares about
-// the tail, not the mean.
+// The Infer* columns time what serving runs: the grad-free arena forward
+// of the published (frozen) model, which computes only the receptive cone
+// under the last time step. InferLatency is the mean; InferP50/InferP99
+// come from an obs.Histogram over the individual repetitions, because
+// real-time serving cares about the tail, not the mean. ForwardLatency is
+// the mean of the training-path Forward(x, false) on the same window —
+// every step of every convolution — for comparison.
 type TimingRow struct {
 	Label          string
 	Params         int
@@ -31,6 +35,7 @@ type TimingRow struct {
 	InferLatency   time.Duration
 	InferP50       time.Duration
 	InferP99       time.Duration
+	ForwardLatency time.Duration
 }
 
 // LayerProfile is the per-layer forward/backward cost breakdown of one
@@ -95,20 +100,30 @@ func RunTimingStudy(o Options) (*TimingStudy, error) {
 		start := time.Now()
 		train.Fit(m, p.tr, p.va, cfg)
 		row.EpochTime = time.Since(start)
-		// Inference latency on a single window: per-rep observations into
-		// a histogram so the table can report the distribution, not just
-		// the mean (tail latency is what real-time serving budgets for).
+		// Inference latency on a single window, as served: freeze the
+		// trained model, warm one arena pass, then observe each repetition
+		// into a histogram so the table can report the distribution, not
+		// just the mean (tail latency is what real-time serving budgets for).
 		x := p.te.Subset(0, 1)
 		const reps = 50
+		nn.Freeze(m)
+		arena := nn.NewInferArena()
+		m.InferForward(arena, x.X)
 		hist := obs.NewHistogram(obs.ExponentialBuckets(1e-6, 2, 26)) // 1 µs .. ~33 s
 		for i := 0; i < reps; i++ {
 			t0 := time.Now()
-			m.Forward(x.X, false)
+			arena.Reset()
+			m.InferForward(arena, x.X)
 			hist.Observe(time.Since(t0).Seconds())
 		}
 		row.InferLatency = secondsToDuration(hist.Mean())
 		row.InferP50 = secondsToDuration(hist.Quantile(0.5))
 		row.InferP99 = secondsToDuration(hist.Quantile(0.99))
+		t0 := time.Now()
+		for i := 0; i < reps; i++ {
+			m.Forward(x.X, false)
+		}
+		row.ForwardLatency = time.Since(t0) / reps
 		study.Rows = append(study.Rows, row)
 	}
 
@@ -158,13 +173,14 @@ func secondsToDuration(s float64) time.Duration {
 func (s *TimingStudy) Format() string {
 	var b strings.Builder
 	b.WriteString("Timing study: RPTCN parameters vs training/inference cost (future work, Sec. V-C)\n")
-	fmt.Fprintf(&b, "%-20s %10s %6s %14s %14s %12s %12s\n",
-		"variant", "params", "rf", "epoch time", "infer mean", "infer p50", "infer p99")
+	fmt.Fprintf(&b, "%-20s %10s %6s %14s %14s %12s %12s %16s\n",
+		"variant", "params", "rf", "epoch time", "infer mean", "infer p50", "infer p99", "train-path fwd")
 	for _, r := range s.Rows {
-		fmt.Fprintf(&b, "%-20s %10d %6d %14s %14s %12s %12s\n",
+		fmt.Fprintf(&b, "%-20s %10d %6d %14s %14s %12s %12s %16s\n",
 			r.Label, r.Params, r.ReceptiveField,
 			r.EpochTime.Round(time.Millisecond), r.InferLatency.Round(time.Microsecond),
-			r.InferP50.Round(time.Microsecond), r.InferP99.Round(time.Microsecond))
+			r.InferP50.Round(time.Microsecond), r.InferP99.Round(time.Microsecond),
+			r.ForwardLatency.Round(time.Microsecond))
 	}
 	for _, p := range s.Profiles {
 		fmt.Fprintf(&b, "\nPer-layer breakdown, one training epoch: %s\n%s", p.Label, p.Table)

@@ -89,12 +89,14 @@ type Quantizer32 interface {
 	Quantize32()
 }
 
-// Quantize32 refreshes l's float32 weight mirrors if it has any.
-// Composite layers recurse into their children.
+// Quantize32 refreshes the float32 weight mirrors of every layer under
+// l that has any — the same walk Freeze takes, at the same points.
 func Quantize32(l Layer) {
-	if q, ok := l.(Quantizer32); ok {
-		q.Quantize32()
-	}
+	VisitLayers(l, func(l Layer) {
+		if q, ok := l.(Quantizer32); ok {
+			q.Quantize32()
+		}
+	})
 }
 
 // Infer32 runs one layer's float32 arena forward. There is no Forward

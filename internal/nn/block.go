@@ -14,6 +14,8 @@ type TemporalBlock struct {
 	drop1, drop2 *SpatialDropout1D
 	downsample   *CausalConv1D // 1×1 conv; nil when in == out channels
 	finalReLU    ReLU
+
+	plan *blockSteps // inference step plan of the last window served (see cone.go)
 }
 
 // TemporalBlockConfig holds the hyperparameters of one block.

@@ -1,0 +1,197 @@
+package nn
+
+import (
+	"bytes"
+	"fmt"
+	"slices"
+	"testing"
+
+	"repro/internal/par"
+	"repro/internal/tensor"
+)
+
+// coneStack is a TCN feeding LastStep and a linear head: the shape
+// InferChain prunes to the receptive cone.
+func coneStack(k int, dilations []int, in, ch int, weightNorm bool) (*Sequential, *TCN) {
+	r := tensor.NewRNG(uint64(1000*k + 10*len(dilations) + in))
+	channels := make([]int, len(dilations))
+	for i := range channels {
+		channels[i] = ch
+	}
+	tcn := NewTCN(r, TCNConfig{
+		InChannels: in, Channels: channels, KernelSize: k, Dilations: dilations,
+		Dropout: 0.1, WeightNorm: weightNorm,
+	})
+	return NewSequential(tcn, &LastStep{}, NewDense(r, ch, 2)), tcn
+}
+
+// TestConeMatchesForwardGrid holds the pruned forward to the
+// training-path Forward(x, false), bitwise, over kernel sizes, dilation
+// schedules (ascending, flat, descending, receptive field beyond the
+// window), window lengths down to 1, a 1×1 downsample or none, weight
+// norm on and off, three batch sizes and three worker counts; and the
+// f32 tier, on the same grid, to replay determinism and its error bound
+// against f64.
+func TestConeMatchesForwardGrid(t *testing.T) {
+	kernels := []int{1, 2, 3, 5}
+	schedules := [][]int{{1, 2, 4}, {1, 1, 1}, {4, 2, 1}, {1, 2, 4, 8}}
+	windows := []int{1, 5, 32, 33}
+	batches := []int{1, 7, 32}
+	if testing.Short() {
+		kernels, batches = []int{2, 3}, []int{1, 32}
+	}
+	const ch = 6
+	for _, k := range kernels {
+		for _, dil := range schedules {
+			for _, in := range []int{4, ch} { // 4→6 downsamples, 6→6 does not
+				for _, wn := range []bool{true, false} {
+					model, _ := coneStack(k, dil, in, ch, wn)
+					Quantize32(model)
+					for _, win := range windows {
+						for _, batch := range batches {
+							name := fmt.Sprintf("k%d/d%v/in%d/wn%v/t%d/b%d", k, dil, in, wn, win, batch)
+							x := tensor.RandN(tensor.NewRNG(uint64(win*100+batch)), batch, in, win)
+							x32 := x.To32()
+							want := model.Forward(x, false)
+							var first32 *tensor.Tensor32
+							for _, workers := range []int{1, 2, 4} {
+								prev := par.SetWorkers(workers)
+								arena, arena32 := NewInferArena(), NewInferArena32()
+								for pass := 0; pass < 2; pass++ {
+									arena.Reset()
+									requireBitwiseTensors(t, Infer(model, arena, x), want, name)
+									arena32.Reset()
+									got32 := Infer32(model, arena32, x32)
+									if first32 == nil {
+										requireWithinBound32(t, got32, want, name)
+										first32 = got32.Clone()
+									}
+									requireBitwiseTensors32(t, got32, first32, name+" f32 replay")
+								}
+								par.SetWorkers(prev)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// reachesLastStep traces dependencies by brute force: it marks input
+// step s0 of blocks[0], pushes the mark forward through every tap and
+// residual of every block, and reports whether it arrives at the final
+// time step of the last block's output.
+func reachesLastStep(blocks []*TemporalBlock, t, s0 int) bool {
+	mark := make([]bool, t)
+	mark[s0] = true
+	conv := func(in []bool, k, d int) []bool {
+		out := make([]bool, t)
+		for s := range out {
+			for j := 0; j < k && s-j*d >= 0; j++ {
+				out[s] = out[s] || in[s-j*d]
+			}
+		}
+		return out
+	}
+	for _, b := range blocks {
+		k, d := b.conv1.KernelSize, b.conv1.Dilation
+		h := conv(conv(mark, k, d), k, d)
+		for s := range h {
+			h[s] = h[s] || mark[s]
+		}
+		mark = h
+	}
+	return mark[t-1]
+}
+
+// TestConeStepsMatchDependencyTrace is the property the pruning rests
+// on: for random stacks and windows, the input steps each block plans to
+// read are exactly the steps the final time step depends on, and each
+// block is asked for exactly what the next one reads.
+func TestConeStepsMatchDependencyTrace(t *testing.T) {
+	r := tensor.NewRNG(77)
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + int(r.Uint64()%5)
+		dil := make([]int, 1+r.Uint64()%4)
+		for i := range dil {
+			dil[i] = 1 + int(r.Uint64()%8)
+		}
+		win := 1 + int(r.Uint64()%40)
+		model, tcn := coneStack(k, dil, 2, 3, false)
+		Infer(model, NewInferArena(), tensor.RandN(r, 1, 2, win))
+		for i, b := range tcn.Blocks {
+			var want []int
+			for s := 0; s < win; s++ {
+				if reachesLastStep(tcn.Blocks[i:], win, s) {
+					want = append(want, s)
+				}
+			}
+			what := fmt.Sprintf("k=%d dilations=%v window=%d block %d", k, dil, win, i)
+			if !slices.Equal(b.plan.in, want) {
+				t.Fatalf("%s: plans to read %v, the last step depends on %v", what, b.plan.in, want)
+			}
+			next := []int{win - 1}
+			if i+1 < len(tcn.Blocks) {
+				next = tcn.Blocks[i+1].plan.in
+			}
+			if !slices.Equal(b.plan.out, next) {
+				t.Fatalf("%s: produces %v, the next layer reads %v", what, b.plan.out, next)
+			}
+		}
+	}
+}
+
+// TestFreezeLifecycle pins what Freeze promises. A frozen convolution
+// serves from the kernel baked at Freeze — shown by scribbling on the
+// weights behind its back — and each way weights legitimately change
+// (a training-mode Forward, a Backward, LoadParams, Unfreeze) puts the
+// arena path back in bitwise step with Forward.
+func TestFreezeLifecycle(t *testing.T) {
+	model, tcn := coneStack(3, []int{1, 2}, 4, 6, true)
+	r := tensor.NewRNG(5)
+	x := tensor.RandN(r, 3, 4, 16)
+	arena := NewInferArena()
+	infer := func() *tensor.Tensor {
+		arena.Reset()
+		return Infer(model, arena, x).Clone()
+	}
+	scribble := func() {
+		for _, p := range tcn.Params() {
+			for i := range p.Value.Data {
+				p.Value.Data[i] *= 1.1
+			}
+		}
+	}
+	var saved bytes.Buffer
+	if err := SaveParams(&saved, model); err != nil {
+		t.Fatal(err)
+	}
+
+	Freeze(model)
+	before := infer()
+	requireBitwiseTensors(t, before, model.Forward(x, false), "frozen")
+	scribble()
+	requireBitwiseTensors(t, infer(), before, "frozen model must serve the baked kernel")
+	Unfreeze(model)
+	requireBitwiseTensors(t, infer(), model.Forward(x, false), "after Unfreeze")
+
+	writers := map[string]func(){
+		"training forward": func() { model.Forward(x, true) },
+		"backward": func() {
+			y := model.Forward(x, false)
+			model.Backward(tensor.RandN(r, y.Shape()...))
+		},
+		"LoadParams": func() {
+			if err := LoadParams(bytes.NewReader(saved.Bytes()), model); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, write := range writers {
+		Freeze(model)
+		write()
+		scribble() // stands for the optimizer step that follows
+		requireBitwiseTensors(t, infer(), model.Forward(x, false), "after "+name)
+	}
+}

@@ -48,10 +48,9 @@ type CausalConv1D struct {
 	vNorms  []float64      // per-output-channel ‖V‖ from the last forward
 	padLeft int
 
-	// im2col scratch for the training forward; the arena path draws the
-	// same three buffers from its InferArena instead (see infer.go).
-	// Backward reads acol and wtr as the forward left them. The b·t-sized
-	// buffers only ever grow (see scratch2D).
+	// im2col scratch for the training forward. Backward reads acol and
+	// wtr as the forward left them. The b·t-sized buffers only ever grow
+	// (see scratch2D).
 	acol *tensor.Tensor // [in·k, b·t] unrolled input columns
 	wtr  *tensor.Tensor // [in·k, out] transposed effective kernel
 	ycol *tensor.Tensor // [b·t, out] GEMM output, bias-seeded
@@ -67,15 +66,17 @@ type CausalConv1D struct {
 	dwt       *tensor.Tensor // [in·k, out] gradient w.r.t. wtr
 	dwScratch *tensor.Tensor // [out, in, k] effective-kernel gradient
 
-	// Float32 serving-tier mirrors (see infer32.go). Quantize32 bakes the
-	// *effective* kernel — weight norm already applied — directly in its
-	// transposed GEMM layout, so the f32 forward skips both the norm and
-	// the per-call transpose.
-	wt32 *tensor.Tensor32 // [in·k, out] transposed effective kernel
-	b32  *tensor.Tensor32 // [out]
+	// Inference state (see cone.go). wtInfer is the effective kernel —
+	// weight norm already applied — in its transposed GEMM layout; while
+	// frozen it is reused as baked, otherwise rebaked per call. taps
+	// caches the full-length tap list of the last window length served.
+	wtInfer *tensor.Tensor // [in·k, out]
+	frozen  bool
+	taps    []int
 
-	gemmX32, gemmAcol32, gemmYcol32, gemmY32 *tensor.Tensor32
-	colRun32, outRun32                       func(lo, hi int)
+	// Float32 serving-tier mirrors of wtInfer and B (see Quantize32).
+	wt32 *tensor.Tensor32 // [in·k, out]
+	b32  *tensor.Tensor32 // [out]
 }
 
 // NewCausalConv1D builds the layer with He-normal initialization
@@ -151,7 +152,10 @@ func (c *CausalConv1D) effectiveKernel() *tensor.Tensor {
 }
 
 // Forward implements Layer.
-func (c *CausalConv1D) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (c *CausalConv1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	if train {
+		c.frozen = false // the weights are about to move
+	}
 	if x.Dims() != 3 {
 		panic(fmt.Sprintf("nn: CausalConv1D requires [batch, channels, time], got %v", x.Shape()))
 	}
@@ -186,9 +190,9 @@ func scratch2D(buf *tensor.Tensor, rows, cols int) *tensor.Tensor {
 	return tensor.FromSlice(buf.Data[:rows*cols], rows, cols)
 }
 
-// convGemm is the shared forward kernel of the training and
-// arena-inference paths, so both produce bitwise identical values. The
-// causal convolution is lowered to one GEMM: x is unrolled into acol
+// convGemm is the training forward kernel; inference runs the same
+// arithmetic at the steps it needs (inferTaps in cone.go). The causal
+// convolution is lowered to one GEMM: x is unrolled into acol
 // (one row per (in-channel, tap) pair, left-padded with zeros), the
 // effective kernel is transposed into wt, ycol rows are seeded with the
 // bias, and the packed kernel accumulates ycol += acolᵀ·wt — each output
@@ -281,6 +285,7 @@ func (c *CausalConv1D) scatterRows(ycol, y *tensor.Tensor, lo, hi int) {
 // not depend on the worker count, and a sample's dx row does not depend
 // on the rest of the batch.
 func (c *CausalConv1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	c.frozen = false
 	b, t := grad.Dim(0), grad.Dim(2)
 	in, out, k := c.InChannels, c.OutChannels, c.KernelSize
 	kk, m := in*k, b*t

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/tensor"
 )
@@ -23,25 +22,6 @@ func (d *Dense) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
 	out := a.Get(x.Dim(0), d.W.Value.Dim(0))
 	x.MatMulTInto(d.W.Value, out)
 	return out.AddRowVectorInPlace(d.B.Value)
-}
-
-// InferForward implements InferLayer.
-func (c *CausalConv1D) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	if x.Dims() != 3 {
-		panic(fmt.Sprintf("nn: CausalConv1D requires [batch, channels, time], got %v", x.Shape()))
-	}
-	if x.Dim(1) != c.InChannels {
-		panic(fmt.Sprintf("nn: CausalConv1D channel mismatch: input %d, layer %d", x.Dim(1), c.InChannels))
-	}
-	w := c.effectiveKernel()
-	b, t := x.Dim(0), x.Dim(2)
-	in, out, k := c.InChannels, c.OutChannels, c.KernelSize
-	acol := a.Get(in*k, b*t)
-	wt := a.Get(in*k, out)
-	ycol := a.Get(b*t, out)
-	y := a.Get(b, out, t)
-	c.convGemm(x, w, acol, wt, ycol, y)
-	return y
 }
 
 // InferForward implements InferLayer.
@@ -267,52 +247,25 @@ func (f *Flatten) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
 
 // InferForward implements InferLayer.
 func (s *Sequential) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = Infer(l, a, x)
-	}
-	return x
+	return InferChain(a, s.Layers, x)
 }
 
-// InferForward implements InferLayer.
+// InferForward implements InferLayer: every step of the block's output
+// (see cone.go; a block that feeds a LastStep is pruned by InferChain).
 func (b *TemporalBlock) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	h := b.conv1.InferForward(a, x)
-	h = b.relu1.InferForward(a, h)
-	h = b.drop1.InferForward(a, h)
-	h = b.conv2.InferForward(a, h)
-	h = b.relu2.InferForward(a, h)
-	h = b.drop2.InferForward(a, h)
-	res := x
-	if b.downsample != nil {
-		res = b.downsample.InferForward(a, x)
-	}
-	// Residual add fused with the final ReLU: same add-then-threshold
-	// arithmetic as Forward's h.Add(res) followed by finalReLU.
-	out := a.GetLike(h)
-	for i, hv := range h.Data {
-		v := hv + res.Data[i]
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
-	}
-	return out
+	return inferRun(a, []Layer{b}, nil, x)
 }
 
 // InferForward implements InferLayer.
 func (t *TCN) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	for _, b := range t.Blocks {
-		x = b.InferForward(a, x)
-	}
-	return x
+	return inferRun(a, []Layer{t}, nil, x)
 }
 
 // InferForward implements InferLayer, timing the wrapped layer's arena
 // forward into the same counters as training forwards.
 func (w *Profiled) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	t0 := time.Now()
+	t0 := w.start()
 	out := Infer(w.inner, a, x)
-	w.times.fwdNanos.Add(int64(time.Since(t0)))
-	w.times.fwdCalls.Add(1)
+	w.observe(t0)
 	return out
 }

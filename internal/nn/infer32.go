@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/par"
 	"repro/internal/tensor"
@@ -52,115 +51,20 @@ func (d *Dense) InferForward32(a *InferArena32, x *tensor.Tensor32) *tensor.Tens
 
 // ---- CausalConv1D ----
 
-// Quantize32 implements Quantizer32: it bakes the effective kernel
-// (weight norm applied) into the transposed [in·k, out] layout the GEMM
-// consumes, so the f32 forward does neither the normalization nor the
-// transpose per call.
+// Quantize32 implements Quantizer32: it narrows the baked inference
+// kernel — effective weights (weight norm applied) in the transposed
+// [in·k, out] layout the GEMM consumes — so the f32 forward does neither
+// the normalization nor the transpose per call.
 func (c *CausalConv1D) Quantize32() {
-	in, k, out := c.InChannels, c.KernelSize, c.OutChannels
-	kk := in * k
-	w := c.effectiveKernel()
+	if !c.frozen {
+		c.bakeKernel()
+	}
 	if c.wt32 == nil {
-		c.wt32 = tensor.New32(kk, out)
-		c.b32 = tensor.New32(out)
+		c.wt32 = tensor.New32(c.wtInfer.Shape()...)
+		c.b32 = tensor.New32(c.OutChannels)
 	}
-	for p := 0; p < kk; p++ {
-		wrow := c.wt32.Data[p*out : (p+1)*out]
-		for co := 0; co < out; co++ {
-			wrow[co] = float32(w.Data[co*kk+p])
-		}
-	}
+	c.wt32.QuantizeFrom(c.wtInfer)
 	c.b32.QuantizeFrom(c.B.Value)
-}
-
-// InferForward32 implements Infer32Layer.
-func (c *CausalConv1D) InferForward32(a *InferArena32, x *tensor.Tensor32) *tensor.Tensor32 {
-	if c.wt32 == nil {
-		panic("nn: CausalConv1D.InferForward32 before Quantize32")
-	}
-	if x.Dims() != 3 {
-		panic(fmt.Sprintf("nn: CausalConv1D requires [batch, channels, time], got %v", x.Shape()))
-	}
-	if x.Dim(1) != c.InChannels {
-		panic(fmt.Sprintf("nn: CausalConv1D channel mismatch: input %d, layer %d", x.Dim(1), c.InChannels))
-	}
-	b, t := x.Dim(0), x.Dim(2)
-	in, out, k := c.InChannels, c.OutChannels, c.KernelSize
-	acol := a.Get(in*k, b*t)
-	ycol := a.Get(b*t, out)
-	y := a.Get(b, out, t)
-	c.convGemm32(x, acol, ycol, y)
-	return y
-}
-
-// convGemm32 mirrors convGemm for the quantized kernel: unroll the input
-// into columns, seed the output rows with the f32 bias, run one packed
-// f32 GEMM (each output sample a single ascending FMA chain), and
-// scatter back to [batch, channel, time].
-func (c *CausalConv1D) convGemm32(x, acol, ycol, y *tensor.Tensor32) {
-	in, out, k := c.InChannels, c.OutChannels, c.KernelSize
-	b, t := x.Dim(0), x.Dim(2)
-	kk, m := in*k, b*t
-
-	if c.colRun32 == nil {
-		c.colRun32 = func(lo, hi int) { c.unrollCols32(c.gemmX32, c.gemmAcol32, lo, hi) }
-		c.outRun32 = func(lo, hi int) { c.scatterRows32(c.gemmYcol32, c.gemmY32, lo, hi) }
-	}
-	c.gemmX32, c.gemmAcol32, c.gemmYcol32, c.gemmY32 = x, acol, ycol, y
-	if kk*m < parFlops {
-		c.unrollCols32(x, acol, 0, kk)
-	} else {
-		par.Run(kk, c.colRun32)
-	}
-
-	bias := c.b32.Data[:out]
-	for i := 0; i < m; i++ {
-		copy(ycol.Data[i*out:(i+1)*out], bias)
-	}
-	acol.TMatMulAcc(c.wt32, ycol)
-
-	units := b * out
-	if m*out < parFlops {
-		c.scatterRows32(ycol, y, 0, units)
-	} else {
-		par.Run(units, c.outRun32)
-	}
-}
-
-// unrollCols32 mirrors unrollCols in float32.
-func (c *CausalConv1D) unrollCols32(x, acol *tensor.Tensor32, lo, hi int) {
-	in, k, d := c.InChannels, c.KernelSize, c.Dilation
-	b, t := x.Dim(0), x.Dim(2)
-	for p := lo; p < hi; p++ {
-		ci, kk := p/k, p%k
-		off := (k - 1 - kk) * d
-		if off > t {
-			off = t
-		}
-		dst := acol.Data[p*b*t : (p+1)*b*t]
-		for bi := 0; bi < b; bi++ {
-			seg := dst[bi*t : (bi+1)*t]
-			for i := 0; i < off; i++ {
-				seg[i] = 0
-			}
-			xrow := x.Data[(bi*in+ci)*t : (bi*in+ci)*t+t]
-			copy(seg[off:], xrow[:t-off])
-		}
-	}
-}
-
-// scatterRows32 mirrors scatterRows in float32.
-func (c *CausalConv1D) scatterRows32(ycol, y *tensor.Tensor32, lo, hi int) {
-	out := c.OutChannels
-	t := y.Dim(2)
-	for u := lo; u < hi; u++ {
-		bi, co := u/out, u%out
-		yrow := y.Data[u*t : (u+1)*t]
-		base := bi*t*out + co
-		for tt := 0; tt < t; tt++ {
-			yrow[tt] = ycol.Data[base+tt*out]
-		}
-	}
 }
 
 // ---- LSTM ----
@@ -498,79 +402,26 @@ func (f *Flatten) InferForward32(a *InferArena32, x *tensor.Tensor32) *tensor.Te
 
 // ---- Composites ----
 
-// Quantize32 implements Quantizer32.
-func (s *Sequential) Quantize32() {
-	for _, l := range s.Layers {
-		Quantize32(l)
-	}
-}
-
 // InferForward32 implements Infer32Layer.
 func (s *Sequential) InferForward32(a *InferArena32, x *tensor.Tensor32) *tensor.Tensor32 {
-	for _, l := range s.Layers {
-		x = Infer32(l, a, x)
-	}
-	return x
-}
-
-// Quantize32 implements Quantizer32.
-func (b *TemporalBlock) Quantize32() {
-	b.conv1.Quantize32()
-	b.conv2.Quantize32()
-	if b.downsample != nil {
-		b.downsample.Quantize32()
-	}
+	return InferChain32(a, s.Layers, x)
 }
 
 // InferForward32 implements Infer32Layer.
 func (b *TemporalBlock) InferForward32(a *InferArena32, x *tensor.Tensor32) *tensor.Tensor32 {
-	h := b.conv1.InferForward32(a, x)
-	h = b.relu1.InferForward32(a, h)
-	h = b.drop1.InferForward32(a, h)
-	h = b.conv2.InferForward32(a, h)
-	h = b.relu2.InferForward32(a, h)
-	h = b.drop2.InferForward32(a, h)
-	res := x
-	if b.downsample != nil {
-		res = b.downsample.InferForward32(a, x)
-	}
-	// Residual add fused with the final ReLU, like the f64 arena path.
-	out := a.GetLike(h)
-	for i, hv := range h.Data {
-		v := hv + res.Data[i]
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
-	}
-	return out
-}
-
-// Quantize32 implements Quantizer32.
-func (t *TCN) Quantize32() {
-	for _, b := range t.Blocks {
-		b.Quantize32()
-	}
+	return inferRun32(a, []Layer{b}, nil, x)
 }
 
 // InferForward32 implements Infer32Layer.
 func (t *TCN) InferForward32(a *InferArena32, x *tensor.Tensor32) *tensor.Tensor32 {
-	for _, b := range t.Blocks {
-		x = b.InferForward32(a, x)
-	}
-	return x
+	return inferRun32(a, []Layer{t}, nil, x)
 }
-
-// Quantize32 implements Quantizer32.
-func (w *Profiled) Quantize32() { Quantize32(w.inner) }
 
 // InferForward32 implements Infer32Layer, timing the wrapped layer's f32
 // arena forward into the same counters as training forwards.
 func (w *Profiled) InferForward32(a *InferArena32, x *tensor.Tensor32) *tensor.Tensor32 {
-	t0 := time.Now()
+	t0 := w.start()
 	out := Infer32(w.inner, a, x)
-	w.times.fwdNanos.Add(int64(time.Since(t0)))
-	w.times.fwdCalls.Add(1)
+	w.observe(t0)
 	return out
 }

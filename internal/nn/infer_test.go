@@ -67,7 +67,26 @@ func inferStacks(features, timeSteps int) map[string]Layer {
 			&Flatten{},
 			NewDense(r, 4*timeSteps, 3),
 		),
+		// A TCN nobody takes the last step of: full-length inference.
+		"tcn-full": NewSequential(
+			NewTCN(r, TCNConfig{InChannels: features, Channels: []int{6, 6}, KernelSize: 2, WeightNorm: true}),
+			&Flatten{},
+			NewDense(r, 6*timeSteps, 3),
+		),
+		// The cone seen through profiling wrappers, block by block as
+		// core.Model stages them.
+		"rptcn-profiled": profiledStack(NewSequential(
+			NewTemporalBlock(r, TemporalBlockConfig{InChannels: features, OutChannels: 6, KernelSize: 3, Dilation: 1, WeightNorm: true}),
+			NewTemporalBlock(r, TemporalBlockConfig{InChannels: 6, OutChannels: 6, KernelSize: 3, Dilation: 2, WeightNorm: true}),
+			&LastStep{},
+			NewDense(r, 6, 3),
+		)),
 	}
+}
+
+func profiledStack(s *Sequential) *Sequential {
+	NewProfiler().WrapSequential(s)
+	return s
 }
 
 func requireBitwiseTensors(t *testing.T, got, want *tensor.Tensor, what string) {
@@ -175,7 +194,7 @@ func TestInferDoesNotDisturbTraining(t *testing.T) {
 
 // TestInferArenaZeroAllocSteadyState proves a warmed-up arena forward
 // performs no heap allocations, across all architecture families and at
-// a batch size large enough to engage the parallel conv path.
+// a batch size large enough to engage the parallel GEMM path.
 func TestInferArenaZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation defeats escape analysis; allocation counts are meaningless")

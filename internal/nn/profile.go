@@ -102,6 +102,22 @@ func (w *Profiled) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return out
 }
 
+// start returns the time a profiled stage begins; free on a nil wrapper.
+func (w *Profiled) start() (t0 time.Time) {
+	if w != nil {
+		t0 = time.Now()
+	}
+	return t0
+}
+
+// observe records one forward call begun at t0; a no-op on a nil wrapper.
+func (w *Profiled) observe(t0 time.Time) {
+	if w != nil {
+		w.times.fwdNanos.Add(int64(time.Since(t0)))
+		w.times.fwdCalls.Add(1)
+	}
+}
+
 // Params implements Layer.
 func (w *Profiled) Params() []*Param { return w.inner.Params() }
 

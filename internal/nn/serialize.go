@@ -51,6 +51,7 @@ func LoadParams(r io.Reader, m Layer) error {
 	if len(params) != len(dump.Params) {
 		return fmt.Errorf("nn: model has %d params, file has %d", len(params), len(dump.Params))
 	}
+	Unfreeze(m) // weights change below, some of them even if an error cuts the load short
 	for i, p := range params {
 		d := dump.Params[i]
 		if p.Name != d.Name {

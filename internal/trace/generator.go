@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -64,14 +65,23 @@ func (c *GeneratorConfig) fillDefaults() {
 	}
 }
 
-// Generate produces a fleet of synthetic entity series.
+// Generate produces a fleet of synthetic entity series. Each entity's
+// random stream is split off the root in entity order first, so the
+// entities can then be generated on the worker pool and still come out
+// bit for bit as a sequential loop would produce them.
 func Generate(cfg GeneratorConfig) []*EntitySeries {
 	cfg.fillDefaults()
 	root := tensor.NewRNG(cfg.Seed)
-	out := make([]*EntitySeries, cfg.Entities)
-	for i := range out {
-		out[i] = generateEntity(cfg, i, root.Split())
+	rngs := make([]*tensor.RNG, cfg.Entities)
+	for i := range rngs {
+		rngs[i] = root.Split()
 	}
+	out := make([]*EntitySeries, cfg.Entities)
+	par.Run(len(out), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			out[i] = generateEntity(cfg, i, rngs[i])
+		}
+	})
 	return out
 }
 

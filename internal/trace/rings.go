@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"container/heap"
 	"sync"
 	"sync/atomic"
 )
@@ -130,7 +131,15 @@ type RingStore struct {
 	capacity    int
 	maxEntities int // 0 = unbounded
 	rings       map[string]*ringEntry
-	order       []string
+	// order lists the entities first seen first; an evicted entity leaves
+	// a nil behind (dead counts them) until compaction squeezes them out.
+	order []*ringEntry
+	dead  int
+	// lru is a min-heap on the stamp each entry had when it was last
+	// looked at under mu — never newer than its live touch stamp, which is
+	// what lets eviction find the exact least recently used entity
+	// without scanning (see evictOldestLocked).
+	lru lruHeap
 
 	// seq is a store-wide logical clock; every touch (ingest or window
 	// read) stamps the entity with seq's next value, so the entity with
@@ -144,6 +153,26 @@ type ringEntry struct {
 	mu    sync.Mutex
 	ring  *Ring
 	touch atomic.Uint64 // last store-wide seq this entity was used at
+
+	// Guarded by the store's mu.
+	id    string
+	pos   int    // index in order
+	stamp uint64 // touch as last recorded in the lru heap
+}
+
+// lruHeap implements heap.Interface over recorded stamps.
+type lruHeap []*ringEntry
+
+func (h lruHeap) Len() int           { return len(h) }
+func (h lruHeap) Less(i, j int) bool { return h[i].stamp < h[j].stamp }
+func (h lruHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *lruHeap) Push(x any)        { *h = append(*h, x.(*ringEntry)) }
+func (h *lruHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	old[len(old)-1] = nil
+	*h = old[:len(old)-1]
+	return e
 }
 
 // NewRingStore creates a store whose rings hold capacity samples each,
@@ -210,36 +239,56 @@ func (s *RingStore) create(id string) *ringEntry {
 	if s.maxEntities > 0 && len(s.rings) >= s.maxEntities {
 		s.evictOldestLocked()
 	}
-	e := &ringEntry{ring: NewRing(s.capacity)}
+	// Stamped here, under the lock, so a concurrent creator cannot pick
+	// the newcomer as its victim before the first sample lands.
+	e := &ringEntry{ring: NewRing(s.capacity), id: id, pos: len(s.order), stamp: s.seq.Add(1)}
+	e.touch.Store(e.stamp)
 	s.rings[id] = e
-	s.order = append(s.order, id)
+	s.order = append(s.order, e)
+	heap.Push(&s.lru, e)
 	return e
 }
 
-// evictOldestLocked drops the least recently touched entity. The linear
-// scan is fine: it only runs on entity creation past the cap, never on
-// the per-sample hot path. Callers already using the victim's entry via
-// a prior lookup keep a valid (now orphaned) ring; it is simply no
-// longer reachable.
+// evictOldestLocked drops the least recently touched entity. Touches
+// stamp entries without the store lock, so the heap orders them by the
+// stamp recorded when each was last examined: if the root has been
+// touched since, its record is refreshed and it sinks; if not, it is the
+// exact minimum, because every other entry's live stamp is at least its
+// recorded one, which is above the root's. Callers already using the
+// victim's entry via a prior lookup keep a valid (now orphaned) ring; it
+// is simply no longer reachable.
 func (s *RingStore) evictOldestLocked() {
-	victim := ""
-	var oldest uint64
-	for id, e := range s.rings {
-		if t := e.touch.Load(); victim == "" || t < oldest {
-			victim, oldest = id, t
+	for len(s.lru) > 0 {
+		e := s.lru[0]
+		if cur := e.touch.Load(); cur != e.stamp {
+			e.stamp = cur
+			heap.Fix(&s.lru, 0)
+			continue
 		}
-	}
-	if victim == "" {
+		heap.Pop(&s.lru)
+		delete(s.rings, e.id)
+		s.order[e.pos] = nil
+		if s.dead++; s.dead*2 > len(s.order) {
+			s.compactOrderLocked()
+		}
+		s.evicted.Add(1)
 		return
 	}
-	delete(s.rings, victim)
-	for i, id := range s.order {
-		if id == victim {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
+}
+
+// compactOrderLocked squeezes the evicted entities' gaps out of order.
+// It runs once the gaps outnumber the living, so its cost is amortized
+// O(1) per eviction.
+func (s *RingStore) compactOrderLocked() {
+	live := s.order[:0]
+	for _, e := range s.order {
+		if e != nil {
+			e.pos = len(live)
+			live = append(live, e)
 		}
 	}
-	s.evicted.Add(1)
+	clear(s.order[len(live):])
+	s.order, s.dead = live, 0
 }
 
 // Evicted returns how many entities have been LRU-evicted so far.
@@ -249,8 +298,12 @@ func (s *RingStore) Evicted() uint64 { return s.evicted.Load() }
 func (s *RingStore) Entities() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]string, len(s.order))
-	copy(out, s.order)
+	out := make([]string, 0, len(s.order)-s.dead)
+	for _, e := range s.order {
+		if e != nil {
+			out = append(out, e.id)
+		}
+	}
 	return out
 }
 

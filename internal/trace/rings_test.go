@@ -220,3 +220,61 @@ func TestRingStoreIngestZeroAlloc(t *testing.T) {
 		t.Fatalf("hot-path ingest allocates %.2f per sample, want 0", allocs)
 	}
 }
+
+// TestRingStoreLRUMatchesReference drives a bounded store with a long
+// random mix of writes, reads and never-seen entities and checks it
+// against the definition: a recency list, front evicted when a newcomer
+// finds the store full. After every operation the survivors must be the
+// reference's, in first-seen order, so the heap's lazy revalidation and
+// the tombstoned order slice pick the same victims in the same sequence
+// as the linear scan they replace.
+func TestRingStoreLRUMatchesReference(t *testing.T) {
+	const maxEnt, ops = 16, 20000
+	s := NewBoundedRingStore(4, maxEnt)
+	var recency, firstSeen []string // least recent first; oldest first
+	drop := func(xs []string, id string) []string {
+		for i, x := range xs {
+			if x == id {
+				return append(xs[:i:i], xs[i+1:]...)
+			}
+		}
+		return xs
+	}
+	seed := uint64(42)
+	next := func(n int) int {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return int(seed >> 33 % uint64(n))
+	}
+	for op, evictions := 0, 0; op < ops; op++ {
+		id := "e" + string(rune('A'+next(40)))
+		known := len(drop(recency, id)) != len(recency)
+		if next(3) == 0 {
+			if s.WithWindow(id, 1, func([][]float64, int, int) {}) != known {
+				t.Fatalf("op %d: read of %s found=%v, reference says %v", op, id, !known, known)
+			}
+			if !known {
+				continue
+			}
+		} else {
+			s.IngestString(id, op+1, ringVals(float64(op)))
+			if !known {
+				if len(recency) == maxEnt {
+					firstSeen = drop(firstSeen, recency[0])
+					recency = recency[1:]
+					evictions++
+				}
+				firstSeen = append(firstSeen, id)
+			}
+		}
+		recency = append(drop(recency, id), id)
+		got := s.Entities()
+		if len(got) != len(firstSeen) || s.Evicted() != uint64(evictions) {
+			t.Fatalf("op %d: %d entities, %d evictions; reference %d, %d", op, len(got), s.Evicted(), len(firstSeen), evictions)
+		}
+		for i := range got {
+			if got[i] != firstSeen[i] {
+				t.Fatalf("op %d: entities %v, reference %v", op, got, firstSeen)
+			}
+		}
+	}
+}

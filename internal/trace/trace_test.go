@@ -5,7 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/stats"
+	"repro/internal/tensor"
 )
 
 func TestIndicatorNames(t *testing.T) {
@@ -85,6 +87,38 @@ func TestGenerateReproducible(t *testing.T) {
 	if c[0].Metrics[CPUUtilPercent][10] == a[0].Metrics[CPUUtilPercent][10] &&
 		c[0].Metrics[CPUUtilPercent][20] == a[0].Metrics[CPUUtilPercent][20] {
 		t.Fatal("different seeds produced identical traces")
+	}
+}
+
+// TestGenerateMatchesSequentialAtAnyWorkerCount: fanning the entities
+// out over the pool must not move a bit — every float equals what one
+// goroutine drawing the entities in order from the same root produces.
+func TestGenerateMatchesSequentialAtAnyWorkerCount(t *testing.T) {
+	cfg := GeneratorConfig{Entities: 37, Kind: Container, Samples: 200, Seed: 11, MutationRate: 0.01, BurstRate: 0.02}
+	filled := cfg
+	filled.fillDefaults()
+	root := tensor.NewRNG(cfg.Seed)
+	want := make([]*EntitySeries, cfg.Entities)
+	for i := range want {
+		want[i] = generateEntity(filled, i, root.Split())
+	}
+	for _, workers := range []int{1, 2, 4} {
+		prev := par.SetWorkers(workers)
+		got := Generate(cfg)
+		par.SetWorkers(prev)
+		for i, e := range got {
+			if e.ID != want[i].ID {
+				t.Fatalf("workers=%d: entity %d is %s, want %s", workers, i, e.ID, want[i].ID)
+			}
+			for ind := range e.Metrics {
+				for j, v := range e.Metrics[ind] {
+					if math.Float64bits(v) != math.Float64bits(want[i].Metrics[ind][j]) {
+						t.Fatalf("workers=%d: %s indicator %d sample %d = %v, sequential %v",
+							workers, e.ID, ind, j, v, want[i].Metrics[ind][j])
+					}
+				}
+			}
+		}
 	}
 }
 

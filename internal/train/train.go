@@ -498,6 +498,7 @@ func restore(model nn.Layer, vals []*tensor.Tensor) {
 	for i, p := range model.Params() {
 		p.Value.CopyFrom(vals[i])
 	}
+	nn.Unfreeze(model)
 }
 
 // EvaluateLoss computes the mean loss of the model over a dataset in

@@ -246,3 +246,27 @@ func TestFitConvScratchSettles(t *testing.T) {
 		t.Fatalf("steady-state epoch allocates %d bytes, want < %d (one evaluation-sized scratch set)", perEpoch, scratch)
 	}
 }
+
+// TestRestoreUnfreezes: a best-weight restore writes parameters behind
+// the layers' backs, so it must leave a frozen model unfrozen — the arena
+// path has to serve the restored weights, not the kernel baked before.
+func TestRestoreUnfreezes(t *testing.T) {
+	r := tensor.NewRNG(3)
+	model := nn.NewSequential(nn.NewCausalConv1D(r, 2, 3, 3, 1, true), &nn.Flatten{}, nn.NewDense(r, 3*8, 1))
+	best := snapshotInto(model, nil)
+	for _, v := range best {
+		for i := range v.Data {
+			v.Data[i] *= 1.5
+		}
+	}
+	nn.Freeze(model)
+	restore(model, best)
+	x := tensor.RandN(r, 2, 2, 8)
+	want := model.Forward(x, false)
+	got := nn.Infer(model, nn.NewInferArena(), x)
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("elem %d: arena path %g, training path %g after restore", i, got.Data[i], want.Data[i])
+		}
+	}
+}
