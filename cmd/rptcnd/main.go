@@ -83,7 +83,6 @@ func main() {
 		maxDelay    = flag.Duration("max-batch-delay", 2*time.Millisecond, "longest a forecast waits for batch-mates before running anyway")
 		sloSpec     = flag.String("slo", "", `forecast-quality SLO rules, comma-separated (e.g. "mae<=5@256, p90_abs_err<=12")`)
 		fleetK      = flag.Int("fleet-k", 32, "heavy-hitter capacity of the per-entity fleet sketches (0 disables /debug/fleet)")
-		f32         = flag.Bool("f32", false, "serve on the float32 SIMD tier (validated against the f64 oracle; refused if out of bounds)")
 		keepEvery   = flag.Int("trace-keep-every", 1, "tail sampling: retain 1 in N boring traces (errors/slow/degraded always kept; 1 keeps all)")
 		slowTrace   = flag.Duration("trace-slow", 250*time.Millisecond, "tail sampling: always retain traces at least this slow")
 
@@ -138,7 +137,6 @@ func main() {
 		slo:         sloRules,
 		runDir:      *runDir,
 		fleetK:      *fleetK,
-		f32:         *f32,
 		qualityFast: *qualityFast,
 		ingest:      server.IngestConfig{RingCapacity: *ringCap, MaxEntities: *maxEntities},
 		shard:       server.ShardConfig{Shards: *shards, QueueCap: *shardQueue},
@@ -297,7 +295,6 @@ type serveConfig struct {
 	slo             []quality.Rule
 	runDir          string
 	fleetK          int
-	f32             bool
 	qualityFast     bool
 	ingest          server.IngestConfig
 	shard           server.ShardConfig
@@ -309,18 +306,6 @@ type serveConfig struct {
 
 func serve(log *slog.Logger, p *core.Predictor, sc serveConfig) {
 	addr, debugAddr, runDir := sc.addr, sc.debugAddr, sc.runDir
-	if sc.f32 {
-		// Gated opt-in: the tier only activates when the f32 forecasts
-		// validate against the f64 oracle on the held-out split; a refusal
-		// (out-of-bound error, or a -load'ed predictor without retained
-		// test data) leaves the f64 path serving.
-		if rep, err := p.EnableFloat32(); err != nil {
-			log.Warn("float32 serving tier refused; serving float64", "err", err)
-		} else {
-			log.Info("serving on the float32 tier",
-				"samples", rep.Samples, "max_rel_err", rep.MaxRelErr, "mae_delta", rep.MAEDelta)
-		}
-	}
 	reg := obs.Default()
 	reg.PublishExpvar("rptcn")
 	// Pre-register the training families so /metrics shows them even for

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataprep"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/tensor"
 )
 
@@ -27,14 +26,6 @@ type PreparedInput struct {
 	channels int
 }
 
-// inferBuf is the reusable input tensor + arena for one padded batch
-// size. Keeping one per size (instead of resizing a single arena) keeps
-// every slot shape-stable, so steady-state forwards allocate nothing.
-type inferBuf struct {
-	x     *tensor.Tensor
-	arena *nn.InferArena
-}
-
 // PrepareInput validates raw indicator history (same layout as Fit) and
 // runs the stored data pipeline — clean, normalize, screen, expand —
 // returning a model-ready window. It only reads the fitted predictor
@@ -50,12 +41,18 @@ func (p *Predictor) PrepareInput(series [][]float64) (*PreparedInput, error) {
 		return nil, fmt.Errorf("core: need at least %d complete samples, have %d",
 			p.MinHistory(), cleanedLen)
 	}
-	c, n, w := len(sel), len(sel[0]), p.Cfg.Window
+	return lastWindow(sel, p.Cfg.Window), nil
+}
+
+// lastWindow flattens the trailing w samples of every prepared channel
+// into a model-ready window.
+func lastWindow(sel [][]float64, w int) *PreparedInput {
+	c, n := len(sel), len(sel[0])
 	in := &PreparedInput{data: make([]float64, c*w), channels: c}
 	for ci := 0; ci < c; ci++ {
 		copy(in.data[ci*w:(ci+1)*w], sel[ci][n-w:])
 	}
-	return in, nil
+	return in
 }
 
 // prepareServe runs the stored (frozen-at-fit) data pipeline over raw
@@ -105,44 +102,68 @@ func (p *Predictor) expandForServe(sel [][]float64) [][]float64 {
 // identical to calling ForecastFrom per request at any batch size or
 // worker count.
 func (p *Predictor) ForecastBatch(inputs []*PreparedInput) ([][]float64, error) {
-	res, _, err := p.forecastBatch(inputs)
+	res, _, err := p.ForecastBatchGen(inputs)
 	return res, err
 }
 
-// forecastBatch is the shared body of ForecastBatch and
-// ForecastBatchGen: the returned generation is read under the same
-// inferMu hold that computed the forwards, so it attributes every
-// forecast in the batch exactly.
-func (p *Predictor) forecastBatch(inputs []*PreparedInput) ([][]float64, int64, error) {
-	// Fitted check via the frozen pipeline, not p.model — this runs
-	// before inferMu is taken, and SwapModel rewrites p.model under it.
-	if p.norm == nil {
-		return nil, 0, errors.New("core: predictor not fitted")
-	}
+// The float32 serving tier was deleted; this refusal survives only for
+// benchmark/probes.go, which reads the error as "this number is
+// float64", and goes when that probe does.
+func (p *Predictor) EnableFloat32() (any, error) {
+	return nil, errors.New("core: the float32 serving tier was removed")
+}
+
+// batchForward is the batched serving forward and the warmed buffers it
+// runs on, one per padded batch size. Everything that serves forecasts
+// embeds one and differs only in which model it passes to run and how it
+// guards it: the Predictor under inferMu, a ShardInferencer on its
+// private replica, an Inferencer on a fixed candidate. Not synchronized.
+//
+// The pool survives model hot-swaps: SwapModel only admits models of
+// identical serving shape and the kernels keep no per-model state in the
+// arena, so a swapped-in generation replays the warm arenas without
+// re-recording a single slot (pinned by TestInferBufPoolSurvivesSwap);
+// were a shape to change all the same, every arena slot is shape-checked
+// on Get and heals itself.
+type batchForward struct {
+	inferBufs map[int]*inferBuf
+}
+
+// inferBuf is the reusable input tensor + arena for one padded batch
+// size. Keeping one per size (instead of resizing a single arena) keeps
+// every slot shape-stable, so steady-state forwards allocate nothing.
+type inferBuf struct {
+	x     *tensor.Tensor
+	arena *nn.InferArena
+}
+
+// run stacks inputs, runs m's arena forward over them and returns each
+// row denormalized through p's frozen pipeline. Every input must be a
+// window of p's length over m's channel count: one prepared by a
+// predictor of another shape is refused here, as an error, not left to
+// panic inside the first convolution.
+func (f *batchForward) run(p *Predictor, m *Model, inputs []*PreparedInput) ([][]float64, error) {
 	if len(inputs) == 0 {
-		return nil, p.Generation(), nil
+		return nil, nil
 	}
-	c, w := inputs[0].channels, p.Cfg.Window
+	c, w, h := m.Cfg.InChannels, p.Cfg.Window, p.Cfg.Horizon
 	for i, in := range inputs {
 		if in == nil || in.channels != c || len(in.data) != c*w {
-			return nil, 0, fmt.Errorf("core: batch input %d has inconsistent shape", i)
+			return nil, fmt.Errorf("core: batch input %d is not a [%d channels × %d steps] window of this model", i, c, w)
 		}
 	}
 	padded := ceilPow2(len(inputs))
-
-	p.inferMu.Lock()
-	defer p.inferMu.Unlock()
-	if p.f32Active {
-		if res, ok := p.forecastBatch32Locked(inputs, c, w, padded); ok {
-			return res, p.generation, nil
-		}
-		// Non-finite f32 output (float32 overflow on an extreme input):
-		// drop the tier and serve this and future batches in f64 — the
-		// runtime counterpart of the enable-time validation gate.
-		p.f32Active = false
-		obs.Logger("core").Warn("float32 serving tier disabled: non-finite output; falling back to float64")
+	if f.inferBufs == nil {
+		f.inferBufs = make(map[int]*inferBuf)
 	}
-	buf := p.inferBufLocked(padded, c, w)
+	buf := f.inferBufs[padded]
+	if buf == nil {
+		buf = &inferBuf{arena: nn.NewInferArena()}
+		f.inferBufs[padded] = buf
+	}
+	if buf.x == nil || buf.x.Dim(1) != c || buf.x.Dim(2) != w {
+		buf.x = tensor.New(padded, c, w)
+	}
 	x := buf.x
 	for i, in := range inputs {
 		copy(x.Data[i*c*w:(i+1)*c*w], in.data)
@@ -151,39 +172,13 @@ func (p *Predictor) forecastBatch(inputs []*PreparedInput) ([][]float64, int64, 
 		x.Data[i] = 0
 	}
 	buf.arena.Reset()
-	out := p.model.InferForward(buf.arena, x)
+	out := m.InferForward(buf.arena, x)
 
-	h := p.Cfg.Horizon
 	res := make([][]float64, len(inputs))
 	for i := range inputs {
 		res[i] = p.norm.Inverse(p.target, out.Data[i*h:(i+1)*h])
 	}
-	return res, p.generation, nil
-}
-
-// inferBufLocked returns the pooled warmed buffer for one padded batch
-// size, creating it on first use. Callers hold inferMu. The pool is
-// keyed by padded batch size and survives model hot-swaps and input-
-// shape changes: every arena slot is shape-checked on Get and self-heals
-// if stale, and SwapModel only admits models of identical serving shape,
-// so a swapped-in generation replays the warm arenas without
-// re-recording a single slot (pinned by TestInferBufPoolSurvivesSwap).
-// A shape change — possible only through pipeline changes, never a
-// swap — replaces just the input tensor and lets the arena heal the
-// slots that moved.
-func (p *Predictor) inferBufLocked(padded, c, w int) *inferBuf {
-	if p.inferBufs == nil {
-		p.inferBufs = make(map[int]*inferBuf)
-	}
-	buf := p.inferBufs[padded]
-	if buf == nil {
-		buf = &inferBuf{arena: nn.NewInferArena()}
-		p.inferBufs[padded] = buf
-	}
-	if buf.x == nil || buf.x.Dim(1) != c || buf.x.Dim(2) != w {
-		buf.x = tensor.New(padded, c, w)
-	}
-	return buf
+	return res, nil
 }
 
 // ceilPow2 returns the smallest power of two ≥ n.

@@ -185,6 +185,66 @@ func TestForecastFromConcurrentRequests(t *testing.T) {
 	}
 }
 
+// TestForecastBatchRefusesForeignInput: a window prepared by a predictor
+// with another channel count (Mul against Mul-Exp here; two registry
+// models in a fleet) is a client error from every holder of the batched
+// forward — not a panic inside the first convolution, which the shard
+// router would count as an engine fault — and the next well-formed batch
+// is answered bitwise as before.
+func TestForecastBatchRefusesForeignInput(t *testing.T) {
+	a, series := genPredictor(t)
+	cfg := a.Cfg
+	cfg.Scenario = Mul
+	b := NewPredictor(cfg)
+	if err := b.Fit(series, 0); err != nil {
+		t.Fatal(err)
+	}
+	win := servingWindows(a, len(series), 1)[0]
+	foreign, err := a.PrepareInput(win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := b.PrepareInput(win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := b.ForecastBatch([]*PreparedInput{own})
+	if err != nil {
+		t.Fatal(err)
+	}
+	si, inf := b.NewShardInferencer(), b.NewInferencer(b.Model())
+	holders := map[string]func(in *PreparedInput) ([]float64, error){
+		"predictor": func(in *PreparedInput) ([]float64, error) {
+			res, err := b.ForecastBatch([]*PreparedInput{in})
+			return first(res), err
+		},
+		"replica": func(in *PreparedInput) ([]float64, error) {
+			res, _, err := si.ForecastBatchGen([]*PreparedInput{in})
+			return first(res), err
+		},
+		"inferencer": inf.Forecast,
+	}
+	for name, forecast := range holders {
+		for _, bad := range []*PreparedInput{foreign, nil} {
+			if _, err := forecast(bad); err == nil {
+				t.Fatalf("%s accepted a window that is not its model's shape", name)
+			}
+		}
+		got, err := forecast(own)
+		if err != nil {
+			t.Fatalf("%s after a refused batch: %v", name, err)
+		}
+		requireBitwiseEqual(t, name+" after a refused batch", got, want[0])
+	}
+}
+
+func first(rows [][]float64) []float64 {
+	if len(rows) == 0 {
+		return nil
+	}
+	return rows[0]
+}
+
 // BenchmarkForecastBatch32 measures one micro-batched arena forward of
 // 32 prepared requests through a fitted RPTCN predictor.
 func BenchmarkForecastBatch32(b *testing.B) {

@@ -31,7 +31,7 @@ func requireServesForward(t *testing.T, what string, m *Model, window int) {
 // that serving still equals the training path on the weights now in
 // place, i.e. that no stale baked kernel survives.
 func TestFrozenModelFollowsEveryWeightWriter(t *testing.T) {
-	p, series := genPredictor(t, false)
+	p, series := genPredictor(t)
 	win := servingWindows(p, len(series), 1)[0]
 	if _, err := p.ForecastFrom(win); err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestProfiledPredictorServesTheCone(t *testing.T) {
 // sizes. Nothing the model caches may belong to one arena or one batch
 // size.
 func TestModelSharedByArenasAndBatchSizes(t *testing.T) {
-	p, series := genPredictor(t, false)
+	p, series := genPredictor(t)
 	m, w := p.Model(), p.Cfg.Window
 	win := servingWindows(p, len(series), 1)[0]
 	want, err := p.ForecastFrom(win)

@@ -192,6 +192,15 @@ func TestPredictorForecastDenormalized(t *testing.T) {
 	if len(f) != 5 {
 		t.Fatalf("forecast length = %d", len(f))
 	}
+	// Forecast is a batch of one on the serving path; it must still be,
+	// bitwise, the training-path forward over the retained series' tail.
+	w := p.Cfg.Window
+	x := tensor.New(1, len(p.prepared), w)
+	for ci, row := range p.prepared {
+		copy(x.Data[ci*w:(ci+1)*w], row[len(row)-w:])
+	}
+	requireBitwiseEqual(t, "Forecast vs training-path forward",
+		f, p.norm.Inverse(p.target, p.model.Forward(x, false).Data))
 	// Forecasts must land on the raw CPU scale (roughly within the series'
 	// historical band, generously padded).
 	cpu := e.Series(trace.CPUUtilPercent)

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dataprep"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	"repro/internal/opt"
 	"repro/internal/tensor"
 	"repro/internal/train"
@@ -62,13 +61,11 @@ func (m *Model) Clone() *Model {
 // SwapModel atomically replaces the serving model with m and bumps the
 // generation, returning the previous model and held-out split so the
 // caller can roll back by swapping them in again. eval, when non-empty,
-// becomes the new held-out split (used by the f32 re-validation backtest
-// and any later swap's rollback capture). The swap holds inferMu — the
-// same lock every ForecastBatch holds for its whole forward — so no
-// in-flight forecast ever mixes generations. If the float32 tier was
-// active (or configured), it is re-validated against the new model via
-// the EnableFloat32 backtest; a refusal logs and serves f64 — a swap
-// never fails because of the f32 tier.
+// becomes the new held-out split (what TestMetrics scores and any later
+// swap's rollback captures). The swap holds inferMu — the same lock
+// every ForecastBatch holds for its whole forward — so no in-flight
+// forecast ever mixes generations; the hold is a pointer swap plus
+// baking the new model's conv kernels (nn.Freeze).
 func (p *Predictor) SwapModel(m *Model, eval train.Dataset) (prev *Model, prevEval train.Dataset, gen int64, err error) {
 	if m == nil {
 		return nil, train.Dataset{}, 0, errors.New("core: cannot swap in a nil model")
@@ -90,29 +87,16 @@ func (p *Predictor) SwapModel(m *Model, eval train.Dataset) (prev *Model, prevEv
 	if eval.X != nil {
 		p.test = eval
 	}
-	// The f64 buffer pool survives the swap: the shape check above only
+	// The buffer pool survives the swap: the shape check above only
 	// admits identical serving shapes, arena slots are shape-checked per
 	// Get, and the kernels carry no per-model state — so the new
 	// generation replays the warm arenas with zero re-recording (pinned
-	// by TestInferBufPoolSurvivesSwap). The f32 pool cannot survive:
-	// enableFloat32Locked re-quantizes the NEW model's weight mirrors,
-	// so its buffers are rebuilt against fresh quantization anyway.
-	p.inferBufs32 = nil
+	// by TestInferBufPoolSurvivesSwap).
 	p.generation++
-
-	wantF32 := p.f32Active || p.Cfg.Float32
-	p.f32Active = false
-	if wantF32 {
-		if _, ferr := p.enableFloat32Locked(); ferr != nil {
-			obs.Logger("core").Warn("float32 tier not re-enabled after model swap; serving float64",
-				"generation", p.generation, "err", ferr)
-		}
-	}
-	// Publish the new generation to the lock-free mirror LAST, after the
-	// f32 revalidation: shard replicas polling genSeq keep serving the
-	// previous generation through the whole hold and only pay the ModelGen
-	// lock (which waits out the tail of this critical section) once the
-	// swap is genuinely done.
+	// Publish the new generation to the lock-free mirror LAST: shard
+	// replicas polling genSeq keep serving the previous generation
+	// through the whole hold and only pay the ModelGen lock (which waits
+	// out the tail of this critical section) once the swap is done.
 	p.genSeq.Store(p.generation)
 	return prev, prevEval, p.generation, nil
 }
@@ -122,7 +106,16 @@ func (p *Predictor) SwapModel(m *Model, eval train.Dataset) (prev *Model, prevEv
 // reading it under the same inferMu hold as the forward is what makes
 // the pairing tear-free.
 func (p *Predictor) ForecastBatchGen(inputs []*PreparedInput) ([][]float64, int64, error) {
-	return p.forecastBatch(inputs)
+	p.inferMu.Lock()
+	defer p.inferMu.Unlock()
+	if p.model == nil {
+		return nil, 0, errors.New("core: predictor not fitted")
+	}
+	res, err := p.run(p, p.model, inputs)
+	if err != nil {
+		return nil, 0, err
+	}
+	return res, p.generation, nil
 }
 
 // FineTuneConfig tunes a FineTune run. Zero values inherit the
@@ -232,36 +225,25 @@ func (p *Predictor) FineTune(series [][]float64, cfg FineTuneConfig) (*Model, tr
 // mirrored live inputs without ever touching ForecastBatch's arenas or
 // blocking a request. Not synchronized; use from one goroutine.
 type Inferencer struct {
-	p     *Predictor
-	m     *Model
-	arena *nn.InferArena
-	x     *tensor.Tensor
+	batchForward
+	p *Predictor
+	m *Model
 }
 
 // NewInferencer returns an Inferencer serving m through p's pipeline.
 // m is frozen (see nn.Freeze): training it further unfreezes it again.
 func (p *Predictor) NewInferencer(m *Model) *Inferencer {
 	nn.Freeze(m)
-	return &Inferencer{p: p, m: m, arena: nn.NewInferArena()}
+	return &Inferencer{p: p, m: m}
 }
 
 // Forecast runs one prepared window through the inferencer's model and
 // returns the denormalized Horizon-step forecast — bitwise identical to
 // what ForecastBatch would return were this model serving.
 func (inf *Inferencer) Forecast(in *PreparedInput) ([]float64, error) {
-	if in == nil {
-		return nil, errors.New("core: nil prepared input")
+	res, err := inf.run(inf.p, inf.m, []*PreparedInput{in})
+	if err != nil {
+		return nil, err
 	}
-	c, w := in.channels, inf.p.Cfg.Window
-	if c != inf.m.Cfg.InChannels || len(in.data) != c*w {
-		return nil, fmt.Errorf("core: prepared input shape (%d×%d) does not match model (in=%d)",
-			c, len(in.data)/max(c, 1), inf.m.Cfg.InChannels)
-	}
-	if inf.x == nil {
-		inf.x = tensor.New(1, c, w)
-	}
-	copy(inf.x.Data, in.data)
-	inf.arena.Reset()
-	out := inf.m.InferForward(inf.arena, inf.x)
-	return inf.p.norm.Inverse(inf.p.target, out.Data[:inf.p.Cfg.Horizon]), nil
+	return res[0], nil
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // genPredictor fits a small MulExp predictor for the swap suite.
-func genPredictor(t *testing.T, f32 bool) (*Predictor, [][]float64) {
+func genPredictor(t *testing.T) (*Predictor, [][]float64) {
 	t.Helper()
 	series := syntheticSeries(200)
 	p := NewPredictor(PredictorConfig{
@@ -20,7 +20,6 @@ func genPredictor(t *testing.T, f32 bool) (*Predictor, [][]float64) {
 		Epochs:       3,
 		BatchSize:    8,
 		Seed:         9,
-		Float32:      f32,
 		Model:        Config{Channels: []int{6, 6}, KernelSize: 3, WeightNorm: true, FCWidth: 8},
 	})
 	if err := p.Fit(series, 0); err != nil {
@@ -46,7 +45,7 @@ func shifted(series [][]float64, delta float64) [][]float64 {
 // TestCloneIsIndependent: mutating a clone's weights must not perturb
 // the original's forecasts by a single bit.
 func TestCloneIsIndependent(t *testing.T) {
-	p, series := genPredictor(t, false)
+	p, series := genPredictor(t)
 	win := servingWindows(p, len(series), 1)[0]
 	before, err := p.ForecastFrom(win)
 	if err != nil {
@@ -70,7 +69,7 @@ func TestCloneIsIndependent(t *testing.T) {
 // model's forecasts match what FineTune produced, and rolling back the
 // returned previous model restores the generation-1 forecasts bitwise.
 func TestSwapModelGenerationsAndRollback(t *testing.T) {
-	p, series := genPredictor(t, false)
+	p, series := genPredictor(t)
 	if g := p.Generation(); g != 1 {
 		t.Fatalf("generation after Fit = %d, want 1", g)
 	}
@@ -128,7 +127,7 @@ func TestSwapModelGenerationsAndRollback(t *testing.T) {
 // TestSwapModelRejectsShapeMismatch: a candidate with a different input
 // layout must be refused, leaving serving untouched.
 func TestSwapModelRejectsShapeMismatch(t *testing.T) {
-	p, series := genPredictor(t, false)
+	p, series := genPredictor(t)
 	bad := p.Model().Clone()
 	bad.Cfg.InChannels++ // simulate a mismatched architecture
 	if _, _, _, err := p.SwapModel(bad, train.Dataset{}); err == nil {
@@ -149,7 +148,7 @@ func TestSwapModelRejectsShapeMismatch(t *testing.T) {
 // TestFineTuneDeterministic: same windows + same config ⇒ bitwise
 // identical candidate weights and forecasts, run to run.
 func TestFineTuneDeterministic(t *testing.T) {
-	p, series := genPredictor(t, false)
+	p, series := genPredictor(t)
 	fresh := shifted(series, 0.15)
 	cfg := FineTuneConfig{Epochs: 2, Seed: 41}
 	a, _, _, err := p.FineTune(fresh, cfg)
@@ -170,7 +169,7 @@ func TestFineTuneDeterministic(t *testing.T) {
 // criterion: for a fixed generation, forecasts are bitwise identical at
 // any worker count (the GOMAXPROCS proxy for the compute kernels).
 func TestPostSwapForecastDeterministicAcrossWorkers(t *testing.T) {
-	p, series := genPredictor(t, false)
+	p, series := genPredictor(t)
 	cand, eval, _, err := p.FineTune(shifted(series, 0.2), FineTuneConfig{Epochs: 2, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -194,30 +193,49 @@ func TestPostSwapForecastDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestSwapRevalidatesFloat32 swaps under an active f32 tier: the tier
-// must be re-validated against the new weights (staying active when the
-// backtest passes) and serving must keep working either way.
-func TestSwapRevalidatesFloat32(t *testing.T) {
-	p, series := genPredictor(t, true)
-	if !p.Float32Active() {
-		t.Skip("f32 tier refused at fit time on this model; nothing to re-validate")
-	}
-	cand, eval, _, err := p.FineTune(shifted(series, 0.1), FineTuneConfig{Epochs: 1, Seed: 3})
+// TestForecastSerializesWithSwap: Forecast reads the serving model under
+// the same lock as every other forward, so it can run against a stream
+// of promotions and rollbacks (run under -race), and once the original
+// weights are back it answers as it did before.
+func TestForecastSerializesWithSwap(t *testing.T) {
+	p, series := genPredictor(t)
+	before, err := p.Forecast()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := p.SwapModel(cand, eval); err != nil {
+	cand, eval, _, err := p.FineTune(shifted(series, 0.2), FineTuneConfig{Epochs: 1, Seed: 5})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Float32Active() {
-		t.Fatal("f32 tier not re-enabled after swap despite passing backtest at fit time")
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := p.Forecast(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		prev, prevEval, _, err := p.SwapModel(cand, eval)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := p.SwapModel(prev, prevEval); err != nil {
+			t.Fatal(err)
+		}
 	}
-	rep, _ := p.Float32Stats()
-	if rep.Samples != eval.Len() {
-		t.Fatalf("f32 report covers %d samples, want the new eval split's %d", rep.Samples, eval.Len())
-	}
-	win := servingWindows(p, len(series), 1)[0]
-	if _, err := p.ForecastFrom(win); err != nil {
+	close(stop)
+	<-done
+	after, err := p.Forecast()
+	if err != nil {
 		t.Fatal(err)
 	}
+	requireBitwiseEqual(t, "Forecast after rollback", before, after)
 }

@@ -9,7 +9,6 @@ import (
 	"repro/internal/dataprep"
 	"repro/internal/metrics"
 	"repro/internal/nn"
-	"repro/internal/obs"
 	obstrace "repro/internal/obs/trace"
 	"repro/internal/opt"
 	"repro/internal/tensor"
@@ -92,19 +91,6 @@ type PredictorConfig struct {
 	// filled in by the predictor.
 	Model Config
 
-	// Float32 opts serving into the float32 SIMD inference tier: after a
-	// successful Fit the model is quantized and validated against the f64
-	// oracle on the held-out split (see EnableFloat32), and ForecastBatch
-	// switches to the f32 path only when both bounds below hold. Training
-	// always runs in float64.
-	Float32 bool
-	// Float32MaxRelErr bounds the per-element relative deviation of the
-	// f32 forecasts from the f64 oracle at enable time (default 5e-3).
-	Float32MaxRelErr float64
-	// Float32MaxMAEDelta bounds the relative backtest-MAE degradation of
-	// the f32 tier vs f64 on the held-out split (default 0.01, i.e. 1%).
-	Float32MaxMAEDelta float64
-
 	// Training hyperparameters. Defaults: 60 epochs, batch 32, Adam 1e-3,
 	// early-stopping patience 10 (the paper's Keras callback setting).
 	Epochs       int
@@ -161,12 +147,6 @@ func (c *PredictorConfig) fillDefaults() {
 	if c.ValidFrac == 0 {
 		c.ValidFrac = 0.2
 	}
-	if c.Float32MaxRelErr == 0 {
-		c.Float32MaxRelErr = 5e-3
-	}
-	if c.Float32MaxMAEDelta == 0 {
-		c.Float32MaxMAEDelta = 0.01
-	}
 }
 
 // Predictor runs Algorithm 1 with an RPTCN model: data cleaning,
@@ -189,17 +169,12 @@ type Predictor struct {
 	prepared  [][]float64 // fully prepared channel series (post expansion)
 	targetRow int         // row of the target within prepared
 
-	// Batched-serving state (see batch.go): one reusable input tensor +
-	// arena per padded batch size, serialized by inferMu; wfMu guards the
-	// lazy weighted-factor fix-up on loaded predictors.
-	inferMu   sync.Mutex
-	inferBufs map[int]*inferBuf
-	wfMu      sync.Mutex
-
-	// Float32 serving tier (see float32.go), guarded by inferMu.
-	f32Active   bool
-	f32Report   Float32Report
-	inferBufs32 map[int]*inferBuf32
+	// Batched-serving state (see batch.go): the forward and its warmed
+	// buffers, serialized by inferMu; wfMu guards the lazy weighted-factor
+	// fix-up on loaded predictors.
+	inferMu sync.Mutex
+	batchForward
+	wfMu sync.Mutex
 
 	// generation counts serving models: 1 at Fit/load, +1 per SwapModel
 	// (see generation.go). Guarded by inferMu.
@@ -208,7 +183,7 @@ type Predictor struct {
 	// SwapModel's critical section: a ShardInferencer polls it per batch
 	// and only pays an inferMu acquisition when it actually moved, so
 	// replicas keep serving the previous generation straight through a
-	// long swap hold (f32 revalidation) instead of convoying on the lock.
+	// swap hold instead of convoying on the lock.
 	genSeq atomic.Int64
 }
 
@@ -346,14 +321,6 @@ func (p *Predictor) Fit(series [][]float64, target int) error {
 	p.generation = 1
 	p.genSeq.Store(1)
 	p.inferMu.Unlock()
-	// The f32 tier is opportunistic: a refusal (error bound or MAE
-	// degradation exceeded) is logged and serving stays on the validated
-	// f64 path — quality gates must never fail a successful fit.
-	if p.Cfg.Float32 {
-		if _, err := p.EnableFloat32(); err != nil {
-			obs.Logger("core").Warn("float32 serving tier not enabled", "err", err)
-		}
-	}
 	return nil
 }
 
@@ -397,25 +364,16 @@ func (p *Predictor) TestSeries() (truth, preds []float64, err error) {
 // the end of the training series, returned on the ORIGINAL (denormalized)
 // scale — Algorithm 1's output cpu_{m+1..m+k}.
 func (p *Predictor) Forecast() ([]float64, error) {
-	if p.model == nil {
+	if p.norm == nil {
 		return nil, errors.New("core: predictor not fitted")
 	}
 	if len(p.prepared) == 0 {
 		return nil, errors.New("core: no retained series (loaded predictors use ForecastFrom)")
 	}
-	n := len(p.prepared[0])
-	if n < p.Cfg.Window {
+	if len(p.prepared[0]) < p.Cfg.Window {
 		return nil, errors.New("core: series shorter than window")
 	}
-	c := len(p.prepared)
-	x := tensor.New(1, c, p.Cfg.Window)
-	for ci := 0; ci < c; ci++ {
-		copy(x.Data[ci*p.Cfg.Window:(ci+1)*p.Cfg.Window], p.prepared[ci][n-p.Cfg.Window:])
-	}
-	out := p.model.Forward(x, false)
-	normPreds := append([]float64(nil), out.Data...)
-	// Denormalize against the original target indicator's extrema.
-	return p.norm.Inverse(p.target, normPreds), nil
+	return p.forecastOne(lastWindow(p.prepared, p.Cfg.Window))
 }
 
 // ForecastFrom predicts the next Horizon values of the target indicator
@@ -430,6 +388,11 @@ func (p *Predictor) ForecastFrom(series [][]float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.forecastOne(in)
+}
+
+// forecastOne serves one prepared window as a batch of one.
+func (p *Predictor) forecastOne(in *PreparedInput) ([]float64, error) {
 	res, err := p.ForecastBatch([]*PreparedInput{in})
 	if err != nil {
 		return nil, err

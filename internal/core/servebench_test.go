@@ -97,23 +97,7 @@ func benchInferLastStep(b *testing.B, batch int) {
 	}
 }
 
-func benchInferLastStepF32(b *testing.B, batch int) {
-	m, x := lastStepModel(batch)
-	m.Quantize32()
-	x32 := x.To32()
-	arena := nn.NewInferArena32()
-	m.InferForward32(arena, x32)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		arena.Reset()
-		m.InferForward32(arena, x32)
-	}
-}
-
 // BenchmarkInferLastStep* time the model forward alone — the cone under
 // LastStep on frozen kernels — at the two batch sizes serving sees.
-func BenchmarkInferLastStepB1(b *testing.B)     { benchInferLastStep(b, 1) }
-func BenchmarkInferLastStepB32(b *testing.B)    { benchInferLastStep(b, 32) }
-func BenchmarkInferLastStepF32B1(b *testing.B)  { benchInferLastStepF32(b, 1) }
-func BenchmarkInferLastStepF32B32(b *testing.B) { benchInferLastStepF32(b, 32) }
+func BenchmarkInferLastStepB1(b *testing.B)  { benchInferLastStep(b, 1) }
+func BenchmarkInferLastStepB32(b *testing.B) { benchInferLastStep(b, 32) }

@@ -2,10 +2,8 @@ package core
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // ShardInferencer is a per-shard serving engine: a private deep copy of
@@ -13,10 +11,10 @@ import (
 // Predictor serializes every ForecastBatch on inferMu — the arena
 // kernels keep per-call state, so one model instance can only ever run
 // one forward at a time — which caps a fleet of shard workers at one
-// core and, worse, convoys every request behind long inferMu holds
-// (hot-swaps, f32 revalidation backtests). A replica per shard removes
-// both: N workers run N forwards truly in parallel, and a swap on the
-// shared predictor never stalls a replica mid-batch.
+// core and, worse, convoys every request behind every other inferMu
+// hold (another shard's forward, a hot-swap). A replica per shard
+// removes both: N workers run N forwards truly in parallel, and a swap
+// on the shared predictor never stalls a replica mid-batch.
 //
 // Replicas follow hot-swaps by generation: each batch snapshots the
 // predictor's (model, generation) pair and re-clones when the
@@ -27,21 +25,19 @@ import (
 // by TestShardInferencerMatchesPredictor).
 //
 // A ShardInferencer is not synchronized: exactly one shard worker owns
-// it. It always serves float64 — the f32 tier's quantization is
-// per-model state that the shared predictor revalidates on swap, so
-// replicas stay on the bitwise-stable tier.
+// it.
 type ShardInferencer struct {
+	batchForward
 	p     *Predictor
 	model *Model
 	gen   int64
-	bufs  map[int]*inferBuf
 }
 
 // NewShardInferencer returns an engine serving p's current (and future)
 // generations through a private replica. The replica is materialized
 // lazily on the first batch.
 func (p *Predictor) NewShardInferencer() *ShardInferencer {
-	return &ShardInferencer{p: p, bufs: make(map[int]*inferBuf)}
+	return &ShardInferencer{p: p}
 }
 
 // MinHistory mirrors Predictor.MinHistory.
@@ -60,14 +56,14 @@ func (si *ShardInferencer) Generation() int64 { return si.gen }
 // refresh snapshots the shared predictor's (model, generation) pair and
 // re-clones the replica if a hot-swap landed since the last batch. The
 // steady-state check is one atomic load of the predictor's published
-// generation sequence — no lock — so a long SwapModel hold (f32
-// revalidation backtest) never convoys replica serving; the replica
-// keeps answering on its previous-generation clone until the swap
-// publishes. Only on an actual generation move does it pay the ModelGen
-// lock: the snapshot is atomic (one inferMu hold), and Clone only reads
-// the source model's weights — which are never mutated in place, only
-// replaced by SwapModel — so cloning outside the lock is safe even
-// while the shared predictor keeps serving.
+// generation sequence — no lock — so a SwapModel hold never convoys
+// replica serving; the replica keeps answering on its previous-
+// generation clone until the swap publishes. Only on an actual
+// generation move does it pay the ModelGen lock: the snapshot is atomic
+// (one inferMu hold), and Clone only reads the source model's weights —
+// which are never mutated in place, only replaced by SwapModel — so
+// cloning outside the lock is safe even while the shared predictor
+// keeps serving.
 func (si *ShardInferencer) refresh() error {
 	if si.model != nil && si.p.genSeq.Load() == si.gen {
 		return nil
@@ -89,45 +85,12 @@ func (si *ShardInferencer) refresh() error {
 // same generation, without ever taking the shared inference lock for
 // the forward itself.
 func (si *ShardInferencer) ForecastBatchGen(inputs []*PreparedInput) ([][]float64, int64, error) {
-	p := si.p
-	if p.norm == nil {
-		return nil, 0, errors.New("core: predictor not fitted")
-	}
 	if err := si.refresh(); err != nil {
 		return nil, 0, err
 	}
-	if len(inputs) == 0 {
-		return nil, si.gen, nil
-	}
-	c, w := inputs[0].channels, p.Cfg.Window
-	for i, in := range inputs {
-		if in == nil || in.channels != c || len(in.data) != c*w {
-			return nil, 0, fmt.Errorf("core: batch input %d has inconsistent shape", i)
-		}
-	}
-	padded := ceilPow2(len(inputs))
-	buf := si.bufs[padded]
-	if buf == nil {
-		buf = &inferBuf{arena: nn.NewInferArena()}
-		si.bufs[padded] = buf
-	}
-	if buf.x == nil || buf.x.Dim(1) != c || buf.x.Dim(2) != w {
-		buf.x = tensor.New(padded, c, w)
-	}
-	x := buf.x
-	for i, in := range inputs {
-		copy(x.Data[i*c*w:(i+1)*c*w], in.data)
-	}
-	for i := len(inputs) * c * w; i < padded*c*w; i++ {
-		x.Data[i] = 0
-	}
-	buf.arena.Reset()
-	out := si.model.InferForward(buf.arena, x)
-
-	h := p.Cfg.Horizon
-	res := make([][]float64, len(inputs))
-	for i := range inputs {
-		res[i] = p.norm.Inverse(p.target, out.Data[i*h:(i+1)*h])
+	res, err := si.run(si.p, si.model, inputs)
+	if err != nil {
+		return nil, 0, err
 	}
 	return res, si.gen, nil
 }

@@ -39,7 +39,7 @@ func mallocsAround(fn func()) uint64 {
 // the first post-swap batched forward allocates no more than a warm
 // steady-state forward — i.e. the swap re-recorded nothing.
 func TestInferBufPoolSurvivesSwap(t *testing.T) {
-	p, series := genPredictor(t, false)
+	p, series := genPredictor(t)
 	wins := servingWindows(p, len(series), 7)
 	inputs := make([]*PreparedInput, len(wins))
 	for i, w := range wins {
@@ -120,14 +120,14 @@ func TestInferBufPoolSurvivesSwap(t *testing.T) {
 	}
 }
 
-// TestShardInferencerMatchesPredictor pins the replica-equivalence
-// contract fleet sharding rests on: a ShardInferencer's forecasts are
-// bitwise identical to the shared predictor's for the same generation,
-// across batch sizes, and the replica follows a hot-swap to the next
-// generation on its next batch.
+// TestShardInferencerMatchesPredictor pins the equivalence every holder
+// of the batched forward rests on: for one generation the shared
+// predictor, a ShardInferencer replica and an Inferencer on that
+// generation's model forecast bitwise the same, at batch sizes 1/7/32,
+// and the replica follows a hot-swap and a rollback on its next batch.
 func TestShardInferencerMatchesPredictor(t *testing.T) {
-	p, series := genPredictor(t, false)
-	wins := servingWindows(p, len(series), 16)
+	p, series := genPredictor(t)
+	wins := servingWindows(p, len(series), 32)
 	inputs := make([]*PreparedInput, len(wins))
 	for i, w := range wins {
 		in, err := p.PrepareInput(w)
@@ -137,45 +137,45 @@ func TestShardInferencerMatchesPredictor(t *testing.T) {
 		inputs[i] = in
 	}
 	si := p.NewShardInferencer()
-	for _, batch := range []int{1, 5, 16} {
-		want, wantGen, err := p.ForecastBatchGen(inputs[:batch])
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, gotGen, err := si.ForecastBatchGen(inputs[:batch])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if gotGen != wantGen {
-			t.Fatalf("batch=%d replica generation %d vs predictor %d", batch, gotGen, wantGen)
-		}
-		for i := range want {
-			requireBitwiseEqual(t, fmt.Sprintf("batch=%d row=%d", batch, i), got[i], want[i])
+	requireHoldersAgree := func(stage string, gen int64) {
+		t.Helper()
+		inf := p.NewInferencer(p.Model())
+		for _, batch := range []int{1, 7, 32} {
+			want, wantGen, err := p.ForecastBatchGen(inputs[:batch])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotGen, err := si.ForecastBatchGen(inputs[:batch])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotGen != gen || wantGen != gen {
+				t.Fatalf("%s batch=%d generations = replica %d, predictor %d, want %d", stage, batch, gotGen, wantGen, gen)
+			}
+			for i := range want {
+				what := fmt.Sprintf("%s batch=%d row=%d", stage, batch, i)
+				requireBitwiseEqual(t, what+" replica", got[i], want[i])
+				one, err := inf.Forecast(inputs[i])
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireBitwiseEqual(t, what+" inferencer", one, want[i])
+			}
 		}
 	}
+	requireHoldersAgree("fit", 1)
 
-	// Hot-swap: the replica re-clones on its next batch and matches the
-	// new generation bitwise.
 	cand, eval := swapCandidate(t, p, series)
-	if _, _, gen, err := p.SwapModel(cand, eval); err != nil {
-		t.Fatal(err)
-	} else if gen != 2 {
-		t.Fatalf("generation after swap = %d, want 2", gen)
-	}
-	want, wantGen, err := p.ForecastBatchGen(inputs)
+	prev, prevEval, _, err := p.SwapModel(cand, eval)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotGen, err := si.ForecastBatchGen(inputs)
-	if err != nil {
+	requireHoldersAgree("swap", 2)
+
+	if _, _, _, err := p.SwapModel(prev, prevEval); err != nil {
 		t.Fatal(err)
 	}
-	if gotGen != 2 || wantGen != 2 {
-		t.Fatalf("post-swap generations = replica %d, predictor %d, want 2", gotGen, wantGen)
-	}
-	for i := range want {
-		requireBitwiseEqual(t, fmt.Sprintf("post-swap row=%d", i), got[i], want[i])
-	}
+	requireHoldersAgree("rollback", 3)
 }
 
 // TestShardInferencersRunConcurrently pins the whole point of replicas:
@@ -183,7 +183,7 @@ func TestShardInferencerMatchesPredictor(t *testing.T) {
 // arenas) while the shared predictor serves and swaps underneath them —
 // run under -race this would catch any state leak between replicas.
 func TestShardInferencersRunConcurrently(t *testing.T) {
-	p, series := genPredictor(t, false)
+	p, series := genPredictor(t)
 	wins := servingWindows(p, len(series), 8)
 	inputs := make([]*PreparedInput, len(wins))
 	for i, w := range wins {

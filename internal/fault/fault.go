@@ -295,17 +295,3 @@ func Corrupt(scope string, data []float64) {
 		}
 	}
 }
-
-// Corrupt32 is Corrupt for float32 activations (the f32 serving tier
-// visits the same fault points as the f64 path).
-func Corrupt32(scope string, data []float32) {
-	inj := active.Load()
-	if inj == nil {
-		return
-	}
-	for _, r := range inj.match(scope, func(k Kind) bool { return k == KindNaN }) {
-		if r.shouldFire() && len(data) > 0 {
-			data[0] = float32(r.Value)
-		}
-	}
-}

@@ -22,9 +22,6 @@ type FeatureAttention struct {
 
 	x *tensor.Tensor // cached input
 	a *tensor.Tensor // cached attention weights
-
-	// Float32 weight mirrors for the f32 serving tier (see infer32.go).
-	w32, b32 *tensor.Tensor32
 }
 
 // NewFeatureAttention creates the layer for the given feature width.

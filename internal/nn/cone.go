@@ -18,39 +18,32 @@ import (
 // (in-channel, tap) that Forward computes, so the result is bitwise
 // equal to Forward(x, false) wherever it is defined.
 //
-// The step lists are plain ints, planned once per (block, window length)
-// and shared by the f64 and f32 tiers; the code that touches samples is
-// generic over the two element types, and only the kernels that own an
-// arena and a GEMM (inferTaps, inferTaps32) exist per tier.
+// The step lists are plain ints, planned once per (block, window length).
 
 // steps addresses activations as (sample, channel, position): the
 // element sits at data[bi·sb + ci·sc + pos·sp]. Two layouts occur: a
 // model input [batch, channels, time], where position is the time step,
 // and a GEMM output [batch·n, channels], where position indexes the
 // ascending list of the n time steps that were computed.
-type steps[F float32 | float64] struct {
-	data       []F
+type steps struct {
+	data       []float64
 	b, c       int
 	sb, sc, sp int
 }
 
-func denseSteps[F float32 | float64](data []F, b, c, t int) steps[F] {
-	return steps[F]{data: data, b: b, c: c, sb: c * t, sc: t, sp: 1}
+func denseSteps(data []float64, b, c, t int) steps {
+	return steps{data: data, b: b, c: c, sb: c * t, sc: t, sp: 1}
 }
 
-func compactSteps[F float32 | float64](data []F, b, c, n int) steps[F] {
-	return steps[F]{data: data, b: b, c: c, sb: n * c, sc: 1, sp: c}
+func compactSteps(data []float64, b, c, n int) steps {
+	return steps{data: data, b: b, c: c, sb: n * c, sc: 1, sp: c}
 }
-
-// convKernel runs one convolution at the steps taps lists (see
-// convTaps) and returns its [batch·n, out] output as compact steps.
-type convKernel[F float32 | float64] func(c *CausalConv1D, x steps[F], taps []int) steps[F]
 
 // gatherTaps is im2col over the listed steps only: row p = ci·k + kk of
 // acol ([in·k, batch·n]) holds, for every (sample, step), the input
 // position tap kk of that step reads, or zero where it falls in the
 // causal padding.
-func gatherTaps[F float32 | float64](acol []F, x steps[F], k int, taps []int) {
+func gatherTaps(acol []float64, x steps, k int, taps []int) {
 	n := len(taps) / k
 	m := x.b * n
 	for p := 0; p < x.c*k; p++ {
@@ -71,13 +64,13 @@ func gatherTaps[F float32 | float64](acol []F, x steps[F], k int, taps []int) {
 }
 
 // seedRows fills every row of y with bias, the start of each FMA chain.
-func seedRows[F float32 | float64](y, bias []F) {
+func seedRows(y, bias []float64) {
 	for i := 0; i < len(y); i += len(bias) {
 		copy(y[i:], bias)
 	}
 }
 
-func rectify[F float32 | float64](xs []F) {
+func rectify(xs []float64) {
 	for i, v := range xs {
 		if !(v > 0) {
 			xs[i] = 0
@@ -87,7 +80,7 @@ func rectify[F float32 | float64](xs []F) {
 
 // residualReLU sets h = ReLU(h + res) on compact h, reading the
 // residual of output step j at position pos[j] of res.
-func residualReLU[F float32 | float64](h []F, res steps[F], pos []int) {
+func residualReLU(h []float64, res steps, pos []int) {
 	n, c := len(pos), res.c
 	for bi := 0; bi < res.b; bi++ {
 		for j, p := range pos {
@@ -106,7 +99,7 @@ func residualReLU[F float32 | float64](h []F, res steps[F], pos []int) {
 
 // scatterSteps copies compact h, which holds every step of the window,
 // back into the [batch, channels, time] layout.
-func scatterSteps[F float32 | float64](y []F, h steps[F], t int) {
+func scatterSteps(y []float64, h steps, t int) {
 	for u := 0; u < h.b*h.c; u++ {
 		bi, ci := u/h.c, u%h.c
 		src := h.data[bi*h.sb+ci:]
@@ -245,7 +238,7 @@ func coneLen(layers []Layer) int {
 // is walked back to front (each block's input steps are the outputs
 // required of the block before), the arithmetic front to back, and each
 // layer's share is timed into its profiling wrapper if it has one.
-func runBlocks[F float32 | float64](layers []Layer, x steps[F], t int, lastOnly bool, conv convKernel[F]) steps[F] {
+func runBlocks(a *InferArena, layers []Layer, x steps, t int, lastOnly bool) steps {
 	var one [1]*TemporalBlock
 	var last [1]int
 	var out []int
@@ -263,7 +256,7 @@ func runBlocks[F float32 | float64](layers []Layer, x steps[F], t int, lastOnly 
 		w, _ := l.(*Profiled)
 		t0 := w.start()
 		for _, b := range coneBlocks(l, &one) {
-			x = inferBlock(b, x, conv)
+			x = inferBlock(a, b, x)
 		}
 		w.observe(t0)
 	}
@@ -274,24 +267,25 @@ func runBlocks[F float32 | float64](layers []Layer, x steps[F], t int, lastOnly 
 // the GEMM's compact layout throughout: ReLU in place on each
 // convolution's output (dropout is the identity at inference), then the
 // residual add and final ReLU of eq. 5 in place on conv2's.
-func inferBlock[F float32 | float64](b *TemporalBlock, x steps[F], conv convKernel[F]) steps[F] {
+func inferBlock(a *InferArena, b *TemporalBlock, x steps) steps {
 	p := b.plan
-	h := conv(b.conv1, x, p.taps1)
+	h := b.conv1.inferTaps(a, x, p.taps1)
 	rectify(h.data)
-	h = conv(b.conv2, h, p.taps2)
+	h = b.conv2.inferTaps(a, h, p.taps2)
 	rectify(h.data)
 	res, pos := x, p.res
 	if b.downsample != nil {
-		res, pos = conv(b.downsample, x, p.res), p.seq
+		res, pos = b.downsample.inferTaps(a, x, p.res), p.seq
 	}
 	residualReLU(h.data, res, pos)
 	return h
 }
 
 // inferTaps is the convolution's inference kernel, for the full-length
-// and the cone paths alike: gather the listed taps, seed the output rows
-// with the bias and accumulate acolᵀ·wt on the packed GEMM.
-func (c *CausalConv1D) inferTaps(a *InferArena, x steps[float64], taps []int) steps[float64] {
+// and the cone paths alike: gather the listed taps (see convTaps), seed
+// the output rows with the bias and accumulate acolᵀ·wt on the packed
+// GEMM. The [batch·n, out] output comes back as compact steps.
+func (c *CausalConv1D) inferTaps(a *InferArena, x steps, taps []int) steps {
 	n := c.stepCount(x.c, taps)
 	acol := a.Get(c.InChannels*c.KernelSize, x.b*n)
 	ycol := a.Get(x.b*n, c.OutChannels)
@@ -301,20 +295,6 @@ func (c *CausalConv1D) inferTaps(a *InferArena, x steps[float64], taps []int) st
 	}
 	seedRows(ycol.Data, c.B.Value.Data)
 	acol.TMatMulAcc(c.wtInfer, ycol)
-	return compactSteps(ycol.Data, x.b, c.OutChannels, n)
-}
-
-// inferTaps32 is inferTaps on the float32 mirrors Quantize32 baked.
-func (c *CausalConv1D) inferTaps32(a *InferArena32, x steps[float32], taps []int) steps[float32] {
-	if c.wt32 == nil {
-		panic("nn: CausalConv1D.InferForward32 before Quantize32")
-	}
-	n := c.stepCount(x.c, taps)
-	acol := a.Get(c.InChannels*c.KernelSize, x.b*n)
-	ycol := a.Get(x.b*n, c.OutChannels)
-	gatherTaps(acol.Data, x, c.KernelSize, taps)
-	seedRows(ycol.Data, c.b32.Data)
-	acol.TMatMulAcc(c.wt32, ycol)
 	return compactSteps(ycol.Data, x.b, c.OutChannels, n)
 }
 
@@ -328,10 +308,7 @@ func (c *CausalConv1D) stepCount(channels int, taps []int) int {
 }
 
 // requireSeq panics unless x is [batch, channels, time].
-func requireSeq(layer string, x interface {
-	Dims() int
-	Shape() []int
-}) {
+func requireSeq(layer string, x *tensor.Tensor) {
 	if x.Dims() != 3 {
 		panic(fmt.Sprintf("nn: %s requires [batch, channels, time], got %v", layer, x.Shape()))
 	}
@@ -356,16 +333,6 @@ func (c *CausalConv1D) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Ten
 	return y
 }
 
-// InferForward32 implements Infer32Layer.
-func (c *CausalConv1D) InferForward32(a *InferArena32, x *tensor.Tensor32) *tensor.Tensor32 {
-	requireSeq("CausalConv1D", x)
-	b, t := x.Dim(0), x.Dim(2)
-	h := c.inferTaps32(a, denseSteps(x.Data, b, x.Dim(1), t), c.fullTaps(t))
-	y := a.Get(b, h.c, t)
-	scatterSteps(y.Data, h, t)
-	return y
-}
-
 // inferRun runs a run of temporal-block layers on the arena path. When
 // last (the LastStep the run feeds, possibly profiled) is non-nil only
 // the cone under the final time step is computed and the result is
@@ -374,23 +341,7 @@ func (c *CausalConv1D) InferForward32(a *InferArena32, x *tensor.Tensor32) *tens
 func inferRun(a *InferArena, layers []Layer, last Layer, x *tensor.Tensor) *tensor.Tensor {
 	requireSeq("TemporalBlock", x)
 	b, t := x.Dim(0), x.Dim(2)
-	h := runBlocks(layers, denseSteps(x.Data, b, x.Dim(1), t), t, last != nil,
-		func(c *CausalConv1D, x steps[float64], taps []int) steps[float64] { return c.inferTaps(a, x, taps) })
-	shape := []int{b, h.c, t}
-	if last != nil {
-		shape = shape[:2]
-	}
-	y := a.Get(shape...)
-	finishRun(y.Data, h, t, last)
-	return y
-}
-
-// inferRun32 is inferRun on the float32 tier.
-func inferRun32(a *InferArena32, layers []Layer, last Layer, x *tensor.Tensor32) *tensor.Tensor32 {
-	requireSeq("TemporalBlock", x)
-	b, t := x.Dim(0), x.Dim(2)
-	h := runBlocks(layers, denseSteps(x.Data, b, x.Dim(1), t), t, last != nil,
-		func(c *CausalConv1D, x steps[float32], taps []int) steps[float32] { return c.inferTaps32(a, x, taps) })
+	h := runBlocks(a, layers, denseSteps(x.Data, b, x.Dim(1), t), t, last != nil)
 	shape := []int{b, h.c, t}
 	if last != nil {
 		shape = shape[:2]
@@ -403,7 +354,7 @@ func inferRun32(a *InferArena32, layers []Layer, last Layer, x *tensor.Tensor32)
 // finishRun writes a run's result to y: every step back in the [batch,
 // channels, time] layout, or — the cone's single step per sample already
 // being LastStep's output — a copy timed as last's share.
-func finishRun[F float32 | float64](y []F, h steps[F], t int, last Layer) {
+func finishRun(y []float64, h steps, t int, last Layer) {
 	if last == nil {
 		scatterSteps(y, h, t)
 		return
@@ -427,19 +378,6 @@ func InferChain(a *InferArena, layers []Layer, x *tensor.Tensor) *tensor.Tensor 
 			continue
 		}
 		x = Infer(layers[i], a, x)
-	}
-	return x
-}
-
-// InferChain32 is InferChain on the float32 tier.
-func InferChain32(a *InferArena32, layers []Layer, x *tensor.Tensor32) *tensor.Tensor32 {
-	for i := 0; i < len(layers); i++ {
-		if n := coneLen(layers[i:]); n > 0 {
-			x = inferRun32(a, layers[i:i+n-1], layers[i+n-1], x)
-			i += n - 1
-			continue
-		}
-		x = Infer32(layers[i], a, x)
 	}
 	return x
 }

@@ -73,10 +73,6 @@ type CausalConv1D struct {
 	wtInfer *tensor.Tensor // [in·k, out]
 	frozen  bool
 	taps    []int
-
-	// Float32 serving-tier mirrors of wtInfer and B (see Quantize32).
-	wt32 *tensor.Tensor32 // [in·k, out]
-	b32  *tensor.Tensor32 // [out]
 }
 
 // NewCausalConv1D builds the layer with He-normal initialization

@@ -13,10 +13,6 @@ type Dense struct {
 	B *Param // [out]
 
 	x *tensor.Tensor // cached input for the backward pass
-
-	// Float32 weight mirrors for the f32 serving tier, refreshed by
-	// Quantize32 (see infer32.go).
-	w32, b32 *tensor.Tensor32
 }
 
 // NewDense creates a Dense layer with Xavier-uniform weights.

@@ -41,10 +41,6 @@ type GRU struct {
 	// Cached (r,z)/candidate views of Wh.Value for the arena-inference
 	// path, so InferForward allocates no tensor headers (see infer.go).
 	inferWRZ, inferWC *tensor.Tensor
-
-	// Float32 weight mirrors for the f32 serving tier (see infer32.go);
-	// the stacked Wh is pre-split into its (r,z) and candidate halves.
-	wx32, whRZ32, whC32, b32 *tensor.Tensor32
 }
 
 // gruScratch holds forward caches and backward workspaces, t-major like

@@ -33,9 +33,6 @@ type LSTM struct {
 	B  *Param // [4H]
 
 	s lstmScratch
-
-	// Float32 weight mirrors for the f32 serving tier (see infer32.go).
-	wx32, wh32, b32 *tensor.Tensor32
 }
 
 // lstmScratch holds the forward caches and backward workspaces, laid out

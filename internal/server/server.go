@@ -405,9 +405,6 @@ type ModelInfo struct {
 	Selected       []string `json:"selected_indicators"`
 	ParamCount     int      `json:"param_count"`
 	ReceptiveField int      `json:"receptive_field"`
-	// Float32 reports whether forecasts are currently served on the
-	// float32 SIMD tier (see core.Predictor.EnableFloat32).
-	Float32 bool `json:"float32,omitempty"`
 	// Generation counts the weights serving right now: 1 is the original
 	// fit; every online hot-swap (promotion or rollback) increments it.
 	Generation int64 `json:"generation,omitempty"`
@@ -424,7 +421,6 @@ func (s *Server) handleModel(w http.ResponseWriter, _ *http.Request) {
 		Window:       p.Cfg.Window,
 		Horizon:      p.Cfg.Horizon,
 		ExpandFactor: p.Cfg.ExpandFactor,
-		Float32:      p.Float32Active(),
 		Generation:   p.Generation(),
 	}
 	if s.adapt != nil {

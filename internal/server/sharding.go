@@ -14,11 +14,10 @@ import (
 // (internal/shard) instead of one global ring store + one global
 // micro-batcher. Each shard owns its entities' rings and its own
 // batcher; with Shards > 1 each also owns a private model replica, so N
-// workers run N forwards in parallel and a hot-swap or f32 revalidation
-// on the shared predictor never convoys entity traffic. Shards == 1
-// with the shared predictor as the engine is exactly the old path —
-// same rings, same batch fusion, same f32 tier, bitwise-identical
-// responses.
+// workers run N forwards in parallel and a hot-swap on the shared
+// predictor never convoys entity traffic. Shards == 1 with the shared
+// predictor as the engine is exactly the old path — same rings, same
+// batch fusion, bitwise-identical responses.
 
 // ShardConfig tunes the sharded entity-serving path.
 type ShardConfig struct {
@@ -43,8 +42,8 @@ func WithModelRegistry(cache *registry.Cache) Option {
 }
 
 // buildRouter assembles the shard router for the entity serving path.
-// Single shard → the shared predictor (today's semantics, f32 tier and
-// all); multiple shards → one private replica per shard.
+// Single shard → the shared predictor; multiple shards → one private
+// replica per shard.
 func (s *Server) buildRouter() (*shard.Router, error) {
 	if s.shardCfg.Shards <= 0 {
 		s.shardCfg.Shards = 1

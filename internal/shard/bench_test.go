@@ -19,8 +19,7 @@ type fleetOpts struct {
 	// default — the "before" configuration for the gather-policy pair.
 	delay time.Duration
 	// churn > 0 hot-swaps the shared predictor continuously at that
-	// cadence, with f32 revalidation inside every swap's critical
-	// section — the convoy scenario the per-shard replicas exist for.
+	// cadence — the convoy scenario the per-shard replicas exist for.
 	churn time.Duration
 }
 
@@ -78,22 +77,10 @@ func benchFleet(b *testing.B, o fleetOpts) {
 	stop := make(chan struct{})
 	var swaps atomic.Int64
 	if o.churn > 0 {
-		// Every swap logs its f32 revalidation verdict; at hundreds of
-		// swaps per second that would drown the benchmark output.
-		obs.SetLogger(obs.NopLogger())
-		defer obs.SetLogger(nil)
 		cand, eval, _, err := p.FineTune(e.Matrix(), core.FineTuneConfig{Epochs: 1, Seed: 31})
 		if err != nil {
 			b.Fatal(err)
 		}
-		// Force the f32 revalidation backtest inside every swap's critical
-		// section — the realistic long hold (quantize + full held-out
-		// backtest) a promotion pays when the f32 tier is configured.
-		p.Cfg.Float32 = true
-		defer func() {
-			p.Cfg.Float32 = false
-			p.DisableFloat32()
-		}()
 		other := cand.Clone()
 		done := make(chan struct{})
 		defer func() { close(stop); <-done }()
@@ -179,19 +166,18 @@ func BenchmarkFleetDelay8(b *testing.B) {
 }
 
 // BenchmarkFleetChurn1 measures the baseline under aggressive
-// hot-swapping (one promotion with f32 revalidation every 5ms): every
-// request convoys behind the swap's backtest on the shared inference
-// lock.
+// hot-swapping (one promotion every 5ms): every swap takes the shared
+// inference lock the requests serialize on.
 func BenchmarkFleetChurn1(b *testing.B) {
 	benchFleet(b, fleetOpts{shards: 1, entities: 4096, churn: 5 * time.Millisecond})
 }
 
 // BenchmarkFleetChurn8 is the same churn against 8 replicas: serving
 // never takes the shared lock (one atomic genSeq load per batch), so
-// requests ride straight through the revalidation holds instead of
-// convoying. On one core the swap work still steals cycles from
-// everyone; with cores to spare the replicas keep serving at full rate
-// through the hold.
+// requests ride straight through the swap holds; each replica pays a
+// re-clone per generation instead. On one core the swap work still
+// steals cycles from everyone; with cores to spare the replicas keep
+// serving at full rate through the hold.
 func BenchmarkFleetChurn8(b *testing.B) {
 	benchFleet(b, fleetOpts{shards: 8, entities: 4096, churn: 5 * time.Millisecond})
 }

@@ -10,8 +10,8 @@
 //
 // The degenerate 1-shard router with the shared *core.Predictor as its
 // engine is exactly today's serving path — same rings, same batch
-// fusion, same f32 tier, bitwise-identical forecasts — which is what
-// keeps the single-model deployment a configuration, not a code path.
+// fusion, bitwise-identical forecasts — which is what keeps the
+// single-model deployment a configuration, not a code path.
 // (The gather policy differs: shard workers batch greedily by default
 // instead of idle-waiting MaxDelay for stragglers, which changes
 // latency, never values.)

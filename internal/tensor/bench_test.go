@@ -21,25 +21,6 @@ func BenchmarkMatMulLarge(b *testing.B)  { benchMatMul(b, 512, 512, 512) }
 
 func BenchmarkMatMulTallSkinny(b *testing.B) { benchMatMul(b, 1024, 16, 64) }
 
-func benchMatMul32(b *testing.B, m, k, n int) {
-	r := NewRNG(1)
-	x := RandN32(r, m, k)
-	y := RandN32(r, k, n)
-	x.MatMul(y)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x.MatMul(y)
-	}
-	b.SetBytes(int64(4 * (m*k + k*n + m*n)))
-}
-
-func BenchmarkMatMulF32Small(b *testing.B)  { benchMatMul32(b, 32, 32, 32) }
-func BenchmarkMatMulF32Medium(b *testing.B) { benchMatMul32(b, 128, 128, 128) }
-func BenchmarkMatMulF32Large(b *testing.B)  { benchMatMul32(b, 512, 512, 512) }
-
-func BenchmarkMatMulF32TallSkinny(b *testing.B) { benchMatMul32(b, 1024, 16, 64) }
-
 func BenchmarkMatMulT(b *testing.B) {
 	r := NewRNG(2)
 	x := RandN(r, 64, 128)

@@ -141,16 +141,6 @@ func RandN(r *RNG, shape ...int) *Tensor {
 	return t
 }
 
-// RandN32 fills a new float32 tensor of the given shape with N(0,1)
-// draws, rounded to nearest. It consumes the same RNG stream as RandN.
-func RandN32(r *RNG, shape ...int) *Tensor32 {
-	t := New32(shape...)
-	for i := range t.Data {
-		t.Data[i] = float32(r.NormFloat64())
-	}
-	return t
-}
-
 // RandUniform fills a new tensor of the given shape with U[lo,hi) draws.
 func RandUniform(r *RNG, lo, hi float64, shape ...int) *Tensor {
 	t := New(shape...)
