@@ -80,7 +80,6 @@ func main() {
 		reqTimeout  = flag.Duration("request-timeout", 10*time.Second, "per-forecast inference deadline before degrading to the naive fallback")
 		maxInflight = flag.Int("max-inflight", 32, "max concurrent requests before shedding with 429")
 		maxBatch    = flag.Int("max-batch", 32, "max forecasts fused into one model pass (1 disables micro-batching)")
-		maxDelay    = flag.Duration("max-batch-delay", 2*time.Millisecond, "longest a forecast waits for batch-mates before running anyway")
 		sloSpec     = flag.String("slo", "", `forecast-quality SLO rules, comma-separated (e.g. "mae<=5@256, p90_abs_err<=12")`)
 		fleetK      = flag.Int("fleet-k", 32, "heavy-hitter capacity of the per-entity fleet sketches (0 disables /debug/fleet)")
 		keepEvery   = flag.Int("trace-keep-every", 1, "tail sampling: retain 1 in N boring traces (errors/slow/degraded always kept; 1 keeps all)")
@@ -89,7 +88,7 @@ func main() {
 		ringCap     = flag.Int("ring-capacity", 0, "samples retained per ingested entity (0 = auto: 2x the model's minimum history, grown to cover -adapt-min-samples)")
 		maxEntities = flag.Int("max-entities", 0, "max entities with ring state; beyond it the least-recently-touched ring is evicted (0 = unbounded)")
 
-		shards      = flag.Int("shards", 1, "entity-serving shard workers; >1 serves each shard on a private model replica (lock-free forwards)")
+		shards      = flag.Int("shards", 1, "forecast-serving shard workers; >1 serves each shard on a private model replica (lock-free forwards)")
 		shardQueue  = flag.Int("shard-queue", 0, "pending-forecast queue capacity per shard (0 = 64)")
 		registryDir = flag.String("registry-dir", "", "versioned model registry directory; enables GET /v1/forecast/{entity}?model=<name>")
 		modelCache  = flag.Int("model-cache", 0, "max models resident in the registry's warmed-arena LRU cache (0 = 8)")
@@ -130,10 +129,7 @@ func main() {
 			MaxInFlight:    *maxInflight,
 			RequestTimeout: *reqTimeout,
 		},
-		batch: server.BatchConfig{
-			MaxBatch: *maxBatch,
-			MaxDelay: *maxDelay,
-		},
+		batch:       server.BatchConfig{MaxBatch: *maxBatch},
 		slo:         sloRules,
 		runDir:      *runDir,
 		fleetK:      *fleetK,

@@ -13,138 +13,42 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
 )
 
-// newTestBatcher builds a batcher against its own registry for direct
-// (non-HTTP) collector tests.
-func newTestBatcher(p *core.Predictor, cfg BatchConfig) (*batcher, *obs.Registry) {
+// TestModelPanicOnPostCountsOnce: a model panic under POST /v1/forecast
+// is recovered in the shard worker, which ticks the same
+// rptcn_panics_recovered_total family the middleware owns — one fault,
+// one event — and the request degrades at its own call site. (That a
+// fused batch of N waiters still ticks once is pinned where the batch can
+// be forced, in internal/shard's TestEnginePanicIsIsolated.)
+func TestModelPanicOnPostCountsOnce(t *testing.T) {
+	p, e := fitted(t)
 	reg := obs.NewRegistry()
-	panics := reg.Counter("rptcn_panics_recovered_total", "")
-	return newBatcher(p, cfg, 64, reg, obs.NopLogger(), panics), reg
-}
-
-// TestBatcherCoalescesConcurrentRequests submits 8 requests while the
-// collector waits out a generous MaxDelay, and demands they fuse into a
-// single batch whose per-request answers are bitwise identical to the
-// unbatched serving path.
-func TestBatcherCoalescesConcurrentRequests(t *testing.T) {
-	p, e := fitted(t)
-	tail := tailOf(e, 64)
-	want, err := p.ForecastFrom(tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, reg := newTestBatcher(p, BatchConfig{MaxBatch: 8, MaxDelay: 500 * time.Millisecond})
-	defer b.close()
-
-	const n = 8
-	resps := make([]batchResp, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			in, err := p.PrepareInput(tail)
-			if err != nil {
-				resps[i] = batchResp{err: err}
-				return
-			}
-			resps[i] = b.submit(in)
-		}(i)
-	}
-	wg.Wait()
-
-	for i, r := range resps {
-		if r.err != nil || r.panicked {
-			t.Fatalf("request %d failed: err=%v panicked=%v", i, r.err, r.panicked)
-		}
-		for j := range want {
-			if r.forecast[j] != want[j] {
-				t.Fatalf("request %d drifted from solo forecast: %v vs %v", i, r.forecast, want)
-			}
-		}
-	}
-	sizes := reg.Histogram("rptcn_batch_size_requests", "", nil)
-	if sizes.Count() != 1 || sizes.Sum() != n {
-		t.Fatalf("expected one fused batch of %d, got %d batches totalling %g requests",
-			n, sizes.Count(), sizes.Sum())
-	}
-	if d := reg.Gauge("rptcn_batch_queue_depth", "").Value(); d != 0 {
-		t.Fatalf("queue depth = %g after all requests answered, want 0", d)
-	}
-	if c := reg.Histogram("rptcn_batch_delay_seconds", "", nil).Count(); c != n {
-		t.Fatalf("batching delay observed for %d requests, want %d", c, n)
-	}
-}
-
-// TestBatcherPanicPoisonsBatchOnce injects one model panic under a fused
-// batch: every member must report it (each request degrades at its own
-// call site), but the panic counter ticks exactly once.
-func TestBatcherPanicPoisonsBatchOnce(t *testing.T) {
-	p, e := fitted(t)
-	tail := tailOf(e, 64)
-	b, reg := newTestBatcher(p, BatchConfig{MaxBatch: 4, MaxDelay: 500 * time.Millisecond})
-	defer b.close()
+	srv := New(p, WithRegistry(reg), WithLogger(obs.NopLogger()))
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
 
 	inj := fault.NewInjector(fault.Rule{Scope: "model.forward", Kind: fault.KindPanic, Times: 1})
 	defer fault.Activate(inj)()
 
-	const n = 4
-	resps := make([]batchResp, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			in, err := p.PrepareInput(tail)
-			if err != nil {
-				resps[i] = batchResp{err: err}
-				return
-			}
-			resps[i] = b.submit(in)
-		}(i)
+	resp := forecastReq(t, ts.URL, ForecastRequest{Indicators: tailOf(e, 64)})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want a degraded 200", resp.StatusCode)
 	}
-	wg.Wait()
-
-	for i, r := range resps {
-		if r.err != nil {
-			t.Fatalf("request %d: unexpected error %v", i, r.err)
-		}
-		if !r.panicked {
-			t.Fatalf("request %d not marked panicked after batch-wide model panic", i)
-		}
-	}
-	if got := reg.Counter("rptcn_panics_recovered_total", "").Value(); got != 1 {
-		t.Fatalf("panics recovered = %g, want exactly 1 for one fused batch", got)
+	if out := decodeForecast(t, resp); !out.Degraded {
+		t.Fatalf("model panic served undegraded: %+v", out)
 	}
 	if inj.Fired("model.forward") != 1 {
 		t.Fatal("injected model panic never fired")
 	}
-}
-
-// TestBatcherCloseAnswersInFlight: close is idempotent and a submit after
-// close gets ErrServerClosed instead of blocking forever.
-func TestBatcherCloseAnswersInFlight(t *testing.T) {
-	p, e := fitted(t)
-	in, err := p.PrepareInput(tailOf(e, 64))
-	if err != nil {
-		t.Fatal(err)
+	if got := counterVal(reg, "rptcn_panics_recovered_total"); got != 1 {
+		t.Fatalf("panics recovered = %g, want exactly 1", got)
 	}
-	b, _ := newTestBatcher(p, BatchConfig{})
-	b.close()
-	b.close() // idempotent
-	if resp := b.submit(in); !errors.Is(resp.err, ErrServerClosed) {
-		t.Fatalf("submit after close: err = %v, want ErrServerClosed", resp.err)
-	}
-	srv := New(p, WithRegistry(obs.NewRegistry()), WithLogger(obs.NopLogger()))
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
+	if got := counterVal(reg, degradedName, obs.L("reason", "panic")); got != 1 {
+		t.Fatalf("degraded{reason=panic} = %g, want 1", got)
 	}
 }
 
@@ -282,11 +186,32 @@ func benchServing(b *testing.B, opts ...Option) {
 // BenchmarkForecastServingSerial is the unfused baseline: MaxBatch 1
 // forces one forward per request through the same pipeline.
 func BenchmarkForecastServingSerial(b *testing.B) {
-	benchServing(b, WithBatching(BatchConfig{MaxBatch: 1, MaxDelay: time.Millisecond}))
+	benchServing(b, WithBatching(BatchConfig{MaxBatch: 1}))
 }
 
 // BenchmarkForecastServingBatched is the default micro-batched path at
 // concurrency 32.
 func BenchmarkForecastServingBatched(b *testing.B) {
 	benchServing(b)
+}
+
+// BenchmarkForecastPostSerial is one caller posting the shape a resource
+// manager sends — 8 × MinHistory samples with entity and t — and waiting
+// for each answer: the latency a lone request pays, where the 32-way
+// benchmarks above measure throughput under fusion.
+func BenchmarkForecastPostSerial(b *testing.B) {
+	p, e := fitted(b)
+	srv := New(p, WithRegistry(obs.NewRegistry()), WithLogger(obs.NopLogger()))
+	defer srv.Close()
+	raw := metadataBody(b, p, e)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/v1/forecast", bytes.NewReader(raw))
+		rr := httptest.NewRecorder()
+		srv.ServeHTTP(rr, req)
+		if rr.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rr.Code, rr.Body)
+		}
+	}
 }

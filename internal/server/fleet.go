@@ -227,7 +227,7 @@ body{font-family:monospace;margin:2em}li{margin:0.4em 0}</style></head>
 		fmt.Fprint(w, `
 <li><a href="/debug/adapt">/debug/adapt</a> — online adaptation: retrain/shadow/swap state (JSON)</li>`)
 	}
-	if s.rings != nil {
+	if !s.ingestCfg.Disabled {
 		fmt.Fprint(w, `
 <li><a href="/debug/shards">/debug/shards</a> — per-shard occupancy, queues, latency quantiles (JSON)</li>`)
 	}

@@ -6,7 +6,7 @@
 // Endpoints:
 //
 //	GET  /healthz        liveness probe (process up)
-//	GET  /readyz         readiness probe (model loaded, batcher running)
+//	GET  /readyz         readiness probe (model loaded, shard workers running)
 //	GET  /metrics        Prometheus text-format metrics
 //	GET  /v1/model       model metadata (scenario, window, screening, size)
 //	POST /v1/forecast    {"indicators": [[...],...]} → {"forecast": [...]}
@@ -58,9 +58,11 @@ import (
 )
 
 // Server routes forecast requests to a fitted predictor. Concurrent
-// requests are micro-batched: each prepares its input in parallel, then
-// queues for the collector goroutine, which fuses up to MaxBatch waiting
-// requests into one grad-free arena forward (see batcher.go). The
+// requests are micro-batched by the shard router's workers (see
+// internal/shard): a POST /v1/forecast prepares its window in parallel on
+// its own goroutine, a GET /v1/forecast/{entity} has the worker read it
+// from the entity's ring, and both queue on the same shard, which fuses
+// up to MaxBatch waiting requests into one grad-free arena forward. The
 // handler itself is safe for concurrent use.
 type Server struct {
 	predictor  *core.Predictor
@@ -71,7 +73,6 @@ type Server struct {
 	quality    *qualityMonitor
 	resilience ResilienceConfig
 	batchCfg   BatchConfig
-	batcher    *batcher
 
 	// Online forecast-quality engine (ground-truth joins, drift and
 	// mutation detectors, SLO rules — see internal/quality).
@@ -80,7 +81,7 @@ type Server struct {
 	journal    *runlog.Run
 	reqSeq     atomic.Int64 // synthetic sample clock for t-less requests
 
-	// ready flips true once the model is loaded and the batcher is
+	// ready flips true once the model is loaded and the shard workers are
 	// running, and false again on Close — the /readyz answer.
 	ready atomic.Bool
 
@@ -92,10 +93,12 @@ type Server struct {
 	panics   *obs.Counter
 	canceled *obs.Counter
 
-	// Streaming ingestion and sharded entity serving: the entity→shard
-	// router owns the per-entity sample rings (fed by /v1/ingest) and
-	// serves /v1/forecast/{entity} through per-shard micro-batchers (nil
-	// when ingestion is disabled), plus the accounting metrics.
+	// Sharded serving and streaming ingestion: the entity→shard router
+	// owns the per-shard micro-batchers every forecast runs through (POST
+	// /v1/forecast and /v1/forecast/{entity} alike) and the per-entity
+	// sample rings fed by /v1/ingest, plus the accounting metrics. The
+	// router always exists; IngestConfig.Disabled only withholds the
+	// ingest and entity routes.
 	rings          *shard.Router
 	shardCfg       ShardConfig
 	modelCache     *registry.Cache
@@ -184,27 +187,23 @@ func New(p *core.Predictor, opts ...Option) *Server {
 		"Requests abandoned by the client before the forecast finished (499).")
 	s.breaker = newBreaker(s.resilience.Breaker, s.reg.Gauge("rptcn_circuit_open",
 		"1 while the inference circuit breaker is open or half-open, else 0."))
-	// The queue holds at most MaxInFlight requests (the limiter admits no
-	// more), so enqueueing never blocks a request goroutine.
-	s.batcher = newBatcher(p, s.batchCfg, s.resilience.MaxInFlight, s.reg, s.log, s.panics)
-	// Streaming ingestion rings + the entity→shard router: one
-	// fixed-capacity ring per entity (sized to hold a full input window
-	// plus slack), sharded across the router's workers. Built before the
-	// quality engine because the adaptation supervisor trains from the
-	// rings AND subscribes to the engine's events.
+	// The entity→shard router: the micro-batching workers every forecast
+	// queues on, and one fixed-capacity ring per ingested entity (sized to
+	// hold a full input window plus slack). The limiter admits at most
+	// MaxInFlight requests, so while that stays within a shard's QueueCap
+	// (defaults 32 and 64) enqueueing never blocks a request goroutine;
+	// beyond it producers wait for a slot, which bounds memory. Built
+	// before the quality engine because the adaptation supervisor trains
+	// from the rings AND subscribes to the engine's events.
 	s.ingestCfg.fillDefaults(p)
 	s.batchCfg.fillDefaults()
-	if !s.ingestCfg.Disabled {
-		rt, err := s.buildRouter()
-		if err != nil {
-			// Unreachable with validated inputs, but never let a config
-			// slip kill JSON-path serving: degrade to ingestion-off.
-			s.log.Error("entity serving disabled: shard router failed to start", "err", err)
-			s.ingestCfg.Disabled = true
-		} else {
-			s.rings = rt
-		}
+	rt, err := s.buildRouter()
+	if err != nil {
+		// Every input was defaulted above, so only a bug gets here — and
+		// with no router there is nothing to serve forecasts on.
+		panic(fmt.Sprintf("server: shard router failed to start: %v", err))
 	}
+	s.rings = rt
 	if !s.ingestCfg.Disabled {
 		s.ingestRows = s.reg.Counter("rptcn_ingested_samples_total",
 			"Usable CSV rows accepted by /v1/ingest.")
@@ -229,18 +228,14 @@ func New(p *core.Predictor, opts ...Option) *Server {
 	if s.adaptCfg != nil {
 		cfg := *s.adaptCfg
 		cfg.Predictor = p
-		if s.rings != nil {
-			// Guarded: a nil *shard.Router inside the RingSource
-			// interface would defeat adapt's own nil check.
-			cfg.Rings = s.rings
-		}
+		cfg.Rings = s.rings
 		if cfg.Registry == nil {
 			cfg.Registry = s.reg
 		}
 		if cfg.Journal == nil {
 			cfg.Journal = s.journal
 		}
-		if s.rings == nil {
+		if s.ingestCfg.Disabled {
 			s.log.Warn("adaptation disabled: streaming ingestion is off, so there is no history to retrain from")
 		} else if sup, err := adapt.New(cfg); err != nil {
 			s.log.Error("adaptation disabled: supervisor failed to start", "err", err)
@@ -337,9 +332,9 @@ func New(p *core.Predictor, opts ...Option) *Server {
 	// instrumented under the single route label "other", so arbitrary
 	// probing cannot mint new metric series.
 	s.mux.HandleFunc("/", in.wrap("other", s.recovered(s.handleNotFound)))
-	// Ready: the predictor carries a loaded model and the batcher's
-	// collector goroutine is running. An unfitted predictor serves
-	// metadata and probes but reports unready until a model arrives.
+	// Ready: the predictor carries a loaded model and the shard workers
+	// are running. An unfitted predictor serves metadata and probes but
+	// reports unready until a model arrives.
 	s.ready.Store(p.Model() != nil)
 	return s
 }
@@ -370,16 +365,13 @@ func methodNotAllowed(allow string) http.HandlerFunc {
 // Registry returns the metrics registry the server reports into.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Close stops the micro-batching collector and the quality engine's
-// worker goroutine; requests caught mid-queue are answered with
-// ErrServerClosed and /readyz flips to 503. Idempotent. In-flight HTTP
-// requests should be drained first (http.Server.Shutdown).
+// Close stops the shard workers and the quality engine's worker
+// goroutine; forecasts caught mid-queue are answered 503 and /readyz
+// flips to 503. Idempotent. In-flight HTTP requests should be drained
+// first (http.Server.Shutdown).
 func (s *Server) Close() error {
 	s.ready.Store(false)
-	s.batcher.close()
-	if s.rings != nil {
-		s.rings.Close()
-	}
+	s.rings.Close()
 	err := s.engine.Close()
 	if s.adapt != nil {
 		// After the engine: no more events can arrive once it is down.
@@ -473,9 +465,39 @@ type ForecastResponse struct {
 // 16 MiB leaves room for long histories without allowing abuse).
 const maxBodyBytes = 16 << 20
 
+// maxPresizeBytes caps how much of a request's Content-Length claim is
+// believed before any byte of the body has arrived.
+const maxPresizeBytes = 1 << 20
+
+// readSized is io.ReadAll with the first buffer sized from the declared
+// content length, so the usual body is read in one allocation instead of
+// ReadAll's 512-byte start and repeated doubling. A length that is
+// unknown (-1), wrong, or beyond maxPresizeBytes only costs the growth
+// steps ReadAll would have taken.
+func readSized(r io.Reader, contentLength int64) ([]byte, error) {
+	size := min(max(contentLength, 0), maxPresizeBytes)
+	if size == 0 {
+		size = 512
+	}
+	buf := make([]byte, 0, size+1) // +1: room to read the EOF without growing
+	for {
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err != nil {
+			if err == io.EOF {
+				err = nil
+			}
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+	}
+}
+
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	var req ForecastRequest
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readSized(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	if err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
@@ -511,7 +533,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	ft := telemetryFrom(r.Context())
 	ft.set(req.Entity, false)
 
-	o, res := s.infer(r.Context(), req.Indicators)
+	o, res := s.infer(r.Context(), req.Entity, req.Indicators)
 	forecast := o.forecast
 	switch res.kind {
 	case inferOK:
@@ -544,6 +566,11 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 			Generation: o.gen,
 		})
 	case inferBadInput:
+		if errors.Is(res.err, shard.ErrClosed) {
+			// Caught by shutdown: a server state, not a client error.
+			s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
+			return
+		}
 		s.writeError(w, http.StatusUnprocessableEntity, res.err.Error())
 	case inferCanceled:
 		// The client went away mid-inference. 499, not a 5xx: the model
@@ -593,18 +620,19 @@ type inferResult struct {
 //
 // The work splits in two: the per-request goroutine runs the data
 // pipeline (PrepareInput — read-only, so requests prepare in parallel),
-// then hands the prepared window to the micro-batcher, which fuses
-// concurrent requests into one arena forward. Every protection is still
-// per-request: each waiter has its own deadline, its own breaker
-// outcome, and its own degradation decision.
-func (s *Server) infer(ctx context.Context, series [][]float64) (inferOutcome, inferResult) {
+// then hands the prepared window to a shard worker — the named entity's
+// shard, or any shard for an anonymous request — which fuses it with
+// whatever else is queued there into one arena forward. Every protection
+// is still per-request: each waiter has its own deadline, its own
+// breaker outcome, and its own degradation decision.
+func (s *Server) infer(ctx context.Context, entity string, series [][]float64) (inferOutcome, inferResult) {
 	return s.guardedInfer(ctx, func() inferOutcome {
 		in, err := s.predictor.PrepareInput(series)
 		if err != nil {
 			return inferOutcome{err: err}
 		}
-		resp := s.batcher.submit(in)
-		return inferOutcome{forecast: resp.forecast, in: in, gen: resp.gen, err: resp.err, panicked: resp.panicked}
+		sr := s.rings.ForecastPrepared(entity, in)
+		return inferOutcome{forecast: sr.Forecast, in: in, gen: sr.Gen, err: sr.Err, panicked: sr.Panicked}
 	})
 }
 
@@ -655,8 +683,9 @@ func (s *Server) guardedInfer(ctx context.Context, run func() inferOutcome) (inf
 			s.breaker.record(true)
 			return inferOutcome{}, inferResult{kind: inferDegraded, reason: "panic"}
 		case o.err != nil:
-			// ForecastFrom errors are input-validation failures — the
-			// client's problem, not the model's; the breaker stays out.
+			// Errors here are input-validation failures (the client's
+			// problem) or the router closing under the request — never
+			// the model's; the breaker stays out.
 			s.breaker.release()
 			return inferOutcome{}, inferResult{kind: inferBadInput, err: o.err}
 		case !finiteAll(o.forecast):

@@ -1,13 +1,19 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 
+	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/obs"
 	"repro/internal/registry"
 	"repro/internal/trace"
 )
@@ -256,5 +262,210 @@ func TestModelRegistryServing(t *testing.T) {
 	ingestCSV(t, bare.URL, []*trace.EntitySeries{e})
 	if _, code = getForecast(t, bare.URL, e.ID, "alt"); code != http.StatusNotFound {
 		t.Fatalf("model param without registry = %d, want 404", code)
+	}
+}
+
+// shardsStatus fetches GET /debug/shards.
+func shardsStatus(t *testing.T, url string) ShardsStatus {
+	t.Helper()
+	resp, err := http.Get(url + "/debug/shards")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st ShardsStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestForecastPostWithIngestDisabled: the router is the JSON path, so
+// turning ingestion off only withholds the ingest/entity routes — POST
+// /v1/forecast still serves, bitwise what the predictor answers alone.
+func TestForecastPostWithIngestDisabled(t *testing.T) {
+	p, e := fitted(t)
+	srv := New(p, WithRegistry(obs.NewRegistry()), WithLogger(obs.NopLogger()),
+		WithIngest(IngestConfig{Disabled: true}))
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	tail := tailOf(e, 64)
+	want, err := p.ForecastFrom(tail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp := forecastReq(t, ts.URL, ForecastRequest{Indicators: tail, Entity: e.ID})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST with ingestion disabled: status %d", resp.StatusCode)
+	}
+	out := decodeForecast(t, resp)
+	if out.Degraded || out.Generation != 1 || !slices.Equal(out.Forecast, want) {
+		t.Fatalf("POST with ingestion disabled = %+v, want %v", out, want)
+	}
+	for _, path := range []string{"/v1/forecast/" + e.ID, "/v1/entities", "/debug/shards"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET %s with ingestion disabled: status %d, want 404", path, resp.StatusCode)
+		}
+	}
+}
+
+// TestForecastPostSharded pins POST /v1/forecast on a 4-shard server:
+// every answer is bitwise the 1-shard answer, anonymous requests run on
+// more than one shard's replica, a request naming an entity runs on the
+// shard that owns that entity's ring, and the generation in the response
+// follows a hot-swap and its rollback on every replica.
+func TestForecastPostSharded(t *testing.T) {
+	p, e := fitted(t)
+	quiet := []Option{WithRegistry(obs.NewRegistry()), WithLogger(obs.NopLogger())}
+	one := New(p, quiet...)
+	defer one.Close()
+	single := httptest.NewServer(one)
+	defer single.Close()
+	srv := New(p, append(quiet, WithSharding(ShardConfig{Shards: 4}))...)
+	defer srv.Close()
+	sharded := httptest.NewServer(srv)
+	defer sharded.Close()
+
+	tail := tailOf(e, p.MinHistory())
+	post := func(url, entity string) ForecastResponse {
+		t.Helper()
+		resp := forecastReq(t, url, ForecastRequest{Indicators: tail, Entity: entity})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("POST status %d", resp.StatusCode)
+		}
+		out := decodeForecast(t, resp)
+		if out.Degraded {
+			t.Fatalf("POST served degraded: %+v", out)
+		}
+		return out
+	}
+	want := post(single.URL, "")
+
+	// Anonymous: same bits, more than one shard.
+	for i := 0; i < 8; i++ {
+		if out := post(sharded.URL, ""); out.Generation != 1 || !slices.Equal(out.Forecast, want.Forecast) {
+			t.Fatalf("anonymous POST %d on 4 shards = %+v, 1-shard answer %+v", i, out, want)
+		}
+	}
+	busy := 0
+	for _, sh := range shardsStatus(t, sharded.URL).PerShard {
+		if sh.Requests > 0 {
+			busy++
+		}
+	}
+	if busy < 2 {
+		t.Fatalf("8 anonymous POSTs all ran on %d shard", busy)
+	}
+
+	// Named: the shard that holds the entity's ring is shardOf(entity).
+	ingestCSV(t, sharded.URL, []*trace.EntitySeries{e})
+	before := shardsStatus(t, sharded.URL).PerShard
+	for i := 0; i < 5; i++ {
+		if out := post(sharded.URL, e.ID); !slices.Equal(out.Forecast, want.Forecast) {
+			t.Fatalf("named POST on 4 shards = %+v, 1-shard answer %+v", out, want)
+		}
+	}
+	for i, sh := range shardsStatus(t, sharded.URL).PerShard {
+		wantDelta := uint64(0)
+		if sh.Entities == 1 {
+			wantDelta = 5
+		}
+		if d := sh.Requests - before[i].Requests; d != wantDelta {
+			t.Fatalf("shard %d (owns %d entities) served %d of the named POSTs, want %d",
+				sh.Shard, sh.Entities, d, wantDelta)
+		}
+	}
+
+	// Generation: swap to a candidate, then roll back. Four anonymous
+	// POSTs visit all four replicas.
+	cand, eval, _, err := p.FineTune(e.Matrix(), core.FineTuneConfig{Epochs: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev, prevEval, gen, err := p.SwapModel(cand, eval)
+	if err != nil || gen != 2 {
+		t.Fatalf("swap: gen=%d err=%v", gen, err)
+	}
+	swapped := post(single.URL, "")
+	if swapped.Generation != 2 || slices.Equal(swapped.Forecast, want.Forecast) {
+		t.Fatalf("1-shard answer after the swap = %+v (generation 1 answered %v)", swapped, want.Forecast)
+	}
+	for i := 0; i < 4; i++ {
+		if out := post(sharded.URL, ""); out.Generation != 2 || !slices.Equal(out.Forecast, swapped.Forecast) {
+			t.Fatalf("replica answer after the swap = %+v, want %+v", out, swapped)
+		}
+	}
+	if _, _, gen, err = p.SwapModel(prev, prevEval); err != nil || gen != 3 {
+		t.Fatalf("rollback: gen=%d err=%v", gen, err)
+	}
+	for i := 0; i < 4; i++ {
+		if out := post(sharded.URL, ""); out.Generation != 3 || !slices.Equal(out.Forecast, want.Forecast) {
+			t.Fatalf("replica answer after the rollback = %+v, want generation 3 of %v", out, want.Forecast)
+		}
+	}
+}
+
+// TestForecastPostCaughtByShutdownIs503: a POST queued behind a forward
+// when the server closes is told the server is going away (503) — not
+// that its payload was bad (422) — and the breaker is not charged.
+func TestForecastPostCaughtByShutdownIs503(t *testing.T) {
+	p, e := fitted(t)
+	reg := obs.NewRegistry()
+	srv := New(p, WithRegistry(reg), WithLogger(obs.NopLogger()))
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	// Block the engine: the first forward sleeps inside the model.
+	inj := fault.NewInjector(fault.Rule{Scope: "model.forward", Kind: fault.KindLatency,
+		Latency: 300 * time.Millisecond, Times: 1})
+	defer fault.Activate(inj)()
+
+	raw, err := json.Marshal(ForecastRequest{Indicators: tailOf(e, 64)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := make(chan int, 2)
+	send := func() {
+		resp, err := http.Post(ts.URL+"/v1/forecast", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Error(err)
+			codes <- 0
+			return
+		}
+		resp.Body.Close()
+		codes <- resp.StatusCode
+	}
+	go send()
+	waitFor(t, "the first POST to enter the forward", func() bool { return inj.Fired("model.forward") == 1 })
+	go send()
+	depth := reg.Gauge("rptcn_shard_queue_depth", "", obs.L("shard", "0"))
+	waitFor(t, "the second POST to queue behind it", func() bool { return depth.Value() == 1 })
+
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil { // idempotent
+		t.Fatal(err)
+	}
+	got := []int{<-codes, <-codes}
+	slices.Sort(got)
+	if !slices.Equal(got, []int{http.StatusOK, http.StatusServiceUnavailable}) {
+		t.Fatalf("statuses across Close = %v, want the forward in flight answered 200 and the queued one 503", got)
+	}
+	srv.breaker.mu.Lock()
+	failures := srv.breaker.failures
+	srv.breaker.mu.Unlock()
+	if failures != 0 {
+		t.Fatalf("a request caught by shutdown charged the breaker (%d failures)", failures)
+	}
+	if got := counterVal(reg, "rptcn_panics_recovered_total"); got != 0 {
+		t.Fatalf("shutdown counted %g recovered panics", got)
 	}
 }

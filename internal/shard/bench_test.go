@@ -15,9 +15,6 @@ import (
 type fleetOpts struct {
 	shards   int
 	entities int
-	// delay > 0 runs the old delay-gather batcher instead of the greedy
-	// default — the "before" configuration for the gather-policy pair.
-	delay time.Duration
 	// churn > 0 hot-swaps the shared predictor continuously at that
 	// cadence — the convoy scenario the per-shard replicas exist for.
 	churn time.Duration
@@ -37,12 +34,10 @@ type fleetOpts struct {
 // single-core host (where the committed BENCH_compute.json numbers
 // come from) sharding therefore cannot beat the baseline on raw req/s
 // — every configuration competes for the same core, and the 8-shard
-// fleet pays smaller average batches (~4 vs 32) for its isolation. The
-// single-core win that IS visible is the gather policy: Delay8 vs
-// Steady8 isolates what greedy batching buys at the fleet operating
-// point (~3x), because idle-waiting for batch-mates burns the only
-// core. See EXPERIMENTS.md ("Fleet sharding on one core") for the full
-// study.
+// fleet pays smaller average batches (~4 vs 32) for its isolation. See
+// EXPERIMENTS.md ("Fleet sharding on one core") for the full study,
+// including the measured record of the deleted 2 ms delay-gather (~3x
+// slower than greedy at this operating point).
 func benchFleet(b *testing.B, o fleetOpts) {
 	p, _, e := fitted(b)
 	engines := make([]Engine, o.shards)
@@ -55,7 +50,6 @@ func benchFleet(b *testing.B, o fleetOpts) {
 	}
 	r, err := New(Config{
 		Shards:       o.shards,
-		MaxDelay:     o.delay,
 		RingCapacity: 2 * p.MinHistory(),
 		// The entity cap splits evenly across shards but FNV routing does
 		// not: leave 2x headroom so no shard evicts below the fleet size.
@@ -154,15 +148,6 @@ func BenchmarkFleetSteady1(b *testing.B) {
 // ~0.85x the baseline.
 func BenchmarkFleetSteady8(b *testing.B) {
 	benchFleet(b, fleetOpts{shards: 8, entities: 4096})
-}
-
-// BenchmarkFleetDelay8 is BenchmarkFleetSteady8 with the old 2ms
-// delay-gather instead of greedy batching — the before/after pair that
-// motivated the gather-policy change: with 64 clients spread over 8
-// queues a partial batch idle-waits the full delay for stragglers, and
-// on one core those waits are serving capacity burned (~2.3x).
-func BenchmarkFleetDelay8(b *testing.B) {
-	benchFleet(b, fleetOpts{shards: 8, entities: 4096, delay: 2 * time.Millisecond})
 }
 
 // BenchmarkFleetChurn1 measures the baseline under aggressive

@@ -3,7 +3,9 @@ package shard
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/obs/sketch"
 	"repro/internal/trace"
@@ -17,6 +19,8 @@ type Router struct {
 	shards []*shard
 	closed chan struct{}
 	once   sync.Once
+	// anon spreads ForecastPrepared calls that name no entity.
+	anon atomic.Uint64
 }
 
 // New builds the router and starts one worker goroutine per shard.
@@ -35,6 +39,9 @@ func New(cfg Config) (*Router, error) {
 		served[i] = cfg.Registry.Counter("rptcn_shard_requests_total",
 			"Forecast requests answered by this shard.", shardLabel(i))
 	}
+	// Get-or-create: the server's middleware ticks the same family.
+	panics := cfg.Registry.Counter("rptcn_panics_recovered_total",
+		"Panics recovered on the serving path instead of crashing the process.")
 	// Split the fleet-wide entity cap across shards. Ceil division so
 	// the aggregate cap is never below the configured one; a shard can
 	// hold at most its slice, keeping memory bounded per shard even when
@@ -55,10 +62,10 @@ func New(cfg Config) (*Router, error) {
 			stop:     make(chan struct{}),
 			stopped:  make(chan struct{}),
 			maxBatch: cfg.MaxBatch,
-			maxDelay: cfg.MaxDelay,
 			depth:    depth[i],
 			latency:  latency[i],
 			served:   served[i],
+			panics:   panics,
 			digest:   sketch.NewTDigest(64),
 		}
 		r.shards[i] = sh
@@ -102,12 +109,40 @@ func (r *Router) shardOfBytes(entity []byte) *shard {
 // micro-batcher, blocking until it is answered. model == "" uses the
 // shard's default engine; a named model goes through the Resolver.
 func (r *Router) Forecast(entity, model string) Result {
+	if r.isClosed() {
+		return Result{Err: ErrClosed}
+	}
+	return r.shardOf(entity).forecast(entity, model, nil)
+}
+
+// isClosed lets a request arriving after Close fail fast instead of
+// queueing on a worker that is draining.
+func (r *Router) isClosed() bool {
 	select {
 	case <-r.closed:
-		return Result{Err: ErrClosed}
+		return true
 	default:
+		return false
 	}
-	return r.shardOf(entity).forecast(entity, model)
+}
+
+// ForecastPrepared serves a window the caller already prepared (the
+// stateless POST /v1/forecast path) on a shard's default engine: no ring
+// is read, and everything after — batch fusion with that shard's other
+// traffic, panic isolation, generation stamping — is Forecast's. A named
+// entity goes to its own shard; requests naming none are spread
+// round-robin, so with several shards they run on several replicas.
+func (r *Router) ForecastPrepared(entity string, in *core.PreparedInput) Result {
+	if r.isClosed() {
+		return Result{Err: ErrClosed}
+	}
+	sh := r.shards[0]
+	if entity != "" {
+		sh = r.shardOf(entity)
+	} else if n := uint64(len(r.shards)); n > 1 {
+		sh = r.shards[r.anon.Add(1)%n]
+	}
+	return sh.forecast(entity, "", in)
 }
 
 // Ingest routes one sample to the owning shard's ring store. Same

@@ -9,12 +9,16 @@
 // inference lock.
 //
 // The degenerate 1-shard router with the shared *core.Predictor as its
-// engine is exactly today's serving path — same rings, same batch
-// fusion, bitwise-identical forecasts — which is what keeps the
-// single-model deployment a configuration, not a code path.
-// (The gather policy differs: shard workers batch greedily by default
-// instead of idle-waiting MaxDelay for stragglers, which changes
-// latency, never values.)
+// engine is the single-model deployment — same rings, same batch
+// fusion, bitwise-identical forecasts — which is what keeps it a
+// configuration, not a code path.
+//
+// The workers are the process's only micro-batcher. A ring-backed
+// request (Forecast) and a stateless one whose window the caller already
+// prepared (ForecastPrepared, the POST /v1/forecast path) queue on the
+// same shard, fuse into the same forward and share one gather policy:
+// greedy — serve whatever is queued the moment the worker picks up the
+// first request, never idle-wait for stragglers.
 package shard
 
 import (
@@ -49,7 +53,8 @@ type Engine interface {
 // (each shard worker resolves independently).
 type Resolver func(model string) (Engine, func(), error)
 
-// Errors surfaced on Result.Err. The server maps both to 404.
+// Errors surfaced on Result.Err. The server maps ErrUnknownEntity to 404
+// and ErrClosed to 503.
 var (
 	ErrUnknownEntity = errors.New("shard: unknown entity")
 	ErrClosed        = errors.New("shard: router closed")
@@ -68,17 +73,6 @@ type Config struct {
 	// MaxBatch caps how many pending forecasts fuse into one forward
 	// (default 32).
 	MaxBatch int
-	// MaxDelay selects the gather policy. The default (0) is greedy:
-	// the worker serves whatever is queued the moment it picks up the
-	// first request — under load the queue backlog IS the batch, and
-	// idle-waiting for stragglers only burns serving capacity (at the
-	// fleet operating point the old 2ms delay-gather measured at less
-	// than half the greedy throughput; see BenchmarkFleetDelay8).
-	// A positive MaxDelay restores the JSON-path batcher's contract:
-	// the first request of a partial batch waits up to MaxDelay for
-	// company — a latency-for-fusion trade that only pays off when
-	// arrival concurrency is far below MaxBatch.
-	MaxDelay time.Duration
 	// RingCapacity is samples retained per entity ring (required > 0).
 	RingCapacity int
 	// MaxEntities caps ring-holding entities fleet-wide; the cap is
@@ -94,7 +88,8 @@ type Config struct {
 	// multi-model path). An empty model name always uses the shard's
 	// own engine.
 	Resolve Resolver
-	// Registry receives the per-shard metrics (default obs.Default()).
+	// Registry receives the per-shard metrics and the process-wide
+	// rptcn_panics_recovered_total family (default obs.Default()).
 	Registry *obs.Registry
 	// Log receives worker lifecycle and panic reports.
 	Log *slog.Logger
@@ -109,9 +104,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
-	}
-	if c.MaxDelay < 0 {
-		c.MaxDelay = 0
 	}
 	if c.RingCapacity <= 0 {
 		return errors.New("shard: Config.RingCapacity is required")
@@ -141,10 +133,13 @@ type Result struct {
 	Panicked bool
 }
 
-// request is one pending forecast in a shard's queue.
+// request is one pending forecast in a shard's queue. in is set when
+// the caller already holds the prepared window (ForecastPrepared); the
+// worker then skips the ring read and serves it on the default engine.
 type request struct {
 	entity   string
 	model    string
+	in       *core.PreparedInput
 	done     chan Result // buffered 1: the worker never blocks on a gone waiter
 	enqueued time.Time
 }
@@ -163,7 +158,6 @@ type shard struct {
 	stop     chan struct{}
 	stopped  chan struct{}
 	maxBatch int
-	maxDelay time.Duration
 
 	// Accounting. requests/batches are atomics because Status() reads
 	// them from other goroutines; the digest needs a lock for the same
@@ -171,6 +165,7 @@ type shard struct {
 	depth    *obs.Gauge
 	latency  *obs.Histogram
 	served   *obs.Counter
+	panics   *obs.Counter // process-wide family, shared by every shard
 	requests atomic.Uint64
 	batches  atomic.Uint64
 	digestMu sync.Mutex
@@ -178,8 +173,8 @@ type shard struct {
 }
 
 // forecast enqueues one request and blocks for its result.
-func (sh *shard) forecast(entity, model string) Result {
-	r := &request{entity: entity, model: model, done: make(chan Result, 1), enqueued: time.Now()}
+func (sh *shard) forecast(entity, model string, in *core.PreparedInput) Result {
+	r := &request{entity: entity, model: model, in: in, done: make(chan Result, 1), enqueued: time.Now()}
 	sh.depth.Inc()
 	select {
 	case sh.queue <- r:
@@ -203,13 +198,14 @@ func (sh *shard) forecast(entity, model string) Result {
 }
 
 // run is the worker loop: block for the first pending forecast, gather
-// batch-mates, serve the fused batch, repeat. The default gather is
-// greedy — take everything already queued (up to maxBatch) and go;
-// clients blocked on earlier batches re-enqueue while a batch computes,
-// so the backlog the worker finds on its next pass is the natural batch
-// and the worker never parks with work pending. With maxDelay > 0 a
-// partial batch instead waits out the delay for company (the JSON-path
-// batcher's contract).
+// batch-mates, serve the fused batch, repeat. The gather is greedy —
+// take everything already queued (up to maxBatch) and go; clients
+// blocked on earlier batches re-enqueue while a batch computes, so the
+// backlog the worker finds on its next pass is the natural batch and the
+// worker never parks with work pending. (Idle-waiting a delay for
+// stragglers measured at under half the throughput at the fleet
+// operating point and put the whole delay on every lone request; see
+// EXPERIMENTS.md, "Fleet sharding on one core".)
 func (sh *shard) run() {
 	defer close(sh.stopped)
 	batch := make([]*request, 0, sh.maxBatch)
@@ -221,12 +217,7 @@ func (sh *shard) run() {
 			sh.drain()
 			return
 		}
-		batch = append(batch[:0], first)
-		if sh.maxDelay > 0 {
-			batch = sh.gatherDelay(batch)
-		} else {
-			batch = sh.gatherGreedy(batch)
-		}
+		batch = sh.gatherGreedy(append(batch[:0], first))
 		sh.runBatch(batch)
 		select {
 		case <-sh.stop:
@@ -246,23 +237,6 @@ func (sh *shard) gatherGreedy(batch []*request) []*request {
 		default:
 			return batch
 		}
-	}
-	return batch
-}
-
-// gatherDelay waits up to maxDelay for the batch to fill.
-func (sh *shard) gatherDelay(batch []*request) []*request {
-	timer := time.NewTimer(sh.maxDelay)
-	defer timer.Stop()
-	for len(batch) < sh.maxBatch {
-		select {
-		case r := <-sh.queue:
-			batch = append(batch, r)
-			continue
-		case <-timer.C:
-		case <-sh.stop:
-		}
-		break
 	}
 	return batch
 }
@@ -290,12 +264,12 @@ type engineGroup struct {
 	inputs  []*core.PreparedInput
 }
 
-// runBatch serves one fused batch: read each entity's ring window,
-// prepare it, group by engine (the default engine plus any resolved
-// models), run one forward per group, and fan results back out. Client
-// errors (unknown entity, short history, unknown model) are answered
-// individually and never poison batch-mates; an engine panic poisons
-// only that engine's group.
+// runBatch serves one fused batch: read each entity's ring window and
+// prepare it (a request that arrived prepared skips both), group by
+// engine (the default engine plus any resolved models), run one forward
+// per group, and fan results back out. Client errors (unknown entity,
+// short history, unknown model) are answered individually and never
+// poison batch-mates; an engine panic poisons only that engine's group.
 func (sh *shard) runBatch(reqs []*request) {
 	sh.depth.Add(-float64(len(reqs)))
 	sh.batches.Add(1)
@@ -333,6 +307,11 @@ func (sh *shard) runBatch(reqs []*request) {
 			sh.answer(r, Result{Err: err})
 			continue
 		}
+		if r.in != nil {
+			g.reqs = append(g.reqs, r)
+			g.inputs = append(g.inputs, r.in)
+			continue
+		}
 		var in *core.PreparedInput
 		var perr error
 		found := sh.rings.WithWindow(r.entity, g.engine.MinHistory(), func(win [][]float64, _, _ int) {
@@ -357,7 +336,10 @@ func (sh *shard) runBatch(reqs []*request) {
 	}
 }
 
-// runGroup runs one engine's share of the batch with panic isolation.
+// runGroup runs one engine's share of the batch with panic isolation. A
+// panic poisons the whole group — every member reports Panicked and
+// degrades at its own call site — but rptcn_panics_recovered_total ticks
+// once: one fault, one event.
 func (sh *shard) runGroup(g *engineGroup) {
 	if len(g.reqs) == 0 {
 		return
@@ -372,6 +354,7 @@ func (sh *shard) runGroup(g *engineGroup) {
 		defer func() {
 			if p := recover(); p != nil {
 				panicked = true
+				sh.panics.Inc()
 				sh.log.Error("panic recovered in shard inference",
 					"shard", sh.id, "batch", len(g.reqs), "panic", p, "stack", string(debug.Stack()))
 			}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -71,6 +72,17 @@ func feed(r *Router, e *trace.EntitySeries, id string, samples int) {
 // bitwise).
 func directForecast(t *testing.T, p *core.Predictor, e *trace.EntitySeries) []float64 {
 	t.Helper()
+	out, _, err := p.ForecastBatchGen([]*core.PreparedInput{preparedTail(t, p, e)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out[0]
+}
+
+// preparedTail is the fixture entity's trailing window prepared on the
+// request side, as POST /v1/forecast does before it enqueues.
+func preparedTail(t *testing.T, p *core.Predictor, e *trace.EntitySeries) *core.PreparedInput {
+	t.Helper()
 	need := p.MinHistory()
 	tail := make([][]float64, trace.NumIndicators)
 	for i := range tail {
@@ -81,11 +93,7 @@ func directForecast(t *testing.T, p *core.Predictor, e *trace.EntitySeries) []fl
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := p.ForecastBatchGen([]*core.PreparedInput{in})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out[0]
+	return in
 }
 
 func newRouter(t *testing.T, p *core.Predictor, shards int, opts ...func(*Config)) *Router {
@@ -125,6 +133,61 @@ func requireBitwise(t *testing.T, name string, got, want []float64) {
 			t.Fatalf("%s[%d]: %g vs %g", name, i, got[i], want[i])
 		}
 	}
+}
+
+// parkEngine serves through a real predictor, but its first forward
+// signals entered and then waits for release — parking the worker so a
+// test can queue a known backlog behind it and force the next pass to
+// fuse it. sizes records every batch (read it only after the answers
+// are in); with boom set, every forward after the first panics.
+type parkEngine struct {
+	*core.Predictor
+	entered, release chan struct{}
+	sizes            []int
+	boom             bool
+}
+
+func newParkEngine(p *core.Predictor) *parkEngine {
+	return &parkEngine{Predictor: p, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (pe *parkEngine) ForecastBatchGen(in []*core.PreparedInput) ([][]float64, int64, error) {
+	pe.sizes = append(pe.sizes, len(in))
+	if len(pe.sizes) == 1 {
+		close(pe.entered)
+		<-pe.release
+	} else if pe.boom {
+		panic("injected engine fault")
+	}
+	return pe.Predictor.ForecastBatchGen(in)
+}
+
+// queueBehindParked sends one request that parks shard 0's worker inside
+// pe, then n more (submit(i), concurrently) and waits until all n sit in
+// the queue. It returns once they do; wait() collects the n results after
+// the caller has released the engine (or closed the router).
+func queueBehindParked(t *testing.T, r *Router, pe *parkEngine, n int, first func() Result,
+	submit func(i int) Result) (firstRes <-chan Result, wait func() []Result) {
+	t.Helper()
+	fc := make(chan Result, 1)
+	go func() { fc <- first() }()
+	<-pe.entered
+	out := make([]Result, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			out[i] = submit(i)
+		}(i)
+	}
+	for deadline := time.Now().Add(10 * time.Second); len(r.shards[0].queue) < n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d requests queued behind the parked worker", len(r.shards[0].queue), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return fc, func() []Result { wg.Wait(); return out }
 }
 
 // TestOneShardMatchesPredictor pins the degenerate case: a 1-shard
@@ -283,15 +346,22 @@ func (pe panicEngine) ForecastBatchGen([]*core.PreparedInput) ([][]float64, int6
 
 // TestEnginePanicIsIsolated pins fault isolation: a panicking resolved
 // engine poisons only its own group — the same batch's default-engine
-// requests still answer normally, and the worker survives.
+// requests still answer normally, and the worker survives — and each
+// recovered group is one tick of rptcn_panics_recovered_total, however
+// many waiters it held.
 func TestEnginePanicIsIsolated(t *testing.T) {
 	p, _, e := fitted(t)
 	resolve := func(string) (Engine, func(), error) { return panicEngine{p}, nil, nil }
-	r := newRouter(t, p, 1, func(c *Config) { c.Resolve = resolve })
+	reg := obs.NewRegistry()
+	panics := reg.Counter("rptcn_panics_recovered_total", "")
+	r := newRouter(t, p, 1, func(c *Config) { c.Resolve, c.Registry = resolve, reg })
 	feed(r, e, e.ID, 2*p.MinHistory())
 
 	if res := r.Forecast(e.ID, "boom"); !res.Panicked {
 		t.Fatalf("panicking engine result = %+v, want Panicked", res)
+	}
+	if got := panics.Value(); got != 1 {
+		t.Fatalf("panics recovered = %g after one poisoned group, want 1", got)
 	}
 	// The worker is still alive and the default engine unaffected.
 	res := r.Forecast(e.ID, "")
@@ -299,6 +369,35 @@ func TestEnginePanicIsIsolated(t *testing.T) {
 		t.Fatalf("post-panic default forecast = %+v", res)
 	}
 	requireBitwise(t, "post-panic", res.Forecast, directForecast(t, p, e))
+
+	// A fused batch of prepared inputs that panics: every waiter reports
+	// it (each degrades at its own call site), the counter ticks once.
+	t.Run("PreparedBatchTicksOnce", func(t *testing.T) {
+		pe := newParkEngine(p)
+		pe.boom = true
+		reg := obs.NewRegistry()
+		r := newRouter(t, p, 1, func(c *Config) { c.Engines, c.Registry = []Engine{pe}, reg })
+		in := preparedTail(t, p, e)
+		const n = 4
+		first, wait := queueBehindParked(t, r, pe, n,
+			func() Result { return r.ForecastPrepared("", in) },
+			func(int) Result { return r.ForecastPrepared("", in) })
+		close(pe.release)
+		if res := <-first; res.Err != nil || res.Panicked {
+			t.Fatalf("parked request = %+v", res)
+		}
+		for i, res := range wait() {
+			if res.Err != nil || !res.Panicked {
+				t.Fatalf("waiter %d = %+v, want Panicked", i, res)
+			}
+		}
+		if len(pe.sizes) != 2 || pe.sizes[1] != n {
+			t.Fatalf("batches = %v, want the %d waiters fused into one", pe.sizes, n)
+		}
+		if got := reg.Counter("rptcn_panics_recovered_total", "").Value(); got != 1 {
+			t.Fatalf("panics recovered = %g for one fused batch of %d, want 1", got, n)
+		}
+	})
 }
 
 // TestCloseDrains pins shutdown: Close answers queued requests with
@@ -324,6 +423,39 @@ func TestCloseDrains(t *testing.T) {
 	if res := r.Forecast(e.ID, ""); !errors.Is(res.Err, ErrClosed) {
 		t.Fatalf("post-close forecast error = %v", res.Err)
 	}
+	if res := r.ForecastPrepared("", preparedTail(t, p, e)); !errors.Is(res.Err, ErrClosed) {
+		t.Fatalf("post-close prepared forecast error = %v", res.Err)
+	}
+
+	// Close with the worker mid-forward and prepared inputs queued behind
+	// it: the forward in flight is answered for real, every queued request
+	// gets ErrClosed, none is dropped or answered twice.
+	t.Run("PreparedInFlight", func(t *testing.T) {
+		pe := newParkEngine(p)
+		r := newRouter(t, p, 1, func(c *Config) { c.Engines = []Engine{pe} })
+		in := preparedTail(t, p, e)
+		first, wait := queueBehindParked(t, r, pe, 4,
+			func() Result { return r.ForecastPrepared(e.ID, in) },
+			func(int) Result { return r.ForecastPrepared("", in) })
+		closed := make(chan struct{})
+		go func() { r.Close(); close(closed) }()
+		<-r.shards[0].stop // Close has told the worker; now let it see that
+		close(pe.release)
+		res := <-first
+		if res.Err != nil {
+			t.Fatalf("request in the forward when Close landed: %v", res.Err)
+		}
+		requireBitwise(t, "in-flight across Close", res.Forecast, directForecast(t, p, e))
+		for i, res := range wait() {
+			if !errors.Is(res.Err, ErrClosed) {
+				t.Fatalf("queued request %d = %+v, want ErrClosed", i, res)
+			}
+		}
+		<-closed
+		if len(pe.sizes) != 1 {
+			t.Fatalf("worker ran %v after Close, want only the batch in flight", pe.sizes)
+		}
+	})
 }
 
 // TestConcurrentFleetServing hammers a sharded router with concurrent
@@ -371,5 +503,82 @@ func TestConcurrentFleetServing(t *testing.T) {
 	}
 	if served != 8*16 {
 		t.Fatalf("shards served %d requests, want %d", served, 8*16)
+	}
+
+	// Prepared inputs (the POST path) and ring reads (the entity path)
+	// queued on one shard leave in one forward, each answered bitwise as
+	// if served alone.
+	t.Run("PreparedFusesWithRing", func(t *testing.T) {
+		pe := newParkEngine(p)
+		r := newRouter(t, p, 1, func(c *Config) { c.Engines = []Engine{pe} })
+		feed(r, e, e.ID, 2*p.MinHistory())
+		in := preparedTail(t, p, e)
+		const n = 8
+		first, wait := queueBehindParked(t, r, pe, n,
+			func() Result { return r.ForecastPrepared("", in) },
+			func(i int) Result {
+				if i%2 == 0 {
+					return r.ForecastPrepared("anyone", in)
+				}
+				return r.Forecast(e.ID, "")
+			})
+		close(pe.release)
+		for i, res := range append(wait(), <-first) {
+			if res.Err != nil || res.Panicked {
+				t.Fatalf("request %d = %+v", i, res)
+			}
+			requireBitwise(t, "fused", res.Forecast, want)
+		}
+		if len(pe.sizes) != 2 || pe.sizes[0] != 1 || pe.sizes[1] != n {
+			t.Fatalf("batches = %v, want [1 %d]", pe.sizes, n)
+		}
+		st := r.Status()[0]
+		if st.Requests != n+1 || st.Batches != 2 || st.QueueDepth != 0 {
+			t.Fatalf("status after the fused batch = %+v", st)
+		}
+	})
+}
+
+// TestPreparedRouting pins where a prepared input is served: a named
+// entity on the shard that owns that entity (so it fuses with the
+// entity's own traffic), anonymous ones spread over every shard, and
+// either way bitwise what one shard answers.
+func TestPreparedRouting(t *testing.T) {
+	p, _, e := fitted(t)
+	r := newRouter(t, p, 4)
+	in := preparedTail(t, p, e)
+	want := directForecast(t, p, e)
+
+	const named = 5
+	owner := r.shardOf("c_42")
+	for i := 0; i < named; i++ {
+		res := r.ForecastPrepared("c_42", in)
+		if res.Err != nil || res.Gen != 1 {
+			t.Fatalf("named prepared forecast = %+v", res)
+		}
+		requireBitwise(t, "named prepared", res.Forecast, want)
+	}
+	for _, st := range r.Status() {
+		wantReqs := uint64(0)
+		if st.Shard == owner.id {
+			wantReqs = named
+		}
+		if st.Requests != wantReqs {
+			t.Fatalf("shard %d served %d requests for c_42, want %d (owner is shard %d)",
+				st.Shard, st.Requests, wantReqs, owner.id)
+		}
+	}
+
+	for i := 0; i < 2*r.Shards(); i++ {
+		res := r.ForecastPrepared("", in)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		requireBitwise(t, "anonymous prepared", res.Forecast, want)
+	}
+	for _, st := range r.Status() {
+		if got := st.Requests; got != 2 && got != 2+named {
+			t.Fatalf("anonymous requests not spread evenly: shard %d served %d", st.Shard, got)
+		}
 	}
 }
