@@ -37,8 +37,8 @@ func batchModels(channels, window int) map[string]nn.Layer {
 
 // TestBatchedArenaMatchesPerRequestForward is the serving-correctness
 // keystone: every row of a micro-batched arena forward must be bitwise
-// identical to running that request alone through the training-path
-// Forward — for RPTCN, LSTM and CNN-LSTM, at batch sizes 1/7/32, under
+// identical to running that request alone, layer by layer, through
+// Forward (see everyStep) — for RPTCN, LSTM and CNN-LSTM, at batch sizes 1/7/32, under
 // worker counts 1/2/4.
 func TestBatchedArenaMatchesPerRequestForward(t *testing.T) {
 	const channels, window = 3, 16
@@ -56,7 +56,7 @@ func TestBatchedArenaMatchesPerRequestForward(t *testing.T) {
 					for i := 0; i < batch; i++ {
 						single := tensor.New(1, channels, window)
 						copy(single.Data, x.Data[i*channels*window:(i+1)*channels*window])
-						want := model.Forward(single, false)
+						want := everyStep{model}.Forward(single, false)
 						requireBitwiseEqual(t,
 							fmt.Sprintf("%s workers=%d batch=%d row=%d", name, workers, batch, i),
 							got.Data[i*h:(i+1)*h], want.Data)
@@ -89,9 +89,8 @@ func servingWindows(p *Predictor, indicators, k int) [][][]float64 {
 }
 
 // TestForecastBatchMatchesTrainingPath fits a real predictor, then
-// checks ForecastBatch against a hand-rolled per-request forward through
-// the training path (Model.Forward at batch 1), bitwise, at batch sizes
-// 1/7/32.
+// checks ForecastBatch against a hand-rolled per-request forward, stage
+// by stage at batch 1 (see everyStep), bitwise, at batch sizes 1/7/32.
 func TestForecastBatchMatchesTrainingPath(t *testing.T) {
 	const indicators = 4
 	series := syntheticSeries(160)
@@ -126,7 +125,7 @@ func TestForecastBatchMatchesTrainingPath(t *testing.T) {
 			in := inputs[i]
 			x := tensor.New(1, in.channels, p.Cfg.Window)
 			copy(x.Data, in.data)
-			out := p.model.Forward(x, false)
+			out := everyStep{p.model}.Forward(x, false)
 			want := p.norm.Inverse(p.target, out.Data)
 			requireBitwiseEqual(t, fmt.Sprintf("batch=%d req=%d", batch, i), got[i], want)
 		}

@@ -11,12 +11,13 @@ import (
 )
 
 // requireServesForward demands that the arena path of m — the receptive
-// cone on whatever kernels m holds baked — equals the training-path
-// Forward(x, false) bitwise, on a fresh arena and on a replayed one.
+// cone on whatever kernels m holds baked — equals the stage-by-stage
+// forward on the weights now in place (every step of every convolution;
+// see everyStep) bitwise, on a fresh arena and on a replayed one.
 func requireServesForward(t *testing.T, what string, m *Model, window int) {
 	t.Helper()
 	x := tensor.RandN(tensor.NewRNG(123), 3, m.Cfg.InChannels, window)
-	want := m.Forward(x, false)
+	want := everyStep{m}.Forward(x, false)
 	arena := nn.NewInferArena()
 	for pass := 0; pass < 2; pass++ {
 		arena.Reset()
@@ -28,8 +29,8 @@ func requireServesForward(t *testing.T, what string, m *Model, window int) {
 // published (frozen) model and then moves its weights each way the
 // system can — an optimizer step, LoadParams, a fit's best-weight
 // restore, fine-tune + hot-swap, rollback swap — checking after each
-// that serving still equals the training path on the weights now in
-// place, i.e. that no stale baked kernel survives.
+// that serving still equals the stage-by-stage forward on the weights
+// now in place, i.e. that no stale baked kernel survives.
 func TestFrozenModelFollowsEveryWeightWriter(t *testing.T) {
 	p, series := genPredictor(t)
 	win := servingWindows(p, len(series), 1)[0]
@@ -77,8 +78,9 @@ func TestFrozenModelFollowsEveryWeightWriter(t *testing.T) {
 
 // TestProfiledPredictorServesTheCone: with a Profiler attached every
 // stage is wrapped, so the cone has to find the blocks through the
-// wrappers — and still match the training path bitwise, and still count
-// one inference call per stage per forward, across a hot-swap's re-wrap.
+// wrappers — and still match the stage-by-stage forward bitwise, and
+// still count one inference call per stage per forward, across a
+// hot-swap's re-wrap.
 func TestProfiledPredictorServesTheCone(t *testing.T) {
 	prof := nn.NewProfiler()
 	series := syntheticSeries(200)
@@ -136,7 +138,7 @@ func TestModelSharedByArenasAndBatchSizes(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, batch := range []int{1, 5, 1} {
 			x := tensor.RandN(r, batch, m.Cfg.InChannels, w)
-			ref := m.Forward(x, false)
+			ref := everyStep{m}.Forward(x, false)
 			arenas[batch].Reset()
 			requireBitwiseEqual(t, "own arena", m.InferForward(arenas[batch], x).Data, ref.Data)
 			got, err := p.ForecastFrom(win)

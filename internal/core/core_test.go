@@ -193,14 +193,14 @@ func TestPredictorForecastDenormalized(t *testing.T) {
 		t.Fatalf("forecast length = %d", len(f))
 	}
 	// Forecast is a batch of one on the serving path; it must still be,
-	// bitwise, the training-path forward over the retained series' tail.
+	// bitwise, the stage-by-stage forward over the retained series' tail.
 	w := p.Cfg.Window
 	x := tensor.New(1, len(p.prepared), w)
 	for ci, row := range p.prepared {
 		copy(x.Data[ci*w:(ci+1)*w], row[len(row)-w:])
 	}
-	requireBitwiseEqual(t, "Forecast vs training-path forward",
-		f, p.norm.Inverse(p.target, p.model.Forward(x, false).Data))
+	requireBitwiseEqual(t, "Forecast vs stage-by-stage forward",
+		f, p.norm.Inverse(p.target, everyStep{p.model}.Forward(x, false).Data))
 	// Forecasts must land on the raw CPU scale (roughly within the series'
 	// historical band, generously padded).
 	cpu := e.Series(trace.CPUUtilPercent)

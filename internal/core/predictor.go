@@ -381,8 +381,8 @@ func (p *Predictor) Forecast() ([]float64, error) {
 // Fit). The stored normalizer and screening are applied — nothing is
 // refit — so this is the online serving path: feed the latest monitoring
 // window, get a denormalized forecast. It runs as a batch of one through
-// the grad-free arena path (see batch.go), bitwise identical to the
-// training-path forward.
+// the grad-free arena path (see batch.go), bitwise identical to
+// Model.Forward(x, false).
 func (p *Predictor) ForecastFrom(series [][]float64) ([]float64, error) {
 	in, err := p.PrepareInput(series)
 	if err != nil {

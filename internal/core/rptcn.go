@@ -127,26 +127,26 @@ func NewModel(r *tensor.RNG, cfg Config) *Model {
 	return m
 }
 
-// Forward implements nn.Layer. Two fault points cover the chaos suite:
-// "model.forward" can inject a layer panic or latency, and
-// "model.forward.out" can corrupt the output activations with NaN/Inf —
-// both one atomic load when no injector is active.
+// Forward implements nn.Layer. The TCN stages feed LastStep, so
+// nn.ForwardChain computes them — and Backward their gradients — inside
+// the receptive cone of the final time step only, in training and in
+// evaluation. Two fault points cover the chaos suite: "model.forward"
+// can inject a layer panic or latency, and "model.forward.out" can
+// corrupt the output activations with NaN/Inf — both one atomic load
+// when no injector is active.
 func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	fault.Disrupt("model.forward")
-	for _, l := range m.stages {
-		x = l.Forward(x, train)
-	}
+	x = nn.ForwardChain(m.stages, x, train)
 	fault.Corrupt("model.forward.out", x.Data)
 	return x
 }
 
 // InferForward implements nn.InferLayer: the grad-free arena forward
 // used by batched serving. It visits the same fault points as Forward
-// ("model.forward" disruption, "model.forward.out" corruption) and
-// produces output bitwise identical to Forward(x, false), drawing every
-// intermediate from the arena so a warmed-up pass allocates nothing. The
-// TCN stages feed LastStep, so nn.InferChain computes them inside the
-// receptive cone of the final time step only.
+// and runs the same receptive cone (nn.InferChain), so its output is
+// bitwise identical to Forward(x, false), but it draws every
+// intermediate from the arena — a warmed-up pass allocates nothing —
+// and serves from the kernels nn.Freeze baked.
 func (m *Model) InferForward(a *nn.InferArena, x *tensor.Tensor) *tensor.Tensor {
 	fault.Disrupt("model.forward")
 	x = nn.InferChain(a, m.stages, x)
@@ -161,10 +161,7 @@ func (m *Model) Children() []nn.Layer { return m.stages }
 
 // Backward implements nn.Layer.
 func (m *Model) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(m.stages) - 1; i >= 0; i-- {
-		grad = m.stages[i].Backward(grad)
-	}
-	return grad
+	return nn.BackwardChain(m.stages, grad)
 }
 
 // Profile wraps every stage of the data path with p's timing wrappers,

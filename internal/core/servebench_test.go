@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"testing"
 
 	"repro/internal/nn"
@@ -36,30 +35,8 @@ func servingPredictor(b *testing.B) (*Predictor, []*PreparedInput) {
 	return p, inputs
 }
 
-// BenchmarkServingSerialTrainingPath32 reproduces the pre-arena serving
-// cost: 32 requests answered one at a time, each paying a full
-// training-capable Forward (allocating every intermediate) under the
-// serialization mutex — exactly what ForecastFrom did before the arena
-// path existed.
-func BenchmarkServingSerialTrainingPath32(b *testing.B) {
-	p, inputs := servingPredictor(b)
-	var mu sync.Mutex
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, in := range inputs {
-			mu.Lock()
-			x := tensor.New(1, in.channels, p.Cfg.Window)
-			copy(x.Data, in.data)
-			out := p.model.Forward(x, false)
-			_ = p.norm.Inverse(p.target, out.Data)
-			mu.Unlock()
-		}
-	}
-}
-
-// BenchmarkServingBatchedArena32 is the after: the same 32 requests fused
-// into one grad-free arena forward.
+// BenchmarkServingBatchedArena32 is 32 requests fused into one
+// grad-free arena forward.
 func BenchmarkServingBatchedArena32(b *testing.B) {
 	p, inputs := servingPredictor(b)
 	if _, err := p.ForecastBatch(inputs); err != nil {
@@ -101,3 +78,38 @@ func benchInferLastStep(b *testing.B, batch int) {
 // LastStep on frozen kernels — at the two batch sizes serving sees.
 func BenchmarkInferLastStepB1(b *testing.B)  { benchInferLastStep(b, 1) }
 func BenchmarkInferLastStepB32(b *testing.B) { benchInferLastStep(b, 32) }
+
+// trainStepModel is the standing benchmark's model as Fit sees it: not
+// frozen, spatial dropout on.
+func trainStepModel(batch int) (*Model, *tensor.Tensor) {
+	r := tensor.NewRNG(9)
+	m := NewModel(r, Config{InChannels: 12, Channels: []int{16, 16, 16}, KernelSize: 3, Dropout: 0.1, WeightNorm: true, Horizon: 5})
+	return m, tensor.RandN(r, batch, 12, 32)
+}
+
+// BenchmarkRPTCNTrainStep is one training batch of 32 windows without
+// the optimizer: ZeroGrad, Forward(x, true) and Backward, both inside
+// the receptive cone.
+func BenchmarkRPTCNTrainStep(b *testing.B) {
+	m, x := trainStepModel(32)
+	grad := tensor.RandN(tensor.NewRNG(10), 32, 5)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nn.ZeroGrad(m)
+		m.Forward(x, true)
+		m.Backward(grad)
+	}
+}
+
+// BenchmarkRPTCNEval256 is Forward(x, false) at the 256-window batch
+// train.EvaluateLoss and train.Predict run: the per-epoch validation
+// pass.
+func BenchmarkRPTCNEval256(b *testing.B) {
+	m, x := trainStepModel(256)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Forward(x, false)
+	}
+}

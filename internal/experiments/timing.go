@@ -24,9 +24,8 @@ import (
 // of the published (frozen) model, which computes only the receptive cone
 // under the last time step. InferLatency is the mean; InferP50/InferP99
 // come from an obs.Histogram over the individual repetitions, because
-// real-time serving cares about the tail, not the mean. ForwardLatency is
-// the mean of the training-path Forward(x, false) on the same window —
-// every step of every convolution — for comparison.
+// real-time serving cares about the tail, not the mean. Training runs
+// forward and backward inside the same cone, so EpochTime is its cost too.
 type TimingRow struct {
 	Label          string
 	Params         int
@@ -35,7 +34,6 @@ type TimingRow struct {
 	InferLatency   time.Duration
 	InferP50       time.Duration
 	InferP99       time.Duration
-	ForwardLatency time.Duration
 }
 
 // LayerProfile is the per-layer forward/backward cost breakdown of one
@@ -119,11 +117,6 @@ func RunTimingStudy(o Options) (*TimingStudy, error) {
 		row.InferLatency = secondsToDuration(hist.Mean())
 		row.InferP50 = secondsToDuration(hist.Quantile(0.5))
 		row.InferP99 = secondsToDuration(hist.Quantile(0.99))
-		t0 := time.Now()
-		for i := 0; i < reps; i++ {
-			m.Forward(x.X, false)
-		}
-		row.ForwardLatency = time.Since(t0) / reps
 		study.Rows = append(study.Rows, row)
 	}
 
@@ -173,14 +166,13 @@ func secondsToDuration(s float64) time.Duration {
 func (s *TimingStudy) Format() string {
 	var b strings.Builder
 	b.WriteString("Timing study: RPTCN parameters vs training/inference cost (future work, Sec. V-C)\n")
-	fmt.Fprintf(&b, "%-20s %10s %6s %14s %14s %12s %12s %16s\n",
-		"variant", "params", "rf", "epoch time", "infer mean", "infer p50", "infer p99", "train-path fwd")
+	fmt.Fprintf(&b, "%-20s %10s %6s %14s %14s %12s %12s\n",
+		"variant", "params", "rf", "epoch time", "infer mean", "infer p50", "infer p99")
 	for _, r := range s.Rows {
-		fmt.Fprintf(&b, "%-20s %10d %6d %14s %14s %12s %12s %16s\n",
+		fmt.Fprintf(&b, "%-20s %10d %6d %14s %14s %12s %12s\n",
 			r.Label, r.Params, r.ReceptiveField,
 			r.EpochTime.Round(time.Millisecond), r.InferLatency.Round(time.Microsecond),
-			r.InferP50.Round(time.Microsecond), r.InferP99.Round(time.Microsecond),
-			r.ForwardLatency.Round(time.Microsecond))
+			r.InferP50.Round(time.Microsecond), r.InferP99.Round(time.Microsecond))
 	}
 	for _, p := range s.Profiles {
 		fmt.Fprintf(&b, "\nPer-layer breakdown, one training epoch: %s\n%s", p.Label, p.Table)

@@ -15,39 +15,37 @@ type ReLU struct {
 // Forward implements Layer.
 func (r *ReLU) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	out := x.Clone()
-	r.rectify(out)
+	rectify(out.Data, r.passMask(out.Size(), true))
 	return out
 }
 
-// rectify applies the activation to x in place and records which
-// elements passed, for maskGrad.
-func (r *ReLU) rectify(x *tensor.Tensor) {
-	if cap(r.mask) < x.Size() {
-		r.mask = make([]bool, x.Size())
+// passMask sizes and returns the mask the next rectify of n activations
+// records for maskGrad — nil when keep is false: a grad-free pass
+// records nothing.
+func (r *ReLU) passMask(n int, keep bool) []bool {
+	if !keep {
+		return nil
 	}
-	r.mask = r.mask[:x.Size()]
-	for i, v := range x.Data {
-		pass := v > 0
-		r.mask[i] = pass
-		if !pass {
-			x.Data[i] = 0
-		}
+	if cap(r.mask) < n {
+		r.mask = make([]bool, n)
 	}
+	r.mask = r.mask[:n]
+	return r.mask
 }
 
 // Backward implements Layer.
 func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	out := grad.Clone()
-	r.maskGrad(out)
+	r.maskGrad(out.Data)
 	return out
 }
 
 // maskGrad zeroes, in place, the gradient of every element the last
-// rectify clamped.
-func (r *ReLU) maskGrad(grad *tensor.Tensor) {
+// recorded rectify clamped.
+func (r *ReLU) maskGrad(grad []float64) {
 	for i, pass := range r.mask {
 		if !pass {
-			grad.Data[i] = 0
+			grad[i] = 0
 		}
 	}
 }

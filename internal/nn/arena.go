@@ -41,8 +41,12 @@ func (a *InferArena) Slots() int { return len(a.slots) }
 // Get returns the next tensor slot with the given shape, allocating or
 // reallocating only when the slot is missing or shaped differently. On
 // the steady-state path (warm slot, matching shape) it performs no heap
-// allocation: the variadic shape stays on the caller's stack.
+// allocation: the variadic shape stays on the caller's stack. A nil arena
+// hands out fresh tensors, for kernels shared with the training path.
 func (a *InferArena) Get(shape ...int) *tensor.Tensor {
+	if a == nil {
+		return tensor.New(append([]int(nil), shape...)...)
+	}
 	if a.next < len(a.slots) {
 		t := a.slots[a.next]
 		if t != nil && slotShaped(t, shape) {

@@ -15,7 +15,8 @@ type TemporalBlock struct {
 	downsample   *CausalConv1D // 1×1 conv; nil when in == out channels
 	finalReLU    ReLU
 
-	plan *blockSteps // inference step plan of the last window served (see cone.go)
+	plan *blockSteps // step plan of the last window run, the cache of planSteps (see cone.go)
+	fwd  *blockSteps // plan of the last forward off the arena, which Backward mirrors
 }
 
 // TemporalBlockConfig holds the hyperparameters of one block.
@@ -42,46 +43,18 @@ func NewTemporalBlock(r *tensor.RNG, cfg TemporalBlockConfig) *TemporalBlock {
 	return b
 }
 
-// Forward implements Layer. ReLU, dropout, the residual add and the
-// final ReLU are applied in place on the tensors the block's own
-// convolutions just allocated, so a pass allocates the conv outputs and
-// nothing else; x is never written and the returned tensor is fresh.
+// Forward implements Layer: every step of the block's output, through
+// the one block body in cone.go (a block that feeds a LastStep is pruned
+// to the receptive cone by ForwardChain). x is never written and the
+// returned tensor is fresh.
 func (b *TemporalBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	h := b.conv1.Forward(x, train)
-	b.relu1.rectify(h)
-	b.drop1.draw(h, train)
-	b.drop1.scale(h)
-	h = b.conv2.Forward(h, train)
-	b.relu2.rectify(h)
-	b.drop2.draw(h, train)
-	b.drop2.scale(h)
-	res := x
-	if b.downsample != nil {
-		res = b.downsample.Forward(x, train)
-	}
-	h.AddInPlace(res)
-	b.finalReLU.rectify(h)
-	return h
+	return forwardRun(nil, []Layer{b}, nil, x, train)
 }
 
-// Backward implements Layer. Only the block's own gradient tensors are
-// rewritten in place; grad belongs to the caller and is left alone.
+// Backward implements Layer. grad belongs to the caller and is left
+// alone.
 func (b *TemporalBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	g := b.finalReLU.Backward(grad)
-	// The residual branch reads g before the F(x) branch rewrites it.
-	var dres *tensor.Tensor
-	if b.downsample != nil {
-		dres = b.downsample.Backward(g)
-	} else {
-		dres = g.Clone()
-	}
-	b.drop2.scale(g)
-	b.relu2.maskGrad(g)
-	gf := b.conv2.Backward(g)
-	b.drop1.scale(gf)
-	b.relu1.maskGrad(gf)
-	dx := b.conv1.Backward(gf)
-	return dx.AddInPlace(dres)
+	return backwardRun([]Layer{b}, nil, grad)
 }
 
 // Params implements Layer.
@@ -138,20 +111,14 @@ func NewTCN(r *tensor.RNG, cfg TCNConfig) *TCN {
 	return t
 }
 
-// Forward implements Layer.
+// Forward implements Layer: every step, as TemporalBlock.Forward.
 func (t *TCN) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, b := range t.Blocks {
-		x = b.Forward(x, train)
-	}
-	return x
+	return forwardRun(nil, []Layer{t}, nil, x, train)
 }
 
 // Backward implements Layer.
 func (t *TCN) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(t.Blocks) - 1; i >= 0; i-- {
-		grad = t.Blocks[i].Backward(grad)
-	}
-	return grad
+	return backwardRun([]Layer{t}, nil, grad)
 }
 
 // Params implements Layer.

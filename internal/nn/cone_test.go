@@ -10,9 +10,9 @@ import (
 	"repro/internal/tensor"
 )
 
-// coneStack is a TCN feeding LastStep and a linear head: the shape
-// InferChain prunes to the receptive cone.
-func coneStack(k int, dilations []int, in, ch int, weightNorm bool) (*Sequential, *TCN) {
+// coneStack is a TCN feeding LastStep and a linear head: the shape the
+// chains prune to the receptive cone.
+func coneStack(k int, dilations []int, in, ch int, weightNorm bool, dropout float64) (*Sequential, *TCN) {
 	r := tensor.NewRNG(uint64(1000*k + 10*len(dilations) + in))
 	channels := make([]int, len(dilations))
 	for i := range channels {
@@ -20,17 +20,37 @@ func coneStack(k int, dilations []int, in, ch int, weightNorm bool) (*Sequential
 	}
 	tcn := NewTCN(r, TCNConfig{
 		InChannels: in, Channels: channels, KernelSize: k, Dilations: dilations,
-		Dropout: 0.1, WeightNorm: weightNorm,
+		Dropout: dropout, WeightNorm: weightNorm,
 	})
 	return NewSequential(tcn, &LastStep{}, NewDense(r, ch, 2)), tcn
 }
 
-// TestConeMatchesForwardGrid holds the pruned forward to the
-// training-path Forward(x, false), bitwise, over kernel sizes, dilation
-// schedules (ascending, flat, descending, receptive field beyond the
-// window), window lengths down to 1, a 1×1 downsample or none, weight
-// norm on and off, three batch sizes and three worker counts.
-func TestConeMatchesForwardGrid(t *testing.T) {
+// everyStep is the oracle of the chains: the same layers called one by
+// one, so that no run is recognised — every convolution computes every
+// step of the window through the kernel TestCausalConv1DMatchesDenseOracle
+// holds to the full-length path, LastStep itself picks the final one, and
+// its Backward builds the tensor of zeros the cone never does.
+type everyStep struct{ *Sequential }
+
+func (o everyStep) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	for _, l := range o.Layers {
+		x = l.Forward(x, train)
+	}
+	return x
+}
+
+func (o everyStep) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	for i := len(o.Layers) - 1; i >= 0; i-- {
+		grad = o.Layers[i].Backward(grad)
+	}
+	return grad
+}
+
+// coneGrid visits the structural grid of the cone tests: kernel sizes,
+// dilation schedules (ascending, flat, descending, receptive field
+// beyond the window), a 1×1 downsample or none, weight norm on and off,
+// window lengths down to 1 and three batch sizes; trimmed under -short.
+func coneGrid(visit func(name string, k int, dil []int, in, ch int, wn bool, win, batch int)) {
 	kernels := []int{1, 2, 3, 5}
 	schedules := [][]int{{1, 2, 4}, {1, 1, 1}, {4, 2, 1}, {1, 2, 4, 8}}
 	windows := []int{1, 5, 32, 33}
@@ -43,27 +63,104 @@ func TestConeMatchesForwardGrid(t *testing.T) {
 		for _, dil := range schedules {
 			for _, in := range []int{4, ch} { // 4→6 downsamples, 6→6 does not
 				for _, wn := range []bool{true, false} {
-					model, _ := coneStack(k, dil, in, ch, wn)
 					for _, win := range windows {
 						for _, batch := range batches {
 							name := fmt.Sprintf("k%d/d%v/in%d/wn%v/t%d/b%d", k, dil, in, wn, win, batch)
-							x := tensor.RandN(tensor.NewRNG(uint64(win*100+batch)), batch, in, win)
-							want := model.Forward(x, false)
-							for _, workers := range []int{1, 2, 4} {
-								prev := par.SetWorkers(workers)
-								arena := NewInferArena()
-								for pass := 0; pass < 2; pass++ {
-									arena.Reset()
-									requireBitwiseTensors(t, Infer(model, arena, x), want, name)
-								}
-								par.SetWorkers(prev)
-							}
+							visit(name, k, dil, in, ch, wn, win, batch)
 						}
 					}
 				}
 			}
 		}
 	}
+}
+
+// TestConeMatchesForwardGrid holds the pruned forward — on the arena
+// and off it — to the layer-by-layer forward that computes every step,
+// bitwise, over coneGrid and three worker counts.
+func TestConeMatchesForwardGrid(t *testing.T) {
+	coneGrid(func(name string, k int, dil []int, in, ch int, wn bool, win, batch int) {
+		model, _ := coneStack(k, dil, in, ch, wn, 0.1)
+		x := tensor.RandN(tensor.NewRNG(uint64(win*100+batch)), batch, in, win)
+		want := everyStep{model}.Forward(x, false)
+		for _, workers := range []int{1, 2, 4} {
+			prev := par.SetWorkers(workers)
+			arena := NewInferArena()
+			for pass := 0; pass < 2; pass++ {
+				arena.Reset()
+				requireBitwiseTensors(t, Infer(model, arena, x), want, name+" arena")
+				requireBitwiseTensors(t, model.Forward(x, false), want, name+" Forward")
+			}
+			par.SetWorkers(prev)
+		}
+	})
+}
+
+// trainStep runs one training step of m — a Sequential or its everyStep
+// oracle — and returns the output, dx and every parameter gradient.
+func trainStep(m Layer, x, grad *tensor.Tensor) []*tensor.Tensor {
+	ZeroGrad(m)
+	out := []*tensor.Tensor{m.Forward(x, true)}
+	out = append(out, m.Backward(grad))
+	for _, p := range m.Params() {
+		out = append(out, p.Grad)
+	}
+	return out
+}
+
+// requireSameStep demands that two trainSteps agree bitwise, and that
+// the dropout streams of the two models stand at the same state.
+func requireSameStep(t *testing.T, name string, got, want []*tensor.Tensor, m, ref Layer) {
+	t.Helper()
+	for i := range want {
+		requireBitwiseTensors(t, got[i], want[i], fmt.Sprintf("%s: tensor %d (0 output, 1 dx, then gradients)", name, i))
+	}
+	if !slices.Equal(RNGStates(m), RNGStates(ref)) {
+		t.Fatalf("%s: dropout streams diverged", name)
+	}
+}
+
+// nudge moves every weight of both models against its gradient by the
+// same amount, standing for the optimizer between two steps.
+func nudge(m, ref Layer) {
+	for i, p := range m.Params() {
+		q := ref.Params()[i]
+		for j, g := range p.Grad.Data {
+			p.Value.Data[j] -= 0.01 * g
+			q.Value.Data[j] -= 0.01 * g
+		}
+	}
+}
+
+// TestTrainOnConeMatchesEveryStep is the training half of the grid: a
+// training step through the chains — forward and backward inside the
+// cone — against the same step through the layer-by-layer oracle (at
+// one worker), over coneGrid, dropout off and on, at 1, 2 and 4 workers,
+// two steps each with the weights moved in between: output, dx, every
+// parameter gradient and the dropout streams afterwards, bitwise.
+func TestTrainOnConeMatchesEveryStep(t *testing.T) {
+	coneGrid(func(name string, k int, dil []int, in, ch int, wn bool, win, batch int) {
+		for _, dropout := range []float64{0, 0.3} {
+			for _, workers := range []int{1, 2, 4} {
+				model, _ := coneStack(k, dil, in, ch, wn, dropout)
+				ref, _ := coneStack(k, dil, in, ch, wn, dropout)
+				r := tensor.NewRNG(uint64(win*100 + batch))
+				for step := 0; step < 2; step++ {
+					x, grad := tensor.RandN(r, batch, in, win), tensor.RandN(r, batch, 2)
+					x0, grad0 := x.Clone(), grad.Clone()
+					want := trainStep(everyStep{ref}, x, grad)
+					prev := par.SetWorkers(workers)
+					got := trainStep(model, x, grad)
+					par.SetWorkers(prev)
+					what := fmt.Sprintf("%s/p%g/w%d/step%d", name, dropout, workers, step)
+					requireSameStep(t, what, got, want, model, ref)
+					requireBitwiseTensors(t, x, x0, what+": caller's input")
+					requireBitwiseTensors(t, grad, grad0, what+": caller's gradient")
+					nudge(model, ref)
+				}
+			}
+		}
+	})
 }
 
 // reachesLastStep traces dependencies by brute force: it marks input
@@ -106,7 +203,7 @@ func TestConeStepsMatchDependencyTrace(t *testing.T) {
 			dil[i] = 1 + int(r.Uint64()%8)
 		}
 		win := 1 + int(r.Uint64()%40)
-		model, tcn := coneStack(k, dil, 2, 3, false)
+		model, tcn := coneStack(k, dil, 2, 3, false, 0.1)
 		Infer(model, NewInferArena(), tensor.RandN(r, 1, 2, win))
 		for i, b := range tcn.Blocks {
 			var want []int
@@ -134,11 +231,12 @@ func TestConeStepsMatchDependencyTrace(t *testing.T) {
 // serves from the kernel baked at Freeze — shown by scribbling on the
 // weights behind its back — and each way weights legitimately change
 // (a training-mode Forward, a Backward, LoadParams, Unfreeze) puts the
-// arena path back in bitwise step with Forward.
+// arena path back in bitwise step with the layer-by-layer forward.
 func TestFreezeLifecycle(t *testing.T) {
-	model, tcn := coneStack(3, []int{1, 2}, 4, 6, true)
+	model, tcn := coneStack(3, []int{1, 2}, 4, 6, true, 0.1)
 	r := tensor.NewRNG(5)
 	x := tensor.RandN(r, 3, 4, 16)
+	forward := func() *tensor.Tensor { return everyStep{model}.Forward(x, false) }
 	arena := NewInferArena()
 	infer := func() *tensor.Tensor {
 		arena.Reset()
@@ -158,11 +256,11 @@ func TestFreezeLifecycle(t *testing.T) {
 
 	Freeze(model)
 	before := infer()
-	requireBitwiseTensors(t, before, model.Forward(x, false), "frozen")
+	requireBitwiseTensors(t, before, forward(), "frozen")
 	scribble()
 	requireBitwiseTensors(t, infer(), before, "frozen model must serve the baked kernel")
 	Unfreeze(model)
-	requireBitwiseTensors(t, infer(), model.Forward(x, false), "after Unfreeze")
+	requireBitwiseTensors(t, infer(), forward(), "after Unfreeze")
 
 	writers := map[string]func(){
 		"training forward": func() { model.Forward(x, true) },
@@ -180,6 +278,6 @@ func TestFreezeLifecycle(t *testing.T) {
 		Freeze(model)
 		write()
 		scribble() // stands for the optimizer step that follows
-		requireBitwiseTensors(t, infer(), model.Forward(x, false), "after "+name)
+		requireBitwiseTensors(t, infer(), forward(), "after "+name)
 	}
 }

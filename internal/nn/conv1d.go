@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -22,14 +21,15 @@ const parFlops = 32 * 64 * 64
 // Fig. 6) the effective kernel is W = g · V/‖V‖, where the norm is taken
 // per output channel; g and V are the trainable parameters.
 //
-// Forward lowers the convolution to one GEMM (im2col): the input is
-// unrolled into a column matrix with one row per (in-channel, tap) pair
-// and the packed tensor kernel does the arithmetic. Every output sample
-// is a single bias-seeded FMA chain ascending over those pairs, so the
-// result is row-independent — bitwise identical for any batch size and
-// any worker count. Backward runs on the same kernel against the columns
-// Forward unrolled (see Backward), so its outputs are single ascending
-// FMA chains too and carry the same guarantee.
+// Forward lowers the convolution to one GEMM (im2col) over a list of
+// output steps — every step here, the receptive cone inside a temporal
+// block (see cone.go): the input is gathered into a column matrix with
+// one row per (in-channel, tap) pair and the packed tensor kernel does
+// the arithmetic. Every output sample is a single bias-seeded FMA chain
+// ascending over those pairs, so the result is row-independent — bitwise
+// identical for any batch size and any worker count. Backward runs on
+// the same kernel against the columns Forward gathered, so its outputs
+// are single ascending FMA chains too and carry the same guarantee.
 type CausalConv1D struct {
 	InChannels  int
 	OutChannels int
@@ -46,33 +46,24 @@ type CausalConv1D struct {
 
 	wEffBuf *tensor.Tensor // reused storage for the effective kernel under weight norm
 	vNorms  []float64      // per-output-channel ‖V‖ from the last forward
-	padLeft int
 
-	// im2col scratch for the training forward. Backward reads acol and
-	// wtr as the forward left them. The b·t-sized buffers only ever grow
-	// (see scratch2D).
-	acol *tensor.Tensor // [in·k, b·t] unrolled input columns
-	wtr  *tensor.Tensor // [in·k, out] transposed effective kernel
-	ycol *tensor.Tensor // [b·t, out] GEMM output, bias-seeded
-
-	// Operands for the parallel unroll/scatter stages, read through
-	// closures bound once so repeated passes allocate nothing.
-	gemmX, gemmAcol, gemmYcol, gemmY *tensor.Tensor
-	colRun, outRun                   func(lo, hi int)
-
-	// Backward scratch, reused across steps.
-	gcol      *tensor.Tensor // [b·t, out] output gradient, gathered like ycol
-	dacol     *tensor.Tensor // [in·k, b·t] gradient w.r.t. acol
-	dwt       *tensor.Tensor // [in·k, out] gradient w.r.t. wtr
+	// Scratch of the forward and backward kernels off the arena (see
+	// cone.go). backwardTaps reads acol as the forward left it. The
+	// batch-sized buffers only ever grow (see scratch2D).
+	acol      *tensor.Tensor // [in·k, b·n] gathered input columns
+	ycol      *tensor.Tensor // [b·n, out] GEMM output, bias-seeded
+	gcol      *tensor.Tensor // [b·n, out] output gradient, laid out like ycol
+	dacol     *tensor.Tensor // [in·k, b·n] gradient w.r.t. acol
+	dwt       *tensor.Tensor // [in·k, out] gradient w.r.t. wt
 	dwScratch *tensor.Tensor // [out, in, k] effective-kernel gradient
 
-	// Inference state (see cone.go). wtInfer is the effective kernel —
-	// weight norm already applied — in its transposed GEMM layout; while
-	// frozen it is reused as baked, otherwise rebaked per call. taps
-	// caches the full-length tap list of the last window length served.
-	wtInfer *tensor.Tensor // [in·k, out]
-	frozen  bool
-	taps    []int
+	// wt is the effective kernel — weight norm already applied — in its
+	// transposed GEMM layout; the arena path reuses it as baked while
+	// frozen, every other forward rebakes it. taps caches the every-step
+	// tap list of the last window length seen outside a temporal block.
+	wt     *tensor.Tensor // [in·k, out]
+	frozen bool
+	taps   []int
 }
 
 // NewCausalConv1D builds the layer with He-normal initialization
@@ -88,7 +79,6 @@ func NewCausalConv1D(r *tensor.RNG, in, out, kernel, dilation int, weightNorm bo
 		Dilation:    dilation,
 		WeightNorm:  weightNorm,
 		B:           NewParam("conv.B", tensor.New(out)),
-		padLeft:     (kernel - 1) * dilation,
 	}
 	w := HeNormal(r, in*kernel, out, in, kernel)
 	if weightNorm {
@@ -149,26 +139,18 @@ func (c *CausalConv1D) effectiveKernel() *tensor.Tensor {
 
 // Forward implements Layer.
 func (c *CausalConv1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if train {
-		c.frozen = false // the weights are about to move
-	}
-	if x.Dims() != 3 {
-		panic(fmt.Sprintf("nn: CausalConv1D requires [batch, channels, time], got %v", x.Shape()))
-	}
-	if x.Dim(1) != c.InChannels {
-		panic(fmt.Sprintf("nn: CausalConv1D channel mismatch: input %d, layer %d", x.Dim(1), c.InChannels))
-	}
-	b, t := x.Dim(0), x.Dim(2)
-	in, out, k := c.InChannels, c.OutChannels, c.KernelSize
-	kk, m := in*k, b*t
-	c.acol = scratch2D(c.acol, kk, m)
-	c.ycol = scratch2D(c.ycol, m, out)
-	if c.wtr == nil {
-		c.wtr = tensor.New(kk, out)
-	}
-	y := tensor.New(b, out, t)
-	c.convGemm(x, c.effectiveKernel(), c.acol, c.wtr, c.ycol, y)
-	return y
+	return c.everyStep(nil, x, train)
+}
+
+// Backward implements Layer: the gradient is gathered into the compact
+// layout of the forward's output and handed to backwardTaps.
+func (c *CausalConv1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	b, t := grad.Dim(0), grad.Dim(2)
+	g := c.outGrad(b * t)
+	gatherSteps(compactSteps(g.Data, b, c.OutChannels, t), grad.Data, t)
+	dx := tensor.New(b, c.InChannels, t)
+	c.backwardTaps(g, denseSteps(dx.Data, b, c.InChannels, t), c.fullTaps(t))
+	return dx
 }
 
 // scratch2D returns a [rows, cols] scratch tensor, reusing buf's storage
@@ -184,166 +166,6 @@ func scratch2D(buf *tensor.Tensor, rows, cols int) *tensor.Tensor {
 		return buf
 	}
 	return tensor.FromSlice(buf.Data[:rows*cols], rows, cols)
-}
-
-// convGemm is the training forward kernel; inference runs the same
-// arithmetic at the steps it needs (inferTaps in cone.go). The causal
-// convolution is lowered to one GEMM: x is unrolled into acol
-// (one row per (in-channel, tap) pair, left-padded with zeros), the
-// effective kernel is transposed into wt, ycol rows are seeded with the
-// bias, and the packed kernel accumulates ycol += acolᵀ·wt — each output
-// sample one FMA chain ascending over (in-channel, tap) — before the
-// result is scattered back to the [batch, channel, time] layout.
-func (c *CausalConv1D) convGemm(x, w, acol, wt, ycol, y *tensor.Tensor) {
-	in, out, k := c.InChannels, c.OutChannels, c.KernelSize
-	b, t := x.Dim(0), x.Dim(2)
-	kk, m := in*k, b*t
-
-	if c.colRun == nil {
-		c.colRun = func(lo, hi int) { c.unrollCols(c.gemmX, c.gemmAcol, lo, hi) }
-		c.outRun = func(lo, hi int) { c.scatterRows(c.gemmYcol, c.gemmY, lo, hi) }
-	}
-	c.gemmX, c.gemmAcol, c.gemmYcol, c.gemmY = x, acol, ycol, y
-	if kk*m < parFlops {
-		c.unrollCols(x, acol, 0, kk)
-	} else {
-		par.Run(kk, c.colRun)
-	}
-
-	for p := 0; p < kk; p++ {
-		wrow := wt.Data[p*out : (p+1)*out]
-		for co := 0; co < out; co++ {
-			wrow[co] = w.Data[co*kk+p]
-		}
-	}
-	bias := c.B.Value.Data[:out]
-	for i := 0; i < m; i++ {
-		copy(ycol.Data[i*out:(i+1)*out], bias)
-	}
-	acol.TMatMulAcc(wt, ycol)
-
-	units := b * out
-	if m*out < parFlops {
-		c.scatterRows(ycol, y, 0, units)
-	} else {
-		par.Run(units, c.outRun)
-	}
-}
-
-// unrollCols fills acol rows [lo, hi): row p = (ci·k + kk) holds channel
-// ci of the input shifted right by the tap offset (K−1−kk)·d, with the
-// causal left padding written as zeros. Rows are disjoint, so the stage
-// parallelizes without any cross-worker reduction.
-func (c *CausalConv1D) unrollCols(x, acol *tensor.Tensor, lo, hi int) {
-	in, k, d := c.InChannels, c.KernelSize, c.Dilation
-	b, t := x.Dim(0), x.Dim(2)
-	for p := lo; p < hi; p++ {
-		ci, kk := p/k, p%k
-		off := (k - 1 - kk) * d
-		if off > t {
-			off = t
-		}
-		dst := acol.Data[p*b*t : (p+1)*b*t]
-		for bi := 0; bi < b; bi++ {
-			seg := dst[bi*t : (bi+1)*t]
-			for i := 0; i < off; i++ {
-				seg[i] = 0
-			}
-			xrow := x.Data[(bi*in+ci)*t : (bi*in+ci)*t+t]
-			copy(seg[off:], xrow[:t-off])
-		}
-	}
-}
-
-// scatterRows copies GEMM output rows back into the [batch, channel,
-// time] layout for (batch, out-channel) units [lo, hi). Each unit owns
-// one disjoint output row of y.
-func (c *CausalConv1D) scatterRows(ycol, y *tensor.Tensor, lo, hi int) {
-	out := c.OutChannels
-	t := y.Dim(2)
-	for u := lo; u < hi; u++ {
-		bi, co := u/out, u%out
-		yrow := y.Data[u*t : (u+1)*t]
-		base := bi*t*out + co
-		for tt := 0; tt < t; tt++ {
-			yrow[tt] = ycol.Data[base+tt*out]
-		}
-	}
-}
-
-// Backward implements Layer. Both products run on the packed GEMM
-// against what Forward cached: with the output gradient gathered into
-// gcol (the layout of ycol), the kernel gradient is dwt = acol·gcol and
-// the gradient of the unrolled columns is dacol = wtr·gcolᵀ, which
-// foldCols sums back onto the input positions each column was copied
-// from. Every element of dwt and dacol is one ascending FMA chain and
-// every dx element a fixed ascending sum over taps, so the results do
-// not depend on the worker count, and a sample's dx row does not depend
-// on the rest of the batch.
-func (c *CausalConv1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	c.frozen = false
-	b, t := grad.Dim(0), grad.Dim(2)
-	in, out, k := c.InChannels, c.OutChannels, c.KernelSize
-	kk, m := in*k, b*t
-	c.gcol = scratch2D(c.gcol, m, out)
-	c.dacol = scratch2D(c.dacol, kk, m)
-	if c.dwt == nil {
-		c.dwt = tensor.New(kk, out)
-		c.dwScratch = tensor.New(out, in, k)
-	}
-
-	// The inverse of scatterRows, then dB as gcol's column sums.
-	gcol := c.gcol.Data
-	for u := 0; u < b*out; u++ {
-		grow := grad.Data[u*t : (u+1)*t]
-		base := u/out*t*out + u%out
-		for tt, g := range grow {
-			gcol[base+tt*out] = g
-		}
-	}
-	db := c.B.Grad.Data[:out]
-	for i := 0; i < m; i++ {
-		for co, g := range gcol[i*out : (i+1)*out] {
-			db[co] += g
-		}
-	}
-
-	c.acol.MatMulInto(c.gcol, c.dwt)
-	dW := c.dwScratch
-	for p := 0; p < kk; p++ {
-		for co, v := range c.dwt.Data[p*out : (p+1)*out] {
-			dW.Data[co*kk+p] = v
-		}
-	}
-	c.accumulateKernelGrad(dW)
-
-	c.wtr.MatMulTInto(c.gcol, c.dacol)
-	dx := tensor.New(b, in, t)
-	c.foldCols(c.dacol, dx)
-	return dx
-}
-
-// foldCols is the adjoint of unrollCols (col2im): row p = (ci·k + kk) of
-// dacol is added onto channel ci of dx shifted back by that tap's
-// offset. Taps whose offset reaches past the window only ever saw
-// padding and contribute nothing.
-func (c *CausalConv1D) foldCols(dacol, dx *tensor.Tensor) {
-	in, k, d := c.InChannels, c.KernelSize, c.Dilation
-	b, t := dx.Dim(0), dx.Dim(2)
-	for u := 0; u < b*in; u++ {
-		bi, ci := u/in, u%in
-		dxrow := dx.Data[u*t : (u+1)*t]
-		for kk := 0; kk < k; kk++ {
-			off := (k - 1 - kk) * d
-			if off >= t {
-				continue
-			}
-			src := dacol.Data[((ci*k+kk)*b+bi)*t+off : ((ci*k+kk)*b+bi+1)*t]
-			for i, v := range src {
-				dxrow[i] += v
-			}
-		}
-	}
 }
 
 // accumulateKernelGrad routes the gradient w.r.t. the effective kernel into

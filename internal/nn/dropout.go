@@ -83,27 +83,24 @@ func NewSpatialDropout1D(r *tensor.RNG, p float64) *SpatialDropout1D {
 
 // Forward implements Layer.
 func (d *SpatialDropout1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	if !d.draw(x, train) {
+	requireSeq("SpatialDropout1D", x)
+	if !d.draw(x.Dim(0)*x.Dim(1), train) {
 		return x
 	}
 	out := x.Clone()
-	d.scale(out)
+	d.scale(denseSteps(out.Data, x.Dim(0), x.Dim(1), x.Dim(2)))
 	return out
 }
 
-// draw replaces the mask with a fresh one for x — one random per
-// (batch, channel), in that order — and reports whether dropout is in
-// force. Outside training, or with P == 0, it draws nothing and clears
-// the mask.
-func (d *SpatialDropout1D) draw(x *tensor.Tensor, train bool) bool {
-	if x.Dims() != 3 {
-		panic(fmt.Sprintf("nn: SpatialDropout1D requires [batch, channels, time], got %v", x.Shape()))
-	}
+// draw replaces the mask with a fresh one — one random per (batch,
+// channel), bc of them in that order — and reports whether dropout is
+// in force. Outside training, or with P == 0, it draws nothing and
+// clears the mask.
+func (d *SpatialDropout1D) draw(bc int, train bool) bool {
 	if !train || d.P == 0 {
 		d.mask = nil
 		return false
 	}
-	bc := x.Dim(0) * x.Dim(1)
 	if cap(d.mask) < bc {
 		d.mask = make([]float64, bc)
 	}
@@ -125,26 +122,29 @@ func (d *SpatialDropout1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		return grad
 	}
 	out := grad.Clone()
-	d.scale(out)
+	d.scale(denseSteps(out.Data, grad.Dim(0), grad.Dim(1), grad.Dim(2)))
 	return out
 }
 
-// scale applies the mask to x in place — forward and backward are the
-// same map: dropped (batch, channel) rows become zero, kept rows are
-// rescaled. With no mask in force it leaves x alone.
-func (d *SpatialDropout1D) scale(x *tensor.Tensor) {
+// scale applies the mask to x in place, in either layout (see steps) —
+// forward and backward are the same map: every position of a dropped
+// (batch, channel) becomes zero, those of a kept one are rescaled. With
+// no mask in force it leaves x alone.
+func (d *SpatialDropout1D) scale(x steps) {
 	if d.mask == nil {
 		return
 	}
-	t := x.Size() / len(d.mask)
-	for bc, m := range d.mask {
-		row := x.Data[bc*t : (bc+1)*t]
-		if m == 0 {
-			clear(row)
-			continue
-		}
-		for i := range row {
-			row[i] *= m
+	for bi := 0; bi < x.b; bi++ {
+		mask := d.mask[bi*x.c : (bi+1)*x.c]
+		for pos := 0; pos < x.n(); pos++ {
+			at := x.data[bi*x.sb+pos*x.sp:]
+			for ci, m := range mask {
+				if m == 0 {
+					at[ci*x.sc] = 0
+				} else {
+					at[ci*x.sc] *= m
+				}
+			}
 		}
 	}
 }

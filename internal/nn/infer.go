@@ -173,13 +173,8 @@ func (f *FeatureAttention) InferForward(a *InferArena, x *tensor.Tensor) *tensor
 // InferForward implements InferLayer.
 func (r *ReLU) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
 	out := a.GetLike(x)
-	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		} else {
-			out.Data[i] = 0
-		}
-	}
+	copy(out.Data, x.Data)
+	rectify(out.Data, nil)
 	return out
 }
 
@@ -210,9 +205,7 @@ func (d *Dropout) InferForward(_ *InferArena, x *tensor.Tensor) *tensor.Tensor {
 
 // InferForward implements InferLayer.
 func (d *SpatialDropout1D) InferForward(_ *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	if x.Dims() != 3 {
-		panic(fmt.Sprintf("nn: SpatialDropout1D requires [batch, channels, time], got %v", x.Shape()))
-	}
+	requireSeq("SpatialDropout1D", x)
 	return x
 }
 
@@ -253,12 +246,12 @@ func (s *Sequential) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tenso
 // InferForward implements InferLayer: every step of the block's output
 // (see cone.go; a block that feeds a LastStep is pruned by InferChain).
 func (b *TemporalBlock) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return inferRun(a, []Layer{b}, nil, x)
+	return forwardRun(a, []Layer{b}, nil, x, false)
 }
 
 // InferForward implements InferLayer.
 func (t *TCN) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return inferRun(a, []Layer{t}, nil, x)
+	return forwardRun(a, []Layer{t}, nil, x, false)
 }
 
 // InferForward implements InferLayer, timing the wrapped layer's arena
@@ -266,6 +259,6 @@ func (t *TCN) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
 func (w *Profiled) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
 	t0 := w.start()
 	out := Infer(w.inner, a, x)
-	w.observe(t0)
+	w.observe(t0, false)
 	return out
 }

@@ -12,9 +12,9 @@ import (
 // exercising every layer with an arena path: the TCN residual pipeline
 // with attention head, plain LSTM/GRU (both output modes), and a
 // CNN-LSTM hybrid.
-func inferStacks(features, timeSteps int) map[string]Layer {
+func inferStacks(features, timeSteps int) map[string]*Sequential {
 	r := tensor.NewRNG(41)
-	return map[string]Layer{
+	return map[string]*Sequential{
 		"rptcn-style": NewSequential(
 			NewTCN(r, TCNConfig{
 				InChannels: features,
@@ -104,8 +104,9 @@ func requireBitwiseTensors(t *testing.T, got, want *tensor.Tensor, what string) 
 }
 
 // TestInferForwardMatchesForward demands bitwise identity between the
-// arena inference path and the training-path Forward in eval mode, for
-// every architecture family and several batch sizes, including repeated
+// arena inference path and the layer-by-layer Forward in eval mode
+// (every step of every convolution; see everyStep), for every
+// architecture family and several batch sizes, including repeated
 // (replayed) arena passes.
 func TestInferForwardMatchesForward(t *testing.T) {
 	const features, timeSteps = 4, 12
@@ -115,7 +116,8 @@ func TestInferForwardMatchesForward(t *testing.T) {
 			for _, batch := range []int{1, 3, 7} {
 				r := tensor.NewRNG(uint64(100 + batch))
 				x := tensor.RandN(r, batch, features, timeSteps)
-				want := model.Forward(x, false)
+				want := everyStep{model}.Forward(x, false)
+				requireBitwiseTensors(t, model.Forward(x, false), want, name+" Forward")
 				for pass := 0; pass < 3; pass++ {
 					arena.Reset()
 					got := Infer(model, arena, x)
@@ -255,8 +257,9 @@ func BenchmarkArenaInference(b *testing.B) {
 	}
 }
 
-// BenchmarkTrainingPathForward is the allocating baseline for
-// BenchmarkArenaInference: the same model and shape through Forward.
+// BenchmarkTrainingPathForward is BenchmarkArenaInference's model and
+// shape through Forward(x, false): the same cone on the layers' own
+// buffers, baking the kernels per call and allocating its results.
 func BenchmarkTrainingPathForward(b *testing.B) {
 	const features, timeSteps, batch = 8, 32, 32
 	model := inferStacks(features, timeSteps)["rptcn-style"]

@@ -58,20 +58,14 @@ func NewSequential(layers ...Layer) *Sequential {
 // Add appends a layer.
 func (s *Sequential) Add(l Layer) { s.Layers = append(s.Layers, l) }
 
-// Forward runs all layers in order.
+// Forward runs all layers in order (see ForwardChain).
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	for _, l := range s.Layers {
-		x = l.Forward(x, train)
-	}
-	return x
+	return ForwardChain(s.Layers, x, train)
 }
 
 // Backward runs all layers in reverse order.
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	for i := len(s.Layers) - 1; i >= 0; i-- {
-		grad = s.Layers[i].Backward(grad)
-	}
-	return grad
+	return BackwardChain(s.Layers, grad)
 }
 
 // Params returns the concatenated parameters of all layers.

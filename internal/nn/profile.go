@@ -86,23 +86,22 @@ type Profiled struct {
 
 // Forward implements Layer.
 func (w *Profiled) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	t0 := time.Now()
+	t0 := w.start()
 	out := w.inner.Forward(x, train)
-	w.times.fwdNanos.Add(int64(time.Since(t0)))
-	w.times.fwdCalls.Add(1)
+	w.observe(t0, false)
 	return out
 }
 
 // Backward implements Layer.
 func (w *Profiled) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	t0 := time.Now()
+	t0 := w.start()
 	out := w.inner.Backward(grad)
-	w.times.bwdNanos.Add(int64(time.Since(t0)))
-	w.times.bwdCalls.Add(1)
+	w.observe(t0, true)
 	return out
 }
 
 // start returns the time a profiled stage begins; free on a nil wrapper.
+// The chains in cone.go time a stage's share of a fused run with it.
 func (w *Profiled) start() (t0 time.Time) {
 	if w != nil {
 		t0 = time.Now()
@@ -110,12 +109,18 @@ func (w *Profiled) start() (t0 time.Time) {
 	return t0
 }
 
-// observe records one forward call begun at t0; a no-op on a nil wrapper.
-func (w *Profiled) observe(t0 time.Time) {
-	if w != nil {
-		w.times.fwdNanos.Add(int64(time.Since(t0)))
-		w.times.fwdCalls.Add(1)
+// observe records one call begun at t0, forward or backward; a no-op on
+// a nil wrapper.
+func (w *Profiled) observe(t0 time.Time, backward bool) {
+	if w == nil {
+		return
 	}
+	nanos, calls := &w.times.fwdNanos, &w.times.fwdCalls
+	if backward {
+		nanos, calls = &w.times.bwdNanos, &w.times.bwdCalls
+	}
+	nanos.Add(int64(time.Since(t0)))
+	calls.Add(1)
 }
 
 // Params implements Layer.

@@ -275,8 +275,9 @@ func (n *nanToggle) Params() []*nn.Param                      { return nil }
 
 // TestGuardSkipsInjectedNaNBatches: with the guard on, batches whose
 // loss is poisoned by the train.batch.loss fault point are skipped and
-// the recorded history stays finite; with the guard off, the poison
-// reaches the history.
+// the recorded history stays finite — and the epoch's mean gradient norm
+// is taken over the batches that were applied, as its mean loss is; with
+// the guard off, the poison reaches the history.
 func TestGuardSkipsInjectedNaNBatches(t *testing.T) {
 	d := sineDataset(120)
 	tr, va, _, _ := Split(d, 0.6, 0.2)
@@ -286,13 +287,27 @@ func TestGuardSkipsInjectedNaNBatches(t *testing.T) {
 		})
 		defer fault.Activate(inj)()
 		skipped := 0
+		normSum, applied := 0.0, 0
 		cfg := Config{
 			Epochs: 5, BatchSize: 8, Optimizer: opt.NewAdam(0.01),
 			Shuffle: true, Seed: 23,
 			Guard: GuardConfig{Enabled: guard},
-			Hooks: []Hook{FuncHook{EpochEnd: func(s EpochStats) {
-				skipped += s.SkippedBatches
-			}}},
+			Hooks: []Hook{FuncHook{
+				BatchEnd: func(s BatchStats) {
+					if !s.Skipped {
+						normSum += s.GradNorm
+						applied++
+					}
+				},
+				EpochEnd: func(s EpochStats) {
+					skipped += s.SkippedBatches
+					if want := normSum / float64(applied); guard && s.GradNorm != want {
+						t.Errorf("epoch %d: GradNorm %g, the mean over its %d applied batches is %g (%d skipped)",
+							s.Epoch, s.GradNorm, applied, want, s.SkippedBatches)
+					}
+					normSum, applied = 0, 0
+				},
+			}},
 		}
 		return Fit(ckptModel(5), tr, va, cfg), skipped
 	}

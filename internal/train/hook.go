@@ -33,7 +33,8 @@ type EpochStats struct {
 	TrainLoss float64
 	ValidLoss float64
 	// GradNorm is the mean pre-clip global gradient norm over the epoch's
-	// batches (NaN when not computed; see BatchStats.GradNorm).
+	// applied batches — skipped ones have none (NaN when not computed, see
+	// BatchStats.GradNorm, or when every batch was skipped).
 	GradNorm float64
 	LR       float64
 	Duration time.Duration

@@ -397,7 +397,8 @@ func Fit(model nn.Layer, tr, va Dataset, cfg Config) *History {
 		}
 		stats.BestValidLoss = best
 		if wantGradNorm || cfg.ClipNorm > 0 {
-			stats.GradNorm = normSum / float64(batches)
+			// Like TrainLoss: the mean over the batches that contributed.
+			stats.GradNorm = normSum / float64(applied)
 		}
 		for _, h := range hooks {
 			h.OnEpochEnd(stats)
