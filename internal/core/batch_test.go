@@ -38,8 +38,9 @@ func batchModels(channels, window int) map[string]nn.Layer {
 // TestBatchedArenaMatchesPerRequestForward is the serving-correctness
 // keystone: every row of a micro-batched arena forward must be bitwise
 // identical to running that request alone, layer by layer, through
-// Forward (see everyStep) — for RPTCN, LSTM and CNN-LSTM, at batch sizes 1/7/32, under
-// worker counts 1/2/4.
+// Forward (see everyStep), at batch sizes 1/7/32, under worker counts
+// 1/2/4. RPTCN is the served model; LSTM and CNN-LSTM have no arena path
+// and hold their batched Forward(x, false) to the same row independence.
 func TestBatchedArenaMatchesPerRequestForward(t *testing.T) {
 	const channels, window = 3, 16
 	for name, model := range batchModels(channels, window) {
@@ -50,8 +51,13 @@ func TestBatchedArenaMatchesPerRequestForward(t *testing.T) {
 				for _, batch := range []int{1, 7, 32} {
 					r := tensor.NewRNG(uint64(900 + batch))
 					x := tensor.RandN(r, batch, channels, window)
-					arena.Reset()
-					got := nn.Infer(model, arena, x)
+					var got *tensor.Tensor
+					if m, served := model.(*Model); served {
+						arena.Reset()
+						got = m.InferForward(arena, x)
+					} else {
+						got = model.Forward(x, false)
+					}
 					h := got.Dim(1)
 					for i := 0; i < batch; i++ {
 						single := tensor.New(1, channels, window)

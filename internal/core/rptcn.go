@@ -57,6 +57,61 @@ func (c *Config) fillDefaults() {
 	}
 }
 
+// validate reports why c, defaults filled, cannot be built: NewModel and
+// the nn constructors under it panic on exactly these, which is right for
+// a config a caller wrote and wrong for one read from a .model file.
+func (c *Config) validate() error {
+	switch {
+	case c.InChannels < 1:
+		return fmt.Errorf("core: InChannels = %d", c.InChannels)
+	case c.KernelSize < 1:
+		return fmt.Errorf("core: KernelSize = %d", c.KernelSize)
+	case c.FCWidth < 1 || c.Horizon < 1:
+		return fmt.Errorf("core: FCWidth = %d, Horizon = %d", c.FCWidth, c.Horizon)
+	case !(c.Dropout >= 0 && c.Dropout < 1):
+		return fmt.Errorf("core: Dropout = %g out of [0,1)", c.Dropout)
+	case len(c.Dilations) != 0 && len(c.Dilations) != len(c.Channels):
+		return fmt.Errorf("core: %d dilations for %d blocks", len(c.Dilations), len(c.Channels))
+	}
+	for _, ch := range c.Channels {
+		if ch < 1 {
+			return fmt.Errorf("core: Channels = %v", c.Channels)
+		}
+	}
+	for _, d := range c.Dilations {
+		if d < 1 {
+			return fmt.Errorf("core: Dilations = %v", c.Dilations)
+		}
+	}
+	return nil
+}
+
+// paramCount is the number of scalars NewModel allocates for c, defaults
+// filled and valid — as a float64, so that dimensions read from a file
+// cannot overflow it into a small count; it is exact below 2⁵³.
+func (c *Config) paramCount() float64 {
+	k, in, n := float64(c.KernelSize), float64(c.InChannels), 0.0
+	for _, ch := range c.Channels {
+		out := float64(ch)
+		n += out*in*k + out*out*k + 2*out // two kernels and their biases
+		if c.WeightNorm {
+			n += 2 * out // and their magnitudes
+		}
+		if in != out {
+			n += out*in + out // the 1×1 downsample
+		}
+		in = out
+	}
+	if !c.DisableFC {
+		n += float64(c.FCWidth) * (in + 1)
+		in = float64(c.FCWidth)
+	}
+	if !c.DisableAttention {
+		n += in * (in + 1)
+	}
+	return n + float64(c.Horizon)*(in+1)
+}
+
 // Model is the RPTCN network. The data path follows Fig. 5:
 //
 //	input [batch, channels, window]
@@ -88,8 +143,8 @@ type Model struct {
 // paper's full architecture (FC layer + attention head).
 func NewModel(r *tensor.RNG, cfg Config) *Model {
 	cfg.fillDefaults()
-	if cfg.InChannels < 1 {
-		panic(fmt.Sprintf("core: InChannels = %d", cfg.InChannels))
+	if err := cfg.validate(); err != nil {
+		panic(err)
 	}
 	m := &Model{Cfg: cfg, last: &nn.LastStep{}}
 	m.tcn = nn.NewTCN(r, nn.TCNConfig{

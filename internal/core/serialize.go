@@ -83,19 +83,10 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 	if err := json.NewDecoder(r).Decode(&dump); err != nil {
 		return nil, fmt.Errorf("core: decoding predictor: %w", err)
 	}
-	if dump.Format != predictorFormat {
-		return nil, fmt.Errorf("core: unsupported predictor format %d (want %d)", dump.Format, predictorFormat)
-	}
-	if len(dump.NormMin) == 0 || len(dump.NormMin) != len(dump.NormMax) {
-		return nil, fmt.Errorf("core: corrupt normalizer (%d/%d extrema)", len(dump.NormMin), len(dump.NormMax))
-	}
-	if len(dump.Selected) == 0 {
-		return nil, fmt.Errorf("core: no selected indicators")
-	}
-	for _, s := range dump.Selected {
-		if s < 0 || s >= len(dump.NormMin) {
-			return nil, fmt.Errorf("core: selected indicator %d out of range", s)
-		}
+	dump.Cfg.fillDefaults()
+	dump.ModelCfg.fillDefaults()
+	if err := dump.validate(); err != nil {
+		return nil, err
 	}
 	p := NewPredictor(dump.Cfg)
 	p.target = dump.Target
@@ -110,4 +101,52 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 	p.generation = 1
 	p.genSeq.Store(1)
 	return p, nil
+}
+
+// validate reports why d, defaults filled, is not a snapshot to build a
+// predictor from: every value the serving path or a constructor would
+// index, allocate or panic by is checked here, where it is still a
+// file's word.
+func (d *predictorDump) validate() error {
+	if d.Format != predictorFormat {
+		return fmt.Errorf("core: unsupported predictor format %d (want %d)", d.Format, predictorFormat)
+	}
+	if len(d.NormMin) == 0 || len(d.NormMin) != len(d.NormMax) {
+		return fmt.Errorf("core: corrupt normalizer (%d/%d extrema)", len(d.NormMin), len(d.NormMax))
+	}
+	if len(d.Selected) == 0 {
+		return fmt.Errorf("core: no selected indicators")
+	}
+	for _, s := range d.Selected {
+		if s < 0 || s >= len(d.NormMin) {
+			return fmt.Errorf("core: selected indicator %d out of range", s)
+		}
+	}
+	if d.Target < 0 || d.Target >= len(d.NormMin) {
+		return fmt.Errorf("core: target indicator %d out of range", d.Target)
+	}
+	if d.Cfg.Window < 1 || d.Cfg.ExpandFactor < 1 {
+		return fmt.Errorf("core: Window = %d, ExpandFactor = %d", d.Cfg.Window, d.Cfg.ExpandFactor)
+	}
+	if d.Cfg.Horizon != d.ModelCfg.Horizon {
+		return fmt.Errorf("core: predictor horizon %d, model horizon %d", d.Cfg.Horizon, d.ModelCfg.Horizon)
+	}
+	if d.WeightedFactors != nil && len(d.WeightedFactors) != len(d.Selected) {
+		return fmt.Errorf("core: %d weighted factors for %d indicators", len(d.WeightedFactors), len(d.Selected))
+	}
+	for _, f := range d.WeightedFactors {
+		if f < 1 || f > d.Cfg.ExpandFactor {
+			return fmt.Errorf("core: weighted factor %d out of [1,%d]", f, d.Cfg.ExpandFactor)
+		}
+	}
+	if err := d.ModelCfg.validate(); err != nil {
+		return err
+	}
+	// The architecture is built only if the file is long enough to hold its
+	// weights, at a digit and a separator each: nothing allocates by a size
+	// the file does not back. LoadParams refuses any other mismatch.
+	if n := d.ModelCfg.paramCount(); 2*n > float64(len(d.Weights)) {
+		return fmt.Errorf("core: model_config implies %g weights, file carries %d bytes of them", n, len(d.Weights))
+	}
+	return nil
 }

@@ -10,34 +10,21 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/nn"
+	"repro/internal/tensor"
 	"repro/internal/trace"
 )
 
 // withRemovedFloat32Keys rewrites a Save snapshot the way every .model
 // written before the float32 tier was deleted looks: its config object
 // carries the tier's three keys, here with the tier switched on.
-func withRemovedFloat32Keys(t *testing.T, saved []byte) []byte {
+func withRemovedFloat32Keys(t testing.TB, saved []byte) []byte {
 	t.Helper()
-	var dump, cfg map[string]json.RawMessage
-	if err := json.Unmarshal(saved, &dump); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(dump["config"], &cfg); err != nil {
-		t.Fatal(err)
-	}
 	// Spelled in two parts, so a grep for the tier's identifiers stays empty.
 	for suffix, v := range map[string]string{"": "true", "MaxRelErr": "0.005", "MaxMAEDelta": "0.01"} {
-		cfg["Float32"+suffix] = json.RawMessage(v)
+		saved = patched(t, saved, "config.Float32"+suffix, v)
 	}
-	var err error
-	if dump["config"], err = json.Marshal(cfg); err != nil {
-		t.Fatal(err)
-	}
-	out, err := json.Marshal(dump)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return saved
 }
 
 // TestPredictorSaveLoadRoundTrip: a loaded predictor forecasts bitwise
@@ -126,7 +113,66 @@ func TestSaveUnfittedFails(t *testing.T) {
 	}
 }
 
+// tinySnapshot is what Save writes for a small predictor fitted on
+// syntheticSeries' four indicators: two blocks, the first with a
+// downsample, behind weight norm.
+func tinySnapshot(t testing.TB) []byte {
+	t.Helper()
+	p := NewPredictor(PredictorConfig{
+		Scenario: MulExp, Window: 8, ExpandFactor: 2, Epochs: 1, Seed: 1,
+		Model: Config{Channels: []int{2, 3}, KernelSize: 2, WeightNorm: true, FCWidth: 3},
+	})
+	if err := p.Fit(syntheticSeries(80), 0); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := p.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// patched returns snapshot with the value at path — a top-level key, or
+// "object.key" for a key of a top-level object — set to value.
+func patched(t testing.TB, snapshot []byte, path, value string) []byte {
+	t.Helper()
+	var dump map[string]json.RawMessage
+	if err := json.Unmarshal(snapshot, &dump); err != nil {
+		t.Fatal(err)
+	}
+	if object, key, nested := strings.Cut(path, "."); nested {
+		path, value = object, string(patched(t, dump[object], key, value))
+	}
+	dump[path] = json.RawMessage(value)
+	out, err := json.Marshal(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// malformedSnapshots are tinySnapshot with one value a builder would
+// panic on, or — the last — an architecture the weights do not back.
+var malformedSnapshots = map[string][2]string{
+	"in-channels-0":           {"model_config.InChannels", "0"},
+	"dilations-short":         {"model_config.Dilations", "[1]"},
+	"channels-negative":       {"model_config.Channels", "[-4]"},
+	"kernel-negative":         {"model_config.KernelSize", "-1"},
+	"dropout-1.5":             {"model_config.Dropout", "1.5"},
+	"target-out-of-range":     {"target", "4"},
+	"fc-width-beyond-weights": {"model_config.FCWidth", "1099511627776"},
+}
+
 func TestLoadPredictorRejectsCorruptInput(t *testing.T) {
+	snapshot := tinySnapshot(t)
+	if _, err := LoadPredictor(bytes.NewReader(snapshot)); err != nil {
+		t.Fatalf("unpatched snapshot: %v", err)
+	}
+	for name, patch := range malformedSnapshots {
+		if _, err := LoadPredictor(bytes.NewReader(patched(t, snapshot, patch[0], patch[1]))); err == nil {
+			t.Fatalf("%s: expected an error for %s = %s", name, patch[0], patch[1])
+		}
+	}
 	if _, err := LoadPredictor(strings.NewReader("junk")); err == nil {
 		t.Fatal("expected error for junk")
 	}
@@ -145,6 +191,54 @@ func TestLoadPredictorRejectsCorruptInput(t *testing.T) {
 		`{"format":1,"norm_min":[0,1],"norm_max":[1],"selected":[0],"weights":{}}`)); err == nil {
 		t.Fatal("expected error for mismatched extrema")
 	}
+}
+
+// TestConfigParamCountMatchesModel holds the count LoadPredictor sizes a
+// file's weights by to what NewModel allocates, over every switch that
+// adds or removes a parameter tensor.
+func TestConfigParamCountMatchesModel(t *testing.T) {
+	for _, cfg := range []Config{
+		{InChannels: 5},
+		{InChannels: 4, Channels: []int{2, 3, 3}, KernelSize: 2, WeightNorm: true, FCWidth: 7, Horizon: 3},
+		{InChannels: 3, Channels: []int{3}, KernelSize: 1, DisableFC: true},
+		{InChannels: 2, Channels: []int{6, 2}, Dilations: []int{4, 1}, DisableAttention: true, Horizon: 2},
+		{InChannels: 1, Channels: []int{4}, WeightNorm: true, DisableFC: true, DisableAttention: true},
+	} {
+		m := NewModel(tensor.NewRNG(1), cfg)
+		if got, want := m.Cfg.paramCount(), float64(nn.ParamCount(m)); got != want {
+			t.Errorf("%+v: paramCount %g, model holds %g", cfg, got, want)
+		}
+	}
+}
+
+// FuzzLoadPredictor: no bytes make LoadPredictor panic, and whatever it
+// accepts serves — forecasting a fixed window either fails or, after a
+// Save and a second load, forecasts the same bits. The corpus under
+// testdata/fuzz holds tinySnapshot whole, truncated mid-weights, with one
+// bit of "format" flipped and with the removed float32 keys, and each of
+// malformedSnapshots.
+func FuzzLoadPredictor(f *testing.F) {
+	window := syntheticSeries(24)
+	f.Fuzz(func(t *testing.T, snapshot []byte) {
+		p, err := LoadPredictor(bytes.NewReader(snapshot))
+		if err != nil {
+			return
+		}
+		var saved bytes.Buffer
+		if err := p.Save(&saved); err != nil {
+			t.Fatalf("saving what loaded: %v", err)
+		}
+		q, err := LoadPredictor(&saved)
+		if err != nil {
+			t.Fatalf("loading what a loaded predictor saved: %v", err)
+		}
+		want, werr := p.ForecastFrom(window)
+		got, gerr := q.ForecastFrom(window)
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("forecast errors differ across the round trip: %v vs %v", werr, gerr)
+		}
+		requireBitwiseEqual(t, "forecast across the round trip", got, want)
+	})
 }
 
 // TestSaveFileCrashSafety exercises the atomic write path: a round trip

@@ -77,44 +77,13 @@ func (t *Tanh) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Params implements Layer.
 func (t *Tanh) Params() []*Param { return nil }
 
-// Sigmoid is the logistic activation.
-type Sigmoid struct {
-	y *tensor.Tensor
-}
-
 func sigmoid(v float64) float64 { return 1 / (1 + math.Exp(-v)) }
 
-// Forward implements Layer.
-func (s *Sigmoid) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	s.y = x.Apply(sigmoid)
-	return s.y
-}
-
-// Backward implements Layer.
-func (s *Sigmoid) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(grad.Shape()...)
-	for i, g := range grad.Data {
-		y := s.y.Data[i]
-		out.Data[i] = g * y * (1 - y)
-	}
-	return out
-}
-
-// Params implements Layer.
-func (s *Sigmoid) Params() []*Param { return nil }
-
-// softmaxRows applies a numerically stable softmax to each row of a
-// [batch, n] tensor, parallelized across rows (each row's reduction stays
-// sequential, so results do not depend on the worker count).
-func softmaxRows(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Dim(0), x.Dim(1))
-	softmaxRowsInto(x, out)
-	return out
-}
-
-// softmaxRowsInto writes softmax(x) row-by-row into out. The row kernel
-// is a named function so the small-size inline path (the one arena
-// inference takes) allocates no closure.
+// softmaxRowsInto writes a numerically stable softmax of each row of the
+// [batch, n] tensor x into out, parallelized across rows (each row's
+// reduction stays sequential, so results do not depend on the worker
+// count). The row kernel is a named function so the small-size inline
+// path (the one arena inference takes) allocates no closure.
 func softmaxRowsInto(x, out *tensor.Tensor) {
 	rows, cols := x.Dim(0), x.Dim(1)
 	// math.Exp costs ~10× a mul-add, so the parallel bar is lower than for

@@ -1,6 +1,10 @@
 package nn
 
-import "repro/internal/tensor"
+import (
+	"fmt"
+
+	"repro/internal/tensor"
+)
 
 // InferArena is a record/replay bump allocator for the grad-free forward
 // path. A model's inference pass requests every intermediate tensor
@@ -17,7 +21,7 @@ import "repro/internal/tensor"
 // Contract:
 //   - Call Reset once at the start of each forward pass.
 //   - Buffers are handed out uncleared; layers must fully overwrite them
-//     (all InferForward implementations do).
+//     (every forward body that takes an arena does).
 //   - Tensors returned by Get — including a model's output — are owned by
 //     the arena and are only valid until the next Reset.
 //   - An arena (and the layers it feeds, which keep per-call kernel state)
@@ -87,22 +91,27 @@ func slotShaped(t *tensor.Tensor, shape []int) bool {
 	return true
 }
 
-// InferLayer is implemented by layers with a dedicated grad-free forward
-// that draws every intermediate from an InferArena. InferForward must
-// produce output bitwise identical to Forward(x, false) — same kernels,
-// same floating-point order — while writing no training caches, so a
-// model can serve inference without perturbing a concurrent-free
-// training setup and without allocating in steady state.
+// InferLayer is the optional capability of the layers a served model is
+// made of — CausalConv1D, TemporalBlock, TCN, LastStep, Dense,
+// FeatureAttention, the containers Sequential and Profiled, and
+// core.Model: a grad-free forward that draws every intermediate from an
+// InferArena. InferForward and Forward call one body per layer, so the
+// output is bitwise Forward(x, false)'s; on the arena that body writes
+// none of the caches Backward reads and allocates nothing in steady
+// state. It is not part of Layer because the recurrent baselines are
+// trained and evaluated through Forward and never served: an LSTM would
+// take an arena it cannot honour.
 type InferLayer interface {
 	InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor
 }
 
-// Infer runs one layer's grad-free forward, falling back to
-// Forward(x, false) for layers without an arena path. The fallback keeps
-// correctness for exotic layers at the cost of their usual allocations.
+// Infer runs one layer's arena forward. A layer without one panics:
+// detouring through Forward(x, false) would allocate and overwrite the
+// training caches behind an arena that promises neither.
 func Infer(l Layer, a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	if il, ok := l.(InferLayer); ok {
-		return il.InferForward(a, x)
+	il, ok := l.(InferLayer)
+	if !ok {
+		panic(fmt.Sprintf("nn: %T has no arena forward; run it through Forward", l))
 	}
-	return l.Forward(x, false)
+	return il.InferForward(a, x)
 }

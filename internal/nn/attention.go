@@ -34,13 +34,34 @@ func NewFeatureAttention(r *tensor.RNG, features int) *FeatureAttention {
 
 // Forward implements Layer.
 func (f *FeatureAttention) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+	return f.forward(nil, x)
+}
+
+// InferForward implements InferLayer.
+func (f *FeatureAttention) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
+	return f.forward(a, x)
+}
+
+// forward is the layer's one body. Scores, weights and output come from
+// the arena; off it (a == nil) they are fresh, and the input and the
+// weights are kept for Backward and Weights.
+func (f *FeatureAttention) forward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
 	if x.Dims() != 2 {
 		panic(fmt.Sprintf("nn: FeatureAttention requires [batch, features], got %v", x.Shape()))
 	}
-	f.x = x
-	scores := x.MatMulT(f.W.Value).AddRowVectorInPlace(f.B.Value)
-	f.a = softmaxRows(scores)
-	return f.a.Mul(x)
+	scores := a.Get(x.Dim(0), f.W.Value.Dim(0))
+	x.MatMulTInto(f.W.Value, scores)
+	scores.AddRowVectorInPlace(f.B.Value)
+	aw := a.GetLike(scores)
+	softmaxRowsInto(scores, aw)
+	if a == nil {
+		f.x, f.a = x, aw
+	}
+	out := a.GetLike(x)
+	for i, v := range aw.Data {
+		out.Data[i] = v * x.Data[i]
+	}
+	return out
 }
 
 // Backward implements Layer.
@@ -82,6 +103,7 @@ func (f *FeatureAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // Params implements Layer.
 func (f *FeatureAttention) Params() []*Param { return []*Param{f.W, f.B} }
 
-// Weights returns the attention vector a from the most recent forward pass
-// (for inspection/visualization); nil before any forward.
+// Weights returns the attention vector a from the most recent Forward
+// (for inspection/visualization); nil before any. The arena path leaves
+// it alone.
 func (f *FeatureAttention) Weights() *tensor.Tensor { return f.a }

@@ -6,7 +6,7 @@ import (
 	"repro/internal/tensor"
 )
 
-// The conv/LSTM/GRU/attention benchmarks run at batch 32 under their
+// The conv/LSTM/attention benchmarks run at batch 32 under their
 // original names plus batch 64 and 256 variants, the sizes where the
 // parallel kernels engage on multi-core runners.
 
@@ -75,24 +75,6 @@ func benchLSTM(b *testing.B, batch int) {
 func BenchmarkLSTMForwardBackward(b *testing.B)         { benchLSTM(b, 32) }
 func BenchmarkLSTMForwardBackwardBatch64(b *testing.B)  { benchLSTM(b, 64) }
 func BenchmarkLSTMForwardBackwardBatch256(b *testing.B) { benchLSTM(b, 256) }
-
-func benchGRU(b *testing.B, batch int) {
-	r := tensor.NewRNG(5)
-	l := NewGRU(r, 12, 32, false)
-	x := tensor.RandN(r, batch, 12, 32)
-	g := tensor.RandN(r, batch, 32)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ZeroGrad(l)
-		l.Forward(x, true)
-		l.Backward(g)
-	}
-}
-
-func BenchmarkGRUForwardBackward(b *testing.B)         { benchGRU(b, 32) }
-func BenchmarkGRUForwardBackwardBatch64(b *testing.B)  { benchGRU(b, 64) }
-func BenchmarkGRUForwardBackwardBatch256(b *testing.B) { benchGRU(b, 256) }
 
 func BenchmarkDenseForward(b *testing.B) {
 	r := tensor.NewRNG(6)

@@ -51,6 +51,11 @@ func (b *TemporalBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return forwardRun(nil, []Layer{b}, nil, x, train)
 }
 
+// InferForward implements InferLayer: the same body on the arena.
+func (b *TemporalBlock) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
+	return forwardRun(a, []Layer{b}, nil, x, false)
+}
+
 // Backward implements Layer. grad belongs to the caller and is left
 // alone.
 func (b *TemporalBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
@@ -114,6 +119,11 @@ func NewTCN(r *tensor.RNG, cfg TCNConfig) *TCN {
 // Forward implements Layer: every step, as TemporalBlock.Forward.
 func (t *TCN) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return forwardRun(nil, []Layer{t}, nil, x, train)
+}
+
+// InferForward implements InferLayer.
+func (t *TCN) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
+	return forwardRun(a, []Layer{t}, nil, x, false)
 }
 
 // Backward implements Layer.

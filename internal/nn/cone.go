@@ -542,11 +542,6 @@ func (c *CausalConv1D) everyStep(a *InferArena, x *tensor.Tensor, train bool) *t
 	return y
 }
 
-// InferForward implements InferLayer.
-func (c *CausalConv1D) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return c.everyStep(a, x, false)
-}
-
 // forwardRun runs a run of temporal-block layers. When last (the
 // LastStep the run feeds, possibly profiled) is non-nil only the cone
 // under the final time step is computed and the result is LastStep's

@@ -142,6 +142,11 @@ func (c *CausalConv1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return c.everyStep(nil, x, train)
 }
 
+// InferForward implements InferLayer.
+func (c *CausalConv1D) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
+	return c.everyStep(a, x, false)
+}
+
 // Backward implements Layer: the gradient is gathered into the compact
 // layout of the forward's output and handed to backwardTaps.
 func (c *CausalConv1D) Backward(grad *tensor.Tensor) *tensor.Tensor {

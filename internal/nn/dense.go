@@ -24,12 +24,23 @@ func NewDense(r *tensor.RNG, in, out int) *Dense {
 }
 
 // Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor { return d.forward(nil, x) }
+
+// InferForward implements InferLayer.
+func (d *Dense) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor { return d.forward(a, x) }
+
+// forward is the layer's one body. The output comes from the arena; off
+// it (a == nil) it is fresh and the input is kept for Backward.
+func (d *Dense) forward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
 	if x.Dims() != 2 {
 		panic(fmt.Sprintf("nn: Dense requires [batch, features], got %v", x.Shape()))
 	}
-	d.x = x
-	return x.MatMulT(d.W.Value).AddRowVectorInPlace(d.B.Value)
+	if a == nil {
+		d.x = x
+	}
+	out := a.Get(x.Dim(0), d.W.Value.Dim(0))
+	x.MatMulTInto(d.W.Value, out)
+	return out.AddRowVectorInPlace(d.B.Value)
 }
 
 // Backward implements Layer.

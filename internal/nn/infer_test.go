@@ -1,18 +1,20 @@
 package nn
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
-// inferStacks builds one representative model per architecture family,
-// exercising every layer with an arena path: the TCN residual pipeline
-// with attention head, plain LSTM/GRU (both output modes), and a
-// CNN-LSTM hybrid.
-func inferStacks(features, timeSteps int) map[string]*Sequential {
+// inferStacks builds one model per shape a served model takes: the TCN
+// residual pipeline with attention head, pruned to the cone, that cone
+// seen through profiling wrappers, and a convolution and a TCN nobody
+// takes the last step of.
+func inferStacks(features int) map[string]*Sequential {
 	r := tensor.NewRNG(41)
 	return map[string]*Sequential{
 		"rptcn-style": NewSequential(
@@ -28,53 +30,12 @@ func inferStacks(features, timeSteps int) map[string]*Sequential {
 			NewFeatureAttention(r, 8),
 			NewDense(r, 8, 3),
 		),
-		"lstm": NewSequential(
-			NewLSTM(r, features, 10, false),
-			NewDense(r, 10, 3),
-		),
-		"lstm-seq": NewSequential(
-			NewLSTM(r, features, 6, true),
-			&LastStep{},
-			NewDense(r, 6, 3),
-		),
-		"gru": NewSequential(
-			NewGRU(r, features, 9, false),
-			NewDense(r, 9, 3),
-		),
-		"gru-seq": NewSequential(
-			NewGRU(r, features, 5, true),
-			&LastStep{},
-			NewDense(r, 5, 3),
-		),
-		"cnn-lstm": NewSequential(
-			NewCausalConv1D(r, features, 8, 3, 1, false),
-			&ReLU{},
-			NewSpatialDropout1D(r, 0.2),
-			NewLSTM(r, 8, 7, false),
-			NewDense(r, 7, 3),
-		),
-		"dropout-tanh-sigmoid": NewSequential(
-			NewLSTM(r, features, 6, false),
-			NewDropout(r, 0.3),
-			NewDense(r, 6, 6),
-			&Tanh{},
-			NewDense(r, 6, 6),
-			&Sigmoid{},
-			NewDense(r, 6, 3),
-		),
-		"flatten": NewSequential(
-			NewCausalConv1D(r, features, 4, 2, 1, true),
-			&Flatten{},
-			NewDense(r, 4*timeSteps, 3),
-		),
-		// A TCN nobody takes the last step of: full-length inference.
+		"conv": NewSequential(NewCausalConv1D(r, features, 4, 2, 1, true)),
+		// Full-length inference.
 		"tcn-full": NewSequential(
 			NewTCN(r, TCNConfig{InChannels: features, Channels: []int{6, 6}, KernelSize: 2, WeightNorm: true}),
-			&Flatten{},
-			NewDense(r, 6*timeSteps, 3),
 		),
-		// The cone seen through profiling wrappers, block by block as
-		// core.Model stages them.
+		// Block by block, as core.Model stages them.
 		"rptcn-profiled": profiledStack(NewSequential(
 			NewTemporalBlock(r, TemporalBlockConfig{InChannels: features, OutChannels: 6, KernelSize: 3, Dilation: 1, WeightNorm: true}),
 			NewTemporalBlock(r, TemporalBlockConfig{InChannels: 6, OutChannels: 6, KernelSize: 3, Dilation: 2, WeightNorm: true}),
@@ -105,12 +66,12 @@ func requireBitwiseTensors(t *testing.T, got, want *tensor.Tensor, what string) 
 
 // TestInferForwardMatchesForward demands bitwise identity between the
 // arena inference path and the layer-by-layer Forward in eval mode
-// (every step of every convolution; see everyStep), for every
-// architecture family and several batch sizes, including repeated
-// (replayed) arena passes.
+// (every step of every convolution; see everyStep), for every stack and
+// several batch sizes on one arena, so a replayed or reshaped slot is
+// handed out uncleared and must be fully overwritten.
 func TestInferForwardMatchesForward(t *testing.T) {
 	const features, timeSteps = 4, 12
-	for name, model := range inferStacks(features, timeSteps) {
+	for name, model := range inferStacks(features) {
 		t.Run(name, func(t *testing.T) {
 			arena := NewInferArena()
 			for _, batch := range []int{1, 3, 7} {
@@ -132,7 +93,7 @@ func TestInferForwardMatchesForward(t *testing.T) {
 // workers and demands bitwise identical outputs.
 func TestInferWorkerCountInvariance(t *testing.T) {
 	const features, timeSteps, batch = 4, 12, 5
-	for name, model := range inferStacks(features, timeSteps) {
+	for name, model := range inferStacks(features) {
 		t.Run(name, func(t *testing.T) {
 			r := tensor.NewRNG(7)
 			x := tensor.RandN(r, batch, features, timeSteps)
@@ -152,17 +113,19 @@ func TestInferWorkerCountInvariance(t *testing.T) {
 }
 
 // TestInferDoesNotDisturbTraining interleaves an arena inference between
-// a training forward and its backward pass and checks the gradients are
-// bitwise identical to an undisturbed fit step: InferForward must not
-// touch the caches Backward reads.
+// a training forward and its backward pass, over every layer kind a
+// served model holds, and checks the gradients are bitwise identical to
+// an undisturbed fit step: on the arena no forward body may touch what
+// Backward reads — the convolutions' columns, the block's plan, masks
+// and dropout draws, LastStep's shape, the Dense and attention inputs.
 func TestInferDoesNotDisturbTraining(t *testing.T) {
 	const features, timeSteps, batch = 4, 12, 3
 	build := func() Layer {
 		r := tensor.NewRNG(21)
 		return NewSequential(
 			NewCausalConv1D(r, features, 6, 3, 1, true),
-			&ReLU{},
-			NewLSTM(r, 6, 5, false),
+			NewTemporalBlock(r, TemporalBlockConfig{InChannels: 6, OutChannels: 5, KernelSize: 3, Dilation: 2, Dropout: 0.2, WeightNorm: true}),
+			&LastStep{},
 			NewDense(r, 5, 6),
 			NewFeatureAttention(r, 6),
 			NewDense(r, 6, 2),
@@ -170,18 +133,16 @@ func TestInferDoesNotDisturbTraining(t *testing.T) {
 	}
 	r := tensor.NewRNG(22)
 	x := tensor.RandN(r, batch, features, timeSteps)
-	xInfer := tensor.RandN(r, 2, features, timeSteps)
+	xInfer := tensor.RandN(r, 2, features, timeSteps-3)
 	grad := tensor.RandN(r, batch, 2)
 
 	gradsOf := func(interleave bool) []*tensor.Tensor {
 		m := build()
 		m.Forward(x, true)
 		if interleave {
-			arena := NewInferArena()
-			Infer(m, arena, xInfer)
+			Infer(m, NewInferArena(), xInfer)
 		}
-		m.Backward(grad.Clone())
-		var gs []*tensor.Tensor
+		gs := []*tensor.Tensor{m.Backward(grad.Clone())}
 		for _, p := range m.Params() {
 			gs = append(gs, p.Grad.Clone())
 		}
@@ -190,19 +151,32 @@ func TestInferDoesNotDisturbTraining(t *testing.T) {
 	clean := gradsOf(false)
 	mixed := gradsOf(true)
 	for i := range clean {
-		requireBitwiseTensors(t, mixed[i], clean[i], "param grad")
+		requireBitwiseTensors(t, mixed[i], clean[i], "input or param grad")
 	}
 }
 
+// TestInferRefusesLayerWithoutArenaPath: a layer with no arena forward
+// is refused by name, not run through Forward behind the arena's back.
+func TestInferRefusesLayerWithoutArenaPath(t *testing.T) {
+	r := tensor.NewRNG(23)
+	model := NewSequential(NewLSTM(r, 4, 5, false), NewDense(r, 5, 2))
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "*nn.LSTM") {
+			t.Fatalf("Infer over an LSTM: recovered %q, want a panic naming *nn.LSTM", msg)
+		}
+	}()
+	Infer(model, NewInferArena(), tensor.RandN(r, 2, 4, 6))
+}
+
 // TestInferArenaZeroAllocSteadyState proves a warmed-up arena forward
-// performs no heap allocations, across all architecture families and at
-// a batch size large enough to engage the parallel GEMM path.
+// performs no heap allocations, for every stack and at a batch size large
+// enough to engage the parallel GEMM path.
 func TestInferArenaZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation defeats escape analysis; allocation counts are meaningless")
 	}
 	const features, timeSteps, batch = 8, 32, 32
-	for name, model := range inferStacks(features, timeSteps) {
+	for name, model := range inferStacks(features) {
 		t.Run(name, func(t *testing.T) {
 			r := tensor.NewRNG(5)
 			x := tensor.RandN(r, batch, features, timeSteps)
@@ -228,7 +202,11 @@ func TestInferArenaZeroAllocSteadyState(t *testing.T) {
 func TestInferArenaShapeChangeReallocates(t *testing.T) {
 	const features, timeSteps = 4, 12
 	r := tensor.NewRNG(31)
-	model := NewSequential(NewLSTM(r, features, 6, false), NewDense(r, 6, 2))
+	model := NewSequential(
+		NewTCN(r, TCNConfig{InChannels: features, Channels: []int{6}, KernelSize: 3}),
+		&LastStep{},
+		NewDense(r, 6, 2),
+	)
 	arena := NewInferArena()
 	for _, batch := range []int{4, 1, 4} {
 		x := tensor.RandN(r, batch, features, timeSteps)
@@ -243,7 +221,7 @@ func TestInferArenaShapeChangeReallocates(t *testing.T) {
 // TCN+attention stack at serving batch size; allocs/op must be 0.
 func BenchmarkArenaInference(b *testing.B) {
 	const features, timeSteps, batch = 8, 32, 32
-	model := inferStacks(features, timeSteps)["rptcn-style"]
+	model := inferStacks(features)["rptcn-style"]
 	r := tensor.NewRNG(5)
 	x := tensor.RandN(r, batch, features, timeSteps)
 	arena := NewInferArena()
@@ -262,7 +240,7 @@ func BenchmarkArenaInference(b *testing.B) {
 // buffers, baking the kernels per call and allocating its results.
 func BenchmarkTrainingPathForward(b *testing.B) {
 	const features, timeSteps, batch = 8, 32, 32
-	model := inferStacks(features, timeSteps)["rptcn-style"]
+	model := inferStacks(features)["rptcn-style"]
 	r := tensor.NewRNG(5)
 	x := tensor.RandN(r, batch, features, timeSteps)
 	b.ReportAllocs()

@@ -10,11 +10,7 @@
 //   - Sequence layers take [batch, channels, time].
 package nn
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // Param is a trainable parameter with its accumulated gradient.
 type Param struct {
@@ -61,6 +57,11 @@ func (s *Sequential) Add(l Layer) { s.Layers = append(s.Layers, l) }
 // Forward runs all layers in order (see ForwardChain).
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return ForwardChain(s.Layers, x, train)
+}
+
+// InferForward implements InferLayer (see InferChain).
+func (s *Sequential) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
+	return InferChain(a, s.Layers, x)
 }
 
 // Backward runs all layers in reverse order.
@@ -125,13 +126,22 @@ type LastStep struct {
 }
 
 // Forward implements Layer.
-func (l *LastStep) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	if x.Dims() != 3 {
-		panic(fmt.Sprintf("nn: LastStep requires [batch, channels, time], got %v", x.Shape()))
+func (l *LastStep) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor { return l.forward(nil, x) }
+
+// InferForward implements InferLayer.
+func (l *LastStep) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
+	return l.forward(a, x)
+}
+
+// forward is the layer's one body. The output comes from the arena; off
+// it (a == nil) it is fresh and the input shape is kept for Backward.
+func (l *LastStep) forward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
+	requireSeq("LastStep", x)
+	if a == nil {
+		l.inShape = x.Shape()
 	}
-	l.inShape = x.Shape()
-	b, c, t := l.inShape[0], l.inShape[1], l.inShape[2]
-	out := tensor.New(b, c)
+	b, c, t := x.Dim(0), x.Dim(1), x.Dim(2)
+	out := a.Get(b, c)
 	for i := 0; i < b; i++ {
 		for j := 0; j < c; j++ {
 			out.Data[i*c+j] = x.Data[(i*c+j)*t+t-1]

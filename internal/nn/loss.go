@@ -126,45 +126,3 @@ func (l *MAELoss) Backward() *tensor.Tensor {
 		}
 	})
 }
-
-// HuberLoss blends MSE (near zero) and MAE (in the tails); delta sets the
-// crossover. It is offered for robustness experiments beyond the paper.
-type HuberLoss struct {
-	Delta        float64
-	pred, target *tensor.Tensor
-	grad         *tensor.Tensor
-	partials     []float64
-}
-
-// Forward implements Loss.
-func (l *HuberLoss) Forward(pred, target *tensor.Tensor) float64 {
-	if !pred.SameShape(target) {
-		panic("nn: HuberLoss shape mismatch")
-	}
-	if l.Delta <= 0 {
-		l.Delta = 1
-	}
-	l.pred, l.target = pred, target
-	delta := l.Delta
-	s := lossReduce(pred, target, &l.partials, func(p, t float64) float64 {
-		d := math.Abs(p - t)
-		if d <= delta {
-			return 0.5 * d * d
-		}
-		return delta * (d - 0.5*delta)
-	})
-	return s / float64(pred.Size())
-}
-
-// Backward implements Loss.
-func (l *HuberLoss) Backward() *tensor.Tensor {
-	n := float64(l.pred.Size())
-	pred, target, delta := l.pred, l.target, l.Delta
-	return lossGrad(pred, &l.grad, func(i int) float64 {
-		d := pred.Data[i] - target.Data[i]
-		if math.Abs(d) <= delta {
-			return d / n
-		}
-		return math.Copysign(delta, d) / n
-	})
-}

@@ -51,17 +51,16 @@ func TestReLUGradients(t *testing.T) {
 	requireGrad(t, &ReLU{}, x)
 }
 
-func TestTanhSigmoidGradients(t *testing.T) {
+func TestTanhGradients(t *testing.T) {
 	r := tensor.NewRNG(4)
-	x := tensor.RandN(r, 3, 5)
-	requireGrad(t, &Tanh{}, x)
-	requireGrad(t, &Sigmoid{}, x.Clone())
+	requireGrad(t, &Tanh{}, tensor.RandN(r, 3, 5))
 }
 
 func TestSoftmaxRowsSumsToOne(t *testing.T) {
 	r := tensor.NewRNG(5)
 	x := tensor.RandN(r, 4, 7).ScaleInPlace(10)
-	s := softmaxRows(x)
+	s := tensor.NewLike(x)
+	softmaxRowsInto(x, s)
 	for row := 0; row < 4; row++ {
 		sum := 0.0
 		for c := 0; c < 7; c++ {
@@ -79,7 +78,8 @@ func TestSoftmaxRowsSumsToOne(t *testing.T) {
 
 func TestSoftmaxNumericalStability(t *testing.T) {
 	x := tensor.FromSlice([]float64{1000, 1001, 999}, 1, 3)
-	s := softmaxRows(x)
+	s := tensor.NewLike(x)
+	softmaxRowsInto(x, s)
 	for _, v := range s.Data {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("softmax overflow: %v", s.Data)
@@ -455,20 +455,6 @@ func TestMAELossValueAndGrad(t *testing.T) {
 	}
 }
 
-func TestHuberLossLimits(t *testing.T) {
-	l := &HuberLoss{Delta: 1}
-	// Small residuals: behaves like 0.5·MSE.
-	small := l.Forward(tensor.FromSlice([]float64{0.2}, 1), tensor.FromSlice([]float64{0}, 1))
-	if math.Abs(small-0.02) > 1e-12 {
-		t.Fatalf("Huber small = %g, want 0.02", small)
-	}
-	// Large residuals: linear.
-	large := l.Forward(tensor.FromSlice([]float64{10}, 1), tensor.FromSlice([]float64{0}, 1))
-	if math.Abs(large-9.5) > 1e-12 {
-		t.Fatalf("Huber large = %g, want 9.5", large)
-	}
-}
-
 func TestLossGradientNumerically(t *testing.T) {
 	r := tensor.NewRNG(30)
 	pred := tensor.RandN(r, 2, 3)
@@ -478,7 +464,7 @@ func TestLossGradientNumerically(t *testing.T) {
 		loss Loss
 	}{
 		{"mse", &MSELoss{}},
-		{"huber", &HuberLoss{Delta: 0.7}},
+		{"mae", &MAELoss{}},
 	} {
 		tc.loss.Forward(pred, targ)
 		g := tc.loss.Backward()

@@ -86,8 +86,18 @@ type Profiled struct {
 
 // Forward implements Layer.
 func (w *Profiled) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return w.forward(nil, x, train)
+}
+
+// InferForward implements InferLayer: the wrapped layer's arena forward,
+// timed into the same counters as its other forwards.
+func (w *Profiled) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
+	return w.forward(a, x, false)
+}
+
+func (w *Profiled) forward(a *InferArena, x *tensor.Tensor, train bool) *tensor.Tensor {
 	t0 := w.start()
-	out := w.inner.Forward(x, train)
+	out := runChain(a, []Layer{w.inner}, x, train)
 	w.observe(t0, false)
 	return out
 }
@@ -221,14 +231,10 @@ func LayerKind(l Layer) string {
 		return "tcn"
 	case *LSTM:
 		return "lstm"
-	case *GRU:
-		return "gru"
 	case *FeatureAttention:
 		return "attention"
 	case *SpatialDropout1D:
 		return "dropout"
-	case *LayerNorm:
-		return "layernorm"
 	case *ReLU:
 		return "relu"
 	case *LastStep:
@@ -237,8 +243,6 @@ func LayerKind(l Layer) string {
 		return "flatten"
 	case *Sequential:
 		return "sequential"
-	case *ReverseTime:
-		return "reverse"
 	default:
 		return fmt.Sprintf("%T", l)
 	}

@@ -1,5 +1,6 @@
-// Package opt provides first-order optimizers (SGD, Adam, RMSProp),
-// gradient clipping, and learning-rate schedules for the nn package.
+// Package opt provides the first-order optimizers (Adam, which trains
+// every deep model here, and SGD) and gradient clipping for the nn
+// package.
 package opt
 
 import (
@@ -12,10 +13,8 @@ import (
 type Optimizer interface {
 	// Step applies one update to every parameter and advances internal state.
 	Step(params []*nn.Param)
-	// LR returns the current base learning rate.
+	// LR returns the learning rate.
 	LR() float64
-	// SetLR overrides the base learning rate (used by schedulers).
-	SetLR(lr float64)
 }
 
 // SGD is stochastic gradient descent with optional classical momentum.
@@ -54,9 +53,6 @@ func (s *SGD) Step(params []*nn.Param) {
 
 // LR implements Optimizer.
 func (s *SGD) LR() float64 { return s.Rate }
-
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float64) { s.Rate = lr }
 
 // Adam is the Adam optimizer (Kingma & Ba 2015) with bias correction —
 // the optimizer used for all deep models in the experiments, matching the
@@ -107,45 +103,6 @@ func (a *Adam) Step(params []*nn.Param) {
 // LR implements Optimizer.
 func (a *Adam) LR() float64 { return a.Rate }
 
-// SetLR implements Optimizer.
-func (a *Adam) SetLR(lr float64) { a.Rate = lr }
-
-// RMSProp keeps a running average of squared gradients and normalizes by
-// its square root.
-type RMSProp struct {
-	Rate    float64
-	Decay   float64
-	Epsilon float64
-
-	cache map[*nn.Param][]float64
-}
-
-// NewRMSProp returns RMSProp with decay 0.9 and ε=1e-8.
-func NewRMSProp(lr float64) *RMSProp {
-	return &RMSProp{Rate: lr, Decay: 0.9, Epsilon: 1e-8, cache: map[*nn.Param][]float64{}}
-}
-
-// Step implements Optimizer.
-func (r *RMSProp) Step(params []*nn.Param) {
-	for _, p := range params {
-		c := r.cache[p]
-		if c == nil {
-			c = make([]float64, p.Value.Size())
-			r.cache[p] = c
-		}
-		for i, g := range p.Grad.Data {
-			c[i] = r.Decay*c[i] + (1-r.Decay)*g*g
-			p.Value.Data[i] -= r.Rate * g / (math.Sqrt(c[i]) + r.Epsilon)
-		}
-	}
-}
-
-// LR implements Optimizer.
-func (r *RMSProp) LR() float64 { return r.Rate }
-
-// SetLR implements Optimizer.
-func (r *RMSProp) SetLR(lr float64) { r.Rate = lr }
-
 // ClipGradNorm rescales all gradients so their global L2 norm does not
 // exceed maxNorm; it returns the pre-clip norm. Essential for stable LSTM
 // training on high-dynamic series.
@@ -166,39 +123,4 @@ func ClipGradNorm(params []*nn.Param, maxNorm float64) float64 {
 		}
 	}
 	return norm
-}
-
-// Schedule maps an epoch index to a learning rate.
-type Schedule interface {
-	Rate(epoch int, base float64) float64
-}
-
-// ConstantSchedule keeps the base rate.
-type ConstantSchedule struct{}
-
-// Rate implements Schedule.
-func (ConstantSchedule) Rate(_ int, base float64) float64 { return base }
-
-// StepSchedule multiplies the rate by Gamma every Every epochs.
-type StepSchedule struct {
-	Every int
-	Gamma float64
-}
-
-// Rate implements Schedule.
-func (s StepSchedule) Rate(epoch int, base float64) float64 {
-	if s.Every <= 0 {
-		return base
-	}
-	return base * math.Pow(s.Gamma, float64(epoch/s.Every))
-}
-
-// ExpSchedule decays the rate exponentially: base·γ^epoch.
-type ExpSchedule struct {
-	Gamma float64
-}
-
-// Rate implements Schedule.
-func (s ExpSchedule) Rate(epoch int, base float64) float64 {
-	return base * math.Pow(s.Gamma, float64(epoch))
 }

@@ -69,18 +69,6 @@ func TestAdamFirstStepIsLR(t *testing.T) {
 	}
 }
 
-func TestRMSPropConvergesOnQuadratic(t *testing.T) {
-	p, grad := quadratic(5, 1)
-	o := NewRMSProp(0.05)
-	for i := 0; i < 1000; i++ {
-		grad()
-		o.Step([]*nn.Param{p})
-	}
-	if math.Abs(p.Value.Data[0]-1) > 1e-2 {
-		t.Fatalf("RMSProp converged to %g, want 1", p.Value.Data[0])
-	}
-}
-
 func TestClipGradNorm(t *testing.T) {
 	p := nn.NewParam("x", tensor.New(2))
 	p.Grad.Data[0] = 3
@@ -101,29 +89,6 @@ func TestClipGradNormBelowThresholdUntouched(t *testing.T) {
 	ClipGradNorm([]*nn.Param{p}, 1)
 	if p.Grad.Data[0] != 0.5 {
 		t.Fatal("clip modified a gradient below the threshold")
-	}
-}
-
-func TestSchedules(t *testing.T) {
-	if got := (ConstantSchedule{}).Rate(10, 0.1); got != 0.1 {
-		t.Fatalf("constant = %g", got)
-	}
-	s := StepSchedule{Every: 10, Gamma: 0.5}
-	if got := s.Rate(25, 0.4); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("step schedule = %g, want 0.1", got)
-	}
-	e := ExpSchedule{Gamma: 0.9}
-	if got := e.Rate(2, 1); math.Abs(got-0.81) > 1e-12 {
-		t.Fatalf("exp schedule = %g, want 0.81", got)
-	}
-}
-
-func TestSetLR(t *testing.T) {
-	for _, o := range []Optimizer{NewSGD(0.1, 0), NewAdam(0.1), NewRMSProp(0.1)} {
-		o.SetLR(0.05)
-		if o.LR() != 0.05 {
-			t.Fatalf("%T SetLR failed", o)
-		}
 	}
 }
 

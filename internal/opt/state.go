@@ -98,13 +98,3 @@ func (s *SGD) CaptureState(params []*nn.Param) State {
 func (s *SGD) RestoreState(params []*nn.Param, st State) error {
 	return restoreSlot("velocity", params, s.velocity, st.Slots["velocity"])
 }
-
-// CaptureState implements Stateful.
-func (r *RMSProp) CaptureState(params []*nn.Param) State {
-	return State{Slots: map[string][][]float64{"cache": captureSlot(params, r.cache)}}
-}
-
-// RestoreState implements Stateful.
-func (r *RMSProp) RestoreState(params []*nn.Param, st State) error {
-	return restoreSlot("cache", params, r.cache, st.Slots["cache"])
-}

@@ -31,9 +31,8 @@ func newParams() []*nn.Param {
 // contract training resume relies on.
 func TestStateRoundTripBitwise(t *testing.T) {
 	builders := map[string]func() Optimizer{
-		"adam":    func() Optimizer { return NewAdam(1e-2) },
-		"sgd":     func() Optimizer { return NewSGD(1e-2, 0.9) },
-		"rmsprop": func() Optimizer { return NewRMSProp(1e-2) },
+		"adam": func() Optimizer { return NewAdam(1e-2) },
+		"sgd":  func() Optimizer { return NewSGD(1e-2, 0.9) },
 	}
 	for name, build := range builders {
 		t.Run(name, func(t *testing.T) {

@@ -1,9 +1,12 @@
 package registry
 
 import (
+	"bytes"
 	"errors"
 	"math"
+	"os"
 	"path/filepath"
+	"regexp"
 	"testing"
 
 	"repro/internal/core"
@@ -88,6 +91,44 @@ func TestStorePublishLoadRoundTrip(t *testing.T) {
 	}
 	if latest, ok := st2.Latest("cpu"); !ok || latest != 2 {
 		t.Fatalf("reopened latest = (%d, %v)", latest, ok)
+	}
+}
+
+// TestStoreLoadRefusesMalformedSnapshot: a version file whose model
+// config no builder accepts, or whose target indexes past the normalizer,
+// comes back from Load as an error — Load runs on the request path, where
+// a panic would take the daemon down.
+func TestStoreLoadRefusesMalformedSnapshot(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Publish("cpu", fitted(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	path := st.versionPath("cpu", 1)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pattern, bad := range map[string]string{
+		`"InChannels":[1-9]\d*`:  `"InChannels":0`,
+		`"Dilations":null,"Drop`: `"Dilations":[1,2],"Drop`,
+		`"Channels":\[4\]`:       `"Channels":[-4]`,
+		`"KernelSize":2`:         `"KernelSize":-1`,
+		`"Dropout":0`:            `"Dropout":1.5`,
+		`"target":0`:             `"target":4`,
+	} {
+		malformed := regexp.MustCompile(pattern).ReplaceAll(good, []byte(bad))
+		if bytes.Equal(malformed, good) {
+			t.Fatalf("%s matches nothing in the snapshot", pattern)
+		}
+		if err := os.WriteFile(path, malformed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := st.Load("cpu", 1); err == nil {
+			t.Errorf("%s: Load accepted the snapshot", bad)
+		}
 	}
 }
 

@@ -159,8 +159,6 @@ type Config struct {
 	Shuffle bool
 	// Seed seeds the shuffling RNG.
 	Seed uint64
-	// Schedule optionally adjusts the learning rate per epoch.
-	Schedule opt.Schedule
 	// RestoreBest restores the parameter values from the best validation
 	// epoch after training (like Keras restore_best_weights).
 	RestoreBest bool
@@ -199,9 +197,6 @@ func (c *Config) fillDefaults() {
 	if c.Loss == nil {
 		c.Loss = &nn.MSELoss{}
 	}
-	if c.Schedule == nil {
-		c.Schedule = opt.ConstantSchedule{}
-	}
 }
 
 // FineTune continues training model from its current weights — the
@@ -235,7 +230,6 @@ func Fit(model nn.Layer, tr, va Dataset, cfg Config) *History {
 	wantGradNorm := len(cfg.Hooks) > 0
 	best := math.Inf(1)
 	var bestParams []*tensor.Tensor
-	baseLR := cfg.Optimizer.LR()
 	wait := 0
 	// The guard's rollback needs best weights even when the caller did
 	// not ask for final restoration.
@@ -290,8 +284,6 @@ func Fit(model nn.Layer, tr, va Dataset, cfg Config) *History {
 
 	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
 		epochSpan := fitSpan.Start("epoch", obstrace.Int("epoch", epoch))
-		lr := cfg.Schedule.Rate(epoch, baseLR)
-		cfg.Optimizer.SetLR(lr)
 		if cfg.Shuffle {
 			rng.PermInto(order)
 		}
@@ -380,7 +372,7 @@ func Fit(model nn.Layer, tr, va Dataset, cfg Config) *History {
 			TrainLoss:      epochLoss / float64(batches),
 			ValidLoss:      vl,
 			GradNorm:       math.NaN(),
-			LR:             lr,
+			LR:             cfg.Optimizer.LR(),
 			Duration:       time.Since(epochStart),
 			Improved:       improved,
 			BestEpoch:      hist.BestEpoch,
@@ -440,7 +432,6 @@ func Fit(model nn.Layer, tr, va Dataset, cfg Config) *History {
 			break
 		}
 	}
-	cfg.Optimizer.SetLR(baseLR)
 	if cfg.RestoreBest && bestParams != nil {
 		restore(model, bestParams)
 	}

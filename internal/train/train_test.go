@@ -252,7 +252,11 @@ func TestFitConvScratchSettles(t *testing.T) {
 // path has to serve the restored weights, not the kernel baked before.
 func TestRestoreUnfreezes(t *testing.T) {
 	r := tensor.NewRNG(3)
-	model := nn.NewSequential(nn.NewCausalConv1D(r, 2, 3, 3, 1, true), &nn.Flatten{}, nn.NewDense(r, 3*8, 1))
+	model := nn.NewSequential(
+		nn.NewTCN(r, nn.TCNConfig{InChannels: 2, Channels: []int{3}, KernelSize: 3, WeightNorm: true}),
+		&nn.LastStep{},
+		nn.NewDense(r, 3, 1),
+	)
 	best := snapshotInto(model, nil)
 	for _, v := range best {
 		for i := range v.Data {
