@@ -3,11 +3,7 @@ package obs
 import (
 	"runtime"
 	"runtime/debug"
-	"sync"
 )
-
-// buildInfoRegistered guards against double registration per registry.
-var buildInfoRegistered sync.Map // *Registry → struct{}
 
 // RegisterBuildInfo exports a constant rptcn_build_info gauge (value 1)
 // whose labels identify the running binary: module version, VCS
@@ -17,30 +13,29 @@ var buildInfoRegistered sync.Map // *Registry → struct{}
 // builds, `go test`, stripped binaries). Repeated calls for the same
 // registry are no-ops.
 func RegisterBuildInfo(r *Registry) {
-	if _, loaded := buildInfoRegistered.LoadOrStore(r, struct{}{}); loaded {
-		return
-	}
-	version, revision, modified := "unknown", "unknown", "unknown"
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		if bi.Main.Version != "" && bi.Main.Version != "(devel)" {
-			version = bi.Main.Version
-		}
-		for _, s := range bi.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				if s.Value != "" {
-					revision = s.Value
+	r.buildInfoOnce.Do(func() {
+		version, revision, modified := "unknown", "unknown", "unknown"
+		if bi, ok := debug.ReadBuildInfo(); ok {
+			if bi.Main.Version != "" && bi.Main.Version != "(devel)" {
+				version = bi.Main.Version
+			}
+			for _, s := range bi.Settings {
+				switch s.Key {
+				case "vcs.revision":
+					if s.Value != "" {
+						revision = s.Value
+					}
+				case "vcs.modified":
+					modified = s.Value
 				}
-			case "vcs.modified":
-				modified = s.Value
 			}
 		}
-	}
-	r.Gauge("rptcn_build_info",
-		"Build identity of the running binary; constant 1.",
-		L("version", version),
-		L("revision", revision),
-		L("modified", modified),
-		L("go_version", runtime.Version()),
-	).Set(1)
+		r.Gauge("rptcn_build_info",
+			"Build identity of the running binary; constant 1.",
+			L("version", version),
+			L("revision", revision),
+			L("modified", modified),
+			L("go_version", runtime.Version()),
+		).Set(1)
+	})
 }

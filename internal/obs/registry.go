@@ -87,6 +87,12 @@ type Registry struct {
 	// RegisterCollector and RegisterRuntimeMetrics in runtime.go).
 	collectorMu sync.Mutex
 	collectors  []func()
+
+	// "Registered once" state of RegisterBuildInfo and
+	// RegisterRuntimeMetrics lives here, not in a package-level table
+	// keyed by registry: such a table would keep every registry — and
+	// through its collectors whatever they close over — alive forever.
+	buildInfoOnce, runtimeOnce sync.Once
 }
 
 // NewRegistry returns an empty registry.

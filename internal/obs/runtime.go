@@ -34,9 +34,6 @@ func (r *Registry) collect() {
 	}
 }
 
-// runtimeRegistered guards against double registration per registry.
-var runtimeRegistered sync.Map // *Registry → struct{}
-
 // RegisterRuntimeMetrics exports Go runtime health as gauges, refreshed
 // at scrape time by a collector:
 //
@@ -47,10 +44,9 @@ var runtimeRegistered sync.Map // *Registry → struct{}
 //	rptcn_go_gc_runs_total           completed GC cycles
 //
 // Repeated calls for the same registry are no-ops.
-func RegisterRuntimeMetrics(r *Registry) {
-	if _, loaded := runtimeRegistered.LoadOrStore(r, struct{}{}); loaded {
-		return
-	}
+func RegisterRuntimeMetrics(r *Registry) { r.runtimeOnce.Do(func() { registerRuntimeMetrics(r) }) }
+
+func registerRuntimeMetrics(r *Registry) {
 	goroutines := r.Gauge("rptcn_go_goroutines", "Current number of goroutines.")
 	heapAlloc := r.Gauge("rptcn_go_heap_alloc_bytes", "Bytes of allocated heap objects.")
 	heapSys := r.Gauge("rptcn_go_heap_sys_bytes", "Heap memory obtained from the OS.")

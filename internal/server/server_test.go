@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -203,6 +206,33 @@ func TestConcurrentForecasts(t *testing.T) {
 	if len(errs) > 0 {
 		t.Fatalf("%d concurrent requests failed", len(errs))
 	}
+}
+
+// TestClosedServerIsCollected pins that nothing process-wide holds on to
+// a closed server: once it and its registry are dropped, the predictor it
+// served is garbage. The registry's collectors close over the server, so
+// any package-level table keyed by registry would keep the server, its
+// predictor, rings and training scratch alive for the life of the
+// process — one more of each per server.New.
+func TestClosedServerIsCollected(t *testing.T) {
+	collected := make(chan struct{})
+	func() {
+		p, _ := fitted(t)
+		runtime.SetFinalizer(p, func(*core.Predictor) { close(collected) })
+		s := New(p, WithRegistry(obs.NewRegistry()))
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Fatal("a closed, dropped server's predictor is still reachable")
 }
 
 func TestNewNilPredictorPanics(t *testing.T) {
