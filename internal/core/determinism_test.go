@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -32,8 +33,8 @@ func synthDataset(seed uint64, n, channels, window int) train.Dataset {
 }
 
 // fitHistory trains a freshly built model with the given worker count and
-// returns the raw loss histories.
-func fitHistory(t *testing.T, workers int, build func(r *tensor.RNG) nn.Layer) (trainLoss, validLoss []float64) {
+// batch size and returns the raw loss histories.
+func fitHistory(t *testing.T, workers, batch int, build func(r *tensor.RNG) nn.Layer) (trainLoss, validLoss []float64) {
 	t.Helper()
 	prev := par.SetWorkers(workers)
 	defer par.SetWorkers(prev)
@@ -44,7 +45,7 @@ func fitHistory(t *testing.T, workers int, build func(r *tensor.RNG) nn.Layer) (
 	model := build(tensor.NewRNG(7))
 	hist := train.Fit(model, tr, va, train.Config{
 		Epochs:    3,
-		BatchSize: 12, // deliberately not a divisor of 32: exercises the short tail batch
+		BatchSize: batch,
 		Optimizer: opt.NewAdam(1e-2),
 		Shuffle:   true,
 		Seed:      5,
@@ -71,7 +72,9 @@ func requireBitwiseEqual(t *testing.T, name string, a, b []float64) {
 // determinism contract end to end: a full training run produces
 // bitwise-identical loss histories no matter how many workers execute the
 // parallel kernels. Chunk boundaries and reduction order depend only on
-// the problem shape, never on the worker count.
+// the problem shape, never on the worker count. Batches of 12 — not a
+// divisor of 32 — split into a row chunk and a short one and end in a
+// tail of exactly one chunk; batches of 5 are each smaller than a chunk.
 func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
 	builders := map[string]func(r *tensor.RNG) nn.Layer{
 		"RPTCN": func(r *tensor.RNG) nn.Layer {
@@ -91,14 +94,18 @@ func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
 	}
 	for name, build := range builders {
 		t.Run(name, func(t *testing.T) {
-			refTrain, refValid := fitHistory(t, 1, build)
-			if len(refTrain) == 0 {
-				t.Fatal("empty training history")
-			}
-			for _, workers := range []int{2, 4} {
-				gotTrain, gotValid := fitHistory(t, workers, build)
-				requireBitwiseEqual(t, "TrainLoss", refTrain, gotTrain)
-				requireBitwiseEqual(t, "ValidLoss", refValid, gotValid)
+			for _, batch := range []int{12, 5} {
+				t.Run(fmt.Sprintf("batch%d", batch), func(t *testing.T) {
+					refTrain, refValid := fitHistory(t, 1, batch, build)
+					if len(refTrain) == 0 {
+						t.Fatal("empty training history")
+					}
+					for _, workers := range []int{2, 4} {
+						gotTrain, gotValid := fitHistory(t, workers, batch, build)
+						requireBitwiseEqual(t, "TrainLoss", refTrain, gotTrain)
+						requireBitwiseEqual(t, "ValidLoss", refValid, gotValid)
+					}
+				})
 			}
 		})
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/models"
 	"repro/internal/nn"
 	"repro/internal/opt"
+	"repro/internal/par"
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
@@ -94,8 +95,12 @@ func TestFitWeightsBitwiseThroughOracle(t *testing.T) {
 // TestProfiledStagesCountTrainingCalls: inside a fused run the profiling
 // wrappers are not called, they are timed by the chains — and every
 // stage, the blocks and LastStep included, must still count one forward
-// and one backward per training batch, each with time on it.
+// and one backward per training batch, each with time on it. It trains
+// at 2 pool workers, so each batch of 16 runs as two row chunks whose
+// stage timers are fed from two goroutines at once: under -race this is
+// the profiled step's race test.
 func TestProfiledStagesCountTrainingCalls(t *testing.T) {
+	defer par.SetWorkers(par.SetWorkers(2))
 	prof := nn.NewProfiler()
 	m := NewModel(tensor.NewRNG(3), Config{InChannels: 5, Channels: []int{6, 6, 6}, WeightNorm: true, FCWidth: 8})
 	m.Profile(prof)

@@ -15,8 +15,9 @@ type TemporalBlock struct {
 	downsample   *CausalConv1D // 1×1 conv; nil when in == out channels
 	finalReLU    ReLU
 
-	plan *blockSteps // step plan of the last window run, the cache of planSteps (see cone.go)
-	fwd  *blockSteps // plan of the last forward off the arena, which Backward mirrors
+	plan *blockSteps    // step plan of the last window run, the cache of planSteps (see cone.go)
+	fwd  *blockSteps    // plan of the last forward off the arena, which Backward mirrors
+	dx   *tensor.Tensor // input-gradient scratch when the block is not the first of its run
 }
 
 // TemporalBlockConfig holds the hyperparameters of one block.
@@ -48,18 +49,18 @@ func NewTemporalBlock(r *tensor.RNG, cfg TemporalBlockConfig) *TemporalBlock {
 // to the receptive cone by ForwardChain). x is never written and the
 // returned tensor is fresh.
 func (b *TemporalBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return forwardRun(nil, []Layer{b}, nil, x, train)
+	return ForwardChain([]Layer{b}, x, train)
 }
 
 // InferForward implements InferLayer: the same body on the arena.
 func (b *TemporalBlock) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return forwardRun(a, []Layer{b}, nil, x, false)
+	return InferChain(a, []Layer{b}, x)
 }
 
 // Backward implements Layer. grad belongs to the caller and is left
 // alone.
 func (b *TemporalBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return backwardRun([]Layer{b}, nil, grad)
+	return BackwardChain([]Layer{b}, grad)
 }
 
 // Params implements Layer.
@@ -118,17 +119,17 @@ func NewTCN(r *tensor.RNG, cfg TCNConfig) *TCN {
 
 // Forward implements Layer: every step, as TemporalBlock.Forward.
 func (t *TCN) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return forwardRun(nil, []Layer{t}, nil, x, train)
+	return ForwardChain([]Layer{t}, x, train)
 }
 
 // InferForward implements InferLayer.
 func (t *TCN) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return forwardRun(a, []Layer{t}, nil, x, false)
+	return InferChain(a, []Layer{t}, x)
 }
 
 // Backward implements Layer.
 func (t *TCN) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return backwardRun([]Layer{t}, nil, grad)
+	return BackwardChain([]Layer{t}, grad)
 }
 
 // Params implements Layer.

@@ -7,11 +7,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// parFlops is the mul-add count above which nn kernels fan out onto the
-// internal/par pool — the same crossover as the tensor matmuls (see the
-// tuning comment on parallelFlops in internal/tensor/matmul.go).
-const parFlops = 32 * 64 * 64
-
 // CausalConv1D is a dilated causal 1-D convolution (the paper's eq. 3–4).
 // Input and output have layout [batch, channels, time]; the output length
 // equals the input length thanks to left zero-padding of (K−1)·d samples,
@@ -48,8 +43,9 @@ type CausalConv1D struct {
 	vNorms  []float64      // per-output-channel ‖V‖ from the last forward
 
 	// Scratch of the forward and backward kernels off the arena (see
-	// cone.go). backwardTaps reads acol as the forward left it. The
-	// batch-sized buffers only ever grow (see scratch2D).
+	// cone.go), each sized for the whole batch of a pass. kernelGrads
+	// reads acol as the forward left it. The batch-sized buffers only
+	// ever grow (see scratch2D).
 	acol      *tensor.Tensor // [in·k, b·n] gathered input columns
 	ycol      *tensor.Tensor // [b·n, out] GEMM output, bias-seeded
 	gcol      *tensor.Tensor // [b·n, out] output gradient, laid out like ycol
@@ -137,25 +133,60 @@ func (c *CausalConv1D) effectiveKernel() *tensor.Tensor {
 	return w
 }
 
-// Forward implements Layer.
+// Forward implements Layer: every step of the window, through the
+// kernels in cone.go (see ForwardChain).
 func (c *CausalConv1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return c.everyStep(nil, x, train)
+	return ForwardChain([]Layer{c}, x, train)
 }
 
 // InferForward implements InferLayer.
 func (c *CausalConv1D) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return c.everyStep(a, x, false)
+	return InferChain(a, []Layer{c}, x)
 }
 
-// Backward implements Layer: the gradient is gathered into the compact
-// layout of the forward's output and handed to backwardTaps.
+// Backward implements Layer.
 func (c *CausalConv1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	b, t := grad.Dim(0), grad.Dim(2)
-	g := c.outGrad(b * t)
-	gatherSteps(compactSteps(g.Data, b, c.OutChannels, t), grad.Data, t)
-	dx := tensor.New(b, c.InChannels, t)
-	c.backwardTaps(g, denseSteps(dx.Data, b, c.InChannels, t), c.fullTaps(t))
-	return dx
+	return BackwardChain([]Layer{c}, grad)
+}
+
+// beginForward implements rowLayer for a convolution nobody prunes: it
+// lists every step of x's window.
+func (c *CausalConv1D) beginForward(a *InferArena, x *tensor.Tensor, train bool) *tensor.Tensor {
+	requireSeq("CausalConv1D", x)
+	b, t := x.Dim(0), x.Dim(2)
+	c.fullTaps(t)
+	c.prepare(a, b*t, train)
+	return a.Get(b, c.OutChannels, t)
+}
+
+// forwardRows implements rowLayer.
+func (c *CausalConv1D) forwardRows(a *InferArena, x, y *tensor.Tensor, lo, hi int) {
+	t := x.Dim(2)
+	h := c.forwardTaps(a, denseSteps(x.Data, x.Dim(0), x.Dim(1), t).rows(lo, hi), lo, c.taps)
+	scatterSteps(y.Data[lo*h.c*t:], h, t)
+}
+
+// beginBackward implements rowLayer.
+func (c *CausalConv1D) beginBackward(g *tensor.Tensor) *tensor.Tensor {
+	b, t := g.Dim(0), g.Dim(2)
+	c.fullTaps(t)
+	c.readyBackward(b*t, true)
+	return tensor.New(b, c.InChannels, t)
+}
+
+// backwardRows implements rowLayer: the rows of the gradient are
+// gathered into the compact layout of the forward's output and handed to
+// backwardTaps.
+func (c *CausalConv1D) backwardRows(g, dx *tensor.Tensor, lo, hi int) {
+	out, t := c.OutChannels, g.Dim(2)
+	gr := c.gcol.Data[lo*t*out : hi*t*out]
+	gatherSteps(compactSteps(gr, hi-lo, out, t), g.Data[lo*out*t:], t)
+	c.backwardTaps(gr, denseSteps(dx.Data, dx.Dim(0), c.InChannels, t).rows(lo, hi), lo, c.taps)
+}
+
+// paramGrads implements rowLayer.
+func (c *CausalConv1D) paramGrads(g *tensor.Tensor, chunk int) {
+	c.kernelGrads(c.gcol, chunk*g.Dim(2))
 }
 
 // scratch2D returns a [rows, cols] scratch tensor, reusing buf's storage

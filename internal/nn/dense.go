@@ -23,32 +23,55 @@ func NewDense(r *tensor.RNG, in, out int) *Dense {
 	}
 }
 
-// Forward implements Layer.
-func (d *Dense) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor { return d.forward(nil, x) }
+// Forward implements Layer (see ForwardChain).
+func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return ForwardChain([]Layer{d}, x, train)
+}
 
 // InferForward implements InferLayer.
-func (d *Dense) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor { return d.forward(a, x) }
+func (d *Dense) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
+	return InferChain(a, []Layer{d}, x)
+}
 
-// forward is the layer's one body. The output comes from the arena; off
-// it (a == nil) it is fresh and the input is kept for Backward.
-func (d *Dense) forward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
+// Backward implements Layer.
+func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return BackwardChain([]Layer{d}, grad)
+}
+
+// beginForward implements rowLayer. The output comes from the arena; off
+// it (a == nil) it is fresh and the input is kept for the backward.
+func (d *Dense) beginForward(a *InferArena, x *tensor.Tensor, _ bool) *tensor.Tensor {
 	if x.Dims() != 2 {
 		panic(fmt.Sprintf("nn: Dense requires [batch, features], got %v", x.Shape()))
 	}
 	if a == nil {
 		d.x = x
 	}
-	out := a.Get(x.Dim(0), d.W.Value.Dim(0))
-	x.MatMulTInto(d.W.Value, out)
-	return out.AddRowVectorInPlace(d.B.Value)
+	return a.Get(x.Dim(0), d.W.Value.Dim(0))
 }
 
-// Backward implements Layer.
-func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	// dW = gradᵀ · x ;  db = column sums of grad ;  dx = grad · W.
-	grad.TMatMulAcc(d.x, d.W.Grad)
-	grad.SumRowsAcc(d.B.Grad)
-	return grad.MatMul(d.W.Value)
+// forwardRows is the layer's one forward body.
+func (d *Dense) forwardRows(_ *InferArena, x, y *tensor.Tensor, lo, hi int) {
+	out := y.Rows(lo, hi)
+	x.Rows(lo, hi).MatMulTInto(d.W.Value, out)
+	out.AddRowVectorInPlace(d.B.Value)
+}
+
+// beginBackward implements rowLayer.
+func (d *Dense) beginBackward(g *tensor.Tensor) *tensor.Tensor {
+	return tensor.New(g.Dim(0), d.W.Value.Dim(1))
+}
+
+// backwardRows implements rowLayer: dx = grad · W.
+func (d *Dense) backwardRows(g, dx *tensor.Tensor, lo, hi int) {
+	g.Rows(lo, hi).MatMulInto(d.W.Value, dx.Rows(lo, hi))
+}
+
+// paramGrads implements rowLayer: dW = gradᵀ · x ; db = column sums of
+// grad.
+func (d *Dense) paramGrads(g *tensor.Tensor, _ int) {
+	g.TMatMulAcc(d.x, d.W.Grad)
+	g.SumRowsAcc(d.B.Grad)
 }
 
 // Params implements Layer.

@@ -88,7 +88,7 @@ func (d *SpatialDropout1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor 
 		return x
 	}
 	out := x.Clone()
-	d.scale(denseSteps(out.Data, x.Dim(0), x.Dim(1), x.Dim(2)))
+	d.scale(denseSteps(out.Data, x.Dim(0), x.Dim(1), x.Dim(2)), 0)
 	return out
 }
 
@@ -122,20 +122,20 @@ func (d *SpatialDropout1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 		return grad
 	}
 	out := grad.Clone()
-	d.scale(denseSteps(out.Data, grad.Dim(0), grad.Dim(1), grad.Dim(2)))
+	d.scale(denseSteps(out.Data, grad.Dim(0), grad.Dim(1), grad.Dim(2)), 0)
 	return out
 }
 
-// scale applies the mask to x in place, in either layout (see steps) —
-// forward and backward are the same map: every position of a dropped
-// (batch, channel) becomes zero, those of a kept one are rescaled. With
-// no mask in force it leaves x alone.
-func (d *SpatialDropout1D) scale(x steps) {
+// scale applies the mask to x, the batch's samples from lo on, in place,
+// in either layout (see steps) — forward and backward are the same map:
+// every position of a dropped (batch, channel) becomes zero, those of a
+// kept one are rescaled. With no mask in force it leaves x alone.
+func (d *SpatialDropout1D) scale(x steps, lo int) {
 	if d.mask == nil {
 		return
 	}
 	for bi := 0; bi < x.b; bi++ {
-		mask := d.mask[bi*x.c : (bi+1)*x.c]
+		mask := d.mask[(lo+bi)*x.c : (lo+bi+1)*x.c]
 		for pos := 0; pos < x.n(); pos++ {
 			at := x.data[bi*x.sb+pos*x.sp:]
 			for ci, m := range mask {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -53,28 +54,39 @@ func (c coneCase) build() *Sequential {
 
 // FuzzConeTrainStep decodes a stack from the input and holds one
 // training step through the chains — forward and backward inside the
-// receptive cone — to the same step through the layer-by-layer oracle
-// that computes every step: output, dx, every parameter gradient and
-// the dropout streams, bitwise. Then, with the weights moved, it holds
-// the arena path and the eval-mode Forward to the oracle's forward. The
-// seeds are the files under testdata/fuzz/FuzzConeTrainStep, named for
-// the edge each one sits on.
+// receptive cone, the batch split into row chunks — to the same step
+// through the layer-by-layer oracle that computes every step, run at one
+// pool worker: output, dx, every parameter gradient and the dropout
+// streams, bitwise, with the chains at 1 and 2 workers. Then, with the
+// weights moved, it holds the arena path and the eval-mode Forward to
+// the oracle's forward. The seeds are the files under
+// testdata/fuzz/FuzzConeTrainStep, named for the edge each one sits on;
+// the batch-7/8/9 ones sit below, at and one above the chunk size.
 func FuzzConeTrainStep(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c := decodeConeCase(data)
-		name := fmt.Sprintf("%+v", c)
-		model, ref := c.build(), c.build()
 		r := tensor.NewRNG(c.seed + 1)
 		x, grad := tensor.RandN(r, c.batch, c.in, c.window), tensor.RandN(r, c.batch, 2)
-		requireSameStep(t, name, trainStep(model, x, grad), trainStep(everyStep{ref}, x, grad), model, ref)
-		nudge(model, ref)
+		for _, workers := range []int{1, 2} {
+			name := fmt.Sprintf("%+v/w%d", c, workers)
+			model, ref := c.build(), c.build()
+			prev := par.SetWorkers(1)
+			wantStep := trainStep(everyStep{ref}, x, grad)
+			par.SetWorkers(workers)
+			gotStep := trainStep(model, x, grad)
+			requireSameStep(t, name, gotStep, wantStep, model, ref)
+			nudge(model, ref)
 
-		want := everyStep{ref}.Forward(x, false)
-		requireBitwiseTensors(t, model.Forward(x, false), want, name+": Forward")
-		arena := NewInferArena()
-		for pass := 0; pass < 2; pass++ {
-			arena.Reset()
-			requireBitwiseTensors(t, Infer(model, arena, x), want, name+": arena")
+			par.SetWorkers(1)
+			want := everyStep{ref}.Forward(x, false)
+			par.SetWorkers(workers)
+			requireBitwiseTensors(t, model.Forward(x, false), want, name+": Forward")
+			arena := NewInferArena()
+			for pass := 0; pass < 2; pass++ {
+				arena.Reset()
+				requireBitwiseTensors(t, Infer(model, arena, x), want, name+": arena")
+			}
+			par.SetWorkers(prev)
 		}
 	})
 }

@@ -125,42 +125,53 @@ type LastStep struct {
 	inShape []int
 }
 
-// Forward implements Layer.
-func (l *LastStep) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor { return l.forward(nil, x) }
+// Forward implements Layer (see ForwardChain).
+func (l *LastStep) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return ForwardChain([]Layer{l}, x, train)
+}
 
 // InferForward implements InferLayer.
 func (l *LastStep) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return l.forward(a, x)
-}
-
-// forward is the layer's one body. The output comes from the arena; off
-// it (a == nil) it is fresh and the input shape is kept for Backward.
-func (l *LastStep) forward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	requireSeq("LastStep", x)
-	if a == nil {
-		l.inShape = x.Shape()
-	}
-	b, c, t := x.Dim(0), x.Dim(1), x.Dim(2)
-	out := a.Get(b, c)
-	for i := 0; i < b; i++ {
-		for j := 0; j < c; j++ {
-			out.Data[i*c+j] = x.Data[(i*c+j)*t+t-1]
-		}
-	}
-	return out
+	return InferChain(a, []Layer{l}, x)
 }
 
 // Backward implements Layer.
 func (l *LastStep) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	b, c, t := l.inShape[0], l.inShape[1], l.inShape[2]
-	out := tensor.New(b, c, t)
-	for i := 0; i < b; i++ {
-		for j := 0; j < c; j++ {
-			out.Data[(i*c+j)*t+t-1] = grad.Data[i*c+j]
-		}
-	}
-	return out
+	return BackwardChain([]Layer{l}, grad)
 }
+
+// beginForward implements rowLayer. The output comes from the arena; off
+// it (a == nil) it is fresh and the input shape is kept for the backward.
+func (l *LastStep) beginForward(a *InferArena, x *tensor.Tensor, _ bool) *tensor.Tensor {
+	requireSeq("LastStep", x)
+	if a == nil {
+		l.inShape = x.Shape()
+	}
+	return a.Get(x.Dim(0), x.Dim(1))
+}
+
+// forwardRows is the layer's one forward body.
+func (l *LastStep) forwardRows(_ *InferArena, x, y *tensor.Tensor, lo, hi int) {
+	c, t := x.Dim(1), x.Dim(2)
+	for i := lo * c; i < hi*c; i++ {
+		y.Data[i] = x.Data[i*t+t-1]
+	}
+}
+
+// beginBackward implements rowLayer.
+func (l *LastStep) beginBackward(*tensor.Tensor) *tensor.Tensor { return tensor.New(l.inShape...) }
+
+// backwardRows implements rowLayer: the gradient lands on the final step,
+// zero elsewhere.
+func (l *LastStep) backwardRows(g, dx *tensor.Tensor, lo, hi int) {
+	c, t := l.inShape[1], l.inShape[2]
+	for i := lo * c; i < hi*c; i++ {
+		dx.Data[i*t+t-1] = g.Data[i]
+	}
+}
+
+// paramGrads implements rowLayer: LastStep has none.
+func (l *LastStep) paramGrads(*tensor.Tensor, int) {}
 
 // Params implements Layer.
 func (l *LastStep) Params() []*Param { return nil }

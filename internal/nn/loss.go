@@ -47,17 +47,15 @@ func lossReduce(pred, target *tensor.Tensor, partials *[]float64, f func(p, t fl
 	return total
 }
 
-// lossGrad fills the reused gradient buffer elementwise in parallel.
+// lossGrad fills the reused gradient buffer elementwise.
 func lossGrad(pred *tensor.Tensor, buf **tensor.Tensor, f func(i int) float64) *tensor.Tensor {
 	if *buf == nil || !(*buf).SameShape(pred) {
 		*buf = tensor.NewLike(pred)
 	}
 	out := *buf
-	par.Run(pred.Size(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out.Data[i] = f(i)
-		}
-	})
+	for i := range out.Data {
+		out.Data[i] = f(i)
+	}
 	return out
 }
 

@@ -8,6 +8,12 @@ import (
 	"repro/internal/tensor"
 )
 
+// parFlops is the mul-add count above which the LSTM's kernels fan out
+// onto the internal/par pool — the tensor matmuls' crossover (see
+// internal/tensor/matmul.go). An LSTM keeps a chain in one chunk (see
+// chain.go), so its own kernels are where its parallelism lives.
+const parFlops = 32 * 64 * 64
+
 // LSTM is a standard long short-term memory layer with full
 // backpropagation through time. Input is [batch, features, time]. When
 // ReturnSequences is true the output is [batch, hidden, time]; otherwise it

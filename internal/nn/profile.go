@@ -25,8 +25,14 @@ import (
 //	fmt.Print(p.Table())
 //
 // Counters are atomics, so concurrent forward passes (e.g. fleet
-// training) accumulate correctly; the measured overhead is two
-// time.Now calls per wrapped layer per pass.
+// training) and the row chunks of one pass accumulate correctly; the
+// measured overhead is two time.Now calls per wrapped layer per chunk.
+//
+// A stage's call count is one per pass. Its time is summed over the
+// pass's row chunks (see chain.go), which run on several workers at
+// once: it is the CPU time the stage took, not wall time, and with two
+// workers the stages of a step add up to about twice the step's wall
+// clock.
 type Profiler struct {
 	mu    sync.Mutex
 	order []string
@@ -99,6 +105,7 @@ func (w *Profiled) forward(a *InferArena, x *tensor.Tensor, train bool) *tensor.
 	t0 := w.start()
 	out := runChain(a, []Layer{w.inner}, x, train)
 	w.observe(t0, false)
+	w.count(false)
 	return out
 }
 
@@ -107,6 +114,7 @@ func (w *Profiled) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	t0 := w.start()
 	out := w.inner.Backward(grad)
 	w.observe(t0, true)
+	w.count(true)
 	return out
 }
 
@@ -119,17 +127,29 @@ func (w *Profiled) start() (t0 time.Time) {
 	return t0
 }
 
-// observe records one call begun at t0, forward or backward; a no-op on
-// a nil wrapper.
+// observe adds the time since t0 to the stage's forward or backward
+// total — one chunk's share of a pass; a no-op on a nil wrapper.
 func (w *Profiled) observe(t0 time.Time, backward bool) {
 	if w == nil {
 		return
 	}
-	nanos, calls := &w.times.fwdNanos, &w.times.fwdCalls
+	nanos := &w.times.fwdNanos
 	if backward {
-		nanos, calls = &w.times.bwdNanos, &w.times.bwdCalls
+		nanos = &w.times.bwdNanos
 	}
 	nanos.Add(int64(time.Since(t0)))
+}
+
+// count records one forward or backward pass through the stage; a no-op
+// on a nil wrapper.
+func (w *Profiled) count(backward bool) {
+	if w == nil {
+		return
+	}
+	calls := &w.times.fwdCalls
+	if backward {
+		calls = &w.times.bwdCalls
+	}
 	calls.Add(1)
 }
 

@@ -100,6 +100,55 @@ func TestTMatMulAccMatchesFMAOracle(t *testing.T) {
 	}
 }
 
+// TestMatMulAccContinuesTheChain pins what a split training pass relies
+// on for its kernel gradients: a product over k computed as consecutive
+// runs of k — A's columns with B's rows, a first MatMulInto and then
+// MatMulAcc for each later run — is bitwise the product over all of k,
+// for every split point and on both sides of the parallel threshold.
+func TestMatMulAccContinuesTheChain(t *testing.T) {
+	r := NewRNG(12)
+	for _, sh := range gemmShapes {
+		a, b := RandN(r, sh.m, sh.k), RandN(r, sh.k, sh.n)
+		want := a.MatMul(b)
+		for _, run := range []int{1, 3, 8, sh.k} {
+			got := New(sh.m, sh.n)
+			for lo := 0; lo < sh.k; lo += run {
+				hi := min(lo+run, sh.k)
+				ab := New(sh.m, hi-lo) // columns [lo, hi) of a
+				for i := 0; i < sh.m; i++ {
+					copy(ab.Data[i*(hi-lo):(i+1)*(hi-lo)], a.Data[i*sh.k+lo:i*sh.k+hi])
+				}
+				if lo == 0 {
+					ab.MatMulInto(b.Rows(lo, hi), got)
+				} else {
+					ab.MatMulAcc(b.Rows(lo, hi), got)
+				}
+			}
+			requireBitwise(t, got, want, "MatMulAcc over runs of k")
+		}
+	}
+}
+
+// TestRowsIsAView: Rows shares t's data, keeps the trailing shape, and is
+// t itself for the whole range.
+func TestRowsIsAView(t *testing.T) {
+	x := RandN(NewRNG(13), 5, 3, 2)
+	if x.Rows(0, 5) != x {
+		t.Fatal("Rows over every row is not the tensor itself")
+	}
+	v := x.Rows(1, 3)
+	if v.Dim(0) != 2 || v.Dim(1) != 3 || v.Dim(2) != 2 || v.Size() != 12 {
+		t.Fatalf("Rows(1, 3) of %v has shape %v", x.Shape(), v.Shape())
+	}
+	v.Data[0] = 42
+	if x.At(1, 0, 0) != 42 {
+		t.Fatal("Rows copied instead of sharing the data")
+	}
+	if v.At(1, 2, 1) != x.At(2, 2, 1) {
+		t.Fatal("Rows indexes the wrong rows")
+	}
+}
+
 // TestGemmRowIndependence pins the property batched inference relies on:
 // row i of a large product is bitwise the result of multiplying row i
 // alone — regardless of batch size or which kernel path the size picks.

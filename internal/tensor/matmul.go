@@ -45,6 +45,18 @@ func (t *Tensor) MatMulInto(u, dst *Tensor) *Tensor {
 	return dst
 }
 
+// MatMulAcc accumulates t × u into dst (dst += t × u): every element's
+// FMA chain continues from the value dst holds, so a product over k
+// split into consecutive runs of rows of u, each accumulated in turn, is
+// bitwise the product over all of k at once. dst must be [m, n] and must
+// not alias t or u. It returns dst.
+func (t *Tensor) MatMulAcc(u, dst *Tensor) *Tensor {
+	m, k, n := matmulDims(t, u, "MatMulAcc")
+	checkDst(dst, m, n, "MatMulAcc")
+	gemm(gemmOp{a: t.Data, b: u.Data, dst: dst.Data, m: m, k: k, n: n, acc: true})
+	return dst
+}
+
 // MatMulT returns t × uᵀ without materializing the transpose.
 func (t *Tensor) MatMulT(u *Tensor) *Tensor {
 	m, _, n := matmulTDims(t, u, "MatMulT")

@@ -159,6 +159,21 @@ func (t *Tensor) Reshape(shape ...int) *Tensor {
 	return out
 }
 
+// Rows returns rows [lo, hi) of t's first dimension as a view sharing
+// t's data — t itself when that is all of them, which allocates nothing.
+func (t *Tensor) Rows(lo, hi int) *Tensor {
+	if t.rank == 0 || lo < 0 || hi < lo || hi > t.shape[0] {
+		panic(fmt.Sprintf("tensor: Rows(%d, %d) out of range for shape %v", lo, hi, t.dims()))
+	}
+	if lo == 0 && hi == t.shape[0] {
+		return t
+	}
+	v := *t
+	v.shape[0] = hi - lo
+	v.Data = t.Data[lo*t.strides[0] : hi*t.strides[0] : hi*t.strides[0]]
+	return &v
+}
+
 // Zero sets every element to 0.
 func (t *Tensor) Zero() {
 	for i := range t.Data {
