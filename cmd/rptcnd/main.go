@@ -88,7 +88,7 @@ func main() {
 		ringCap     = flag.Int("ring-capacity", 0, "samples retained per ingested entity (0 = auto: 2x the model's minimum history, grown to cover -adapt-min-samples)")
 		maxEntities = flag.Int("max-entities", 0, "max entities with ring state; beyond it the least-recently-touched ring is evicted (0 = unbounded)")
 
-		shards      = flag.Int("shards", 1, "forecast-serving shard workers; >1 serves each shard on a private model replica (lock-free forwards)")
+		shards      = flag.Int("shards", 1, "forecast-serving shard workers, each running its own forwards on the one published model")
 		shardQueue  = flag.Int("shard-queue", 0, "pending-forecast queue capacity per shard (0 = 64)")
 		registryDir = flag.String("registry-dir", "", "versioned model registry directory; enables GET /v1/forecast/{entity}?model=<name>")
 		modelCache  = flag.Int("model-cache", 0, "max models resident in the registry's warmed-arena LRU cache (0 = 8)")

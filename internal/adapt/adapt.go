@@ -12,8 +12,8 @@
 // Robustness contract:
 //   - The request path is never blocked: every input is a non-blocking
 //     enqueue onto a bounded queue (overflow counted, dropped), and the
-//     swap itself is one short critical section on the predictor's
-//     serving lock.
+//     swap itself publishes a new snapshot that serving picks up on its
+//     next batch, without a lock.
 //   - One retrain in flight, ever. Failures retry with bounded
 //     exponential backoff; exhausting the budget raises the
 //     rptcn_adapt_alarm gauge and serving continues on the old weights.
@@ -253,7 +253,7 @@ type Supervisor struct {
 	entity    string
 	candModel *core.Model
 	candEval  train.Dataset
-	inf       *core.Inferencer
+	inf       *core.ShardInferencer // pinned to candModel
 	pending   map[string]map[int64][]shadowPair
 	pendingN  int
 	shadowRes int
@@ -557,7 +557,7 @@ func (s *Supervisor) onTrainDone(res trainResult) {
 	s.candModel = res.cand
 	s.candEval = res.eval
 	s.entity = res.entity
-	s.inf = s.cfg.Predictor.NewInferencer(res.cand)
+	s.inf = s.cfg.Predictor.NewCandidateInferencer(res.cand)
 	s.resetScoring()
 	s.setState(StateShadow)
 	s.mirroring.Store(true)
@@ -586,12 +586,12 @@ func (s *Supervisor) onMirror(ev event) {
 	}
 	var cand []float64
 	if s.state == StateShadow {
-		var err error
-		cand, err = s.inf.Forecast(ev.in)
+		out, _, err := s.inf.ForecastBatchGen([]*core.PreparedInput{ev.in})
 		if err != nil {
 			s.cfg.Log.Warn("shadow forecast failed", "err", err)
 			return
 		}
+		cand = out[0]
 		s.shadowC.Inc()
 		for _, v := range cand {
 			if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -131,16 +131,16 @@ func TestForecastBatchMatchesTrainingPath(t *testing.T) {
 			in := inputs[i]
 			x := tensor.New(1, in.channels, p.Cfg.Window)
 			copy(x.Data, in.data)
-			out := everyStep{p.model}.Forward(x, false)
+			out := everyStep{p.Model()}.Forward(x, false)
 			want := p.norm.Inverse(p.target, out.Data)
 			requireBitwiseEqual(t, fmt.Sprintf("batch=%d req=%d", batch, i), got[i], want)
 		}
 	}
 }
 
-// TestForecastFromConcurrentRequests hammers the serving path from many
-// goroutines; run under -race this pins the inferMu serialization of the
-// shared arena and layer kernel state.
+// TestForecastFromConcurrentRequests hammers the predictor's own engine
+// from many goroutines; run under -race this pins that its calls
+// serialize on the engine's arenas and share nothing else.
 func TestForecastFromConcurrentRequests(t *testing.T) {
 	series := syntheticSeries(140)
 	p := NewPredictor(PredictorConfig{
@@ -217,17 +217,17 @@ func TestForecastBatchRefusesForeignInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	si, inf := b.NewShardInferencer(), b.NewInferencer(b.Model())
+	si, cand := b.NewShardInferencer(), b.NewCandidateInferencer(b.Model())
 	holders := map[string]func(in *PreparedInput) ([]float64, error){
 		"predictor": func(in *PreparedInput) ([]float64, error) {
 			res, err := b.ForecastBatch([]*PreparedInput{in})
 			return first(res), err
 		},
-		"replica": func(in *PreparedInput) ([]float64, error) {
+		"shard engine": func(in *PreparedInput) ([]float64, error) {
 			res, _, err := si.ForecastBatchGen([]*PreparedInput{in})
 			return first(res), err
 		},
-		"inferencer": inf.Forecast,
+		"candidate": func(in *PreparedInput) ([]float64, error) { return engineForecast(cand, in) },
 	}
 	for name, forecast := range holders {
 		for _, bad := range []*PreparedInput{foreign, nil} {

@@ -13,11 +13,13 @@ import (
 // requireServesForward demands that the arena path of m — the receptive
 // cone on whatever kernels m holds baked — equals the stage-by-stage
 // forward on the weights now in place (every step of every convolution;
-// see everyStep) bitwise, on a fresh arena and on a replayed one.
+// see everyStep) bitwise, on a fresh arena and on a replayed one. The
+// reference runs on a clone, which starts unfrozen, so it bakes its
+// kernels from those weights and never reads one m has cached.
 func requireServesForward(t *testing.T, what string, m *Model, window int) {
 	t.Helper()
 	x := tensor.RandN(tensor.NewRNG(123), 3, m.Cfg.InChannels, window)
-	want := everyStep{m}.Forward(x, false)
+	want := everyStep{m.Clone()}.Forward(x, false)
 	arena := nn.NewInferArena()
 	for pass := 0; pass < 2; pass++ {
 		arena.Reset()
@@ -59,7 +61,8 @@ func TestFrozenModelFollowsEveryWeightWriter(t *testing.T) {
 	requireServesForward(t, "after LoadParams", m, w)
 
 	nn.Freeze(m)
-	train.Fit(m, p.test, p.test, train.Config{
+	test := p.serving.Load().test
+	train.Fit(m, test, test, train.Config{
 		Epochs: 3, BatchSize: 8, Optimizer: opt.NewAdam(1e-2), Loss: &nn.MSELoss{}, RestoreBest: true,
 	})
 	requireServesForward(t, "after a fit's best-weight restore", m, w)

@@ -200,7 +200,7 @@ func TestPredictorForecastDenormalized(t *testing.T) {
 		copy(x.Data[ci*w:(ci+1)*w], row[len(row)-w:])
 	}
 	requireBitwiseEqual(t, "Forecast vs stage-by-stage forward",
-		f, p.norm.Inverse(p.target, everyStep{p.model}.Forward(x, false).Data))
+		f, p.norm.Inverse(p.target, everyStep{p.Model()}.Forward(x, false).Data))
 	// Forecasts must land on the raw CPU scale (roughly within the series'
 	// historical band, generously padded).
 	cpu := e.Series(trace.CPUUtilPercent)

@@ -84,11 +84,12 @@ func fitDigest(t *testing.T, cfg PredictorConfig, series [][]float64) (digest st
 	if err := p.Fit(series, int(trace.CPUUtilPercent)); err != nil {
 		t.Fatal(err)
 	}
+	s := p.serving.Load()
 	h := sha256.New()
-	for _, prm := range p.model.Params() {
+	for _, prm := range s.model.Params() {
 		hashFloats(h, prm.Value.Data)
 	}
-	for _, row := range train.PredictAll(p.model, p.test) {
+	for _, row := range train.PredictAll(s.model, s.test) {
 		hashFloats(h, row)
 	}
 	windows := len(p.prepared[0]) - p.Cfg.Window - p.Cfg.Horizon + 1

@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/dataprep"
-	"repro/internal/nn"
-	"repro/internal/opt"
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
@@ -20,13 +18,13 @@ import (
 //
 // Windows never span entity boundaries. The chronological 6:2:2 split is
 // applied per entity and the per-entity splits are concatenated, so test
-// windows still lie in each entity's future.
+// windows still lie in each entity's future. Training and publishing are
+// Fit's: the model serves as generation 1.
 func (p *Predictor) FitFleet(entities [][][]float64, target int) error {
 	if len(entities) == 0 {
 		return errors.New("core: no entities")
 	}
 	p.target = target
-	p.weightedFactors = nil
 
 	// Fit normalization and screening on the pooled cleaned series.
 	nIndicators := len(entities[0])
@@ -57,18 +55,21 @@ func (p *Predictor) FitFleet(entities [][][]float64, target int) error {
 		p.selected = dataprep.ScreenTopHalf(normPooled, target)
 	}
 
-	// Build per-entity datasets with the shared normalizer/screening.
+	// Build per-entity datasets with the shared normalizer/screening; the
+	// first entity fixes the expansion layout.
 	var trs, vas, tes []train.Dataset
 	for ei, cleaned := range cleanedPer {
 		normed := p.norm.Transform(cleaned)
 		sel := dataprep.Select(normed, p.selected)
 		if p.Cfg.Scenario == MulExp {
+			if ei == 0 {
+				p.fitExpansion(sel)
+			}
 			sel = p.expand(sel)
 		}
 		if ei == len(cleanedPer)-1 {
 			// Retain the last entity's prepared channels for Forecast().
 			p.prepared = sel
-			p.targetRow = 0
 		}
 		ds, err := dataprep.BuildSupervised(sel, dataprep.WindowConfig{
 			Window: p.Cfg.Window, Horizon: p.Cfg.Horizon, Target: 0,
@@ -84,26 +85,7 @@ func (p *Predictor) FitFleet(entities [][][]float64, target int) error {
 		vas = append(vas, va)
 		tes = append(tes, te)
 	}
-	trAll := concatDatasets(trs)
-	vaAll := concatDatasets(vas)
-	p.test = concatDatasets(tes)
-
-	mcfg := p.Cfg.Model
-	mcfg.InChannels = trAll.X.Dim(1)
-	mcfg.Horizon = p.Cfg.Horizon
-	p.model = NewModel(tensor.NewRNG(p.Cfg.Seed), mcfg)
-	p.history = train.Fit(p.model, trAll, vaAll, train.Config{
-		Epochs:      p.Cfg.Epochs,
-		BatchSize:   p.Cfg.BatchSize,
-		Optimizer:   opt.NewAdam(p.Cfg.LearningRate),
-		Loss:        &nn.MSELoss{},
-		Patience:    p.Cfg.Patience,
-		Shuffle:     true,
-		Seed:        p.Cfg.Seed + 1,
-		RestoreBest: true,
-		ClipNorm:    5,
-		Hooks:       p.Cfg.Hooks,
-	})
+	p.fitModel(len(p.prepared), concatDatasets(trs), concatDatasets(vas), concatDatasets(tes), nil)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -117,5 +118,64 @@ func TestFitFleetSingleEntityMatchesFitShape(t *testing.T) {
 	}
 	if pf.Model().Cfg.InChannels != ps.Model().Cfg.InChannels {
 		t.Fatal("fleet channels differ from single-entity channels")
+	}
+}
+
+// TestFitFleetPublishesLikeFit: one entity through FitFleet and through
+// Fit trains the same weights, and FitFleet publishes them as Fit does —
+// generation 1, the profiler on every stage, a frozen model — so the two
+// serve the same bits.
+func TestFitFleetPublishesLikeFit(t *testing.T) {
+	ents := fleetEntities(1, 600, 66)
+	cfg := PredictorConfig{
+		Scenario: MulExp, Window: 16, Horizon: 2, Epochs: 2, Seed: 4,
+		Model: Config{Channels: []int{8, 8}, KernelSize: 3, WeightNorm: true, FCWidth: 8},
+	}
+	fleetProf, fitProf := nn.NewProfiler(), nn.NewProfiler()
+	cfg.Profiler = fleetProf
+	pf := NewPredictor(cfg)
+	if err := pf.FitFleet(ents, int(trace.CPUUtilPercent)); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Profiler = fitProf
+	ps := NewPredictor(cfg)
+	if err := ps.Fit(ents[0], int(trace.CPUUtilPercent)); err != nil {
+		t.Fatal(err)
+	}
+	if pf.Generation() != 1 || ps.Generation() != 1 {
+		t.Fatalf("generations: FitFleet %d, Fit %d, want 1", pf.Generation(), ps.Generation())
+	}
+	fleetProf.Reset()
+	win := servingWindows(ps, len(ents[0]), 1)[0]
+	got, err := pf.ForecastFrom(win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ps.ForecastFrom(win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireBitwiseEqual(t, "FitFleet vs Fit forecast", got, want)
+	stats := fleetProf.Stats()
+	if len(stats) != 6 { // tcn[0], tcn[1], last, fc, attention, out
+		t.Fatalf("FitFleet profiled %d stages, want 6", len(stats))
+	}
+	for _, s := range stats {
+		if s.FwdCalls != 1 {
+			t.Errorf("stage %s counted %d calls for one forecast", s.Name, s.FwdCalls)
+		}
+	}
+	// A frozen model serves its baked conv kernels: kernel weights written
+	// behind its back do not reach the forecast.
+	for _, prm := range pf.Model().tcn.Params() {
+		if prm.Name == "conv.B" {
+			continue // biases are read as they stand
+		}
+		for i := range prm.Value.Data {
+			prm.Value.Data[i] *= 1.5
+		}
+	}
+	if again, err := pf.ForecastFrom(win); err != nil || math.Float64bits(again[0]) != math.Float64bits(got[0]) {
+		t.Fatalf("FitFleet's model is not frozen: %v then %v (%v)", got, again, err)
 	}
 }

@@ -12,36 +12,55 @@ import (
 	"repro/internal/train"
 )
 
-// This file is the online-adaptation surface of the predictor: model
-// generations and the atomic hot-swap. A fitted predictor serves
-// generation 1; the adaptation supervisor (internal/adapt) fine-tunes a
-// *clone* of the serving model off the request path (FineTune), shadow-
-// scores it via a private Inferencer, and promotes it with SwapModel —
-// one short critical section on the same inferMu that serializes
-// ForecastBatch, so a forecast is computed entirely by one generation:
-// torn reads are structurally impossible. The data pipeline (normalizer,
-// screening, expansion layout) is frozen at the original Fit, so
-// PreparedInputs built before a swap stay valid after it and the lock-
-// free PrepareInput path never needs to know a swap happened.
+// This file is the predictor's serving state: the one published snapshot
+// every engine serves, the generation that numbers it, and the hot swap.
+// Fit, FitFleet and LoadPredictor publish generation 1, SwapModel the
+// next one. The adaptation supervisor (internal/adapt) fine-tunes a
+// *clone* of the serving model off the request path (FineTune),
+// shadow-scores it on an engine pinned to it (NewCandidateInferencer),
+// and promotes it with SwapModel. A snapshot never changes and its model
+// is prepared for sharing before it is stored, so an engine that loads it
+// once per batch computes the whole batch with one generation and takes
+// no lock: torn reads are structurally impossible. The data pipeline
+// (normalizer, screening, expansion layout) is frozen at the original
+// Fit, so PreparedInputs built before a swap stay valid after it.
+
+// snapshot is one published serving state: a model that is only read
+// from now on, its generation, and the held-out split TestMetrics scores
+// it on.
+type snapshot struct {
+	model *Model
+	gen   int64
+	test  train.Dataset
+}
+
+// prepareServing readies m to be read by many forwards at once: the
+// profiler wraps its stages, nn.Freeze bakes its kernels, and its blocks
+// plan the serving window — what an arena forward would otherwise write.
+// Preparing a prepared model writes nothing, so a model that still serves
+// can be published again (a rollback).
+func (p *Predictor) prepareServing(m *Model) {
+	m.Profile(p.Cfg.Profiler)
+	nn.Freeze(m)
+	nn.PlanChain(m.stages, p.Cfg.Window)
+}
+
+// publish prepares s's model and makes s the snapshot every engine
+// serves from its next batch on.
+func (p *Predictor) publish(s *snapshot) {
+	p.prepareServing(s.model)
+	p.serving.Store(s)
+}
 
 // Generation returns the serving model's generation: 0 before Fit,
 // 1 after Fit or load, +1 per SwapModel (including rollbacks — a
 // rollback is a new generation serving old weights, so response
 // attribution stays unambiguous).
 func (p *Predictor) Generation() int64 {
-	p.inferMu.Lock()
-	defer p.inferMu.Unlock()
-	return p.generation
-}
-
-// ModelGen returns the serving model pointer and its generation as one
-// atomic snapshot — both read under a single inferMu hold, so a replica
-// holder (ShardInferencer) can never observe a torn pair across a
-// concurrent SwapModel.
-func (p *Predictor) ModelGen() (*Model, int64) {
-	p.inferMu.Lock()
-	defer p.inferMu.Unlock()
-	return p.model, p.generation
+	if s := p.serving.Load(); s != nil {
+		return s.gen
+	}
+	return 0
 }
 
 // Clone returns a deep copy of the model: same architecture, weights
@@ -58,64 +77,33 @@ func (m *Model) Clone() *Model {
 	return c
 }
 
-// SwapModel atomically replaces the serving model with m and bumps the
-// generation, returning the previous model and held-out split so the
-// caller can roll back by swapping them in again. eval, when non-empty,
-// becomes the new held-out split (what TestMetrics scores and any later
-// swap's rollback captures). The swap holds inferMu — the same lock
-// every ForecastBatch holds for its whole forward — so no in-flight
-// forecast ever mixes generations; the hold is a pointer swap plus
-// baking the new model's conv kernels (nn.Freeze).
+// SwapModel publishes m as the next generation and returns the previous
+// model and held-out split, so the caller can roll back by swapping them
+// in again. eval, when non-empty, becomes the new held-out split (what
+// TestMetrics scores and any later swap's rollback captures). A batch
+// that loaded the previous snapshot finishes on it; every engine's next
+// batch serves m. Swaps serialize on a mutex that no read path takes.
 func (p *Predictor) SwapModel(m *Model, eval train.Dataset) (prev *Model, prevEval train.Dataset, gen int64, err error) {
 	if m == nil {
 		return nil, train.Dataset{}, 0, errors.New("core: cannot swap in a nil model")
 	}
-	p.inferMu.Lock()
-	defer p.inferMu.Unlock()
-	if p.model == nil {
+	p.swapMu.Lock()
+	defer p.swapMu.Unlock()
+	cur := p.serving.Load()
+	if cur == nil {
 		return nil, train.Dataset{}, 0, errors.New("core: predictor not fitted")
 	}
-	if m.Cfg.InChannels != p.model.Cfg.InChannels || m.Cfg.Horizon != p.model.Cfg.Horizon {
+	if m.Cfg.InChannels != cur.model.Cfg.InChannels || m.Cfg.Horizon != cur.model.Cfg.Horizon {
 		return nil, train.Dataset{}, 0, fmt.Errorf(
 			"core: swap model shape (in=%d, horizon=%d) does not match serving (in=%d, horizon=%d)",
-			m.Cfg.InChannels, m.Cfg.Horizon, p.model.Cfg.InChannels, p.model.Cfg.Horizon)
+			m.Cfg.InChannels, m.Cfg.Horizon, cur.model.Cfg.InChannels, cur.model.Cfg.Horizon)
 	}
-	prev, prevEval = p.model, p.test
-	p.model = m
-	p.model.Profile(p.Cfg.Profiler)
-	nn.Freeze(m) // published: its weights no longer move
+	next := &snapshot{model: m, gen: cur.gen + 1, test: cur.test}
 	if eval.X != nil {
-		p.test = eval
+		next.test = eval
 	}
-	// The buffer pool survives the swap: the shape check above only
-	// admits identical serving shapes, arena slots are shape-checked per
-	// Get, and the kernels carry no per-model state — so the new
-	// generation replays the warm arenas with zero re-recording (pinned
-	// by TestInferBufPoolSurvivesSwap).
-	p.generation++
-	// Publish the new generation to the lock-free mirror LAST: shard
-	// replicas polling genSeq keep serving the previous generation
-	// through the whole hold and only pay the ModelGen lock (which waits
-	// out the tail of this critical section) once the swap is done.
-	p.genSeq.Store(p.generation)
-	return prev, prevEval, p.generation, nil
-}
-
-// ForecastBatchGen is ForecastBatch plus attribution: the generation
-// returned is the one that computed every forecast in the batch —
-// reading it under the same inferMu hold as the forward is what makes
-// the pairing tear-free.
-func (p *Predictor) ForecastBatchGen(inputs []*PreparedInput) ([][]float64, int64, error) {
-	p.inferMu.Lock()
-	defer p.inferMu.Unlock()
-	if p.model == nil {
-		return nil, 0, errors.New("core: predictor not fitted")
-	}
-	res, err := p.run(p, p.model, inputs)
-	if err != nil {
-		return nil, 0, err
-	}
-	return res, p.generation, nil
+	p.publish(next)
+	return cur.model, cur.test, next.gen, nil
 }
 
 // FineTuneConfig tunes a FineTune run. Zero values inherit the
@@ -148,8 +136,7 @@ type FineTuneConfig struct {
 // stored pipeline prepares the series, the serving model is cloned, and
 // the clone is fine-tuned from its current weights. Returns the
 // candidate, its held-out split (pass to SwapModel on promotion), and
-// the training history. The serving path is only blocked for the
-// instant it takes to read the current model pointer.
+// the training history. Serving is never blocked.
 func (p *Predictor) FineTune(series [][]float64, cfg FineTuneConfig) (*Model, train.Dataset, *train.History, error) {
 	if cfg.Epochs <= 0 {
 		if cfg.Epochs = p.Cfg.Epochs / 4; cfg.Epochs < 1 {
@@ -188,9 +175,7 @@ func (p *Predictor) FineTune(series [][]float64, cfg FineTuneConfig) (*Model, tr
 		return nil, train.Dataset{}, nil, err
 	}
 
-	p.inferMu.Lock()
-	serving := p.model
-	p.inferMu.Unlock()
+	serving := p.Model()
 	if serving == nil {
 		return nil, train.Dataset{}, nil, errors.New("core: predictor not fitted")
 	}
@@ -217,33 +202,4 @@ func (p *Predictor) FineTune(series [][]float64, cfg FineTuneConfig) (*Model, tr
 		}
 	}
 	return candidate, te, hist, nil
-}
-
-// Inferencer runs forecasts against a specific model through the
-// predictor's frozen data pipeline, entirely outside the serving lock —
-// the shadow-evaluation path: the supervisor scores a candidate on
-// mirrored live inputs without ever touching ForecastBatch's arenas or
-// blocking a request. Not synchronized; use from one goroutine.
-type Inferencer struct {
-	batchForward
-	p *Predictor
-	m *Model
-}
-
-// NewInferencer returns an Inferencer serving m through p's pipeline.
-// m is frozen (see nn.Freeze): training it further unfreezes it again.
-func (p *Predictor) NewInferencer(m *Model) *Inferencer {
-	nn.Freeze(m)
-	return &Inferencer{p: p, m: m}
-}
-
-// Forecast runs one prepared window through the inferencer's model and
-// returns the denormalized Horizon-step forecast — bitwise identical to
-// what ForecastBatch would return were this model serving.
-func (inf *Inferencer) Forecast(in *PreparedInput) ([]float64, error) {
-	res, err := inf.run(inf.p, inf.m, []*PreparedInput{in})
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
 }

@@ -90,7 +90,7 @@ func TestSwapModelGenerationsAndRollback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	shadow, err := p.NewInferencer(cand).Forecast(in)
+	shadow, err := engineForecast(p.NewCandidateInferencer(cand), in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -155,56 +155,50 @@ func (c *PredictorConfig) fillDefaults() {
 type Predictor struct {
 	Cfg PredictorConfig
 
-	model    *Model
 	norm     *dataprep.Normalizer
 	selected []int // screened indicator indices into the original series
 	target   int
 	history  *train.History
-	// weightedFactors caches the per-indicator expansion factors of the
-	// ExpandWeighted mode, fixed at fit time.
+	// weightedFactors are the per-indicator expansion factors of the
+	// ExpandWeighted mode, fixed at fit time (see fitExpansion).
 	weightedFactors []int
+	// prepared is the fit's fully prepared channel series (post
+	// expansion, target first), retained for Forecast.
+	prepared [][]float64
 
-	// Held-out data retained for evaluation.
-	test      train.Dataset
-	prepared  [][]float64 // fully prepared channel series (post expansion)
-	targetRow int         // row of the target within prepared
+	// serving is the published snapshot — model, generation, held-out
+	// split — that every engine loads once per batch (see generation.go).
+	// swapMu serializes SwapModel's check and publish; no read path takes
+	// it.
+	serving atomic.Pointer[snapshot]
+	swapMu  sync.Mutex
 
-	// Batched-serving state (see batch.go): the forward and its warmed
-	// buffers, serialized by inferMu; wfMu guards the lazy weighted-factor
-	// fix-up on loaded predictors.
-	inferMu sync.Mutex
-	batchForward
-	wfMu sync.Mutex
-
-	// generation counts serving models: 1 at Fit/load, +1 per SwapModel
-	// (see generation.go). Guarded by inferMu.
-	generation int64
-	// genSeq mirrors generation lock-free, published at the END of
-	// SwapModel's critical section: a ShardInferencer polls it per batch
-	// and only pays an inferMu acquisition when it actually moved, so
-	// replicas keep serving the previous generation straight through a
-	// swap hold instead of convoying on the lock.
-	genSeq atomic.Int64
+	// engine is the predictor's own engine, behind ForecastBatchGen and
+	// everything built on it; engineMu guards its arenas and nothing else.
+	engineMu sync.Mutex
+	engine   ShardInferencer
 }
 
 // NewPredictor returns an unfitted predictor.
 func NewPredictor(cfg PredictorConfig) *Predictor {
 	cfg.fillDefaults()
-	return &Predictor{Cfg: cfg}
+	p := &Predictor{Cfg: cfg}
+	p.engine.p = p
+	return p
 }
 
 // prepare runs the data pipeline of Algorithm 1 lines 1–5 and returns the
-// prepared channel matrix plus the row index of the target channel.
-// Stage spans are recorded as children of parent (nil-safe).
-func (p *Predictor) prepare(series [][]float64, target int, parent *obstrace.Span) ([][]float64, int, error) {
+// prepared channel matrix, the target channel first. Stage spans are
+// recorded as children of parent (nil-safe).
+func (p *Predictor) prepare(series [][]float64, target int, parent *obstrace.Span) ([][]float64, error) {
 	if target < 0 || target >= len(series) {
-		return nil, 0, fmt.Errorf("core: target index %d out of range (have %d indicators)", target, len(series))
+		return nil, fmt.Errorf("core: target index %d out of range (have %d indicators)", target, len(series))
 	}
 	sp := parent.Start("dataprep." + dataprep.StageClean)
 	cleaned := dataprep.Clean(series)
 	sp.End()
 	if len(cleaned) == 0 || len(cleaned[0]) == 0 {
-		return nil, 0, errors.New("core: no complete records after cleaning")
+		return nil, errors.New("core: no complete records after cleaning")
 	}
 	// The paper normalizes the full series before splitting (Algorithm 1
 	// line 2); we keep that order for fidelity.
@@ -228,25 +222,31 @@ func (p *Predictor) prepare(series [][]float64, target int, parent *obstrace.Spa
 	if p.Cfg.Scenario == MulExp {
 		sp = parent.Start("dataprep."+dataprep.StageExpand,
 			obstrace.String("mode", p.Cfg.Expansion.String()))
+		p.fitExpansion(sel)
 		sel = p.expand(sel)
 		sp.End()
 	}
-	return sel, 0, nil
+	return sel, nil
+}
+
+// fitExpansion fixes at fit time what the Mul-Exp expansion replays
+// afterwards, so the channel layout stays fixed for serving: the
+// ExpandWeighted factors, from each screened channel's |PCC| with the
+// target (channel 0 of sel).
+func (p *Predictor) fitExpansion(sel [][]float64) {
+	p.weightedFactors = nil
+	if p.Cfg.Expansion == ExpandWeighted {
+		p.weightedFactors = dataprep.WeightedFactors(dataprep.Correlations(sel, 0), p.Cfg.ExpandFactor)
+	}
 }
 
 // expand applies the configured Mul-Exp expansion to the screened,
-// normalized channels (target first). Weighted expansion factors are
-// computed once at fit time and replayed afterwards so the channel layout
-// stays fixed for serving.
+// normalized channels (target first).
 func (p *Predictor) expand(sel [][]float64) [][]float64 {
 	switch p.Cfg.Expansion {
 	case ExpandLagsDiff:
 		return dataprep.ExpandWithDifference(sel, p.Cfg.ExpandFactor)
 	case ExpandWeighted:
-		if p.weightedFactors == nil {
-			corr := dataprep.Correlations(sel, 0)
-			p.weightedFactors = dataprep.WeightedFactors(corr, p.Cfg.ExpandFactor)
-		}
 		return dataprep.ExpandWithFactors(sel, p.weightedFactors, p.Cfg.ExpandFactor)
 	default:
 		return dataprep.ExpandHorizontal(sel, p.Cfg.ExpandFactor)
@@ -267,19 +267,17 @@ func (p *Predictor) Fit(series [][]float64, target int) error {
 		defer fitSpan.End()
 	}
 	p.target = target
-	p.weightedFactors = nil // recomputed per fit
-	prepared, targetRow, err := p.prepare(series, target, fitSpan)
+	prepared, err := p.prepare(series, target, fitSpan)
 	if err != nil {
 		return err
 	}
 	p.prepared = prepared
-	p.targetRow = targetRow
 
 	windowSpan := fitSpan.Start("dataprep." + dataprep.StageWindow)
 	ds, err := dataprep.BuildSupervised(prepared, dataprep.WindowConfig{
 		Window:  p.Cfg.Window,
 		Horizon: p.Cfg.Horizon,
-		Target:  targetRow,
+		Target:  0,
 	})
 	windowSpan.End()
 	if err != nil {
@@ -289,16 +287,20 @@ func (p *Predictor) Fit(series [][]float64, target int) error {
 	if err != nil {
 		return err
 	}
-	p.test = te
+	p.fitModel(len(prepared), tr, va, te, fitSpan)
+	return nil
+}
 
+// fitModel trains a fresh model over channels input channels on tr,
+// stopping early on va, and publishes it as generation 1 with te as its
+// held-out split: the end of Fit and of FitFleet.
+func (p *Predictor) fitModel(channels int, tr, va, te train.Dataset, span *obstrace.Span) {
 	mcfg := p.Cfg.Model
-	mcfg.InChannels = len(prepared)
+	mcfg.InChannels = channels
 	mcfg.Horizon = p.Cfg.Horizon
-	r := tensor.NewRNG(p.Cfg.Seed)
-	p.model = NewModel(r, mcfg)
-	p.model.Profile(p.Cfg.Profiler)
-
-	p.history = train.Fit(p.model, tr, va, train.Config{
+	m := NewModel(tensor.NewRNG(p.Cfg.Seed), mcfg)
+	m.Profile(p.Cfg.Profiler)
+	p.history = train.Fit(m, tr, va, train.Config{
 		Epochs:      p.Cfg.Epochs,
 		BatchSize:   p.Cfg.BatchSize,
 		Optimizer:   opt.NewAdam(p.Cfg.LearningRate),
@@ -311,51 +313,39 @@ func (p *Predictor) Fit(series [][]float64, target int) error {
 		Checkpoint:  p.Cfg.Checkpoint,
 		Guard:       p.Cfg.Guard,
 		Hooks:       p.Cfg.Hooks,
-		TraceParent: fitSpan,
+		TraceParent: span,
 		Tracer:      p.Cfg.Tracer,
 	})
-	// Training is over and the weights stay put until a SwapModel: bake
-	// the conv inference kernels once for the generation (see nn.Freeze).
-	nn.Freeze(p.model)
-	p.inferMu.Lock()
-	p.generation = 1
-	p.genSeq.Store(1)
-	p.inferMu.Unlock()
-	return nil
+	p.publish(&snapshot{model: m, gen: 1, test: te})
 }
 
-// TestMetrics evaluates the fitted model on the held-out test segment at
+// TestMetrics evaluates the serving model on its held-out test segment at
 // the normalized scale — the scale of the paper's Table II (values ×10⁻²).
 func (p *Predictor) TestMetrics() (metrics.Report, error) {
-	if p.model == nil {
-		return metrics.Report{}, errors.New("core: predictor not fitted")
-	}
-	if p.test.X == nil {
-		return metrics.Report{}, errors.New("core: no held-out test data (loaded predictors serve only)")
-	}
-	preds := train.Predict(p.model, p.test)
-	truth := make([]float64, p.test.Len())
-	h := p.Cfg.Horizon
-	for i := range truth {
-		truth[i] = p.test.Y.Data[i*h]
+	truth, preds, err := p.TestSeries()
+	if err != nil {
+		return metrics.Report{}, err
 	}
 	return metrics.Evaluate(truth, preds), nil
 }
 
-// TestSeries returns the held-out truth and predictions (first-step, at
-// the normalized scale) for plotting (Fig. 8).
+// TestSeries returns the held-out truth and the serving model's
+// predictions (first-step, at the normalized scale) for plotting (Fig. 8).
+// Model and split come from one snapshot, so a concurrent SwapModel
+// cannot pair one generation's model with another's split.
 func (p *Predictor) TestSeries() (truth, preds []float64, err error) {
-	if p.model == nil {
+	s := p.serving.Load()
+	if s == nil {
 		return nil, nil, errors.New("core: predictor not fitted")
 	}
-	if p.test.X == nil {
+	if s.test.X == nil {
 		return nil, nil, errors.New("core: no held-out test data (loaded predictors serve only)")
 	}
-	preds = train.Predict(p.model, p.test)
-	truth = make([]float64, p.test.Len())
+	preds = train.Predict(s.model, s.test)
+	truth = make([]float64, s.test.Len())
 	h := p.Cfg.Horizon
 	for i := range truth {
-		truth[i] = p.test.Y.Data[i*h]
+		truth[i] = s.test.Y.Data[i*h]
 	}
 	return truth, preds, nil
 }
@@ -417,13 +407,14 @@ func (p *Predictor) History() *train.History { return p.history }
 // by the correlation screening, target first.
 func (p *Predictor) SelectedIndicators() []int { return p.selected }
 
-// Model exposes the underlying network (e.g. for attention inspection).
-// Once hot-swapping is in play the pointer is only a snapshot: the
-// serving model may change right after this returns.
+// Model returns the serving model (nil before Fit). Once hot-swapping is
+// in play the pointer is only a snapshot: the serving model may change
+// right after this returns. Every engine reads it: Clone it to change it.
 func (p *Predictor) Model() *Model {
-	p.inferMu.Lock()
-	defer p.inferMu.Unlock()
-	return p.model
+	if s := p.serving.Load(); s != nil {
+		return s.model
+	}
+	return nil
 }
 
 // NormBounds returns the per-indicator min/max the normalizer was fitted

@@ -223,13 +223,16 @@ func (m *Model) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // yielding a per-stage cost breakdown (tcn[0..n], last, fc, attention,
 // out) after the next forward/backward passes. Weights, Params order and
 // serialization are unaffected: the wrappers delegate Params and the
-// concrete fields stay unwrapped. A nil profiler is a no-op.
+// concrete fields stay unwrapped. A nil profiler is a no-op, and a stage
+// already wrapped stays as it is, so profiling twice counts once.
 func (m *Model) Profile(p *nn.Profiler) {
 	if p == nil {
 		return
 	}
 	for i, l := range m.stages {
-		m.stages[i] = p.Wrap(m.names[i], l)
+		if _, wrapped := l.(*nn.Profiled); !wrapped {
+			m.stages[i] = p.Wrap(m.names[i], l)
+		}
 	}
 }
 

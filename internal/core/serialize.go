@@ -36,17 +36,18 @@ const predictorFormat = 1
 // restored predictor serves ForecastFrom but carries no training history
 // or held-out test data.
 func (p *Predictor) Save(w io.Writer) error {
-	if p.model == nil {
+	m := p.Model()
+	if m == nil {
 		return fmt.Errorf("core: cannot save an unfitted predictor")
 	}
 	var weights bytes.Buffer
-	if err := nn.SaveParams(&weights, p.model); err != nil {
+	if err := nn.SaveParams(&weights, m); err != nil {
 		return err
 	}
 	dump := predictorDump{
 		Format:          predictorFormat,
 		Cfg:             p.Cfg,
-		ModelCfg:        p.model.Cfg,
+		ModelCfg:        m.Cfg,
 		Target:          p.target,
 		Selected:        p.selected,
 		NormMin:         p.norm.Min,
@@ -93,13 +94,11 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 	p.selected = dump.Selected
 	p.weightedFactors = dump.WeightedFactors
 	p.norm = &dataprep.Normalizer{Min: dump.NormMin, Max: dump.NormMax}
-	p.model = NewModel(tensor.NewRNG(0), dump.ModelCfg)
-	if err := nn.LoadParams(bytes.NewReader(dump.Weights), p.model); err != nil {
+	m := NewModel(tensor.NewRNG(0), dump.ModelCfg)
+	if err := nn.LoadParams(bytes.NewReader(dump.Weights), m); err != nil {
 		return nil, err
 	}
-	nn.Freeze(p.model)
-	p.generation = 1
-	p.genSeq.Store(1)
+	p.publish(&snapshot{model: m, gen: 1})
 	return p, nil
 }
 
@@ -130,6 +129,11 @@ func (d *predictorDump) validate() error {
 	}
 	if d.Cfg.Horizon != d.ModelCfg.Horizon {
 		return fmt.Errorf("core: predictor horizon %d, model horizon %d", d.Cfg.Horizon, d.ModelCfg.Horizon)
+	}
+	// The weighted expansion replays the factors fixed at fit time; a Save
+	// always writes them for that mode.
+	if d.Cfg.Scenario == MulExp && d.Cfg.Expansion == ExpandWeighted && d.WeightedFactors == nil {
+		return fmt.Errorf("core: weighted Mul-Exp snapshot without weighted_factors")
 	}
 	if d.WeightedFactors != nil && len(d.WeightedFactors) != len(d.Selected) {
 		return fmt.Errorf("core: %d weighted factors for %d indicators", len(d.WeightedFactors), len(d.Selected))

@@ -161,6 +161,9 @@ var malformedSnapshots = map[string][2]string{
 	"dropout-1.5":             {"model_config.Dropout", "1.5"},
 	"target-out-of-range":     {"target", "4"},
 	"fc-width-beyond-weights": {"model_config.FCWidth", "1099511627776"},
+	// Weighted Mul-Exp replays the factors fixed at fit time; without them
+	// the channel layout would be derived from the first request served.
+	"weighted-without-factors": {"config.Expansion", "2"},
 }
 
 func TestLoadPredictorRejectsCorruptInput(t *testing.T) {

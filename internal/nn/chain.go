@@ -264,6 +264,21 @@ func runChain(a *InferArena, layers []Layer, x *tensor.Tensor, train bool) *tens
 	return xs[len(us)]
 }
 
+// PlanChain plans every run of temporal blocks in layers for a length-t
+// window, as the first forward over such a window would. A model shared
+// by many arena forwards is planned before it is shared: a forward writes
+// its blocks' plans only when the window changes, and otherwise only
+// reads the model.
+func PlanChain(layers []Layer, t int) {
+	for len(layers) > 0 {
+		u, n := nextUnit(layers)
+		if u.run.layers != nil {
+			u.run.plan(t)
+		}
+		layers = layers[n:]
+	}
+}
+
 // ForwardChain is Sequential's and core.Model's Forward: see runChain.
 func ForwardChain(layers []Layer, x *tensor.Tensor, train bool) *tensor.Tensor {
 	return runChain(nil, layers, x, train)

@@ -342,12 +342,9 @@ type blockRun struct {
 	gs     []*tensor.Tensor
 }
 
-// begin plans the run's steps for x's window — back to front, each
-// block's input steps being the outputs required of the block before —
-// readies every block for the batch, and returns the output buffer.
-func (r *blockRun) begin(a *InferArena, x *tensor.Tensor, train bool) *tensor.Tensor {
-	requireSeq("TemporalBlock", x)
-	b, t := x.Dim(0), x.Dim(2)
+// plan plans the run's steps for a length-t window — back to front, each
+// block's input steps being the outputs required of the block before.
+func (r *blockRun) plan(t int) {
 	var one [1]*TemporalBlock
 	var last [1]int
 	var out []int
@@ -361,6 +358,15 @@ func (r *blockRun) begin(a *InferArena, x *tensor.Tensor, train bool) *tensor.Te
 			out = blocks[j].planSteps(t, out, i == 0 && j == 0).in
 		}
 	}
+}
+
+// begin plans the run's steps for x's window, readies every block for the
+// batch, and returns the output buffer.
+func (r *blockRun) begin(a *InferArena, x *tensor.Tensor, train bool) *tensor.Tensor {
+	requireSeq("TemporalBlock", x)
+	b, t := x.Dim(0), x.Dim(2)
+	r.plan(t)
+	var one [1]*TemporalBlock
 	c := 0
 	for _, l := range r.layers {
 		w, _ := l.(*Profiled)
@@ -589,8 +595,9 @@ func (b *TemporalBlock) gradJobs(jobs []gradJob, w *Profiled, g *tensor.Tensor, 
 
 // prepare readies the convolution for a pass computing m output columns:
 // off the arena it sizes acol and ycol for all of them, and it bakes the
-// kernel unless the arena serves a frozen one — once per pass, before any
-// chunk reads it.
+// kernel unless the convolution is frozen — once per pass, before any
+// chunk reads it. A frozen convolution's kernel is only read, so a
+// published model's evaluation pass runs beside its serving forwards.
 func (c *CausalConv1D) prepare(a *InferArena, m int, train bool) {
 	if train {
 		c.frozen = false // the weights are about to move
@@ -598,7 +605,7 @@ func (c *CausalConv1D) prepare(a *InferArena, m int, train bool) {
 	if a == nil {
 		c.acol, c.ycol = scratch2D(c.acol, c.InChannels*c.KernelSize, m), scratch2D(c.ycol, m, c.OutChannels)
 	}
-	if a == nil || !c.frozen {
+	if !c.frozen {
 		c.bakeKernel()
 	}
 }
@@ -736,21 +743,22 @@ func (c *CausalConv1D) bakeKernel() {
 }
 
 // Freeze bakes the kernel of every convolution under l once, for a
-// model whose weights will not change until it is replaced: the arena
-// path then skips the weight norm and the transpose on every call. Call
-// it where a model is published. A training-mode Forward or a Backward
+// model whose weights will not change until it is replaced: every
+// grad-free pass then skips the weight norm and the transpose. Call it
+// where a model is published. A training-mode Forward or a Backward
 // unfreezes the convolution it runs through, and code that writes
 // weights any other way calls Unfreeze; an unfrozen convolution bakes
-// per call, so it is never stale.
+// per call, so it is never stale. Freezing a frozen convolution writes
+// nothing, so a model can be published again while it serves.
 func Freeze(l Layer) { setFrozen(l, true) }
 
-// Unfreeze makes every convolution under l derive its arena-path kernel
-// from its weights per call again.
+// Unfreeze makes every convolution under l derive its kernel from its
+// weights per call again.
 func Unfreeze(l Layer) { setFrozen(l, false) }
 
 func setFrozen(l Layer, frozen bool) {
 	VisitLayers(l, func(l Layer) {
-		if c, ok := l.(*CausalConv1D); ok {
+		if c, ok := l.(*CausalConv1D); ok && c.frozen != frozen {
 			if frozen {
 				c.bakeKernel()
 			}

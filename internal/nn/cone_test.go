@@ -231,12 +231,20 @@ func TestConeStepsMatchDependencyTrace(t *testing.T) {
 // serves from the kernel baked at Freeze — shown by scribbling on the
 // weights behind its back — and each way weights legitimately change
 // (a training-mode Forward, a Backward, LoadParams, Unfreeze) puts the
-// arena path back in bitwise step with the layer-by-layer forward.
+// arena path back in bitwise step with the layer-by-layer forward of the
+// weights in place. That forward runs on a fresh, never-frozen stack
+// holding a copy of them, so it never reads a kernel model cached.
 func TestFreezeLifecycle(t *testing.T) {
 	model, tcn := coneStack(3, []int{1, 2}, 4, 6, true, 0.1)
 	r := tensor.NewRNG(5)
 	x := tensor.RandN(r, 3, 4, 16)
-	forward := func() *tensor.Tensor { return everyStep{model}.Forward(x, false) }
+	forward := func() *tensor.Tensor {
+		fresh, _ := coneStack(3, []int{1, 2}, 4, 6, true, 0.1)
+		for i, p := range model.Params() {
+			fresh.Params()[i].Value.CopyFrom(p.Value)
+		}
+		return everyStep{fresh}.Forward(x, false)
+	}
 	arena := NewInferArena()
 	infer := func() *tensor.Tensor {
 		arena.Reset()

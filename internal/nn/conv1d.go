@@ -54,9 +54,9 @@ type CausalConv1D struct {
 	dwScratch *tensor.Tensor // [out, in, k] effective-kernel gradient
 
 	// wt is the effective kernel — weight norm already applied — in its
-	// transposed GEMM layout; the arena path reuses it as baked while
-	// frozen, every other forward rebakes it. taps caches the every-step
-	// tap list of the last window length seen outside a temporal block.
+	// transposed GEMM layout; a forward reuses it as baked while frozen
+	// and rebakes it otherwise. taps caches the every-step tap list of
+	// the last window length seen outside a temporal block.
 	wt     *tensor.Tensor // [in·k, out]
 	frozen bool
 	taps   []int

@@ -131,3 +131,34 @@ func TestRuleStringRoundTrip(t *testing.T) {
 		t.Fatal("metric list incomplete")
 	}
 }
+
+// FuzzParseRules: no spec makes ParseRules panic, every rule it accepts
+// is well formed — a known metric, one of the four operators, a threshold
+// that is not NaN, a window ≥ 0 — and a rule's String parses back to that
+// rule alone. Seeds are the specs above; the corpus under testdata/fuzz
+// adds the grammar's edges (infinite, hex and signed thresholds,
+// operators run together, stray separators and windows).
+func FuzzParseRules(f *testing.F) {
+	for _, spec := range []string{
+		" mae <= 5 , p90_abs_err<=12@240; bias>=-2 ", "mse>0.25", "bias>=-1.5@32", "under_ratio<0.7",
+		"mae=5", "nope<=5", "mae<=abc", "mae<=5@0", "mae<=5@x", "mae<=NaN", "<=5", "",
+	} {
+		f.Add(spec)
+	}
+	ops := map[string]bool{"<=": true, "<": true, ">=": true, ">": true}
+	f.Fuzz(func(t *testing.T, spec string) {
+		rules, err := ParseRules(spec)
+		if err != nil {
+			return
+		}
+		for _, r := range rules {
+			if !validSLOMetric(r.Metric) || !ops[r.Op] || math.IsNaN(r.Threshold) || r.Window < 0 {
+				t.Fatalf("ParseRules(%q) accepted a malformed rule %+v", spec, r)
+			}
+			again, err := ParseRules(r.String())
+			if err != nil || len(again) != 1 || again[0] != r {
+				t.Fatalf("rule %+v from %q renders as %q, which parses to %+v (%v)", r, spec, r.String(), again, err)
+			}
+		}
+	})
+}

@@ -47,8 +47,8 @@ func TestForecastSwapHammer(t *testing.T) {
 	}
 
 	// Expected forecast per generation, computed up front: the serving
-	// path is bitwise deterministic for a fixed model, and the shadow
-	// inferencer agrees bitwise with post-swap serving (core suite).
+	// path is bitwise deterministic for a fixed model, and a candidate
+	// engine agrees bitwise with post-swap serving (core suite).
 	tail := make([][]float64, trace.NumIndicators)
 	for i := range tail {
 		m := e.Metrics[i]
@@ -62,11 +62,11 @@ func TestForecastSwapHammer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := p.NewInferencer(cand).Forecast(in)
+	f2, _, err := p.NewCandidateInferencer(cand).ForecastBatchGen([]*core.PreparedInput{in})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[int64][]float64{1: f1, 2: f2}
+	want := map[int64][]float64{1: f1, 2: f2[0]}
 
 	s := New(p, WithRegistry(obs.NewRegistry()))
 	ts := httptest.NewServer(s)

@@ -199,11 +199,22 @@ func BenchmarkForecastServingBatched(b *testing.B) {
 // manager sends — 8 × MinHistory samples with entity and t — and waiting
 // for each answer: the latency a lone request pays, where the 32-way
 // benchmarks above measure throughput under fusion.
-func BenchmarkForecastPostSerial(b *testing.B) {
+func BenchmarkForecastPostSerial(b *testing.B) { benchPostSerial(b, 0) }
+
+// BenchmarkForecastPostSerial64 is the same caller posting 64 samples per
+// indicator, the window fleetreplay sends: history enough to hide a
+// horizon and still fill a window.
+func BenchmarkForecastPostSerial64(b *testing.B) { benchPostSerial(b, 64) }
+
+// benchPostSerial posts samples (0: MinHistory) per indicator serially.
+func benchPostSerial(b *testing.B, samples int) {
 	p, e := fitted(b)
 	srv := New(p, WithRegistry(obs.NewRegistry()), WithLogger(obs.NopLogger()))
 	defer srv.Close()
-	raw := metadataBody(b, p, e)
+	if samples == 0 {
+		samples = p.MinHistory()
+	}
+	raw := metadataBody(b, e, samples)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -6,7 +6,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/tensor"
 	"repro/internal/trace"
 )
@@ -151,12 +150,12 @@ func FuzzDecodeForecastRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) { requireSameDecode(t, body) })
 }
 
-// metadataBody is the body a resource manager posts: 8 × MinHistory
-// samples with the quality-tracking entity and t.
-func metadataBody(t testing.TB, p *core.Predictor, e *trace.EntitySeries) []byte {
+// metadataBody is the body a resource manager posts: 8 × samples with
+// the quality-tracking entity and t.
+func metadataBody(t testing.TB, e *trace.EntitySeries, samples int) []byte {
 	t.Helper()
 	at := int64(1234)
-	raw, err := json.Marshal(ForecastRequest{Indicators: tailOf(e, p.MinHistory()), Entity: e.ID, T: &at})
+	raw, err := json.Marshal(ForecastRequest{Indicators: tailOf(e, samples), Entity: e.ID, T: &at})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +168,7 @@ func metadataBody(t testing.TB, p *core.Predictor, e *trace.EntitySeries) []byte
 // body costs over a hundred.
 func TestDecodeMetadataBodyStaysOnFastPath(t *testing.T) {
 	p, e := fitted(t)
-	raw := metadataBody(t, p, e)
+	raw := metadataBody(t, e, p.MinHistory())
 	var req ForecastRequest
 	if !fastParseForecast(raw, &req) {
 		t.Fatal("canonical metadata body missed the fast path")

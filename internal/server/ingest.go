@@ -159,8 +159,8 @@ var errUnknownEntity = errors.New("server: unknown entity")
 // handleEntityForecast serves GET /v1/forecast/{entity} through the
 // entity's shard: the shard worker reads the ring window as zero-copy
 // views under the entity's lock, fuses concurrent requests for its
-// entities into one forward, and answers — all shard-local, no global
-// inference lock with per-shard replicas. ?model=<name> serves from the
+// entities into one forward on its own engine, and answers — all
+// shard-local, no global inference lock. ?model=<name> serves from the
 // named registry model instead of the default engine (requires
 // WithModelRegistry). The full per-request protection stack (breaker,
 // timeout, panic recovery, cancel detection) still wraps the wait.

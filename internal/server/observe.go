@@ -42,7 +42,7 @@ func (s *Server) feedQuality(req *ForecastRequest, forecast []float64, sum input
 		// Self-join: the history window carries fresh actuals for the
 		// target indicator; timestamps overlapping previously forecast
 		// times resolve those forecasts.
-		if idx := s.quality.targetIdx; idx < len(req.Indicators) {
+		if idx := s.inputs.target; idx < len(req.Indicators) {
 			tgt := req.Indicators[idx]
 			if len(tgt) > 0 {
 				s.engine.Observe(req.Entity, t-int64(len(tgt))+1, tgt)

@@ -1,212 +1,50 @@
 package server
 
-import (
-	"sync"
-
-	"repro/internal/core"
-	"repro/internal/obs"
-)
-
-// qualityWindow is the number of recent observations the rolling serving
-// quality gauges average over.
-const qualityWindow = 256
-
-// rollingStat is a fixed-size ring of observations with a running mean.
-type rollingStat struct {
-	buf  [qualityWindow]float64
-	next int
-	n    int
+// inputBounds is what summarize reads of the serving predictor, fixed at
+// New: the training-time min–max bounds per indicator, the target
+// indicator, and how much history the model reads.
+type inputBounds struct {
+	min, max        []float64
+	target, minHist int
 }
 
-func (r *rollingStat) push(v float64) {
-	r.buf[r.next] = v
-	r.next = (r.next + 1) % qualityWindow
-	if r.n < qualityWindow {
-		r.n++
-	}
-}
-
-func (r *rollingStat) mean() float64 {
-	if r.n == 0 {
-		return 0
-	}
-	sum := 0.0
-	for i := 0; i < r.n; i++ {
-		sum += r.buf[i]
-	}
-	return sum / float64(r.n)
-}
-
-// qualityMonitor watches forecast quality online, without ground-truth
-// labels arriving out of band: every request already carries the recent
-// actuals, so the monitor backtests — it truncates the submitted history
-// by the forecast horizon, predicts the part it hid, and compares against
-// the actual trailing values (raw scale). It also tracks how much of the
-// input lies outside the normalizer's training-time min–max bounds — the
-// leading indicator of distribution shift, where min–max scaling clips
-// and prediction quality silently degrades.
-//
-//	rptcn_serving_backtest_mae          gauge, rolling window
-//	rptcn_serving_backtest_mse          gauge, rolling window
-//	rptcn_serving_backtest_bias         gauge, rolling signed mean error
-//	rptcn_serving_backtest_samples_total counter
-//	rptcn_serving_backtest_skipped_total counter (short history / errors)
-//	rptcn_serving_input_oor_ratio       gauge, rolling window
-type qualityMonitor struct {
-	mae       *obs.Gauge
-	mse       *obs.Gauge
-	bias      *obs.Gauge
-	oor       *obs.Gauge
-	backtests *obs.Counter
-	skipped   *obs.Counter
-
-	normMin, normMax []float64
-	targetIdx        int
-	minHist          int
-	horizon          int
-
-	mu     sync.Mutex
-	absErr rollingStat
-	sqErr  rollingStat
-	sgnErr rollingStat
-	oorRat rollingStat
-}
-
-// inputSummary is what one request's input told us, handed onward to the
-// quality engine's detectors.
+// inputSummary is one request's input as the quality engine's input
+// detectors see it: the fraction of values outside the training bounds,
+// where min–max scaling clips (HasOOR false without bounds), and the mean
+// of the target's trailing window, NaNs skipped.
 type inputSummary struct {
-	// OOR is this request's out-of-range fraction (HasOOR false when the
-	// predictor has no normalization bounds to compare against).
-	OOR    float64
-	HasOOR bool
-	// Mean is the mean of the trailing input window of the target
-	// indicator — the statistic the input mutation detector watches.
-	Mean    float64
-	HasMean bool
+	OOR, Mean       float64
+	HasOOR, HasMean bool
 }
 
-func newQualityMonitor(reg *obs.Registry, p *core.Predictor) *qualityMonitor {
-	q := &qualityMonitor{
-		mae: reg.Gauge("rptcn_serving_backtest_mae",
-			"Rolling mean absolute error of backtested forecasts (raw scale)."),
-		mse: reg.Gauge("rptcn_serving_backtest_mse",
-			"Rolling mean squared error of backtested forecasts (raw scale)."),
-		bias: reg.Gauge("rptcn_serving_backtest_bias",
-			"Rolling signed mean error (forecast-actual) of backtested forecasts; positive over-predicts."),
-		oor: reg.Gauge("rptcn_serving_input_oor_ratio",
-			"Rolling fraction of input values outside the training min-max bounds."),
-		backtests: reg.Counter("rptcn_serving_backtest_samples_total",
-			"Backtested forecast steps accumulated into the rolling error window."),
-		skipped: reg.Counter("rptcn_serving_backtest_skipped_total",
-			"Forecast requests whose history was too short (or errored) to backtest."),
-		minHist: p.MinHistory(),
-		horizon: p.Cfg.Horizon,
-	}
-	q.normMin, q.normMax = p.NormBounds()
-	if sel := p.SelectedIndicators(); len(sel) > 0 {
-		q.targetIdx = sel[0]
-	}
-	return q
-}
-
-// observe processes one served request's history and returns the input
-// summary the quality engine's detectors consume. infer must serialize
-// access to the model (the server passes a ForecastFrom closure holding
-// its inference mutex).
-func (q *qualityMonitor) observe(series [][]float64, infer func([][]float64) ([]float64, error)) inputSummary {
-	sum := q.observeShift(series)
-	q.backtest(series, infer)
-	if q.targetIdx < len(series) && len(series[q.targetIdx]) > 0 {
-		tgt := series[q.targetIdx]
-		// The trailing window the model actually saw, so requests with
-		// different history lengths feed a comparable statistic.
-		if q.minHist > 0 && len(tgt) > q.minHist {
-			tgt = tgt[len(tgt)-q.minHist:]
-		}
-		s, n := 0.0, 0
-		for _, v := range tgt {
-			if v == v { // skip NaN
-				s += v
-				n++
-			}
-		}
-		if n > 0 {
-			sum.Mean, sum.HasMean = s/float64(n), true
-		}
-	}
-	return sum
-}
-
-// observeShift updates the out-of-range ratio over every submitted value.
-func (q *qualityMonitor) observeShift(series [][]float64) (sum inputSummary) {
-	if len(q.normMin) == 0 {
-		return sum
-	}
+// summarize is one pass over the submitted values; it runs no inference.
+func (b *inputBounds) summarize(series [][]float64) (sum inputSummary) {
 	total, out := 0, 0
-	for i, s := range series {
-		if i >= len(q.normMin) {
-			break
-		}
+	for i, s := range series[:min(len(series), len(b.min))] {
 		for _, v := range s {
-			total++
-			if v < q.normMin[i] || v > q.normMax[i] {
+			if total++; v < b.min[i] || v > b.max[i] {
 				out++
 			}
 		}
 	}
-	if total == 0 {
+	if total > 0 {
+		sum.OOR, sum.HasOOR = float64(out)/float64(total), true
+	}
+	if b.target >= len(series) {
 		return sum
 	}
-	sum.OOR, sum.HasOOR = float64(out)/float64(total), true
-	q.mu.Lock()
-	q.oorRat.push(sum.OOR)
-	q.oor.Set(q.oorRat.mean())
-	q.mu.Unlock()
+	tgt := series[b.target]
+	if b.minHist > 0 && len(tgt) > b.minHist {
+		tgt = tgt[len(tgt)-b.minHist:]
+	}
+	s, n := 0.0, 0
+	for _, v := range tgt {
+		if v == v { // skip NaN
+			s, n = s+v, n+1
+		}
+	}
+	if n > 0 {
+		sum.Mean, sum.HasMean = s/float64(n), true
+	}
 	return sum
-}
-
-// backtest hides the last horizon samples, forecasts them, and folds the
-// errors into the rolling window.
-func (q *qualityMonitor) backtest(series [][]float64, infer func([][]float64) ([]float64, error)) {
-	if q.targetIdx >= len(series) {
-		q.skipped.Inc()
-		return
-	}
-	n := len(series[q.targetIdx])
-	// The truncated history must still fill a full input window; the
-	// minimum is approximate when cleaning drops rows, in which case
-	// infer fails and the sample is counted as skipped.
-	if n-q.horizon < q.minHist {
-		q.skipped.Inc()
-		return
-	}
-	truncated := make([][]float64, len(series))
-	for i, s := range series {
-		cut := len(s) - q.horizon
-		if cut < 0 {
-			cut = 0
-		}
-		truncated[i] = s[:cut]
-	}
-	preds, err := infer(truncated)
-	if err != nil {
-		q.skipped.Inc()
-		return
-	}
-	actual := series[q.targetIdx][n-q.horizon:]
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for k := 0; k < len(preds) && k < len(actual); k++ {
-		e := preds[k] - actual[k]
-		q.sgnErr.push(e)
-		if e < 0 {
-			e = -e
-		}
-		q.absErr.push(e)
-		q.sqErr.push(e * e)
-		q.backtests.Inc()
-	}
-	q.mae.Set(q.absErr.mean())
-	q.mse.Set(q.sqErr.mean())
-	q.bias.Set(q.sgnErr.mean())
 }

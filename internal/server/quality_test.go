@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fault"
 	"repro/internal/obs"
 	obstrace "repro/internal/obs/trace"
 	"repro/internal/trace"
@@ -27,100 +28,90 @@ func scrape(t *testing.T, url string) string {
 	return string(raw)
 }
 
+// TestForecastFeedsQualityGauges: forecast quality is measured off the
+// request path. A t-tagged POST stream resolves each forecast against the
+// actuals later requests carry into the engine's per-step MAE, MSE and
+// bias — what the responses and the trace imply — and every request's
+// input summary reaches the input drift detector, whose level stays 0 on
+// inputs inside the training bounds and rises on inputs far outside them.
 func TestForecastFeedsQualityGauges(t *testing.T) {
 	p, e := fitted(t)
-	reg := obs.NewRegistry()
-	ts := httptest.NewServer(New(p, WithRegistry(reg)))
+	s := New(p, WithRegistry(obs.NewRegistry()))
+	defer s.Close()
+	ts := httptest.NewServer(s)
 	defer ts.Close()
 
-	tail := make([][]float64, trace.NumIndicators)
-	for i := range tail {
-		s := e.Metrics[i]
-		tail[i] = s[len(s)-64:]
+	const requests = 24
+	actual := e.Metrics[p.SelectedIndicators()[0]]
+	first := e.Len() - requests
+	forecasts := map[int][]float64{}
+	for tt := first; tt < e.Len(); tt++ {
+		hist := make([][]float64, trace.NumIndicators)
+		for i := range hist {
+			hist[i] = e.Metrics[i][tt-63 : tt+1]
+		}
+		at := int64(tt)
+		out := decodeForecast(t, forecastReq(t, ts.URL, ForecastRequest{Indicators: hist, Entity: "q1", T: &at}))
+		forecasts[tt] = out.Forecast
 	}
-	resp := forecastReq(t, ts.URL, ForecastRequest{Indicators: tail})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
+	st := getQualityStatus(t, ts.URL)
+	if len(st.Steps) != p.Cfg.Horizon {
+		t.Fatalf("%d step windows, want %d", len(st.Steps), p.Cfg.Horizon)
 	}
-
-	// 64 samples >> MinHistory+horizon, so the backtest must have run:
-	// horizon errors accumulated, gauges set.
-	snaps := map[string]float64{}
-	for _, s := range reg.Snapshot() {
-		snaps[s.Name+s.Labels] = s.Value
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b)) }
+	for k := 1; k <= p.Cfg.Horizon; k++ {
+		var abs, sq, signed float64
+		n := 0
+		for tt := first; tt+k < e.Len(); tt++ {
+			d := forecasts[tt][k-1] - actual[tt+k]
+			abs, sq, signed, n = abs+math.Abs(d), sq+d*d, signed+d, n+1
+		}
+		got := st.Steps[k-1]
+		if got.Count != n || !near(got.MAE, abs/float64(n)) || !near(got.MSE, sq/float64(n)) || !near(got.Bias, signed/float64(n)) {
+			t.Fatalf("step %d: engine %+v, want count %d mae %g mse %g bias %g",
+				k, got, n, abs/float64(n), sq/float64(n), signed/float64(n))
+		}
 	}
-	if got := snaps["rptcn_serving_backtest_samples_total"]; got != float64(p.Cfg.Horizon) {
-		t.Fatalf("backtest samples = %v, want %d", got, p.Cfg.Horizon)
-	}
-	if snaps["rptcn_serving_backtest_mae"] <= 0 {
-		t.Fatalf("backtest MAE not set: %v", snaps["rptcn_serving_backtest_mae"])
-	}
-	if snaps["rptcn_serving_backtest_mse"] <= 0 {
-		t.Fatalf("backtest MSE not set: %v", snaps["rptcn_serving_backtest_mse"])
-	}
-	// The signed mean error must be set and bounded by the MAE (|mean e|
-	// ≤ mean |e| always).
-	bias, ok := snaps["rptcn_serving_backtest_bias"]
-	if !ok {
-		t.Fatal("rptcn_serving_backtest_bias not registered")
-	}
-	if math.Abs(bias) > snaps["rptcn_serving_backtest_mae"] {
-		t.Fatalf("|bias| %v exceeds MAE %v", bias, snaps["rptcn_serving_backtest_mae"])
-	}
-	if bias == 0 {
-		// A real model backtest never lands on exactly zero signed error.
-		t.Fatal("bias gauge still zero after a backtest")
-	}
-	// The tail comes from the training series, so it lies inside the
-	// fitted bounds: the out-of-range ratio must be ~0.
-	if oor := snaps["rptcn_serving_input_oor_ratio"]; oor != 0 {
-		t.Fatalf("in-distribution input flagged out of range: %v", oor)
+	if in := st.InputDrift; in.Samples != requests || in.Level != 0 {
+		t.Fatalf("input drift after %d in-distribution requests: %+v", requests, in)
 	}
 
-	// Shifted input (scaled far beyond the training max) must raise the
-	// out-of-range ratio.
-	shifted := make([][]float64, len(tail))
-	for i, s := range tail {
-		o := make([]float64, len(s))
-		for j, v := range s {
+	// Input scaled far beyond the training max raises the out-of-range
+	// level; an untagged request still feeds the input detectors.
+	shifted := tailOf(e, 64)
+	for i, row := range shifted {
+		o := make([]float64, len(row))
+		for j, v := range row {
 			o[j] = v*10 + 1000
 		}
 		shifted[i] = o
 	}
-	resp = forecastReq(t, ts.URL, ForecastRequest{Indicators: shifted})
-	resp.Body.Close()
-	for _, s := range reg.Snapshot() {
-		if s.Name == "rptcn_serving_input_oor_ratio" && s.Value <= 0 {
-			t.Fatalf("shifted input not flagged: %v", s.Value)
-		}
+	decodeForecast(t, forecastReq(t, ts.URL, ForecastRequest{Indicators: shifted}))
+	if in := getQualityStatus(t, ts.URL).InputDrift; in.Samples != requests+1 || in.Level <= 0 {
+		t.Fatalf("out-of-range input not seen by the drift detector: %+v", in)
 	}
 }
 
-func TestShortHistorySkipsBacktest(t *testing.T) {
+// TestForecastPostRunsOneForward: a POST pays one model forward whatever
+// its history length — the body a resource manager sends (MinHistory
+// samples) and one long enough to hide a horizon and still fill a window.
+func TestForecastPostRunsOneForward(t *testing.T) {
 	p, e := fitted(t)
-	reg := obs.NewRegistry()
-	ts := httptest.NewServer(New(p, WithRegistry(reg)))
+	s := New(p, WithRegistry(obs.NewRegistry()), WithLogger(obs.NopLogger()))
+	defer s.Close()
+	ts := httptest.NewServer(s)
 	defer ts.Close()
-
-	// Just enough history to forecast (MinHistory) but not enough to
-	// hide horizon samples and still fill a window.
-	tail := make([][]float64, trace.NumIndicators)
-	for i := range tail {
-		s := e.Metrics[i]
-		tail[i] = s[len(s)-p.MinHistory():]
-	}
-	resp := forecastReq(t, ts.URL, ForecastRequest{Indicators: tail})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	out := scrape(t, ts.URL)
-	if !strings.Contains(out, "rptcn_serving_backtest_skipped_total 1") {
-		t.Fatalf("short history not counted as skipped:\n%s", grepMetric(out, "rptcn_serving_backtest"))
-	}
-	if !strings.Contains(out, "rptcn_serving_backtest_samples_total 0") {
-		t.Fatalf("backtest ran on short history:\n%s", grepMetric(out, "rptcn_serving_backtest"))
+	for _, samples := range []int{p.MinHistory(), 64} {
+		inj := fault.NewInjector()
+		off := fault.Activate(inj)
+		out := decodeForecast(t, forecastReq(t, ts.URL, ForecastRequest{Indicators: tailOf(e, samples)}))
+		off()
+		if out.Degraded {
+			t.Fatalf("%d samples: degraded", samples)
+		}
+		if got := inj.Probes("model.forward"); got != 1 {
+			t.Fatalf("%d samples: %d model forwards, want 1", samples, got)
+		}
 	}
 }
 

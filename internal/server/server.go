@@ -70,7 +70,7 @@ type Server struct {
 	reg        *obs.Registry
 	log        *slog.Logger
 	tracer     *obstrace.Tracer
-	quality    *qualityMonitor
+	inputs     inputBounds
 	resilience ResilienceConfig
 	batchCfg   BatchConfig
 
@@ -176,7 +176,11 @@ func New(p *core.Predictor, opts ...Option) *Server {
 	if s.log == nil {
 		s.log = obs.Logger("server")
 	}
-	s.quality = newQualityMonitor(s.reg, p)
+	s.inputs = inputBounds{minHist: p.MinHistory()}
+	s.inputs.min, s.inputs.max = p.NormBounds()
+	if sel := p.SelectedIndicators(); len(sel) > 0 {
+		s.inputs.target = sel[0]
+	}
 	s.resilience.fillDefaults()
 	s.sem = make(chan struct{}, s.resilience.MaxInFlight)
 	s.dropped = s.reg.Counter("rptcn_dropped_requests_total",
@@ -537,22 +541,10 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	forecast := o.forecast
 	switch res.kind {
 	case inferOK:
-		// Online quality monitoring: backtest against the actuals the
-		// request already carries and track input drift vs the training
-		// bounds. Skipped on degraded/failed requests — there is nothing
-		// meaningful to backtest.
-		sum := s.quality.observe(req.Indicators, func(h [][]float64) (f []float64, err error) {
-			defer func() {
-				if p := recover(); p != nil {
-					s.panics.Inc()
-					err = fmt.Errorf("inference panic: %v", p)
-				}
-			}()
-			// ForecastFrom self-serializes inside the predictor, so the
-			// backtest needs no server-side lock.
-			return s.predictor.ForecastFrom(h)
-		})
-		s.feedQuality(&req, forecast, sum)
+		// Quality is measured off the request path: the input summary
+		// feeds the engine's drift detectors, and a forecast tagged with t
+		// resolves against the actuals that follow it (see feedQuality).
+		s.feedQuality(&req, forecast, s.inputs.summarize(req.Indicators))
 		// Shadow evaluation: mirror the served forecast (and its exact
 		// prepared input) to the adaptation supervisor. A cheap atomic
 		// no-op unless a candidate is actually being scored.

@@ -13,12 +13,11 @@ import (
 // Sharded serving: every forecast — POST /v1/forecast with the window in
 // the body, GET /v1/forecast/{entity} from an ingested ring — runs on the
 // entity→shard router (internal/shard), the process's one micro-batcher.
-// Each shard owns its entities' rings and its own worker; with Shards > 1
-// each also owns a private model replica, so N workers run N forwards in
-// parallel and a hot-swap on the shared predictor never convoys serving.
-// Shards == 1 with the shared predictor as the engine is the single-model
-// deployment — same rings, same batch fusion, bitwise-identical
-// responses. Because every forward kernel is row-independent
+// Each shard owns its entities' rings, its own worker and its own engine
+// (core.ShardInferencer) over the predictor's one published model, so N
+// workers run N forwards in parallel and a hot-swap reaches every shard
+// on its next batch without stalling any. One shard is the same code
+// with N = 1. Because every forward kernel is row-independent
 // (TestGemmRowIndependence, the core batching suite), each request's
 // answer is bitwise identical to running it alone — fusion buys GEMM
 // efficiency without changing a single output.
@@ -53,8 +52,8 @@ func WithBatching(cfg BatchConfig) Option {
 
 // ShardConfig tunes the shard router.
 type ShardConfig struct {
-	// Shards is the worker count; entities hash to a fixed shard.
-	// Default 1 — the degenerate path, serving on the shared predictor.
+	// Shards is the worker count; entities hash to a fixed shard
+	// (default 1).
 	Shards int
 	// QueueCap bounds each shard's pending-forecast queue (default 64).
 	QueueCap int
@@ -73,20 +72,15 @@ func WithModelRegistry(cache *registry.Cache) Option {
 	return func(s *Server) { s.modelCache = cache }
 }
 
-// buildRouter assembles the shard router every forecast is served on.
-// Single shard → the shared predictor; multiple shards → one private
-// replica per shard.
+// buildRouter assembles the shard router every forecast is served on,
+// one engine per shard.
 func (s *Server) buildRouter() (*shard.Router, error) {
 	if s.shardCfg.Shards <= 0 {
 		s.shardCfg.Shards = 1
 	}
 	engines := make([]shard.Engine, s.shardCfg.Shards)
-	if s.shardCfg.Shards == 1 {
-		engines[0] = s.predictor
-	} else {
-		for i := range engines {
-			engines[i] = s.predictor.NewShardInferencer()
-		}
+	for i := range engines {
+		engines[i] = s.predictor.NewShardInferencer()
 	}
 	var resolve shard.Resolver
 	if s.modelCache != nil {

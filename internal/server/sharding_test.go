@@ -40,9 +40,9 @@ func getForecast(t *testing.T, url, entity, model string) (ForecastResponse, int
 }
 
 // TestShardedServingMatchesSingleShard pins the acceptance contract of
-// sharding: the same fleet served by a 4-shard server (per-shard model
-// replicas) answers exactly what the default 1-shard server (shared
-// predictor — today's path) answers, entity by entity, under concurrent
+// sharding: the same fleet served by a 4-shard server (an engine per
+// shard over one shared model) answers exactly what the default 1-shard
+// server answers, entity by entity, under concurrent
 // load. Run with -race this also exercises the per-shard single-owner
 // discipline end to end through HTTP.
 func TestShardedServingMatchesSingleShard(t *testing.T) {
@@ -318,9 +318,9 @@ func TestForecastPostWithIngestDisabled(t *testing.T) {
 
 // TestForecastPostSharded pins POST /v1/forecast on a 4-shard server:
 // every answer is bitwise the 1-shard answer, anonymous requests run on
-// more than one shard's replica, a request naming an entity runs on the
+// more than one shard's engine, a request naming an entity runs on the
 // shard that owns that entity's ring, and the generation in the response
-// follows a hot-swap and its rollback on every replica.
+// follows a hot-swap and its rollback on every engine.
 func TestForecastPostSharded(t *testing.T) {
 	p, e := fitted(t)
 	quiet := []Option{WithRegistry(obs.NewRegistry()), WithLogger(obs.NopLogger())}
@@ -384,7 +384,7 @@ func TestForecastPostSharded(t *testing.T) {
 	}
 
 	// Generation: swap to a candidate, then roll back. Four anonymous
-	// POSTs visit all four replicas.
+	// POSTs visit all four engines.
 	cand, eval, _, err := p.FineTune(e.Matrix(), core.FineTuneConfig{Epochs: 1, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -399,7 +399,7 @@ func TestForecastPostSharded(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		if out := post(sharded.URL, ""); out.Generation != 2 || !slices.Equal(out.Forecast, swapped.Forecast) {
-			t.Fatalf("replica answer after the swap = %+v, want %+v", out, swapped)
+			t.Fatalf("shard answer after the swap = %+v, want %+v", out, swapped)
 		}
 	}
 	if _, _, gen, err = p.SwapModel(prev, prevEval); err != nil || gen != 3 {
@@ -407,7 +407,7 @@ func TestForecastPostSharded(t *testing.T) {
 	}
 	for i := 0; i < 4; i++ {
 		if out := post(sharded.URL, ""); out.Generation != 3 || !slices.Equal(out.Forecast, want.Forecast) {
-			t.Fatalf("replica answer after the rollback = %+v, want generation 3 of %v", out, want.Forecast)
+			t.Fatalf("shard answer after the rollback = %+v, want generation 3 of %v", out, want.Forecast)
 		}
 	}
 }

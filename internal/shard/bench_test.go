@@ -15,8 +15,7 @@ import (
 type fleetOpts struct {
 	shards   int
 	entities int
-	// churn > 0 hot-swaps the shared predictor continuously at that
-	// cadence — the convoy scenario the per-shard replicas exist for.
+	// churn > 0 hot-swaps the predictor continuously at that cadence.
 	churn time.Duration
 }
 
@@ -26,27 +25,22 @@ type fleetOpts struct {
 // req/s (aggregate throughput) and p99-ns (the worst shard's
 // per-request p99 from its t-digest).
 //
-// Read the numbers with the host's core count in mind. The 1-shard
-// path serializes every forward on the predictor's inference lock, so
-// it is structurally capped at one core of forwards no matter how many
-// cores exist; each shard replica adds an independently lockable
-// engine, so the sharded configurations scale with cores. On a
-// single-core host (where the committed BENCH_compute.json numbers
-// come from) sharding therefore cannot beat the baseline on raw req/s
-// — every configuration competes for the same core, and the 8-shard
-// fleet pays smaller average batches (~4 vs 32) for its isolation. See
+// Read the numbers with the host's core count in mind. One shard runs
+// one forward at a time, so it is capped at one core of forwards no
+// matter how many cores exist; each further shard adds an engine of its
+// own, so the sharded configurations scale with cores. On a single-core
+// host (where the committed BENCH_compute.json numbers come from)
+// sharding therefore cannot beat the baseline on raw req/s — every
+// configuration competes for the same core, and the 8-shard fleet pays
+// smaller average batches (~4 vs 32) for its isolation. See
 // EXPERIMENTS.md ("Fleet sharding on one core") for the full study,
 // including the measured record of the deleted 2 ms delay-gather (~3x
 // slower than greedy at this operating point).
 func benchFleet(b *testing.B, o fleetOpts) {
 	p, _, e := fitted(b)
 	engines := make([]Engine, o.shards)
-	if o.shards == 1 {
-		engines[0] = p
-	} else {
-		for i := range engines {
-			engines[i] = p.NewShardInferencer()
-		}
+	for i := range engines {
+		engines[i] = p.NewShardInferencer()
 	}
 	r, err := New(Config{
 		Shards:       o.shards,
@@ -135,13 +129,13 @@ func benchFleet(b *testing.B, o fleetOpts) {
 }
 
 // BenchmarkFleetSteady1 is the single-shard baseline: 4096 entities on
-// the shared-predictor path (inferMu-serialized forwards, full batch
-// fusion) at concurrency 64, no churn.
+// one engine (one forward at a time, full batch fusion) at concurrency
+// 64, no churn.
 func BenchmarkFleetSteady1(b *testing.B) {
 	benchFleet(b, fleetOpts{shards: 1, entities: 4096})
 }
 
-// BenchmarkFleetSteady8 is the same fleet across 8 shard replicas with
+// BenchmarkFleetSteady8 is the same fleet across 8 shard engines with
 // the greedy gather. Forwards here take no shared lock, so this
 // configuration scales with cores where the baseline cannot; on a
 // single core it trades batch-32 fusion for isolation and lands near
@@ -151,18 +145,15 @@ func BenchmarkFleetSteady8(b *testing.B) {
 }
 
 // BenchmarkFleetChurn1 measures the baseline under aggressive
-// hot-swapping (one promotion every 5ms): every swap takes the shared
-// inference lock the requests serialize on.
+// hot-swapping (one promotion every 5ms).
 func BenchmarkFleetChurn1(b *testing.B) {
 	benchFleet(b, fleetOpts{shards: 1, entities: 4096, churn: 5 * time.Millisecond})
 }
 
-// BenchmarkFleetChurn8 is the same churn against 8 replicas: serving
-// never takes the shared lock (one atomic genSeq load per batch), so
-// requests ride straight through the swap holds; each replica pays a
-// re-clone per generation instead. On one core the swap work still
-// steals cycles from everyone; with cores to spare the replicas keep
-// serving at full rate through the hold.
+// BenchmarkFleetChurn8 is the same churn against 8 engines: a swap
+// publishes a snapshot each engine loads on its next batch (one atomic
+// load), so requests ride straight through it and no engine copies the
+// model. On one core the swap work still steals cycles from everyone.
 func BenchmarkFleetChurn8(b *testing.B) {
 	benchFleet(b, fleetOpts{shards: 8, entities: 4096, churn: 5 * time.Millisecond})
 }

@@ -131,7 +131,7 @@ func (r *Router) isClosed() bool {
 // is read, and everything after — batch fusion with that shard's other
 // traffic, panic isolation, generation stamping — is Forecast's. A named
 // entity goes to its own shard; requests naming none are spread
-// round-robin, so with several shards they run on several replicas.
+// round-robin, so with several shards they run on several engines.
 func (r *Router) ForecastPrepared(entity string, in *core.PreparedInput) Result {
 	if r.isClosed() {
 		return Result{Err: ErrClosed}

@@ -1,17 +1,12 @@
 // Package shard routes a fleet of entities across N single-owner
 // serving workers. Every entity hashes to a fixed shard; the shard owns
-// that entity's ingestion ring, pending-forecast queue, and a private
-// micro-batcher, so the hot path — ingest a sample, serve a forecast —
-// touches only shard-local state and the per-entity ring locks, never a
-// cross-shard lock. With per-shard model replicas
-// (core.ShardInferencer) the N workers also run N forwards truly in
-// parallel, instead of convoying on the shared predictor's global
-// inference lock.
-//
-// The degenerate 1-shard router with the shared *core.Predictor as its
-// engine is the single-model deployment — same rings, same batch
-// fusion, bitwise-identical forecasts — which is what keeps it a
-// configuration, not a code path.
+// that entity's ingestion ring, pending-forecast queue, a private
+// micro-batcher and its own engine, so the hot path — ingest a sample,
+// serve a forecast — touches only shard-local state and the per-entity
+// ring locks, never a cross-shard lock. With an engine per shard
+// (core.ShardInferencer, every one reading the predictor's one published
+// model) the N workers run N forwards truly in parallel. One shard is the
+// same router with N = 1: a configuration, not a code path.
 //
 // The workers are the process's only micro-batcher. A ring-backed
 // request (Forecast) and a stateless one whose window the caller already
@@ -38,8 +33,9 @@ import (
 )
 
 // Engine is the inference surface one shard serves with. Satisfied by
-// *core.Predictor (shared, globally locked — the degenerate case) and
-// *core.ShardInferencer (per-shard replica, lock-free forwards).
+// *core.ShardInferencer, the engine each shard owns, and by
+// *core.Predictor, whose own engine serializes its callers (the registry
+// resolver hands out loaded predictors as engines).
 type Engine interface {
 	MinHistory() int
 	PrepareInput(series [][]float64) (*core.PreparedInput, error)
@@ -63,7 +59,7 @@ var (
 // Config configures a Router.
 type Config struct {
 	// Shards is the worker count; every entity hashes to one fixed
-	// shard (default 1 — the degenerate single-model path).
+	// shard (default 1).
 	Shards int
 	// QueueCap bounds each shard's pending-forecast queue (default 64).
 	// Producers block when a shard's queue is full, which bounds memory
@@ -80,9 +76,7 @@ type Config struct {
 	// 0 = unbounded.
 	MaxEntities int
 	// Engines holds one serving engine per shard (len must equal
-	// Shards). With Shards == 1 pass the shared *core.Predictor to keep
-	// today's exact serving semantics; with more shards pass per-shard
-	// core.ShardInferencer replicas.
+	// Shards): a core.ShardInferencer each.
 	Engines []Engine
 	// Resolve, when set, serves requests that name a model (the
 	// multi-model path). An empty model name always uses the shard's

@@ -99,12 +99,8 @@ func preparedTail(t *testing.T, p *core.Predictor, e *trace.EntitySeries) *core.
 func newRouter(t *testing.T, p *core.Predictor, shards int, opts ...func(*Config)) *Router {
 	t.Helper()
 	engines := make([]Engine, shards)
-	if shards == 1 {
-		engines[0] = p
-	} else {
-		for i := range engines {
-			engines[i] = p.NewShardInferencer()
-		}
+	for i := range engines {
+		engines[i] = p.NewShardInferencer()
 	}
 	cfg := Config{
 		Shards:       shards,
@@ -190,10 +186,9 @@ func queueBehindParked(t *testing.T, r *Router, pe *parkEngine, n int, first fun
 	return fc, func() []Result { wg.Wait(); return out }
 }
 
-// TestOneShardMatchesPredictor pins the degenerate case: a 1-shard
-// router serving on the shared predictor answers bitwise identically to
-// calling the predictor directly — sharding changes routing, never
-// values.
+// TestOneShardMatchesPredictor pins the N = 1 case: a 1-shard router
+// answers bitwise identically to calling the predictor directly —
+// sharding changes routing, never values.
 func TestOneShardMatchesPredictor(t *testing.T) {
 	p, _, e := fitted(t)
 	r := newRouter(t, p, 1)
@@ -208,9 +203,9 @@ func TestOneShardMatchesPredictor(t *testing.T) {
 	requireBitwise(t, "1-shard vs direct", res.Forecast, directForecast(t, p, e))
 }
 
-// TestShardedMatchesOneShard pins replica equivalence at the router
-// level: the same fleet served by 8 replica shards answers bitwise
-// identically to the 1-shard shared-predictor path, entity by entity.
+// TestShardedMatchesOneShard pins engine equivalence at the router
+// level: the same fleet served by 8 shards answers bitwise identically
+// to 1 shard, entity by entity.
 func TestShardedMatchesOneShard(t *testing.T) {
 	p, _, e := fitted(t)
 	one := newRouter(t, p, 1)

@@ -250,13 +250,18 @@ func TestFitConvScratchSettles(t *testing.T) {
 // TestRestoreUnfreezes: a best-weight restore writes parameters behind
 // the layers' backs, so it must leave a frozen model unfrozen — the arena
 // path has to serve the restored weights, not the kernel baked before.
+// The reference is a fresh, never-frozen model holding the restored
+// weights, so it bakes its kernel from them.
 func TestRestoreUnfreezes(t *testing.T) {
+	build := func(r *tensor.RNG) *nn.Sequential {
+		return nn.NewSequential(
+			nn.NewTCN(r, nn.TCNConfig{InChannels: 2, Channels: []int{3}, KernelSize: 3, WeightNorm: true}),
+			&nn.LastStep{},
+			nn.NewDense(r, 3, 1),
+		)
+	}
 	r := tensor.NewRNG(3)
-	model := nn.NewSequential(
-		nn.NewTCN(r, nn.TCNConfig{InChannels: 2, Channels: []int{3}, KernelSize: 3, WeightNorm: true}),
-		&nn.LastStep{},
-		nn.NewDense(r, 3, 1),
-	)
+	model := build(r)
 	best := snapshotInto(model, nil)
 	for _, v := range best {
 		for i := range v.Data {
@@ -265,8 +270,12 @@ func TestRestoreUnfreezes(t *testing.T) {
 	}
 	nn.Freeze(model)
 	restore(model, best)
+	fresh := build(tensor.NewRNG(0))
+	for i, p := range fresh.Params() {
+		p.Value.CopyFrom(best[i])
+	}
 	x := tensor.RandN(r, 2, 2, 8)
-	want := model.Forward(x, false)
+	want := fresh.Forward(x, false)
 	got := nn.Infer(model, nn.NewInferArena(), x)
 	for i := range want.Data {
 		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
