@@ -132,12 +132,11 @@ func runAdaptReplay(cfg adaptReplayConfig) {
 	defer sup.Close()
 
 	eng := quality.New(quality.Config{
-		Horizon:    cfg.horizon,
-		Window:     cfg.samples * cfg.horizon,
-		Mutation:   quality.MutationConfig{MedianWidth: 5, Warmup: 16, Cooldown: 8, Alpha: 0.25, Delta: 3, Lambda: 50},
-		InputDrift: quality.DriftConfig{Baseline: 16, Alpha: 0.5, MinStd: 0.02},
-		Registry:   obs.NewRegistry(),
-		Events:     sup.OnQualityEvent,
+		Horizon:  cfg.horizon,
+		Window:   cfg.samples * cfg.horizon,
+		Preset:   quality.PresetFast,
+		Registry: obs.NewRegistry(),
+		Events:   sup.OnQualityEvent,
 	})
 	defer eng.Close()
 

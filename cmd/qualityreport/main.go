@@ -111,8 +111,10 @@ func main() {
 	if err := p.Fit(trainSeries, int(trace.CPUUtilPercent)); err != nil {
 		fatal("fit", err)
 	}
-	normMin, normMax := p.NormBounds()
 	minHist := p.MinHistory()
+	// The input detectors see what rptcnd feeds them for a request.
+	bounds := quality.InputBounds{Target: p.SelectedIndicators()[0], MinHistory: minHist}
+	bounds.Min, bounds.Max = p.NormBounds()
 
 	// Journal drift/SLO transitions either to a run artifact (-rundir)
 	// or to memory; either way the events are read back for the report.
@@ -130,24 +132,18 @@ func main() {
 		journal = runlog.New(&buf)
 	}
 
-	// Detector tuning for the compressed replay cadence: small median
-	// and warmup windows, a faster EWMA so the level tracks the
-	// generator's diurnal wander between mutations, and a widened
-	// tolerance/threshold so long mutated regimes (where CPU clamping
-	// distorts the wander) don't re-fire. The +35 step stays far above
-	// the raised threshold.
-	detector := quality.MutationConfig{MedianWidth: 5, Warmup: 16, Cooldown: 8, Alpha: 0.25, Delta: 3, Lambda: 50}
+	// Detectors tuned for the compressed replay cadence; the +35 step
+	// stays far above the preset's raised threshold.
 	eng := quality.New(quality.Config{
 		Horizon: *horizon,
 		// One ring large enough to hold every replayed pair (up to
 		// horizon per sample), so the offline recomputation below must
 		// match the engine exactly.
-		Window:     *samples * *horizon,
-		Mutation:   detector,
-		InputDrift: quality.DriftConfig{Baseline: 16, Alpha: 0.5, MinStd: 0.02},
-		Rules:      rules,
-		Registry:   obs.NewRegistry(),
-		Journal:    journal,
+		Window:   *samples * *horizon,
+		Preset:   quality.PresetFast,
+		Rules:    rules,
+		Registry: obs.NewRegistry(),
+		Journal:  journal,
 	})
 	defer eng.Close()
 
@@ -176,14 +172,7 @@ func main() {
 		}
 		eng.RecordForecast(entityName, int64(t), forecast)
 		mirror.record(int64(t), forecast)
-
-		mean := 0.0
-		for _, v := range tgt[len(tgt)-minHist:] {
-			mean += v
-		}
-		mean /= float64(minHist)
-		oor, hasOOR := oorRatio(hist, normMin, normMax)
-		eng.ObserveInput(entityName, int64(t), mean, oor, hasOOR)
+		eng.ObserveInput(entityName, int64(t), bounds.Summarize(hist))
 		requests++
 	}
 	eng.Flush()
@@ -231,7 +220,7 @@ func main() {
 	}
 	// Detection tolerance: the median filter needs MedianWidth requests
 	// to flip, and the input window mean ramps over MinHistory samples.
-	tol := int64(2*detector.MedianWidth**stride + minHist)
+	tol := int64(2*quality.PresetFast.Mutation().MedianWidth**stride + minHist)
 	fmt.Printf("\ninput mutations fired at %v (injected %v, tolerance +%d)\n", fires, points, tol)
 	detectOK := validateDetections(points, fires, tol)
 	if !detectOK {
@@ -299,30 +288,6 @@ func parsePoints(s string) ([]int, error) {
 	}
 	sort.Ints(out)
 	return out, nil
-}
-
-// oorRatio mirrors the serving-side input monitor: the fraction of all
-// submitted values outside the training min-max bounds.
-func oorRatio(series [][]float64, min, max []float64) (float64, bool) {
-	if len(min) == 0 {
-		return 0, false
-	}
-	total, out := 0, 0
-	for i, s := range series {
-		if i >= len(min) {
-			break
-		}
-		for _, v := range s {
-			total++
-			if v < min[i] || v > max[i] {
-				out++
-			}
-		}
-	}
-	if total == 0 {
-		return 0, false
-	}
-	return float64(out) / float64(total), true
 }
 
 // mirror replays the engine's pending-store semantics offline so the

@@ -81,25 +81,19 @@ func main() {
 		maxInflight = flag.Int("max-inflight", 32, "max concurrent requests before shedding with 429")
 		maxBatch    = flag.Int("max-batch", 32, "max forecasts fused into one model pass (1 disables micro-batching)")
 		sloSpec     = flag.String("slo", "", `forecast-quality SLO rules, comma-separated (e.g. "mae<=5@256, p90_abs_err<=12")`)
-		fleetK      = flag.Int("fleet-k", 32, "heavy-hitter capacity of the per-entity fleet sketches (0 disables /debug/fleet)")
 		keepEvery   = flag.Int("trace-keep-every", 1, "tail sampling: retain 1 in N boring traces (errors/slow/degraded always kept; 1 keeps all)")
 		slowTrace   = flag.Duration("trace-slow", 250*time.Millisecond, "tail sampling: always retain traces at least this slow")
 
-		ringCap     = flag.Int("ring-capacity", 0, "samples retained per ingested entity (0 = auto: 2x the model's minimum history, grown to cover -adapt-min-samples)")
 		maxEntities = flag.Int("max-entities", 0, "max entities with ring state; beyond it the least-recently-touched ring is evicted (0 = unbounded)")
 
 		shards      = flag.Int("shards", 1, "forecast-serving shard workers, each running its own forwards on the one published model")
-		shardQueue  = flag.Int("shard-queue", 0, "pending-forecast queue capacity per shard (0 = 64)")
 		registryDir = flag.String("registry-dir", "", "versioned model registry directory; enables GET /v1/forecast/{entity}?model=<name>")
-		modelCache  = flag.Int("model-cache", 0, "max models resident in the registry's warmed-arena LRU cache (0 = 8)")
 		publish     = flag.String("publish", "", "publish the served predictor into -registry-dir under this name at boot")
 
 		adaptOn      = flag.Bool("adapt", false, "drift-adaptive online retraining: background fine-tune on drift/mutation, shadow-evaluate, hot-swap (needs streaming ingestion for training data)")
 		adaptDir     = flag.String("adapt-dir", "adapt-state", "crash-safe supervisor state and candidate checkpoints live here")
 		adaptMinSamp = flag.Int("adapt-min-samples", 0, "ring samples required before a retrain starts (0 = 4x the model's minimum history)")
 		adaptShadow  = flag.Int("adapt-shadow", 0, "resolved shadow forecasts required before the promotion gate is judged (0 = 32)")
-		adaptMargin  = flag.Float64("adapt-margin", 0, "promotion margin: candidate shadow MAE must beat live MAE by this fraction (0 = 0.02)")
-		adaptCool    = flag.Duration("adapt-cooldown", 0, "minimum time between swaps (0 = 60s)")
 		qualityFast  = flag.Bool("quality-fast", false, "tune the mutation/drift detectors for compressed replays (small median/warmup windows); for demos and CI, not production cadences")
 	)
 	flag.Parse()
@@ -130,15 +124,15 @@ func main() {
 			RequestTimeout: *reqTimeout,
 		},
 		batch:       server.BatchConfig{MaxBatch: *maxBatch},
-		slo:         sloRules,
+		quality:     quality.Config{Rules: sloRules},
 		runDir:      *runDir,
-		fleetK:      *fleetK,
-		qualityFast: *qualityFast,
-		ingest:      server.IngestConfig{RingCapacity: *ringCap, MaxEntities: *maxEntities},
-		shard:       server.ShardConfig{Shards: *shards, QueueCap: *shardQueue},
+		ingest:      server.IngestConfig{MaxEntities: *maxEntities},
+		shard:       server.ShardConfig{Shards: *shards},
 		registryDir: *registryDir,
-		modelCache:  *modelCache,
 		publish:     *publish,
+	}
+	if *qualityFast {
+		scfg.quality.Preset = quality.PresetFast
 	}
 	if scfg.publish != "" && scfg.registryDir == "" {
 		fatal("configure", errors.New("-publish needs -registry-dir"))
@@ -148,8 +142,6 @@ func main() {
 			Dir:               *adaptDir,
 			MinSamples:        *adaptMinSamp,
 			MinShadowResolved: *adaptShadow,
-			PromoteMargin:     *adaptMargin,
-			Cooldown:          *adaptCool,
 		}
 	}
 
@@ -288,14 +280,11 @@ type serveConfig struct {
 	addr, debugAddr string
 	res             server.ResilienceConfig
 	batch           server.BatchConfig
-	slo             []quality.Rule
+	quality         quality.Config
 	runDir          string
-	fleetK          int
-	qualityFast     bool
 	ingest          server.IngestConfig
 	shard           server.ShardConfig
-	registryDir     string // "": no model registry
-	modelCache      int
+	registryDir     string        // "": no model registry
 	publish         string        // publish the served predictor under this name at boot
 	adapt           *adapt.Config // nil: adaptation off
 }
@@ -321,36 +310,13 @@ func serve(log *slog.Logger, p *core.Predictor, sc serveConfig) {
 		log.Info("journaling serving-quality events", "path", journal.Path())
 	}
 
-	qcfg := quality.Config{Rules: sc.slo}
-	if sc.qualityFast {
-		// Compressed-replay tuning: detectors that flip within tens of
-		// requests instead of hundreds (same constants qualityreport's
-		// replay uses). Production cadences want the defaults.
-		qcfg.Mutation = quality.MutationConfig{MedianWidth: 5, Warmup: 16, Cooldown: 8, Alpha: 0.25, Delta: 3, Lambda: 50}
-		qcfg.InputDrift = quality.DriftConfig{Baseline: 16, Alpha: 0.5, MinStd: 0.02}
-	}
-	if sc.adapt != nil {
-		// The supervisor retrains from the ingestion rings, so a ring must
-		// be able to hold a full training set: grow the default capacity to
-		// twice the retrain minimum.
-		minSamples := sc.adapt.MinSamples
-		if minSamples <= 0 {
-			minSamples = 4 * p.MinHistory()
-		}
-		if sc.ingest.RingCapacity <= 0 && !sc.ingest.Disabled {
-			sc.ingest.RingCapacity = 2 * minSamples
-		}
-		log.Info("online adaptation enabled",
-			"dir", sc.adapt.Dir, "min_samples", minSamples, "ring_capacity", sc.ingest.RingCapacity)
-	}
 	opts := []server.Option{
 		server.WithRegistry(reg), server.WithTracer(obstrace.Default()),
 		server.WithResilience(sc.res), server.WithBatching(sc.batch),
-		server.WithQualityConfig(qcfg),
+		server.WithQualityConfig(sc.quality),
 		server.WithJournal(journal),
 		server.WithIngest(sc.ingest),
 		server.WithSharding(sc.shard),
-		server.WithFleetTelemetry(server.FleetConfig{Disabled: sc.fleetK <= 0, K: sc.fleetK}),
 		server.WithDebugAddr(debugAddr),
 	}
 	if sc.registryDir != "" {
@@ -367,7 +333,7 @@ func serve(log *slog.Logger, p *core.Predictor, sc serveConfig) {
 			}
 			log.Info("published serving model", "name", sc.publish, "version", v, "dir", sc.registryDir)
 		}
-		cache := registry.NewCache(store, sc.modelCache)
+		cache := registry.NewCache(store, 0)
 		cache.RegisterMetrics(reg)
 		opts = append(opts, server.WithModelRegistry(cache))
 		log.Info("model registry enabled", "dir", sc.registryDir, "models", store.Names())
@@ -376,6 +342,8 @@ func serve(log *slog.Logger, p *core.Predictor, sc serveConfig) {
 		log.Info("sharded entity serving", "shards", sc.shard.Shards)
 	}
 	if sc.adapt != nil {
+		// The rings grow to hold a retrain's samples (server.WithAdaptation).
+		log.Info("online adaptation enabled", "dir", sc.adapt.Dir)
 		opts = append(opts, server.WithAdaptation(*sc.adapt))
 	}
 	handler := server.New(p, opts...)

@@ -57,50 +57,47 @@ type Config struct {
 	// (candidates/). Empty runs fully in-memory.
 	Dir string
 	// MinSamples is the fewest ring samples an entity needs before its
-	// history is worth retraining on (default 4× the predictor's
-	// MinHistory, so the supervised split has real windows on each side).
+	// history is worth retraining on (see EffectiveMinSamples).
 	MinSamples int
-	// FineTune tunes candidate training; zero values inherit the
-	// predictor's hyperparameters (see core.FineTuneConfig). The Guard
-	// is forced on — a diverging fine-tune must self-heal — and the
+	// FineTune tunes candidate training (see core.FineTuneConfig); the
 	// checkpoint dir is pointed at Dir/candidates when Dir is set.
 	FineTune core.FineTuneConfig
 	// MinShadowResolved is how many mirrored forecasts must resolve
 	// against ground truth before the promotion verdict (default 32).
 	MinShadowResolved int
-	// PromoteMargin is the relative MAE improvement the candidate must
-	// show: promoted iff shadowMAE ≤ liveMAE × (1 − PromoteMargin)
-	// (default 0.02).
-	PromoteMargin float64
 	// ProbationResolved is how many post-swap live pairs decide the
 	// rollback verdict (default MinShadowResolved).
 	ProbationResolved int
-	// RollbackFactor triggers rollback when the post-swap live MAE
-	// exceeds the pre-swap live MAE × RollbackFactor (default 1.10).
-	RollbackFactor float64
-	// MaxRetries bounds consecutive retrain failures before the alarm
-	// raises and the supervisor goes idle (default 3).
-	MaxRetries int
-	// RetryBackoff is the first retry delay; it doubles per failure
-	// (default 2s).
-	RetryBackoff time.Duration
 	// Cooldown is the minimum gap between swaps; triggers inside it are
 	// ignored (default 60s).
 	Cooldown time.Duration
-	// MaxPending bounds the mirrored forecasts awaiting ground truth
-	// (default 4096).
-	MaxPending int
-	// QueueSize bounds the event queue (default 4096).
-	QueueSize int
 	// Registry receives rptcn_adapt_* metrics (default obs.Default()).
 	Registry *obs.Registry
 	// Journal, when set, receives runlog.TypeAdapt lifecycle events.
 	Journal *runlog.Run
-	// Log receives lifecycle messages (default obs.Logger("adapt")).
-	Log *slog.Logger
-	// Now is the clock (default time.Now); injectable for tests.
-	Now func() time.Time
+
+	// Tests shorten these; zero means the default.
+	promoteMargin float64          // see decideShadow (0.02)
+	maxRetries    int              // retrain failures before the alarm (3)
+	retryBackoff  time.Duration    // first retry delay, doubling per failure (2s)
+	now           func() time.Time // the clock (time.Now)
 }
+
+// EffectiveMinSamples is MinSamples, or its default when unset: 4× the
+// predictor's MinHistory, so the supervised split has real windows on
+// each side.
+func (c *Config) EffectiveMinSamples() int {
+	if c.MinSamples > 0 {
+		return c.MinSamples
+	}
+	return 4 * c.Predictor.MinHistory()
+}
+
+const (
+	rollbackFactor = 1.10 // probation MAE over the pre-swap live MAE that rolls back
+	maxPending     = 4096 // mirrored forecast steps awaiting ground truth
+	queueSize      = 4096 // events awaiting the worker
+)
 
 func (c *Config) fillDefaults() error {
 	if c.Predictor == nil {
@@ -109,46 +106,31 @@ func (c *Config) fillDefaults() error {
 	if c.Rings == nil {
 		return errors.New("adapt: Config.Rings is required")
 	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 4 * c.Predictor.MinHistory()
-	}
+	c.MinSamples = c.EffectiveMinSamples()
 	if c.MinShadowResolved <= 0 {
 		c.MinShadowResolved = 32
 	}
-	if c.PromoteMargin == 0 {
-		c.PromoteMargin = 0.02
+	if c.promoteMargin == 0 {
+		c.promoteMargin = 0.02
 	}
 	if c.ProbationResolved <= 0 {
 		c.ProbationResolved = c.MinShadowResolved
 	}
-	if c.RollbackFactor == 0 {
-		c.RollbackFactor = 1.10
+	if c.maxRetries <= 0 {
+		c.maxRetries = 3
 	}
-	if c.MaxRetries <= 0 {
-		c.MaxRetries = 3
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 2 * time.Second
+	if c.retryBackoff <= 0 {
+		c.retryBackoff = 2 * time.Second
 	}
 	if c.Cooldown == 0 {
 		c.Cooldown = 60 * time.Second
 	}
-	if c.MaxPending <= 0 {
-		c.MaxPending = 4096
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 4096
-	}
 	if c.Registry == nil {
 		c.Registry = obs.Default()
 	}
-	if c.Log == nil {
-		c.Log = obs.Logger("adapt")
+	if c.now == nil {
+		c.now = time.Now
 	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	c.FineTune.Guard.Enabled = true
 	if c.Dir != "" && c.FineTune.Checkpoint.Dir == "" {
 		c.FineTune.Checkpoint.Dir = filepath.Join(c.Dir, "candidates")
 	}
@@ -212,6 +194,7 @@ type shadowPair struct {
 // methods are safe for concurrent use and never block the caller.
 type Supervisor struct {
 	cfg Config
+	log *slog.Logger
 
 	ch        chan event
 	trainDone chan trainResult // cap 1: one retrain in flight
@@ -277,7 +260,8 @@ func New(cfg Config) (*Supervisor, error) {
 	reg := cfg.Registry
 	s := &Supervisor{
 		cfg:       cfg,
-		ch:        make(chan event, cfg.QueueSize),
+		log:       obs.Logger("adapt"),
+		ch:        make(chan event, queueSize),
 		trainDone: make(chan trainResult, 1),
 		retryCh:   make(chan struct{}, 1),
 		stop:      make(chan struct{}),
@@ -451,7 +435,7 @@ func (s *Supervisor) onTrigger(ev event) {
 	if s.state != StateIdle {
 		return
 	}
-	if s.cfg.Now().Before(s.cooldownEnd) {
+	if s.cfg.now().Before(s.cooldownEnd) {
 		s.journal("trigger_ignored", map[string]any{"reason": "cooldown", "entity": ev.entity, "t": ev.t})
 		return
 	}
@@ -475,7 +459,7 @@ func (s *Supervisor) startRetrain(entity string) {
 		"entity": entity, "samples": len(series[0]), "generation": s.cfg.Predictor.Generation(),
 		"attempt": s.retry + 1,
 	})
-	s.cfg.Log.Info("retraining candidate", "entity", entity,
+	s.log.Info("retraining candidate", "entity", entity,
 		"samples", len(series[0]), "attempt", s.retry+1)
 	ft := s.cfg.FineTune
 	p := s.cfg.Predictor
@@ -529,20 +513,20 @@ func (s *Supervisor) onTrainDone(res trainResult) {
 		s.journal("retrain_failed", map[string]any{
 			"entity": res.entity, "attempt": s.retry + 1, "err": res.err.Error(),
 		})
-		s.cfg.Log.Warn("candidate retrain failed", "entity", res.entity,
+		s.log.Warn("candidate retrain failed", "entity", res.entity,
 			"attempt", s.retry+1, "err", res.err)
 		s.retry++
-		if s.retry > s.cfg.MaxRetries {
+		if s.retry > s.cfg.maxRetries {
 			s.alarm = true
 			s.alarmG.Set(1)
 			s.journal("alarm", map[string]any{"reason": "retrain retries exhausted", "attempts": s.retry})
-			s.cfg.Log.Error("adaptation alarm: retrain retries exhausted; serving continues on current weights",
+			s.log.Error("adaptation alarm: retrain retries exhausted; serving continues on current weights",
 				"attempts", s.retry)
 			s.toIdle()
 			return
 		}
-		// Exponential backoff: RetryBackoff × 2^(attempt−1).
-		delay := s.cfg.RetryBackoff << (s.retry - 1)
+		// Exponential backoff: retryBackoff × 2^(attempt−1).
+		delay := s.cfg.retryBackoff << (s.retry - 1)
 		s.setState(StateTraining)
 		s.entity = res.entity
 		s.retryTimer = time.AfterFunc(delay, func() {
@@ -564,7 +548,7 @@ func (s *Supervisor) onTrainDone(res trainResult) {
 	s.journal("shadow_start", map[string]any{
 		"entity": res.entity, "need_resolved": s.cfg.MinShadowResolved,
 	})
-	s.cfg.Log.Info("candidate in shadow", "entity", res.entity,
+	s.log.Info("candidate in shadow", "entity", res.entity,
 		"need_resolved", s.cfg.MinShadowResolved)
 }
 
@@ -588,7 +572,7 @@ func (s *Supervisor) onMirror(ev event) {
 	if s.state == StateShadow {
 		out, _, err := s.inf.ForecastBatchGen([]*core.PreparedInput{ev.in})
 		if err != nil {
-			s.cfg.Log.Warn("shadow forecast failed", "err", err)
+			s.log.Warn("shadow forecast failed", "err", err)
 			return
 		}
 		cand = out[0]
@@ -597,7 +581,7 @@ func (s *Supervisor) onMirror(ev event) {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				// Non-finite shadow output is an instant disqualification.
 				s.journal("discarded", map[string]any{"entity": s.entity, "reason": "non-finite shadow forecast"})
-				s.cfg.Log.Warn("candidate discarded: non-finite shadow forecast")
+				s.log.Warn("candidate discarded: non-finite shadow forecast")
 				s.toIdle()
 				return
 			}
@@ -609,7 +593,7 @@ func (s *Supervisor) onMirror(ev event) {
 		s.pending[ev.entity] = byT
 	}
 	for k, lv := range ev.values {
-		if s.pendingN >= s.cfg.MaxPending {
+		if s.pendingN >= maxPending {
 			break
 		}
 		pair := shadowPair{live: lv}
@@ -666,18 +650,20 @@ func (s *Supervisor) onActuals(ev event) {
 	}
 }
 
-// decideShadow applies the promotion gate and either hot-swaps the
-// candidate into serving (entering probation) or discards it.
+// decideShadow applies the promotion gate — the candidate's shadow MAE
+// must beat the live MAE by promoteMargin, relative — and either
+// hot-swaps the candidate into serving (entering probation) or discards
+// it.
 func (s *Supervisor) decideShadow() {
 	liveMAE := s.liveAbs / float64(s.shadowRes)
 	candMAE := s.candAbs / float64(s.shadowRes)
-	gate := liveMAE * (1 - s.cfg.PromoteMargin)
+	gate := liveMAE * (1 - s.cfg.promoteMargin)
 	if candMAE > gate {
 		s.journal("discarded", map[string]any{
 			"entity": s.entity, "live_mae": liveMAE, "cand_mae": candMAE,
 			"resolved": s.shadowRes, "reason": "promotion gate not met",
 		})
-		s.cfg.Log.Info("candidate discarded: promotion gate not met",
+		s.log.Info("candidate discarded: promotion gate not met",
 			"live_mae", liveMAE, "cand_mae", candMAE, "resolved", s.shadowRes)
 		s.toIdle()
 		return
@@ -685,14 +671,14 @@ func (s *Supervisor) decideShadow() {
 	prev, prevEval, gen, err := s.cfg.Predictor.SwapModel(s.candModel, s.candEval)
 	if err != nil {
 		s.journal("discarded", map[string]any{"entity": s.entity, "reason": "swap failed: " + err.Error()})
-		s.cfg.Log.Error("hot-swap failed; candidate discarded", "err", err)
+		s.log.Error("hot-swap failed; candidate discarded", "err", err)
 		s.toIdle()
 		return
 	}
 	s.swaps++
 	s.swapsC.Inc()
-	s.lastSwapUnix = s.cfg.Now().Unix()
-	s.cooldownEnd = s.cfg.Now().Add(s.cfg.Cooldown)
+	s.lastSwapUnix = s.cfg.now().Unix()
+	s.cooldownEnd = s.cfg.now().Add(s.cfg.Cooldown)
 	s.genG.Set(float64(gen))
 	s.alarm = false
 	s.alarmG.Set(0)
@@ -705,18 +691,18 @@ func (s *Supervisor) decideShadow() {
 		"entity": s.entity, "generation": gen,
 		"live_mae": liveMAE, "cand_mae": candMAE,
 	})
-	s.cfg.Log.Info("candidate promoted", "generation", gen,
+	s.log.Info("candidate promoted", "generation", gen,
 		"live_mae", liveMAE, "cand_mae", candMAE, "probation_need", s.cfg.ProbationResolved)
 }
 
 // decideProbation keeps the new generation or rolls back to the old.
 func (s *Supervisor) decideProbation() {
 	probMAE := s.probAbs / float64(s.probRes)
-	if probMAE <= s.baseMAE*s.cfg.RollbackFactor {
+	if probMAE <= s.baseMAE*rollbackFactor {
 		s.journal("probation_pass", map[string]any{
 			"generation": s.cfg.Predictor.Generation(), "mae": probMAE, "baseline_mae": s.baseMAE,
 		})
-		s.cfg.Log.Info("probation passed; promotion is final",
+		s.log.Info("probation passed; promotion is final",
 			"mae", probMAE, "baseline_mae", s.baseMAE)
 		s.toIdle()
 		return
@@ -729,7 +715,7 @@ func (s *Supervisor) decideProbation() {
 		s.alarm = true
 		s.alarmG.Set(1)
 		s.journal("alarm", map[string]any{"reason": "rollback failed: " + err.Error()})
-		s.cfg.Log.Error("rollback failed", "err", err)
+		s.log.Error("rollback failed", "err", err)
 		s.toIdle()
 		return
 	}
@@ -737,13 +723,13 @@ func (s *Supervisor) decideProbation() {
 	s.rollbackC.Inc()
 	s.swaps++
 	s.swapsC.Inc()
-	s.lastSwapUnix = s.cfg.Now().Unix()
-	s.cooldownEnd = s.cfg.Now().Add(s.cfg.Cooldown)
+	s.lastSwapUnix = s.cfg.now().Unix()
+	s.cooldownEnd = s.cfg.now().Add(s.cfg.Cooldown)
 	s.genG.Set(float64(gen))
 	s.journal("rollback", map[string]any{
 		"generation": gen, "mae": probMAE, "baseline_mae": s.baseMAE,
 	})
-	s.cfg.Log.Warn("post-swap quality regressed; rolled back to previous weights",
+	s.log.Warn("post-swap quality regressed; rolled back to previous weights",
 		"generation", gen, "mae", probMAE, "baseline_mae", s.baseMAE)
 	s.toIdle()
 }

@@ -51,9 +51,9 @@ func TestAdaptShadowSurvivesEntityEviction(t *testing.T) {
 		MinShadowResolved: 8,
 		// Unreachable gate: the cycle must end in a clean discard, so the
 		// test never depends on candidate quality.
-		PromoteMargin: 0.999,
-		MaxRetries:    2,
-		RetryBackoff:  time.Millisecond,
+		promoteMargin: 0.999,
+		maxRetries:    2,
+		retryBackoff:  time.Millisecond,
 		Cooldown:      time.Millisecond,
 		Registry:      obs.NewRegistry(),
 	})
@@ -107,7 +107,7 @@ func TestAdaptShadowSurvivesEntityEviction(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if st.Failures != 3 { // initial attempt + MaxRetries
+	if st.Failures != 3 { // initial attempt + maxRetries
 		t.Fatalf("failures = %d, want 3", st.Failures)
 	}
 	if p.Generation() != 1 {

@@ -95,8 +95,8 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	if cfg.Cooldown == 0 {
 		cfg.Cooldown = time.Millisecond
 	}
-	if cfg.RetryBackoff == 0 {
-		cfg.RetryBackoff = 5 * time.Millisecond
+	if cfg.retryBackoff == 0 {
+		cfg.retryBackoff = 5 * time.Millisecond
 	}
 	sup, err := New(cfg)
 	if err != nil {
@@ -253,7 +253,7 @@ func TestAdaptRollback(t *testing.T) {
 // candidate must be quietly discarded, serving stays on generation 1,
 // and no swap happens.
 func TestAdaptDiscardOnGate(t *testing.T) {
-	f := newFixture(t, Config{PromoteMargin: 0.999})
+	f := newFixture(t, Config{promoteMargin: 0.999})
 	f.trigger()
 	f.waitState(t, StateShadow)
 	f.feedScoring(t, 0, func() bool { return f.sup.Status().State == StateIdle })
@@ -268,7 +268,7 @@ func TestAdaptDiscardOnGate(t *testing.T) {
 
 // TestAdaptRetryAndAlarm starves the supervisor of training data (empty
 // rings): every retrain attempt fails, the bounded backoff walks through
-// MaxRetries, and the alarm raises while serving continues untouched.
+// maxRetries, and the alarm raises while serving continues untouched.
 func TestAdaptRetryAndAlarm(t *testing.T) {
 	ser := trace.GenerateWithMutations(fxSamples, []int{fxMutateAt}, 13)
 	p := core.NewPredictor(core.PredictorConfig{
@@ -281,7 +281,7 @@ func TestAdaptRetryAndAlarm(t *testing.T) {
 	}
 	sup, err := New(Config{
 		Predictor: p, Rings: trace.NewBoundedRingStore(64, 0),
-		MaxRetries: 2, RetryBackoff: time.Millisecond,
+		maxRetries: 2, retryBackoff: time.Millisecond,
 		Registry: obs.NewRegistry(),
 	})
 	if err != nil {
@@ -344,7 +344,7 @@ func TestAdaptCooldown(t *testing.T) {
 	now := time.Unix(1000, 0)
 	f := newFixture(t, Config{
 		Cooldown: time.Hour,
-		Now:      func() time.Time { return now },
+		now:      func() time.Time { return now },
 	})
 	f.trigger()
 	f.waitState(t, StateShadow)

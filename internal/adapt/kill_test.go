@@ -110,11 +110,13 @@ func adaptKillHelper(t *testing.T) {
 	f := newFixture(t, Config{
 		Dir: dir,
 		FineTune: core.FineTuneConfig{
-			Epochs:   100000, // far longer than the parent lets us live
-			Patience: 100000, // no early stop: stay mid-training until killed
-			Seed:     5,
+			Epochs: 100000, // far longer than the parent lets us live
+			Seed:   5,
 		},
 	})
+	// A fine-tune inherits the predictor's patience: no early stop, so it
+	// stays mid-training until killed.
+	f.p.Cfg.Patience = 100000
 	f.sup.OnQualityEvent(quality.Event{Kind: "mutation", Signal: "input", Entity: "m1", T: int64(fxMutateAt + 20)})
 	select {} // killed from outside
 }

@@ -55,7 +55,7 @@ func (s *Supervisor) persist() {
 		return json.NewEncoder(w).Encode(st)
 	})
 	if err != nil {
-		s.cfg.Log.Warn("persisting adaptation state failed", "err", err)
+		s.log.Warn("persisting adaptation state failed", "err", err)
 	}
 }
 
@@ -80,7 +80,7 @@ func (s *Supervisor) recover() error {
 	}
 	var st persistedState
 	if uerr := json.Unmarshal(raw, &st); uerr != nil || st.Format != stateFormat {
-		s.cfg.Log.Warn("quarantining unreadable adaptation state", "path", path, "err", uerr)
+		s.log.Warn("quarantining unreadable adaptation state", "path", path, "err", uerr)
 		_ = os.Rename(path, path+".corrupt")
 		return nil
 	}
@@ -103,7 +103,7 @@ func (s *Supervisor) recover() error {
 		s.journal("recovered", map[string]any{
 			"prev_state": st.State, "pruned_checkpoints": pruned,
 		})
-		s.cfg.Log.Info("recovered adaptation state; in-flight candidate discarded",
+		s.log.Info("recovered adaptation state; in-flight candidate discarded",
 			"prev_state", st.State, "pruned_checkpoints", pruned)
 	}
 	return nil

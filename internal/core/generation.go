@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/dataprep"
 	"repro/internal/nn"
-	"repro/internal/opt"
 	"repro/internal/tensor"
 	"repro/internal/train"
 )
@@ -106,29 +105,21 @@ func (p *Predictor) SwapModel(m *Model, eval train.Dataset) (prev *Model, prevEv
 	return cur.model, cur.test, next.gen, nil
 }
 
-// FineTuneConfig tunes a FineTune run. Zero values inherit the
-// predictor's original training hyperparameters, except Epochs which
-// defaults to a quarter of the original budget — adaptation warm-starts
-// from serving weights and converges in far fewer epochs.
+// FineTuneConfig tunes a FineTune run. Everything else — batch size,
+// learning rate, patience, the train/validation split — is the
+// predictor's own, and a fine-tune always runs with the divergence
+// guards on: it must roll back to its best epoch, never hand back NaN
+// weights.
 type FineTuneConfig struct {
-	Epochs       int
-	BatchSize    int
-	LearningRate float64
-	Patience     int
+	// Epochs defaults to a quarter of the original budget: adaptation
+	// warm-starts from serving weights and converges in far fewer epochs.
+	Epochs int
 	// Seed drives the shuffle and any layer RNG streams; same seed +
 	// same windows ⇒ bitwise identical candidate.
 	Seed uint64
-	// TrainFrac/ValidFrac split the supervised windows chronologically;
-	// the remainder is returned as the candidate's held-out split.
-	TrainFrac, ValidFrac float64
 	// Checkpoint, when its Dir is set, checkpoints the fine-tune
 	// crash-safely (candidate artifacts; prune with train.PruneCheckpoints).
 	Checkpoint train.CheckpointConfig
-	// Guard defaults to enabled: a diverging fine-tune must roll back
-	// to its best epoch, never hand back NaN weights.
-	Guard train.GuardConfig
-	// Hooks observe the fine-tune (per-epoch metrics/logging).
-	Hooks []train.Hook
 }
 
 // FineTune trains a candidate model on fresh raw history (same
@@ -139,24 +130,7 @@ type FineTuneConfig struct {
 // the training history. Serving is never blocked.
 func (p *Predictor) FineTune(series [][]float64, cfg FineTuneConfig) (*Model, train.Dataset, *train.History, error) {
 	if cfg.Epochs <= 0 {
-		if cfg.Epochs = p.Cfg.Epochs / 4; cfg.Epochs < 1 {
-			cfg.Epochs = 1
-		}
-	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = p.Cfg.BatchSize
-	}
-	if cfg.LearningRate == 0 {
-		cfg.LearningRate = p.Cfg.LearningRate
-	}
-	if cfg.Patience <= 0 {
-		cfg.Patience = p.Cfg.Patience
-	}
-	if cfg.TrainFrac == 0 {
-		cfg.TrainFrac = p.Cfg.TrainFrac
-	}
-	if cfg.ValidFrac == 0 {
-		cfg.ValidFrac = p.Cfg.ValidFrac
+		cfg.Epochs = max(p.Cfg.Epochs/4, 1)
 	}
 	sel, _, err := p.prepareServe(series)
 	if err != nil {
@@ -170,7 +144,7 @@ func (p *Predictor) FineTune(series [][]float64, cfg FineTuneConfig) (*Model, tr
 	if err != nil {
 		return nil, train.Dataset{}, nil, err
 	}
-	tr, va, te, err := train.Split(ds, cfg.TrainFrac, cfg.ValidFrac)
+	tr, va, te, err := train.Split(ds, p.Cfg.TrainFrac, p.Cfg.ValidFrac)
 	if err != nil {
 		return nil, train.Dataset{}, nil, err
 	}
@@ -180,20 +154,10 @@ func (p *Predictor) FineTune(series [][]float64, cfg FineTuneConfig) (*Model, tr
 		return nil, train.Dataset{}, nil, errors.New("core: predictor not fitted")
 	}
 	candidate := serving.Clone()
-	hist := train.FineTune(candidate, tr, va, train.Config{
-		Epochs:      cfg.Epochs,
-		BatchSize:   cfg.BatchSize,
-		Optimizer:   opt.NewAdam(cfg.LearningRate),
-		Loss:        &nn.MSELoss{},
-		Patience:    cfg.Patience,
-		Shuffle:     true,
-		Seed:        cfg.Seed + 1,
-		RestoreBest: true,
-		ClipNorm:    5,
-		Checkpoint:  cfg.Checkpoint,
-		Guard:       cfg.Guard,
-		Hooks:       cfg.Hooks,
-	})
+	tc := p.trainConfig(cfg.Epochs, cfg.Seed)
+	tc.Checkpoint = cfg.Checkpoint
+	tc.Guard = train.GuardConfig{Enabled: true}
+	hist := train.FineTune(candidate, tr, va, tc)
 	for _, prm := range candidate.Params() {
 		for _, v := range prm.Value.Data {
 			if math.IsNaN(v) || math.IsInf(v, 0) {

@@ -300,23 +300,31 @@ func (p *Predictor) fitModel(channels int, tr, va, te train.Dataset, span *obstr
 	mcfg.Horizon = p.Cfg.Horizon
 	m := NewModel(tensor.NewRNG(p.Cfg.Seed), mcfg)
 	m.Profile(p.Cfg.Profiler)
-	p.history = train.Fit(m, tr, va, train.Config{
-		Epochs:      p.Cfg.Epochs,
+	tc := p.trainConfig(p.Cfg.Epochs, p.Cfg.Seed)
+	tc.Checkpoint = p.Cfg.Checkpoint
+	tc.Guard = p.Cfg.Guard
+	tc.Hooks = p.Cfg.Hooks
+	tc.TraceParent = span
+	tc.Tracer = p.Cfg.Tracer
+	p.history = train.Fit(m, tr, va, tc)
+	p.publish(&snapshot{model: m, gen: 1, test: te})
+}
+
+// trainConfig is the training run Fit and FineTune share: the
+// predictor's batch size, learning rate and patience, MSE under Adam,
+// shuffled, norm-clipped at 5 and restored to the best epoch.
+func (p *Predictor) trainConfig(epochs int, seed uint64) train.Config {
+	return train.Config{
+		Epochs:      epochs,
 		BatchSize:   p.Cfg.BatchSize,
 		Optimizer:   opt.NewAdam(p.Cfg.LearningRate),
 		Loss:        &nn.MSELoss{},
 		Patience:    p.Cfg.Patience,
 		Shuffle:     true,
-		Seed:        p.Cfg.Seed + 1,
+		Seed:        seed + 1,
 		RestoreBest: true,
 		ClipNorm:    5,
-		Checkpoint:  p.Cfg.Checkpoint,
-		Guard:       p.Cfg.Guard,
-		Hooks:       p.Cfg.Hooks,
-		TraceParent: span,
-		Tracer:      p.Cfg.Tracer,
-	})
-	p.publish(&snapshot{model: m, gen: 1, test: te})
+	}
 }
 
 // TestMetrics evaluates the serving model on its held-out test segment at

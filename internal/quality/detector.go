@@ -42,9 +42,6 @@ type MutationConfig struct {
 	Delta float64
 	// Lambda is the alarm threshold in scale units (default 35).
 	Lambda float64
-	// MinScale floors the warmup scale estimate so a constant warmup
-	// segment cannot make the detector hair-triggered (default 1e-9).
-	MinScale float64
 	// Cooldown suppresses re-detection for this many samples after a
 	// fire while the level re-anchors (default Warmup).
 	Cooldown int
@@ -68,9 +65,6 @@ func (c *MutationConfig) fillDefaults() {
 	}
 	if c.Lambda <= 0 {
 		c.Lambda = 35
-	}
-	if c.MinScale <= 0 {
-		c.MinScale = 1e-9
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = c.Warmup
@@ -120,9 +114,9 @@ func (d *PageHinkley) Push(x float64) bool {
 		d.m2 += delta * (x - d.mean)
 		if d.n == d.cfg.Warmup {
 			d.scale = math.Sqrt(d.m2 / float64(d.n-1))
-			if d.scale < d.cfg.MinScale {
-				d.scale = d.cfg.MinScale
-			}
+			// A constant warmup segment must not make the detector
+			// hair-triggered.
+			d.scale = max(d.scale, 1e-9)
 		}
 		if ok {
 			d.level, d.levelSet = f, true
@@ -167,9 +161,6 @@ func (d *PageHinkley) Armed() bool { return d.n >= d.cfg.Warmup }
 
 // Fired returns how many mutation points have been detected.
 func (d *PageHinkley) Fired() int { return d.fired }
-
-// Scale returns the warmup scale estimate (0 before arming).
-func (d *PageHinkley) Scale() float64 { return d.scale }
 
 // medianFilter is a fixed-width rolling median.
 type medianFilter struct {
@@ -226,9 +217,6 @@ type DriftConfig struct {
 	// Alpha is the EWMA forgetting factor of the current level
 	// (default 1/32).
 	Alpha float64
-	// WarnK and AlarmK are the warn/alarm thresholds in baseline
-	// standard deviations above the baseline mean (defaults 2 and 3.5).
-	WarnK, AlarmK float64
 	// MinStd floors the baseline std — it is the smallest level scale
 	// considered meaningful, so signals with a near-constant baseline
 	// (e.g. an out-of-range ratio pinned at 0) only alarm on a rise of
@@ -243,21 +231,22 @@ func (c *DriftConfig) fillDefaults() {
 	if c.Alpha <= 0 {
 		c.Alpha = 1.0 / 32
 	}
-	if c.WarnK <= 0 {
-		c.WarnK = 2
-	}
-	if c.AlarmK <= 0 {
-		c.AlarmK = 3.5
-	}
 	if c.MinStd <= 0 {
 		c.MinStd = 1e-9
 	}
 }
 
+// The drift thresholds, in baseline standard deviations above the
+// baseline mean.
+const (
+	warnK  = 2
+	alarmK = 3.5
+)
+
 // DriftDetector tracks a one-sided level drift: an EWMA of the signal
 // compared against the mean/std of a frozen baseline window. Rising
-// above mean+WarnK·std is a warning, above mean+AlarmK·std an alarm;
-// falling back recovers. Not safe for concurrent use.
+// above mean+2·std is a warning, above mean+3.5·std an alarm; falling
+// back recovers. Not safe for concurrent use.
 type DriftDetector struct {
 	cfg DriftConfig
 
@@ -298,9 +287,9 @@ func (d *DriftDetector) Push(x float64) DriftState {
 	}
 	d.ewma += d.cfg.Alpha * (x - d.ewma)
 	switch {
-	case d.ewma > d.mean+d.cfg.AlarmK*d.std:
+	case d.ewma > d.mean+alarmK*d.std:
 		d.state = DriftAlarm
-	case d.ewma > d.mean+d.cfg.WarnK*d.std:
+	case d.ewma > d.mean+warnK*d.std:
 		d.state = DriftWarn
 	default:
 		d.state = DriftOK
@@ -324,11 +313,4 @@ func (d *DriftDetector) Level() float64 {
 // and how many samples have been consumed.
 func (d *DriftDetector) Baseline() (mean, std float64, samples int) {
 	return d.mean, d.std, d.n
-}
-
-// Reset discards all state so the detector re-baselines from scratch —
-// the right move after a model hot-swap invalidates the old error
-// distribution.
-func (d *DriftDetector) Reset() {
-	*d = DriftDetector{cfg: d.cfg}
 }

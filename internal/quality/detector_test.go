@@ -155,10 +155,6 @@ func TestDriftDetectorLadder(t *testing.T) {
 	if st != DriftOK {
 		t.Fatalf("recovery gave %v, want ok", st)
 	}
-	d.Reset()
-	if _, _, n := d.Baseline(); n != 0 {
-		t.Fatal("Reset did not clear baseline")
-	}
 }
 
 func TestDriftDetectorMinStdFloor(t *testing.T) {

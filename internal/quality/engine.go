@@ -48,34 +48,11 @@ type Config struct {
 	// Window is the rolling resolved-pair window per statistic ring
 	// (default 256).
 	Window int
-	// MaxEntities bounds how many distinct entities get their own
-	// windows and detectors (default 32). Further entities fold into
-	// the "_overflow" pseudo-entity so label cardinality stays bounded.
-	MaxEntities int
-	// MaxPending bounds the pending target-times per entity
-	// (default 4096); forecasts beyond it are dropped and counted.
-	MaxPending int
-	// MaxAge expires pending forecasts whose target time lags the
-	// entity's newest observation by more than this many samples
-	// (default 4096).
-	MaxAge int64
-	// Mutation tunes the input-statistics and residual mutation-point
-	// detectors.
-	Mutation MutationConfig
-	// ErrorDrift tunes the |error|-level drift detector.
-	ErrorDrift DriftConfig
-	// InputDrift tunes the out-of-range-ratio drift detector
-	// (default MinStd 0.02: a ratio rise under ~4% never warns).
-	InputDrift DriftConfig
+	// Preset picks the tuning of the mutation and drift detectors.
+	Preset Preset
 	// Rules are the SLO rules evaluated over the aggregate resolved
 	// stream (see ParseRules).
 	Rules []Rule
-	// SLOMinCount is how many resolved pairs a rule needs before it
-	// leaves "pending" (default 16).
-	SLOMinCount int
-	// QueueSize bounds the event queue between the serving path and
-	// the worker (default 4096).
-	QueueSize int
 	// Registry receives the engine's metrics (default obs.Default()).
 	Registry *obs.Registry
 	// Journal, when set, receives drift and SLO state-transition
@@ -89,7 +66,48 @@ type Config struct {
 	// off to a channel or goroutine for anything heavier), or the
 	// quality pipeline stalls behind it.
 	Events func(Event)
+
+	// Tests shorten these; zero means the default.
+	maxEntities int   // entities with their own windows (32)
+	maxAge      int64 // samples a pending forecast may lag its entity (4096)
+	sloMinCount int   // resolved pairs a rule needs to leave "pending" (16)
 }
+
+// Preset is a tuning of the engine's detectors.
+type Preset int
+
+const (
+	// PresetDefault sizes the detectors for production cadences.
+	PresetDefault Preset = iota
+	// PresetFast is for compressed replays (demos, CI drills): small
+	// median and warmup windows flip within tens of requests instead of
+	// hundreds, a fast EWMA tracks a diurnal wander between mutations,
+	// and a widened tolerance and threshold keep a long mutated regime
+	// from firing again.
+	PresetFast
+)
+
+// Mutation is the preset's mutation-point detector tuning.
+func (p Preset) Mutation() MutationConfig {
+	if p == PresetFast {
+		return MutationConfig{MedianWidth: 5, Warmup: 16, Cooldown: 8, Alpha: 0.25, Delta: 3, Lambda: 50}
+	}
+	return MutationConfig{}
+}
+
+// inputDrift is the preset's out-of-range-ratio drift detector tuning:
+// in both, a ratio rise under ~4% never warns.
+func (p Preset) inputDrift() DriftConfig {
+	if p == PresetFast {
+		return DriftConfig{Baseline: 16, Alpha: 0.5, MinStd: 0.02}
+	}
+	return DriftConfig{MinStd: 0.02}
+}
+
+const (
+	maxPending = 1 << 16 // forecast steps awaiting ground truth, fleet wide
+	queueSize  = 4096    // events between the serving path and the worker
+)
 
 // Event is one detector transition published to Config.Events. It is
 // the subscription surface the adaptation supervisor (internal/adapt)
@@ -119,23 +137,14 @@ func (c *Config) fillDefaults() {
 	if c.Window <= 0 {
 		c.Window = 256
 	}
-	if c.MaxEntities <= 0 {
-		c.MaxEntities = 32
+	if c.maxEntities <= 0 {
+		c.maxEntities = 32
 	}
-	if c.MaxPending <= 0 {
-		c.MaxPending = 4096
+	if c.maxAge <= 0 {
+		c.maxAge = 4096
 	}
-	if c.MaxAge <= 0 {
-		c.MaxAge = 4096
-	}
-	if c.SLOMinCount <= 0 {
-		c.SLOMinCount = 16
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 4096
-	}
-	if c.InputDrift.MinStd <= 0 {
-		c.InputDrift.MinStd = 0.02
+	if c.sloMinCount <= 0 {
+		c.sloMinCount = 16
 	}
 	if c.Registry == nil {
 		c.Registry = obs.Default()
@@ -158,10 +167,8 @@ type event struct {
 	kind   int
 	entity string
 	t      int64
-	values []float64 // forecast (evForecast) or actuals (evObserve)
-	mean   float64   // evInput: input-window mean of the target indicator
-	oor    float64   // evInput: out-of-range ratio
-	hasOOR bool
+	values []float64    // forecast (evForecast) or actuals (evObserve)
+	input  InputSummary // evInput
 	reply  chan StatusReport
 	done   chan struct{}
 }
@@ -173,12 +180,14 @@ type pendingPred struct {
 	value    float64
 }
 
-// entityState is the worker-owned per-entity record.
+// entityState is the worker-owned record behind one row of the status:
+// an entity's windows and detectors, or those of every entity folded
+// into "_overflow".
 type entityState struct {
 	name    string
-	pending map[int64][]pendingPred // keyed by target sample time
 	lastT   int64
 	hasT    bool
+	pending int // forecast steps awaiting ground truth, over the entities folded here
 
 	steps []ring // per horizon step, signed errors
 	all   ring   // all steps
@@ -188,7 +197,16 @@ type entityState struct {
 	// Recent detection times, newest last, bounded.
 	inputFires []int64
 	residFires []int64
+}
 
+// pendingStore is one entity's forecasts awaiting ground truth, kept
+// per entity even past maxEntities so entities folded into one window
+// never resolve or overwrite each other's forecasts. Dropped once empty.
+type pendingStore struct {
+	byT        map[int64][]pendingPred // keyed by target sample time
+	ent        *entityState            // the windows its pairs feed
+	lastT      int64                   // newest observed sample time
+	hasT       bool
 	sinceSweep int // observe events since the last expiry sweep
 }
 
@@ -217,6 +235,8 @@ type Engine struct {
 	// Worker-owned state.
 	entities map[string]*entityState
 	order    []string
+	pending  map[string]*pendingStore
+	pendingN int // forecast steps across every store
 	agg      ring
 	errDrift *DriftDetector
 	inDrift  *DriftDetector
@@ -231,7 +251,7 @@ func New(cfg Config) *Engine {
 	reg := cfg.Registry
 	e := &Engine{
 		cfg:     cfg,
-		ch:      make(chan event, cfg.QueueSize),
+		ch:      make(chan event, queueSize),
 		stop:    make(chan struct{}),
 		stopped: make(chan struct{}),
 		resolved: reg.Counter("rptcn_quality_resolved_pairs_total",
@@ -241,7 +261,7 @@ func New(cfg Config) *Engine {
 		droppedEv: reg.Counter("rptcn_quality_dropped_events_total",
 			"Quality events dropped because the engine queue was full."),
 		droppedPen: reg.Counter("rptcn_quality_dropped_forecasts_total",
-			"Forecasts dropped because an entity's pending store was full."),
+			"Forecasts dropped because the pending store was full."),
 		invalid: reg.Counter("rptcn_quality_invalid_actuals_total",
 			"Observed actuals discarded for being non-finite."),
 		pendingG: reg.Gauge("rptcn_quality_pending_forecasts",
@@ -255,9 +275,10 @@ func New(cfg Config) *Engine {
 		inDriftG: reg.Gauge("rptcn_quality_drift_state",
 			"Drift state by signal: 0 ok, 1 warn, 2 alarm.", obs.L("signal", "input")),
 		entities: make(map[string]*entityState),
+		pending:  make(map[string]*pendingStore),
 		agg:      newRing(cfg.Window),
-		errDrift: NewDriftDetector(cfg.ErrorDrift),
-		inDrift:  NewDriftDetector(cfg.InputDrift),
+		errDrift: NewDriftDetector(DriftConfig{}),
+		inDrift:  NewDriftDetector(cfg.Preset.inputDrift()),
 		sloState: make([]string, len(cfg.Rules)),
 	}
 	for i := range e.sloState {
@@ -312,13 +333,13 @@ func (e *Engine) Observe(entity string, t0 int64, actuals []float64) {
 	e.send(event{kind: evObserve, entity: entity, t: t0, values: vals})
 }
 
-// ObserveInput feeds per-request input statistics at sample time t: the
-// input window's target-indicator mean (for the mutation detector) and
-// the fraction of input values outside the training normalization
-// bounds (for the input drift detector; pass hasOOR false when bounds
-// are unknown).
-func (e *Engine) ObserveInput(entity string, t int64, mean, oorRatio float64, hasOOR bool) {
-	e.send(event{kind: evInput, entity: entity, t: t, mean: mean, oor: oorRatio, hasOOR: hasOOR})
+// ObserveInput feeds one request's input summary at sample time t (see
+// InputBounds.Summarize): the target's trailing mean feeds the mutation
+// detector, the out-of-range ratio the input drift detector.
+func (e *Engine) ObserveInput(entity string, t int64, sum InputSummary) {
+	if sum.HasMean || sum.HasOOR {
+		e.send(event{kind: evInput, entity: entity, t: t, input: sum})
+	}
 }
 
 // send enqueues without blocking; overflow is counted, not waited on.
@@ -403,6 +424,9 @@ func (e *Engine) run() {
 }
 
 func (e *Engine) handle(ev event) {
+	if ev.entity == "" {
+		ev.entity = "_default"
+	}
 	switch ev.kind {
 	case evForecast:
 		e.recordForecast(ev)
@@ -417,16 +441,13 @@ func (e *Engine) handle(ev event) {
 	}
 }
 
-// entity returns (creating if needed) the state for name, folding the
-// overflow beyond MaxEntities into "_overflow".
+// entity returns (creating if needed) the windows name's pairs feed,
+// folding the entities beyond maxEntities into "_overflow".
 func (e *Engine) entity(name string) *entityState {
-	if name == "" {
-		name = "_default"
-	}
 	if ent, ok := e.entities[name]; ok {
 		return ent
 	}
-	if len(e.entities) >= e.cfg.MaxEntities {
+	if len(e.entities) >= e.cfg.maxEntities {
 		name = "_overflow"
 		if ent, ok := e.entities[name]; ok {
 			return ent
@@ -434,11 +455,10 @@ func (e *Engine) entity(name string) *entityState {
 	}
 	ent := &entityState{
 		name:     name,
-		pending:  make(map[int64][]pendingPred),
 		steps:    make([]ring, e.cfg.Horizon),
 		all:      newRing(e.cfg.Window),
-		inputDet: NewPageHinkley(e.cfg.Mutation),
-		residDet: NewPageHinkley(e.cfg.Mutation),
+		inputDet: NewPageHinkley(e.cfg.Preset.Mutation()),
+		residDet: NewPageHinkley(e.cfg.Preset.Mutation()),
 	}
 	for i := range ent.steps {
 		ent.steps[i] = newRing(e.cfg.Window)
@@ -448,15 +468,21 @@ func (e *Engine) entity(name string) *entityState {
 	return ent
 }
 
+// addPending counts n forecast steps into (n > 0) or out of (n < 0) ps.
+func (e *Engine) addPending(ps *pendingStore, n int) {
+	ps.ent.pending += n
+	e.pendingN += n
+}
+
 func (e *Engine) recordForecast(ev event) {
-	ent := e.entity(ev.entity)
+	ps := e.pending[ev.entity]
+	if ps == nil {
+		ps = &pendingStore{byT: make(map[int64][]pendingPred), ent: e.entity(ev.entity)}
+		e.pending[ev.entity] = ps
+	}
 	for k, v := range ev.values {
 		tt := ev.t + int64(k) + 1
-		preds, exists := ent.pending[tt]
-		if !exists && len(ent.pending) >= e.cfg.MaxPending {
-			e.droppedPen.Inc()
-			continue
-		}
+		preds := ps.byT[tt]
 		step := k + 1
 		replaced := false
 		for i := range preds {
@@ -469,15 +495,24 @@ func (e *Engine) recordForecast(ev event) {
 			}
 		}
 		if !replaced {
+			if e.pendingN >= maxPending {
+				e.droppedPen.Inc()
+				continue
+			}
 			preds = append(preds, pendingPred{step: step, issuedAt: ev.t, value: v})
+			e.addPending(ps, 1)
 		}
-		ent.pending[tt] = preds
+		ps.byT[tt] = preds
 	}
-	e.pendingG.Set(float64(e.pendingCount()))
+	if len(ps.byT) == 0 {
+		delete(e.pending, ev.entity)
+	}
+	e.pendingG.Set(float64(e.pendingN))
 }
 
 func (e *Engine) observe(ev event) {
 	ent := e.entity(ev.entity)
+	ps := e.pending[ev.entity]
 	resolvedAny := false
 	for i, actual := range ev.values {
 		tt := ev.t + int64(i)
@@ -487,7 +522,13 @@ func (e *Engine) observe(ev event) {
 		if tt > e.lastT || !e.hasT {
 			e.lastT, e.hasT = tt, true
 		}
-		preds, ok := ent.pending[tt]
+		if ps == nil {
+			continue
+		}
+		if tt > ps.lastT || !ps.hasT {
+			ps.lastT, ps.hasT = tt, true
+		}
+		preds, ok := ps.byT[tt]
 		if !ok {
 			continue
 		}
@@ -495,7 +536,8 @@ func (e *Engine) observe(ev event) {
 			e.invalid.Inc()
 			continue
 		}
-		delete(ent.pending, tt)
+		delete(ps.byT, tt)
+		e.addPending(ps, -len(preds))
 		for _, p := range preds {
 			err := p.value - actual
 			if math.IsNaN(err) || math.IsInf(err, 0) {
@@ -518,40 +560,46 @@ func (e *Engine) observe(ev event) {
 			}
 		}
 	}
-	// Periodic expiry sweep: forecasts whose actual never arrived.
-	ent.sinceSweep++
-	if ent.sinceSweep >= 64 {
-		ent.sinceSweep = 0
-		e.sweep(ent)
+	if ps != nil {
+		// Periodic expiry sweep: forecasts whose actual never arrived.
+		if ps.sinceSweep++; ps.sinceSweep >= 64 {
+			ps.sinceSweep = 0
+			e.sweep(ps)
+		}
+		if len(ps.byT) == 0 {
+			delete(e.pending, ev.entity)
+		}
 	}
 	if resolvedAny {
 		e.evalSLO()
 	}
-	e.pendingG.Set(float64(e.pendingCount()))
+	e.pendingG.Set(float64(e.pendingN))
 }
 
 func (e *Engine) observeInput(ev event) {
 	ent := e.entity(ev.entity)
-	if ent.inputDet.Push(ev.mean) {
+	in := ev.input
+	if in.HasMean && ent.inputDet.Push(in.Mean) {
 		e.fireMutation(ent, "input", ev.t, &ent.inputFires, e.mutInput)
 	}
-	if ev.hasOOR {
+	if in.HasOOR {
 		old := e.inDrift.State()
-		if now := e.inDrift.Push(ev.oor); now != old {
+		if now := e.inDrift.Push(in.OOR); now != old {
 			e.driftTransition("input", old, now, e.inDrift, e.inDriftG, ev.t)
 		}
 	}
 }
 
-// sweep expires pending entries older than lastT-MaxAge.
-func (e *Engine) sweep(ent *entityState) {
-	if !ent.hasT {
+// sweep expires ps's entries older than its lastT-maxAge.
+func (e *Engine) sweep(ps *pendingStore) {
+	if !ps.hasT {
 		return
 	}
-	cutoff := ent.lastT - e.cfg.MaxAge
-	for tt, preds := range ent.pending {
+	cutoff := ps.lastT - e.cfg.maxAge
+	for tt, preds := range ps.byT {
 		if tt < cutoff {
-			delete(ent.pending, tt)
+			delete(ps.byT, tt)
+			e.addPending(ps, -len(preds))
 			e.expired.Add(float64(len(preds)))
 		}
 	}
@@ -597,7 +645,7 @@ func (e *Engine) evalSLO() {
 	}
 	errs := e.agg.ordered(nil)
 	for i, r := range e.cfg.Rules {
-		st := evalRule(r, errs, e.cfg.Window, e.cfg.SLOMinCount)
+		st := evalRule(r, errs, e.cfg.Window, e.cfg.sloMinCount)
 		if st.State == e.sloState[i] {
 			continue
 		}
@@ -619,16 +667,6 @@ func (e *Engine) evalSLO() {
 		e.cfg.Log.Warn("slo transition", "rule", st.Rule, "from", old,
 			"state", st.State, "value", st.Value)
 	}
-}
-
-func (e *Engine) pendingCount() int {
-	n := 0
-	for _, ent := range e.entities {
-		for _, preds := range ent.pending {
-			n += len(preds)
-		}
-	}
-	return n
 }
 
 // ring is a fixed-capacity chronological buffer of signed errors.
@@ -751,7 +789,7 @@ type StatusReport struct {
 func (e *Engine) buildStatus() StatusReport {
 	st := StatusReport{
 		Time:       e.lastT,
-		Pending:    e.pendingCount(),
+		Pending:    e.pendingN,
 		Resolved:   uint64(e.resolved.Value()),
 		Expired:    uint64(e.expired.Value()),
 		Dropped:    uint64(e.droppedEv.Value()),
@@ -773,7 +811,7 @@ func (e *Engine) buildStatus() StatusReport {
 	if len(e.cfg.Rules) > 0 {
 		errs := e.agg.ordered(nil)
 		for _, r := range e.cfg.Rules {
-			st.SLO = append(st.SLO, evalRule(r, errs, e.cfg.Window, e.cfg.SLOMinCount))
+			st.SLO = append(st.SLO, evalRule(r, errs, e.cfg.Window, e.cfg.sloMinCount))
 		}
 	}
 	names := append([]string(nil), e.order...)
@@ -781,13 +819,10 @@ func (e *Engine) buildStatus() StatusReport {
 	for _, name := range names {
 		ent := e.entities[name]
 		es := EntityStatus{
-			Entity: name, LastT: ent.lastT,
+			Entity: name, LastT: ent.lastT, Pending: ent.pending,
 			All:               statsOf(0, ent.all.ordered(nil)),
 			InputMutations:    append([]int64(nil), ent.inputFires...),
 			ResidualMutations: append([]int64(nil), ent.residFires...),
-		}
-		for _, preds := range ent.pending {
-			es.Pending += len(preds)
 		}
 		for k := 1; k <= e.cfg.Horizon; k++ {
 			es.Steps = append(es.Steps, statsOf(k, ent.steps[k-1].ordered(nil)))

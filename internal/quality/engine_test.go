@@ -150,9 +150,9 @@ func TestEngineDedupe(t *testing.T) {
 // TestEngineExpiry: pending forecasts whose actuals never arrive age out
 // and are counted.
 func TestEngineExpiry(t *testing.T) {
-	e := newTestEngine(t, Config{Horizon: 1, Window: 32, MaxAge: 16})
+	e := newTestEngine(t, Config{Horizon: 1, Window: 32, maxAge: 16})
 	e.RecordForecast("m1", 0, []float64{10}) // target t=1, never observed
-	// 64+ observes far past MaxAge trigger the periodic sweep.
+	// 64+ observes far past maxAge trigger the periodic sweep.
 	for tt := int64(100); tt < 170; tt++ {
 		e.Observe("m1", tt, []float64{1})
 	}
@@ -166,10 +166,10 @@ func TestEngineExpiry(t *testing.T) {
 	}
 }
 
-// TestEngineEntityOverflow: entities beyond MaxEntities fold into
+// TestEngineEntityOverflow: entities beyond maxEntities fold into
 // "_overflow" so metric label cardinality stays bounded.
 func TestEngineEntityOverflow(t *testing.T) {
-	e := newTestEngine(t, Config{Horizon: 1, Window: 8, MaxEntities: 2})
+	e := newTestEngine(t, Config{Horizon: 1, Window: 8, maxEntities: 2})
 	for _, name := range []string{"a", "b", "c", "d", ""} {
 		e.RecordForecast(name, 0, []float64{2})
 		e.Observe(name, 1, []float64{1})
@@ -191,6 +191,36 @@ func TestEngineEntityOverflow(t *testing.T) {
 	}
 }
 
+// TestEngineOverflowKeepsForecastsApart: two entities folded into
+// "_overflow" forecast the same target time. Each forecast resolves
+// against its own entity's actual, so two exact forecasts score two
+// pairs at zero error, not one pair scored against the other entity.
+func TestEngineOverflowKeepsForecastsApart(t *testing.T) {
+	e := newTestEngine(t, Config{Horizon: 1, Window: 8, maxEntities: 1})
+	e.RecordForecast("a", 0, []float64{1})
+	e.RecordForecast("b", 0, []float64{10}) // folds into _overflow
+	e.RecordForecast("c", 0, []float64{20}) // so does this
+	e.Flush()
+	if st := e.Status(); st.Pending != 3 {
+		t.Fatalf("pending = %d, want 3", st.Pending)
+	}
+	e.Observe("b", 1, []float64{10})
+	e.Observe("c", 1, []float64{20})
+	e.Flush()
+	st := e.Status()
+	if st.Resolved != 2 || st.Aggregate.MAE != 0 {
+		t.Fatalf("resolved %d pairs at MAE %v, want 2 at 0", st.Resolved, st.Aggregate.MAE)
+	}
+	if st.Pending != 1 {
+		t.Fatalf("pending = %d, want a's 1", st.Pending)
+	}
+	for _, es := range st.Entities {
+		if want := map[string]int{"a": 1, "_overflow": 0}[es.Entity]; es.Pending != want {
+			t.Fatalf("entity %s pending = %d, want %d", es.Entity, es.Pending, want)
+		}
+	}
+}
+
 // TestEngineSLOTransitions: rules transition pending→ok→breach→ok with
 // journal events at every change.
 func TestEngineSLOTransitions(t *testing.T) {
@@ -201,7 +231,7 @@ func TestEngineSLOTransitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newTestEngine(t, Config{
-		Horizon: 1, Window: 16, Rules: rules, SLOMinCount: 4, Journal: journal,
+		Horizon: 1, Window: 16, Rules: rules, sloMinCount: 4, Journal: journal,
 	})
 	feed := func(t0 int64, n int, errv float64) int64 {
 		for i := 0; i < n; i++ {
@@ -257,19 +287,18 @@ func TestEngineMutationAndDriftEvents(t *testing.T) {
 	var buf bytes.Buffer
 	journal := runlog.New(&buf)
 	e := newTestEngine(t, Config{
-		Horizon:    1,
-		Mutation:   MutationConfig{MedianWidth: 5, Warmup: 16, Cooldown: 8},
-		InputDrift: DriftConfig{Baseline: 16, Alpha: 0.5, MinStd: 0.02},
-		Journal:    journal,
+		Horizon: 1,
+		Preset:  PresetFast,
+		Journal: journal,
 	})
 	dither := func(i int) float64 { return float64(i%2)*2 - 1 }
 	tt := int64(0)
 	for i := 0; i < 64; i++ { // stationary input level, OOR 0
-		e.ObserveInput("m1", tt, 20+dither(i), 0, true)
+		e.ObserveInput("m1", tt, InputSummary{Mean: 20 + dither(i), HasMean: true, HasOOR: true})
 		tt++
 	}
 	for i := 0; i < 64; i++ { // level step + OOR surge
-		e.ObserveInput("m1", tt, 60+dither(i), 0.5, true)
+		e.ObserveInput("m1", tt, InputSummary{Mean: 60 + dither(i), OOR: 0.5, HasMean: true, HasOOR: true})
 		tt++
 	}
 	e.Flush()
@@ -320,19 +349,18 @@ func TestEngineMutationAndDriftEvents(t *testing.T) {
 func TestEngineEventsSubscription(t *testing.T) {
 	var got []Event
 	e := newTestEngine(t, Config{
-		Horizon:    1,
-		Mutation:   MutationConfig{MedianWidth: 5, Warmup: 16, Cooldown: 8},
-		InputDrift: DriftConfig{Baseline: 16, Alpha: 0.5, MinStd: 0.02},
-		Events:     func(ev Event) { got = append(got, ev) }, // worker-goroutine only
+		Horizon: 1,
+		Preset:  PresetFast,
+		Events:  func(ev Event) { got = append(got, ev) }, // worker-goroutine only
 	})
 	dither := func(i int) float64 { return float64(i%2)*2 - 1 }
 	tt := int64(0)
 	for i := 0; i < 64; i++ {
-		e.ObserveInput("m1", tt, 20+dither(i), 0, true)
+		e.ObserveInput("m1", tt, InputSummary{Mean: 20 + dither(i), HasMean: true, HasOOR: true})
 		tt++
 	}
 	for i := 0; i < 64; i++ {
-		e.ObserveInput("m1", tt, 60+dither(i), 0.5, true)
+		e.ObserveInput("m1", tt, InputSummary{Mean: 60 + dither(i), OOR: 0.5, HasMean: true, HasOOR: true})
 		tt++
 	}
 	e.Flush()
@@ -406,7 +434,7 @@ func TestEngineCloseLifecycle(t *testing.T) {
 	e.Close()
 	e.RecordForecast("m1", 1, []float64{2})
 	e.Observe("m1", 1, []float64{2})
-	e.ObserveInput("m1", 1, 2, 0, true)
+	e.ObserveInput("m1", 1, InputSummary{Mean: 2, HasMean: true, HasOOR: true})
 	e.Flush()
 	if st := e.Status(); st.Resolved != 0 {
 		t.Fatalf("post-close status = %+v", st)

@@ -18,15 +18,15 @@ import (
 //
 // The request path only ever pays two atomic loads: the mirror gate in
 // MirrorForecast/ObserveActuals, and the generation read that already
-// rides the batched forward. Requires streaming ingestion (the rings
-// are the only history the supervisor can train on); with ingestion
-// disabled the option logs a warning and serving stays static.
+// rides the batched forward. The supervisor trains on the ingestion
+// rings, the only history it has, so they grow to hold a full training
+// set (see ringCapacity).
 
 // WithAdaptation enables drift-adaptive online retraining. Zero-value
 // fields of cfg get adapt's defaults; Predictor, Rings, Registry, and
 // Journal are supplied by the server and need not be set.
 func WithAdaptation(cfg adapt.Config) Option {
-	return func(s *Server) { s.adaptCfg = &cfg }
+	return func(s *Server) { c := cfg; s.adaptCfg = &c }
 }
 
 // Adaptation returns the adaptation supervisor, or nil when disabled —

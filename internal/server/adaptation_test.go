@@ -178,10 +178,7 @@ func TestServerAdaptationEndToEnd(t *testing.T) {
 
 	s := New(p,
 		WithRegistry(obs.NewRegistry()),
-		WithQualityConfig(quality.Config{
-			Mutation: quality.MutationConfig{MedianWidth: 5, Warmup: 16, Cooldown: 8, Alpha: 0.25, Delta: 3, Lambda: 50},
-		}),
-		WithIngest(IngestConfig{RingCapacity: 512}),
+		WithQualityConfig(quality.Config{Preset: quality.PresetFast}),
 		WithAdaptation(adapt.Config{
 			MinSamples:        160,
 			FineTune:          core.FineTuneConfig{Epochs: 2, Seed: 5},
@@ -288,7 +285,7 @@ func TestServerAdaptationEndToEnd(t *testing.T) {
 func TestIngestMaxEntitiesEviction(t *testing.T) {
 	p, e := fitted(t)
 	reg := obs.NewRegistry()
-	s := New(p, WithRegistry(reg), WithIngest(IngestConfig{RingCapacity: 64, MaxEntities: 2}))
+	s := New(p, WithRegistry(reg), WithIngest(IngestConfig{MaxEntities: 2}))
 	ts := httptest.NewServer(s)
 	defer func() { ts.Close(); s.Close() }()
 

@@ -26,7 +26,7 @@ import (
 func TestModelPanicOnPostCountsOnce(t *testing.T) {
 	p, e := fitted(t)
 	reg := obs.NewRegistry()
-	srv := New(p, WithRegistry(reg), WithLogger(obs.NopLogger()))
+	srv := New(p, WithRegistry(reg), quiet)
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -58,7 +58,7 @@ func TestModelPanicOnPostCountsOnce(t *testing.T) {
 // must be invisible in the payload.
 func TestConcurrentForecastsBitwiseEqualUnderBatching(t *testing.T) {
 	p, e := fitted(t)
-	ts := httptest.NewServer(New(p, WithRegistry(obs.NewRegistry()), WithLogger(obs.NopLogger())))
+	ts := httptest.NewServer(New(p, WithRegistry(obs.NewRegistry()), quiet))
 	defer ts.Close()
 	tail := tailOf(e, 64)
 
@@ -105,7 +105,7 @@ func TestConcurrentForecastsBitwiseEqualUnderBatching(t *testing.T) {
 func TestRaggedIndicatorsRejected400(t *testing.T) {
 	p, e := fitted(t)
 	reg := obs.NewRegistry()
-	ts := httptest.NewServer(New(p, WithRegistry(reg), WithLogger(obs.NopLogger())))
+	ts := httptest.NewServer(New(p, WithRegistry(reg), quiet))
 	defer ts.Close()
 
 	ragged := tailOf(e, 64)
@@ -138,7 +138,7 @@ func TestRaggedIndicatorsRejected400(t *testing.T) {
 // concurrent workers and reports throughput plus p50/p99 request latency.
 func benchServing(b *testing.B, opts ...Option) {
 	p, e := fitted(b)
-	opts = append(opts, WithRegistry(obs.NewRegistry()), WithLogger(obs.NopLogger()))
+	opts = append(opts, WithRegistry(obs.NewRegistry()), quiet)
 	srv := New(p, opts...)
 	defer srv.Close()
 	raw, err := json.Marshal(ForecastRequest{Indicators: tailOf(e, 64)})
@@ -209,7 +209,7 @@ func BenchmarkForecastPostSerial64(b *testing.B) { benchPostSerial(b, 64) }
 // benchPostSerial posts samples (0: MinHistory) per indicator serially.
 func benchPostSerial(b *testing.B, samples int) {
 	p, e := fitted(b)
-	srv := New(p, WithRegistry(obs.NewRegistry()), WithLogger(obs.NopLogger()))
+	srv := New(p, WithRegistry(obs.NewRegistry()), quiet)
 	defer srv.Close()
 	if samples == 0 {
 		samples = p.MinHistory()

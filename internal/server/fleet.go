@@ -27,8 +27,6 @@ type FleetConfig struct {
 	Disabled bool
 	// K is the heavy-hitter capacity per dimension (default 32).
 	K int
-	// Compression is the t-digest δ for latency quantiles (default 64).
-	Compression float64
 }
 
 // WithFleetTelemetry tunes (or disables) the fleet sketches. Without
@@ -227,10 +225,8 @@ body{font-family:monospace;margin:2em}li{margin:0.4em 0}</style></head>
 		fmt.Fprint(w, `
 <li><a href="/debug/adapt">/debug/adapt</a> — online adaptation: retrain/shadow/swap state (JSON)</li>`)
 	}
-	if !s.ingestCfg.Disabled {
-		fmt.Fprint(w, `
+	fmt.Fprint(w, `
 <li><a href="/debug/shards">/debug/shards</a> — per-shard occupancy, queues, latency quantiles (JSON)</li>`)
-	}
 	if s.tracer != nil {
 		fmt.Fprint(w, `
 <li><a href="/debug/traces">/debug/traces</a> — sampled span journal (JSONL)</li>`)

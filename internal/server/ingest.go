@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"slices"
 
+	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/registry"
 	"repro/internal/shard"
@@ -25,16 +26,6 @@ import (
 
 // IngestConfig tunes streaming trace ingestion.
 type IngestConfig struct {
-	// Disabled switches the /v1/ingest and /v1/forecast/{entity} routes
-	// off (they respond 404).
-	Disabled bool
-	// RingCapacity is the number of most-recent samples retained per
-	// entity. Default: twice the predictor's MinHistory (or 64 if
-	// larger), so a full input window plus slack is always on hand.
-	RingCapacity int
-	// MaxBodyBytes bounds one ingest request's body (default 256 MiB —
-	// usage CSVs are long; the scan is streaming so memory stays flat).
-	MaxBodyBytes int64
 	// MaxEntities caps how many entities hold ring state at once; when a
 	// new entity arrives at the cap, the least-recently-touched ring is
 	// evicted (rptcn_ingest_evicted_entities_total counts them). 0 means
@@ -42,16 +33,20 @@ type IngestConfig struct {
 	MaxEntities int
 }
 
-func (c *IngestConfig) fillDefaults(p *core.Predictor) {
-	if c.RingCapacity <= 0 {
-		c.RingCapacity = 2 * p.MinHistory()
-		if c.RingCapacity < 64 {
-			c.RingCapacity = 64
-		}
+// maxIngestBytes bounds one ingest request's body: usage CSVs are long,
+// and the scan streams, so memory stays flat.
+const maxIngestBytes = 256 << 20
+
+// ringCapacity is how many of its newest samples each entity's ring
+// keeps: twice the predictor's MinHistory and at least 64, so a full
+// input window plus slack is always on hand, and with adaptation on,
+// twice what a retrain needs, so one ring holds a whole training set.
+func ringCapacity(p *core.Predictor, ad *adapt.Config) int {
+	n := max(64, 2*p.MinHistory())
+	if ad != nil {
+		n = max(n, 2*ad.EffectiveMinSamples())
 	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 256 << 20
-	}
+	return n
 }
 
 // WithIngest overrides the streaming-ingestion parameters.
@@ -78,7 +73,7 @@ type IngestResponse struct {
 // never buffered whole: ScanCSV reads through a pooled 64 KiB window.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	rejected := 0
-	body := http.MaxBytesReader(w, r.Body, s.ingestCfg.MaxBodyBytes)
+	body := http.MaxBytesReader(w, r.Body, maxIngestBytes)
 	st, err := trace.ScanCSV(body, func(entity []byte, ts int, vals *[trace.NumIndicators]float64) error {
 		if !s.rings.Ingest(entity, ts, vals) {
 			rejected++
@@ -143,7 +138,7 @@ func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request) {
 	out := make([]EntityInfo, 0, len(ids))
 	for _, id := range ids {
 		info := EntityInfo{ID: id}
-		s.rings.WithWindow(id, s.ingestCfg.RingCapacity, func(win [][]float64, _, lastTS int) {
+		s.rings.WithWindow(id, s.ringCap, func(win [][]float64, _, lastTS int) {
 			info.Samples = len(win[0])
 			info.LastTS = lastTS
 		})
@@ -151,10 +146,6 @@ func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeJSON(w, http.StatusOK, out)
 }
-
-// errUnknownEntity marks a forecast request for an entity with no ring
-// state; surfaced as 404 rather than 422.
-var errUnknownEntity = errors.New("server: unknown entity")
 
 // handleEntityForecast serves GET /v1/forecast/{entity} through the
 // entity's shard: the shard worker reads the ring window as zero-copy
@@ -204,7 +195,7 @@ func (s *Server) handleEntityForecast(w http.ResponseWriter, r *http.Request) {
 		s.writeJSON(w, http.StatusOK, resp)
 	case inferBadInput:
 		switch {
-		case errors.Is(res.err, errUnknownEntity), errors.Is(res.err, shard.ErrUnknownEntity):
+		case errors.Is(res.err, shard.ErrUnknownEntity):
 			s.writeError(w, http.StatusNotFound, fmt.Sprintf("entity %q has no ingested samples", entity))
 			return
 		case errors.Is(res.err, registry.ErrUnknownModel):

@@ -61,7 +61,7 @@ func TestIngestAndEntityForecast(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	wantSamples := srv.ingestCfg.RingCapacity
+	wantSamples := srv.ringCap
 	if e.Len() < wantSamples {
 		wantSamples = e.Len()
 	}
@@ -119,7 +119,7 @@ func TestIngestRejectsReplays(t *testing.T) {
 	if ir.Rows != e.Len() || ir.Rejected != e.Len() || ir.Entities != 1 {
 		t.Fatalf("replay ingest = %+v (want all %d rows rejected)", ir, e.Len())
 	}
-	if n := srv.rings.SampleCount(e.ID); n != srv.ingestCfg.RingCapacity {
+	if n := srv.rings.SampleCount(e.ID); n != srv.ringCap {
 		t.Fatalf("ring disturbed by replay: %d samples", n)
 	}
 }
@@ -163,21 +163,6 @@ func TestEntityForecastErrors(t *testing.T) {
 	}
 	if !strings.Contains(eb.Error, "samples") {
 		t.Fatalf("unexpected error body: %q", eb.Error)
-	}
-}
-
-// TestIngestDisabled checks WithIngest(Disabled) removes the routes.
-func TestIngestDisabled(t *testing.T) {
-	p, _ := fitted(t)
-	ts := httptest.NewServer(New(p, WithIngest(IngestConfig{Disabled: true})))
-	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/v1/ingest", "text/csv", strings.NewReader("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("disabled ingest status = %d", resp.StatusCode)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 func TestMetricsEndpointExposesServingMetrics(t *testing.T) {
 	p, e := fitted(t)
 	reg := obs.NewRegistry()
-	ts := httptest.NewServer(New(p, WithRegistry(reg), WithLogger(obs.NopLogger())))
+	ts := httptest.NewServer(New(p, WithRegistry(reg), quiet))
 	defer ts.Close()
 
 	// Drive every route: two forecasts, one model read, one bad request.
@@ -88,7 +88,7 @@ func TestMetricsSchemaVisibleBeforeTraffic(t *testing.T) {
 func TestConcurrentForecastsRecordConsistentMetrics(t *testing.T) {
 	p, e := fitted(t)
 	reg := obs.NewRegistry()
-	ts := httptest.NewServer(New(p, WithRegistry(reg), WithLogger(obs.NopLogger())))
+	ts := httptest.NewServer(New(p, WithRegistry(reg), quiet))
 	defer ts.Close()
 	tail := make([][]float64, trace.NumIndicators)
 	for i := range tail {

@@ -35,14 +35,14 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
 // forecasts, the forecast itself for future resolution, and the input
 // statistics for the drift/mutation detectors. Every engine call is a
 // non-blocking enqueue, so this adds nanoseconds to the serving path.
-func (s *Server) feedQuality(req *ForecastRequest, forecast []float64, sum inputSummary) {
+func (s *Server) feedQuality(req *ForecastRequest, forecast []float64) {
 	var t int64
 	if req.T != nil {
 		t = *req.T
 		// Self-join: the history window carries fresh actuals for the
 		// target indicator; timestamps overlapping previously forecast
 		// times resolve those forecasts.
-		if idx := s.inputs.target; idx < len(req.Indicators) {
+		if idx := s.inputs.Target; idx < len(req.Indicators) {
 			tgt := req.Indicators[idx]
 			if len(tgt) > 0 {
 				s.engine.Observe(req.Entity, t-int64(len(tgt))+1, tgt)
@@ -58,9 +58,7 @@ func (s *Server) feedQuality(req *ForecastRequest, forecast []float64, sum input
 		// request ordinal still drives the input detectors.
 		t = s.reqSeq.Add(1)
 	}
-	if sum.HasMean || sum.HasOOR {
-		s.engine.ObserveInput(req.Entity, t, sum.Mean, sum.OOR, sum.HasOOR)
-	}
+	s.engine.ObserveInput(req.Entity, t, s.inputs.Summarize(req.Indicators))
 }
 
 // ObserveRequest is the /v1/observe request body: ground truth for the

@@ -351,13 +351,10 @@ func TestQualitySmoke(t *testing.T) {
 	s := New(p,
 		WithRegistry(obs.NewRegistry()),
 		WithJournal(journal),
-		WithQualityConfig(quality.Config{
-			// Alpha 0.25 lets the level track the trace's diurnal wander
-			// (which the production default 1/32 is too slow for at this
-			// compressed replay cadence) while the +35 step still fires.
-			Mutation:   quality.MutationConfig{MedianWidth: 5, Warmup: 16, Cooldown: 8, Alpha: 0.25},
-			InputDrift: quality.DriftConfig{Baseline: 16, Alpha: 0.5, MinStd: 0.02},
-		}),
+		// The fast preset's level tracks the trace's diurnal wander (the
+		// production EWMA is too slow for this compressed replay
+		// cadence) while the +35 step still fires.
+		WithQualityConfig(quality.Config{Preset: quality.PresetFast}),
 	)
 	ts := httptest.NewServer(s)
 	defer ts.Close()

@@ -97,7 +97,7 @@ func TestForecastFeedsQualityGauges(t *testing.T) {
 // samples) and one long enough to hide a horizon and still fill a window.
 func TestForecastPostRunsOneForward(t *testing.T) {
 	p, e := fitted(t)
-	s := New(p, WithRegistry(obs.NewRegistry()), WithLogger(obs.NopLogger()))
+	s := New(p, WithRegistry(obs.NewRegistry()), quiet)
 	defer s.Close()
 	ts := httptest.NewServer(s)
 	defer ts.Close()

@@ -27,8 +27,6 @@ type ResilienceConfig struct {
 	// RequestTimeout bounds one forecast inference; past it the request
 	// degrades to the naive fallback. Default 10s.
 	RequestTimeout time.Duration
-	// Breaker configures the inference circuit breaker.
-	Breaker BreakerConfig
 }
 
 func (c *ResilienceConfig) fillDefaults() {
@@ -38,35 +36,21 @@ func (c *ResilienceConfig) fillDefaults() {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 10 * time.Second
 	}
-	c.Breaker.fillDefaults()
 }
 
-// WithResilience overrides the default limits and breaker settings.
+// WithResilience overrides the default limits.
 func WithResilience(cfg ResilienceConfig) Option {
 	return func(s *Server) { s.resilience = cfg }
 }
 
-// BreakerConfig tunes the inference circuit breaker: it watches the
-// last Window inference outcomes and opens when failures reach
-// FailureThreshold of them, short-circuiting straight to the fallback
-// for Cooldown before probing the model again (half-open).
-type BreakerConfig struct {
-	Window           int           // outcomes in the sliding window (default 20)
-	FailureThreshold float64       // open at failures/Window >= this (default 0.5)
-	Cooldown         time.Duration // open duration before a half-open probe (default 5s)
-}
-
-func (c *BreakerConfig) fillDefaults() {
-	if c.Window <= 0 {
-		c.Window = 20
-	}
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 0.5
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 5 * time.Second
-	}
-}
+// The serving breaker watches the last 20 inference outcomes and opens
+// when half of them failed, short-circuiting straight to the fallback
+// for 5 s before probing the model again (half-open).
+const (
+	breakerWindow    = 20
+	breakerThreshold = 0.5
+	breakerCooldown  = 5 * time.Second
+)
 
 const (
 	breakerClosed = iota
@@ -78,8 +62,9 @@ const (
 // failures only (panic, timeout, non-finite output) — client mistakes
 // and disconnects never count.
 type breaker struct {
-	cfg   BreakerConfig
-	gauge *obs.Gauge // rptcn_circuit_open: 0 closed, 1 open/half-open
+	threshold float64 // open at failures/len(window) >= this
+	cooldown  time.Duration
+	gauge     *obs.Gauge // rptcn_circuit_open: 0 closed, 1 open/half-open
 
 	mu       sync.Mutex
 	window   []bool // ring of outcomes, true = failure
@@ -91,13 +76,12 @@ type breaker struct {
 	probing  bool // a half-open trial request is in flight
 }
 
-func newBreaker(cfg BreakerConfig, gauge *obs.Gauge) *breaker {
-	cfg.fillDefaults()
-	return &breaker{cfg: cfg, gauge: gauge, window: make([]bool, cfg.Window)}
+func newBreaker(window int, threshold float64, cooldown time.Duration, gauge *obs.Gauge) *breaker {
+	return &breaker{threshold: threshold, cooldown: cooldown, gauge: gauge, window: make([]bool, window)}
 }
 
 // allow reports whether the model may be tried for this request. In the
-// open state it returns false until Cooldown elapses, then admits a
+// open state it returns false until cooldown elapses, then admits a
 // single half-open probe whose outcome decides reopen-vs-close.
 func (b *breaker) allow() bool {
 	b.mu.Lock()
@@ -106,7 +90,7 @@ func (b *breaker) allow() bool {
 	case breakerClosed:
 		return true
 	case breakerOpen:
-		if time.Since(b.openedAt) < b.cfg.Cooldown {
+		if time.Since(b.openedAt) < b.cooldown {
 			return false
 		}
 		b.state = breakerHalfOpen
@@ -146,7 +130,7 @@ func (b *breaker) record(failure bool) {
 		b.filled++
 	}
 	if b.state == breakerClosed && b.filled == len(b.window) &&
-		float64(b.failures) >= b.cfg.FailureThreshold*float64(len(b.window)) {
+		float64(b.failures) >= b.threshold*float64(len(b.window)) {
 		b.trip()
 	}
 }

@@ -65,7 +65,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestPanicDuringInferenceDegrades(t *testing.T) {
 	p, e := fitted(t)
 	reg := obs.NewRegistry()
-	ts := httptest.NewServer(New(p, WithRegistry(reg), WithLogger(obs.NopLogger())))
+	ts := httptest.NewServer(New(p, WithRegistry(reg), quiet))
 	defer ts.Close()
 	tail := tailOf(e, 64)
 
@@ -122,7 +122,7 @@ func TestPanicDuringInferenceDegrades(t *testing.T) {
 func TestInvalidModelOutputDegrades(t *testing.T) {
 	p, e := fitted(t)
 	reg := obs.NewRegistry()
-	ts := httptest.NewServer(New(p, WithRegistry(reg), WithLogger(obs.NopLogger())))
+	ts := httptest.NewServer(New(p, WithRegistry(reg), quiet))
 	defer ts.Close()
 
 	inj := fault.NewInjector(fault.Rule{Scope: "model.forward.out", Kind: fault.KindNaN, Times: 1})
@@ -154,7 +154,7 @@ func TestInvalidModelOutputDegrades(t *testing.T) {
 func TestInferenceTimeoutDegrades(t *testing.T) {
 	p, e := fitted(t)
 	reg := obs.NewRegistry()
-	ts := httptest.NewServer(New(p, WithRegistry(reg), WithLogger(obs.NopLogger()),
+	ts := httptest.NewServer(New(p, WithRegistry(reg), quiet,
 		WithResilience(ResilienceConfig{RequestTimeout: 20 * time.Millisecond})))
 	defer ts.Close()
 
@@ -187,13 +187,12 @@ func TestInferenceTimeoutDegrades(t *testing.T) {
 func TestBreakerOpensThenRecovers(t *testing.T) {
 	p, e := fitted(t)
 	reg := obs.NewRegistry()
-	ts := httptest.NewServer(New(p, WithRegistry(reg), WithLogger(obs.NopLogger()),
-		WithResilience(ResilienceConfig{
-			Breaker: BreakerConfig{Window: 4, FailureThreshold: 0.5, Cooldown: 300 * time.Millisecond},
-		})))
+	srv := New(p, WithRegistry(reg), quiet)
+	gauge := reg.Gauge("rptcn_circuit_open", "")
+	srv.breaker = newBreaker(4, 0.5, 300*time.Millisecond, gauge)
+	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	tail := tailOf(e, 64)
-	gauge := reg.Gauge("rptcn_circuit_open", "")
 
 	// Exactly 4 panics: enough to fill the window and trip the breaker.
 	inj := fault.NewInjector(fault.Rule{Scope: "server.forecast", Kind: fault.KindPanic, Times: 4})
@@ -253,7 +252,7 @@ func TestBreakerOpensThenRecovers(t *testing.T) {
 func TestLimiterShedsAndHealthzExempt(t *testing.T) {
 	p, e := fitted(t)
 	reg := obs.NewRegistry()
-	srv := New(p, WithRegistry(reg), WithLogger(obs.NopLogger()),
+	srv := New(p, WithRegistry(reg), quiet,
 		WithResilience(ResilienceConfig{MaxInFlight: 2}))
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
@@ -311,7 +310,7 @@ func TestLimiterShedsAndHealthzExempt(t *testing.T) {
 func TestClientDisconnectIs499NotServerError(t *testing.T) {
 	p, e := fitted(t)
 	reg := obs.NewRegistry()
-	ts := httptest.NewServer(New(p, WithRegistry(reg), WithLogger(obs.NopLogger())))
+	ts := httptest.NewServer(New(p, WithRegistry(reg), quiet))
 	defer ts.Close()
 
 	inj := fault.NewInjector(fault.Rule{
@@ -360,7 +359,7 @@ func TestClientDisconnectIs499NotServerError(t *testing.T) {
 // with 413 before it can exhaust memory.
 func TestOversizedBodyRejected413(t *testing.T) {
 	p, _ := fitted(t)
-	ts := httptest.NewServer(New(p, WithLogger(obs.NopLogger()), WithRegistry(obs.NewRegistry())))
+	ts := httptest.NewServer(New(p, quiet, WithRegistry(obs.NewRegistry())))
 	defer ts.Close()
 
 	var body bytes.Buffer
@@ -383,7 +382,7 @@ func TestOversizedBodyRejected413(t *testing.T) {
 func TestRecoveredMiddlewareWrites500(t *testing.T) {
 	p, _ := fitted(t)
 	reg := obs.NewRegistry()
-	s := New(p, WithRegistry(reg), WithLogger(obs.NopLogger()))
+	s := New(p, WithRegistry(reg), quiet)
 
 	rr := httptest.NewRecorder()
 	s.recovered(func(http.ResponseWriter, *http.Request) { panic("boom") })(
@@ -415,7 +414,7 @@ func TestRecoveredMiddlewareWrites500(t *testing.T) {
 func TestChaosForecastEndpointAlwaysAnswers(t *testing.T) {
 	p, e := fitted(t)
 	reg := obs.NewRegistry()
-	ts := httptest.NewServer(New(p, WithRegistry(reg), WithLogger(obs.NopLogger())))
+	ts := httptest.NewServer(New(p, WithRegistry(reg), quiet))
 	defer ts.Close()
 	tail := tailOf(e, 64)
 

@@ -70,7 +70,7 @@ type Server struct {
 	reg        *obs.Registry
 	log        *slog.Logger
 	tracer     *obstrace.Tracer
-	inputs     inputBounds
+	inputs     quality.InputBounds
 	resilience ResilienceConfig
 	batchCfg   BatchConfig
 
@@ -96,13 +96,12 @@ type Server struct {
 	// Sharded serving and streaming ingestion: the entity→shard router
 	// owns the per-shard micro-batchers every forecast runs through (POST
 	// /v1/forecast and /v1/forecast/{entity} alike) and the per-entity
-	// sample rings fed by /v1/ingest, plus the accounting metrics. The
-	// router always exists; IngestConfig.Disabled only withholds the
-	// ingest and entity routes.
+	// sample rings fed by /v1/ingest, plus the accounting metrics.
 	rings          *shard.Router
 	shardCfg       ShardConfig
 	modelCache     *registry.Cache
 	ingestCfg      IngestConfig
+	ringCap        int // samples per entity ring, see ringCapacity
 	ingestRows     *obs.Counter
 	ingestSkipped  *obs.Counter
 	ingestRejected *obs.Counter
@@ -110,8 +109,7 @@ type Server struct {
 	ingestEvicted  *obs.Counter
 
 	// Online adaptation: the drift-triggered retrain/shadow/hot-swap
-	// supervisor (nil unless WithAdaptation was given and the ingestion
-	// rings it trains from are enabled).
+	// supervisor (nil unless WithAdaptation was given and it started).
 	adapt    *adapt.Supervisor
 	adaptCfg *adapt.Config
 
@@ -135,11 +133,6 @@ type Option func(*Server)
 // process-wide obs.Default() registry. Tests use this for isolation.
 func WithRegistry(r *obs.Registry) Option {
 	return func(s *Server) { s.reg = r }
-}
-
-// WithLogger replaces the server's structured logger.
-func WithLogger(l *slog.Logger) Option {
-	return func(s *Server) { s.log = l }
 }
 
 // WithTracer records one "http.request" span per served request into t
@@ -176,10 +169,10 @@ func New(p *core.Predictor, opts ...Option) *Server {
 	if s.log == nil {
 		s.log = obs.Logger("server")
 	}
-	s.inputs = inputBounds{minHist: p.MinHistory()}
-	s.inputs.min, s.inputs.max = p.NormBounds()
+	s.inputs = quality.InputBounds{MinHistory: p.MinHistory()}
+	s.inputs.Min, s.inputs.Max = p.NormBounds()
 	if sel := p.SelectedIndicators(); len(sel) > 0 {
-		s.inputs.target = sel[0]
+		s.inputs.Target = sel[0]
 	}
 	s.resilience.fillDefaults()
 	s.sem = make(chan struct{}, s.resilience.MaxInFlight)
@@ -189,18 +182,20 @@ func New(p *core.Predictor, opts ...Option) *Server {
 		"Panics recovered by the serving middleware instead of crashing the process.")
 	s.canceled = s.reg.Counter("rptcn_canceled_requests_total",
 		"Requests abandoned by the client before the forecast finished (499).")
-	s.breaker = newBreaker(s.resilience.Breaker, s.reg.Gauge("rptcn_circuit_open",
+	s.breaker = newBreaker(breakerWindow, breakerThreshold, breakerCooldown, s.reg.Gauge("rptcn_circuit_open",
 		"1 while the inference circuit breaker is open or half-open, else 0."))
+	if s.adaptCfg != nil {
+		s.adaptCfg.Predictor = p
+	}
 	// The entity→shard router: the micro-batching workers every forecast
-	// queues on, and one fixed-capacity ring per ingested entity (sized to
-	// hold a full input window plus slack). The limiter admits at most
-	// MaxInFlight requests, so while that stays within a shard's QueueCap
-	// (defaults 32 and 64) enqueueing never blocks a request goroutine;
-	// beyond it producers wait for a slot, which bounds memory. Built
-	// before the quality engine because the adaptation supervisor trains
-	// from the rings AND subscribes to the engine's events.
-	s.ingestCfg.fillDefaults(p)
-	s.batchCfg.fillDefaults()
+	// queues on, and one fixed-capacity ring per ingested entity. The
+	// limiter admits at most MaxInFlight requests, so while that stays
+	// within a shard's queue (defaults 32 and 64) enqueueing never blocks
+	// a request goroutine; beyond it producers wait for a slot, which
+	// bounds memory. Built before the quality engine because the
+	// adaptation supervisor trains from the rings AND subscribes to the
+	// engine's events.
+	s.ringCap = ringCapacity(p, s.adaptCfg)
 	rt, err := s.buildRouter()
 	if err != nil {
 		// Every input was defaulted above, so only a bug gets here — and
@@ -208,30 +203,26 @@ func New(p *core.Predictor, opts ...Option) *Server {
 		panic(fmt.Sprintf("server: shard router failed to start: %v", err))
 	}
 	s.rings = rt
-	if !s.ingestCfg.Disabled {
-		s.ingestRows = s.reg.Counter("rptcn_ingested_samples_total",
-			"Usable CSV rows accepted by /v1/ingest.")
-		s.ingestSkipped = s.reg.Counter("rptcn_ingest_skipped_rows_total",
-			"Unusable CSV rows dropped by the lenient streaming scanner.")
-		s.ingestRejected = s.reg.Counter("rptcn_ingest_rejected_samples_total",
-			"Parsed samples rejected by the rings (non-advancing timestamps).")
-		s.ingestEntities = s.reg.Gauge("rptcn_ingest_entities",
-			"Entities with ring state from streaming ingestion.")
-		s.ingestEvicted = s.reg.Counter("rptcn_ingest_evicted_entities_total",
-			"Entities LRU-evicted from the ingestion ring store (max-entities cap).")
-		s.reg.RegisterCollector(func() {
-			if d := s.rings.Evicted() - uint64(s.ingestEvicted.Value()); d > 0 {
-				s.ingestEvicted.Add(float64(d))
-			}
-		})
-	}
+	s.ingestRows = s.reg.Counter("rptcn_ingested_samples_total",
+		"Usable CSV rows accepted by /v1/ingest.")
+	s.ingestSkipped = s.reg.Counter("rptcn_ingest_skipped_rows_total",
+		"Unusable CSV rows dropped by the lenient streaming scanner.")
+	s.ingestRejected = s.reg.Counter("rptcn_ingest_rejected_samples_total",
+		"Parsed samples rejected by the rings (non-advancing timestamps).")
+	s.ingestEntities = s.reg.Gauge("rptcn_ingest_entities",
+		"Entities with ring state from streaming ingestion.")
+	s.ingestEvicted = s.reg.Counter("rptcn_ingest_evicted_entities_total",
+		"Entities LRU-evicted from the ingestion ring store (max-entities cap).")
+	s.reg.RegisterCollector(func() {
+		if d := s.rings.Evicted() - uint64(s.ingestEvicted.Value()); d > 0 {
+			s.ingestEvicted.Add(float64(d))
+		}
+	})
 	// Online adaptation: fine-tune on drift, shadow-score, hot-swap. The
 	// supervisor subscribes to the quality engine's drift/mutation
 	// events, so it must exist before the engine. Serving never depends
-	// on it: a failed setup degrades to a static model with a warning.
-	if s.adaptCfg != nil {
-		cfg := *s.adaptCfg
-		cfg.Predictor = p
+	// on it: a failed setup degrades to a static model with an error.
+	if cfg := s.adaptCfg; cfg != nil {
 		cfg.Rings = s.rings
 		if cfg.Registry == nil {
 			cfg.Registry = s.reg
@@ -239,9 +230,7 @@ func New(p *core.Predictor, opts ...Option) *Server {
 		if cfg.Journal == nil {
 			cfg.Journal = s.journal
 		}
-		if s.ingestCfg.Disabled {
-			s.log.Warn("adaptation disabled: streaming ingestion is off, so there is no history to retrain from")
-		} else if sup, err := adapt.New(cfg); err != nil {
+		if sup, err := adapt.New(*cfg); err != nil {
 			s.log.Error("adaptation disabled: supervisor failed to start", "err", err)
 		} else {
 			s.adapt = sup
@@ -273,7 +262,7 @@ func New(p *core.Predictor, opts ...Option) *Server {
 	// (see internal/obs/sketch and /debug/fleet). On by default — a
 	// Record is ~100 ns against a millisecond-scale forecast.
 	if !s.fleetCfg.Disabled {
-		s.fleet = sketch.NewFleet(sketch.Config{K: s.fleetCfg.K, Compression: s.fleetCfg.Compression})
+		s.fleet = sketch.NewFleet(sketch.Config{K: s.fleetCfg.K})
 	}
 	// The SLO histogram doubles as the exemplar carrier: the middleware
 	// attaches (trace ID, entity) exemplars to its buckets, and
@@ -312,16 +301,14 @@ func New(p *core.Predictor, opts ...Option) *Server {
 		// pprof sidecar.
 		s.mux.HandleFunc("GET /debug/traces", in.wrap("/debug/traces", s.tracer.Handler().ServeHTTP))
 	}
-	if !s.ingestCfg.Disabled {
-		s.mux.HandleFunc("POST /v1/ingest", in.wrap("/v1/ingest", s.recovered(s.limited(s.handleIngest))))
-		s.mux.HandleFunc("GET /v1/entities", in.wrap("/v1/entities", s.recovered(s.limited(s.handleEntities))))
-		s.mux.HandleFunc("GET /v1/forecast/{entity}", in.wrap("/v1/forecast/{entity}",
-			s.recovered(s.limited(s.handleEntityForecast))))
-		s.mux.HandleFunc("GET /debug/shards", in.wrap("/debug/shards", s.recovered(s.handleShards)))
-		s.mux.HandleFunc("/v1/ingest", in.wrap("/v1/ingest", methodNotAllowed(http.MethodPost)))
-		s.mux.HandleFunc("/v1/entities", in.wrap("/v1/entities", methodNotAllowed(http.MethodGet)))
-		s.mux.HandleFunc("/debug/shards", in.wrap("/debug/shards", methodNotAllowed(http.MethodGet)))
-	}
+	s.mux.HandleFunc("POST /v1/ingest", in.wrap("/v1/ingest", s.recovered(s.limited(s.handleIngest))))
+	s.mux.HandleFunc("GET /v1/entities", in.wrap("/v1/entities", s.recovered(s.limited(s.handleEntities))))
+	s.mux.HandleFunc("GET /v1/forecast/{entity}", in.wrap("/v1/forecast/{entity}",
+		s.recovered(s.limited(s.handleEntityForecast))))
+	s.mux.HandleFunc("GET /debug/shards", in.wrap("/debug/shards", s.recovered(s.handleShards)))
+	s.mux.HandleFunc("/v1/ingest", in.wrap("/v1/ingest", methodNotAllowed(http.MethodPost)))
+	s.mux.HandleFunc("/v1/entities", in.wrap("/v1/entities", methodNotAllowed(http.MethodGet)))
+	s.mux.HandleFunc("/debug/shards", in.wrap("/debug/shards", methodNotAllowed(http.MethodGet)))
 	s.mux.Handle("GET /metrics", s.reg.Handler())
 	// Method-less fallbacks keep 405 semantics for known paths (a bare
 	// catch-all would swallow wrong-method requests as 404s).
@@ -544,7 +531,7 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 		// Quality is measured off the request path: the input summary
 		// feeds the engine's drift detectors, and a forecast tagged with t
 		// resolves against the actuals that follow it (see feedQuality).
-		s.feedQuality(&req, forecast, s.inputs.summarize(req.Indicators))
+		s.feedQuality(&req, forecast)
 		// Shadow evaluation: mirror the served forecast (and its exact
 		// prepared input) to the adaptation supervisor. A cheap atomic
 		// no-op unless a candidate is actually being scored.

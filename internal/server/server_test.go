@@ -16,6 +16,10 @@ import (
 	"repro/internal/trace"
 )
 
+// quiet is an Option that silences the server's log, for tests whose
+// injected faults would flood it.
+func quiet(s *Server) { s.log = obs.NopLogger() }
+
 // fitted returns a small fitted predictor plus the entity it trained on.
 func fitted(t testing.TB) (*core.Predictor, *trace.EntitySeries) {
 	t.Helper()

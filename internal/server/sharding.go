@@ -39,12 +39,6 @@ type BatchConfig struct {
 	MaxDelay time.Duration
 }
 
-func (c *BatchConfig) fillDefaults() {
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 32
-	}
-}
-
 // WithBatching overrides the micro-batching parameters.
 func WithBatching(cfg BatchConfig) Option {
 	return func(s *Server) { s.batchCfg = cfg }
@@ -55,8 +49,6 @@ type ShardConfig struct {
 	// Shards is the worker count; entities hash to a fixed shard
 	// (default 1).
 	Shards int
-	// QueueCap bounds each shard's pending-forecast queue (default 64).
-	QueueCap int
 }
 
 // WithSharding overrides the sharded-serving parameters.
@@ -75,10 +67,7 @@ func WithModelRegistry(cache *registry.Cache) Option {
 // buildRouter assembles the shard router every forecast is served on,
 // one engine per shard.
 func (s *Server) buildRouter() (*shard.Router, error) {
-	if s.shardCfg.Shards <= 0 {
-		s.shardCfg.Shards = 1
-	}
-	engines := make([]shard.Engine, s.shardCfg.Shards)
+	engines := make([]shard.Engine, max(s.shardCfg.Shards, 1))
 	for i := range engines {
 		engines[i] = s.predictor.NewShardInferencer()
 	}
@@ -94,10 +83,9 @@ func (s *Server) buildRouter() (*shard.Router, error) {
 		}
 	}
 	return shard.New(shard.Config{
-		Shards:       s.shardCfg.Shards,
-		QueueCap:     s.shardCfg.QueueCap,
+		Shards:       len(engines),
 		MaxBatch:     s.batchCfg.MaxBatch,
-		RingCapacity: s.ingestCfg.RingCapacity,
+		RingCapacity: s.ringCap,
 		MaxEntities:  s.ingestCfg.MaxEntities,
 		Engines:      engines,
 		Resolve:      resolve,

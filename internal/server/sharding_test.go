@@ -280,42 +280,6 @@ func shardsStatus(t *testing.T, url string) ShardsStatus {
 	return st
 }
 
-// TestForecastPostWithIngestDisabled: the router is the JSON path, so
-// turning ingestion off only withholds the ingest/entity routes — POST
-// /v1/forecast still serves, bitwise what the predictor answers alone.
-func TestForecastPostWithIngestDisabled(t *testing.T) {
-	p, e := fitted(t)
-	srv := New(p, WithRegistry(obs.NewRegistry()), WithLogger(obs.NopLogger()),
-		WithIngest(IngestConfig{Disabled: true}))
-	defer srv.Close()
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	tail := tailOf(e, 64)
-	want, err := p.ForecastFrom(tail)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := forecastReq(t, ts.URL, ForecastRequest{Indicators: tail, Entity: e.ID})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST with ingestion disabled: status %d", resp.StatusCode)
-	}
-	out := decodeForecast(t, resp)
-	if out.Degraded || out.Generation != 1 || !slices.Equal(out.Forecast, want) {
-		t.Fatalf("POST with ingestion disabled = %+v, want %v", out, want)
-	}
-	for _, path := range []string{"/v1/forecast/" + e.ID, "/v1/entities", "/debug/shards"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET %s with ingestion disabled: status %d, want 404", path, resp.StatusCode)
-		}
-	}
-}
-
 // TestForecastPostSharded pins POST /v1/forecast on a 4-shard server:
 // every answer is bitwise the 1-shard answer, anonymous requests run on
 // more than one shard's engine, a request naming an entity runs on the
@@ -323,7 +287,7 @@ func TestForecastPostWithIngestDisabled(t *testing.T) {
 // follows a hot-swap and its rollback on every engine.
 func TestForecastPostSharded(t *testing.T) {
 	p, e := fitted(t)
-	quiet := []Option{WithRegistry(obs.NewRegistry()), WithLogger(obs.NopLogger())}
+	quiet := []Option{WithRegistry(obs.NewRegistry()), quiet}
 	one := New(p, quiet...)
 	defer one.Close()
 	single := httptest.NewServer(one)
@@ -418,7 +382,7 @@ func TestForecastPostSharded(t *testing.T) {
 func TestForecastPostCaughtByShutdownIs503(t *testing.T) {
 	p, e := fitted(t)
 	reg := obs.NewRegistry()
-	srv := New(p, WithRegistry(reg), WithLogger(obs.NopLogger()))
+	srv := New(p, WithRegistry(reg), quiet)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 

@@ -58,7 +58,7 @@ func New(cfg Config) (*Router, error) {
 			resolve:  cfg.Resolve,
 			rings:    trace.NewBoundedRingStore(cfg.RingCapacity, perShardMax),
 			log:      cfg.Log,
-			queue:    make(chan *request, cfg.QueueCap),
+			queue:    make(chan *request, queueCap),
 			stop:     make(chan struct{}),
 			stopped:  make(chan struct{}),
 			maxBatch: cfg.MaxBatch,

@@ -61,11 +61,6 @@ type Config struct {
 	// Shards is the worker count; every entity hashes to one fixed
 	// shard (default 1).
 	Shards int
-	// QueueCap bounds each shard's pending-forecast queue (default 64).
-	// Producers block when a shard's queue is full, which bounds memory
-	// under overload; the server's admission limiter should keep total
-	// in-flight below Shards×QueueCap.
-	QueueCap int
 	// MaxBatch caps how many pending forecasts fuse into one forward
 	// (default 32).
 	MaxBatch int
@@ -93,9 +88,6 @@ func (c *Config) fillDefaults() error {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.QueueCap <= 0 {
-		c.QueueCap = 64
-	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 32
 	}
@@ -118,6 +110,12 @@ func (c *Config) fillDefaults() error {
 	}
 	return nil
 }
+
+// queueCap bounds each shard's pending-forecast queue. Producers block
+// when a shard's queue is full, which bounds memory under overload; the
+// server's admission limiter keeps in-flight requests (32 by default)
+// under it.
+const queueCap = 64
 
 // Result is one forecast's outcome.
 type Result struct {

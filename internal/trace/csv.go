@@ -95,83 +95,30 @@ func ReadCSV(r io.Reader, kind EntityKind) ([]*EntitySeries, error) {
 }
 
 // ReadCSVStats is ReadCSV plus the salvage accounting, for callers that
-// want to surface how dirty the input was.
+// want to surface how dirty the input was. It is ScanCSV (which accepts
+// the rows and fields, see there) plus what a batch load needs on top:
+// rows grouped per entity, sorted by timestamp, and duplicate timestamps
+// dropped.
 func ReadCSVStats(r io.Reader, kind EntityKind) ([]*EntitySeries, ReadStats, error) {
-	var st ReadStats
-	cr := csv.NewReader(r)
-	// Field-count validation is ours: a ragged row is skipped, not fatal.
-	cr.FieldsPerRecord = -1
-
 	// Pointer-valued buffers: the per-row hot path does one map lookup
 	// and appends through the pointer, instead of a lookup plus a map
 	// re-assignment per row. Growth inside append is geometric; the final
 	// per-entity storage is shrunk to exact size below.
 	byEntity := map[string]*entityBuf{}
 	var order []string
-	line := 0
-	for {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		line++
-		if err != nil {
-			// A csv-level parse error (stray quote, bare CR) poisons only
-			// its own line; the reader continues at the next one.
-			st.skip(fmt.Errorf("trace: line %d: %w", line, err))
-			continue
-		}
-		if line == 1 && len(rec) > 0 && rec[0] == csvHeader[0] {
-			continue // header row
-		}
-		if len(rec) != len(csvHeader) {
-			st.skip(fmt.Errorf("trace: line %d: %d fields, want %d", line, len(rec), len(csvHeader)))
-			continue
-		}
-		ts, err := strconv.Atoi(rec[1])
-		if err != nil {
-			st.skip(fmt.Errorf("trace: line %d: bad timestamp %q", line, rec[1]))
-			continue
-		}
-		var s sample
-		s.ts = ts
-		ok := true
-		for ci, ind := range csvIndicatorOrder {
-			f := rec[2+ci]
-			if f == "" {
-				s.vals[ind] = math.NaN()
-				continue
-			}
-			v, err := strconv.ParseFloat(f, 64)
-			if err != nil {
-				st.skip(fmt.Errorf("trace: line %d: bad value %q", line, f))
-				ok = false
-				break
-			}
-			s.vals[ind] = v
-		}
-		if !ok {
-			continue
-		}
-		eb := byEntity[rec[0]]
+	st, err := ScanCSV(r, func(entity []byte, ts int, vals *[NumIndicators]float64) error {
+		eb := byEntity[string(entity)]
 		if eb == nil {
 			eb = &entityBuf{samples: make([]sample, 0, 16)}
-			byEntity[rec[0]] = eb
-			order = append(order, rec[0])
+			id := string(entity) // the scanner reuses entity's bytes
+			byEntity[id] = eb
+			order = append(order, id)
 		}
-		eb.samples = append(eb.samples, s)
-		st.Rows++
-	}
-	if st.Skipped > 0 {
-		obs.Logger("trace").Warn("csv load skipped unusable rows",
-			"skipped", st.Skipped, "kept", st.Rows)
-	}
-	if st.Rows == 0 {
-		if st.Skipped > 0 {
-			return nil, st, fmt.Errorf("trace: no usable rows (%d skipped, first: %w)",
-				st.Skipped, st.Errors[0])
-		}
-		return nil, st, nil
+		eb.samples = append(eb.samples, sample{ts: ts, vals: *vals})
+		return nil
+	})
+	if err != nil || st.Rows == 0 {
+		return nil, st, err
 	}
 
 	out := make([]*EntitySeries, 0, len(order))

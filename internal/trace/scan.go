@@ -16,28 +16,31 @@ import (
 // the eight indicators).
 const numCSVFields = 2 + NumIndicators
 
-// ScanCSV is the zero-copy streaming counterpart of ReadCSVStats: it
-// parses a v2018-style usage CSV and hands each usable row to fn without
-// materializing per-sample strings, records, or entity maps. The entity
-// ID is passed as a byte slice into the scanner's internal buffer and is
-// valid only for the duration of the callback — callers that need to
-// retain it must copy (RingStore.Ingest does the map-lookup trick that
-// avoids the copy for already-known entities).
+// ScanCSV is the one usage-CSV reader: it parses a v2018-style usage CSV
+// and hands each usable row to fn without materializing per-sample
+// strings, records, or entity maps. The entity ID is passed as a byte
+// slice into the scanner's internal buffer and is valid only for the
+// duration of the callback — callers that need to retain it must copy
+// (RingStore.Ingest does the map-lookup trick that avoids the copy for
+// already-known entities).
 //
-// Salvage semantics match ReadCSVStats: ragged rows, unparsable
-// timestamps or values, and malformed quoting are skipped (counted in
-// ReadStats, first few logged) rather than aborting; empty fields become
-// NaN; an error is returned only when the input held rows but none were
-// usable. The one semantic difference is ordering: ScanCSV streams rows
-// in file order and performs no per-entity sort or duplicate-timestamp
-// drop — that responsibility moves to the consumer (Ring.Append rejects
-// non-advancing timestamps).
+// It is lenient: ragged rows, unparsable timestamps or values, and
+// malformed quoting are skipped (counted in ReadStats, first few logged)
+// rather than aborting; empty fields become NaN; an error is returned
+// only when the input held rows but none were usable. Rows stream in file
+// order, with no per-entity sort or duplicate-timestamp drop: the
+// consumer does that (Ring.Append rejects non-advancing timestamps,
+// ReadCSVStats sorts and de-duplicates).
 //
 // A non-nil error from fn aborts the scan and is returned verbatim.
 //
-// Quoting support is the minimal subset WriteCSV can emit plus simple
-// externally-quoted fields: a field that begins with '"' must end with
-// '"' and contain no interior quotes or commas, else the row is skipped.
+// Quoting is a subset of RFC 4180, the one encoding/csv reads: a field
+// may be wrapped in double quotes, and the quotes are stripped. A quoted
+// field cannot hold a comma, a quote (not even doubled) or a line break,
+// and an unquoted field cannot hold a quote; a row with such a field is
+// skipped. Every row ScanCSV accepts, encoding/csv reads to the same
+// fields (FuzzScanCSV), and it accepts everything WriteCSV writes for
+// entity IDs without commas, quotes or line breaks.
 func ScanCSV(r io.Reader, fn func(entity []byte, ts int, vals *[NumIndicators]float64) error) (ReadStats, error) {
 	var st ReadStats
 	sc := scannerPool.Get().(*lineScanner)
@@ -121,9 +124,10 @@ func bstr(b []byte) string {
 
 // splitComma splits ln on commas into fields, unwrapping simple external
 // quotes. Returns the field count and whether every field was well
-// formed; a field with unbalanced or interior quotes (including a quoted
-// comma) reports false and the caller skips the row.
+// formed; a field with unbalanced, interior or bare quotes (including a
+// quoted comma) reports false and the caller skips the row.
 func splitComma(ln []byte, fields *[numCSVFields][]byte) (int, bool) {
+	quoted := bytes.IndexByte(ln, '"') >= 0
 	n := 0
 	for {
 		if n == len(fields) {
@@ -135,11 +139,16 @@ func splitComma(ln []byte, fields *[numCSVFields][]byte) (int, bool) {
 		} else {
 			f, ln = ln, nil
 		}
-		if len(f) > 0 && f[0] == '"' {
-			if len(f) < 2 || f[len(f)-1] != '"' || bytes.IndexByte(f[1:len(f)-1], '"') >= 0 {
+		if quoted {
+			if len(f) > 0 && f[0] == '"' {
+				if len(f) < 2 || f[len(f)-1] != '"' {
+					return 0, false
+				}
+				f = f[1 : len(f)-1]
+			}
+			if bytes.IndexByte(f, '"') >= 0 {
 				return 0, false
 			}
-			f = f[1 : len(f)-1]
 		}
 		fields[n] = f
 		n++

@@ -2,9 +2,11 @@ package trace
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -46,7 +48,8 @@ func TestScanCSVSalvagesCorruptedFixture(t *testing.T) {
 }
 
 // TestScanCSVValuesMatchBatchLoader round-trips a clean generated trace
-// through both paths and demands identical values sample for sample.
+// through ScanCSV and through ReadCSVStats' per-entity collection of its
+// rows, and demands identical values sample for sample.
 func TestScanCSVValuesMatchBatchLoader(t *testing.T) {
 	es := Generate(GeneratorConfig{Entities: 3, Kind: Container, Samples: 40, Seed: 9})
 	var buf bytes.Buffer
@@ -237,4 +240,97 @@ func BenchmarkReadCSVStats(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// scannedRow is one row ScanCSV delivered, with its entity copied out of
+// the scanner's buffer.
+type scannedRow struct {
+	entity string
+	ts     int
+	vals   [NumIndicators]float64
+}
+
+func scanRows(t *testing.T, data []byte) []scannedRow {
+	t.Helper()
+	var rows []scannedRow
+	st, err := ScanCSV(bytes.NewReader(data), func(entity []byte, ts int, vals *[NumIndicators]float64) error {
+		rows = append(rows, scannedRow{string(entity), ts, *vals})
+		return nil
+	})
+	if st.Rows != len(rows) {
+		t.Fatalf("stats count %d rows, callback saw %d", st.Rows, len(rows))
+	}
+	if err != nil && (len(rows) > 0 || st.Skipped == 0) {
+		t.Fatalf("error %v after %d rows and %d skips", err, len(rows), st.Skipped)
+	}
+	return rows
+}
+
+// FuzzScanCSV holds ScanCSV to encoding/csv line by line. Every line
+// ScanCSV accepts must parse under encoding/csv to the same ten fields:
+// the same entity bytes, the timestamp and every value bit for bit, an
+// empty field as NaN. A whole input delivers exactly the rows its lines
+// deliver one at a time, in order, whatever the buffer boundaries —
+// which also checks the entity bytes handed to the callback are not
+// overwritten by later reads. Nothing may panic.
+func FuzzScanCSV(f *testing.F) {
+	f.Add([]byte(corruptedFixture))
+	f.Add([]byte("m_1,0,1,2,3,4,5,6,7,8\r\n\"m 2\",10,1,,3,4,5,6,7,\"8\"\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		whole := scanRows(t, data)
+		var perLine []scannedRow
+		for i, ln := range bytes.Split(data, []byte("\n")) {
+			if i == 0 && bytes.HasPrefix(ln, []byte(csvHeader[0])) {
+				continue // the header, which ScanCSV skips on line 1 only
+			}
+			// Behind a header, a line is never line 1.
+			rows := scanRows(t, append([]byte("entity_id\n"), ln...))
+			if len(rows) == 0 {
+				continue
+			}
+			ln = bytes.TrimSuffix(ln, []byte("\r"))
+			rec, err := csv.NewReader(bytes.NewReader(ln)).Read()
+			if err != nil {
+				t.Fatalf("ScanCSV accepted %q, encoding/csv rejects it: %v", ln, err)
+			}
+			if len(rows) != 1 || len(rec) != numCSVFields {
+				t.Fatalf("line %q: ScanCSV %d rows, encoding/csv %d fields", ln, len(rows), len(rec))
+			}
+			r := rows[0]
+			ts, err := strconv.Atoi(rec[1])
+			if r.entity != rec[0] || err != nil || r.ts != ts {
+				t.Fatalf("line %q: ScanCSV (%q, %d), encoding/csv (%q, %q)", ln, r.entity, r.ts, rec[0], rec[1])
+			}
+			for ci, ind := range csvIndicatorOrder {
+				want := math.NaN()
+				if fld := rec[2+ci]; fld != "" {
+					if want, err = strconv.ParseFloat(fld, 64); err != nil {
+						t.Fatalf("line %q: ScanCSV accepted value %q", ln, fld)
+					}
+				}
+				if math.Float64bits(r.vals[ind]) != math.Float64bits(want) {
+					t.Fatalf("line %q field %d: ScanCSV %v, encoding/csv %v", ln, 2+ci, r.vals[ind], want)
+				}
+			}
+			perLine = append(perLine, r)
+		}
+		if len(whole) != len(perLine) {
+			t.Fatalf("whole input delivered %d rows, its lines %d", len(whole), len(perLine))
+		}
+		for i := range whole {
+			a, b := whole[i], perLine[i]
+			if a.entity != b.entity || a.ts != b.ts || !sameBits(a.vals[:], b.vals[:]) {
+				t.Fatalf("row %d: whole input %+v, line alone %+v", i, a, b)
+			}
+		}
+	})
+}
+
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
