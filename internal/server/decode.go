@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"unsafe"
 
+	"repro/internal/atof"
 	"repro/internal/trace"
 )
 
@@ -13,8 +14,10 @@ import (
 // {"indicators": [[...],[...]], "entity": "c1", "t": 1234}, the last two
 // optional — and decoding it through encoding/json reflection costs more
 // than the model forward it feeds, so the hot parser below scans the
-// bytes directly and hands each number token to strconv (the same
-// routines encoding/json uses, so values are bitwise identical). Anything
+// bytes directly and reads each number once with atof.Parse, which checks
+// the JSON grammar and converts in the same pass to the value
+// encoding/json would give, bit for bit (strconv, which encoding/json
+// itself calls, converts the rare token atof leaves to it). Anything
 // unexpected — escapes or non-ASCII in a string, unknown or repeated
 // fields, nulls, a fractional t, malformed numbers — falls back to
 // encoding/json, which stays the single source of truth for error
@@ -167,7 +170,11 @@ func (p *fastParser) integer() (int64, bool) {
 	return v, err == nil
 }
 
-// rows parses the array-of-arrays of numbers.
+// rows parses the array-of-arrays of numbers into one backing array,
+// each row a sub-slice of it capped at its own length. Numbers in the
+// rows are separated by commas, so the commas left in the body bound how
+// many there are: the slab never holds more numbers than the client sent
+// bytes, and a body that is not all numbers fails below.
 func (p *fastParser) rows() ([][]float64, bool) {
 	if !p.lit('[') {
 		return nil, false
@@ -176,13 +183,15 @@ func (p *fastParser) rows() ([][]float64, bool) {
 	if p.lit(']') {
 		return [][]float64{}, true
 	}
+	slab := make([]float64, 0, bytes.Count(p.buf[p.pos:], []byte(","))+1)
 	rows := make([][]float64, 0, trace.NumIndicators)
 	for {
-		row, ok := p.row()
-		if !ok {
+		start := len(slab)
+		var ok bool
+		if slab, ok = p.row(slab); !ok {
 			return nil, false
 		}
-		rows = append(rows, row)
+		rows = append(rows, slab[start:len(slab):len(slab)])
 		p.ws()
 		if p.lit(',') {
 			p.ws()
@@ -195,83 +204,41 @@ func (p *fastParser) rows() ([][]float64, bool) {
 	}
 }
 
-func (p *fastParser) row() ([]float64, bool) {
+// row appends one array of numbers to slab.
+func (p *fastParser) row(slab []float64) ([]float64, bool) {
 	if !p.lit('[') {
 		return nil, false
 	}
 	p.ws()
 	if p.lit(']') {
-		return []float64{}, true
+		return slab, true
 	}
-	// A row of n numbers holds n-1 commas before its bracket closes, so
-	// one allocation fits it; a row that is not all numbers fails below,
-	// and the guess never exceeds the bytes the client actually sent.
-	end := bytes.IndexByte(p.buf[p.pos:], ']')
-	if end < 0 {
-		return nil, false
-	}
-	row := make([]float64, 0, bytes.Count(p.buf[p.pos:p.pos+end], []byte(","))+1)
 	for {
 		v, ok := p.number()
 		if !ok {
 			return nil, false
 		}
-		row = append(row, v)
+		slab = append(slab, v)
 		p.ws()
 		if p.lit(',') {
 			p.ws()
 			continue
 		}
 		if p.lit(']') {
-			return row, true
+			return slab, true
 		}
 		return nil, false
 	}
 }
 
-// number scans one token matching the JSON number grammar and converts
-// it with strconv.ParseFloat. The grammar check runs first: ParseFloat
-// alone is laxer than JSON (it takes "Inf", "NaN", hex floats, a leading
-// "+"), and those must keep failing exactly as encoding/json fails them.
+// number reads one JSON number token. atof.Parse checks the grammar and
+// converts in the same pass, so "Inf", "NaN", hex floats and a leading
+// "+" — which strconv would take — keep failing exactly as encoding/json
+// fails them.
 func (p *fastParser) number() (float64, bool) {
-	start := p.pos
-	p.lit('-')
-	// Integer part: one 0, or a nonzero digit followed by digits.
-	switch {
-	case p.lit('0'):
-	case p.digit():
-		for p.digit() {
-		}
-	default:
-		return 0, false
-	}
-	if p.lit('.') {
-		if !p.digit() {
-			return 0, false
-		}
-		for p.digit() {
-		}
-	}
-	if p.pos < len(p.buf) && (p.buf[p.pos] == 'e' || p.buf[p.pos] == 'E') {
-		p.pos++
-		if p.pos < len(p.buf) && (p.buf[p.pos] == '+' || p.buf[p.pos] == '-') {
-			p.pos++
-		}
-		if !p.digit() {
-			return 0, false
-		}
-		for p.digit() {
-		}
-	}
-	// Zero-copy string view: ParseFloat does not retain its argument, so
-	// aliasing the request buffer is safe and skips one allocation per
-	// number — the bulk of the parse cost for long histories.
-	tok := p.buf[start:p.pos]
-	v, err := strconv.ParseFloat(unsafe.String(&tok[0], len(tok)), 64)
-	if err != nil {
-		return 0, false
-	}
-	return v, true
+	v, n, ok := atof.Parse(p.buf[p.pos:])
+	p.pos += n
+	return v, ok
 }
 
 func (p *fastParser) digit() bool {

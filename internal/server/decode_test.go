@@ -164,8 +164,8 @@ func metadataBody(t testing.TB, e *trace.EntitySeries, samples int) []byte {
 
 // TestDecodeMetadataBodyStaysOnFastPath pins "one parse": the canonical
 // body with entity and t is decoded by the scanner alone. Its allocations
-// are the rows, the entity and t; entering encoding/json for the same
-// body costs over a hundred.
+// are the rows and their slab, the entity and t; entering encoding/json
+// for the same body costs over a hundred.
 func TestDecodeMetadataBodyStaysOnFastPath(t *testing.T) {
 	p, e := fitted(t)
 	raw := metadataBody(t, e, p.MinHistory())
@@ -184,6 +184,26 @@ func TestDecodeMetadataBodyStaysOnFastPath(t *testing.T) {
 	})
 	if allocs > 20 {
 		t.Fatalf("decoding the metadata body allocates %.0f times, want ≤ 20 (encoding/json was entered)", allocs)
+	}
+}
+
+// TestDecodeWindowOneSlab pins the window's allocations: a 34×8 body
+// decodes into one slab and the row headers beside the request itself,
+// not one allocation per indicator row.
+func TestDecodeWindowOneSlab(t *testing.T) {
+	e := trace.Generate(trace.GeneratorConfig{Entities: 1, Kind: trace.Container, Samples: 34, Seed: 3})[0]
+	raw, err := json.Marshal(ForecastRequest{Indicators: e.Metrics[:]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		var req ForecastRequest
+		if err := decodeForecastRequest(raw, &req); err != nil || len(req.Indicators) != trace.NumIndicators {
+			t.Fatalf("decode: %v", err)
+		}
+	})
+	if allocs > 3 {
+		t.Fatalf("decoding a 34×8 window allocates %.0f times, want ≤ 3 (request, rows, slab)", allocs)
 	}
 }
 

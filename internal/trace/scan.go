@@ -9,6 +9,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"repro/internal/atof"
 	"repro/internal/obs"
 )
 
@@ -31,6 +32,12 @@ const numCSVFields = 2 + NumIndicators
 // order, with no per-entity sort or duplicate-timestamp drop: the
 // consumer does that (Ring.Append rejects non-advancing timestamps,
 // ReadCSVStats sorts and de-duplicates).
+//
+// A value field is read once by atof.Parse, to the bits strconv gives.
+// A field it does not read whole — the forms strconv also accepts ("+1",
+// ".5", "007", "Inf", hex), and the tokens atof leaves to strconv — goes
+// to strconv below, so ScanCSV accepts exactly the values and rows
+// strconv does.
 //
 // A non-nil error from fn aborts the scan and is returned verbatim.
 //
@@ -86,11 +93,14 @@ func ScanCSV(r io.Reader, fn func(entity []byte, ts int, vals *[NumIndicators]fl
 				vals[ind] = math.NaN()
 				continue
 			}
-			v, err := strconv.ParseFloat(bstr(f), 64)
-			if err != nil {
-				st.skip(fmt.Errorf("trace: line %d: bad value %q", line, f))
-				ok = false
-				break
+			v, n, parsed := atof.Parse(f)
+			if !parsed || n != len(f) {
+				var err error
+				if v, err = strconv.ParseFloat(bstr(f), 64); err != nil {
+					st.skip(fmt.Errorf("trace: line %d: bad value %q", line, f))
+					ok = false
+					break
+				}
 			}
 			vals[ind] = v
 		}
