@@ -31,6 +31,8 @@ type snapshot struct {
 	model *Model
 	gen   int64
 	test  train.Dataset
+	// epoch is unique to the snapshot in the process (see stream.go).
+	epoch uint64
 }
 
 // prepareServing readies m to be read by many forwards at once: the
@@ -44,11 +46,17 @@ func (p *Predictor) prepareServing(m *Model) {
 	nn.PlanChain(m.stages, p.Cfg.Window)
 }
 
-// publish prepares s's model and makes s the snapshot every engine
-// serves from its next batch on.
-func (p *Predictor) publish(s *snapshot) {
+// prepareSnapshot prepares s's model for serving and numbers s.
+func (p *Predictor) prepareSnapshot(s *snapshot) *snapshot {
 	p.prepareServing(s.model)
-	p.serving.Store(s)
+	s.epoch = snapshotEpoch.Add(1)
+	return s
+}
+
+// publish prepares s and makes it the snapshot every engine serves from
+// its next batch on.
+func (p *Predictor) publish(s *snapshot) {
+	p.serving.Store(p.prepareSnapshot(s))
 }
 
 // Generation returns the serving model's generation: 0 before Fit,

@@ -79,6 +79,39 @@ func benchInferLastStep(b *testing.B, batch int) {
 func BenchmarkInferLastStepB1(b *testing.B)  { benchInferLastStep(b, 1) }
 func BenchmarkInferLastStepB32(b *testing.B) { benchInferLastStep(b, 32) }
 
+// BenchmarkInferStreamStep is the ingest-one/forecast-one pattern through
+// an engine, on the standing benchmark's serving model (Mul-Exp, 12
+// channels into 16/16/16 blocks, k=3, d=1/2/4, window 32): each op moves
+// the entity's ring on by one sample and reads its forecast, which is a
+// miss of the stored forecast, a PrepareInput of the window, a batch-1
+// forward and the store. It is what an advance by one sample would cut.
+func BenchmarkInferStreamStep(b *testing.B) {
+	p, raw := streamPredictor(b, PredictorConfig{Scenario: MulExp, Window: 32,
+		Model: Config{Channels: []int{16, 16, 16}, KernelSize: 3, Dilations: []int{1, 2, 4}, WeightNorm: true, FCWidth: 32}})
+	si := p.NewShardInferencer()
+	mh := p.MinHistory()
+	var slot any
+	total := mh
+	win := make([][]float64, len(raw))
+	window := func() [][]float64 { // the ring's views of its last mh samples
+		for i, s := range raw {
+			win[i] = s[total-mh : total]
+		}
+		return win
+	}
+	streamRead(si, window(), total, &slot)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if total++; total > len(raw[0]) {
+			total = mh + 1
+		}
+		if _, o, err := streamRead(si, window(), total, &slot); err != nil || o != StreamRefill {
+			b.Fatal(o, err)
+		}
+	}
+}
+
 // trainStepModel is the standing benchmark's model as Fit sees it: not
 // frozen, spatial dropout on.
 func trainStepModel(batch int) (*Model, *tensor.Tensor) {

@@ -35,6 +35,9 @@ type ShardInferencer struct {
 	// NewCandidateInferencer; nil follows p's published one.
 	pin       *snapshot
 	inferBufs map[int]*inferBuf
+	// ran is the snapshot of the last ForecastBatchGen, whose forecasts
+	// StreamKeep stores.
+	ran *snapshot
 }
 
 // inferBuf is the reusable input tensor + arena for one padded batch
@@ -56,8 +59,7 @@ func (p *Predictor) NewShardInferencer() *ShardInferencer {
 // supervisor shadow-scores a candidate on it with the forward serving
 // would run. Its forecasts report generation 0.
 func (p *Predictor) NewCandidateInferencer(m *Model) *ShardInferencer {
-	p.prepareServing(m)
-	return &ShardInferencer{p: p, pin: &snapshot{model: m}}
+	return &ShardInferencer{p: p, pin: p.prepareSnapshot(&snapshot{model: m})}
 }
 
 // MinHistory mirrors Predictor.MinHistory.
@@ -73,17 +75,16 @@ func (si *ShardInferencer) PrepareInput(series [][]float64) (*PreparedInput, err
 // returns each request's denormalized Horizon-step forecast, in input
 // order, with the generation that computed all of them.
 func (si *ShardInferencer) ForecastBatchGen(inputs []*PreparedInput) ([][]float64, int64, error) {
-	s := si.pin
-	if s == nil {
-		s = si.p.serving.Load()
-	}
+	s := si.serving()
 	if s == nil {
 		return nil, 0, errors.New("core: predictor not fitted")
 	}
+	si.ran = nil
 	res, err := si.run(s.model, inputs)
 	if err != nil {
 		return nil, 0, err
 	}
+	si.ran = s
 	return res, s.gen, nil
 }
 

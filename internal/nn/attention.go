@@ -22,7 +22,8 @@ type FeatureAttention struct {
 	x *tensor.Tensor // cached input
 	a *tensor.Tensor // cached attention weights
 
-	scores, dA, dS *tensor.Tensor // whole-batch scratch of the passes off the arena
+	scores, dA, dS *tensor.Tensor  // whole-batch scratch of the passes off the arena
+	pw             *tensor.PackedB // W packed by Freeze; nil when not frozen
 }
 
 // NewFeatureAttention creates the layer for the given feature width.
@@ -51,9 +52,12 @@ func (f *FeatureAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
 // beginForward implements rowLayer. The output comes from the arena; off
 // it (a == nil) it is fresh, and the input and the attention weights —
 // fresh too — are kept for the backward and Weights.
-func (f *FeatureAttention) beginForward(a *InferArena, x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (f *FeatureAttention) beginForward(a *InferArena, x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 2 {
 		panic(fmt.Sprintf("nn: FeatureAttention requires [batch, features], got %v", x.Shape()))
+	}
+	if train {
+		f.pw = nil // the weights are about to move
 	}
 	if a == nil {
 		b, n := x.Dim(0), f.W.Value.Dim(0)
@@ -72,7 +76,11 @@ func (f *FeatureAttention) forwardRows(a *InferArena, x, y *tensor.Tensor, lo, h
 		scores, aw = f.scores.Rows(lo, hi), f.a.Rows(lo, hi)
 	}
 	xr := x.Rows(lo, hi)
-	xr.MatMulTInto(f.W.Value, scores)
+	if f.pw != nil {
+		xr.MatMulPackedInto(f.pw, scores)
+	} else {
+		xr.MatMulTInto(f.W.Value, scores)
+	}
 	scores.AddRowVectorInPlace(f.B.Value)
 	softmaxRowsInto(scores, aw)
 	out := y.Rows(lo, hi)
@@ -83,6 +91,7 @@ func (f *FeatureAttention) forwardRows(a *InferArena, x, y *tensor.Tensor, lo, h
 
 // beginBackward implements rowLayer.
 func (f *FeatureAttention) beginBackward(g *tensor.Tensor) *tensor.Tensor {
+	f.pw = nil
 	b, n := g.Dim(0), g.Dim(1)
 	f.dA, f.dS = scratch2D(f.dA, b, n), scratch2D(f.dS, b, n)
 	return tensor.New(b, n)

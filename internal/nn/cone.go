@@ -600,12 +600,12 @@ func (b *TemporalBlock) gradJobs(jobs []gradJob, w *Profiled, g *tensor.Tensor, 
 // published model's evaluation pass runs beside its serving forwards.
 func (c *CausalConv1D) prepare(a *InferArena, m int, train bool) {
 	if train {
-		c.frozen = false // the weights are about to move
+		c.pwt = nil // the weights are about to move
 	}
 	if a == nil {
 		c.acol, c.ycol = scratch2D(c.acol, c.InChannels*c.KernelSize, m), scratch2D(c.ycol, m, c.OutChannels)
 	}
-	if !c.frozen {
+	if c.pwt == nil {
 		c.bakeKernel()
 	}
 }
@@ -644,7 +644,11 @@ func (c *CausalConv1D) forwardTaps(a *InferArena, x steps, lo int, taps []int) s
 	}
 	gatherTaps(acol.Data, x, c.KernelSize, taps)
 	seedRows(ycol.Data, c.B.Value.Data)
-	acol.TMatMulAcc(c.wt, ycol)
+	if c.pwt != nil {
+		acol.TMatMulAccPacked(c.pwt, ycol)
+	} else {
+		acol.TMatMulAcc(c.wt, ycol)
+	}
 	return compactSteps(ycol.Data, x.b, c.OutChannels, n)
 }
 
@@ -652,7 +656,7 @@ func (c *CausalConv1D) forwardTaps(a *InferArena, x steps, lo int, taps []int) s
 // m output columns: the buffers of the gradient of the gathered columns
 // and, with out, of the gradient of the output, which the rows fill.
 func (c *CausalConv1D) readyBackward(m int, out bool) {
-	c.frozen = false
+	c.pwt = nil
 	c.dacol = scratch2D(c.dacol, c.InChannels*c.KernelSize, m)
 	if out {
 		c.gcol = scratch2D(c.gcol, m, c.OutChannels)
@@ -742,27 +746,48 @@ func (c *CausalConv1D) bakeKernel() {
 	}
 }
 
-// Freeze bakes the kernel of every convolution under l once, for a
-// model whose weights will not change until it is replaced: every
-// grad-free pass then skips the weight norm and the transpose. Call it
-// where a model is published. A training-mode Forward or a Backward
-// unfreezes the convolution it runs through, and code that writes
-// weights any other way calls Unfreeze; an unfrozen convolution bakes
-// per call, so it is never stale. Freezing a frozen convolution writes
-// nothing, so a model can be published again while it serves.
+// Freeze readies every layer under l for a model whose weights will not
+// change until it is replaced: each convolution bakes its kernel, and
+// the kernel and every Dense and FeatureAttention weight matrix is packed
+// into the GEMM's panels once (tensor.PackedB), so a grad-free pass
+// neither re-derives nor re-packs a weight. Call it where a model is
+// published. A training-mode Forward or a Backward unfreezes the layer
+// it runs through, and code that writes weights any other way calls
+// Unfreeze; an unfrozen layer bakes and packs per call, so it is never
+// stale. Freezing a frozen layer writes nothing, so a model can be
+// published again while it serves.
 func Freeze(l Layer) { setFrozen(l, true) }
 
-// Unfreeze makes every convolution under l derive its kernel from its
-// weights per call again.
+// Unfreeze drops what Freeze packed: every layer under l derives its
+// GEMM operand from its weights per call again.
 func Unfreeze(l Layer) { setFrozen(l, false) }
 
 func setFrozen(l Layer, frozen bool) {
 	VisitLayers(l, func(l Layer) {
-		if c, ok := l.(*CausalConv1D); ok && c.frozen != frozen {
-			if frozen {
-				c.bakeKernel()
+		switch v := l.(type) {
+		case *CausalConv1D:
+			if frozen && v.pwt == nil {
+				v.bakeKernel()
+				v.pwt = tensor.PackB(v.wt)
+			} else if !frozen && v.pwt != nil {
+				v.pwt = nil
 			}
-			c.frozen = frozen
+		case *Dense:
+			setPacked(&v.pw, frozen, v.W.Value)
+		case *FeatureAttention:
+			setPacked(&v.pw, frozen, v.W.Value)
 		}
 	})
+}
+
+// setPacked sets *pw to w's packed transpose when freezing and to nil
+// when not, writing nothing when it already is one: a serving model is
+// only read.
+func setPacked(pw **tensor.PackedB, frozen bool, w *tensor.Tensor) {
+	switch {
+	case frozen && *pw == nil:
+		*pw = tensor.PackBT(w)
+	case !frozen && *pw != nil:
+		*pw = nil
+	}
 }

@@ -227,15 +227,15 @@ func TestConeStepsMatchDependencyTrace(t *testing.T) {
 	}
 }
 
-// TestFreezeLifecycle pins what Freeze promises. A frozen convolution
-// serves from the kernel baked at Freeze — shown by scribbling on the
-// weights behind its back — and each way weights legitimately change
-// (a training-mode Forward, a Backward, LoadParams, Unfreeze) puts the
-// arena path back in bitwise step with the layer-by-layer forward of the
-// weights in place. That forward runs on a fresh, never-frozen stack
+// TestFreezeLifecycle pins what Freeze promises. A frozen model serves
+// from the kernels baked and the weights packed at Freeze — shown by
+// scribbling on every weight behind its back — and each way weights
+// legitimately change (a training-mode Forward, a Backward, LoadParams,
+// Unfreeze) puts the arena path back in bitwise step with the
+// layer-by-layer forward of the weights in place. That forward runs on a fresh, never-frozen stack
 // holding a copy of them, so it never reads a kernel model cached.
 func TestFreezeLifecycle(t *testing.T) {
-	model, tcn := coneStack(3, []int{1, 2}, 4, 6, true, 0.1)
+	model, _ := coneStack(3, []int{1, 2}, 4, 6, true, 0.1)
 	r := tensor.NewRNG(5)
 	x := tensor.RandN(r, 3, 4, 16)
 	forward := func() *tensor.Tensor {
@@ -251,7 +251,7 @@ func TestFreezeLifecycle(t *testing.T) {
 		return Infer(model, arena, x).Clone()
 	}
 	scribble := func() {
-		for _, p := range tcn.Params() {
+		for _, p := range model.Params() {
 			for i := range p.Value.Data {
 				p.Value.Data[i] *= 1.1
 			}

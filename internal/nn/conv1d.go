@@ -54,12 +54,13 @@ type CausalConv1D struct {
 	dwScratch *tensor.Tensor // [out, in, k] effective-kernel gradient
 
 	// wt is the effective kernel — weight norm already applied — in its
-	// transposed GEMM layout; a forward reuses it as baked while frozen
-	// and rebakes it otherwise. taps caches the every-step tap list of
-	// the last window length seen outside a temporal block.
-	wt     *tensor.Tensor // [in·k, out]
-	frozen bool
-	taps   []int
+	// transposed GEMM layout; a forward rebakes it unless the convolution
+	// is frozen, and then multiplies by pwt, wt packed once at Freeze
+	// (nil: not frozen). taps caches the every-step tap list of the last
+	// window length seen outside a temporal block.
+	wt   *tensor.Tensor // [in·k, out]
+	pwt  *tensor.PackedB
+	taps []int
 }
 
 // NewCausalConv1D builds the layer with He-normal initialization

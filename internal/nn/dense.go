@@ -12,7 +12,8 @@ type Dense struct {
 	W *Param // [out, in]
 	B *Param // [out]
 
-	x *tensor.Tensor // cached input for the backward pass
+	x  *tensor.Tensor  // cached input for the backward pass
+	pw *tensor.PackedB // W packed by Freeze; nil when not frozen
 }
 
 // NewDense creates a Dense layer with Xavier-uniform weights.
@@ -40,9 +41,12 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 // beginForward implements rowLayer. The output comes from the arena; off
 // it (a == nil) it is fresh and the input is kept for the backward.
-func (d *Dense) beginForward(a *InferArena, x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (d *Dense) beginForward(a *InferArena, x *tensor.Tensor, train bool) *tensor.Tensor {
 	if x.Dims() != 2 {
 		panic(fmt.Sprintf("nn: Dense requires [batch, features], got %v", x.Shape()))
+	}
+	if train {
+		d.pw = nil // the weights are about to move
 	}
 	if a == nil {
 		d.x = x
@@ -53,12 +57,17 @@ func (d *Dense) beginForward(a *InferArena, x *tensor.Tensor, _ bool) *tensor.Te
 // forwardRows is the layer's one forward body.
 func (d *Dense) forwardRows(_ *InferArena, x, y *tensor.Tensor, lo, hi int) {
 	out := y.Rows(lo, hi)
-	x.Rows(lo, hi).MatMulTInto(d.W.Value, out)
+	if d.pw != nil {
+		x.Rows(lo, hi).MatMulPackedInto(d.pw, out)
+	} else {
+		x.Rows(lo, hi).MatMulTInto(d.W.Value, out)
+	}
 	out.AddRowVectorInPlace(d.B.Value)
 }
 
 // beginBackward implements rowLayer.
 func (d *Dense) beginBackward(g *tensor.Tensor) *tensor.Tensor {
+	d.pw = nil
 	return tensor.New(g.Dim(0), d.W.Value.Dim(1))
 }
 

@@ -39,6 +39,14 @@ func New(cfg Config) (*Router, error) {
 		served[i] = cfg.Registry.Counter("rptcn_shard_requests_total",
 			"Forecast requests answered by this shard.", shardLabel(i))
 	}
+	streams := make([][2]*obs.Counter, cfg.Shards)
+	for i := range streams {
+		for o := range streams[i] {
+			streams[i][o] = cfg.Registry.Counter("rptcn_stream_total",
+				"Entity reads of the default engine: hit (no new sample, the stored forecast) or refill (the window forwarded, its forecast stored).",
+				shardLabel(i), obs.L("outcome", core.StreamOutcome(o).String()))
+		}
+	}
 	// Get-or-create: the server's middleware ticks the same family.
 	panics := cfg.Registry.Counter("rptcn_panics_recovered_total",
 		"Panics recovered on the serving path instead of crashing the process.")
@@ -55,6 +63,7 @@ func New(cfg Config) (*Router, error) {
 		sh := &shard{
 			id:       i,
 			engine:   cfg.Engines[i],
+			streams:  streams[i],
 			resolve:  cfg.Resolve,
 			rings:    trace.NewBoundedRingStore(cfg.RingCapacity, perShardMax),
 			log:      cfg.Log,
@@ -68,6 +77,7 @@ func New(cfg Config) (*Router, error) {
 			panics:   panics,
 			digest:   sketch.NewTDigest(64),
 		}
+		sh.streamer, _ = sh.engine.(Streamer)
 		r.shards[i] = sh
 		go sh.run()
 	}
@@ -107,12 +117,21 @@ func (r *Router) shardOfBytes(entity []byte) *shard {
 
 // Forecast serves one entity's forecast through its shard's
 // micro-batcher, blocking until it is answered. model == "" uses the
-// shard's default engine; a named model goes through the Resolver.
+// shard's default engine; a named model goes through the Resolver. When
+// the default engine keeps forecasts (a Streamer) and no sample arrived
+// since the entity's last read, the stored forecast answers at once,
+// without queueing.
 func (r *Router) Forecast(entity, model string) Result {
 	if r.isClosed() {
 		return Result{Err: ErrClosed}
 	}
-	return r.shardOf(entity).forecast(entity, model, nil)
+	sh := r.shardOf(entity)
+	if sh.keeps(model) {
+		if res, ok := sh.hit(entity); ok {
+			return res
+		}
+	}
+	return sh.forecast(entity, model, nil)
 }
 
 // isClosed lets a request arriving after Close fail fast instead of

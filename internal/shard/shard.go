@@ -42,6 +42,16 @@ type Engine interface {
 	ForecastBatchGen(inputs []*core.PreparedInput) ([][]float64, int64, error)
 }
 
+// Streamer is an engine that keeps each entity's last forecast in the
+// slot beside its ring (see core.ShardInferencer.StreamHit). A shard
+// whose default engine is one answers a ring-backed read of it with no
+// new sample from that slot, without queueing, and stores every other
+// such read's forecast there once its batch has run.
+type Streamer interface {
+	StreamHit(dst []float64, total int, slot *any) ([]float64, int64, bool)
+	StreamKeep(state any, total int, forecast []float64)
+}
+
 // Resolver maps a request's model name to a serving engine — the
 // multi-model hook, backed by internal/registry in the server. The
 // returned release func is called when the batch that used the engine
@@ -134,17 +144,20 @@ type request struct {
 	in       *core.PreparedInput
 	done     chan Result // buffered 1: the worker never blocks on a gone waiter
 	enqueued time.Time
+	kept     kept // where a ring-backed read's forecast is stored; zero: nowhere
 }
 
 // shard is one worker: its entities' rings, its pending-forecast queue,
 // and the batcher loop that drains it. Single consumer — the worker
-// goroutine owns the engine, so engines need no synchronization.
+// goroutine owns the engine, so engines need no synchronization (a
+// Streamer's StreamHit is safe from any goroutine).
 type shard struct {
-	id      int
-	engine  Engine
-	resolve Resolver
-	rings   *trace.RingStore
-	log     *slog.Logger
+	id       int
+	engine   Engine
+	streamer Streamer // engine, when it keeps forecasts
+	resolve  Resolver
+	rings    *trace.RingStore
+	log      *slog.Logger
 
 	queue    chan *request
 	stop     chan struct{}
@@ -162,6 +175,9 @@ type shard struct {
 	batches  atomic.Uint64
 	digestMu sync.Mutex
 	digest   *sketch.TDigest
+	// streams counts the default engine's ring-backed reads by
+	// core.StreamOutcome.
+	streams [2]*obs.Counter
 }
 
 // forecast enqueues one request and blocks for its result.
@@ -256,6 +272,14 @@ type engineGroup struct {
 	inputs  []*core.PreparedInput
 }
 
+// kept is where a read's forecast is stored once its batch has run: the
+// state StreamHit left in the entity's slot and the ring's sample count
+// when the window was read.
+type kept struct {
+	state any
+	total int
+}
+
 // runBatch serves one fused batch: read each entity's ring window and
 // prepare it (a request that arrived prepared skips both), group by
 // engine (the default engine plus any resolved models), run one forward
@@ -304,14 +328,30 @@ func (sh *shard) runBatch(reqs []*request) {
 			g.inputs = append(g.inputs, r.in)
 			continue
 		}
-		var in *core.PreparedInput
-		var perr error
-		found := sh.rings.WithWindow(r.entity, g.engine.MinHistory(), func(win [][]float64, _, _ int) {
+		var (
+			in   *core.PreparedInput
+			perr error
+			hit  Result
+			ok   bool
+		)
+		keeps := sh.keeps(r.model)
+		found := sh.rings.WithSlot(r.entity, g.engine.MinHistory(), func(win [][]float64, total int, slot *any) {
+			if keeps {
+				// A batch-mate or an earlier batch may have stored this
+				// very forecast since the read queued.
+				if hit.Forecast, hit.Gen, ok = sh.streamer.StreamHit(nil, total, slot); ok {
+					return
+				}
+				r.kept = kept{state: *slot, total: total}
+			}
 			in, perr = g.engine.PrepareInput(win)
 		})
 		switch {
 		case !found:
 			sh.answer(r, Result{Err: fmt.Errorf("%w: %q", ErrUnknownEntity, r.entity)})
+		case ok:
+			sh.streams[core.StreamHit].Inc()
+			sh.answer(r, hit)
 		case perr != nil:
 			sh.answer(r, Result{Err: perr})
 		default:
@@ -326,6 +366,41 @@ func (sh *shard) runBatch(reqs []*request) {
 			g.release()
 		}
 	}
+}
+
+// keeps reports whether the reads of model go through the default
+// engine's stored forecasts.
+func (sh *shard) keeps(model string) bool {
+	return sh.streamer != nil && (model == "" || sh.resolve == nil)
+}
+
+// hit answers an entity read with no new sample since its forecast was
+// stored, from the calling goroutine: a copy of the stored forecast, and
+// no queue, batch or forward. ok is false when there is none current,
+// and the read must queue.
+func (sh *shard) hit(entity string) (res Result, ok bool) {
+	start := time.Now()
+	sh.rings.WithSlot(entity, 0, func(_ [][]float64, total int, slot *any) {
+		res.Forecast, res.Gen, ok = sh.streamer.StreamHit(nil, total, slot)
+	})
+	if ok {
+		sh.requests.Add(1)
+		sh.streams[core.StreamHit].Inc()
+		sh.observe(time.Since(start))
+	}
+	return res, ok
+}
+
+// keep stores fc, the forecast of a read the default engine just ran,
+// in the state k names, under the lock of the entity whose slot holds
+// it. When the ring was evicted since the read, the state went with it
+// and is left alone: its lock is not the one this entity's ring has now.
+func (sh *shard) keep(entity string, k kept, fc []float64) {
+	sh.rings.WithSlot(entity, 0, func(_ [][]float64, _ int, slot *any) {
+		if *slot == k.state {
+			sh.streamer.StreamKeep(k.state, k.total, fc)
+		}
+	})
 }
 
 // runGroup runs one engine's share of the batch with panic isolation. A
@@ -357,6 +432,10 @@ func (sh *shard) runGroup(g *engineGroup) {
 		res := Result{Gen: gen, Err: err, Panicked: panicked}
 		if !panicked && err == nil {
 			res.Forecast = out[i]
+			if r.kept.state != nil {
+				sh.keep(r.entity, r.kept, out[i])
+				sh.streams[core.StreamRefill].Inc()
+			}
 		}
 		sh.answer(r, res)
 	}
@@ -365,13 +444,17 @@ func (sh *shard) runGroup(g *engineGroup) {
 // answer completes one request and records its end-to-end shard latency
 // (enqueue → answered).
 func (sh *shard) answer(r *request, res Result) {
-	lat := time.Since(r.enqueued)
+	sh.observe(time.Since(r.enqueued))
+	r.done <- res
+}
+
+// observe records one answered forecast's shard latency.
+func (sh *shard) observe(lat time.Duration) {
 	sh.latency.Observe(lat.Seconds())
 	sh.served.Inc()
 	sh.digestMu.Lock()
 	sh.digest.Add(float64(lat.Nanoseconds()))
 	sh.digestMu.Unlock()
-	r.done <- res
 }
 
 // Status is one shard's point-in-time accounting, surfaced on
@@ -386,6 +469,16 @@ type Status struct {
 	P50Micros  float64 `json:"p50_us"`
 	P99Micros  float64 `json:"p99_us"`
 	MaxMicros  float64 `json:"max_us"`
+	// Stream is how the default engine's entity reads were served.
+	Stream StreamStatus `json:"stream"`
+}
+
+// StreamStatus counts a shard's entity reads of the default engine and
+// the share of them each outcome took (see core.StreamOutcome).
+type StreamStatus struct {
+	Reads  uint64  `json:"reads"`
+	Hit    float64 `json:"hit"`
+	Refill float64 `json:"refill"`
 }
 
 func (sh *shard) status() Status {
@@ -396,6 +489,10 @@ func (sh *shard) status() Status {
 		Evicted:    sh.rings.Evicted(),
 		Requests:   sh.requests.Load(),
 		Batches:    sh.batches.Load(),
+	}
+	hit, ref := sh.streams[core.StreamHit].Value(), sh.streams[core.StreamRefill].Value()
+	if n := hit + ref; n > 0 {
+		st.Stream = StreamStatus{Reads: uint64(n), Hit: hit / n, Refill: ref / n}
 	}
 	sh.digestMu.Lock()
 	if sh.digest.Count() > 0 {

@@ -47,7 +47,8 @@ type gemmOp struct {
 	m, k, n   int
 	aTrans    bool
 	bTrans    bool
-	acc       bool // accumulate into dst instead of overwriting
+	acc       bool      // accumulate into dst instead of overwriting
+	bp        []float64 // B already in column panels (a PackedB's); b is then unused
 }
 
 // gemmScratch carries the packed-B buffer and a pre-bound worker closure
@@ -55,7 +56,7 @@ type gemmOp struct {
 // scratch (and the closure capturing it) is built once per pooled object
 // and reused across calls.
 type gemmScratch struct {
-	bp  []float64 // packed B: ceil(n/NR) panels of NR*k
+	bp  []float64 // packed B of an op that brought none: ceil(n/NR) panels of NR*k
 	op  gemmOp
 	run func(lo, hi int) // processes A row-panels [lo,hi)
 }
@@ -92,7 +93,10 @@ func gemm(op gemmOp) {
 	}
 	s := gemmScratchPool.Get().(*gemmScratch)
 	s.op = op
-	s.packB()
+	if op.bp == nil {
+		s.bp = packPanels(s.bp, op.b, op.k, op.n, op.bTrans)
+		s.op.bp = s.bp
+	}
 	panels := (op.m + gemmMR - 1) / gemmMR
 	if op.m*op.n*op.k < parallelFlops || panels < 2 {
 		s.run(0, panels)
@@ -109,19 +113,18 @@ func zeroRect(dst []float64, m, n int) {
 	}
 }
 
-// packB lays B out in column panels of NR: panel jp holds columns
-// [jp*NR, jp*NR+NR) as bp[jp*NR*k + p*NR + c], zero-padded past n so the
-// microkernel never branches on ragged widths. Padded columns are never
-// copied back out.
-func (s *gemmScratch) packB() {
-	k, n := s.op.k, s.op.n
+// packPanels lays B (k×n; given as its n×k transpose when bTrans) out
+// in column panels of NR, in bp's storage when it is large enough: panel
+// jp holds columns [jp*NR, jp*NR+NR) as bp[jp*NR*k + p*NR + c],
+// zero-padded past n so the microkernel never branches on ragged widths.
+// Padded columns are never copied back out.
+func packPanels(bp, b []float64, k, n int, bTrans bool) []float64 {
 	padN := (n + gemmNR - 1) / gemmNR * gemmNR
-	if cap(s.bp) < padN*k {
-		s.bp = make([]float64, padN*k)
+	if cap(bp) < padN*k {
+		bp = make([]float64, padN*k)
 	}
-	bp := s.bp[:padN*k]
-	b := s.op.b
-	if s.op.bTrans {
+	bp = bp[:padN*k]
+	if bTrans {
 		// b is n×k; column j of logical B is row j of b.
 		for jc := 0; jc < padN; jc += gemmNR {
 			panel := bp[jc*k : jc*k+gemmNR*k]
@@ -141,7 +144,7 @@ func (s *gemmScratch) packB() {
 				}
 			}
 		}
-		return
+		return bp
 	}
 	// b is k×n row-major.
 	for jc := 0; jc < padN; jc += gemmNR {
@@ -159,6 +162,7 @@ func (s *gemmScratch) packB() {
 			}
 		}
 	}
+	return bp
 }
 
 // runPanels computes A row-panels [lo,hi): pack the panel, then sweep
@@ -182,7 +186,7 @@ func (s *gemmScratch) runPanels(lo, hi int) {
 		}
 		packA(ap, op, i0, rows)
 		for jc := 0; jc < padN; jc += gemmNR {
-			bpanel := s.bp[jc*k : jc*k+gemmNR*k]
+			bpanel := op.bp[jc*k : jc*k+gemmNR*k]
 			cols := n - jc
 			if cols > gemmNR {
 				cols = gemmNR

@@ -229,3 +229,44 @@ func TestGemmZeroAllocSteadyState(t *testing.T) {
 		t.Fatalf("MatMulInto steady state allocates %.1f times per op, want 0", allocs)
 	}
 }
+
+// TestPackedBMatchesUnpacked: a product against a PackedB is bitwise the
+// product against the tensor it was packed from, in both layouts and
+// both product forms the layers use, and the handle is a copy that
+// later writes to that tensor do not reach.
+func TestPackedBMatchesUnpacked(t *testing.T) {
+	r := NewRNG(11)
+	for _, sh := range gemmShapes {
+		a := RandN(r, sh.m, sh.k)
+		b := RandN(r, sh.k, sh.n)
+		bt := RandN(r, sh.n, sh.k)
+		pb, pbt := PackB(b), PackBT(bt)
+
+		ab := a.MatMul(b)
+		requireBitwise(t, a.MatMulPackedInto(pb, New(sh.m, sh.n)), ab, "MatMulPackedInto")
+		requireBitwise(t, a.MatMulPackedInto(pbt, New(sh.m, sh.n)), a.MatMulT(bt), "MatMulPackedInto (PackBT)")
+
+		at := RandN(r, sh.k, sh.m)
+		seed := RandN(r, sh.m, sh.n)
+		want := seed.Clone()
+		at.TMatMulAcc(b, want)
+		requireBitwise(t, at.TMatMulAccPacked(pb, seed.Clone()), want, "TMatMulAccPacked")
+
+		b.Fill(0)
+		requireBitwise(t, a.MatMulPackedInto(pb, New(sh.m, sh.n)), ab, "MatMulPackedInto after a write to b")
+	}
+}
+
+func TestPackedBZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	r := NewRNG(12)
+	a := RandN(r, 1, 48)
+	pb := PackBT(RandN(r, 64, 48))
+	dst := New(1, 64)
+	a.MatMulPackedInto(pb, dst)
+	if allocs := testing.AllocsPerRun(20, func() { a.MatMulPackedInto(pb, dst) }); allocs != 0 {
+		t.Fatalf("MatMulPackedInto allocates %.1f times per op, want 0", allocs)
+	}
+}

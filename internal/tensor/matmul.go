@@ -183,3 +183,60 @@ func checkDst(dst *Tensor, m, n int, op string) {
 		panic(fmt.Sprintf("tensor: %s destination shape %v, want [%d %d]", op, dst.dims(), m, n))
 	}
 }
+
+// PackedB is the right-hand operand B (k×n) of a product, laid out once
+// in the column panels the GEMM kernel streams. A product against it
+// skips the per-call pack, which for a one-row product is most of the
+// work, and is bitwise the product against B itself: packing only moves
+// values. It is immutable, so any number of goroutines may share one. A
+// PackedB is a copy: it does not follow later writes to the tensor it
+// was packed from.
+type PackedB struct {
+	bp   []float64
+	k, n int
+}
+
+// PackB packs b ([k, n]), the operand of MatMulInto and TMatMulAcc.
+func PackB(b *Tensor) *PackedB {
+	if b.Dims() != 2 {
+		panic("tensor: PackB requires a 2-D tensor")
+	}
+	k, n := b.shape[0], b.shape[1]
+	return &PackedB{bp: packPanels(nil, b.Data, k, n, false), k: k, n: n}
+}
+
+// PackBT packs the transpose of b ([n, k]), the operand of MatMulTInto.
+func PackBT(b *Tensor) *PackedB {
+	if b.Dims() != 2 {
+		panic("tensor: PackBT requires a 2-D tensor")
+	}
+	n, k := b.shape[0], b.shape[1]
+	return &PackedB{bp: packPanels(nil, b.Data, k, n, true), k: k, n: n}
+}
+
+// MatMulPackedInto computes dst = t × B, reusing dst's storage: what
+// MatMulInto computes against the tensor pb was packed from (MatMulTInto
+// against the one PackBT packed). dst must be [m, n] and must not alias
+// t. It returns dst.
+func (t *Tensor) MatMulPackedInto(pb *PackedB, dst *Tensor) *Tensor {
+	if t.Dims() != 2 || t.shape[1] != pb.k {
+		panic(fmt.Sprintf("tensor: MatMulPackedInto inner dimension mismatch %v × [%d %d]", t.dims(), pb.k, pb.n))
+	}
+	m := t.shape[0]
+	checkDst(dst, m, pb.n, "MatMulPackedInto")
+	gemm(gemmOp{a: t.Data, dst: dst.Data, m: m, k: pb.k, n: pb.n, bp: pb.bp})
+	return dst
+}
+
+// TMatMulAccPacked accumulates tᵀ × B into dst (dst += tᵀ × B): what
+// TMatMulAcc computes against the tensor pb was packed from. dst must be
+// [cols(t), n] and must not alias t. It returns dst.
+func (t *Tensor) TMatMulAccPacked(pb *PackedB, dst *Tensor) *Tensor {
+	if t.Dims() != 2 || t.shape[0] != pb.k {
+		panic(fmt.Sprintf("tensor: TMatMulAccPacked inner dimension mismatch %vᵀ × [%d %d]", t.dims(), pb.k, pb.n))
+	}
+	m := t.shape[1]
+	checkDst(dst, m, pb.n, "TMatMulAccPacked")
+	gemm(gemmOp{a: t.Data, dst: dst.Data, m: m, k: pb.k, n: pb.n, aTrans: true, acc: true, bp: pb.bp})
+	return dst
+}

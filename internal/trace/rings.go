@@ -152,6 +152,7 @@ type RingStore struct {
 type ringEntry struct {
 	mu    sync.Mutex
 	ring  *Ring
+	slot  any           // the serving layer's, guarded by mu (see WithSlot)
 	touch atomic.Uint64 // last store-wide seq this entity was used at
 
 	// Guarded by the store's mu.
@@ -329,6 +330,27 @@ func (s *RingStore) WithWindow(entity string, n int, fn func(win [][]float64, in
 	e.mu.Lock()
 	fn(e.ring.Window(n), e.ring.Interval(), e.ring.LastTS())
 	e.mu.Unlock()
+	return true
+}
+
+// WithSlot is WithWindow for the serving layer's per-entity state: fn
+// also gets the number of samples the ring ever accepted (Ring.Total)
+// and the entity's slot, one value the store keeps beside the ring for
+// the serving layer and drops with it on eviction. fn may read and
+// replace *slot while it runs, under the entity's lock; ingestion never
+// touches it. The lock is released even if fn panics. Returns false if
+// the entity is unknown.
+func (s *RingStore) WithSlot(entity string, n int, fn func(win [][]float64, total int, slot *any)) bool {
+	s.mu.RLock()
+	e := s.rings[entity]
+	s.mu.RUnlock()
+	if e == nil {
+		return false
+	}
+	e.touch.Store(s.seq.Add(1))
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	fn(e.ring.Window(n), e.ring.Total(), &e.slot)
 	return true
 }
 

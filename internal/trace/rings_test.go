@@ -278,3 +278,40 @@ func TestRingStoreLRUMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// TestRingStoreSlot pins the serving slot's contract: it keeps what the
+// serving layer put there across reads and ingests, WithSlot reports the
+// ring's accepted-sample count beside it, a panic in fn releases the
+// entity's lock, and eviction drops the slot with the ring.
+func TestRingStoreSlot(t *testing.T) {
+	s := NewBoundedRingStore(8, 1)
+	var vals [NumIndicators]float64
+	s.IngestString("a", 10, &vals)
+	s.WithSlot("a", 4, func(win [][]float64, total int, slot *any) {
+		if total != 1 || len(win[0]) != 1 || *slot != nil {
+			t.Fatalf("first use: total %d, window %d, slot %v", total, len(win[0]), *slot)
+		}
+		*slot = "state"
+	})
+	s.IngestString("a", 20, &vals)
+	func() {
+		defer func() { recover() }()
+		s.WithSlot("a", 4, func(_ [][]float64, total int, slot *any) {
+			if total != 2 || *slot != "state" {
+				t.Fatalf("after an ingest: total %d, slot %v", total, *slot)
+			}
+			panic("fn fails")
+		})
+	}()
+	s.IngestString("a", 30, &vals) // would deadlock had the panic kept the lock
+	s.IngestString("b", 10, &vals) // evicts a
+	s.IngestString("a", 10, &vals)
+	s.WithSlot("a", 4, func(_ [][]float64, total int, slot *any) {
+		if total != 1 || *slot != nil {
+			t.Fatalf("after eviction: total %d, slot %v", total, *slot)
+		}
+	})
+	if s.WithSlot("c", 4, func([][]float64, int, *any) { t.Fatal("fn ran for an unknown entity") }) {
+		t.Fatal("WithSlot found an unknown entity")
+	}
+}
