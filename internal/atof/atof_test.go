@@ -2,6 +2,7 @@ package atof
 
 import (
 	"math"
+	"math/big"
 	"regexp"
 	"strconv"
 	"testing"
@@ -52,11 +53,46 @@ func requireStrconv(t *testing.T, b []byte) {
 
 // FuzzParse holds Parse to strconv.ParseFloat on any bytes at all (see
 // requireStrconv). The named seeds under testdata/fuzz/FuzzParse sit on
-// the edges of each case: 2^53 ± 1 on Clinger's, 19 and 20 significant
-// digits and exponents ±19/±20/±22/±23 on the 128-bit one, ties, signed
+// the edges of each case: 2^53 ± 1 on Clinger's; 19 and 20 significant
+// digits, 17-digit shortest forms scaled by 10^-15…10^-19, exact
+// halfway values and exponents ±19/±20/±22/±23 on Eisel–Lemire's; signed
 // zeros, subnormals and overflow on the fallback.
 func FuzzParse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) { requireStrconv(t, b) })
+}
+
+// TestPow10Table derives every row of the Eisel–Lemire table from its
+// definition: 10^e scaled by a power of two to a 128-bit integer with its
+// top bit set, truncated, split into {low, high} words.
+func TestPow10Table(t *testing.T) {
+	mask := new(big.Int).SetUint64(math.MaxUint64)
+	for e := -maxDigits; e <= maxDigits; e++ {
+		p := new(big.Int).Exp(big.NewInt(10), big.NewInt(int64(abs(e))), nil)
+		var q *big.Int
+		if e >= 0 {
+			q = p.Lsh(p, uint(128-p.BitLen())) // exact: 10^19 < 2^64
+		} else {
+			// 2^(127+L) / 10^-e with L the divisor's bit length lies in
+			// (2^127, 2^128): 10^-e is no power of two.
+			q = new(big.Int).Lsh(big.NewInt(1), uint(127+p.BitLen()))
+			q.Quo(q, p)
+		}
+		if q.BitLen() != 128 {
+			t.Fatalf("1e%d: %d bits", e, q.BitLen())
+		}
+		lo := new(big.Int).And(q, mask).Uint64()
+		hi := q.Rsh(q, 64).Uint64()
+		if got := pow10[e+maxDigits]; got != [2]uint64{lo, hi} {
+			t.Errorf("1e%d: table {%#x, %#x}, derived {%#x, %#x}", e, got[0], got[1], lo, hi)
+		}
+	}
+}
+
+func abs(x int) int {
+	if x < 0 {
+		return -x
+	}
+	return x
 }
 
 // TestParseRandomTokens draws tokens of every shape the exact cases take —

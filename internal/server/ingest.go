@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
@@ -69,17 +70,66 @@ type IngestResponse struct {
 	Entities int `json:"entities"`
 }
 
+// runCap is how many consecutive rows of one entity handleIngest gathers
+// before it hands them to the rings as one run.
+const runCap = 32
+
+// entityRun gathers consecutive rows of one entity, so the rings take
+// them with one lookup and one lock (Router.IngestRun); the ID is copied
+// out of the scanner's buffer once per run. Reused across requests.
+type entityRun struct {
+	id       []byte
+	n        int
+	rows     [runCap]trace.Sample
+	rejected int
+}
+
+// freeRuns keeps idle runs for the next requests: one per ingest in
+// flight, up to 8, beyond which a request makes its own. It is not a
+// sync.Pool, which every collection empties and whose per-CPU slot a
+// request on another CPU misses: each miss costs a run and its ID buffer.
+var freeRuns = make(chan *entityRun, 8)
+
+func (run *entityRun) add(rt *shard.Router, entity []byte, ts int, vals *[trace.NumIndicators]float64) {
+	if run.n == runCap || run.n > 0 && !bytes.Equal(entity, run.id) {
+		run.flush(rt)
+	}
+	if run.n == 0 {
+		run.id = append(run.id[:0], entity...)
+	}
+	run.rows[run.n] = trace.Sample{TS: ts, Vals: *vals}
+	run.n++
+}
+
+func (run *entityRun) flush(rt *shard.Router) {
+	if run.n > 0 {
+		run.rejected += rt.IngestRun(run.id, run.rows[:run.n])
+		run.n = 0
+	}
+}
+
 // handleIngest streams the CSV body into the ring store. The body is
-// never buffered whole: ScanCSV reads through a pooled 64 KiB window.
+// never buffered whole: ScanCSV reads through a pooled 64 KiB window, and
+// each entity's consecutive rows reach its ring as one run.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	rejected := 0
+	var run *entityRun
+	select {
+	case run = <-freeRuns:
+		run.rejected = 0
+	default:
+		run = new(entityRun)
+	}
 	body := http.MaxBytesReader(w, r.Body, maxIngestBytes)
 	st, err := trace.ScanCSV(body, func(entity []byte, ts int, vals *[trace.NumIndicators]float64) error {
-		if !s.rings.Ingest(entity, ts, vals) {
-			rejected++
-		}
+		run.add(s.rings, entity, ts, vals)
 		return nil
 	})
+	run.flush(s.rings)
+	rejected := run.rejected
+	select {
+	case freeRuns <- run:
+	default:
+	}
 	s.ingestRows.Add(float64(st.Rows))
 	s.ingestSkipped.Add(float64(st.Skipped))
 	s.ingestRejected.Add(float64(rejected))

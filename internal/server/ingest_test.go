@@ -3,11 +3,15 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -181,4 +185,153 @@ func TestIngestMalformedBody(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("malformed ingest status = %d", resp.StatusCode)
 	}
+}
+
+// TestIngestRunsMatchPerRowIngest holds the handler's entity runs to
+// per-row RingStore.Ingest. A generated stream of CSV bodies — entities
+// interleaved row by row and in runs longer than the run buffer, replays,
+// out-of-order timestamps, and a newcomer that makes the bounded store
+// evict — goes through /v1/ingest on one side and row by row into a
+// reference store of the same ring capacity and entity cap on the other.
+// After every body the rejected count, the evictions and their victim
+// must agree; at the end every ring's window, newest timestamp and total
+// must. A body names at most one newcomer, last, so it evicts at most
+// once and the victims compare in order.
+func TestIngestRunsMatchPerRowIngest(t *testing.T) {
+	const maxEnt, names, posts = 6, 14, 300
+	p, _ := fitted(t)
+	srv := New(p, WithRegistry(obs.NewRegistry()), WithIngest(IngestConfig{MaxEntities: maxEnt}))
+	defer srv.Close()
+	ref := trace.NewBoundedRingStore(srv.ringCap, maxEnt)
+
+	seed := uint64(7)
+	rnd := func(n int) int {
+		seed = seed*6364136223846793005 + 1442695040888963407
+		return int(seed >> 33 % uint64(n))
+	}
+	next := map[string]int{} // the timestamp an advancing row of the name gets
+	var body []byte
+	var refVictims, srvVictims []string
+	row := func(id string, replay bool) (rejected int) {
+		ts := next[id]
+		// Totals stay below capacity, so a ring's length is its total.
+		// SampleCount reads it without touching the LRU.
+		if replay || ref.SampleCount(id) >= srv.ringCap-1 {
+			ts -= 10 * (1 + rnd(4))
+		} else if rnd(10) == 0 {
+			ts += 10 // ahead; the next row of id arrives out of order
+		} else {
+			next[id] += 10
+		}
+		var vals [trace.NumIndicators]float64
+		body = append(body, id...)
+		body = append(body, ',')
+		body = strconv.AppendInt(body, int64(ts), 10)
+		for i := range vals {
+			vals[i] = float64(rnd(1<<20)) / float64(1+rnd(997))
+			body = append(body, ',')
+			body = strconv.AppendFloat(body, vals[i], 'g', -1, 64)
+		}
+		body = append(body, '\n')
+		before, evicted := ref.Entities(), ref.Evicted()
+		if !ref.Ingest([]byte(id), ts, &vals) {
+			rejected++
+		}
+		if ref.Evicted() != evicted {
+			refVictims = append(refVictims, missing(before, ref.Entities())...)
+		}
+		return rejected
+	}
+	for post := 0; post < posts; post++ {
+		body = body[:0]
+		rejected := 0
+		known := ref.Entities()
+		if n := len(known); n > 0 {
+			// Up to 3 known entities, interleaved: a row stays with the
+			// previous row's entity 3 times in 4, so runs run from 1 row
+			// to several run buffers.
+			pick := known[rnd(n)]
+			for k, rows := 0, rnd(3*runCap); k < rows; k++ {
+				if rnd(4) == 0 {
+					pick = known[rnd(min(n, 3))]
+				}
+				rejected += row(pick, rnd(8) == 0)
+			}
+		}
+		if rnd(2) == 0 {
+			id := "e" + strconv.Itoa(rnd(names))
+			if ref.SampleCount(id) == 0 {
+				for k, rows := 0, 1+rnd(runCap+8); k < rows; k++ {
+					rejected += row(id, rnd(8) == 0)
+				}
+			}
+		}
+		if len(body) == 0 {
+			continue
+		}
+		before := srv.rings.Entities()
+		rec := httptest.NewRecorder()
+		srv.handleIngest(rec, httptest.NewRequest("POST", "/v1/ingest", bytes.NewReader(body)))
+		var ir IngestResponse
+		if err := json.NewDecoder(rec.Body).Decode(&ir); err != nil || rec.Code != http.StatusOK {
+			t.Fatalf("post %d: status %d, %v", post, rec.Code, err)
+		}
+		gone := missing(before, srv.rings.Entities())
+		srvVictims = append(srvVictims, gone...)
+		if ir.Rejected != rejected || srv.rings.Evicted() != ref.Evicted() || len(gone) > 1 {
+			t.Fatalf("post %d: rejected %d, evicted %d (%v); per row %d, %d", post,
+				ir.Rejected, srv.rings.Evicted(), gone, rejected, ref.Evicted())
+		}
+	}
+	if ref.Evicted() < 20 || !slices.Equal(srvVictims, refVictims) {
+		t.Fatalf("victims %v, per row %v", srvVictims, refVictims)
+	}
+	ids := ref.Entities()
+	slices.Sort(ids)
+	if got := srv.rings.Entities(); !slices.Equal(got, ids) {
+		t.Fatalf("entities %v, per row %v", got, ids)
+	}
+	type state struct {
+		win            [][]float64
+		interval, last int
+	}
+	snap := func(src trace.RingSource, id string) (s state) {
+		src.WithWindow(id, srv.ringCap, func(win [][]float64, interval, last int) {
+			for _, w := range win {
+				s.win = append(s.win, slices.Clone(w))
+			}
+			s.interval, s.last = interval, last
+		})
+		return s
+	}
+	for _, id := range ids {
+		got, want := snap(srv.rings, id), snap(ref, id)
+		ref.WithSlot(id, 1, func(_ [][]float64, total int, _ *any) {
+			if total != len(want.win[0]) {
+				t.Fatalf("%s: window %d samples, total %d", id, len(want.win[0]), total)
+			}
+		})
+		if got.interval != want.interval || got.last != want.last || len(got.win[0]) != len(want.win[0]) {
+			t.Fatalf("%s: %d samples, interval %d, last %d; per row %d, %d, %d", id,
+				len(got.win[0]), got.interval, got.last, len(want.win[0]), want.interval, want.last)
+		}
+		for i := range want.win {
+			for k, v := range want.win[i] {
+				if math.Float64bits(got.win[i][k]) != math.Float64bits(v) {
+					t.Fatalf("%s: indicator %d sample %d: %v, per row %v", id, i, k, got.win[i][k], v)
+				}
+			}
+		}
+	}
+}
+
+// missing lists the IDs of before that after lacks, in before's order.
+func missing(before, after []string) []string {
+	var out []string
+	for _, id := range before {
+		if !slices.Contains(after, id) {
+			out = append(out, id)
+		}
+	}
+	return out
 }

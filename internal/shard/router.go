@@ -89,20 +89,7 @@ func (r *Router) Shards() int { return len(r.shards) }
 
 // shardOf hashes an entity to its fixed shard: FNV-1a over the raw ID
 // bytes, modulo the shard count. No allocation for either key form.
-func (r *Router) shardOf(entity string) *shard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(entity); i++ {
-		h ^= uint64(entity[i])
-		h *= prime64
-	}
-	return r.shards[h%uint64(len(r.shards))]
-}
-
-func (r *Router) shardOfBytes(entity []byte) *shard {
+func shardOf[K string | []byte](r *Router, entity K) *shard {
 	const (
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
@@ -125,7 +112,7 @@ func (r *Router) Forecast(entity, model string) Result {
 	if r.isClosed() {
 		return Result{Err: ErrClosed}
 	}
-	sh := r.shardOf(entity)
+	sh := shardOf(r, entity)
 	if sh.keeps(model) {
 		if res, ok := sh.hit(entity); ok {
 			return res
@@ -157,7 +144,7 @@ func (r *Router) ForecastPrepared(entity string, in *core.PreparedInput) Result 
 	}
 	sh := r.shards[0]
 	if entity != "" {
-		sh = r.shardOf(entity)
+		sh = shardOf(r, entity)
 	} else if n := uint64(len(r.shards)); n > 1 {
 		sh = r.shards[r.anon.Add(1)%n]
 	}
@@ -168,22 +155,29 @@ func (r *Router) ForecastPrepared(entity string, in *core.PreparedInput) Result 
 // contract as trace.RingStore.Ingest: zero allocations for a known
 // entity, false when the sample's timestamp does not advance.
 func (r *Router) Ingest(entity []byte, ts int, vals *[trace.NumIndicators]float64) bool {
-	return r.shardOfBytes(entity).rings.Ingest(entity, ts, vals)
+	return shardOf(r, entity).rings.Ingest(entity, ts, vals)
+}
+
+// IngestRun routes consecutive samples of one entity to the owning
+// shard's ring store with one hash, one lookup and one lock; see
+// trace.RingStore.IngestRun. Returns how many samples were rejected.
+func (r *Router) IngestRun(entity []byte, run []trace.Sample) int {
+	return shardOf(r, entity).rings.IngestRun(entity, run)
 }
 
 // IngestString is Ingest for callers already holding a string ID.
 func (r *Router) IngestString(entity string, ts int, vals *[trace.NumIndicators]float64) bool {
-	return r.shardOf(entity).rings.IngestString(entity, ts, vals)
+	return shardOf(r, entity).rings.IngestString(entity, ts, vals)
 }
 
 // WithWindow implements trace.RingSource.
 func (r *Router) WithWindow(entity string, n int, fn func(win [][]float64, interval, lastTS int)) bool {
-	return r.shardOf(entity).rings.WithWindow(entity, n, fn)
+	return shardOf(r, entity).rings.WithWindow(entity, n, fn)
 }
 
 // SampleCount implements trace.RingSource.
 func (r *Router) SampleCount(entity string) int {
-	return r.shardOf(entity).rings.SampleCount(entity)
+	return shardOf(r, entity).rings.SampleCount(entity)
 }
 
 // Entities implements trace.RingSource: the union of every shard's

@@ -246,7 +246,7 @@ func TestRoutingIsStableAndBalanced(t *testing.T) {
 	const entities = 4096
 	for i := 0; i < entities; i++ {
 		id := fmt.Sprintf("m_%d", i)
-		if r.shardOf(id) != r.shardOfBytes([]byte(id)) {
+		if shardOf(r, id) != shardOf(r, []byte(id)) {
 			t.Fatalf("string and byte hashing disagree for %q", id)
 		}
 		r.IngestString(id, 10, &vals)
@@ -545,7 +545,7 @@ func TestPreparedRouting(t *testing.T) {
 	want := directForecast(t, p, e)
 
 	const named = 5
-	owner := r.shardOf("c_42")
+	owner := shardOf(r, "c_42")
 	for i := 0; i < named; i++ {
 		res := r.ForecastPrepared("c_42", in)
 		if res.Err != nil || res.Gen != 1 {

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Ring is a fixed-capacity sliding sample buffer for one entity, built
@@ -202,6 +203,44 @@ func NewBoundedRingStore(capacity, maxEntities int) *RingStore {
 // Returns false when the ring rejected the sample (non-advancing
 // timestamp).
 func (s *RingStore) Ingest(entity []byte, ts int, vals *[NumIndicators]float64) bool {
+	e := s.entry(entity)
+	e.mu.Lock()
+	ok := e.ring.Append(ts, vals)
+	e.mu.Unlock()
+	return ok
+}
+
+// Sample is one row of an entity run: a timestamp and its values.
+type Sample struct {
+	TS   int
+	Vals [NumIndicators]float64
+}
+
+// IngestRun is Ingest for consecutive samples of one entity, in order:
+// one lookup, one touch and one lock for the whole run. Returns how many
+// samples the ring rejected.
+func (s *RingStore) IngestRun(entity []byte, run []Sample) (rejected int) {
+	e := s.entry(entity)
+	e.mu.Lock()
+	for i := range run {
+		if !e.ring.Append(run[i].TS, &run[i].Vals) {
+			rejected++
+		}
+	}
+	e.mu.Unlock()
+	return rejected
+}
+
+// IngestString is Ingest for callers that already hold the ID as a
+// string (e.g. a JSON ingest endpoint). Ingest copies the ID before it
+// keeps it, so the byte view of the string is never written or retained.
+func (s *RingStore) IngestString(entity string, ts int, vals *[NumIndicators]float64) bool {
+	return s.Ingest(unsafe.Slice(unsafe.StringData(entity), len(entity)), ts, vals)
+}
+
+// entry returns the entity's ring entry, created on first sight, and
+// stamps it as the store's most recent use.
+func (s *RingStore) entry(entity []byte) *ringEntry {
 	s.mu.RLock()
 	e := s.rings[string(entity)]
 	s.mu.RUnlock()
@@ -209,26 +248,7 @@ func (s *RingStore) Ingest(entity []byte, ts int, vals *[NumIndicators]float64) 
 		e = s.create(string(entity))
 	}
 	e.touch.Store(s.seq.Add(1))
-	e.mu.Lock()
-	ok := e.ring.Append(ts, vals)
-	e.mu.Unlock()
-	return ok
-}
-
-// IngestString is Ingest for callers that already hold the ID as a
-// string (e.g. a JSON ingest endpoint).
-func (s *RingStore) IngestString(entity string, ts int, vals *[NumIndicators]float64) bool {
-	s.mu.RLock()
-	e := s.rings[entity]
-	s.mu.RUnlock()
-	if e == nil {
-		e = s.create(entity)
-	}
-	e.touch.Store(s.seq.Add(1))
-	e.mu.Lock()
-	ok := e.ring.Append(ts, vals)
-	e.mu.Unlock()
-	return ok
+	return e
 }
 
 func (s *RingStore) create(id string) *ringEntry {

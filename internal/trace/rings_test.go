@@ -128,9 +128,10 @@ func TestRingStoreIngestAndWindow(t *testing.T) {
 }
 
 // TestRingStoreConcurrentIngest hammers the store from many goroutines
-// (run under -race in CI) and checks per-entity integrity after.
+// (run under -race in CI), half of them per row and half in runs of 8,
+// and checks per-entity integrity after.
 func TestRingStoreConcurrentIngest(t *testing.T) {
-	const writers, samples = 8, 200
+	const writers, samples, runLen = 8, 200, 8
 	s := NewRingStore(64)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -138,8 +139,16 @@ func TestRingStoreConcurrentIngest(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			id := []byte{'m', '_', byte('a' + w)}
+			run := make([]Sample, 0, runLen)
 			for i := 1; i <= samples; i++ {
-				s.Ingest(id, i, ringVals(float64(i)))
+				if w%2 == 0 {
+					s.Ingest(id, i, ringVals(float64(i)))
+					continue
+				}
+				if run = append(run, Sample{TS: i, Vals: *ringVals(float64(i))}); len(run) == runLen {
+					s.IngestRun(id, run)
+					run = run[:0]
+				}
 			}
 		}(w)
 	}
@@ -218,6 +227,35 @@ func TestRingStoreIngestZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("hot-path ingest allocates %.2f per sample, want 0", allocs)
+	}
+}
+
+// TestRingStoreIngestRunZeroAlloc is the same claim for a run of samples:
+// one lookup and one lock for the run, and no allocation.
+func TestRingStoreIngestRunZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation defeats escape analysis; allocation counts are meaningless")
+	}
+	s := NewRingStore(32)
+	id := []byte("m_hot")
+	run := make([]Sample, 8)
+	ts := 0
+	advance := func() {
+		for i := range run {
+			ts++
+			run[i] = Sample{TS: ts, Vals: *ringVals(float64(ts))}
+		}
+	}
+	advance()
+	s.IngestRun(id, run)
+	allocs := testing.AllocsPerRun(1000, func() {
+		advance()
+		if rejected := s.IngestRun(id, run); rejected != 0 {
+			t.Fatalf("%d of an advancing run rejected", rejected)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("hot-path run ingest allocates %.2f per run, want 0", allocs)
 	}
 }
 

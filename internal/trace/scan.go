@@ -33,13 +33,16 @@ const numCSVFields = 2 + NumIndicators
 // consumer does that (Ring.Append rejects non-advancing timestamps,
 // ReadCSVStats sorts and de-duplicates).
 //
-// A value field is read once by atof.Parse, to the bits strconv gives.
-// A field it does not read whole — the forms strconv also accepts ("+1",
-// ".5", "007", "Inf", hex), and the tokens atof leaves to strconv — goes
-// to strconv below, so ScanCSV accepts exactly the values and rows
-// strconv does.
+// A row is read in one pass (scanRow). A value field is read once by
+// atof.Parse, to the bits strconv gives, and ends where the token does.
+// A field it does not read whole — quoted, empty, the forms strconv also
+// accepts ("+1", ".5", "007", "Inf", hex), and the tokens atof leaves to
+// strconv — is cut at its comma and goes to strconv, so ScanCSV accepts
+// exactly the values and rows strconv does.
 //
-// A non-nil error from fn aborts the scan and is returned verbatim.
+// A non-nil error from fn aborts the scan and is returned verbatim. A
+// read error other than io.EOF ends it too, wrapped, and the unterminated
+// line before the error is dropped.
 //
 // Quoting is a subset of RFC 4180, the one encoding/csv reads: a field
 // may be wrapped in double quotes, and the quotes are stripped. A quoted
@@ -55,7 +58,6 @@ func ScanCSV(r io.Reader, fn func(entity []byte, ts int, vals *[NumIndicators]fl
 	defer scannerPool.Put(sc)
 
 	var vals [NumIndicators]float64
-	var fields [numCSVFields][]byte
 	line := 0
 	for {
 		ln, err := sc.next()
@@ -72,42 +74,12 @@ func ScanCSV(r io.Reader, fn func(entity []byte, ts int, vals *[NumIndicators]fl
 		if line == 1 && bytes.HasPrefix(ln, []byte(csvHeader[0])) {
 			continue // header row
 		}
-		n, wellFormed := splitComma(ln, &fields)
-		if !wellFormed {
-			st.skip(fmt.Errorf("trace: line %d: malformed quoting", line))
-			continue
-		}
-		if n != len(csvHeader) {
-			st.skip(fmt.Errorf("trace: line %d: %d fields, want %d", line, n, len(csvHeader)))
-			continue
-		}
-		ts, err := strconv.Atoi(bstr(fields[1]))
+		entity, ts, err := scanRow(ln, line, &vals)
 		if err != nil {
-			st.skip(fmt.Errorf("trace: line %d: bad timestamp %q", line, fields[1]))
+			st.skip(err)
 			continue
 		}
-		ok := true
-		for ci, ind := range csvIndicatorOrder {
-			f := fields[2+ci]
-			if len(f) == 0 {
-				vals[ind] = math.NaN()
-				continue
-			}
-			v, n, parsed := atof.Parse(f)
-			if !parsed || n != len(f) {
-				var err error
-				if v, err = strconv.ParseFloat(bstr(f), 64); err != nil {
-					st.skip(fmt.Errorf("trace: line %d: bad value %q", line, f))
-					ok = false
-					break
-				}
-			}
-			vals[ind] = v
-		}
-		if !ok {
-			continue
-		}
-		if err := fn(fields[0], ts, &vals); err != nil {
+		if err := fn(entity, ts, &vals); err != nil {
 			return st, err
 		}
 		st.Rows++
@@ -132,41 +104,100 @@ func bstr(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// splitComma splits ln on commas into fields, unwrapping simple external
-// quotes. Returns the field count and whether every field was well
-// formed; a field with unbalanced, interior or bare quotes (including a
-// quoted comma) reports false and the caller skips the row.
-func splitComma(ln []byte, fields *[numCSVFields][]byte) (int, bool) {
-	quoted := bytes.IndexByte(ln, '"') >= 0
-	n := 0
-	for {
-		if n == len(fields) {
-			return n + 1, true // too many fields; caller rejects on count
-		}
-		var f []byte
-		if i := bytes.IndexByte(ln, ','); i >= 0 {
-			f, ln = ln[:i], ln[i+1:]
-		} else {
-			f, ln = ln, nil
-		}
-		if quoted {
-			if len(f) > 0 && f[0] == '"' {
-				if len(f) < 2 || f[len(f)-1] != '"' {
-					return 0, false
-				}
-				f = f[1 : len(f)-1]
-			}
-			if bytes.IndexByte(f, '"') >= 0 {
-				return 0, false
-			}
-		}
-		fields[n] = f
-		n++
-		if ln == nil {
-			return n, true
-		}
+// scanRow reads one data row left to right, in one pass: the entity, the
+// timestamp, then the values into *vals. A value field ends where
+// atof.Parse stops, which must be at the comma (or, for the last, at the
+// end of the line); any field it does not read whole is cut at its comma
+// and read by the quote rules and strconv. A non-nil error says why the
+// row is skipped.
+func scanRow(ln []byte, line int, vals *[NumIndicators]float64) (entity []byte, ts int, err error) {
+	entity, rest, more, ok := cutField(ln)
+	if !ok {
+		return nil, 0, fmt.Errorf("trace: line %d: malformed quoting", line)
 	}
+	if !more {
+		return nil, 0, fieldCount(line, 1)
+	}
+	// A timestamp of plain digits ending at its comma is Atoi's value; any
+	// other form goes to Atoi.
+	i := 0
+	for ; i < len(rest) && i < 18 && isDigit(rest[i]); i++ {
+		ts = ts*10 + int(rest[i]-'0')
+	}
+	if i > 0 && i < len(rest) && rest[i] == ',' {
+		rest = rest[i+1:]
+	} else {
+		f, r, more, ok := cutField(rest)
+		switch {
+		case !ok:
+			return nil, 0, fmt.Errorf("trace: line %d: malformed quoting", line)
+		case !more:
+			return nil, 0, fieldCount(line, 2)
+		}
+		if ts, err = strconv.Atoi(bstr(f)); err != nil {
+			return nil, 0, fmt.Errorf("trace: line %d: bad timestamp %q", line, f)
+		}
+		rest = r
+	}
+	for ci, ind := range csvIndicatorOrder {
+		last := ci == NumIndicators-1
+		if v, n, ok := atof.Parse(rest); ok {
+			if n == len(rest) && last {
+				vals[ind] = v
+				continue
+			}
+			if n < len(rest) && rest[n] == ',' && !last {
+				vals[ind] = v
+				rest = rest[n+1:]
+				continue
+			}
+		}
+		f, r, more, ok := cutField(rest)
+		switch {
+		case !ok:
+			return nil, 0, fmt.Errorf("trace: line %d: malformed quoting", line)
+		case more == last:
+			return nil, 0, fieldCount(line, 3+ci)
+		case len(f) == 0:
+			vals[ind] = math.NaN()
+		default:
+			if vals[ind], err = strconv.ParseFloat(bstr(f), 64); err != nil {
+				return nil, 0, fmt.Errorf("trace: line %d: bad value %q", line, f)
+			}
+		}
+		rest = r
+	}
+	return entity, ts, nil
 }
+
+// fieldCount reports a row that ends after n fields; n == numCSVFields
+// means the last column is followed by more.
+func fieldCount(line, n int) error {
+	if n == numCSVFields {
+		return fmt.Errorf("trace: line %d: more than %d fields", line, numCSVFields)
+	}
+	return fmt.Errorf("trace: line %d: %d fields, want %d", line, n, numCSVFields)
+}
+
+// cutField cuts ln at its first comma into the field, with simple
+// external quotes unwrapped, and the rest; more reports that a comma was
+// found. A field with unbalanced, interior or bare quotes (a quoted comma
+// included) reports !ok and the caller skips the row.
+func cutField(ln []byte) (f, rest []byte, more, ok bool) {
+	f = ln
+	if i := bytes.IndexByte(ln, ','); i >= 0 {
+		f, rest, more = ln[:i], ln[i+1:], true
+	}
+	if len(f) > 0 && f[0] == '"' {
+		if len(f) < 2 || f[len(f)-1] != '"' {
+			return nil, nil, false, false
+		}
+		f = f[1 : len(f)-1]
+	}
+	return f, rest, more, bytes.IndexByte(f, '"') < 0
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // lineScanner yields lines from a reader out of one reused buffer. A
 // line that fits the buffer is returned as a view into it (no copy, no
@@ -192,7 +223,10 @@ func (s *lineScanner) reset(r io.Reader) {
 }
 
 // next returns the next line with the trailing '\n' (and '\r', if any)
-// removed. io.EOF signals a clean end of input.
+// removed. io.EOF signals a clean end of input, after which a last line
+// with no newline is still returned. Any other read error is returned in
+// place of the unterminated tail: a body cut off mid-row must not deliver
+// the half it got.
 func (s *lineScanner) next() ([]byte, error) {
 	for {
 		if i := bytes.IndexByte(s.buf[s.pos:s.end], '\n'); i >= 0 {
@@ -201,13 +235,10 @@ func (s *lineScanner) next() ([]byte, error) {
 			return trimCR(line), nil
 		}
 		if s.err != nil {
-			if s.pos < s.end {
+			if s.err == io.EOF && s.pos < s.end {
 				line := s.buf[s.pos:s.end]
 				s.pos = s.end
 				return trimCR(line), nil
-			}
-			if s.err == io.EOF {
-				return nil, io.EOF
 			}
 			return nil, s.err
 		}

@@ -5,10 +5,12 @@ import (
 	"encoding/csv"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 // TestScanCSVSalvagesCorruptedFixture runs the streaming scanner over
@@ -153,6 +155,50 @@ func TestScanCSVLongLines(t *testing.T) {
 	}
 }
 
+// TestScanCSVDropsTruncatedTail: a read error other than io.EOF — a
+// client that disconnects, a body past its size limit — ends the scan
+// with that error, and the unterminated line before it is not delivered.
+func TestScanCSVDropsTruncatedTail(t *testing.T) {
+	body := "m_1,10,1,2,3,4,5,6,7,8\nm_1,20,1,2,3,4,5,6,7,3.14"
+	reset := errors.New("connection reset")
+	for name, r := range map[string]io.Reader{
+		"error-after-data": io.MultiReader(strings.NewReader(body), iotest.ErrReader(reset)),
+		"error-with-data":  iotest.DataErrReader(io.MultiReader(strings.NewReader(body), iotest.ErrReader(reset))),
+	} {
+		var ts []int
+		_, err := ScanCSV(r, func(_ []byte, t int, _ *[NumIndicators]float64) error {
+			ts = append(ts, t)
+			return nil
+		})
+		if !errors.Is(err, reset) {
+			t.Fatalf("%s: err = %v, want the read error", name, err)
+		}
+		if len(ts) != 1 || ts[0] != 10 {
+			t.Fatalf("%s: delivered timestamps %v, want [10]", name, ts)
+		}
+	}
+}
+
+// TestScanCSVKeepsFinalLineAtEOF: at a clean end of input, a last line
+// with no newline is a row like any other, even when io.EOF comes with
+// the data.
+func TestScanCSVKeepsFinalLineAtEOF(t *testing.T) {
+	body := "m_1,10,1,2,3,4,5,6,7,8\nm_1,20,1,2,3,4,5,6,7,3.14"
+	for name, r := range map[string]io.Reader{
+		"eof-after-data": strings.NewReader(body),
+		"eof-with-data":  iotest.DataErrReader(strings.NewReader(body)),
+	} {
+		var last [NumIndicators]float64
+		st, err := ScanCSV(r, func(_ []byte, _ int, vals *[NumIndicators]float64) error {
+			last = *vals
+			return nil
+		})
+		if err != nil || st.Rows != 2 || last[DiskIOPercent] != 3.14 {
+			t.Fatalf("%s: rows %d, err %v, last disk_io %v; want 2 rows ending in 3.14", name, st.Rows, err, last[DiskIOPercent])
+		}
+	}
+}
+
 // TestScanCSVSteadyStateAllocations pins the zero-copy claim: scanning a
 // large clean input into a warmed RingStore must cost a small constant
 // number of allocations per scan — none per sample or per row.
@@ -269,7 +315,8 @@ func scanRows(t *testing.T, data []byte) []scannedRow {
 // FuzzScanCSV holds ScanCSV to encoding/csv line by line. Every line
 // ScanCSV accepts must parse under encoding/csv to the same ten fields:
 // the same entity bytes, the timestamp and every value bit for bit, an
-// empty field as NaN. A whole input delivers exactly the rows its lines
+// empty field as NaN. A line with no quote or carriage return that
+// encoding/csv splits into ten fields strconv reads must be accepted. A whole input delivers exactly the rows its lines
 // deliver one at a time, in order, whatever the buffer boundaries —
 // which also checks the entity bytes handed to the callback are not
 // overwritten by later reads. Nothing may panic.
@@ -285,10 +332,13 @@ func FuzzScanCSV(f *testing.F) {
 			}
 			// Behind a header, a line is never line 1.
 			rows := scanRows(t, append([]byte("entity_id\n"), ln...))
+			ln = bytes.TrimSuffix(ln, []byte("\r"))
 			if len(rows) == 0 {
+				if readable(ln) {
+					t.Fatalf("ScanCSV skipped %q, which encoding/csv and strconv read", ln)
+				}
 				continue
 			}
-			ln = bytes.TrimSuffix(ln, []byte("\r"))
 			rec, err := csv.NewReader(bytes.NewReader(ln)).Read()
 			if err != nil {
 				t.Fatalf("ScanCSV accepted %q, encoding/csv rejects it: %v", ln, err)
@@ -324,6 +374,28 @@ func FuzzScanCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// readable reports whether a line with no quote or carriage return splits
+// under encoding/csv into ten fields that strconv reads: an Atoi
+// timestamp and values that are empty or ParseFloat's.
+func readable(ln []byte) bool {
+	if bytes.ContainsAny(ln, "\"\r") {
+		return false // ScanCSV's quoting is a subset; csv drops a final \r
+	}
+	rec, err := csv.NewReader(bytes.NewReader(ln)).Read()
+	if err != nil || len(rec) != numCSVFields {
+		return false
+	}
+	if _, err := strconv.Atoi(rec[1]); err != nil {
+		return false
+	}
+	for _, f := range rec[2:] {
+		if _, err := strconv.ParseFloat(f, 64); f != "" && err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 func sameBits(a, b []float64) bool {
