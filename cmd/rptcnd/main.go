@@ -86,7 +86,7 @@ func main() {
 
 		maxEntities = flag.Int("max-entities", 0, "max entities with ring state; beyond it the least-recently-touched ring is evicted (0 = unbounded)")
 
-		shards      = flag.Int("shards", 1, "forecast-serving shard workers, each running its own forwards on the one published model")
+		shards      = flag.Int("shards", 1, "forecast-serving shards, each running its own forwards on the one published model")
 		registryDir = flag.String("registry-dir", "", "versioned model registry directory; enables GET /v1/forecast/{entity}?model=<name>")
 		publish     = flag.String("publish", "", "publish the served predictor into -registry-dir under this name at boot")
 

@@ -61,10 +61,13 @@ func (p *Predictor) FitFleet(entities [][][]float64, target int) error {
 	for ei, cleaned := range cleanedPer {
 		normed := p.norm.Transform(cleaned)
 		sel := dataprep.Select(normed, p.selected)
-		if p.Cfg.Scenario == MulExp {
-			if ei == 0 {
+		if ei == 0 {
+			if p.Cfg.Scenario == MulExp {
 				p.fitExpansion(sel)
 			}
+			p.freezePlan()
+		}
+		if p.Cfg.Scenario == MulExp {
 			sel = p.expand(sel)
 		}
 		if ei == len(cleanedPer)-1 {

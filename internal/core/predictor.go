@@ -165,6 +165,9 @@ type Predictor struct {
 	// prepared is the fit's fully prepared channel series (post
 	// expansion, target first), retained for Forecast.
 	prepared [][]float64
+	// plan is the serving pipeline PrepareInput runs in one pass, frozen
+	// with norm, selected and weightedFactors (see freezePlan).
+	plan windowPlan
 
 	// serving is the published snapshot — model, generation, held-out
 	// split — that every engine loads once per batch (see generation.go).
@@ -226,6 +229,7 @@ func (p *Predictor) prepare(series [][]float64, target int, parent *obstrace.Spa
 		sel = p.expand(sel)
 		sp.End()
 	}
+	p.freezePlan()
 	return sel, nil
 }
 

@@ -94,6 +94,7 @@ func LoadPredictor(r io.Reader) (*Predictor, error) {
 	p.selected = dump.Selected
 	p.weightedFactors = dump.WeightedFactors
 	p.norm = &dataprep.Normalizer{Min: dump.NormMin, Max: dump.NormMax}
+	p.freezePlan()
 	m := NewModel(tensor.NewRNG(0), dump.ModelCfg)
 	if err := nn.LoadParams(bytes.NewReader(dump.Weights), m); err != nil {
 		return nil, err
@@ -146,6 +147,11 @@ func (d *predictorDump) validate() error {
 	if err := d.ModelCfg.validate(); err != nil {
 		return err
 	}
+	// The serving plan (freezePlan) lays out one channel per window row
+	// the pipeline emits; it is built only for a model that takes them.
+	if c := d.servedChannels(); c != d.ModelCfg.InChannels {
+		return fmt.Errorf("core: the pipeline emits %d channels, the model takes %d", c, d.ModelCfg.InChannels)
+	}
 	// The architecture is built only if the file is long enough to hold its
 	// weights, at a digit and a separator each: nothing allocates by a size
 	// the file does not back. LoadParams refuses any other mismatch.
@@ -153,4 +159,33 @@ func (d *predictorDump) validate() error {
 		return fmt.Errorf("core: model_config implies %g weights, file carries %d bytes of them", n, len(d.Weights))
 	}
 	return nil
+}
+
+// servedChannels is how many channels the snapshot's pipeline emits: one
+// per screened indicator, times the expansion's copies under Mul-Exp. A
+// factor beyond the model's channel count answers -1 before it can
+// multiply.
+func (d *predictorDump) servedChannels() int {
+	sel := len(d.Selected)
+	if d.Cfg.Scenario != MulExp {
+		return sel
+	}
+	per := d.Cfg.ExpandFactor
+	switch d.Cfg.Expansion {
+	case ExpandWeighted:
+		n := 0
+		for _, f := range d.WeightedFactors {
+			n += f
+		}
+		return n
+	case ExpandLagsDiff:
+		if per >= d.ModelCfg.InChannels {
+			return -1
+		}
+		per++
+	}
+	if per > d.ModelCfg.InChannels {
+		return -1
+	}
+	return sel * per
 }

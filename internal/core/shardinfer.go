@@ -15,8 +15,8 @@ import (
 // by every engine at once and written by none (see prepareServing), so N
 // engines run N forwards in parallel with neither a lock nor a copy of
 // the model, and are bitwise identical to each other for one generation
-// (pinned by TestShardInferencerMatchesPredictor). Every shard worker
-// owns one, the predictor owns one behind ForecastBatchGen, and the
+// (pinned by TestShardInferencerMatchesPredictor). Every shard owns
+// one, the predictor owns one behind ForecastBatchGen, and the
 // adaptation supervisor scores its candidate on one pinned to it
 // (NewCandidateInferencer).
 //

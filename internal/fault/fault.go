@@ -21,6 +21,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -254,14 +255,34 @@ func Error(scope string) error {
 
 // Disrupt probes scope for panic and latency rules — the helper for
 // call sites that cannot surface an error (e.g. a Layer.Forward).
-func Disrupt(scope string) {
+func Disrupt(scope string) { DisruptWithin(context.Background(), time.Time{}, scope) }
+
+// DisruptWithin is Disrupt for a call site that serves a request: an
+// injected latency ends early when ctx is done or deadline (zero: none)
+// passes, so the fault delays the request as a slow dependency would
+// and no longer than the request's own bounds allow.
+func DisruptWithin(ctx context.Context, deadline time.Time, scope string) {
 	inj := active.Load()
 	if inj == nil {
 		return
 	}
 	for _, r := range inj.match(scope, func(k Kind) bool { return k == KindPanic || k == KindLatency }) {
-		if r.shouldFire() {
-			fire(r) //nolint:errcheck // only panic/latency kinds matched
+		if !r.shouldFire() {
+			continue
+		}
+		if r.Kind != KindLatency {
+			fire(r) //nolint:errcheck // only panic kinds remain
+			continue
+		}
+		d := r.Latency
+		if !deadline.IsZero() {
+			d = min(d, time.Until(deadline))
+		}
+		t := time.NewTimer(d)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
+			t.Stop()
 		}
 	}
 }

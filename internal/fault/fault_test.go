@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"context"
 	"errors"
 	"math"
 	"sync"
@@ -114,6 +115,41 @@ func TestLatencyRuleSleeps(t *testing.T) {
 	if d := time.Since(start); d < 25*time.Millisecond {
 		t.Fatalf("Disrupt returned after %v, want >= 30ms", d)
 	}
+}
+
+// TestDisruptWithinEndsAtBounds: DisruptWithin's injected latency runs
+// its full length inside loose bounds, ends at the deadline or when the
+// context is done, and its panic rules fire as Disrupt's do.
+func TestDisruptWithinEndsAtBounds(t *testing.T) {
+	inj := NewInjector(
+		Rule{Scope: "slow", Kind: KindLatency, Latency: 30 * time.Millisecond},
+		Rule{Scope: "stuck", Kind: KindLatency, Latency: time.Hour},
+		Rule{Scope: "boom", Kind: KindPanic},
+	)
+	defer Activate(inj)()
+	elapsed := func(ctx context.Context, deadline time.Time, scope string) time.Duration {
+		start := time.Now()
+		DisruptWithin(ctx, deadline, scope)
+		return time.Since(start)
+	}
+	if d := elapsed(context.Background(), time.Now().Add(time.Minute), "slow"); d < 25*time.Millisecond {
+		t.Fatalf("latency inside its bounds returned after %v, want >= 30ms", d)
+	}
+	if d := elapsed(context.Background(), time.Now().Add(20*time.Millisecond), "stuck"); d > 5*time.Second {
+		t.Fatalf("latency past the deadline returned after %v", d)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(20*time.Millisecond, cancel)
+	if d := elapsed(ctx, time.Time{}, "stuck"); d > 5*time.Second {
+		t.Fatalf("latency past a cancel returned after %v", d)
+	}
+	defer func() {
+		if p, ok := recover().(*Panic); !ok || p.Scope != "boom" {
+			t.Fatalf("recovered %v, want *Panic{boom}", p)
+		}
+	}()
+	DisruptWithin(context.Background(), time.Time{}, "boom")
+	t.Fatal("DisruptWithin did not panic")
 }
 
 func TestUnarmedScopeStillCountsProbes(t *testing.T) {

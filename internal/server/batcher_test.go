@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -18,7 +19,7 @@ import (
 )
 
 // TestModelPanicOnPostCountsOnce: a model panic under POST /v1/forecast
-// is recovered in the shard worker, which ticks the same
+// is recovered in the shard's batch, which ticks the same
 // rptcn_panics_recovered_total family the middleware owns — one fault,
 // one event — and the request degrades at its own call site. (That a
 // fused batch of N waiters still ticks once is pinned where the batch can
@@ -136,7 +137,12 @@ func TestRaggedIndicatorsRejected400(t *testing.T) {
 
 // benchServing drives b.N forecast requests through ServeHTTP from 32
 // concurrent workers and reports throughput plus p50/p99 request latency.
-func benchServing(b *testing.B, opts ...Option) {
+func benchServing(b *testing.B, opts ...Option) { benchServingOver(b, false, opts...) }
+
+// benchServingOver is benchServing; with socket set, each worker is a
+// keep-alive HTTP client of a loopback listener instead of a direct
+// ServeHTTP caller.
+func benchServingOver(b *testing.B, socket bool, opts ...Option) {
 	p, e := fitted(b)
 	opts = append(opts, WithRegistry(obs.NewRegistry()), quiet)
 	srv := New(p, opts...)
@@ -147,6 +153,28 @@ func benchServing(b *testing.B, opts ...Option) {
 	}
 
 	const workers = 32
+	post := func() int {
+		req := httptest.NewRequest(http.MethodPost, "/v1/forecast", bytes.NewReader(raw))
+		req.Header.Set("Content-Type", "application/json")
+		rr := httptest.NewRecorder()
+		srv.ServeHTTP(rr, req)
+		return rr.Code
+	}
+	if socket {
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: workers}}
+		defer client.CloseIdleConnections()
+		post = func() int {
+			resp, err := client.Post(ts.URL+"/v1/forecast", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				return 0
+			}
+			io.Copy(io.Discard, resp.Body) //nolint:errcheck // drained for keep-alive only
+			resp.Body.Close()
+			return resp.StatusCode
+		}
+	}
 	lat := make([]time.Duration, b.N)
 	var next atomic.Int64
 	b.ResetTimer()
@@ -161,14 +189,11 @@ func benchServing(b *testing.B, opts ...Option) {
 				if i >= b.N {
 					return
 				}
-				req := httptest.NewRequest(http.MethodPost, "/v1/forecast", bytes.NewReader(raw))
-				req.Header.Set("Content-Type", "application/json")
-				rr := httptest.NewRecorder()
 				t0 := time.Now()
-				srv.ServeHTTP(rr, req)
+				code := post()
 				lat[i] = time.Since(t0)
-				if rr.Code != http.StatusOK {
-					b.Errorf("status %d", rr.Code)
+				if code != http.StatusOK {
+					b.Errorf("status %d", code)
 					return
 				}
 			}
@@ -195,6 +220,14 @@ func BenchmarkForecastServingBatched(b *testing.B) {
 	benchServing(b)
 }
 
+// BenchmarkForecastServingSocket is BenchmarkForecastServingBatched with
+// its 32 callers on loopback keep-alive connections: each blocks on its
+// socket between requests, as a served client does, where the in-process
+// callers above go straight from one ServeHTTP to the next.
+func BenchmarkForecastServingSocket(b *testing.B) {
+	benchServingOver(b, true)
+}
+
 // BenchmarkForecastPostSerial is one caller posting the shape a resource
 // manager sends — 8 × MinHistory samples with entity and t — and waiting
 // for each answer: the latency a lone request pays, where the 32-way
@@ -205,6 +238,32 @@ func BenchmarkForecastPostSerial(b *testing.B) { benchPostSerial(b, 0) }
 // indicator, the window fleetreplay sends: history enough to hide a
 // horizon and still fill a window.
 func BenchmarkForecastPostSerial64(b *testing.B) { benchPostSerial(b, 64) }
+
+// TestForecastPostAllocations pins what one serial POST allocates through
+// ServeHTTP, request and recorder included, in the shape
+// BenchmarkForecastPostSerial posts: ≤ 50 objects. A forecast run on a
+// goroutine of its own behind a staged prepare and per-call metric
+// lookups allocated 111.
+func TestForecastPostAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation defeats escape analysis; allocation counts are meaningless")
+	}
+	p, e := fitted(t)
+	srv := New(p, WithRegistry(obs.NewRegistry()), quiet)
+	defer srv.Close()
+	raw := metadataBody(t, e, p.MinHistory())
+	post := func() {
+		rr := httptest.NewRecorder()
+		srv.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/forecast", bytes.NewReader(raw)))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rr.Code, rr.Body)
+		}
+	}
+	post()
+	if allocs := testing.AllocsPerRun(200, post); allocs > 50 {
+		t.Fatalf("one POST /v1/forecast allocates %.0f objects, want ≤ 50", allocs)
+	}
+}
 
 // benchPostSerial posts samples (0: MinHistory) per indicator serially.
 func benchPostSerial(b *testing.B, samples int) {

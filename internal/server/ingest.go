@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
+	"time"
 
 	"repro/internal/adapt"
 	"repro/internal/core"
@@ -198,10 +199,11 @@ func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleEntityForecast serves GET /v1/forecast/{entity} through the
-// entity's shard: the shard worker reads the ring window as zero-copy
-// views under the entity's lock, fuses concurrent requests for its
-// entities into one forward on its own engine, and answers — all
-// shard-local, no global inference lock. ?model=<name> serves from the
+// entity's shard: the shard's leader — this request, or the one whose
+// batch it queued into — reads the ring window as zero-copy views under
+// the entity's lock, fuses concurrent requests for its entities into one
+// forward on the shard's engine, and answers — all shard-local, no
+// global inference lock. ?model=<name> serves from the
 // named registry model instead of the default engine (requires
 // WithModelRegistry). The full per-request protection stack (breaker,
 // timeout, panic recovery, cancel detection) still wraps the wait.
@@ -219,8 +221,9 @@ func (s *Server) handleEntityForecast(w http.ResponseWriter, r *http.Request) {
 	ft := telemetryFrom(r.Context())
 	ft.set(entity, false)
 
-	o, res := s.guardedInfer(r.Context(), func() inferOutcome {
-		sr := s.rings.Forecast(entity, model)
+	ctx := r.Context()
+	o, res := s.guardedInfer(ctx, func(deadline time.Time) inferOutcome {
+		sr := s.rings.ForecastWithin(ctx, deadline, entity, model)
 		if sr.Panicked {
 			return inferOutcome{panicked: true}
 		}

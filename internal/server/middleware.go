@@ -2,8 +2,11 @@ package server
 
 import (
 	"context"
+	"maps"
 	"net/http"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -65,10 +68,10 @@ func (in *instrumentation) wrap(route string, h http.HandlerFunc) http.HandlerFu
 		"HTTP request latency by route.", nil, obs.L("path", route))
 	errs := in.reg.Counter("rptcn_http_errors_total",
 		"HTTP responses with status >= 500.", obs.L("path", route))
-	// Pre-register the success series so the counter family is visible
-	// before the first request.
-	in.reg.Counter("rptcn_http_requests_total", "Total HTTP requests.",
-		obs.L("path", route), obs.L("code", "200"))
+	// The success series is resolved (and so visible) before the first
+	// request; every other code's on the first response that carries it.
+	codes := &codeCounters{reg: in.reg, route: route}
+	codes.get(http.StatusOK)
 	var forecastLat *obs.Histogram
 	if route == "/v1/forecast" {
 		forecastLat = in.reg.Histogram("rptcn_forecast_latency_seconds",
@@ -119,10 +122,43 @@ func (in *instrumentation) wrap(route string, h http.HandlerFunc) http.HandlerFu
 			span.Keep()
 		}
 		span.End()
-		in.reg.Counter("rptcn_http_requests_total", "Total HTTP requests.",
-			obs.L("path", route), obs.L("code", strconv.Itoa(rec.status))).Inc()
+		codes.get(rec.status).Inc()
 		if rec.status >= 500 {
 			errs.Inc()
 		}
 	}
+}
+
+// codeCounters is one route's rptcn_http_requests_total{path,code}
+// series, each looked up in the registry once: a copy-on-write map a
+// response reads with one atomic load.
+type codeCounters struct {
+	reg    *obs.Registry
+	route  string
+	mu     sync.Mutex // serializes copies
+	byCode atomic.Pointer[map[int]*obs.Counter]
+}
+
+// get returns the counter of responses with the given status code.
+func (c *codeCounters) get(code int) *obs.Counter {
+	if m := c.byCode.Load(); m != nil {
+		if ctr := (*m)[code]; ctr != nil {
+			return ctr
+		}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old := c.byCode.Load()
+	if old != nil && (*old)[code] != nil {
+		return (*old)[code]
+	}
+	m := make(map[int]*obs.Counter, 1)
+	if old != nil {
+		maps.Copy(m, *old)
+	}
+	ctr := c.reg.Counter("rptcn_http_requests_total", "Total HTTP requests.",
+		obs.L("path", c.route), obs.L("code", strconv.Itoa(code)))
+	m[code] = ctr
+	c.byCode.Store(&m)
+	return ctr
 }

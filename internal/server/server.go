@@ -6,7 +6,7 @@
 // Endpoints:
 //
 //	GET  /healthz        liveness probe (process up)
-//	GET  /readyz         readiness probe (model loaded, shard workers running)
+//	GET  /readyz         readiness probe (model loaded, router open)
 //	GET  /metrics        Prometheus text-format metrics
 //	GET  /v1/model       model metadata (scenario, window, screening, size)
 //	POST /v1/forecast    {"indicators": [[...],...]} → {"forecast": [...]}
@@ -57,13 +57,16 @@ import (
 	"repro/internal/trace"
 )
 
-// Server routes forecast requests to a fitted predictor. Concurrent
-// requests are micro-batched by the shard router's workers (see
-// internal/shard): a POST /v1/forecast prepares its window in parallel on
-// its own goroutine, a GET /v1/forecast/{entity} has the worker read it
-// from the entity's ring, and both queue on the same shard, which fuses
-// up to MaxBatch waiting requests into one grad-free arena forward. The
-// handler itself is safe for concurrent use.
+// Server routes forecast requests to a fitted predictor. Every forecast
+// runs on its request's own goroutine: a POST /v1/forecast prepares its
+// window there, in parallel with other requests, and a GET
+// /v1/forecast/{entity} reads it from the entity's ring inside its
+// shard's batch. Both go to the same shard router (see internal/shard),
+// whose shards have no goroutines: a request that finds its shard idle
+// runs the forward itself, fused with up to MaxBatch − 1 requests that
+// queued meanwhile, in one grad-free arena forward, and hands the shard
+// to the next queued request. The handler itself is safe for concurrent
+// use.
 type Server struct {
 	predictor  *core.Predictor
 	mux        *http.ServeMux
@@ -81,8 +84,8 @@ type Server struct {
 	journal    *runlog.Run
 	reqSeq     atomic.Int64 // synthetic sample clock for t-less requests
 
-	// ready flips true once the model is loaded and the shard workers are
-	// running, and false again on Close — the /readyz answer.
+	// ready flips true once the model is loaded, and false again on Close
+	// — the /readyz answer.
 	ready atomic.Bool
 
 	// Fault-tolerance plumbing: load shedding, circuit breaking, and the
@@ -187,11 +190,11 @@ func New(p *core.Predictor, opts ...Option) *Server {
 	if s.adaptCfg != nil {
 		s.adaptCfg.Predictor = p
 	}
-	// The entity→shard router: the micro-batching workers every forecast
-	// queues on, and one fixed-capacity ring per ingested entity. The
+	// The entity→shard router: the micro-batchers every forecast goes
+	// through, and one fixed-capacity ring per ingested entity. The
 	// limiter admits at most MaxInFlight requests, so while that stays
-	// within a shard's queue (defaults 32 and 64) enqueueing never blocks
-	// a request goroutine; beyond it producers wait for a slot, which
+	// within a shard's queue (defaults 32 and 64) queueing never blocks a
+	// request goroutine; beyond it producers wait for a slot, which
 	// bounds memory. Built before the quality engine because the
 	// adaptation supervisor trains from the rings AND subscribes to the
 	// engine's events.
@@ -323,9 +326,9 @@ func New(p *core.Predictor, opts ...Option) *Server {
 	// instrumented under the single route label "other", so arbitrary
 	// probing cannot mint new metric series.
 	s.mux.HandleFunc("/", in.wrap("other", s.recovered(s.handleNotFound)))
-	// Ready: the predictor carries a loaded model and the shard workers
-	// are running. An unfitted predictor serves metadata and probes but
-	// reports unready until a model arrives.
+	// Ready: the predictor carries a loaded model and the router is open.
+	// An unfitted predictor serves metadata and probes but reports unready
+	// until a model arrives.
 	s.ready.Store(p.Model() != nil)
 	return s
 }
@@ -356,7 +359,7 @@ func methodNotAllowed(allow string) http.HandlerFunc {
 // Registry returns the metrics registry the server reports into.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Close stops the shard workers and the quality engine's worker
+// Close closes the shard router and stops the quality engine's worker
 // goroutine; forecasts caught mid-queue are answered 503 and /readyz
 // flips to 503. Idempotent. In-flight HTTP requests should be drained
 // first (http.Server.Shutdown).
@@ -592,25 +595,24 @@ type inferResult struct {
 
 // infer runs one model inference with the full protection stack: the
 // circuit breaker may short-circuit it, a panic anywhere on the model
-// path is recovered off-goroutine (a cross-goroutine panic cannot be
-// caught by HTTP middleware), the request deadline bounds the wait, a
-// canceled client context is surfaced as such, and a non-finite forecast
-// is rejected as a model failure.
+// path is recovered, the request deadline and the client's context bound
+// every wait, a canceled client context is surfaced as such, and a
+// non-finite forecast is rejected as a model failure.
 //
-// The work splits in two: the per-request goroutine runs the data
-// pipeline (PrepareInput — read-only, so requests prepare in parallel),
-// then hands the prepared window to a shard worker — the named entity's
-// shard, or any shard for an anonymous request — which fuses it with
-// whatever else is queued there into one arena forward. Every protection
-// is still per-request: each waiter has its own deadline, its own
-// breaker outcome, and its own degradation decision.
+// All of it runs on the request's own goroutine: PrepareInput (read-only,
+// so requests prepare in parallel), then the shard — the named entity's,
+// or any for an anonymous request — where the request either takes the
+// idle shard's lead and runs its forward itself, fused with whatever
+// queued meanwhile, or queues for a leader to serve it. Every protection
+// is still per-request: each waiter has its own deadline, its own breaker
+// outcome, and its own degradation decision.
 func (s *Server) infer(ctx context.Context, entity string, series [][]float64) (inferOutcome, inferResult) {
-	return s.guardedInfer(ctx, func() inferOutcome {
+	return s.guardedInfer(ctx, func(deadline time.Time) inferOutcome {
 		in, err := s.predictor.PrepareInput(series)
 		if err != nil {
 			return inferOutcome{err: err}
 		}
-		sr := s.rings.ForecastPrepared(entity, in)
+		sr := s.rings.ForecastPrepared(ctx, deadline, entity, in)
 		return inferOutcome{forecast: sr.Forecast, in: in, gen: sr.Gen, err: sr.Err, panicked: sr.Panicked}
 	})
 }
@@ -628,61 +630,65 @@ type inferOutcome struct {
 }
 
 // guardedInfer runs one inference attempt under the full protection
-// stack (breaker admission, off-goroutine panic recovery, request
-// timeout, client-cancel detection, finite-output validation). run does
-// the actual work — prepare + batched forward for the JSON path, ring
-// window + batched forward for the entity path.
-func (s *Server) guardedInfer(ctx context.Context, run func() inferOutcome) (inferOutcome, inferResult) {
+// stack (breaker admission, panic recovery, request timeout,
+// client-cancel detection, finite-output validation), inline on the
+// handler's goroutine. run does the actual work — prepare + batched
+// forward for the JSON path, ring window + batched forward for the
+// entity path — and must bound its waits by the request context and the
+// deadline it is given. A forward itself is never interrupted: one that
+// overruns the deadline is reported as a timeout once it returns.
+func (s *Server) guardedInfer(ctx context.Context, run func(deadline time.Time) inferOutcome) (inferOutcome, inferResult) {
 	if !s.breaker.allow() {
 		return inferOutcome{}, inferResult{kind: inferDegraded, reason: "breaker_open"}
 	}
-	ch := make(chan inferOutcome, 1)
-	go func() {
-		var o inferOutcome
-		defer func() {
-			if p := recover(); p != nil {
-				s.panics.Inc()
-				s.log.Error("panic recovered in inference",
-					"panic", p, "stack", string(debug.Stack()))
-				o = inferOutcome{panicked: true}
-			}
-			ch <- o
-		}()
-		// Chaos hook: the server.forecast fault point injects latency or
-		// panics here, upstream of the real model call.
-		fault.Disrupt("server.forecast")
-		o = run()
-	}()
-	timer := time.NewTimer(s.resilience.RequestTimeout)
-	defer timer.Stop()
-	select {
-	case o := <-ch:
-		switch {
-		case o.panicked:
-			s.breaker.record(true)
-			return inferOutcome{}, inferResult{kind: inferDegraded, reason: "panic"}
-		case o.err != nil:
-			// Errors here are input-validation failures (the client's
-			// problem) or the router closing under the request — never
-			// the model's; the breaker stays out.
-			s.breaker.release()
-			return inferOutcome{}, inferResult{kind: inferBadInput, err: o.err}
-		case !finiteAll(o.forecast):
-			s.breaker.record(true)
-			return inferOutcome{}, inferResult{kind: inferDegraded, reason: "invalid_output"}
-		default:
-			s.breaker.record(false)
-			return o, inferResult{kind: inferOK}
-		}
-	case <-timer.C:
+	deadline := time.Now().Add(s.resilience.RequestTimeout)
+	o := s.runRecovered(ctx, deadline, run)
+	switch {
+	case o.panicked:
 		s.breaker.record(true)
-		return inferOutcome{}, inferResult{kind: inferDegraded, reason: "timeout"}
-	case <-ctx.Done():
+		return inferOutcome{}, inferResult{kind: inferDegraded, reason: "panic"}
+	case ctx.Err() != nil:
 		// No outcome to record: a disconnect says nothing about model
 		// health, but a half-open probe slot must be handed back.
 		s.breaker.release()
 		return inferOutcome{}, inferResult{kind: inferCanceled}
+	case errors.Is(o.err, context.DeadlineExceeded) || time.Now().After(deadline):
+		s.breaker.record(true)
+		return inferOutcome{}, inferResult{kind: inferDegraded, reason: "timeout"}
+	case o.err != nil:
+		// Errors here are input-validation failures (the client's
+		// problem) or the router closing under the request — never the
+		// model's; the breaker stays out.
+		s.breaker.release()
+		return inferOutcome{}, inferResult{kind: inferBadInput, err: o.err}
+	case !finiteAll(o.forecast):
+		s.breaker.record(true)
+		return inferOutcome{}, inferResult{kind: inferDegraded, reason: "invalid_output"}
+	default:
+		s.breaker.record(false)
+		return o, inferResult{kind: inferOK}
 	}
+}
+
+// runRecovered calls run behind the server.forecast fault point, turning
+// a panic into a panicked outcome. When the point's injected latency
+// outlasts the request's bounds, run is not called at all.
+func (s *Server) runRecovered(ctx context.Context, deadline time.Time, run func(time.Time) inferOutcome) (o inferOutcome) {
+	defer func() {
+		if p := recover(); p != nil {
+			s.panics.Inc()
+			s.log.Error("panic recovered in inference",
+				"panic", p, "stack", string(debug.Stack()))
+			o = inferOutcome{panicked: true}
+		}
+	}()
+	// Chaos hook: the server.forecast fault point injects latency or
+	// panics here, upstream of the real model call.
+	fault.DisruptWithin(ctx, deadline, "server.forecast")
+	if ctx.Err() != nil || time.Now().After(deadline) {
+		return inferOutcome{}
+	}
+	return run(deadline)
 }
 
 func targetName(p *core.Predictor) string {

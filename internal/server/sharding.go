@@ -13,9 +13,9 @@ import (
 // Sharded serving: every forecast — POST /v1/forecast with the window in
 // the body, GET /v1/forecast/{entity} from an ingested ring — runs on the
 // entity→shard router (internal/shard), the process's one micro-batcher.
-// Each shard owns its entities' rings, its own worker and its own engine
+// Each shard owns its entities' rings, its queue and its own engine
 // (core.ShardInferencer) over the predictor's one published model, so N
-// workers run N forwards in parallel and a hot-swap reaches every shard
+// shards run N forwards in parallel and a hot-swap reaches every shard
 // on its next batch without stalling any. One shard is the same code
 // with N = 1. Because every forward kernel is row-independent
 // (TestGemmRowIndependence, the core batching suite), each request's
@@ -30,7 +30,7 @@ type BatchConfig struct {
 	// matching the default MaxInFlight — one full batch per admission
 	// window).
 	MaxBatch int
-	// MaxDelay is accepted and ignored: the gather is greedy, a worker
+	// MaxDelay is accepted and ignored: the gather is greedy, a leader
 	// serves what is queued and never waits for stragglers. The field
 	// survives only because benchmark/fixture.go:59 sets it (2 ms) and
 	// only a benchmark PR may edit that file; honouring the value would
@@ -46,7 +46,7 @@ func WithBatching(cfg BatchConfig) Option {
 
 // ShardConfig tunes the shard router.
 type ShardConfig struct {
-	// Shards is the worker count; entities hash to a fixed shard
+	// Shards is the shard count; entities hash to a fixed shard
 	// (default 1).
 	Shards int
 }

@@ -218,7 +218,7 @@ func FuzzStreamMatchesCone(f *testing.F) {
 
 // TestStreamUnderConcurrentIngest reads entities while other goroutines
 // ingest into them, so stored forecasts are read (hits, from the
-// readers' goroutines) and written (by the shard workers) under
+// readers' goroutines) and written (by the shard leaders) under
 // concurrent appends to the same rings — the race detector's case. Once ingestion
 // stops, every entity's next reads are bitwise ForecastFrom's.
 func TestStreamUnderConcurrentIngest(t *testing.T) {

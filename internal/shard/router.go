@@ -1,9 +1,11 @@
 package shard
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -23,7 +25,8 @@ type Router struct {
 	anon atomic.Uint64
 }
 
-// New builds the router and starts one worker goroutine per shard.
+// New builds the router. It starts no goroutine: every batch runs on
+// the goroutine of a request it serves (see shard.lead).
 func New(cfg Config) (*Router, error) {
 	if err := cfg.fillDefaults(); err != nil {
 		return nil, err
@@ -67,10 +70,10 @@ func New(cfg Config) (*Router, error) {
 			resolve:  cfg.Resolve,
 			rings:    trace.NewBoundedRingStore(cfg.RingCapacity, perShardMax),
 			log:      cfg.Log,
-			queue:    make(chan *request, queueCap),
-			stop:     make(chan struct{}),
-			stopped:  make(chan struct{}),
 			maxBatch: cfg.MaxBatch,
+			closing:  r.closed,
+			slots:    make(chan struct{}, queueCap),
+			batch:    make([]*request, 0, cfg.MaxBatch),
 			depth:    depth[i],
 			latency:  latency[i],
 			served:   served[i],
@@ -79,7 +82,6 @@ func New(cfg Config) (*Router, error) {
 		}
 		sh.streamer, _ = sh.engine.(Streamer)
 		r.shards[i] = sh
-		go sh.run()
 	}
 	return r, nil
 }
@@ -109,6 +111,14 @@ func shardOf[K string | []byte](r *Router, entity K) *shard {
 // since the entity's last read, the stored forecast answers at once,
 // without queueing.
 func (r *Router) Forecast(entity, model string) Result {
+	return r.ForecastWithin(context.Background(), time.Time{}, entity, model)
+}
+
+// ForecastWithin is Forecast with its wait for the shard bounded by ctx
+// and deadline (zero: none): a request still queued when either ends
+// gives up with ctx.Err() or context.DeadlineExceeded. A batch already
+// running is not interrupted.
+func (r *Router) ForecastWithin(ctx context.Context, deadline time.Time, entity, model string) Result {
 	if r.isClosed() {
 		return Result{Err: ErrClosed}
 	}
@@ -118,11 +128,11 @@ func (r *Router) Forecast(entity, model string) Result {
 			return res
 		}
 	}
-	return sh.forecast(entity, model, nil)
+	return sh.forecast(ctx, deadline, entity, model, nil)
 }
 
 // isClosed lets a request arriving after Close fail fast instead of
-// queueing on a worker that is draining.
+// queueing on a shard that is closing.
 func (r *Router) isClosed() bool {
 	select {
 	case <-r.closed:
@@ -137,8 +147,9 @@ func (r *Router) isClosed() bool {
 // is read, and everything after — batch fusion with that shard's other
 // traffic, panic isolation, generation stamping — is Forecast's. A named
 // entity goes to its own shard; requests naming none are spread
-// round-robin, so with several shards they run on several engines.
-func (r *Router) ForecastPrepared(entity string, in *core.PreparedInput) Result {
+// round-robin, so with several shards they run on several engines. ctx
+// and deadline bound the wait as ForecastWithin's.
+func (r *Router) ForecastPrepared(ctx context.Context, deadline time.Time, entity string, in *core.PreparedInput) Result {
 	if r.isClosed() {
 		return Result{Err: ErrClosed}
 	}
@@ -148,7 +159,7 @@ func (r *Router) ForecastPrepared(entity string, in *core.PreparedInput) Result 
 	} else if n := uint64(len(r.shards)); n > 1 {
 		sh = r.shards[r.anon.Add(1)%n]
 	}
-	return sh.forecast(entity, "", in)
+	return sh.forecast(ctx, deadline, entity, "", in)
 }
 
 // Ingest routes one sample to the owning shard's ring store. Same
@@ -219,17 +230,15 @@ func (r *Router) Status() []Status {
 	return out
 }
 
-// Close stops the workers and waits for them to drain. Requests in
-// flight or still queued are answered with ErrClosed; Close is
-// idempotent and later Forecast calls fail fast.
+// Close marks the router closed and takes every shard's lead, waiting
+// for a batch in flight to finish (its requests are answered for real).
+// Requests still queued are answered with ErrClosed; Close is idempotent
+// and later Forecast calls fail fast.
 func (r *Router) Close() {
 	r.once.Do(func() {
 		close(r.closed)
 		for _, sh := range r.shards {
-			close(sh.stop)
-		}
-		for _, sh := range r.shards {
-			<-sh.stopped
+			sh.close()
 		}
 	})
 }

@@ -1,25 +1,30 @@
 // Package shard routes a fleet of entities across N single-owner
-// serving workers. Every entity hashes to a fixed shard; the shard owns
+// serving shards. Every entity hashes to a fixed shard; the shard owns
 // that entity's ingestion ring, pending-forecast queue, a private
 // micro-batcher and its own engine, so the hot path — ingest a sample,
 // serve a forecast — touches only shard-local state and the per-entity
 // ring locks, never a cross-shard lock. With an engine per shard
 // (core.ShardInferencer, every one reading the predictor's one published
-// model) the N workers run N forwards truly in parallel. One shard is the
+// model) N shards run N forwards truly in parallel. One shard is the
 // same router with N = 1: a configuration, not a code path.
 //
-// The workers are the process's only micro-batcher. A ring-backed
-// request (Forecast) and a stateless one whose window the caller already
-// prepared (ForecastPrepared, the POST /v1/forecast path) queue on the
-// same shard, fuse into the same forward and share one gather policy:
-// greedy — serve whatever is queued the moment the worker picks up the
-// first request, never idle-wait for stragglers.
+// The shards are the process's only micro-batcher, and they have no
+// goroutines: a request that finds its shard idle takes the shard's lead
+// and runs the batch on its own goroutine — its own request plus
+// whatever queued meanwhile — then hands the lead to the first request
+// still queued. A ring-backed request (Forecast) and a stateless one
+// whose window the caller already prepared (ForecastPrepared, the POST
+// /v1/forecast path) queue on the same shard, fuse into the same forward
+// and share one gather policy: greedy — serve whatever is queued the
+// moment the leader starts, never idle-wait for stragglers.
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"log/slog"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -56,7 +61,7 @@ type Streamer interface {
 // multi-model hook, backed by internal/registry in the server. The
 // returned release func is called when the batch that used the engine
 // is done; it may be nil. Resolvers must be safe for concurrent use
-// (each shard worker resolves independently).
+// (each shard's leader resolves independently).
 type Resolver func(model string) (Engine, func(), error)
 
 // Errors surfaced on Result.Err. The server maps ErrUnknownEntity to 404
@@ -68,8 +73,8 @@ var (
 
 // Config configures a Router.
 type Config struct {
-	// Shards is the worker count; every entity hashes to one fixed
-	// shard (default 1).
+	// Shards is the shard count; every entity hashes to one fixed shard
+	// (default 1).
 	Shards int
 	// MaxBatch caps how many pending forecasts fuse into one forward
 	// (default 32).
@@ -90,7 +95,7 @@ type Config struct {
 	// Registry receives the per-shard metrics and the process-wide
 	// rptcn_panics_recovered_total family (default obs.Default()).
 	Registry *obs.Registry
-	// Log receives worker lifecycle and panic reports.
+	// Log receives panic reports.
 	Log *slog.Logger
 }
 
@@ -135,21 +140,44 @@ type Result struct {
 	Panicked bool
 }
 
-// request is one pending forecast in a shard's queue. in is set when
+// A queued request's state: waiting for a leader, taken by one (into
+// its batch, or handed the lead), or abandoned by its caller. The first
+// CAS out of waiting decides.
+const (
+	waiting int32 = iota
+	taken
+	abandoned
+)
+
+// request is one forecast on its way through a shard. in is set when
 // the caller already holds the prepared window (ForecastPrepared); the
-// worker then skips the ring read and serves it on the default engine.
+// leader then skips the ring read and serves it on the default engine.
 type request struct {
 	entity   string
 	model    string
 	in       *core.PreparedInput
-	done     chan Result // buffered 1: the worker never blocks on a gone waiter
 	enqueued time.Time
 	kept     kept // where a ring-backed read's forecast is stored; zero: nowhere
+
+	// res is the answer, written by the leader whose batch holds the
+	// request; answered marks it, for that leader alone.
+	res      Result
+	answered bool
+	// done wakes a queued request's caller (buffered 1, so a leader never
+	// blocks on it): with res written, or with lead set — the lead was
+	// handed here and the caller runs the next batch. A leader's own
+	// request never queues and has none.
+	done  chan struct{}
+	lead  bool
+	state atomic.Int32
 }
 
-// shard is one worker: its entities' rings, its pending-forecast queue,
-// and the batcher loop that drains it. Single consumer — the worker
-// goroutine owns the engine, so engines need no synchronization (a
+// shard is one slice of the fleet: its entities' rings, its queue of
+// pending forecasts and its engine. It has no goroutine of its own: a
+// request that finds the shard idle takes its lead and runs one batch —
+// its own request and whatever is queued — on its caller's goroutine,
+// then hands the lead to the first queued request. One goroutine holds
+// the lead at a time, so the engine needs no synchronization (a
 // Streamer's StreamHit is safe from any goroutine).
 type shard struct {
 	id       int
@@ -158,11 +186,28 @@ type shard struct {
 	resolve  Resolver
 	rings    *trace.RingStore
 	log      *slog.Logger
-
-	queue    chan *request
-	stop     chan struct{}
-	stopped  chan struct{}
 	maxBatch int
+	closing  <-chan struct{} // the router's, closed by Close
+
+	// mu guards the lead and the queue. leading is true while a request
+	// goroutine runs a batch, and for good once Close took the lead; idle,
+	// when Close waits for a leader, is closed as that leader lets go.
+	mu      sync.Mutex
+	leading bool
+	closed  bool
+	idle    chan struct{}
+	queue   [queueCap]*request // FIFO ring, n from head
+	head, n int
+	// callers counts the requests inside forecast, the lead holder's
+	// included.
+	callers atomic.Int32
+	// slots holds a token per queued request: a producer that finds
+	// queueCap queued blocks for one.
+	slots chan struct{}
+
+	// Scratch of the lead, reused batch to batch.
+	batch  []*request
+	groups []engineGroup
 
 	// Accounting. requests/batches are atomics because Status() reads
 	// them from other goroutines; the digest needs a lock for the same
@@ -180,87 +225,197 @@ type shard struct {
 	streams [2]*obs.Counter
 }
 
-// forecast enqueues one request and blocks for its result.
-func (sh *shard) forecast(entity, model string, in *core.PreparedInput) Result {
-	r := &request{entity: entity, model: model, in: in, done: make(chan Result, 1), enqueued: time.Now()}
-	sh.depth.Inc()
+// forecast serves one request: at once, as the shard's leader, when the
+// shard is idle, else from the queue (see wait).
+func (sh *shard) forecast(ctx context.Context, deadline time.Time, entity, model string, in *core.PreparedInput) Result {
+	sh.callers.Add(1)
+	defer sh.callers.Add(-1)
+	r := &request{entity: entity, model: model, in: in, enqueued: time.Now()}
+	sh.mu.Lock()
+	switch {
+	case sh.closed:
+		sh.mu.Unlock()
+		return Result{Err: ErrClosed}
+	case !sh.leading:
+		sh.leading = true
+		sh.mu.Unlock()
+		sh.lead(r)
+		return r.res
+	}
+	sh.mu.Unlock()
+	return sh.wait(ctx, deadline, r)
+}
+
+// wait queues r behind the shard's leader and blocks until a leader
+// answers it or hands it the lead. ctx and deadline (zero: none) bound
+// the wait: a request that gives them up before a leader took it is
+// abandoned — leaders skip it — and answers ctx.Err() or
+// context.DeadlineExceeded. One a leader took first is waited for: its
+// answer, or the batch it was handed, comes promptly.
+func (sh *shard) wait(ctx context.Context, deadline time.Time, r *request) Result {
+	var expired <-chan time.Time
+	if !deadline.IsZero() {
+		t := time.NewTimer(time.Until(deadline))
+		defer t.Stop()
+		expired = t.C
+	}
 	select {
-	case sh.queue <- r:
-	case <-sh.stopped:
-		sh.depth.Dec()
+	case sh.slots <- struct{}{}:
+	case <-ctx.Done():
+		return Result{Err: ctx.Err()}
+	case <-expired:
+		return Result{Err: context.DeadlineExceeded}
+	case <-sh.closing:
 		return Result{Err: ErrClosed}
 	}
+	r.done = make(chan struct{}, 1)
+	sh.mu.Lock()
+	switch {
+	case sh.closed:
+		sh.mu.Unlock()
+		<-sh.slots
+		return Result{Err: ErrClosed}
+	case !sh.leading:
+		// The leader let go while this request waited for its slot.
+		sh.leading = true
+		sh.mu.Unlock()
+		<-sh.slots
+		sh.lead(r)
+		return r.res
+	}
+	sh.queue[(sh.head+sh.n)%queueCap] = r
+	sh.n++
+	sh.depth.Inc()
+	sh.mu.Unlock()
 	select {
-	case res := <-r.done:
-		return res
-	case <-sh.stopped:
-		// The worker may have answered in the same instant it shut
-		// down; prefer a real answer over the shutdown error.
-		select {
-		case res := <-r.done:
-			return res
-		default:
-			return Result{Err: ErrClosed}
+	case <-r.done:
+	case <-ctx.Done():
+		if r.state.CompareAndSwap(waiting, abandoned) {
+			return Result{Err: ctx.Err()}
 		}
+		<-r.done
+	case <-expired:
+		if r.state.CompareAndSwap(waiting, abandoned) {
+			return Result{Err: context.DeadlineExceeded}
+		}
+		<-r.done
 	}
+	if r.lead {
+		sh.lead(r)
+	}
+	return r.res
 }
 
-// run is the worker loop: block for the first pending forecast, gather
-// batch-mates, serve the fused batch, repeat. The gather is greedy —
-// take everything already queued (up to maxBatch) and go; clients
-// blocked on earlier batches re-enqueue while a batch computes, so the
-// backlog the worker finds on its next pass is the natural batch and the
-// worker never parks with work pending. (Idle-waiting a delay for
-// stragglers measured at under half the throughput at the fleet
-// operating point and put the whole delay on every lone request; see
-// EXPERIMENTS.md, "Fleet sharding on one core".)
-func (sh *shard) run() {
-	defer close(sh.stopped)
-	batch := make([]*request, 0, sh.maxBatch)
-	for {
-		var first *request
-		select {
-		case first = <-sh.queue:
-		case <-sh.stop:
-			sh.drain()
-			return
-		}
-		batch = sh.gatherGreedy(append(batch[:0], first))
-		sh.runBatch(batch)
-		select {
-		case <-sh.stop:
-			sh.drain()
-			return
-		default:
-		}
+// lead runs the one batch the lead holder is part of: r, plus what is
+// queued when it starts — the greedy gather: take everything already
+// waiting (up to maxBatch) and go, never idle-wait for stragglers.
+// Callers blocked on earlier batches queue again while a batch computes,
+// so the backlog the next leader finds is the natural batch. (Waiting a
+// delay for stragglers measured at under half the throughput at the
+// fleet operating point and put the whole delay on every lone request;
+// see EXPERIMENTS.md, "Fleet sharding on one core".) It then hands the
+// lead on, yielding its P when other callers are in the shard. Every
+// member is answered even if the batch panics outside an engine's
+// forward.
+func (sh *shard) lead(r *request) {
+	batch := append(sh.batch[:0], r)
+	sh.mu.Lock()
+	if sh.closed {
+		// Close came while the lead was being handed to r: Close waits
+		// for this holder, which starts no new batch.
+		sh.mu.Unlock()
+		r.res = Result{Err: ErrClosed}
+		sh.handOff()
+		return
 	}
-}
-
-// gatherGreedy drains the queue non-blocking up to maxBatch.
-func (sh *shard) gatherGreedy(batch []*request) []*request {
 	for len(batch) < sh.maxBatch {
-		select {
-		case r := <-sh.queue:
-			batch = append(batch, r)
-		default:
-			return batch
+		q := sh.pop()
+		if q == nil {
+			break
 		}
+		batch = append(batch, q)
 	}
-	return batch
+	sh.mu.Unlock()
+	sh.runBatchRecovered(batch)
+	clear(batch)
+	sh.batch = batch[:0]
+	sh.handOff()
+	// A leader never blocks. While other callers are inside the shard —
+	// batch-mates it just answered have yet to run — one that went on to
+	// lead its caller's next request, and the next, would keep its P
+	// until preempted while they wait: yield once. A lone caller does
+	// not, and leaves what else is runnable (the collector, the quality
+	// engine) for when its request is done.
+	if sh.callers.Load() > 1 {
+		runtime.Gosched()
+	}
 }
 
-// drain answers everything still queued with ErrClosed (worker
-// goroutine only, after stop).
-func (sh *shard) drain() {
-	for {
-		select {
-		case r := <-sh.queue:
-			sh.depth.Dec()
-			r.done <- Result{Err: ErrClosed}
-		default:
-			return
+// pop takes the first queued request a leader can still have, skipping
+// abandoned ones, or returns nil (mu held).
+func (sh *shard) pop() *request {
+	for sh.n > 0 {
+		r := sh.queue[sh.head]
+		sh.queue[sh.head] = nil
+		sh.head = (sh.head + 1) % queueCap
+		sh.n--
+		<-sh.slots // r's own token: never blocks
+		sh.depth.Dec()
+		if r.state.CompareAndSwap(waiting, taken) {
+			return r
 		}
 	}
+	return nil
+}
+
+// handOff lets go of the lead: to the first queued request, which runs
+// the next batch, or — with none queued — back to idle. After Close it
+// answers every queued request ErrClosed instead and keeps the lead.
+func (sh *shard) handOff() {
+	sh.mu.Lock()
+	if sh.closed {
+		sh.refuseQueued()
+		if sh.idle != nil {
+			close(sh.idle)
+		}
+		sh.mu.Unlock()
+		return
+	}
+	next := sh.pop()
+	if next == nil {
+		sh.leading = false
+	}
+	sh.mu.Unlock()
+	if next != nil {
+		next.lead = true
+		next.done <- struct{}{}
+	}
+}
+
+// refuseQueued answers everything still queued with ErrClosed (mu held,
+// after Close).
+func (sh *shard) refuseQueued() {
+	for r := sh.pop(); r != nil; r = sh.pop() {
+		r.res = Result{Err: ErrClosed}
+		r.done <- struct{}{} // its first and only send: never blocks
+	}
+}
+
+// close marks the shard closed and takes its lead — once the batch in
+// flight, if any, is done — answering every queued request ErrClosed.
+func (sh *shard) close() {
+	sh.mu.Lock()
+	sh.closed = true
+	if sh.leading {
+		idle := make(chan struct{})
+		sh.idle = idle
+		sh.mu.Unlock()
+		<-idle
+		return
+	}
+	sh.leading = true
+	sh.refuseQueued()
+	sh.mu.Unlock()
 }
 
 // engineGroup collects the batch members served by one engine, in
@@ -280,6 +435,26 @@ type kept struct {
 	total int
 }
 
+// runBatchRecovered runs one batch; a panic outside an engine's forward
+// (runGroup isolates those) answers every member not yet answered
+// Panicked, ticks rptcn_panics_recovered_total once, and leaves the lead
+// to be handed on.
+func (sh *shard) runBatchRecovered(reqs []*request) {
+	defer func() {
+		if p := recover(); p != nil {
+			sh.panics.Inc()
+			sh.log.Error("panic recovered in shard batch",
+				"shard", sh.id, "batch", len(reqs), "panic", p, "stack", string(debug.Stack()))
+			for _, r := range reqs {
+				if !r.answered {
+					sh.answer(r, Result{Panicked: true})
+				}
+			}
+		}
+	}()
+	sh.runBatch(reqs)
+}
+
 // runBatch serves one fused batch: read each entity's ring window and
 // prepare it (a request that arrived prepared skips both), group by
 // engine (the default engine plus any resolved models), run one forward
@@ -287,33 +462,47 @@ type kept struct {
 // short history, unknown model) are answered individually and never
 // poison batch-mates; an engine panic poisons only that engine's group.
 func (sh *shard) runBatch(reqs []*request) {
-	sh.depth.Add(-float64(len(reqs)))
 	sh.batches.Add(1)
 	sh.requests.Add(uint64(len(reqs)))
 
-	groups := make([]*engineGroup, 0, 2)
+	groups := sh.groups[:0]
+	defer func() {
+		for i := range groups {
+			g := &groups[i]
+			if g.release != nil {
+				g.release()
+			}
+			clear(g.reqs)
+			clear(g.inputs)
+			*g = engineGroup{reqs: g.reqs[:0], inputs: g.inputs[:0]}
+		}
+		sh.groups = groups[:0]
+	}()
 	groupOf := func(model string) (*engineGroup, error) {
-		var eng Engine
+		eng := sh.engine
 		var release func()
-		if model == "" || sh.resolve == nil {
-			eng = sh.engine
-		} else {
+		if model != "" && sh.resolve != nil {
 			var err error
 			eng, release, err = sh.resolve(model)
 			if err != nil {
 				return nil, err
 			}
 		}
-		for _, g := range groups {
-			if g.engine == eng {
+		for i := range groups {
+			if groups[i].engine == eng {
 				if release != nil {
 					release() // group already holds a reference
 				}
-				return g, nil
+				return &groups[i], nil
 			}
 		}
-		g := &engineGroup{engine: eng, release: release}
-		groups = append(groups, g)
+		if len(groups) < cap(groups) {
+			groups = groups[:len(groups)+1]
+		} else {
+			groups = append(groups, engineGroup{})
+		}
+		g := &groups[len(groups)-1]
+		g.engine, g.release = eng, release
 		return g, nil
 	}
 
@@ -360,11 +549,8 @@ func (sh *shard) runBatch(reqs []*request) {
 		}
 	}
 
-	for _, g := range groups {
-		sh.runGroup(g)
-		if g.release != nil {
-			g.release()
-		}
+	for i := range groups {
+		sh.runGroup(&groups[i])
 	}
 }
 
@@ -442,10 +628,14 @@ func (sh *shard) runGroup(g *engineGroup) {
 }
 
 // answer completes one request and records its end-to-end shard latency
-// (enqueue → answered).
+// (arrival → answered). A queued request's caller may read r as soon as
+// done is sent, so nothing writes r after.
 func (sh *shard) answer(r *request, res Result) {
 	sh.observe(time.Since(r.enqueued))
-	r.done <- res
+	r.res, r.answered = res, true
+	if r.done != nil {
+		r.done <- struct{}{}
+	}
 }
 
 // observe records one answered forecast's shard latency.
@@ -482,10 +672,13 @@ type StreamStatus struct {
 }
 
 func (sh *shard) status() Status {
+	sh.mu.Lock()
+	queued := sh.n
+	sh.mu.Unlock()
 	st := Status{
 		Shard:      sh.id,
 		Entities:   sh.rings.Len(),
-		QueueDepth: len(sh.queue),
+		QueueDepth: queued,
 		Evicted:    sh.rings.Evicted(),
 		Requests:   sh.requests.Load(),
 		Batches:    sh.batches.Load(),

@@ -1,10 +1,14 @@
 package shard
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -132,10 +136,11 @@ func requireBitwise(t *testing.T, name string, got, want []float64) {
 }
 
 // parkEngine serves through a real predictor, but its first forward
-// signals entered and then waits for release — parking the worker so a
-// test can queue a known backlog behind it and force the next pass to
-// fuse it. sizes records every batch (read it only after the answers
-// are in); with boom set, every forward after the first panics.
+// signals entered and then waits for release — parking the leader inside
+// its batch so a test can queue a known backlog behind it and force the
+// next leader to fuse it. sizes records every batch (read it only after
+// the answers are in); with boom set, every forward after the first
+// panics.
 type parkEngine struct {
 	*core.Predictor
 	entered, release chan struct{}
@@ -158,10 +163,18 @@ func (pe *parkEngine) ForecastBatchGen(in []*core.PreparedInput) ([][]float64, i
 	return pe.Predictor.ForecastBatchGen(in)
 }
 
-// queueBehindParked sends one request that parks shard 0's worker inside
-// pe, then n more (submit(i), concurrently) and waits until all n sit in
-// the queue. It returns once they do; wait() collects the n results after
-// the caller has released the engine (or closed the router).
+// queued reads how many requests wait in sh's queue.
+func (sh *shard) queued() int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.n
+}
+
+// queueBehindParked sends one request that takes shard 0's lead and
+// parks inside pe, then n more (submit(i), concurrently) and waits until
+// all n sit in the queue. It returns once they do; wait() collects the n
+// results after the caller has released the engine (or closed the
+// router).
 func queueBehindParked(t *testing.T, r *Router, pe *parkEngine, n int, first func() Result,
 	submit func(i int) Result) (firstRes <-chan Result, wait func() []Result) {
 	t.Helper()
@@ -177,9 +190,10 @@ func queueBehindParked(t *testing.T, r *Router, pe *parkEngine, n int, first fun
 			out[i] = submit(i)
 		}(i)
 	}
-	for deadline := time.Now().Add(10 * time.Second); len(r.shards[0].queue) < n; {
+	sh := r.shards[0]
+	for deadline := time.Now().Add(10 * time.Second); sh.queued() < n; {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d requests queued behind the parked worker", len(r.shards[0].queue), n)
+			t.Fatalf("only %d of %d requests queued behind the parked leader", sh.queued(), n)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -341,7 +355,7 @@ func (pe panicEngine) ForecastBatchGen([]*core.PreparedInput) ([][]float64, int6
 
 // TestEnginePanicIsIsolated pins fault isolation: a panicking resolved
 // engine poisons only its own group — the same batch's default-engine
-// requests still answer normally, and the worker survives — and each
+// requests still answer normally, and the shard keeps serving — and each
 // recovered group is one tick of rptcn_panics_recovered_total, however
 // many waiters it held.
 func TestEnginePanicIsIsolated(t *testing.T) {
@@ -358,7 +372,7 @@ func TestEnginePanicIsIsolated(t *testing.T) {
 	if got := panics.Value(); got != 1 {
 		t.Fatalf("panics recovered = %g after one poisoned group, want 1", got)
 	}
-	// The worker is still alive and the default engine unaffected.
+	// The shard still serves and the default engine is unaffected.
 	res := r.Forecast(e.ID, "")
 	if res.Err != nil || res.Panicked {
 		t.Fatalf("post-panic default forecast = %+v", res)
@@ -375,8 +389,8 @@ func TestEnginePanicIsIsolated(t *testing.T) {
 		in := preparedTail(t, p, e)
 		const n = 4
 		first, wait := queueBehindParked(t, r, pe, n,
-			func() Result { return r.ForecastPrepared("", in) },
-			func(int) Result { return r.ForecastPrepared("", in) })
+			func() Result { return r.ForecastPrepared(context.Background(), time.Time{}, "", in) },
+			func(int) Result { return r.ForecastPrepared(context.Background(), time.Time{}, "", in) })
 		close(pe.release)
 		if res := <-first; res.Err != nil || res.Panicked {
 			t.Fatalf("parked request = %+v", res)
@@ -418,11 +432,11 @@ func TestCloseDrains(t *testing.T) {
 	if res := r.Forecast(e.ID, ""); !errors.Is(res.Err, ErrClosed) {
 		t.Fatalf("post-close forecast error = %v", res.Err)
 	}
-	if res := r.ForecastPrepared("", preparedTail(t, p, e)); !errors.Is(res.Err, ErrClosed) {
+	if res := r.ForecastPrepared(context.Background(), time.Time{}, "", preparedTail(t, p, e)); !errors.Is(res.Err, ErrClosed) {
 		t.Fatalf("post-close prepared forecast error = %v", res.Err)
 	}
 
-	// Close with the worker mid-forward and prepared inputs queued behind
+	// Close with the leader mid-forward and prepared inputs queued behind
 	// it: the forward in flight is answered for real, every queued request
 	// gets ErrClosed, none is dropped or answered twice.
 	t.Run("PreparedInFlight", func(t *testing.T) {
@@ -430,11 +444,18 @@ func TestCloseDrains(t *testing.T) {
 		r := newRouter(t, p, 1, func(c *Config) { c.Engines = []Engine{pe} })
 		in := preparedTail(t, p, e)
 		first, wait := queueBehindParked(t, r, pe, 4,
-			func() Result { return r.ForecastPrepared(e.ID, in) },
-			func(int) Result { return r.ForecastPrepared("", in) })
+			func() Result { return r.ForecastPrepared(context.Background(), time.Time{}, e.ID, in) },
+			func(int) Result { return r.ForecastPrepared(context.Background(), time.Time{}, "", in) })
 		closed := make(chan struct{})
 		go func() { r.Close(); close(closed) }()
-		<-r.shards[0].stop // Close has told the worker; now let it see that
+		for sh := r.shards[0]; ; time.Sleep(time.Millisecond) {
+			sh.mu.Lock()
+			marked := sh.closed
+			sh.mu.Unlock()
+			if marked {
+				break // Close waits for the leader; now let it finish
+			}
+		}
 		close(pe.release)
 		res := <-first
 		if res.Err != nil {
@@ -448,7 +469,54 @@ func TestCloseDrains(t *testing.T) {
 		}
 		<-closed
 		if len(pe.sizes) != 1 {
-			t.Fatalf("worker ran %v after Close, want only the batch in flight", pe.sizes)
+			t.Fatalf("leaders ran %v after Close, want only the batch in flight", pe.sizes)
+		}
+	})
+
+	// Close lands between a leader's hand-off and the moment the request
+	// it handed the lead to starts: that request runs no batch — it
+	// answers ErrClosed, refuses the rest of the queue and lets Close
+	// return. The test holds the lead and plays the handing leader.
+	t.Run("HandedLeadAfterClose", func(t *testing.T) {
+		r := newRouter(t, p, 1)
+		in := preparedTail(t, p, e)
+		sh := r.shards[0]
+		sh.mu.Lock()
+		sh.leading = true
+		sh.mu.Unlock()
+		out := make([]Result, 2)
+		var wg sync.WaitGroup
+		for i := range out {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				out[i] = r.ForecastPrepared(context.Background(), time.Time{}, "", in)
+			}()
+		}
+		for sh.queued() < len(out) {
+			time.Sleep(time.Millisecond)
+		}
+		sh.mu.Lock()
+		next := sh.pop()
+		sh.mu.Unlock()
+		closed := make(chan struct{})
+		go func() { r.Close(); close(closed) }()
+		for marked := false; !marked; time.Sleep(time.Millisecond) {
+			sh.mu.Lock()
+			marked = sh.closed
+			sh.mu.Unlock()
+		}
+		next.lead = true
+		next.done <- struct{}{}
+		wg.Wait()
+		<-closed
+		for i, res := range out {
+			if !errors.Is(res.Err, ErrClosed) {
+				t.Fatalf("request %d = %+v, want ErrClosed", i, res)
+			}
+		}
+		if b := sh.batches.Load(); b != 0 {
+			t.Fatalf("%d batches ran after Close", b)
 		}
 	})
 }
@@ -510,10 +578,10 @@ func TestConcurrentFleetServing(t *testing.T) {
 		in := preparedTail(t, p, e)
 		const n = 8
 		first, wait := queueBehindParked(t, r, pe, n,
-			func() Result { return r.ForecastPrepared("", in) },
+			func() Result { return r.ForecastPrepared(context.Background(), time.Time{}, "", in) },
 			func(i int) Result {
 				if i%2 == 0 {
-					return r.ForecastPrepared("anyone", in)
+					return r.ForecastPrepared(context.Background(), time.Time{}, "anyone", in)
 				}
 				return r.Forecast(e.ID, "")
 			})
@@ -547,7 +615,7 @@ func TestPreparedRouting(t *testing.T) {
 	const named = 5
 	owner := shardOf(r, "c_42")
 	for i := 0; i < named; i++ {
-		res := r.ForecastPrepared("c_42", in)
+		res := r.ForecastPrepared(context.Background(), time.Time{}, "c_42", in)
 		if res.Err != nil || res.Gen != 1 {
 			t.Fatalf("named prepared forecast = %+v", res)
 		}
@@ -565,7 +633,7 @@ func TestPreparedRouting(t *testing.T) {
 	}
 
 	for i := 0; i < 2*r.Shards(); i++ {
-		res := r.ForecastPrepared("", in)
+		res := r.ForecastPrepared(context.Background(), time.Time{}, "", in)
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
@@ -576,4 +644,179 @@ func TestPreparedRouting(t *testing.T) {
 			t.Fatalf("anonymous requests not spread evenly: shard %d served %d", st.Shard, got)
 		}
 	}
+}
+
+// TestLeaderHandoffAnswersEveryRequest drives 64 clients through 1- and
+// 2-shard routers with no goroutine of their own: prepared windows and
+// first reads of ring-backed entities (each a refill through a batch),
+// every fifth request with a 1 ms deadline and every fifth with a
+// canceled context, and Close landing mid-run. Every request returns
+// once, as a forecast bitwise ForecastFrom's, ErrClosed, or the error of
+// the bound it gave up on; batches fuse; and no goroutine outlives the
+// router.
+func TestLeaderHandoffAnswersEveryRequest(t *testing.T) {
+	p, _, e := fitted(t)
+	in := preparedTail(t, p, e)
+	want := directForecast(t, p, e)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			const clients, rounds = 64, 8
+			holds := make([]*holdEngine, shards)
+			r := newRouter(t, p, shards, func(c *Config) {
+				c.MaxEntities = clients * rounds
+				for i := range c.Engines {
+					holds[i] = &holdEngine{ShardInferencer: p.NewShardInferencer()}
+					c.Engines[i] = holds[i]
+				}
+			})
+			for i, h := range holds {
+				h.sh = r.shards[i]
+			}
+			for c := 0; c < clients; c++ {
+				for i := 1; i < rounds; i += 2 {
+					feed(r, e, fmt.Sprintf("h%d_%d", c, i), p.MinHistory())
+				}
+			}
+			canceled, cancel := context.WithCancel(context.Background())
+			cancel()
+			var served, refused, gaveUp atomic.Int64
+			var wg sync.WaitGroup
+			start := make(chan struct{})
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					<-start
+					for i := 0; i < rounds; i++ {
+						ctx, deadline := context.Background(), time.Time{}
+						switch (c*rounds + i) % 5 {
+						case 3:
+							deadline = time.Now().Add(time.Millisecond)
+						case 4:
+							ctx = canceled
+						}
+						var res Result
+						if i%2 == 0 {
+							res = r.ForecastPrepared(ctx, deadline, "", in)
+						} else {
+							res = r.ForecastWithin(ctx, deadline, fmt.Sprintf("h%d_%d", c, i), "")
+						}
+						switch {
+						case res.Err == nil && !res.Panicked:
+							if !slices.Equal(res.Forecast, want) {
+								t.Errorf("client %d round %d: %v, want %v", c, i, res.Forecast, want)
+							}
+							served.Add(1)
+						case errors.Is(res.Err, ErrClosed):
+							refused.Add(1)
+						case errors.Is(res.Err, context.Canceled) || errors.Is(res.Err, context.DeadlineExceeded):
+							gaveUp.Add(1)
+						default:
+							t.Errorf("client %d round %d: %+v", c, i, res)
+						}
+					}
+				}(c)
+			}
+			close(start)
+			for served.Load() < clients*rounds/2 && served.Load()+gaveUp.Load() < clients*rounds {
+				time.Sleep(50 * time.Microsecond)
+			}
+			r.Close()
+			wg.Wait()
+
+			t.Logf("%d served, %d refused, %d gave up", served.Load(), refused.Load(), gaveUp.Load())
+			if n := served.Load() + refused.Load() + gaveUp.Load(); n != clients*rounds {
+				t.Fatalf("%d answers for %d requests (%d served, %d refused, %d gave up)",
+					n, clients*rounds, served.Load(), refused.Load(), gaveUp.Load())
+			}
+			var requests, batches uint64
+			for _, st := range r.Status() {
+				requests += st.Requests
+				batches += st.Batches
+				if st.QueueDepth != 0 {
+					t.Fatalf("shard %d left %d queued", st.Shard, st.QueueDepth)
+				}
+			}
+			if requests != uint64(served.Load()) {
+				t.Fatalf("shards ran %d requests, %d were served", requests, served.Load())
+			}
+			for i, sh := range r.shards {
+				if n := sh.callers.Load(); n != 0 {
+					t.Fatalf("shard %d counts %d callers after every request returned", i, n)
+				}
+			}
+			if batches >= requests {
+				t.Fatalf("%d batches for %d requests: nothing fused", batches, requests)
+			}
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Close, %d before the router", runtime.NumGoroutine(), base)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// holdEngine is a shard's engine whose first forward waits until 16
+// requests queue behind it (or a second passes), so that the batches
+// after it fuse however the scheduler runs the clients.
+type holdEngine struct {
+	*core.ShardInferencer
+	sh   *shard
+	held bool
+}
+
+func (h *holdEngine) ForecastBatchGen(in []*core.PreparedInput) ([][]float64, int64, error) {
+	if !h.held {
+		h.held = true
+		for deadline := time.Now().Add(time.Second); h.sh.queued() < 16 && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
+		}
+	}
+	return h.ShardInferencer.ForecastBatchGen(in)
+}
+
+// TestBatchPanicAnswersEveryMember: a panic in a batch outside an
+// engine's forward — here the Resolver of a ring-backed read — answers
+// every member of that batch Panicked, the prepared windows queued with
+// it included, ticks rptcn_panics_recovered_total once, and hands the
+// lead on: the shard serves the next request.
+func TestBatchPanicAnswersEveryMember(t *testing.T) {
+	p, _, e := fitted(t)
+	pe := newParkEngine(p)
+	reg := obs.NewRegistry()
+	resolve := func(string) (Engine, func(), error) { panic("resolver fault") }
+	r := newRouter(t, p, 1, func(c *Config) {
+		c.Engines, c.Registry, c.Resolve, c.Log = []Engine{pe}, reg, resolve, obs.NopLogger()
+	})
+	feed(r, e, e.ID, 2*p.MinHistory())
+	in := preparedTail(t, p, e)
+	const n = 6
+	first, wait := queueBehindParked(t, r, pe, n,
+		func() Result { return r.ForecastPrepared(context.Background(), time.Time{}, "", in) },
+		func(i int) Result {
+			if i == n/2 {
+				return r.Forecast(e.ID, "boom")
+			}
+			return r.ForecastPrepared(context.Background(), time.Time{}, "", in)
+		})
+	close(pe.release)
+	if res := <-first; res.Err != nil || res.Panicked {
+		t.Fatalf("parked request = %+v", res)
+	}
+	for i, res := range wait() {
+		if !res.Panicked {
+			t.Fatalf("batch member %d = %+v, want Panicked", i, res)
+		}
+	}
+	if got := reg.Counter("rptcn_panics_recovered_total", "").Value(); got != 1 {
+		t.Fatalf("panics recovered = %g for one batch, want 1", got)
+	}
+	res := r.ForecastPrepared(context.Background(), time.Time{}, "", in)
+	if res.Err != nil || res.Panicked {
+		t.Fatalf("forecast after the panicked batch = %+v", res)
+	}
+	requireBitwise(t, "after the panicked batch", res.Forecast, directForecast(t, p, e))
 }
