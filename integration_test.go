@@ -33,7 +33,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err := trace.WriteCSV(&csvBuf, []*trace.EntitySeries{entity}); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := trace.ReadCSV(&csvBuf, trace.Container)
+	loaded, _, err := trace.ReadCSVStats(&csvBuf, trace.Container)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestTracegenCLIProducesValidCSV(t *testing.T) {
 	if err != nil {
 		t.Fatalf("tracegen: %v", err)
 	}
-	entities, err := trace.ReadCSV(bytes.NewReader(out), trace.Machine)
+	entities, _, err := trace.ReadCSVStats(bytes.NewReader(out), trace.Machine)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,9 +9,7 @@ package arima
 import (
 	"errors"
 	"fmt"
-	"math"
 
-	"repro/internal/linalg"
 	"repro/internal/optim"
 	"repro/internal/stats"
 )
@@ -101,7 +99,63 @@ func yuleWalker(w []float64, p int) ([]float64, error) {
 	acf := stats.ACF(w, p)
 	b := make([]float64, p)
 	copy(b, acf[1:])
-	return linalg.SolveToeplitz(acf[:p], b)
+	return solveToeplitz(acf[:p], b)
+}
+
+// errSingular is returned when a system is singular or numerically
+// unsolvable at working precision.
+var errSingular = errors.New("arima: matrix is singular to working precision")
+
+// solveToeplitz solves the symmetric Toeplitz system T·x = b where T is
+// defined by its first row r (the Levinson–Durbin recursion). It is used by
+// the Yule–Walker equations for AR start values.
+func solveToeplitz(r, b []float64) ([]float64, error) {
+	n := len(b)
+	if len(r) < n {
+		return nil, errors.New("arima: solveToeplitz needs len(r) >= len(b)")
+	}
+	if r[0] == 0 {
+		return nil, errSingular
+	}
+	x := make([]float64, n)
+	// Forward vector for the Levinson recursion.
+	f := make([]float64, n)
+	f[0] = 1 / r[0]
+	x[0] = b[0] / r[0]
+	for k := 1; k < n; k++ {
+		// epsilon_f = sum r[k-i]*f[i] over i in [0,k)
+		ef := 0.0
+		for i := 0; i < k; i++ {
+			ef += r[k-i] * f[i]
+		}
+		denom := 1 - ef*ef
+		if denom == 0 {
+			return nil, errSingular
+		}
+		// Update forward vector (symmetric Toeplitz: backward = reversed forward).
+		newF := make([]float64, k+1)
+		for i := 0; i <= k; i++ {
+			var fi, bi float64
+			if i < k {
+				fi = f[i]
+			}
+			if i > 0 {
+				bi = f[k-i] // backward vector entry
+			}
+			newF[i] = (fi - ef*bi) / denom
+		}
+		f = newF
+		// epsilon_x = sum r[k-i]*x[i]
+		ex := 0.0
+		for i := 0; i < k; i++ {
+			ex += r[k-i] * x[i]
+		}
+		// x update with backward vector (reverse of f).
+		for i := 0; i <= k; i++ {
+			x[i] += (b[k] - ex) * f[k-i]
+		}
+	}
+	return x, nil
 }
 
 // css computes the conditional sum of squares for the parameter vector
@@ -256,38 +310,4 @@ func (m *Model) RollingForecast(actuals []float64) []float64 {
 		m.Update(a)
 	}
 	return out
-}
-
-// SelectOrder picks (p,q) ∈ [1,maxP]×[0,maxQ] minimizing AIC-like
-// CSS·n + 2k on the d-differenced series. It is a light-weight stand-in
-// for auto-ARIMA order selection.
-func SelectOrder(series []float64, d, maxP, maxQ int) Config {
-	best := Config{P: 1, D: d, Q: 0}
-	bestScore := 0.0
-	first := true
-	w := stats.Diff(series, d)
-	n := float64(len(w))
-	for p := 1; p <= maxP; p++ {
-		for q := 0; q <= maxQ; q++ {
-			cfg := Config{P: p, D: d, Q: q}
-			m, err := Fit(series, cfg)
-			if err != nil {
-				continue
-			}
-			rss := 0.0
-			for _, e := range m.e {
-				rss += e * e
-			}
-			if rss <= 0 {
-				rss = 1e-12
-			}
-			score := n*math.Log(rss/n) + 2*float64(p+q+1)
-			if first || score < bestScore {
-				first = false
-				bestScore = score
-				best = cfg
-			}
-		}
-	}
-	return best
 }

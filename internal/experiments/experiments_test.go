@@ -177,10 +177,6 @@ func TestRunTableIIStructureAndSanity(t *testing.T) {
 	if got := strings.Count(csv, "\n"); got != 1+2*(5+4+4) {
 		t.Fatalf("CSV rows = %d", got)
 	}
-	name, best := res.Best(core.MulExp, trace.Machine)
-	if name == "" || best.MSE <= 0 {
-		t.Fatal("Best returned nothing")
-	}
 }
 
 func TestRunFig8MutationTracked(t *testing.T) {

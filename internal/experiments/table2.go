@@ -156,19 +156,3 @@ func (t *TableII) CSV() string {
 	}
 	return b.String()
 }
-
-// Best returns the model with the lowest MSE for a scenario and kind.
-func (t *TableII) Best(sc core.Scenario, kind trace.EntityKind) (ModelName, Cell) {
-	var bestName ModelName
-	var best Cell
-	first := true
-	for _, name := range tableIIModels(sc) {
-		c := t.Results[sc][name][kind]
-		if first || c.MSE < best.MSE {
-			first = false
-			best = c
-			bestName = name
-		}
-	}
-	return bestName, best
-}

@@ -81,9 +81,6 @@ type Model struct {
 	trees []*node
 }
 
-// NTrees returns the number of boosted trees.
-func (m *Model) NTrees() int { return len(m.trees) }
-
 // Fit trains the ensemble for squared-error regression. X is row-major
 // [n][features]; y has length n.
 func Fit(X [][]float64, y []float64, cfg Config) (*Model, error) {

@@ -191,7 +191,7 @@ func TestLearningRateShrinkage(t *testing.T) {
 func TestNTrees(t *testing.T) {
 	X, y := makeRegression(50, 12, func(x []float64) float64 { return x[0] })
 	m, _ := Fit(X, y, Config{Rounds: 17})
-	if m.NTrees() != 17 {
-		t.Fatalf("NTrees = %d, want 17", m.NTrees())
+	if len(m.trees) != 17 {
+		t.Fatalf("%d trees, want 17", len(m.trees))
 	}
 }

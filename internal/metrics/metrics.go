@@ -1,5 +1,5 @@
 // Package metrics implements the evaluation metrics of the paper
-// (MSE, eq. 9; MAE, eq. 10) plus the common companions RMSE, MAPE and R².
+// (MSE, eq. 9; MAE, eq. 10).
 package metrics
 
 import "math"
@@ -31,53 +31,6 @@ func MAE(y, yhat []float64) float64 {
 		s += math.Abs(y[i] - yhat[i])
 	}
 	return s / float64(n)
-}
-
-// RMSE returns the root mean squared error.
-func RMSE(y, yhat []float64) float64 { return math.Sqrt(MSE(y, yhat)) }
-
-// MAPE returns the mean absolute percentage error in percent, skipping
-// points where the truth is zero (they would divide by zero). It returns
-// NaN if every point is skipped.
-func MAPE(y, yhat []float64) float64 {
-	n := minLen(y, yhat)
-	s, cnt := 0.0, 0
-	for i := 0; i < n; i++ {
-		if y[i] == 0 {
-			continue
-		}
-		s += math.Abs((y[i] - yhat[i]) / y[i])
-		cnt++
-	}
-	if cnt == 0 {
-		return math.NaN()
-	}
-	return 100 * s / float64(cnt)
-}
-
-// R2 returns the coefficient of determination. A constant truth series
-// yields NaN (undefined).
-func R2(y, yhat []float64) float64 {
-	n := minLen(y, yhat)
-	if n == 0 {
-		return math.NaN()
-	}
-	mean := 0.0
-	for i := 0; i < n; i++ {
-		mean += y[i]
-	}
-	mean /= float64(n)
-	ssRes, ssTot := 0.0, 0.0
-	for i := 0; i < n; i++ {
-		d := y[i] - yhat[i]
-		ssRes += d * d
-		m := y[i] - mean
-		ssTot += m * m
-	}
-	if ssTot == 0 {
-		return math.NaN()
-	}
-	return 1 - ssRes/ssTot
 }
 
 func minLen(a, b []float64) int {

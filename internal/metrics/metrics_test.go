@@ -22,46 +22,10 @@ func TestMAEKnown(t *testing.T) {
 	}
 }
 
-func TestRMSEIsSqrtMSE(t *testing.T) {
-	y := []float64{0, 0}
-	yhat := []float64{3, 4}
-	if got := RMSE(y, yhat); math.Abs(got-math.Sqrt(12.5)) > 1e-12 {
-		t.Fatalf("RMSE = %g", got)
-	}
-}
-
-func TestPerfectPredictionIsZeroErrorAndR2One(t *testing.T) {
+func TestPerfectPredictionIsZeroError(t *testing.T) {
 	y := []float64{1, 2, 3, 4}
 	if MSE(y, y) != 0 || MAE(y, y) != 0 {
 		t.Fatal("perfect prediction should have zero error")
-	}
-	if got := R2(y, y); got != 1 {
-		t.Fatalf("R2 = %g, want 1", got)
-	}
-}
-
-func TestMAPESkipsZeros(t *testing.T) {
-	y := []float64{0, 2}
-	yhat := []float64{5, 1}
-	if got := MAPE(y, yhat); math.Abs(got-50) > 1e-12 {
-		t.Fatalf("MAPE = %g, want 50", got)
-	}
-	if !math.IsNaN(MAPE([]float64{0, 0}, []float64{1, 1})) {
-		t.Fatal("all-zero truth should give NaN MAPE")
-	}
-}
-
-func TestR2MeanPredictorIsZero(t *testing.T) {
-	y := []float64{1, 2, 3, 4, 5}
-	mean := []float64{3, 3, 3, 3, 3}
-	if got := R2(y, mean); math.Abs(got) > 1e-12 {
-		t.Fatalf("R2 of mean predictor = %g, want 0", got)
-	}
-}
-
-func TestR2ConstantTruthNaN(t *testing.T) {
-	if !math.IsNaN(R2([]float64{2, 2}, []float64{1, 3})) {
-		t.Fatal("R2 with constant truth should be NaN")
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package naive provides the classical reference forecasters every
 // prediction study should be measured against: persistence (naive-1),
-// drift, seasonal naive, moving average, exponential smoothing, and Holt's
+// drift, moving average, exponential smoothing, and Holt's
 // linear trend method. They are cheap sanity baselines for the deep models
 // and the building blocks of the capacity-planner example's "reactive"
 // policy.
@@ -96,44 +96,6 @@ func (d *Drift) Forecast(h int) []float64 {
 	out := make([]float64, h)
 	for i := range out {
 		out[i] = d.last + d.slope*float64(i+1)
-	}
-	return out
-}
-
-// SeasonalNaive predicts the value one season ago.
-type SeasonalNaive struct {
-	Period int
-	ring   []float64
-	pos    int
-}
-
-// Fit implements Forecaster.
-func (s *SeasonalNaive) Fit(series []float64) error {
-	if s.Period < 1 {
-		return fmt.Errorf("naive: invalid period %d", s.Period)
-	}
-	if len(series) < s.Period {
-		return fmt.Errorf("naive: need at least one full period (%d), have %d", s.Period, len(series))
-	}
-	s.ring = append([]float64(nil), series[len(series)-s.Period:]...)
-	s.pos = 0
-	return nil
-}
-
-// OneStep implements Forecaster.
-func (s *SeasonalNaive) OneStep() float64 { return s.ring[s.pos] }
-
-// Update implements Forecaster.
-func (s *SeasonalNaive) Update(actual float64) {
-	s.ring[s.pos] = actual
-	s.pos = (s.pos + 1) % s.Period
-}
-
-// Forecast implements Forecaster.
-func (s *SeasonalNaive) Forecast(h int) []float64 {
-	out := make([]float64, h)
-	for i := range out {
-		out[i] = s.ring[(s.pos+i)%s.Period]
 	}
 	return out
 }

@@ -50,42 +50,6 @@ func TestDriftExtrapolatesTrend(t *testing.T) {
 	}
 }
 
-func TestSeasonalNaiveCycle(t *testing.T) {
-	s := &SeasonalNaive{Period: 3}
-	if err := s.Fit([]float64{1, 2}); err == nil {
-		t.Fatal("expected error for too-short series")
-	}
-	if err := s.Fit([]float64{9, 9, 1, 2, 3}); err != nil {
-		t.Fatal(err)
-	}
-	// Last period is [1,2,3]; predictions cycle through it.
-	want := []float64{1, 2, 3, 1, 2}
-	for i, w := range want {
-		got := s.OneStep()
-		if got != w {
-			t.Fatalf("step %d = %g, want %g", i, got, w)
-		}
-		s.Update(got) // feeding the prediction keeps the cycle
-	}
-	if err := (&SeasonalNaive{Period: 0}).Fit([]float64{1}); err == nil {
-		t.Fatal("expected error for period 0")
-	}
-}
-
-func TestSeasonalNaiveForecastWrapsPeriod(t *testing.T) {
-	s := &SeasonalNaive{Period: 2}
-	if err := s.Fit([]float64{10, 20}); err != nil {
-		t.Fatal(err)
-	}
-	f := s.Forecast(5)
-	want := []float64{10, 20, 10, 20, 10}
-	for i := range want {
-		if f[i] != want[i] {
-			t.Fatalf("Forecast = %v", f)
-		}
-	}
-}
-
 func TestMovingAverageWindow(t *testing.T) {
 	m := &MovingAverage{Window: 3}
 	if err := m.Fit([]float64{2, 4, 6, 8}); err != nil {
@@ -194,7 +158,7 @@ func TestRollingForecastBeatsRandomOnAR(t *testing.T) {
 
 func TestAllForecastersImplementInterface(t *testing.T) {
 	fs := []Forecaster{
-		&Persistence{}, &Drift{}, &SeasonalNaive{Period: 2},
+		&Persistence{}, &Drift{},
 		&MovingAverage{Window: 2}, &EWMA{Alpha: 0.5}, &Holt{Alpha: 0.5, Beta: 0.5},
 	}
 	series := []float64{1, 2, 3, 4, 5, 6}

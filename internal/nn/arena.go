@@ -38,10 +38,6 @@ func NewInferArena() *InferArena { return &InferArena{} }
 // retained.
 func (a *InferArena) Reset() { a.next = 0 }
 
-// Slots reports how many distinct buffers the arena holds — a proxy for
-// its memory footprint, exposed for tests and diagnostics.
-func (a *InferArena) Slots() int { return len(a.slots) }
-
 // Get returns the next tensor slot with the given shape, allocating or
 // reallocating only when the slot is missing or shaped differently. On
 // the steady-state path (warm slot, matching shape) it performs no heap

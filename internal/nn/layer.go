@@ -51,9 +51,6 @@ func NewSequential(layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers}
 }
 
-// Add appends a layer.
-func (s *Sequential) Add(l Layer) { s.Layers = append(s.Layers, l) }
-
 // Forward runs all layers in order (see ForwardChain).
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return ForwardChain(s.Layers, x, train)

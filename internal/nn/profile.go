@@ -156,9 +156,6 @@ func (w *Profiled) count(backward bool) {
 // Params implements Layer.
 func (w *Profiled) Params() []*Param { return w.inner.Params() }
 
-// Unwrap returns the wrapped layer.
-func (w *Profiled) Unwrap() Layer { return w.inner }
-
 // LayerStats is a point-in-time snapshot of one wrapped layer's cost.
 type LayerStats struct {
 	Name     string

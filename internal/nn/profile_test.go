@@ -35,8 +35,8 @@ func TestProfiledPreservesSemantics(t *testing.T) {
 			t.Fatalf("param %d not shared through wrapper", i)
 		}
 	}
-	if wrapped.Unwrap() != Layer(plain) {
-		t.Fatal("Unwrap lost the inner layer")
+	if wrapped.inner != Layer(plain) {
+		t.Fatal("the wrapper lost the inner layer")
 	}
 }
 

@@ -68,8 +68,7 @@ func TestHandlerServesTextFormat(t *testing.T) {
 
 func TestLoggerTagsComponent(t *testing.T) {
 	var sb strings.Builder
-	SetLogger(NewLogger(&sb, 0))
-	defer SetLogger(nil)
+	defer baseLogger.Store(baseLogger.Swap(NewLogger(&sb, 0)))
 	Logger("train").Info("epoch done", "epoch", 3)
 	out := sb.String()
 	if !strings.Contains(out, "component=train") || !strings.Contains(out, "epoch=3") {

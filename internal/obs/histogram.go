@@ -72,19 +72,12 @@ func normalizeBuckets(buckets []float64) []float64 {
 	return out
 }
 
-// DefBuckets returns the default latency buckets in seconds (5 ms … ~100 s,
-// roughly Prometheus' defaults shifted for model inference).
+// DefBuckets returns the default latency buckets in seconds (10 µs … 10 s):
+// bounds from 10 µs resolve a served forecast, which takes tens of
+// microseconds, and the rest are roughly Prometheus' defaults shifted for
+// model inference.
 func DefBuckets() []float64 {
-	return []float64{.0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
-}
-
-// LinearBuckets returns n bucket bounds starting at start, spaced by width.
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = start + float64(i)*width
-	}
-	return out
+	return []float64{.00001, .000025, .00005, .0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 }
 
 // ExponentialBuckets returns n bucket bounds starting at start, each

@@ -6,14 +6,7 @@ import (
 	"testing"
 )
 
-func TestLinearAndExponentialBuckets(t *testing.T) {
-	lin := LinearBuckets(0, 0.5, 4)
-	want := []float64{0, 0.5, 1, 1.5}
-	for i := range want {
-		if lin[i] != want[i] {
-			t.Fatalf("linear buckets = %v", lin)
-		}
-	}
+func TestExponentialBuckets(t *testing.T) {
 	exp := ExponentialBuckets(1, 10, 3)
 	if exp[0] != 1 || exp[1] != 10 || exp[2] != 100 {
 		t.Fatalf("exponential buckets = %v", exp)
@@ -29,8 +22,22 @@ func TestExponentialBucketsRejectsBadArgs(t *testing.T) {
 	ExponentialBuckets(1, 1, 3)
 }
 
+// TestDefBucketsResolveServingLatency: a served forecast takes tens of
+// microseconds, so the default buckets must place the median of 1,000
+// observations uniform in [40, 60] µs near 50 µs — not at the observed
+// maximum, where a first bucket wider than the whole sample clamps it.
+func TestDefBucketsResolveServingLatency(t *testing.T) {
+	h := NewHistogram(nil)
+	for i := 0; i < 1000; i++ {
+		h.Observe(40e-6 + 20e-6*float64(i)/999)
+	}
+	if q := h.Quantile(0.5); math.Abs(q-50e-6) > 5e-6 {
+		t.Fatalf("median = %.1f µs, want 50 ± 5 µs", q*1e6)
+	}
+}
+
 func TestHistogramCountsAndMean(t *testing.T) {
-	h := NewHistogram(LinearBuckets(1, 1, 5)) // 1..5
+	h := NewHistogram([]float64{1, 2, 3, 4, 5})
 	for _, v := range []float64{0.5, 1.5, 2.5, 3.5, 10} {
 		h.Observe(v)
 	}
@@ -48,7 +55,7 @@ func TestHistogramCountsAndMean(t *testing.T) {
 func TestQuantileUniform(t *testing.T) {
 	// 1000 uniform samples over (0, 10] into fixed-width buckets: the
 	// interpolated quantiles should land close to the true ones.
-	h := NewHistogram(LinearBuckets(1, 1, 10))
+	h := NewHistogram([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
 	for i := 1; i <= 1000; i++ {
 		h.Observe(float64(i) / 100) // 0.01 .. 10.00
 	}

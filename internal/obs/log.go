@@ -7,22 +7,12 @@ import (
 	"sync/atomic"
 )
 
-// baseLogger is the process-wide structured logger. Swappable atomically
-// so tests and commands can redirect or silence it without races.
+// baseLogger is the process-wide structured logger, atomic so a test can
+// redirect it while other goroutines log.
 var baseLogger atomic.Pointer[slog.Logger]
 
 func init() {
 	baseLogger.Store(slog.New(slog.NewTextHandler(os.Stderr, nil)))
-}
-
-// SetLogger replaces the process-wide base logger. Pass the result of
-// NewLogger, or any slog.Logger. A nil logger resets to the default
-// stderr text handler.
-func SetLogger(l *slog.Logger) {
-	if l == nil {
-		l = slog.New(slog.NewTextHandler(os.Stderr, nil))
-	}
-	baseLogger.Store(l)
 }
 
 // Logger returns the shared structured logger tagged with a component

@@ -49,10 +49,7 @@ func NewSpaceSaving(k int) *SpaceSaving {
 	return &SpaceSaving{k: k, index: make(map[string]int, k)}
 }
 
-// K returns the sketch capacity.
-func (s *SpaceSaving) K() int { return s.k }
-
-// Len returns how many keys are currently monitored (≤ K).
+// Len returns how many keys are currently monitored (≤ k).
 func (s *SpaceSaving) Len() int { return len(s.entries) }
 
 // Add folds weight w into key and returns the key that was evicted to
@@ -86,16 +83,6 @@ func (s *SpaceSaving) Add(key string, w float64) (evicted string) {
 	s.index[key] = min
 	s.entries[min] = Item{Key: key, Weight: old.Weight + w, Err: old.Weight}
 	return old.Key
-}
-
-// Estimate returns the monitored item for key, or false when the key is
-// not currently monitored.
-func (s *SpaceSaving) Estimate(key string) (Item, bool) {
-	i, ok := s.index[key]
-	if !ok {
-		return Item{}, false
-	}
-	return s.entries[i], true
 }
 
 // TopK returns the monitored items ordered by descending weight, ties

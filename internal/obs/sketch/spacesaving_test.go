@@ -29,7 +29,7 @@ func TestSpaceSavingExactBelowCapacity(t *testing.T) {
 		}
 	}
 	for i := 0; i < 5; i++ {
-		it, ok := s.Estimate(fmt.Sprintf("k%d", i))
+		it, ok := estimate(s, fmt.Sprintf("k%d", i))
 		if !ok || it.Weight != float64(i+1) || it.Err != 0 {
 			t.Fatalf("k%d = %+v, ok=%v; want exact count %d", i, it, ok, i+1)
 		}
@@ -56,7 +56,7 @@ func TestSpaceSavingHeavyHittersSurviveChurn(t *testing.T) {
 		}
 	}
 	for k, want := range true_ {
-		it, ok := s.Estimate(k)
+		it, ok := estimate(s, k)
 		if !ok {
 			t.Fatalf("heavy hitter %s evicted", k)
 		}
@@ -94,11 +94,11 @@ func TestSpaceSavingEvictionReported(t *testing.T) {
 	if ev := s.Add("c", 1); ev != "b" {
 		t.Fatalf("evicted %q, want b (the minimum)", ev)
 	}
-	it, _ := s.Estimate("c")
+	it, _ := estimate(s, "c")
 	if it.Weight != 4 || it.Err != 3 {
 		t.Fatalf("c = %+v, want weight 4 err 3", it)
 	}
-	if _, ok := s.Estimate("b"); ok {
+	if _, ok := estimate(s, "b"); ok {
 		t.Fatal("b still monitored after eviction")
 	}
 }
@@ -109,7 +109,17 @@ func TestSpaceSavingZeroWeightNoops(t *testing.T) {
 	if ev := s.Add("b", 0); ev != "" {
 		t.Fatalf("zero-weight insert evicted %q", ev)
 	}
-	if _, ok := s.Estimate("b"); ok {
+	if _, ok := estimate(s, "b"); ok {
 		t.Fatal("zero-weight key monitored")
 	}
+}
+
+// estimate returns the monitored item for key, or false when the key is
+// not monitored.
+func estimate(s *SpaceSaving, key string) (Item, bool) {
+	i, ok := s.index[key]
+	if !ok {
+		return Item{}, false
+	}
+	return s.entries[i], true
 }

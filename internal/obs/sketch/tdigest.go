@@ -17,7 +17,7 @@ import (
 // that is ≤ 1.6 % of rank at the median and ≤ 0.07 % at p99; the
 // extremes are exact (min and max are tracked separately).
 //
-// Determinism: given the same sequence of Add/Merge calls, the centroid
+// Determinism: given the same sequence of Add calls, the centroid
 // list and every quantile are bit-identical — compaction happens at
 // fixed buffer fills, uses a stable two-way merge, and involves no
 // randomness. Two digests fed the same stream in the same order agree
@@ -74,46 +74,12 @@ func (t *TDigest) Add(v float64) {
 // Count returns how many values have been observed.
 func (t *TDigest) Count() uint64 { return t.count }
 
-// Min returns the smallest observation (NaN when empty).
-func (t *TDigest) Min() float64 {
-	if t.count == 0 {
-		return math.NaN()
-	}
-	return t.min
-}
-
 // Max returns the largest observation (NaN when empty).
 func (t *TDigest) Max() float64 {
 	if t.count == 0 {
 		return math.NaN()
 	}
 	return t.max
-}
-
-// Centroids returns the current merged centroid count (after compacting
-// the buffer) — the O(δ) size bound tests assert on.
-func (t *TDigest) Centroids() int {
-	t.compact()
-	return len(t.means)
-}
-
-// Merge folds o into t. Both digests compact first; o is not otherwise
-// modified. Merging preserves the O(δ) size bound and is deterministic
-// for a fixed call order.
-func (t *TDigest) Merge(o *TDigest) {
-	if o == nil || o.count == 0 {
-		return
-	}
-	o.compact()
-	t.compact()
-	if t.count == 0 || o.min < t.min {
-		t.min = o.min
-	}
-	if t.count == 0 || o.max > t.max {
-		t.max = o.max
-	}
-	t.count += o.count
-	t.mergeSorted(o.means, o.weights)
 }
 
 // compact folds the buffered values into the centroid list.

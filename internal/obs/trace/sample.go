@@ -71,15 +71,6 @@ func (s *Span) Keep() {
 	s.meta.keep.Store(true)
 }
 
-// Kept reports whether the trace was marked with Keep. Nil returns
-// false.
-func (s *Span) Kept() bool {
-	if s == nil {
-		return false
-	}
-	return s.meta.keep.Load()
-}
-
 // TraceID returns the trace's process-unique identifier ("" for nil).
 // IDs are sequence-based — t0000000000000001, t0000000000000002, … per
 // tracer — so a fixed workload produces a fixed journal.

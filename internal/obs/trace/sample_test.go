@@ -43,7 +43,7 @@ func TestTraceIDsSequentialAndExported(t *testing.T) {
 		t.Fatalf("child spans must not repeat the trace ID: %+v", ex.Spans)
 	}
 	var nilSpan *Span
-	if nilSpan.TraceID() != "" || nilSpan.Kept() {
+	if nilSpan.TraceID() != "" {
 		t.Fatal("nil span must be inert")
 	}
 	nilSpan.Keep() // must not panic

@@ -132,14 +132,6 @@ func (t *Tracer) SetEnabled(on bool) { t.enabled.Store(on) }
 // Enabled reports whether new root spans are being collected.
 func (t *Tracer) Enabled() bool { return t.enabled.Load() }
 
-// SetMaxSpans replaces the per-trace span cap (ignored when n < 1).
-// Call before tracing starts; in-flight traces keep their old cap.
-func (t *Tracer) SetMaxSpans(n int) {
-	if n >= 1 {
-		t.maxSpans = int64(n)
-	}
-}
-
 // Start begins a new root span, or returns nil when the tracer is
 // disabled — the single atomic load that makes disabled tracing free.
 func (t *Tracer) Start(name string, attrs ...Attr) *Span {

@@ -82,7 +82,7 @@ func TestDoubleEndIsIdempotent(t *testing.T) {
 
 func TestMaxSpansCapDropsChildren(t *testing.T) {
 	tr := New(4)
-	tr.SetMaxSpans(3) // root + 2 children
+	tr.maxSpans = 3 // root + 2 children
 	tr.SetEnabled(true)
 	root := tr.Start("root")
 	kept := 0

@@ -172,9 +172,6 @@ func (p *Pool) nextTask() (*task, bool) {
 	return t, ok
 }
 
-// Workers returns the pool's parallelism (helper goroutines + submitter).
-func (p *Pool) Workers() int { return p.workers }
-
 // Close shuts the helper goroutines down and waits for them to exit. It
 // must not be called concurrently with Run; calling Run after Close runs
 // the work inline on the caller.
@@ -359,9 +356,6 @@ func SetWorkers(n int) int {
 	defaultPool = NewPool(n)
 	return prev
 }
-
-// Workers returns the default pool's parallelism.
-func Workers() int { return Default().Workers() }
 
 // Run executes fn over [0,n) on the default pool. See (*Pool).Run.
 func Run(n int, fn func(lo, hi int)) { Default().Run(n, fn) }

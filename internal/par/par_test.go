@@ -203,11 +203,10 @@ func TestRunInsideATaskMakesNoHandOff(t *testing.T) {
 }
 
 func TestSetWorkersSwapsDefaultPool(t *testing.T) {
-	orig := Workers()
+	orig := SetWorkers(3)
 	defer SetWorkers(orig)
-	SetWorkers(3)
-	if got := Workers(); got != 3 {
-		t.Fatalf("Workers() = %d after SetWorkers(3)", got)
+	if got := Default().workers; got != 3 {
+		t.Fatalf("default pool has %d workers after SetWorkers(3)", got)
 	}
 	covered := int32(0)
 	Run(100, func(lo, hi int) { atomic.AddInt32(&covered, int32(hi-lo)) })

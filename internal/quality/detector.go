@@ -156,12 +156,6 @@ func (d *PageHinkley) Push(x float64) bool {
 	return false
 }
 
-// Armed reports whether warmup completed and detection is active.
-func (d *PageHinkley) Armed() bool { return d.n >= d.cfg.Warmup }
-
-// Fired returns how many mutation points have been detected.
-func (d *PageHinkley) Fired() int { return d.fired }
-
 // medianFilter is a fixed-width rolling median.
 type medianFilter struct {
 	buf     []float64

@@ -24,7 +24,7 @@ func TestPageHinkleyFiresOnMutations(t *testing.T) {
 			fires = append(fires, i)
 		}
 	}
-	if !d.Armed() {
+	if d.n < d.cfg.Warmup {
 		t.Fatal("detector never armed")
 	}
 	window := 2 * 31 // two detector windows (default MedianWidth 31)
@@ -109,10 +109,10 @@ func TestPageHinkleyIgnoresNonFinite(t *testing.T) {
 		d.Push(math.Inf(1))
 		d.Push(5)
 	}
-	if !d.Armed() {
+	if d.n < d.cfg.Warmup {
 		t.Fatal("finite samples interleaved with NaN should arm the detector")
 	}
-	if d.Fired() != 0 {
+	if d.fired != 0 {
 		t.Fatal("constant signal fired")
 	}
 }

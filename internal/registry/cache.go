@@ -74,9 +74,6 @@ func NewCache(store *Store, maxResident int) *Cache {
 	return &Cache{store: store, max: maxResident, byName: make(map[string]*Handle)}
 }
 
-// Store returns the backing artifact store.
-func (c *Cache) Store() *Store { return c.store }
-
 // Acquire returns a handle on the latest published version of name,
 // loading and warming it on a miss. A publish after the entry became
 // resident is picked up on the next Acquire: the stale entry is

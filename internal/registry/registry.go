@@ -81,9 +81,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 func (s *Store) manifestPath() string { return filepath.Join(s.dir, "manifest.json") }
 
 func (s *Store) versionPath(name string, v int) string {
@@ -180,13 +177,6 @@ func (s *Store) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Versions returns name's published versions in ascending order (copy).
-func (s *Store) Versions(name string) []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]int(nil), s.man.Models[name]...)
 }
 
 // Load reads one version of name from disk (version ≤ 0 means latest)

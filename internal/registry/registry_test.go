@@ -86,7 +86,7 @@ func TestStorePublishLoadRoundTrip(t *testing.T) {
 	if names := st2.Names(); len(names) != 1 || names[0] != "cpu" {
 		t.Fatalf("reopened names = %v", names)
 	}
-	if vs := st2.Versions("cpu"); len(vs) != 2 || vs[0] != 1 || vs[1] != 2 {
+	if vs := st2.man.Models["cpu"]; len(vs) != 2 || vs[0] != 1 || vs[1] != 2 {
 		t.Fatalf("reopened versions = %v", vs)
 	}
 	if latest, ok := st2.Latest("cpu"); !ok || latest != 2 {

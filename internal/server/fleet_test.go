@@ -134,6 +134,45 @@ func TestDebugFleetEndpoint(t *testing.T) {
 	}
 }
 
+// TestEntityForecastFeedsFleetTelemetry: the fleet route is a forecast
+// route too. Two reads of an ingested entity rank it first on /debug/fleet
+// with weight 2 and add two observations to the forecast latency SLO.
+func TestEntityForecastFeedsFleetTelemetry(t *testing.T) {
+	s, ts, _ := fleetServer(t)
+	_, e := fitted(t)
+	a := *e
+	a.ID = "a"
+	ingestCSV(t, ts.URL, []*trace.EntitySeries{&a})
+	lat := s.reg.Histogram("rptcn_forecast_latency_seconds", "End-to-end forecast request latency.", nil)
+	before := lat.Count()
+	for i := 0; i < 2; i++ {
+		resp, err := http.Get(ts.URL + "/v1/forecast/a")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("entity forecast status = %d", resp.StatusCode)
+		}
+	}
+	if got := lat.Count() - before; got != 2 {
+		t.Fatalf("rptcn_forecast_latency_seconds grew by %d over two entity reads, want 2", got)
+	}
+	resp, err := http.Get(ts.URL + "/debug/fleet")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st FleetStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if top := st.Fleet.TopByCount; len(top) == 0 || top[0].Key != "a" || top[0].Weight != 2 {
+		t.Fatalf("top by count = %+v, want a first with weight 2", top)
+	}
+}
+
 func TestDebugFleetDisabled(t *testing.T) {
 	p, _ := fitted(t)
 	s := New(p, WithRegistry(obs.NewRegistry()), WithFleetTelemetry(FleetConfig{Disabled: true}))

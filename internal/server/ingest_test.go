@@ -151,8 +151,8 @@ func TestEntityForecastErrors(t *testing.T) {
 	for i := range vals {
 		vals[i] = e.Metrics[i][0]
 	}
-	srv.rings.IngestString(e.ID, 0, &vals)
-	srv.rings.IngestString(e.ID, 10, &vals)
+	srv.rings.Ingest([]byte(e.ID), 0, &vals)
+	srv.rings.Ingest([]byte(e.ID), 10, &vals)
 	resp, err = http.Get(ts.URL + "/v1/forecast/" + e.ID)
 	if err != nil {
 		t.Fatal(err)

@@ -53,10 +53,11 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 
 // wrap instruments one route: request counter (by path and code), error
 // counter, in-flight gauge, a latency histogram, and (when tracing is
-// enabled) one "http.request" span per request. The forecast endpoint
-// additionally feeds rptcn_forecast_latency_seconds — the SLO histogram
-// for the paper's real-time prediction mode, now with per-bucket
-// (trace ID, entity) exemplars — and the per-entity fleet sketches.
+// enabled) one "http.request" span per request. The two forecast routes,
+// POST /v1/forecast and the fleet's GET /v1/forecast/{entity}, also feed
+// rptcn_forecast_latency_seconds — the SLO histogram for the paper's
+// real-time prediction mode, with per-bucket (trace ID, entity)
+// exemplars — and the per-entity fleet sketches.
 //
 // The route label is always one of the registered route patterns (the
 // catch-all handler reports "other"), never the raw request path, so the
@@ -73,7 +74,8 @@ func (in *instrumentation) wrap(route string, h http.HandlerFunc) http.HandlerFu
 	codes := &codeCounters{reg: in.reg, route: route}
 	codes.get(http.StatusOK)
 	var forecastLat *obs.Histogram
-	if route == "/v1/forecast" {
+	forecastMethod := forecastRoutes[route]
+	if forecastMethod != "" {
 		forecastLat = in.reg.Histogram("rptcn_forecast_latency_seconds",
 			"End-to-end forecast request latency.", nil)
 	}
@@ -87,10 +89,10 @@ func (in *instrumentation) wrap(route string, h http.HandlerFunc) http.HandlerFu
 		}
 		// Forecast requests carry a telemetry slot the handler fills in
 		// with what only it knows (entity, degraded) and the sketches
-		// consume below. Only real forecasts (POSTs) feed the fleet;
-		// 405 fallbacks on the same route do not.
+		// consume below. Only real forecasts feed the fleet; 405
+		// fallbacks on the same route do not.
 		var ft *forecastTelemetry
-		if forecastLat != nil && r.Method == http.MethodPost {
+		if forecastLat != nil && r.Method == forecastMethod {
 			ft = &forecastTelemetry{}
 			r = r.WithContext(context.WithValue(r.Context(), telemetryKey{}, ft))
 		}
@@ -127,6 +129,13 @@ func (in *instrumentation) wrap(route string, h http.HandlerFunc) http.HandlerFu
 			errs.Inc()
 		}
 	}
+}
+
+// forecastRoutes maps each forecast route to the method that serves a
+// forecast on it.
+var forecastRoutes = map[string]string{
+	"/v1/forecast":          http.MethodPost,
+	"/v1/forecast/{entity}": http.MethodGet,
 }
 
 // codeCounters is one route's rptcn_http_requests_total{path,code}

@@ -63,7 +63,7 @@ func (f *streamFleet) ingest(id string, n int) {
 		for k := range vals {
 			vals[k] = f.raw[k][i]
 		}
-		if !f.srv.rings.IngestString(id, 10*(i+1), &vals) {
+		if !f.srv.rings.Ingest([]byte(id), 10*(i+1), &vals) {
 			f.t.Fatalf("%s: sample %d rejected", id, i)
 		}
 		f.next[id] = i + 1

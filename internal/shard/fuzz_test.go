@@ -94,7 +94,7 @@ func (s *streamReplay) sync() {
 func (s *streamReplay) ingest(id string, vals *[trace.NumIndicators]float64, gap int) {
 	s.sync()
 	ts := s.lastTS[id] + 10 + gap
-	if !s.r.IngestString(id, ts, vals) {
+	if !s.r.Ingest([]byte(id), ts, vals) {
 		panic("an advancing timestamp was rejected")
 	}
 	s.lastTS[id] = ts
@@ -245,7 +245,7 @@ func TestStreamUnderConcurrentIngest(t *testing.T) {
 				for k := range vals {
 					vals[k] = raw[k][i]
 				}
-				r.IngestString(id, 10*(i+1), &vals)
+				r.Ingest([]byte(id), 10*(i+1), &vals)
 			}
 		}()
 		go func() {

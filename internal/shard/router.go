@@ -176,11 +176,6 @@ func (r *Router) IngestRun(entity []byte, run []trace.Sample) int {
 	return shardOf(r, entity).rings.IngestRun(entity, run)
 }
 
-// IngestString is Ingest for callers already holding a string ID.
-func (r *Router) IngestString(entity string, ts int, vals *[trace.NumIndicators]float64) bool {
-	return shardOf(r, entity).rings.IngestString(entity, ts, vals)
-}
-
 // WithWindow implements trace.RingSource.
 func (r *Router) WithWindow(entity string, n int, fn func(win [][]float64, interval, lastTS int)) bool {
 	return shardOf(r, entity).rings.WithWindow(entity, n, fn)

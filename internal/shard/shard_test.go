@@ -67,7 +67,7 @@ func feed(r *Router, e *trace.EntitySeries, id string, samples int) {
 		for c := 0; c < trace.NumIndicators; c++ {
 			vals[c] = e.Metrics[c][i]
 		}
-		r.IngestString(id, (i+1)*10, &vals)
+		r.Ingest([]byte(id), (i+1)*10, &vals)
 	}
 }
 
@@ -263,7 +263,7 @@ func TestRoutingIsStableAndBalanced(t *testing.T) {
 		if shardOf(r, id) != shardOf(r, []byte(id)) {
 			t.Fatalf("string and byte hashing disagree for %q", id)
 		}
-		r.IngestString(id, 10, &vals)
+		r.Ingest([]byte(id), 10, &vals)
 	}
 	want := entities / r.Shards()
 	for _, st := range r.Status() {
@@ -282,7 +282,7 @@ func TestBoundedEntities(t *testing.T) {
 	var vals [trace.NumIndicators]float64
 	const entities = 256
 	for i := 0; i < entities; i++ {
-		r.IngestString(fmt.Sprintf("m_%d", i), 10, &vals)
+		r.Ingest([]byte(fmt.Sprintf("m_%d", i)), 10, &vals)
 	}
 	if n := r.Len(); n > 64 {
 		t.Fatalf("router holds %d entities, cap is 64", n)
@@ -556,7 +556,7 @@ func TestConcurrentFleetServing(t *testing.T) {
 	// Concurrent ingest of fresh entities while forecasts run.
 	var vals [trace.NumIndicators]float64
 	for i := 0; i < 200; i++ {
-		r.IngestString(fmt.Sprintf("fresh_%d", i), 10, &vals)
+		r.Ingest([]byte(fmt.Sprintf("fresh_%d", i)), 10, &vals)
 	}
 	wg.Wait()
 	sts := r.Status()

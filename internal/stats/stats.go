@@ -1,7 +1,7 @@
 // Package stats provides the time-series statistics used across the
-// repository: Pearson correlation (the paper's eq. 2), autocorrelation and
-// partial autocorrelation (ARIMA order selection), quantiles and boxplot
-// summaries (Figs. 2–3), and differencing.
+// repository: Pearson correlation (the paper's eq. 2), autocorrelation
+// (Yule–Walker start values for ARIMA), quantiles and boxplot summaries
+// (Figs. 2–3), and differencing.
 package stats
 
 import (
@@ -34,9 +34,6 @@ func Variance(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// StdDev returns the population standard deviation of xs.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Pearson returns the Pearson correlation coefficient between x and y
 // (eq. 2 of the paper): ρ(X,Y) = E[(X−μX)(Y−μY)] / (σX·σY).
@@ -90,39 +87,6 @@ func ACF(xs []float64, maxLag int) []float64 {
 		out[lag] = c / c0
 	}
 	return out
-}
-
-// PACF returns the partial autocorrelation function at lags 1..maxLag via
-// the Durbin–Levinson recursion.
-func PACF(xs []float64, maxLag int) []float64 {
-	acf := ACF(xs, maxLag)
-	pacf := make([]float64, maxLag+1)
-	if maxLag < 1 {
-		return pacf[1:]
-	}
-	phi := make([][]float64, maxLag+1)
-	for k := range phi {
-		phi[k] = make([]float64, maxLag+1)
-	}
-	pacf[1] = acf[1]
-	phi[1][1] = acf[1]
-	for k := 2; k <= maxLag; k++ {
-		num := acf[k]
-		den := 1.0
-		for j := 1; j < k; j++ {
-			num -= phi[k-1][j] * acf[k-j]
-			den -= phi[k-1][j] * acf[j]
-		}
-		if den == 0 {
-			break
-		}
-		phi[k][k] = num / den
-		for j := 1; j < k; j++ {
-			phi[k][j] = phi[k-1][j] - phi[k][k]*phi[k-1][k-j]
-		}
-		pacf[k] = phi[k][k]
-	}
-	return pacf[1:]
 }
 
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of xs using linear
@@ -206,22 +170,6 @@ func Diff(xs []float64, d int) []float64 {
 			next[i-1] = out[i] - out[i-1]
 		}
 		out = next
-	}
-	return out
-}
-
-// Undiff inverts Diff given the d last pre-difference values (heads[i] is
-// the final value of the (i)-th differenced series, i = 0..d-1, with
-// heads[0] from the original series). It integrates forecasts made on a
-// differenced series back to the original scale.
-func Undiff(diffs []float64, heads []float64) []float64 {
-	out := append([]float64(nil), diffs...)
-	for k := len(heads) - 1; k >= 0; k-- {
-		prev := heads[k]
-		for i := range out {
-			prev += out[i]
-			out[i] = prev
-		}
 	}
 	return out
 }

@@ -337,9 +337,3 @@ func gemmKernelGeneric(ap, bp, c []float64, k, ldc int, acc bool) {
 	r3 := c[3*ldc : 3*ldc+8]
 	r3[0], r3[1], r3[2], r3[3], r3[4], r3[5], r3[6], r3[7] = c30, c31, c32, c33, c34, c35, c36, c37
 }
-
-// HasFMAKernel reports whether this process runs the hand-written
-// AVX2+FMA microkernel (true on amd64 with AVX2, FMA, and OS YMM-state
-// support) or the portable math.FMA tile. Both are bitwise identical;
-// this is exported for benchmarks and the experiments report.
-func HasFMAKernel() bool { return useFMAKernel }

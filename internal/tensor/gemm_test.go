@@ -252,7 +252,7 @@ func TestPackedBMatchesUnpacked(t *testing.T) {
 		at.TMatMulAcc(b, want)
 		requireBitwise(t, at.TMatMulAccPacked(pb, seed.Clone()), want, "TMatMulAccPacked")
 
-		b.Fill(0)
+		b.Zero()
 		requireBitwise(t, a.MatMulPackedInto(pb, New(sh.m, sh.n)), ab, "MatMulPackedInto after a write to b")
 	}
 }

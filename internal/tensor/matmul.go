@@ -1,10 +1,6 @@
 package tensor
 
-import (
-	"fmt"
-
-	"repro/internal/par"
-)
+import "fmt"
 
 // parallelFlops is the number of multiply-adds (m·n·k for a matmul) above
 // which a kernel fans out onto the internal/par worker pool. Below it the
@@ -20,12 +16,6 @@ import (
 // BenchmarkMatMulSmall) the split still wins at 4+ workers but is
 // marginal at 2, so small ops stay sequential to protect latency.
 const parallelFlops = 32 * 64 * 64
-
-// parallelElems is the element count above which simple O(n) kernels
-// (transpose, matvec rows) parallelize. These move ~8 bytes per element
-// with little arithmetic (~1ns/elem), so 32k elements ≈ 32µs of work —
-// roughly the same ≥10× dispatch-cost bar as parallelFlops.
-const parallelElems = 32 * 1024
 
 // MatMul returns the matrix product t × u for 2-D tensors via the packed
 // register-tile GEMM kernel (see gemm.go).
@@ -100,58 +90,6 @@ func tmatmulDims(t, u *Tensor, op string) (k, m int) {
 		panic(fmt.Sprintf("tensor: %s inner dimension mismatch %vᵀ × %v", op, t.dims(), u.dims()))
 	}
 	return k, m
-}
-
-// Transpose2D returns the transpose of a 2-D tensor as a new tensor.
-func (t *Tensor) Transpose2D() *Tensor {
-	if t.Dims() != 2 {
-		panic("tensor: Transpose2D requires a 2-D tensor")
-	}
-	m, n := t.shape[0], t.shape[1]
-	out := New(n, m)
-	transpose := func(jlo, jhi int) {
-		for j := jlo; j < jhi; j++ {
-			orow := out.Data[j*m : (j+1)*m]
-			for i := 0; i < m; i++ {
-				orow[i] = t.Data[i*n+j]
-			}
-		}
-	}
-	if m*n < parallelElems || n < 2 {
-		transpose(0, n)
-		return out
-	}
-	par.Run(n, transpose)
-	return out
-}
-
-// MatVec returns the matrix-vector product t × v for a 2-D tensor and a
-// 1-D tensor, parallelized across rows for large matrices.
-func (t *Tensor) MatVec(v *Tensor) *Tensor {
-	if t.Dims() != 2 || v.Dims() != 1 {
-		panic("tensor: MatVec requires a 2-D tensor and a 1-D tensor")
-	}
-	m, n := t.shape[0], t.shape[1]
-	if v.Size() != n {
-		panic(fmt.Sprintf("tensor: MatVec dimension mismatch %v × len %d", t.dims(), v.Size()))
-	}
-	out := New(m)
-	rows := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := t.Data[i*n : (i+1)*n]
-			s := 0.0
-			for j, rv := range row {
-				s += rv * v.Data[j]
-			}
-			out.Data[i] = s
-		}
-	}
-	if m*n < parallelElems || m < 2 {
-		rows(0, m)
-		return out
-	}
-	par.Run(m, rows)
-	return out
 }
 
 func matmulDims(t, u *Tensor, op string) (m, k, n int) {

@@ -44,24 +44,6 @@ func (t *Tensor) AddInPlace(u *Tensor) *Tensor {
 	return t
 }
 
-// SubInPlace sets t = t - u and returns t.
-func (t *Tensor) SubInPlace(u *Tensor) *Tensor {
-	t.mustMatch(u, "SubInPlace")
-	for i, v := range u.Data {
-		t.Data[i] -= v
-	}
-	return t
-}
-
-// MulInPlace sets t = t ⊙ u and returns t.
-func (t *Tensor) MulInPlace(u *Tensor) *Tensor {
-	t.mustMatch(u, "MulInPlace")
-	for i, v := range u.Data {
-		t.Data[i] *= v
-	}
-	return t
-}
-
 // Scale returns c*t as a new tensor.
 func (t *Tensor) Scale(c float64) *Tensor {
 	out := NewLike(t)
@@ -79,15 +61,6 @@ func (t *Tensor) ScaleInPlace(c float64) *Tensor {
 	return t
 }
 
-// AXPY sets t = t + a*u and returns t (the BLAS axpy update).
-func (t *Tensor) AXPY(a float64, u *Tensor) *Tensor {
-	t.mustMatch(u, "AXPY")
-	for i, v := range u.Data {
-		t.Data[i] += a * v
-	}
-	return t
-}
-
 // Apply returns a new tensor with f applied to every element.
 func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 	out := NewLike(t)
@@ -95,14 +68,6 @@ func (t *Tensor) Apply(f func(float64) float64) *Tensor {
 		out.Data[i] = f(v)
 	}
 	return out
-}
-
-// ApplyInPlace applies f to every element of t in place and returns t.
-func (t *Tensor) ApplyInPlace(f func(float64) float64) *Tensor {
-	for i, v := range t.Data {
-		t.Data[i] = f(v)
-	}
-	return t
 }
 
 // Sum returns the sum of all elements.
@@ -150,15 +115,6 @@ func (t *Tensor) Min() float64 {
 	return m
 }
 
-// Norm2 returns the Euclidean (Frobenius) norm of t.
-func (t *Tensor) Norm2() float64 {
-	s := 0.0
-	for _, v := range t.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
 // Dot returns the inner product of t and u viewed as flat vectors.
 func (t *Tensor) Dot(u *Tensor) float64 {
 	if len(t.Data) != len(u.Data) {
@@ -169,27 +125,6 @@ func (t *Tensor) Dot(u *Tensor) float64 {
 		s += v * u.Data[i]
 	}
 	return s
-}
-
-// AddRowVector adds vector v (length = columns) to every row of the 2-D
-// tensor t, returning a new tensor. This is the bias broadcast used by
-// fully connected layers.
-func (t *Tensor) AddRowVector(v *Tensor) *Tensor {
-	if t.Dims() != 2 {
-		panic("tensor: AddRowVector requires a 2-D tensor")
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	if v.Size() != cols {
-		panic(fmt.Sprintf("tensor: AddRowVector vector length %d != cols %d", v.Size(), cols))
-	}
-	out := New(rows, cols)
-	for r := 0; r < rows; r++ {
-		base := r * cols
-		for c := 0; c < cols; c++ {
-			out.Data[base+c] = t.Data[base+c] + v.Data[c]
-		}
-	}
-	return out
 }
 
 // AddRowVectorInPlace adds the length-cols vector v to every row of a 2-D
@@ -211,26 +146,9 @@ func (t *Tensor) AddRowVectorInPlace(v *Tensor) *Tensor {
 	return t
 }
 
-// SumRows returns a length-cols vector with the column sums of a 2-D tensor
-// (the reduction matching AddRowVector's broadcast in the backward pass).
-func (t *Tensor) SumRows() *Tensor {
-	if t.Dims() != 2 {
-		panic("tensor: SumRows requires a 2-D tensor")
-	}
-	rows, cols := t.shape[0], t.shape[1]
-	out := New(cols)
-	for r := 0; r < rows; r++ {
-		base := r * cols
-		for c := 0; c < cols; c++ {
-			out.Data[c] += t.Data[base+c]
-		}
-	}
-	return out
-}
-
 // SumRowsAcc accumulates the column sums of a 2-D tensor into the
-// length-cols vector dst (dst += column sums) and returns dst — the
-// temporary-free form of Grad.AddInPlace(t.SumRows()).
+// length-cols vector dst (dst += column sums) and returns dst — the bias
+// gradient of AddRowVectorInPlace's broadcast.
 func (t *Tensor) SumRowsAcc(dst *Tensor) *Tensor {
 	if t.Dims() != 2 {
 		panic("tensor: SumRowsAcc requires a 2-D tensor")

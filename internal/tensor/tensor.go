@@ -181,13 +181,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.Data {
-		t.Data[i] = v
-	}
-}
-
 // String renders small tensors fully and large ones as a summary.
 func (t *Tensor) String() string {
 	if len(t.Data) <= 32 {

@@ -19,7 +19,7 @@ import (
 // time order. Missing samples are written as empty fields.
 
 // csvHeader is the column header written by WriteCSV and expected (or
-// auto-detected) by ReadCSV.
+// auto-detected) by ReadCSVStats.
 var csvHeader = []string{
 	"entity_id", "time_stamp",
 	"cpu_util_percent", "mem_util_percent", "cpi", "mem_gps",
@@ -83,22 +83,16 @@ func (st *ReadStats) skip(err error) {
 	}
 }
 
-// ReadCSV parses a v2018-style usage CSV back into entity series. It is
-// lenient: ragged rows, non-numeric fields, and duplicate timestamps are
-// skipped (counted and logged) rather than aborting the load, and rows
-// may arrive in any order (they are sorted by timestamp per entity).
-// Empty fields become NaN (cleaned later by the dataprep stage). An
-// error is returned only when the input held rows but none were usable.
-func ReadCSV(r io.Reader, kind EntityKind) ([]*EntitySeries, error) {
-	es, _, err := ReadCSVStats(r, kind)
-	return es, err
-}
-
-// ReadCSVStats is ReadCSV plus the salvage accounting, for callers that
-// want to surface how dirty the input was. It is ScanCSV (which accepts
-// the rows and fields, see there) plus what a batch load needs on top:
-// rows grouped per entity, sorted by timestamp, and duplicate timestamps
-// dropped.
+// ReadCSVStats parses a v2018-style usage CSV back into entity series,
+// with the salvage accounting for callers that want to surface how dirty
+// the input was. It is lenient: ragged rows, non-numeric fields, and
+// duplicate timestamps are skipped (counted and logged) rather than
+// aborting the load, and rows may arrive in any order (they are sorted by
+// timestamp per entity). Empty fields become NaN (cleaned later by the
+// dataprep stage). An error is returned only when the input held rows but
+// none were usable. It is ScanCSV (which accepts the rows and fields, see
+// there) plus what a batch load needs on top: rows grouped per entity,
+// sorted by timestamp, and duplicate timestamps dropped.
 func ReadCSVStats(r io.Reader, kind EntityKind) ([]*EntitySeries, ReadStats, error) {
 	// Pointer-valued buffers: the per-row hot path does one map lookup
 	// and appends through the pointer, instead of a lookup plus a map

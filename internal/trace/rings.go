@@ -68,9 +68,6 @@ func (r *Ring) Len() int {
 	return r.capacity
 }
 
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return r.capacity }
-
 // Total returns the number of samples ever accepted.
 func (r *Ring) Total() int { return r.count }
 
@@ -175,12 +172,6 @@ func (h *lruHeap) Pop() any {
 	old[len(old)-1] = nil
 	*h = old[:len(old)-1]
 	return e
-}
-
-// NewRingStore creates a store whose rings hold capacity samples each,
-// with no bound on the number of entities.
-func NewRingStore(capacity int) *RingStore {
-	return NewBoundedRingStore(capacity, 0)
 }
 
 // NewBoundedRingStore creates a store holding at most maxEntities

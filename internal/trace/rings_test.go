@@ -95,7 +95,7 @@ func TestRingInterval(t *testing.T) {
 // TestRingStoreIngestAndWindow drives the store through the ScanCSV
 // callback shape and reads windows back.
 func TestRingStoreIngestAndWindow(t *testing.T) {
-	s := NewRingStore(4)
+	s := NewBoundedRingStore(4, 0)
 	for i := 1; i <= 6; i++ {
 		if !s.Ingest([]byte("m_1"), i*10, ringVals(float64(i))) {
 			t.Fatalf("ingest %d rejected", i)
@@ -132,7 +132,7 @@ func TestRingStoreIngestAndWindow(t *testing.T) {
 // and checks per-entity integrity after.
 func TestRingStoreConcurrentIngest(t *testing.T) {
 	const writers, samples, runLen = 8, 200, 8
-	s := NewRingStore(64)
+	s := NewBoundedRingStore(64, 0)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -216,7 +216,7 @@ func TestRingStoreIngestZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation defeats escape analysis; allocation counts are meaningless")
 	}
-	s := NewRingStore(32)
+	s := NewBoundedRingStore(32, 0)
 	id := []byte("m_hot")
 	vals := ringVals(1)
 	ts := 0
@@ -236,7 +236,7 @@ func TestRingStoreIngestRunZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation defeats escape analysis; allocation counts are meaningless")
 	}
-	s := NewRingStore(32)
+	s := NewBoundedRingStore(32, 0)
 	id := []byte("m_hot")
 	run := make([]Sample, 8)
 	ts := 0

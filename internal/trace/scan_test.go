@@ -214,7 +214,7 @@ func TestScanCSVSteadyStateAllocations(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	store := NewRingStore(64)
+	store := NewBoundedRingStore(64, 0)
 	rd := bytes.NewReader(data)
 	ingest := func(entity []byte, ts int, vals *[NumIndicators]float64) error {
 		store.Ingest(entity, ts, vals)
@@ -249,7 +249,7 @@ func BenchmarkScanCSV(b *testing.B) {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
-	store := NewRingStore(64)
+	store := NewBoundedRingStore(64, 0)
 	ingest := func(entity []byte, ts int, vals *[NumIndicators]float64) error {
 		store.Ingest(entity, ts, vals)
 		return nil

@@ -237,7 +237,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err := WriteCSV(&buf, es); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadCSV(&buf, Container)
+	back, _, err := ReadCSVStats(&buf, Container)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,21 +263,21 @@ func TestCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadCSVRejectsGarbage(t *testing.T) {
-	if _, err := ReadCSV(bytes.NewBufferString("a,b\n"), Machine); err == nil {
+	if _, _, err := ReadCSVStats(bytes.NewBufferString("a,b\n"), Machine); err == nil {
 		t.Fatal("expected error for wrong column count")
 	}
 	bad := "m_1,notanumber,1,2,3,4,5,6,7,8\n"
-	if _, err := ReadCSV(bytes.NewBufferString(bad), Machine); err == nil {
+	if _, _, err := ReadCSVStats(bytes.NewBufferString(bad), Machine); err == nil {
 		t.Fatal("expected error for bad timestamp")
 	}
 	bad2 := "m_1,0,xx,2,3,4,5,6,7,8\n"
-	if _, err := ReadCSV(bytes.NewBufferString(bad2), Machine); err == nil {
+	if _, _, err := ReadCSVStats(bytes.NewBufferString(bad2), Machine); err == nil {
 		t.Fatal("expected error for bad value")
 	}
 }
 
 func TestReadCSVEmpty(t *testing.T) {
-	es, err := ReadCSV(bytes.NewBufferString(""), Machine)
+	es, _, err := ReadCSVStats(bytes.NewBufferString(""), Machine)
 	if err != nil || es != nil {
 		t.Fatalf("empty csv: %v %v", es, err)
 	}
@@ -287,7 +287,7 @@ func TestReadCSVSortsOutOfOrderRows(t *testing.T) {
 	csvText := "m_1,20,3,2,1,0.5,4,0.1,0.1,10\n" +
 		"m_1,0,1,2,1,0.5,4,0.1,0.1,10\n" +
 		"m_1,10,2,2,1,0.5,4,0.1,0.1,10\n"
-	es, err := ReadCSV(bytes.NewBufferString(csvText), Machine)
+	es, _, err := ReadCSVStats(bytes.NewBufferString(csvText), Machine)
 	if err != nil {
 		t.Fatal(err)
 	}

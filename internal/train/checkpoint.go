@@ -191,17 +191,6 @@ func latestLoadableCheckpoint(dir string) (*checkpointDump, error) {
 	return nil, nil
 }
 
-// LatestCheckpointEpoch reports the completed-epoch count of the newest
-// loadable checkpoint under dir (0, false when none exists) — used by
-// commands to log what a resumed run will skip.
-func LatestCheckpointEpoch(dir string) (int, bool) {
-	dump, err := latestLoadableCheckpoint(dir)
-	if err != nil || dump == nil {
-		return 0, false
-	}
-	return dump.Epoch, true
-}
-
 // captureCheckpoint snapshots the full training state after `epoch`
 // completed epochs.
 func captureCheckpoint(model nn.Layer, optimizer opt.Optimizer, rng *tensor.RNG,

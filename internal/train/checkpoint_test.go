@@ -102,8 +102,8 @@ func TestCheckpointResumeBitwise(t *testing.T) {
 		}()
 		Fit(killed, tr, va, cfgKill)
 	}()
-	if ep, ok := LatestCheckpointEpoch(dir); !ok || ep == 0 || ep > 4 {
-		t.Fatalf("unexpected checkpoint state after crash: epoch %d ok=%v", ep, ok)
+	if dump, err := latestLoadableCheckpoint(dir); err != nil || dump == nil || dump.Epoch == 0 || dump.Epoch > 4 {
+		t.Fatalf("unexpected checkpoint state after crash: %+v, %v", dump, err)
 	}
 
 	// Resume in a fresh process: fresh model, same config, Resume on.

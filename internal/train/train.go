@@ -40,14 +40,9 @@ func (d Dataset) Subset(lo, hi int) Dataset {
 	return Dataset{X: sliceSamples(d.X, lo, hi), Y: sliceSamples(d.Y, lo, hi)}
 }
 
-// Gather returns the samples at the given indices as a new dataset.
-func (d Dataset) Gather(idx []int) Dataset {
-	return Dataset{X: gatherSamples(d.X, idx), Y: gatherSamples(d.Y, idx)}
-}
-
-// GatherInto is Gather with buffer reuse: dst's tensors are overwritten
-// when their shapes already match and reallocated otherwise. The (possibly
-// updated) dataset is returned; d is never aliased.
+// GatherInto copies the samples at the given indices into dst: dst's
+// tensors are overwritten when their shapes already match and reallocated
+// otherwise. The (possibly updated) dataset is returned; d is never aliased.
 func (d Dataset) GatherInto(idx []int, dst Dataset) Dataset {
 	dst.X = gatherSamplesInto(d.X, idx, dst.X)
 	dst.Y = gatherSamplesInto(d.Y, idx, dst.Y)
@@ -76,10 +71,6 @@ func sliceSamples(t *tensor.Tensor, lo, hi int) *tensor.Tensor {
 	out := tensor.New(shape...)
 	copy(out.Data, t.Data[lo*per:hi*per])
 	return out
-}
-
-func gatherSamples(t *tensor.Tensor, idx []int) *tensor.Tensor {
-	return gatherSamplesInto(t, idx, nil)
 }
 
 func gatherSamplesInto(t *tensor.Tensor, idx []int, dst *tensor.Tensor) *tensor.Tensor {

@@ -61,9 +61,9 @@ func TestSubsetAndGatherCopy(t *testing.T) {
 	if d.X.Data[2] == 999 {
 		t.Fatal("Subset must copy")
 	}
-	g := d.Gather([]int{7, 1})
+	g := d.GatherInto([]int{7, 1}, Dataset{})
 	if g.X.Data[0] != d.X.Data[7] || g.X.Data[1] != d.X.Data[1] {
-		t.Fatalf("Gather wrong: %v", g.X.Data)
+		t.Fatalf("GatherInto wrong: %v", g.X.Data)
 	}
 }
 
