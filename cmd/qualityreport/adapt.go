@@ -155,16 +155,19 @@ func runAdaptReplay(cfg adaptReplayConfig) {
 		}
 		tgt := hist[trace.CPUUtilPercent]
 		t0 := int64(t - cfg.histLen + 1)
+
+		// Serve first, then feed the monitor, in the order rptcnd's POST
+		// does: the actuals a request carries cannot promote a candidate
+		// before that request's own forecast is served.
+		in, err := p.PrepareInput(hist)
+		var live [][]float64
+		if err == nil {
+			live, _, err = p.ForecastBatchGen([]*core.PreparedInput{in})
+		}
 		eng.Observe(entityName, t0, tgt)
 		sup.ObserveActuals(entityName, t0, tgt)
 		adapted.observe(t0, tgt)
 		control.observe(t0, tgt)
-
-		in, err := p.PrepareInput(hist)
-		if err != nil {
-			continue
-		}
-		live, _, err := p.ForecastBatchGen([]*core.PreparedInput{in})
 		if err != nil {
 			continue
 		}
@@ -180,13 +183,6 @@ func runAdaptReplay(cfg adaptReplayConfig) {
 			swapT = t
 		}
 
-		// Keep the async pipeline in lockstep with the replay: the engine
-		// must process this step's observations (so the mutation fires at
-		// its true sample time) and the supervisor must drain the trigger
-		// and mirrors before the next step decides whether to pause.
-		eng.Flush()
-		sup.Flush()
-
 		// Pace the replay while the candidate trains, so the remaining
 		// samples are spent shadow-scoring it rather than running out.
 		for deadline := time.Now().Add(5 * time.Minute); sup.Status().State == adapt.StateTraining; {
@@ -195,12 +191,7 @@ func runAdaptReplay(cfg adaptReplayConfig) {
 			}
 			time.Sleep(10 * time.Millisecond)
 		}
-		if swapT == 0 && p.Generation() > 1 {
-			swapT = t
-		}
 	}
-	eng.Flush()
-	sup.Flush()
 	st := sup.Status()
 
 	// ---- Recovery report -------------------------------------------

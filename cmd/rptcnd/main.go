@@ -400,7 +400,8 @@ func serve(log *slog.Logger, p *core.Predictor, sc serveConfig) {
 			log.Error("shutdown", "err", err)
 		}
 	}
-	// Stop the quality engine's worker and flush the serving journal.
+	// Close the shards, quality engine and supervisor, then flush the
+	// serving journal.
 	if err := handler.Close(); err != nil {
 		log.Error("close server", "err", err)
 	}

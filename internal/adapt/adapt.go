@@ -10,20 +10,23 @@
 // improvement from the caller's perspective, never a new failure mode.
 //
 // Robustness contract:
-//   - The request path is never blocked: every input is a non-blocking
-//     enqueue onto a bounded queue (overflow counted, dropped), and the
-//     swap itself publishes a new snapshot that serving picks up on its
-//     next batch, without a lock.
-//   - One retrain in flight, ever. Failures retry with bounded
-//     exponential backoff; exhausting the budget raises the
-//     rptcn_adapt_alarm gauge and serving continues on the old weights.
+//   - The request path never waits on a retrain: while idle a mirrored
+//     forecast or actual costs one atomic load, and the swap itself
+//     publishes a new snapshot that serving picks up on its next batch,
+//     without a lock.
+//   - One retrain in flight, ever: the fine-tune is the supervisor's one
+//     background job. Failures retry with bounded exponential backoff;
+//     exhausting the budget raises the rptcn_adapt_alarm gauge and
+//     serving continues on the old weights.
 //   - Cooldown between swaps bounds churn under detector flapping.
 //   - Counters and lifecycle state persist crash-safely under the run
 //     dir (internal/fsx); a restart discards any in-flight candidate
 //     (its artifacts are pruned) and resumes from idle.
 //
-// The supervisor runs on a single worker goroutine and is fully
-// deterministic given the same event sequence; candidate training reuses
+// The supervisor is a state machine stepped under one mutex by its
+// callers (quality events, mirrored forecasts, actuals) and by the
+// fine-tune job when it finishes; it is fully deterministic given the
+// same sequence of steps. Candidate training reuses
 // train.Fit's crash-safe checkpoints, divergence guards, and
 // deterministic RNG streams, so a retrain is reproducible bit for bit.
 package adapt
@@ -96,7 +99,6 @@ func (c *Config) EffectiveMinSamples() int {
 const (
 	rollbackFactor = 1.10 // probation MAE over the pre-swap live MAE that rolls back
 	maxPending     = 4096 // mirrored forecast steps awaiting ground truth
-	queueSize      = 4096 // events awaiting the worker
 )
 
 func (c *Config) fillDefaults() error {
@@ -157,33 +159,6 @@ func stateCode(s string) float64 {
 	return 0
 }
 
-// event kinds.
-const (
-	evTrigger = iota
-	evMirror
-	evActuals
-	evStatus
-	evFlush
-)
-
-type event struct {
-	kind   int
-	entity string
-	t      int64
-	in     *core.PreparedInput // evMirror
-	values []float64           // evMirror: live forecast; evActuals: ground truth
-	reply  chan Status
-	done   chan struct{}
-}
-
-// trainResult is what the single in-flight retrain goroutine reports.
-type trainResult struct {
-	entity string
-	cand   *core.Model
-	eval   train.Dataset
-	err    error
-}
-
 // shadowPair is one mirrored horizon step awaiting ground truth.
 type shadowPair struct {
 	live, cand float64
@@ -191,21 +166,17 @@ type shadowPair struct {
 }
 
 // Supervisor is the drift-adaptive retraining loop. All exported
-// methods are safe for concurrent use and never block the caller.
+// methods are safe for concurrent use and never wait on a retrain.
 type Supervisor struct {
 	cfg Config
 	log *slog.Logger
+	// fineTune is the one background job: Predictor.FineTune, or a
+	// stand-in a test controls.
+	fineTune func(*core.Predictor, [][]float64, core.FineTuneConfig) (*core.Model, train.Dataset, *train.History, error)
 
-	ch        chan event
-	trainDone chan trainResult // cap 1: one retrain in flight
-	retryCh   chan struct{}    // cap 1: one backoff timer in flight
-	stop      chan struct{}
-	stopped   chan struct{}
-	once      sync.Once
-
-	// mirroring is 1 while the worker wants mirrored forecasts/actuals
-	// (shadow or probation): the serve path checks it before paying for
-	// an enqueue, so adaptation is ~free while idle.
+	// mirroring is true while the supervisor wants mirrored forecasts
+	// and actuals (shadow or probation): the serve path checks it before
+	// taking the lock, so adaptation costs one atomic load while idle.
 	mirroring atomic.Bool
 
 	// Metrics.
@@ -217,9 +188,13 @@ type Supervisor struct {
 	retrainOK *obs.Counter
 	retrainKO *obs.Counter
 	shadowC   *obs.Counter
-	droppedEv *obs.Counter
 
-	// Worker-owned state.
+	// infMu serializes shadow forwards on inf, which run outside mu.
+	infMu sync.Mutex
+
+	// State, guarded by mu.
+	mu           sync.Mutex
+	closed       bool
 	state        string
 	alarm        bool
 	swaps        uint64
@@ -236,7 +211,7 @@ type Supervisor struct {
 	entity    string
 	candModel *core.Model
 	candEval  train.Dataset
-	inf       *core.ShardInferencer // pinned to candModel
+	inf       *core.ShardInferencer // pinned to candModel; set only in shadow
 	pending   map[string]map[int64][]shadowPair
 	pendingN  int
 	shadowRes int
@@ -249,7 +224,7 @@ type Supervisor struct {
 	baseMAE   float64 // pre-swap live MAE, the probation baseline
 }
 
-// New starts a supervisor (one worker goroutine; stop with Close). Any
+// New returns an idle supervisor; it starts no goroutine. Any
 // candidate left behind by a crash is discarded: its checkpoints are
 // pruned and the persisted counters resume from disk with state idle —
 // the serving model is authoritative, a half-trained candidate never is.
@@ -259,15 +234,11 @@ func New(cfg Config) (*Supervisor, error) {
 	}
 	reg := cfg.Registry
 	s := &Supervisor{
-		cfg:       cfg,
-		log:       obs.Logger("adapt"),
-		ch:        make(chan event, queueSize),
-		trainDone: make(chan trainResult, 1),
-		retryCh:   make(chan struct{}, 1),
-		stop:      make(chan struct{}),
-		stopped:   make(chan struct{}),
-		state:     StateIdle,
-		pending:   map[string]map[int64][]shadowPair{},
+		cfg:      cfg,
+		log:      obs.Logger("adapt"),
+		fineTune: (*core.Predictor).FineTune,
+		state:    StateIdle,
+		pending:  map[string]map[int64][]shadowPair{},
 		stateG: reg.Gauge("rptcn_adapt_state",
 			"Adaptation state: 0 idle, 1 training, 2 shadow, 3 probation."),
 		genG: reg.Gauge("rptcn_adapt_generation",
@@ -284,8 +255,6 @@ func New(cfg Config) (*Supervisor, error) {
 			"Background retrains, by result.", obs.L("result", "failed")),
 		shadowC: reg.Counter("rptcn_adapt_shadow_forecasts_total",
 			"Candidate forecasts computed in shadow (never served)."),
-		droppedEv: reg.Counter("rptcn_adapt_dropped_events_total",
-			"Adaptation events dropped because the queue was full."),
 	}
 	if err := s.recover(); err != nil {
 		return nil, err
@@ -295,32 +264,60 @@ func New(cfg Config) (*Supervisor, error) {
 	if s.alarm {
 		s.alarmG.Set(1)
 	}
-	go s.run()
 	return s, nil
 }
 
-// OnQualityEvent is the quality.Config.Events subscription point: it
-// runs on the quality engine's worker goroutine, so it only enqueues.
+// OnQualityEvent is the quality.Config.Events subscription point. Only
+// escalations trigger retraining — every mutation fire, and drift
+// reaching alarm; a drift recovery ("ok") is not a reason to retrain —
+// and only while idle and past the post-swap cooldown. A trigger reads
+// the ring windows on the calling goroutine, so no ring lock may be held
+// across a quality engine call.
 func (s *Supervisor) OnQualityEvent(ev quality.Event) {
-	// Only escalations trigger retraining: every mutation fire, and
-	// drift reaching alarm. A drift recovery ("ok") is not a reason to
-	// retrain.
 	if ev.Kind == "drift" && ev.State != "alarm" {
 		return
 	}
-	s.send(event{kind: evTrigger, entity: ev.Entity, t: ev.T})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || s.state != StateIdle {
+		return
+	}
+	if s.cfg.now().Before(s.cooldownEnd) {
+		s.journal("trigger_ignored", map[string]any{"reason": "cooldown", "entity": ev.Entity, "t": ev.T})
+		return
+	}
+	s.retry = 0
+	s.startRetrain(ev.Entity)
 }
 
 // MirrorForecast mirrors one served forecast (with its prepared input)
 // for shadow/probation scoring. Cheap no-op unless the supervisor is
-// actively scoring; in must be immutable (core.PreparedInput is).
+// actively scoring; in must be immutable (core.PreparedInput is). In
+// shadow the candidate runs the same prepared input, outside the lock;
+// its pairs count only if that candidate is still the one in shadow.
 func (s *Supervisor) MirrorForecast(entity string, t int64, in *core.PreparedInput, live []float64) {
 	if !s.mirroring.Load() || in == nil || len(live) == 0 {
 		return
 	}
-	vals := make([]float64, len(live))
-	copy(vals, live)
-	s.send(event{kind: evMirror, entity: entity, t: t, in: in, values: vals})
+	s.mu.Lock()
+	inf := s.inf
+	s.mu.Unlock()
+	var cand []float64
+	if inf != nil {
+		s.infMu.Lock()
+		out, _, err := inf.ForecastBatchGen([]*core.PreparedInput{in})
+		s.infMu.Unlock()
+		if err != nil {
+			s.log.Warn("shadow forecast failed", "err", err)
+			return
+		}
+		cand = out[0]
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed && s.inf == inf {
+		s.onMirror(entity, t, live, cand)
+	}
 }
 
 // ObserveActuals feeds ground truth: actuals[i] is the target
@@ -329,127 +326,45 @@ func (s *Supervisor) ObserveActuals(entity string, t0 int64, actuals []float64) 
 	if !s.mirroring.Load() || len(actuals) == 0 {
 		return
 	}
-	vals := make([]float64, len(actuals))
-	copy(vals, actuals)
-	s.send(event{kind: evActuals, entity: entity, t: t0, values: vals})
-}
-
-func (s *Supervisor) send(ev event) {
-	select {
-	case s.ch <- ev:
-	case <-s.stopped:
-	default:
-		s.droppedEv.Inc()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.closed {
+		s.onActuals(entity, t0, actuals)
 	}
 }
 
-// Flush blocks until every event enqueued before the call has been
-// processed (no-op after Close).
-func (s *Supervisor) Flush() {
-	done := make(chan struct{})
-	select {
-	case s.ch <- event{kind: evFlush, done: done}:
-	case <-s.stopped:
-		return
-	}
-	select {
-	case <-done:
-	case <-s.stopped:
-	}
-}
-
-// Status returns a consistent snapshot after draining already-enqueued
-// events. After Close it returns the zero status.
+// Status returns a consistent snapshot. After Close it returns the zero
+// status.
 func (s *Supervisor) Status() Status {
-	reply := make(chan Status, 1)
-	select {
-	case s.ch <- event{kind: evStatus, reply: reply}:
-	case <-s.stopped:
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
 		return Status{}
 	}
-	select {
-	case st := <-reply:
-		return st
-	case <-s.stopped:
-		return Status{}
-	}
+	return s.buildStatus()
 }
 
-// Close stops the worker and waits for it to exit. A retrain still in
-// flight is abandoned (its goroutine finishes into a buffered channel
-// and is garbage collected). Idempotent.
+// Close stops the supervisor: later calls are no-ops, a pending retry is
+// cancelled, and a fine-tune still in flight is abandoned — Close does
+// not wait for it, and its result is discarded. Idempotent.
 func (s *Supervisor) Close() error {
-	s.once.Do(func() {
-		close(s.stop)
-		<-s.stopped
-	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.closed = true
+	s.mirroring.Store(false)
+	if s.retryTimer != nil {
+		s.retryTimer.Stop()
+	}
 	return nil
 }
 
-func (s *Supervisor) run() {
-	defer close(s.stopped)
-	defer func() {
-		if s.retryTimer != nil {
-			s.retryTimer.Stop()
-		}
-	}()
-	for {
-		select {
-		case ev := <-s.ch:
-			s.handle(ev)
-		case res := <-s.trainDone:
-			s.onTrainDone(res)
-		case <-s.retryCh:
-			s.startRetrain(s.entity)
-		case <-s.stop:
-			for {
-				select {
-				case ev := <-s.ch:
-					s.handle(ev)
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-func (s *Supervisor) handle(ev event) {
-	switch ev.kind {
-	case evTrigger:
-		s.onTrigger(ev)
-	case evMirror:
-		s.onMirror(ev)
-	case evActuals:
-		s.onActuals(ev)
-	case evStatus:
-		ev.reply <- s.buildStatus()
-	case evFlush:
-		close(ev.done)
-	}
-}
-
-// onTrigger starts a retrain for a quality escalation, unless one is
-// already in flight or the post-swap cooldown is still running.
-func (s *Supervisor) onTrigger(ev event) {
-	if s.state != StateIdle {
-		return
-	}
-	if s.cfg.now().Before(s.cooldownEnd) {
-		s.journal("trigger_ignored", map[string]any{"reason": "cooldown", "entity": ev.entity, "t": ev.t})
-		return
-	}
-	s.retry = 0
-	s.startRetrain(ev.entity)
-}
-
-// startRetrain gathers training windows and spawns the (single)
-// fine-tune goroutine. Insufficient data counts as a failure and walks
-// the same bounded-retry backoff — rings may simply need to fill up.
+// startRetrain gathers training windows and starts the (single)
+// fine-tune job. Insufficient data counts as a failure and walks the
+// same bounded-retry backoff — rings may simply need to fill up.
 func (s *Supervisor) startRetrain(entity string) {
 	entity, series := s.gather(entity)
 	if series == nil {
-		s.onTrainDone(trainResult{entity: entity, err: errors.New("adapt: no entity with enough ring samples to retrain on")})
+		s.onTrainDone(entity, nil, train.Dataset{}, errors.New("adapt: no entity with enough ring samples to retrain on"))
 		return
 	}
 	s.entity = entity
@@ -461,11 +376,14 @@ func (s *Supervisor) startRetrain(entity string) {
 	})
 	s.log.Info("retraining candidate", "entity", entity,
 		"samples", len(series[0]), "attempt", s.retry+1)
-	ft := s.cfg.FineTune
-	p := s.cfg.Predictor
+	p, ft, job := s.cfg.Predictor, s.cfg.FineTune, s.fineTune
 	go func() {
-		cand, eval, _, err := p.FineTune(series, ft)
-		s.trainDone <- trainResult{entity: entity, cand: cand, eval: eval, err: err}
+		cand, eval, _, err := job(p, series, ft)
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if !s.closed {
+			s.onTrainDone(entity, cand, eval, err)
+		}
 	}()
 }
 
@@ -506,15 +424,15 @@ func (s *Supervisor) gather(entity string) (string, [][]float64) {
 
 // onTrainDone moves a finished retrain into shadow, or schedules a
 // bounded-backoff retry, or raises the alarm.
-func (s *Supervisor) onTrainDone(res trainResult) {
-	if res.err != nil {
+func (s *Supervisor) onTrainDone(entity string, cand *core.Model, eval train.Dataset, err error) {
+	if err != nil {
 		s.failures++
 		s.retrainKO.Inc()
 		s.journal("retrain_failed", map[string]any{
-			"entity": res.entity, "attempt": s.retry + 1, "err": res.err.Error(),
+			"entity": entity, "attempt": s.retry + 1, "err": err.Error(),
 		})
-		s.log.Warn("candidate retrain failed", "entity", res.entity,
-			"attempt", s.retry+1, "err", res.err)
+		s.log.Warn("candidate retrain failed", "entity", entity,
+			"attempt", s.retry+1, "err", err)
 		s.retry++
 		if s.retry > s.cfg.maxRetries {
 			s.alarm = true
@@ -528,27 +446,28 @@ func (s *Supervisor) onTrainDone(res trainResult) {
 		// Exponential backoff: retryBackoff × 2^(attempt−1).
 		delay := s.cfg.retryBackoff << (s.retry - 1)
 		s.setState(StateTraining)
-		s.entity = res.entity
+		s.entity = entity
 		s.retryTimer = time.AfterFunc(delay, func() {
-			select {
-			case s.retryCh <- struct{}{}:
-			default:
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if !s.closed {
+				s.startRetrain(s.entity)
 			}
 		})
 		return
 	}
 	s.retrainOK.Inc()
-	s.candModel = res.cand
-	s.candEval = res.eval
-	s.entity = res.entity
-	s.inf = s.cfg.Predictor.NewCandidateInferencer(res.cand)
+	s.candModel = cand
+	s.candEval = eval
+	s.entity = entity
+	s.inf = s.cfg.Predictor.NewCandidateInferencer(cand)
 	s.resetScoring()
 	s.setState(StateShadow)
 	s.mirroring.Store(true)
 	s.journal("shadow_start", map[string]any{
-		"entity": res.entity, "need_resolved": s.cfg.MinShadowResolved,
+		"entity": entity, "need_resolved": s.cfg.MinShadowResolved,
 	})
-	s.log.Info("candidate in shadow", "entity", res.entity,
+	s.log.Info("candidate in shadow", "entity", entity,
 		"need_resolved", s.cfg.MinShadowResolved)
 }
 
@@ -561,21 +480,14 @@ func (s *Supervisor) resetScoring() {
 	s.probAbs = 0
 }
 
-// onMirror scores one served forecast: in shadow the candidate runs the
-// same prepared input; in probation only the live (new-generation)
-// forecast is tracked against ground truth.
-func (s *Supervisor) onMirror(ev event) {
+// onMirror records one served forecast: in shadow paired with the
+// candidate's forecast of the same input; in probation only the live
+// (new-generation) forecast is tracked against ground truth.
+func (s *Supervisor) onMirror(entity string, t int64, live, cand []float64) {
 	if s.state != StateShadow && s.state != StateProbation {
 		return
 	}
-	var cand []float64
 	if s.state == StateShadow {
-		out, _, err := s.inf.ForecastBatchGen([]*core.PreparedInput{ev.in})
-		if err != nil {
-			s.log.Warn("shadow forecast failed", "err", err)
-			return
-		}
-		cand = out[0]
 		s.shadowC.Inc()
 		for _, v := range cand {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -587,12 +499,12 @@ func (s *Supervisor) onMirror(ev event) {
 			}
 		}
 	}
-	byT := s.pending[ev.entity]
+	byT := s.pending[entity]
 	if byT == nil {
 		byT = map[int64][]shadowPair{}
-		s.pending[ev.entity] = byT
+		s.pending[entity] = byT
 	}
-	for k, lv := range ev.values {
+	for k, lv := range live {
 		if s.pendingN >= maxPending {
 			break
 		}
@@ -600,7 +512,7 @@ func (s *Supervisor) onMirror(ev event) {
 		if cand != nil && k < len(cand) {
 			pair.cand, pair.hasCand = cand[k], true
 		}
-		tt := ev.t + int64(k) + 1
+		tt := t + int64(k) + 1
 		byT[tt] = append(byT[tt], pair)
 		s.pendingN++
 	}
@@ -608,19 +520,19 @@ func (s *Supervisor) onMirror(ev event) {
 
 // onActuals resolves mirrored pairs against ground truth and applies
 // the shadow/probation verdicts when enough pairs have resolved.
-func (s *Supervisor) onActuals(ev event) {
+func (s *Supervisor) onActuals(entity string, t0 int64, actuals []float64) {
 	if s.state != StateShadow && s.state != StateProbation {
 		return
 	}
-	byT := s.pending[ev.entity]
+	byT := s.pending[entity]
 	if byT == nil {
 		return
 	}
-	for i, actual := range ev.values {
+	for i, actual := range actuals {
 		if math.IsNaN(actual) || math.IsInf(actual, 0) {
 			continue
 		}
-		tt := ev.t + int64(i)
+		tt := t0 + int64(i)
 		pairs, ok := byT[tt]
 		if !ok {
 			continue

@@ -18,7 +18,7 @@ import (
 // mirrored events, so the in-flight cycle concludes normally; only the
 // NEXT retrain notices the data is gone, walks its bounded retries, and
 // raises the alarm while serving stays untouched. Close() afterwards
-// must still tear the worker down without leaking it.
+// must leave no goroutine behind.
 func TestAdaptShadowSurvivesEntityEviction(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
@@ -82,7 +82,7 @@ func TestAdaptShadowSurvivesEntityEviction(t *testing.T) {
 	// Scoring still runs purely off mirrored events — the evicted entity
 	// resolves to a verdict as if nothing happened.
 	f.feedScoring(t, 0, func() bool { return sup.Status().State == StateIdle })
-	st := f.waitIdle(t, nil)
+	st := sup.Status()
 	if st.Generation != 1 || st.Swaps != 0 {
 		t.Fatalf("discard after eviction changed serving: %+v", st)
 	}
@@ -114,8 +114,8 @@ func TestAdaptShadowSurvivesEntityEviction(t *testing.T) {
 		t.Fatalf("generation = %d, want 1 (serving untouched)", p.Generation())
 	}
 
-	// Teardown leaks nothing: the worker exits, Close is idempotent, and
-	// the goroutine count settles back to the pre-supervisor baseline.
+	// Teardown leaks nothing: Close is idempotent, and the goroutine
+	// count settles back to the pre-supervisor baseline.
 	if err := sup.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,13 @@ package adapt
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -13,6 +17,7 @@ import (
 	"repro/internal/obs/runlog"
 	"repro/internal/quality"
 	"repro/internal/trace"
+	"repro/internal/train"
 )
 
 // fixture is one self-contained adaptation scenario: a predictor fitted
@@ -107,7 +112,8 @@ func newFixture(t *testing.T, cfg Config) *fixture {
 	return f
 }
 
-// waitState polls Status until the supervisor reaches want.
+// waitState polls Status until the supervisor reaches want. Only the
+// fine-tune job runs off the caller's goroutine, so only waits on it poll.
 func (f *fixture) waitState(t *testing.T, want string) Status {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
@@ -118,22 +124,6 @@ func (f *fixture) waitState(t *testing.T, want string) Status {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for state %q; at %+v", want, st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// waitIdleAfter polls until the supervisor is idle AND check passes.
-func (f *fixture) waitIdle(t *testing.T, check func(Status) bool) Status {
-	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for {
-		st := f.sup.Status()
-		if st.State == StateIdle && (check == nil || check(st)) {
-			return st
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for idle; at %+v", st)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -170,7 +160,6 @@ func (f *fixture) feedScoring(t *testing.T, distort float64, stop func() bool) {
 			actuals[k] = f.ser.Metrics[0][s+k] + distort
 		}
 		f.sup.ObserveActuals("m1", int64(s), actuals)
-		f.sup.Flush()
 	}
 	if !stop() {
 		t.Fatal("scoring data exhausted before the supervisor reached a verdict")
@@ -199,7 +188,7 @@ func TestAdaptPromoteAndProbationPass(t *testing.T) {
 	}
 
 	f.feedScoring(t, 0, func() bool { return f.sup.Status().State == StateIdle })
-	st = f.waitIdle(t, nil)
+	st = f.sup.Status()
 	if st.Generation != 2 || st.Rollbacks != 0 {
 		t.Fatalf("after probation: generation %d rollbacks %d, want 2/0", st.Generation, st.Rollbacks)
 	}
@@ -237,7 +226,7 @@ func TestAdaptRollback(t *testing.T) {
 	f.feedScoring(t, 0, func() bool { return f.sup.Status().State == StateProbation })
 
 	f.feedScoring(t, 500, func() bool { return f.sup.Status().State == StateIdle })
-	st := f.waitIdle(t, nil)
+	st := f.sup.Status()
 	if st.Rollbacks != 1 {
 		t.Fatalf("rollbacks = %d, want 1", st.Rollbacks)
 	}
@@ -257,7 +246,7 @@ func TestAdaptDiscardOnGate(t *testing.T) {
 	f.trigger()
 	f.waitState(t, StateShadow)
 	f.feedScoring(t, 0, func() bool { return f.sup.Status().State == StateIdle })
-	st := f.waitIdle(t, nil)
+	st := f.sup.Status()
 	if st.Generation != 1 || st.Swaps != 0 {
 		t.Fatalf("discard changed serving: generation %d swaps %d", st.Generation, st.Swaps)
 	}
@@ -330,7 +319,6 @@ func TestAdaptDriftEventFilter(t *testing.T) {
 	f := newFixture(t, Config{})
 	f.sup.OnQualityEvent(quality.Event{Kind: "drift", Signal: "error", T: 100, State: "warn"})
 	f.sup.OnQualityEvent(quality.Event{Kind: "drift", Signal: "error", T: 101, State: "ok"})
-	f.sup.Flush()
 	if st := f.sup.Status(); st.State != StateIdle || st.Retrains != 0 {
 		t.Fatalf("non-alarm drift events triggered retraining: %+v", st)
 	}
@@ -350,12 +338,11 @@ func TestAdaptCooldown(t *testing.T) {
 	f.waitState(t, StateShadow)
 	f.feedScoring(t, 0, func() bool { return f.sup.Status().State == StateProbation })
 	f.feedScoring(t, 0, func() bool { return f.sup.Status().State == StateIdle })
-	st := f.waitIdle(t, nil)
+	st := f.sup.Status()
 	if st.Swaps != 1 {
 		t.Fatalf("swaps = %d, want 1", st.Swaps)
 	}
 	f.trigger() // inside the 1h cooldown — must be ignored
-	f.sup.Flush()
 	if st := f.sup.Status(); st.State != StateIdle || st.Retrains != 1 {
 		t.Fatalf("trigger inside cooldown not ignored: %+v", st)
 	}
@@ -372,7 +359,6 @@ func TestAdaptRecovery(t *testing.T) {
 	f.waitState(t, StateShadow)
 	f.feedScoring(t, 0, func() bool { return f.sup.Status().State == StateProbation })
 	f.feedScoring(t, 0, func() bool { return f.sup.Status().State == StateIdle })
-	f.waitIdle(t, nil)
 	f.sup.Close()
 
 	// Plant an orphaned candidate checkpoint, as a SIGKILL mid-retrain
@@ -430,9 +416,9 @@ func TestAdaptCorruptStateQuarantined(t *testing.T) {
 	}
 }
 
-// TestAdaptMirrorCheapWhenIdle: the mirror path must not enqueue events
-// while the supervisor is idle (the atomic gate keeps the serve path
-// free), and promotion gates on generation via the registry.
+// TestAdaptMirrorCheapWhenIdle: while the supervisor is idle the mirror
+// path must neither take the supervisor lock nor record anything (the
+// atomic gate keeps the serve path free).
 func TestAdaptMirrorCheapWhenIdle(t *testing.T) {
 	f := newFixture(t, Config{})
 	hist := f.p.MinHistory()
@@ -441,15 +427,156 @@ func TestAdaptMirrorCheapWhenIdle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 100; i++ {
-		f.sup.MirrorForecast("m1", int64(i), in, []float64{1, 2})
-		f.sup.ObserveActuals("m1", int64(i), []float64{1})
+	// With the lock held here, a call that took it could not return.
+	f.sup.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 100; i++ {
+			f.sup.MirrorForecast("m1", int64(i), in, []float64{1, 2})
+			f.sup.ObserveActuals("m1", int64(i), []float64{1})
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Error("idle mirroring waited on the supervisor lock")
 	}
-	f.sup.Flush()
-	if st := f.sup.Status(); st.DroppedEvents != 0 || st.State != StateIdle {
+	f.sup.mu.Unlock()
+	<-done
+	if st := f.sup.Status(); st.State != StateIdle {
 		t.Fatalf("idle mirroring did work: %+v", st)
 	}
 	if got := f.sup.pendingN; got != 0 {
 		t.Fatalf("idle mirroring buffered %d pairs", got)
+	}
+}
+
+// TestCloseAbandonsInflightRetrain: Close returns while the fine-tune job
+// is still running, and the job's late result changes nothing — no state,
+// no counter, no adapt-state.json write, no swap. A pending retry timer
+// is stopped by Close.
+func TestCloseAbandonsInflightRetrain(t *testing.T) {
+	started, release := make(chan struct{}, 1), make(chan struct{})
+	f := newFixture(t, Config{})
+	f.sup.fineTune = func(p *core.Predictor, _ [][]float64, _ core.FineTuneConfig) (*core.Model, train.Dataset, *train.History, error) {
+		started <- struct{}{}
+		<-release
+		return p.Model().Clone(), train.Dataset{}, nil, nil
+	}
+	f.trigger()
+	select {
+	case <-started:
+	case <-time.After(60 * time.Second):
+		t.Fatal("fine-tune job never started")
+	}
+	statePath := filepath.Join(f.dir, stateFile)
+	stateBefore, err := os.ReadFile(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infoBefore, err := os.Stat(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A Close that waited for the job would return only once this timer
+	// released it.
+	watchdog := time.AfterFunc(10*time.Second, func() { close(release) })
+	f.sup.Close()
+	if !watchdog.Stop() {
+		t.Fatal("Close waited for the in-flight fine-tune")
+	}
+
+	// Let the job finish and wait for its goroutine to exit.
+	running := runtime.NumGoroutine()
+	close(release)
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() >= running; {
+		if time.Now().After(deadline) {
+			t.Fatal("fine-tune job goroutine never exited")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	f.sup.mu.Lock()
+	state, retrains, inf := f.sup.state, f.sup.retrains, f.sup.inf
+	f.sup.mu.Unlock()
+	if state != StateTraining || retrains != 1 || inf != nil || f.sup.mirroring.Load() {
+		t.Fatalf("late result changed state: %s, retrains %d, candidate %v, mirroring %v",
+			state, retrains, inf != nil, f.sup.mirroring.Load())
+	}
+	if ok, ko, shadow := f.sup.retrainOK.Value(), f.sup.retrainKO.Value(), f.sup.shadowC.Value(); ok+ko+shadow != 0 {
+		t.Fatalf("late result moved counters: ok %v failed %v shadow %v", ok, ko, shadow)
+	}
+	stateAfter, err := os.ReadFile(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	infoAfter, err := os.Stat(statePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(stateBefore, stateAfter) || !infoAfter.ModTime().Equal(infoBefore.ModTime()) {
+		t.Fatalf("late result rewrote %s:\n%s\nthen\n%s", stateFile, stateBefore, stateAfter)
+	}
+	if g := f.p.Generation(); g != 1 {
+		t.Fatalf("generation = %d after an abandoned retrain, want 1", g)
+	}
+
+	// A failed fine-tune arms the retry timer; Close must stop it.
+	g := newFixture(t, Config{retryBackoff: time.Hour})
+	g.sup.fineTune = func(*core.Predictor, [][]float64, core.FineTuneConfig) (*core.Model, train.Dataset, *train.History, error) {
+		return nil, train.Dataset{}, nil, errors.New("injected fine-tune failure")
+	}
+	g.sup.OnQualityEvent(quality.Event{Kind: "mutation", Signal: "input", Entity: "m1", T: int64(fxMutateAt + 20)})
+	for deadline := time.Now().Add(60 * time.Second); g.sup.Status().Failures == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("fine-tune failure never reported")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	g.sup.Close()
+	g.sup.mu.Lock()
+	timer := g.sup.retryTimer
+	g.sup.mu.Unlock()
+	if timer == nil || timer.Stop() {
+		t.Fatal("Close left the retry timer pending")
+	}
+}
+
+// TestAdaptConcurrentScoring: in shadow, mirrored forecasts and actuals
+// arrive from several request goroutines at once, each candidate forward
+// outside the supervisor lock, and the cycle still reaches its verdict:
+// the candidate, trained on the mutated regime, is promoted.
+func TestAdaptConcurrentScoring(t *testing.T) {
+	f := newFixture(t, Config{})
+	f.trigger()
+	f.waitState(t, StateShadow)
+	hist, h := f.p.MinHistory(), f.p.Cfg.Horizon
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(entity string) {
+			defer wg.Done()
+			for s := fxMutateAt + hist; s < fxSamples-h && f.sup.Status().State == StateShadow; s++ {
+				in, err := f.p.PrepareInput(sliceSeries(f.ser, s-hist, s))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				live, _, err := f.p.ForecastBatchGen([]*core.PreparedInput{in})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				f.sup.MirrorForecast(entity, int64(s-1), in, live[0])
+				f.sup.ObserveActuals(entity, int64(s), f.ser.Metrics[0][s:s+h])
+			}
+		}("m" + strconv.Itoa(g))
+	}
+	wg.Wait()
+	// Stragglers may finish probation too; either way one promotion.
+	st := f.sup.Status()
+	if st.State != StateProbation && st.State != StateIdle || st.Swaps != 1 || st.Rollbacks != 0 || st.Generation != 2 {
+		t.Fatalf("concurrent scoring ended at %+v, want one promotion to generation 2", st)
 	}
 }

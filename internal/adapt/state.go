@@ -35,7 +35,7 @@ type persistedState struct {
 }
 
 // persist writes the snapshot atomically; called on every lifecycle
-// transition from the worker goroutine. Persistence errors are logged,
+// transition, under the supervisor lock. Persistence errors are logged,
 // never fatal — adaptation keeps running in-memory.
 func (s *Supervisor) persist() {
 	if s.cfg.Dir == "" {
@@ -60,8 +60,8 @@ func (s *Supervisor) persist() {
 }
 
 // recover restores counters from a previous run and cleans up any
-// abandoned candidate artifacts. Called from New before the worker
-// starts. A corrupt state file is quarantined (renamed aside), not
+// abandoned candidate artifacts. Called from New before the supervisor
+// is shared. A corrupt state file is quarantined (renamed aside), not
 // fatal: losing counters is better than refusing to adapt.
 func (s *Supervisor) recover() error {
 	if s.cfg.Dir == "" {
@@ -125,35 +125,33 @@ type ShadowStatus struct {
 // Status is a point-in-time snapshot of the supervisor, served by
 // /debug/adapt and folded into /v1/model.
 type Status struct {
-	State         string        `json:"state"`
-	Generation    int64         `json:"generation"`
-	Entity        string        `json:"entity,omitempty"` // entity driving the current cycle
-	Swaps         uint64        `json:"swaps"`
-	Rollbacks     uint64        `json:"rollbacks"`
-	Retrains      uint64        `json:"retrains"`
-	Failures      uint64        `json:"failures"`
-	Alarm         bool          `json:"alarm"`
-	Retry         int           `json:"retry,omitempty"` // consecutive failures this cycle
-	LastSwapUnix  int64         `json:"last_swap_unix,omitempty"`
-	Shadow        *ShadowStatus `json:"shadow,omitempty"`
-	Probation     *ShadowStatus `json:"probation,omitempty"`
-	DroppedEvents uint64        `json:"dropped_events,omitempty"`
+	State        string        `json:"state"`
+	Generation   int64         `json:"generation"`
+	Entity       string        `json:"entity,omitempty"` // entity driving the current cycle
+	Swaps        uint64        `json:"swaps"`
+	Rollbacks    uint64        `json:"rollbacks"`
+	Retrains     uint64        `json:"retrains"`
+	Failures     uint64        `json:"failures"`
+	Alarm        bool          `json:"alarm"`
+	Retry        int           `json:"retry,omitempty"` // consecutive failures this cycle
+	LastSwapUnix int64         `json:"last_swap_unix,omitempty"`
+	Shadow       *ShadowStatus `json:"shadow,omitempty"`
+	Probation    *ShadowStatus `json:"probation,omitempty"`
 }
 
-// buildStatus runs on the worker goroutine.
+// buildStatus runs under the supervisor lock.
 func (s *Supervisor) buildStatus() Status {
 	st := Status{
-		State:         s.state,
-		Generation:    s.cfg.Predictor.Generation(),
-		Entity:        s.entity,
-		Swaps:         s.swaps,
-		Rollbacks:     s.rollbacks,
-		Retrains:      s.retrains,
-		Failures:      s.failures,
-		Alarm:         s.alarm,
-		Retry:         s.retry,
-		LastSwapUnix:  s.lastSwapUnix,
-		DroppedEvents: uint64(s.droppedEv.Value()),
+		State:        s.state,
+		Generation:   s.cfg.Predictor.Generation(),
+		Entity:       s.entity,
+		Swaps:        s.swaps,
+		Rollbacks:    s.rollbacks,
+		Retrains:     s.retrains,
+		Failures:     s.failures,
+		Alarm:        s.alarm,
+		Retry:        s.retry,
+		LastSwapUnix: s.lastSwapUnix,
 	}
 	switch s.state {
 	case StateShadow:

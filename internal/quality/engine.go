@@ -22,16 +22,17 @@
 // metrics (internal/obs); the full picture is available as a Status
 // snapshot, served by the HTTP layer as /debug/quality.
 //
-// The engine runs on a single worker goroutine fed by a bounded queue:
-// the serving hot path only enqueues (non-blocking — overflow is
-// counted and dropped, never waited on), so steady-state forecast
-// latency is unaffected. All state is worker-owned; given the same
-// event sequence the engine is fully deterministic.
+// The engine is a state machine run on its callers' goroutines under one
+// mutex: a call resolves, records and detects inline, in well under a
+// microsecond, and the events it fires reach Config.Events after the
+// lock is released. It starts no goroutine, queues nothing and so drops
+// nothing; given the same call sequence it is fully deterministic.
 package quality
 
 import (
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -61,10 +62,9 @@ type Config struct {
 	// Log receives transition warnings (default obs.Logger("quality")).
 	Log *slog.Logger
 	// Events, when set, receives every mutation fire and drift state
-	// transition as it happens. The callback runs on the engine's
-	// worker goroutine: it must return quickly and never block (hand
-	// off to a channel or goroutine for anything heavier), or the
-	// quality pipeline stalls behind it.
+	// transition. It runs on the goroutine whose call fired the event,
+	// after the engine lock is released, so it may call back into the
+	// engine; that caller (a serving request, say) waits for it.
 	Events func(Event)
 
 	// Tests shorten these; zero means the default.
@@ -104,10 +104,7 @@ func (p Preset) inputDrift() DriftConfig {
 	return DriftConfig{MinStd: 0.02}
 }
 
-const (
-	maxPending = 1 << 16 // forecast steps awaiting ground truth, fleet wide
-	queueSize  = 4096    // events between the serving path and the worker
-)
+const maxPending = 1 << 16 // forecast steps awaiting ground truth, fleet wide
 
 // Event is one detector transition published to Config.Events. It is
 // the subscription surface the adaptation supervisor (internal/adapt)
@@ -154,25 +151,6 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// event kinds.
-const (
-	evForecast = iota
-	evObserve
-	evInput
-	evStatus
-	evFlush
-)
-
-type event struct {
-	kind   int
-	entity string
-	t      int64
-	values []float64    // forecast (evForecast) or actuals (evObserve)
-	input  InputSummary // evInput
-	reply  chan StatusReport
-	done   chan struct{}
-}
-
 // pendingPred is one recorded forecast step awaiting its actual.
 type pendingPred struct {
 	step     int // 1-based horizon step
@@ -180,9 +158,9 @@ type pendingPred struct {
 	value    float64
 }
 
-// entityState is the worker-owned record behind one row of the status:
-// an entity's windows and detectors, or those of every entity folded
-// into "_overflow".
+// entityState is the record behind one row of the status: an entity's
+// windows and detectors, or those of every entity folded into
+// "_overflow".
 type entityState struct {
 	name    string
 	lastT   int64
@@ -203,11 +181,8 @@ type entityState struct {
 // per entity even past maxEntities so entities folded into one window
 // never resolve or overwrite each other's forecasts. Dropped once empty.
 type pendingStore struct {
-	byT        map[int64][]pendingPred // keyed by target sample time
-	ent        *entityState            // the windows its pairs feed
-	lastT      int64                   // newest observed sample time
-	hasT       bool
-	sinceSweep int // observe events since the last expiry sweep
+	byT map[int64][]pendingPred // keyed by target sample time
+	ent *entityState            // the windows its pairs feed
 }
 
 // Engine is the online evaluation engine. All exported methods are safe
@@ -215,15 +190,9 @@ type pendingStore struct {
 type Engine struct {
 	cfg Config
 
-	ch      chan event
-	stop    chan struct{}
-	stopped chan struct{}
-	once    sync.Once
-
-	// Metrics (concurrency-safe; set from the worker and collector).
+	// Metrics (concurrency-safe).
 	resolved   *obs.Counter
 	expired    *obs.Counter
-	droppedEv  *obs.Counter
 	droppedPen *obs.Counter
 	invalid    *obs.Counter
 	pendingG   *obs.Gauge
@@ -232,7 +201,10 @@ type Engine struct {
 	errDriftG  *obs.Gauge
 	inDriftG   *obs.Gauge
 
-	// Worker-owned state.
+	// State, guarded by mu.
+	mu       sync.Mutex
+	closed   bool
+	fired    []Event // fired during the current call, delivered by unlock
 	entities map[string]*entityState
 	order    []string
 	pending  map[string]*pendingStore
@@ -241,25 +213,21 @@ type Engine struct {
 	errDrift *DriftDetector
 	inDrift  *DriftDetector
 	sloState []string // last state per rule, for transition detection
-	lastT    int64
+	lastT    int64    // newest observed sample time, fleet wide
 	hasT     bool
+	sweptT   int64 // lastT at the last expiry sweep
 }
 
-// New starts an engine (one worker goroutine; stop it with Close).
+// New returns an engine; it starts no goroutine.
 func New(cfg Config) *Engine {
 	cfg.fillDefaults()
 	reg := cfg.Registry
 	e := &Engine{
-		cfg:     cfg,
-		ch:      make(chan event, queueSize),
-		stop:    make(chan struct{}),
-		stopped: make(chan struct{}),
+		cfg: cfg,
 		resolved: reg.Counter("rptcn_quality_resolved_pairs_total",
 			"Forecast/actual pairs resolved by the quality engine."),
 		expired: reg.Counter("rptcn_quality_expired_forecasts_total",
 			"Pending forecasts that aged out before an actual arrived."),
-		droppedEv: reg.Counter("rptcn_quality_dropped_events_total",
-			"Quality events dropped because the engine queue was full."),
 		droppedPen: reg.Counter("rptcn_quality_dropped_forecasts_total",
 			"Forecasts dropped because the pending store was full."),
 		invalid: reg.Counter("rptcn_quality_invalid_actuals_total",
@@ -305,140 +273,82 @@ func New(cfg Config) *Engine {
 			set(s, strconv.Itoa(s.Step))
 		}
 	})
-	go e.run()
 	return e
 }
 
 // RecordForecast registers a served forecast for entity issued at
-// sample time issuedAt: forecast[k] predicts time issuedAt+k+1. The
-// slice is copied.
+// sample time issuedAt: forecast[k] predicts time issuedAt+k+1.
 func (e *Engine) RecordForecast(entity string, issuedAt int64, forecast []float64) {
 	if len(forecast) == 0 {
 		return
 	}
-	vals := make([]float64, len(forecast))
-	copy(vals, forecast)
-	e.send(event{kind: evForecast, entity: entity, t: issuedAt, values: vals})
+	e.mu.Lock()
+	defer e.unlock()
+	if !e.closed {
+		e.recordForecast(entityKey(entity), issuedAt, forecast)
+	}
 }
 
 // Observe feeds ground truth for entity: actuals[i] is the target
 // indicator's value at sample time t0+i. Matching pending forecasts
-// resolve into error pairs. The slice is copied.
+// resolve into error pairs before Observe returns.
 func (e *Engine) Observe(entity string, t0 int64, actuals []float64) {
 	if len(actuals) == 0 {
 		return
 	}
-	vals := make([]float64, len(actuals))
-	copy(vals, actuals)
-	e.send(event{kind: evObserve, entity: entity, t: t0, values: vals})
+	e.mu.Lock()
+	defer e.unlock()
+	if !e.closed {
+		e.observe(entityKey(entity), t0, actuals)
+	}
 }
 
 // ObserveInput feeds one request's input summary at sample time t (see
 // InputBounds.Summarize): the target's trailing mean feeds the mutation
 // detector, the out-of-range ratio the input drift detector.
 func (e *Engine) ObserveInput(entity string, t int64, sum InputSummary) {
-	if sum.HasMean || sum.HasOOR {
-		e.send(event{kind: evInput, entity: entity, t: t, input: sum})
-	}
-}
-
-// send enqueues without blocking; overflow is counted, not waited on.
-func (e *Engine) send(ev event) {
-	select {
-	case e.ch <- ev:
-	case <-e.stopped:
-	default:
-		e.droppedEv.Inc()
-	}
-}
-
-// Flush blocks until every event enqueued before the call has been
-// processed (no-op after Close). Tests and snapshot paths use it to
-// make the asynchronous pipeline deterministic.
-func (e *Engine) Flush() {
-	done := make(chan struct{})
-	select {
-	case e.ch <- event{kind: evFlush, done: done}:
-	case <-e.stopped:
+	if !sum.HasMean && !sum.HasOOR {
 		return
 	}
-	select {
-	case <-done:
-	case <-e.stopped:
+	e.mu.Lock()
+	defer e.unlock()
+	if !e.closed {
+		e.observeInput(entityKey(entity), t, sum)
+	}
+}
+
+// unlock releases the engine lock, then delivers the events fired under
+// it: Config.Events never runs with the lock held.
+func (e *Engine) unlock() {
+	fired := e.fired
+	e.fired = nil
+	e.mu.Unlock()
+	for _, ev := range fired {
+		e.cfg.Events(ev)
 	}
 }
 
 // Status returns a consistent snapshot of every window, detector, and
-// SLO rule, after draining already-enqueued events. After Close it
-// returns the zero report.
+// SLO rule. After Close it returns the zero report.
 func (e *Engine) Status() StatusReport {
 	st, _ := e.status()
 	return st
 }
 
-func (e *Engine) status() (StatusReport, bool) {
-	reply := make(chan StatusReport, 1)
-	select {
-	case e.ch <- event{kind: evStatus, reply: reply}:
-	case <-e.stopped:
-		return StatusReport{}, false
-	}
-	select {
-	case st := <-reply:
-		return st, true
-	case <-e.stopped:
-		return StatusReport{}, false
-	}
-}
-
-// Close stops the worker and waits for it to exit. Idempotent; events
-// sent after Close are discarded.
+// Close stops the engine: later calls are no-ops. Idempotent.
 func (e *Engine) Close() error {
-	e.once.Do(func() {
-		close(e.stop)
-		<-e.stopped
-	})
+	e.mu.Lock()
+	e.closed = true
+	e.mu.Unlock()
 	return nil
 }
 
-// run is the worker loop; it owns every map, ring, and detector.
-func (e *Engine) run() {
-	defer close(e.stopped)
-	for {
-		select {
-		case ev := <-e.ch:
-			e.handle(ev)
-		case <-e.stop:
-			// Serve already-queued flushes/statuses so no caller blocks,
-			// then exit.
-			for {
-				select {
-				case ev := <-e.ch:
-					e.handle(ev)
-				default:
-					return
-				}
-			}
-		}
+// entityKey names the anonymous entity.
+func entityKey(name string) string {
+	if name == "" {
+		return "_default"
 	}
-}
-
-func (e *Engine) handle(ev event) {
-	if ev.entity == "" {
-		ev.entity = "_default"
-	}
-	switch ev.kind {
-	case evForecast:
-		e.recordForecast(ev)
-	case evObserve:
-		e.observe(ev)
-	case evInput:
-		e.observeInput(ev)
-	case evStatus:
-		ev.reply <- e.buildStatus()
-	case evFlush:
-		close(ev.done)
-	}
+	return name
 }
 
 // entity returns (creating if needed) the windows name's pairs feed,
@@ -474,21 +384,22 @@ func (e *Engine) addPending(ps *pendingStore, n int) {
 	e.pendingN += n
 }
 
-func (e *Engine) recordForecast(ev event) {
-	ps := e.pending[ev.entity]
+func (e *Engine) recordForecast(entity string, issuedAt int64, forecast []float64) {
+	e.maybeSweep()
+	ps := e.pending[entity]
 	if ps == nil {
-		ps = &pendingStore{byT: make(map[int64][]pendingPred), ent: e.entity(ev.entity)}
-		e.pending[ev.entity] = ps
+		ps = &pendingStore{byT: make(map[int64][]pendingPred), ent: e.entity(entity)}
+		e.pending[entity] = ps
 	}
-	for k, v := range ev.values {
-		tt := ev.t + int64(k) + 1
+	for k, v := range forecast {
+		tt := issuedAt + int64(k) + 1
 		preds := ps.byT[tt]
 		step := k + 1
 		replaced := false
 		for i := range preds {
 			// A re-sent forecast for the same (issue time, step)
 			// replaces rather than double-counts.
-			if preds[i].issuedAt == ev.t && preds[i].step == step {
+			if preds[i].issuedAt == issuedAt && preds[i].step == step {
 				preds[i].value = v
 				replaced = true
 				break
@@ -499,23 +410,23 @@ func (e *Engine) recordForecast(ev event) {
 				e.droppedPen.Inc()
 				continue
 			}
-			preds = append(preds, pendingPred{step: step, issuedAt: ev.t, value: v})
+			preds = append(preds, pendingPred{step: step, issuedAt: issuedAt, value: v})
 			e.addPending(ps, 1)
 		}
 		ps.byT[tt] = preds
 	}
 	if len(ps.byT) == 0 {
-		delete(e.pending, ev.entity)
+		delete(e.pending, entity)
 	}
 	e.pendingG.Set(float64(e.pendingN))
 }
 
-func (e *Engine) observe(ev event) {
-	ent := e.entity(ev.entity)
-	ps := e.pending[ev.entity]
+func (e *Engine) observe(entity string, t0 int64, actuals []float64) {
+	ent := e.entity(entity)
+	ps := e.pending[entity]
 	resolvedAny := false
-	for i, actual := range ev.values {
-		tt := ev.t + int64(i)
+	for i, actual := range actuals {
+		tt := t0 + int64(i)
 		if tt > ent.lastT || !ent.hasT {
 			ent.lastT, ent.hasT = tt, true
 		}
@@ -524,9 +435,6 @@ func (e *Engine) observe(ev event) {
 		}
 		if ps == nil {
 			continue
-		}
-		if tt > ps.lastT || !ps.hasT {
-			ps.lastT, ps.hasT = tt, true
 		}
 		preds, ok := ps.byT[tt]
 		if !ok {
@@ -560,47 +468,53 @@ func (e *Engine) observe(ev event) {
 			}
 		}
 	}
-	if ps != nil {
-		// Periodic expiry sweep: forecasts whose actual never arrived.
-		if ps.sinceSweep++; ps.sinceSweep >= 64 {
-			ps.sinceSweep = 0
-			e.sweep(ps)
-		}
-		if len(ps.byT) == 0 {
-			delete(e.pending, ev.entity)
-		}
+	if ps != nil && len(ps.byT) == 0 {
+		delete(e.pending, entity)
 	}
 	if resolvedAny {
 		e.evalSLO()
 	}
+	e.maybeSweep()
 	e.pendingG.Set(float64(e.pendingN))
 }
 
-func (e *Engine) observeInput(ev event) {
-	ent := e.entity(ev.entity)
-	in := ev.input
+func (e *Engine) observeInput(entity string, t int64, in InputSummary) {
+	ent := e.entity(entity)
 	if in.HasMean && ent.inputDet.Push(in.Mean) {
-		e.fireMutation(ent, "input", ev.t, &ent.inputFires, e.mutInput)
+		e.fireMutation(ent, "input", t, &ent.inputFires, e.mutInput)
 	}
 	if in.HasOOR {
 		old := e.inDrift.State()
 		if now := e.inDrift.Push(in.OOR); now != old {
-			e.driftTransition("input", old, now, e.inDrift, e.inDriftG, ev.t)
+			e.driftTransition("input", old, now, e.inDrift, e.inDriftG, t)
 		}
 	}
 }
 
-// sweep expires ps's entries older than its lastT-maxAge.
-func (e *Engine) sweep(ps *pendingStore) {
-	if !ps.hasT {
+// maybeSweep expires, fleet wide, every pending forecast whose target
+// time lags the newest observed sample time by more than maxAge, so
+// entities that never send actuals cannot hold the pending cap. (Sample
+// times share one clock across entities, as StatusReport.Time presumes.)
+// It runs once that clock has moved a quarter of maxAge since the last
+// sweep, or sooner when the cap is full and the clock has moved at all.
+func (e *Engine) maybeSweep() {
+	moved := e.lastT - e.sweptT
+	due := moved >= e.cfg.maxAge/4 || e.pendingN >= maxPending && moved > 0
+	if !e.hasT || !due {
 		return
 	}
-	cutoff := ps.lastT - e.cfg.maxAge
-	for tt, preds := range ps.byT {
-		if tt < cutoff {
-			delete(ps.byT, tt)
-			e.addPending(ps, -len(preds))
-			e.expired.Add(float64(len(preds)))
+	e.sweptT = e.lastT
+	cutoff := e.lastT - e.cfg.maxAge
+	for name, ps := range e.pending {
+		for tt, preds := range ps.byT {
+			if tt < cutoff {
+				delete(ps.byT, tt)
+				e.addPending(ps, -len(preds))
+				e.expired.Add(float64(len(preds)))
+			}
+		}
+		if len(ps.byT) == 0 {
+			delete(e.pending, name)
 		}
 	}
 }
@@ -618,7 +532,7 @@ func (e *Engine) fireMutation(ent *entityState, signal string, t int64, fires *[
 	})
 	e.cfg.Log.Warn("mutation point detected", "signal", signal, "entity", ent.name, "t", t)
 	if e.cfg.Events != nil {
-		e.cfg.Events(Event{Kind: "mutation", Signal: signal, Entity: ent.name, T: t})
+		e.fired = append(e.fired, Event{Kind: "mutation", Signal: signal, Entity: ent.name, T: t})
 	}
 }
 
@@ -633,7 +547,7 @@ func (e *Engine) driftTransition(signal string, old, now DriftState, d *DriftDet
 	e.cfg.Log.Warn("drift state change", "signal", signal, "from", old.String(),
 		"state", now.String(), "level", d.Level(), "t", t)
 	if e.cfg.Events != nil {
-		e.cfg.Events(Event{Kind: "drift", Signal: signal, T: t, State: now.String()})
+		e.fired = append(e.fired, Event{Kind: "drift", Signal: signal, T: t, State: now.String()})
 	}
 }
 
@@ -687,6 +601,7 @@ func (r *ring) push(v float64) {
 
 // ordered appends the contents oldest→newest to dst and returns it.
 func (r *ring) ordered(dst []float64) []float64 {
+	dst = slices.Grow(dst, r.n)
 	if r.n < len(r.buf) {
 		return append(dst, r.buf[:r.n]...)
 	}
@@ -775,7 +690,6 @@ type StatusReport struct {
 	Pending  int    `json:"pending"`
 	Resolved uint64 `json:"resolved_pairs"`
 	Expired  uint64 `json:"expired_forecasts"`
-	Dropped  uint64 `json:"dropped_events"`
 	// Aggregate covers all entities and steps; Steps is the per-step
 	// breakdown over all entities.
 	Aggregate  StepStats      `json:"aggregate"`
@@ -786,48 +700,62 @@ type StatusReport struct {
 	Entities   []EntityStatus `json:"entities,omitempty"`
 }
 
-func (e *Engine) buildStatus() StatusReport {
+// status snapshots the engine. The windows are copied under the lock
+// and summarized after it is released, so a scrape holds up the calls
+// feeding the engine only for the copy, not for the statistics.
+func (e *Engine) status() (StatusReport, bool) {
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return StatusReport{}, false
+	}
 	st := StatusReport{
 		Time:       e.lastT,
 		Pending:    e.pendingN,
 		Resolved:   uint64(e.resolved.Value()),
 		Expired:    uint64(e.expired.Value()),
-		Dropped:    uint64(e.droppedEv.Value()),
-		Aggregate:  statsOf(0, e.agg.ordered(nil)),
 		ErrorDrift: driftStatus(e.errDrift),
 		InputDrift: driftStatus(e.inDrift),
 	}
+	agg := e.agg.ordered(nil)
+	ents := make([]EntityStatus, len(e.order))
+	wins := make([][][]float64, len(e.order)) // per entity: all steps, then each step
+	for i, name := range e.order {
+		ent := e.entities[name]
+		ents[i] = EntityStatus{
+			Entity: name, LastT: ent.lastT, Pending: ent.pending,
+			InputMutations:    append([]int64(nil), ent.inputFires...),
+			ResidualMutations: append([]int64(nil), ent.residFires...),
+		}
+		wins[i] = append(wins[i], ent.all.ordered(nil))
+		for k := range ent.steps {
+			wins[i] = append(wins[i], ent.steps[k].ordered(nil))
+		}
+	}
+	e.mu.Unlock()
+
+	st.Aggregate = statsOf(0, agg)
 	// Per-step aggregates across entities: concatenate entity rings in
 	// entity order, then per-entity chronological order. (Cross-entity
 	// interleaving is not reconstructible from per-entity rings; the
 	// canonical chronological stream is the aggregate ring.)
 	for k := 1; k <= e.cfg.Horizon; k++ {
 		var errs []float64
-		for _, name := range e.order {
-			errs = e.entities[name].steps[k-1].ordered(errs)
+		for _, w := range wins {
+			errs = append(errs, w[k]...)
 		}
 		st.Steps = append(st.Steps, statsOf(k, errs))
 	}
-	if len(e.cfg.Rules) > 0 {
-		errs := e.agg.ordered(nil)
-		for _, r := range e.cfg.Rules {
-			st.SLO = append(st.SLO, evalRule(r, errs, e.cfg.Window, e.cfg.sloMinCount))
-		}
+	for _, r := range e.cfg.Rules {
+		st.SLO = append(st.SLO, evalRule(r, agg, e.cfg.Window, e.cfg.sloMinCount))
 	}
-	names := append([]string(nil), e.order...)
-	sort.Strings(names)
-	for _, name := range names {
-		ent := e.entities[name]
-		es := EntityStatus{
-			Entity: name, LastT: ent.lastT, Pending: ent.pending,
-			All:               statsOf(0, ent.all.ordered(nil)),
-			InputMutations:    append([]int64(nil), ent.inputFires...),
-			ResidualMutations: append([]int64(nil), ent.residFires...),
-		}
+	for i := range ents {
+		ents[i].All = statsOf(0, wins[i][0])
 		for k := 1; k <= e.cfg.Horizon; k++ {
-			es.Steps = append(es.Steps, statsOf(k, ent.steps[k-1].ordered(nil)))
+			ents[i].Steps = append(ents[i].Steps, statsOf(k, wins[i][k]))
 		}
-		st.Entities = append(st.Entities, es)
 	}
-	return st
+	sort.Slice(ents, func(a, b int) bool { return ents[a].Entity < ents[b].Entity })
+	st.Entities = ents
+	return st, true
 }

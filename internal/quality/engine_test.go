@@ -3,7 +3,9 @@ package quality
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/obs"
@@ -63,7 +65,6 @@ func TestEngineMatchesOfflineRecomputation(t *testing.T) {
 		}
 		e.RecordForecast("m1", tt, fc)
 	}
-	e.Flush()
 	st := e.Status()
 
 	offline := func(errs []float64) StepStats {
@@ -114,7 +115,6 @@ func TestEngineSelfJoin(t *testing.T) {
 	// both, but must only resolve from the first.
 	e.Observe("c1", 8, []float64{1, 1, 1, 4}) // resolves t=11 (err 5-4=1)
 	e.Observe("c1", 9, []float64{1, 1, 4, 7}) // resolves t=12 (err 6-7=-1)
-	e.Flush()
 	st := e.Status()
 	if st.Resolved != 2 {
 		t.Fatalf("resolved = %d, want 2", st.Resolved)
@@ -137,7 +137,6 @@ func TestEngineDedupe(t *testing.T) {
 	e.RecordForecast("m1", 5, []float64{10})
 	e.RecordForecast("m1", 5, []float64{12}) // retry with newer value
 	e.Observe("m1", 6, []float64{11})
-	e.Flush()
 	st := e.Status()
 	if st.Resolved != 1 {
 		t.Fatalf("resolved = %d, want 1 (dedupe)", st.Resolved)
@@ -156,7 +155,6 @@ func TestEngineExpiry(t *testing.T) {
 	for tt := int64(100); tt < 170; tt++ {
 		e.Observe("m1", tt, []float64{1})
 	}
-	e.Flush()
 	st := e.Status()
 	if st.Expired != 1 {
 		t.Fatalf("expired = %d, want 1", st.Expired)
@@ -174,7 +172,6 @@ func TestEngineEntityOverflow(t *testing.T) {
 		e.RecordForecast(name, 0, []float64{2})
 		e.Observe(name, 1, []float64{1})
 	}
-	e.Flush()
 	st := e.Status()
 	names := make([]string, len(st.Entities))
 	for i, es := range st.Entities {
@@ -200,13 +197,11 @@ func TestEngineOverflowKeepsForecastsApart(t *testing.T) {
 	e.RecordForecast("a", 0, []float64{1})
 	e.RecordForecast("b", 0, []float64{10}) // folds into _overflow
 	e.RecordForecast("c", 0, []float64{20}) // so does this
-	e.Flush()
 	if st := e.Status(); st.Pending != 3 {
 		t.Fatalf("pending = %d, want 3", st.Pending)
 	}
 	e.Observe("b", 1, []float64{10})
 	e.Observe("c", 1, []float64{20})
-	e.Flush()
 	st := e.Status()
 	if st.Resolved != 2 || st.Aggregate.MAE != 0 {
 		t.Fatalf("resolved %d pairs at MAE %v, want 2 at 0", st.Resolved, st.Aggregate.MAE)
@@ -242,17 +237,14 @@ func TestEngineSLOTransitions(t *testing.T) {
 		return t0
 	}
 	tt := feed(0, 8, 0) // err 0 → pending → ok
-	e.Flush()
 	if st := e.Status(); st.SLO[0].State != sloOK {
 		t.Fatalf("after good stream: %+v", st.SLO[0])
 	}
 	tt = feed(tt, 8, 5) // err 5 → breach
-	e.Flush()
 	if st := e.Status(); st.SLO[0].State != sloBreach || st.SLO[0].Value != 5 {
 		t.Fatalf("after bad stream: %+v", st.SLO[0])
 	}
 	feed(tt, 8, 0) // recover
-	e.Flush()
 	if st := e.Status(); st.SLO[0].State != sloOK {
 		t.Fatalf("after recovery: %+v", st.SLO[0])
 	}
@@ -301,7 +293,6 @@ func TestEngineMutationAndDriftEvents(t *testing.T) {
 		e.ObserveInput("m1", tt, InputSummary{Mean: 60 + dither(i), OOR: 0.5, HasMean: true, HasOOR: true})
 		tt++
 	}
-	e.Flush()
 	st := e.Status()
 	if len(st.Entities) != 1 || len(st.Entities[0].InputMutations) == 0 {
 		t.Fatalf("no input mutation detected: %+v", st.Entities)
@@ -345,13 +336,24 @@ func TestEngineMutationAndDriftEvents(t *testing.T) {
 
 // TestEngineEventsSubscription: the Events callback sees the same
 // mutation fire and drift transitions the journal records, in order,
-// with the firing entity attached.
+// with the firing entity attached, and never with the engine lock held.
 func TestEngineEventsSubscription(t *testing.T) {
-	var got []Event
-	e := newTestEngine(t, Config{
+	var (
+		got    []Event
+		e      *Engine
+		locked bool
+	)
+	e = newTestEngine(t, Config{
 		Horizon: 1,
 		Preset:  PresetFast,
-		Events:  func(ev Event) { got = append(got, ev) }, // worker-goroutine only
+		Events: func(ev Event) { // this goroutine's calls only
+			got = append(got, ev)
+			if e.mu.TryLock() {
+				e.mu.Unlock()
+			} else {
+				locked = true
+			}
+		},
 	})
 	dither := func(i int) float64 { return float64(i%2)*2 - 1 }
 	tt := int64(0)
@@ -363,7 +365,6 @@ func TestEngineEventsSubscription(t *testing.T) {
 		e.ObserveInput("m1", tt, InputSummary{Mean: 60 + dither(i), OOR: 0.5, HasMean: true, HasOOR: true})
 		tt++
 	}
-	e.Flush()
 
 	var mutations, drifts []Event
 	for _, ev := range got {
@@ -394,6 +395,9 @@ func TestEngineEventsSubscription(t *testing.T) {
 			t.Fatalf("drift event = %+v", d)
 		}
 	}
+	if locked {
+		t.Fatal("an event was delivered with the engine lock held")
+	}
 }
 
 // TestEngineMetrics: the registry exposes the engine's gauges and
@@ -403,7 +407,6 @@ func TestEngineMetrics(t *testing.T) {
 	e := newTestEngine(t, Config{Horizon: 2, Window: 8, Registry: reg})
 	e.RecordForecast("m1", 0, []float64{4, 5})
 	e.Observe("m1", 1, []float64{3, 3})
-	e.Flush()
 
 	var sb strings.Builder
 	if _, err := reg.WriteTo(&sb); err != nil {
@@ -435,7 +438,6 @@ func TestEngineCloseLifecycle(t *testing.T) {
 	e.RecordForecast("m1", 1, []float64{2})
 	e.Observe("m1", 1, []float64{2})
 	e.ObserveInput("m1", 1, InputSummary{Mean: 2, HasMean: true, HasOOR: true})
-	e.Flush()
 	if st := e.Status(); st.Resolved != 0 {
 		t.Fatalf("post-close status = %+v", st)
 	}
@@ -453,12 +455,70 @@ func TestEngineInvalidActuals(t *testing.T) {
 	e.RecordForecast("m1", 1, []float64{1})
 	e.Observe("m1", 1, []float64{math.NaN()})
 	e.Observe("m1", 2, []float64{math.Inf(1)})
-	e.Flush()
 	st := e.Status()
 	if st.Resolved != 0 {
 		t.Fatalf("resolved = %d, want 0", st.Resolved)
 	}
 	if st.Aggregate.Count != 0 {
 		t.Fatalf("window count = %d, want 0", st.Aggregate.Count)
+	}
+}
+
+// TestEngineAbandonedEntitiesDoNotStarveResolution: forecasts for
+// entities that never send actuals must not hold the fleet-wide pending
+// cap. 14,000 abandoned horizon-5 forecasts overfill it; once a live
+// entity's clock is maxAge past them they expire fleet wide, and every
+// one of the live entity's forecasts resolves.
+func TestEngineAbandonedEntitiesDoNotStarveResolution(t *testing.T) {
+	const horizon, abandoned = 5, 14000
+	e := newTestEngine(t, Config{Horizon: horizon})
+	fc := []float64{1, 2, 3, 4, 5}
+	for i := 0; i < abandoned; i++ {
+		e.RecordForecast("gone"+strconv.Itoa(i), 0, fc)
+	}
+	if st := e.Status(); st.Pending != maxPending {
+		t.Fatalf("pending = %d, want the cap %d", st.Pending, maxPending)
+	}
+	const base = 10000 // more than maxAge (4096) past the abandoned targets
+	for i := int64(0); i < 100; i++ {
+		e.Observe("live", base+i, []float64{3})
+		e.RecordForecast("live", base+i, fc)
+	}
+	e.Observe("live", base+100, []float64{3, 3, 3, 3, 3})
+	st := e.Status()
+	if st.Resolved != 100*horizon || st.Pending != 0 {
+		t.Fatalf("resolved %d, pending %d; want %d, 0", st.Resolved, st.Pending, 100*horizon)
+	}
+	if st.Expired != maxPending {
+		t.Fatalf("expired = %d, want every abandoned forecast held, %d", st.Expired, maxPending)
+	}
+	if got, want := e.droppedPen.Value(), float64(abandoned*horizon-maxPending); got != want {
+		t.Fatalf("dropped forecasts = %v, want only the abandoned overflow %v", got, want)
+	}
+}
+
+// TestEngineConcurrentBurstResolvesEverything: 8 goroutines each record
+// and observe 5,000 forecasts on their own entities at once. Nothing is
+// queued, so nothing is lost: every step resolves and none stays
+// pending.
+func TestEngineConcurrentBurstResolvesEverything(t *testing.T) {
+	const workers, perWorker, horizon = 8, 5000, 3
+	e := newTestEngine(t, Config{Horizon: horizon})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(entity string) {
+			defer wg.Done()
+			fc, actuals := []float64{1, 2, 3}, []float64{2, 2, 2}
+			for i := int64(0); i < perWorker; i++ {
+				e.RecordForecast(entity, i, fc)
+				e.Observe(entity, i+1, actuals) // targets i+1 … i+horizon
+			}
+		}("burst" + strconv.Itoa(w))
+	}
+	wg.Wait()
+	st := e.Status()
+	if st.Resolved != workers*perWorker*horizon || st.Pending != 0 {
+		t.Fatalf("resolved %d, pending %d; want %d, 0", st.Resolved, st.Pending, workers*perWorker*horizon)
 	}
 }

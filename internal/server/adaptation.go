@@ -16,9 +16,11 @@ import (
 //	shadow-score against live traffic → atomic hot-swap when the
 //	candidate wins → probation → rollback if quality regresses.
 //
-// The request path only ever pays two atomic loads: the mirror gate in
-// MirrorForecast/ObserveActuals, and the generation read that already
-// rides the batched forward. The supervisor trains on the ingestion
+// While the supervisor is idle the request path pays two atomic loads:
+// the mirror gate in MirrorForecast/ObserveActuals, and the generation
+// read that already rides the batched forward. In shadow a mirrored POST
+// also pays one candidate forward, and in shadow or probation the
+// supervisor's lock to record it. The supervisor trains on the ingestion
 // rings, the only history it has, so they grow to hold a full training
 // set (see ringCapacity).
 

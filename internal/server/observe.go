@@ -33,8 +33,8 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
 // feedQuality streams one successful forecast into the quality engine:
 // the self-join of the request's own history against earlier pending
 // forecasts, the forecast itself for future resolution, and the input
-// statistics for the drift/mutation detectors. Every engine call is a
-// non-blocking enqueue, so this adds nanoseconds to the serving path.
+// statistics for the drift/mutation detectors. Each engine call runs
+// inline under the engine's lock, in well under a microsecond.
 func (s *Server) feedQuality(req *ForecastRequest, forecast []float64) {
 	var t int64
 	if req.T != nil {
@@ -89,7 +89,8 @@ func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	if s.adapt != nil {
 		s.adapt.ObserveActuals(req.Entity, req.T0, req.Values)
 	}
-	// 202: resolution happens asynchronously on the engine worker.
+	// 202 for compatibility: the engine resolves these actuals inline,
+	// before this response is written.
 	s.writeJSON(w, http.StatusAccepted, ObserveResponse{Status: "accepted", Accepted: len(req.Values)})
 }
 
@@ -123,8 +124,8 @@ td,th{border:1px solid #999;padding:4px 10px;text-align:right}th{background:#eee
 td:first-child,th:first-child{text-align:left}
 .ok{color:#070}.warn{color:#b70}.alarm,.breach{color:#b00;font-weight:bold}
 </style></head><body><h1>forecast quality</h1>`)
-	fmt.Fprintf(w, "<p>t=%d · pending=%d · resolved=%d · expired=%d · dropped=%d</p>",
-		st.Time, st.Pending, st.Resolved, st.Expired, st.Dropped)
+	fmt.Fprintf(w, "<p>t=%d · pending=%d · resolved=%d · expired=%d</p>",
+		st.Time, st.Pending, st.Resolved, st.Expired)
 
 	fmt.Fprintf(w, `<h2>drift</h2><table><tr><th>signal</th><th>state</th><th>level</th><th>baseline</th></tr>`)
 	for _, row := range []struct {

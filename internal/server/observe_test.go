@@ -287,9 +287,9 @@ func TestMetricNameHygiene(t *testing.T) {
 	}
 }
 
-// TestServerCloseShutsDownQuality proves the engine's worker goroutine
-// shuts down cleanly (run under -race in CI): double Close, requests
-// after Close, and scrapes after Close must all be safe.
+// TestServerCloseShutsDownQuality proves the quality engine shuts down
+// cleanly (run under -race in CI): double Close, requests after Close,
+// and scrapes after Close must all be safe.
 func TestServerCloseShutsDownQuality(t *testing.T) {
 	p, e := fitted(t)
 	reg := obs.NewRegistry()
@@ -317,7 +317,7 @@ func TestServerCloseShutsDownQuality(t *testing.T) {
 	if st.Resolved != 0 {
 		t.Fatalf("post-close status = %+v", st)
 	}
-	// Metric scrapes must not deadlock on the stopped worker.
+	// Metric scrapes must not deadlock on the closed engine.
 	scrape(t, ts.URL)
 	// Ground truth posted after Close is discarded, not a crash.
 	oResp := postJSON(t, ts.URL+"/v1/observe", ObserveRequest{Entity: "m1", T0: tEnd + 1, Values: []float64{1}})

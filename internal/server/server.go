@@ -246,9 +246,9 @@ func New(p *core.Predictor, opts ...Option) *Server {
 			}
 		}
 	}
-	// The quality engine closes the forecast→ground-truth loop. Its hot
-	// path is a non-blocking channel send, so serving latency is
-	// unaffected; the worker goroutine owns all state.
+	// The quality engine closes the forecast→ground-truth loop. It runs
+	// on the request's goroutine under its own lock, sub-microsecond per
+	// call, and delivers its events to the supervisor after unlocking.
 	s.qualityCfg.Horizon = p.Cfg.Horizon
 	s.qualityCfg.Registry = s.reg
 	if s.qualityCfg.Journal == nil {
@@ -359,8 +359,8 @@ func methodNotAllowed(allow string) http.HandlerFunc {
 // Registry returns the metrics registry the server reports into.
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
-// Close closes the shard router and stops the quality engine's worker
-// goroutine; forecasts caught mid-queue are answered 503 and /readyz
+// Close closes the shard router, the quality engine and the adaptation
+// supervisor; forecasts caught mid-queue are answered 503 and /readyz
 // flips to 503. Idempotent. In-flight HTTP requests should be drained
 // first (http.Server.Shutdown).
 func (s *Server) Close() error {
@@ -368,7 +368,8 @@ func (s *Server) Close() error {
 	s.rings.Close()
 	err := s.engine.Close()
 	if s.adapt != nil {
-		// After the engine: no more events can arrive once it is down.
+		// After the engine: no more quality events can arrive once it
+		// is down.
 		s.adapt.Close()
 	}
 	return err
