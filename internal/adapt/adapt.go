@@ -214,6 +214,7 @@ type Supervisor struct {
 	inf       *core.ShardInferencer // pinned to candModel; set only in shadow
 	pending   map[string]map[int64][]shadowPair
 	pendingN  int
+	order     []pendingKey // pending's keys, oldest first; may hold resolved ones
 	shadowRes int
 	liveAbs   float64
 	candAbs   float64
@@ -474,6 +475,7 @@ func (s *Supervisor) onTrainDone(entity string, cand *core.Model, eval train.Dat
 func (s *Supervisor) resetScoring() {
 	s.pending = map[string]map[int64][]shadowPair{}
 	s.pendingN = 0
+	s.order = nil
 	s.shadowRes = 0
 	s.liveAbs, s.candAbs = 0, 0
 	s.probRes = 0
@@ -499,23 +501,77 @@ func (s *Supervisor) onMirror(entity string, t int64, live, cand []float64) {
 			}
 		}
 	}
+	for k, lv := range live {
+		pair := shadowPair{live: lv}
+		if cand != nil && k < len(cand) {
+			pair.cand, pair.hasCand = cand[k], true
+		}
+		s.addPair(entity, t+int64(k)+1, pair)
+	}
+}
+
+// pendingKey names one target time of one entity in the mirror store.
+type pendingKey struct {
+	entity string
+	t      int64
+}
+
+// addPair stores one mirrored step for target time t. A full store makes
+// room by dropping its oldest target time's pairs, so forecasts whose
+// actuals never come (an entity gone from the fleet) cannot stall
+// scoring for good.
+func (s *Supervisor) addPair(entity string, t int64, pair shadowPair) {
+	for s.pendingN >= maxPending {
+		s.dropOldest()
+	}
 	byT := s.pending[entity]
 	if byT == nil {
 		byT = map[int64][]shadowPair{}
 		s.pending[entity] = byT
 	}
-	for k, lv := range live {
-		if s.pendingN >= maxPending {
-			break
+	if _, ok := byT[t]; !ok {
+		if len(s.order) >= 2*maxPending {
+			s.compactOrder()
 		}
-		pair := shadowPair{live: lv}
-		if cand != nil && k < len(cand) {
-			pair.cand, pair.hasCand = cand[k], true
-		}
-		tt := t + int64(k) + 1
-		byT[tt] = append(byT[tt], pair)
-		s.pendingN++
+		s.order = append(s.order, pendingKey{entity, t})
 	}
+	byT[t] = append(byT[t], pair)
+	s.pendingN++
+}
+
+// dropOldest deletes the pairs of the oldest target time still pending.
+func (s *Supervisor) dropOldest() {
+	for len(s.order) > 0 {
+		k := s.order[0]
+		s.order = s.order[1:]
+		byT := s.pending[k.entity]
+		pairs, ok := byT[k.t]
+		if !ok {
+			continue // resolved meanwhile
+		}
+		delete(byT, k.t)
+		if len(byT) == 0 {
+			delete(s.pending, k.entity)
+		}
+		s.pendingN -= len(pairs)
+		return
+	}
+}
+
+// compactOrder drops the keys that resolved since they were stored, and
+// the later duplicates of a key stored again after it resolved; what
+// stays is at most maxPending keys, so order stays within 2·maxPending.
+func (s *Supervisor) compactOrder() {
+	seen := make(map[pendingKey]bool, s.pendingN)
+	kept := s.order[:0]
+	for _, k := range s.order {
+		if _, ok := s.pending[k.entity][k.t]; ok && !seen[k] {
+			seen[k] = true
+			kept = append(kept, k)
+		}
+	}
+	clear(s.order[len(kept):])
+	s.order = kept
 }
 
 // onActuals resolves mirrored pairs against ground truth and applies
@@ -553,6 +609,9 @@ func (s *Supervisor) onActuals(entity string, t0 int64, actuals []float64) {
 				s.probRes++
 			}
 		}
+	}
+	if len(byT) == 0 {
+		delete(s.pending, entity)
 	}
 	switch {
 	case s.state == StateShadow && s.shadowRes >= s.cfg.MinShadowResolved:

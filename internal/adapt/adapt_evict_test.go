@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -132,4 +133,38 @@ func TestAdaptShadowSurvivesEntityEviction(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
+}
+
+// TestAdaptShadowSurvivesAbandonedEntities fills the mirror store with
+// forecasts no actual will ever resolve: 2,100 one-shot entities mirror
+// one forecast each in shadow, 4,200 steps against a store of 4,096. The
+// oldest of them must give way to m1's new pairs, so honest scoring on
+// m1 still reaches a verdict; a store that refuses new pairs once full
+// leaves the candidate in shadow for good.
+func TestAdaptShadowSurvivesAbandonedEntities(t *testing.T) {
+	f := newFixture(t, Config{})
+	f.trigger()
+	f.waitState(t, StateShadow)
+
+	win := sliceSeries(f.ser, fxMutateAt, fxMutateAt+f.p.MinHistory())
+	live, err := f.p.ForecastFrom(win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, err := f.p.PrepareInput(win)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const abandoned = 2100
+	if abandoned*len(live) <= maxPending {
+		t.Fatalf("%d one-shot entities of horizon %d do not fill a store of %d", abandoned, len(live), maxPending)
+	}
+	for i := range abandoned {
+		f.sup.MirrorForecast("gone-"+strconv.Itoa(i), int64(i), in, live)
+	}
+	if st := f.sup.Status(); st.State != StateShadow {
+		t.Fatalf("abandoned forecasts moved the supervisor to %q", st.State)
+	}
+
+	f.feedScoring(t, 0, func() bool { return f.sup.Status().State == StateProbation })
 }

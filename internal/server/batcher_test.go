@@ -241,9 +241,11 @@ func BenchmarkForecastPostSerial64(b *testing.B) { benchPostSerial(b, 64) }
 
 // TestForecastPostAllocations pins what one serial POST allocates through
 // ServeHTTP, request and recorder included, in the shape
-// BenchmarkForecastPostSerial posts: ≤ 50 objects. A forecast run on a
+// BenchmarkForecastPostSerial posts: ≤ 36 objects. A forecast run on a
 // goroutine of its own behind a staged prepare and per-call metric
-// lookups allocated 111.
+// lookups allocated 111; a telemetry slot passed to the middleware
+// through the request context cost 3 more than the status recorder
+// carrying it does.
 func TestForecastPostAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation defeats escape analysis; allocation counts are meaningless")
@@ -260,8 +262,8 @@ func TestForecastPostAllocations(t *testing.T) {
 		}
 	}
 	post()
-	if allocs := testing.AllocsPerRun(200, post); allocs > 50 {
-		t.Fatalf("one POST /v1/forecast allocates %.0f objects, want ≤ 50", allocs)
+	if allocs := testing.AllocsPerRun(200, post); allocs > 36 {
+		t.Fatalf("one POST /v1/forecast allocates %.0f objects, want ≤ 36", allocs)
 	}
 }
 

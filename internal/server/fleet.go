@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"html"
 	"net/http"
@@ -41,44 +40,6 @@ func WithFleetTelemetry(cfg FleetConfig) Option {
 // sidecar is owned by the command, not the Server.
 func WithDebugAddr(addr string) Option {
 	return func(s *Server) { s.debugAddr = addr }
-}
-
-// forecastTelemetry rides the request context from the instrumentation
-// middleware into the forecast handler, which fills in what only it
-// knows: the entity the forecast is for and whether the response
-// degraded to the fallback. The middleware reads it back after the
-// handler returns to feed the fleet sketches and exemplars.
-type forecastTelemetry struct {
-	mu       sync.Mutex
-	entity   string
-	degraded bool
-}
-
-func (ft *forecastTelemetry) set(entity string, degraded bool) {
-	if ft == nil {
-		return
-	}
-	ft.mu.Lock()
-	ft.entity, ft.degraded = entity, degraded
-	ft.mu.Unlock()
-}
-
-func (ft *forecastTelemetry) get() (entity string, degraded bool) {
-	if ft == nil {
-		return "", false
-	}
-	ft.mu.Lock()
-	defer ft.mu.Unlock()
-	return ft.entity, ft.degraded
-}
-
-type telemetryKey struct{}
-
-// telemetryFrom returns the request's telemetry carrier, or nil for
-// routes without one.
-func telemetryFrom(ctx context.Context) *forecastTelemetry {
-	ft, _ := ctx.Value(telemetryKey{}).(*forecastTelemetry)
-	return ft
 }
 
 // registerTraceMetrics bridges the tracer's tail-sampling counters into

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
-	"time"
 
 	"repro/internal/adapt"
 	"repro/internal/core"
-	"repro/internal/registry"
 	"repro/internal/shard"
 	"repro/internal/trace"
 )
@@ -198,15 +196,12 @@ func (s *Server) handleEntities(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, http.StatusOK, out)
 }
 
-// handleEntityForecast serves GET /v1/forecast/{entity} through the
-// entity's shard: the shard's leader — this request, or the one whose
-// batch it queued into — reads the ring window as zero-copy views under
-// the entity's lock, fuses concurrent requests for its entities into one
-// forward on the shard's engine, and answers — all shard-local, no
-// global inference lock. ?model=<name> serves from the
-// named registry model instead of the default engine (requires
-// WithModelRegistry). The full per-request protection stack (breaker,
-// timeout, panic recovery, cancel detection) still wraps the wait.
+// handleEntityForecast serves GET /v1/forecast/{entity} from the
+// entity's ring: it checks the path and the ?model= parameter (a named
+// registry model needs WithModelRegistry); serveForecast does the rest.
+// The entity's shard leader — this request, or the one whose batch it
+// queued into — reads the ring window as zero-copy views under the
+// entity's lock and fuses concurrent reads into one forward.
 func (s *Server) handleEntityForecast(w http.ResponseWriter, r *http.Request) {
 	entity := r.PathValue("entity")
 	if entity == "" {
@@ -218,90 +213,5 @@ func (s *Server) handleEntityForecast(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "no model registry configured")
 		return
 	}
-	ft := telemetryFrom(r.Context())
-	ft.set(entity, false)
-
-	ctx := r.Context()
-	o, res := s.guardedInfer(ctx, func(deadline time.Time) inferOutcome {
-		sr := s.rings.ForecastWithin(ctx, deadline, entity, model)
-		if sr.Panicked {
-			return inferOutcome{panicked: true}
-		}
-		return inferOutcome{forecast: sr.Forecast, gen: sr.Gen, err: sr.Err}
-	})
-	forecast := o.forecast
-	switch res.kind {
-	case inferOK:
-		resp := ForecastResponse{
-			Forecast:   forecast,
-			Target:     targetName(s.predictor),
-			Horizon:    s.predictor.Cfg.Horizon,
-			Generation: o.gen,
-			Model:      model,
-		}
-		if model != "" {
-			// A named model has its own target/horizon; report what was
-			// actually served rather than the default model's metadata.
-			resp.Target = ""
-			resp.Horizon = len(forecast)
-		}
-		s.writeJSON(w, http.StatusOK, resp)
-	case inferBadInput:
-		switch {
-		case errors.Is(res.err, shard.ErrUnknownEntity):
-			s.writeError(w, http.StatusNotFound, fmt.Sprintf("entity %q has no ingested samples", entity))
-			return
-		case errors.Is(res.err, registry.ErrUnknownModel):
-			s.writeError(w, http.StatusNotFound, res.err.Error())
-			return
-		case errors.Is(res.err, shard.ErrClosed):
-			s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
-			return
-		}
-		s.writeError(w, http.StatusUnprocessableEntity, res.err.Error())
-	case inferCanceled:
-		s.canceled.Inc()
-		s.writeError(w, StatusClientClosedRequest, "client closed request")
-	default:
-		fb, ok := s.entityFallback(entity)
-		if !ok {
-			s.writeError(w, http.StatusServiceUnavailable,
-				"model unavailable and entity history too short for a fallback forecast")
-			return
-		}
-		ft.set(entity, true)
-		s.degradedInc(res.reason)
-		s.log.Warn("serving degraded entity forecast", "entity", entity, "reason", res.reason)
-		s.writeJSON(w, http.StatusOK, ForecastResponse{
-			Forecast: fb,
-			Target:   targetName(s.predictor),
-			Horizon:  s.predictor.Cfg.Horizon,
-			Degraded: true,
-		})
-	}
-}
-
-// entityFallback is the ring-backed twin of fallbackForecast: a
-// last-value forecast from the entity's target-indicator history.
-func (s *Server) entityFallback(entity string) ([]float64, bool) {
-	idx := 0
-	if sel := s.predictor.SelectedIndicators(); len(sel) > 0 {
-		idx = sel[0]
-	}
-	var last float64
-	found := false
-	s.rings.WithWindow(entity, 1, func(win [][]float64, _, _ int) {
-		if idx < len(win) && len(win[idx]) > 0 {
-			last = win[idx][len(win[idx])-1]
-			found = true
-		}
-	})
-	if !found {
-		return nil, false
-	}
-	fb := make([]float64, s.predictor.Cfg.Horizon)
-	for i := range fb {
-		fb[i] = last
-	}
-	return fb, true
+	s.serveForecast(w, r.Context(), entity, model, nil)
 }

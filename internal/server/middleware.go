@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"maps"
 	"net/http"
 	"strconv"
@@ -33,10 +32,15 @@ func newInstrumentation(s *Server) *instrumentation {
 	}
 }
 
-// statusRecorder captures the response code written by a handler.
+// statusRecorder captures the response code written by a handler. On
+// the forecast routes the handler also sets the entity it served and
+// whether the answer degraded to the fallback, which wrap reads back once
+// the handler returns; both run on the request's goroutine.
 type statusRecorder struct {
 	http.ResponseWriter
-	status int
+	status   int
+	entity   string
+	degraded bool
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -87,15 +91,6 @@ func (in *instrumentation) wrap(route string, h http.HandlerFunc) http.HandlerFu
 			span = in.tracer.Start("http.request",
 				obstrace.String("path", route), obstrace.String("method", r.Method))
 		}
-		// Forecast requests carry a telemetry slot the handler fills in
-		// with what only it knows (entity, degraded) and the sketches
-		// consume below. Only real forecasts feed the fleet; 405
-		// fallbacks on the same route do not.
-		var ft *forecastTelemetry
-		if forecastLat != nil && r.Method == forecastMethod {
-			ft = &forecastTelemetry{}
-			r = r.WithContext(context.WithValue(r.Context(), telemetryKey{}, ft))
-		}
 		rec := &statusRecorder{ResponseWriter: w}
 		h(rec, r)
 		in.inFlight.Dec()
@@ -105,17 +100,18 @@ func (in *instrumentation) wrap(route string, h http.HandlerFunc) http.HandlerFu
 		span.SetAttr(obstrace.Int("status", rec.status))
 		elapsed := time.Since(start).Seconds()
 		lat.Observe(elapsed)
-		if ft != nil {
-			entity, degraded := ft.get()
-			if degraded || rec.status >= 500 {
+		// Only real forecasts feed the fleet; 405 fallbacks on the same
+		// route do not.
+		if forecastLat != nil && r.Method == forecastMethod {
+			if rec.degraded || rec.status >= 500 {
 				// Tail sampling must never drop the interesting traces.
 				span.Keep()
 			}
 			// Exemplar capture is a lock-free pointer store — it cannot
 			// block this path even while /debug/fleet is reading.
-			forecastLat.ObserveExemplar(elapsed, span.TraceID(), entity)
+			forecastLat.ObserveExemplar(elapsed, span.TraceID(), rec.entity)
 			if in.fleet != nil {
-				in.fleet.Record(entity, elapsed, degraded || rec.status >= 400)
+				in.fleet.Record(rec.entity, elapsed, rec.degraded || rec.status >= 400)
 			}
 		} else if forecastLat != nil {
 			forecastLat.Observe(elapsed)

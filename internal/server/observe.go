@@ -2,31 +2,13 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"html"
-	"io"
 	"net/http"
 	"strings"
 
 	"repro/internal/quality"
 )
-
-// readJSON decodes a size-bounded JSON request body into v.
-func readJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			return fmt.Errorf("request body exceeds %d bytes", tooBig.Limit)
-		}
-		return fmt.Errorf("unreadable body: %v", err)
-	}
-	if err := json.Unmarshal(body, v); err != nil {
-		return fmt.Errorf("invalid JSON: %v", err)
-	}
-	return nil
-}
 
 // Ground-truth ingestion and the live quality status surface.
 
@@ -77,8 +59,13 @@ type ObserveResponse struct {
 
 func (s *Server) handleObserve(w http.ResponseWriter, r *http.Request) {
 	var req ObserveRequest
-	if err := readJSON(w, r, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, err.Error())
+	body, err := readSized(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
+	if err != nil {
+		s.writeReadError(w, err)
+		return
+	}
+	if err := json.Unmarshal(body, &req); err != nil {
+		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("invalid JSON: %v", err))
 		return
 	}
 	if len(req.Values) == 0 {

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/naive"
 	"repro/internal/obs"
 )
 
@@ -208,22 +207,33 @@ func (s *Server) limited(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// fallbackForecast serves the graceful-degradation path: a last-value
-// (persistence) forecast computed from the request's own target-series
-// history — always available, never touches the model.
-func (s *Server) fallbackForecast(series [][]float64) ([]float64, bool) {
-	idx := 0
-	if sel := s.predictor.SelectedIndicators(); len(sel) > 0 {
-		idx = sel[0]
+// fallbackForecast is the degraded answer of both forecast routes: a
+// last-value (persistence) forecast, the target indicator's newest sample
+// repeated over the horizon. It reads that sample from the POST window,
+// or from the entity's ring when post is nil, and never touches the model.
+func (s *Server) fallbackForecast(entity string, post *ForecastRequest) ([]float64, bool) {
+	idx := s.inputs.Target
+	var last float64
+	found := false
+	if post != nil {
+		if idx < len(post.Indicators) && len(post.Indicators[idx]) > 0 {
+			last, found = post.Indicators[idx][len(post.Indicators[idx])-1], true
+		}
+	} else {
+		s.rings.WithWindow(entity, 1, func(win [][]float64, _, _ int) {
+			if idx < len(win) && len(win[idx]) > 0 {
+				last, found = win[idx][len(win[idx])-1], true
+			}
+		})
 	}
-	if idx >= len(series) || len(series[idx]) == 0 {
+	if !found {
 		return nil, false
 	}
-	var p naive.Persistence
-	if err := p.Fit(series[idx]); err != nil {
-		return nil, false
+	fb := make([]float64, s.predictor.Cfg.Horizon)
+	for i := range fb {
+		fb[i] = last
 	}
-	return p.Forecast(s.predictor.Cfg.Horizon), true
+	return fb, true
 }
 
 // finiteAll reports whether every forecast value is a usable number; a

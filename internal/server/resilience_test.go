@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -58,190 +60,244 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
-// TestPanicDuringInferenceDegrades: an injected panic inside the
-// inference goroutine must not crash the process or 500 the request —
+// routeFixture serves one forecast route — "post" (POST /v1/forecast)
+// or "entity" (GET /v1/forecast/{entity}) — over the same 64-sample
+// history: the POST carries it as its window, and entity routeEntity's
+// ring holds it for the GET. So both routes degrade to the same
+// fallback, the target's last sample repeated.
+type routeFixture struct {
+	t     *testing.T
+	route string
+	p     *core.Predictor
+	reg   *obs.Registry
+	url   string
+	tail  [][]float64
+}
+
+// degradeRoutes are the forecast routes every degradation is driven on.
+var degradeRoutes = []string{"post", "entity"}
+
+const routeEntity = "e1"
+
+// newRouteFixture primes srv's rings with e's last 64 samples and serves
+// it; adjust srv (its breaker, say) before calling this.
+func newRouteFixture(t *testing.T, route string, srv *Server, reg *obs.Registry, e *trace.EntitySeries) *routeFixture {
+	t.Helper()
+	tail := tailOf(e, 64)
+	var vals [trace.NumIndicators]float64
+	for s := range tail[0] {
+		for k := range vals {
+			vals[k] = tail[k][s]
+		}
+		if !srv.rings.Ingest([]byte(routeEntity), 10*(s+1), &vals) {
+			t.Fatalf("ring rejected sample %d", s)
+		}
+	}
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	return &routeFixture{t: t, route: route, p: srv.predictor, reg: reg, url: ts.URL, tail: tail}
+}
+
+// forecast asks the fixture's route for a forecast.
+func (f *routeFixture) forecast() *http.Response {
+	f.t.Helper()
+	if f.route == "post" {
+		return forecastReq(f.t, f.url, ForecastRequest{Indicators: f.tail})
+	}
+	resp, err := http.Get(f.url + "/v1/forecast/" + routeEntity)
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	return resp
+}
+
+// expectDegraded asks for a forecast and requires a 200 flagged degraded
+// whose forecast is the target's last sample over the whole horizon.
+func (f *routeFixture) expectDegraded(what string) {
+	f.t.Helper()
+	resp := f.forecast()
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		f.t.Fatalf("%s: status = %d, want 200 (degraded)", what, resp.StatusCode)
+	}
+	out := decodeForecast(f.t, resp)
+	if !out.Degraded {
+		f.t.Fatalf("%s: response not flagged degraded: %+v", what, out)
+	}
+	if len(out.Forecast) != f.p.Cfg.Horizon || out.Horizon != f.p.Cfg.Horizon {
+		f.t.Fatalf("%s: degraded forecast shape = %+v", what, out)
+	}
+	last := f.tail[f.p.SelectedIndicators()[0]]
+	want := last[len(last)-1]
+	for _, v := range out.Forecast {
+		if v != want {
+			f.t.Fatalf("%s: fallback forecast = %v, want repeated last value %g", what, out.Forecast, want)
+		}
+	}
+}
+
+// expectServed asks for a forecast and requires the model's answer.
+func (f *routeFixture) expectServed(what string) {
+	f.t.Helper()
+	resp := f.forecast()
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		f.t.Fatalf("%s: status = %d, want 200", what, resp.StatusCode)
+	}
+	if out := decodeForecast(f.t, resp); out.Degraded {
+		f.t.Fatalf("%s: served degraded", what)
+	}
+}
+
+// expectCounts checks the degradation accounting: the reason's counter
+// and the error count of the /debug/fleet sketch, which counts every
+// degraded answer as an error.
+func (f *routeFixture) expectCounts(reason string, degraded, fleetErrors float64) {
+	f.t.Helper()
+	if got := counterVal(f.reg, degradedName, obs.L("reason", reason)); got != degraded {
+		f.t.Fatalf("degraded{reason=%s} = %v, want %v", reason, got, degraded)
+	}
+	resp, err := http.Get(f.url + "/debug/fleet")
+	if err != nil {
+		f.t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st FleetStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		f.t.Fatal(err)
+	}
+	if got := float64(st.Fleet.Errors); got != fleetErrors {
+		f.t.Fatalf("/debug/fleet errors = %v, want %v", got, fleetErrors)
+	}
+}
+
+// TestPanicDuringInferenceDegrades: an injected panic on the inference
+// path must not crash the process or 500 the request — on either route
 // the client gets a 200 with a last-value fallback flagged degraded, and
 // the panic and degradation are both accounted for.
 func TestPanicDuringInferenceDegrades(t *testing.T) {
 	p, e := fitted(t)
-	reg := obs.NewRegistry()
-	ts := httptest.NewServer(New(p, WithRegistry(reg), quiet))
-	defer ts.Close()
-	tail := tailOf(e, 64)
+	for _, route := range degradeRoutes {
+		t.Run(route, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			f := newRouteFixture(t, route, New(p, WithRegistry(reg), quiet), reg, e)
 
-	inj := fault.NewInjector(fault.Rule{Scope: "server.forecast", Kind: fault.KindPanic, Times: 1})
-	defer fault.Activate(inj)()
+			inj := fault.NewInjector(fault.Rule{Scope: "server.forecast", Kind: fault.KindPanic, Times: 1})
+			defer fault.Activate(inj)()
 
-	resp := forecastReq(t, ts.URL, ForecastRequest{Indicators: tail})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (degraded)", resp.StatusCode)
-	}
-	out := decodeForecast(t, resp)
-	if !out.Degraded {
-		t.Fatal("response not flagged degraded after inference panic")
-	}
-	if len(out.Forecast) != p.Cfg.Horizon || out.Horizon != p.Cfg.Horizon {
-		t.Fatalf("degraded forecast shape = %+v", out)
-	}
-	// The fallback is a persistence forecast from the request's own
-	// target history: the last observed value, repeated.
-	last := tail[p.SelectedIndicators()[0]]
-	want := last[len(last)-1]
-	for _, v := range out.Forecast {
-		if v != want {
-			t.Fatalf("fallback forecast = %v, want repeated last value %g", out.Forecast, want)
-		}
-	}
-	if got := counterVal(reg, degradedName, obs.L("reason", "panic")); got != 1 {
-		t.Fatalf("degraded{reason=panic} = %v, want 1", got)
-	}
-	if got := counterVal(reg, "rptcn_panics_recovered_total"); got != 1 {
-		t.Fatalf("panics recovered = %v, want 1", got)
-	}
-	if inj.Fired("server.forecast") != 1 {
-		t.Fatal("injected panic never fired")
-	}
+			f.expectDegraded("injected panic")
+			f.expectCounts("panic", 1, 1)
+			if got := counterVal(reg, "rptcn_panics_recovered_total"); got != 1 {
+				t.Fatalf("panics recovered = %v, want 1", got)
+			}
+			if inj.Fired("server.forecast") != 1 {
+				t.Fatal("injected panic never fired")
+			}
 
-	// The injection is exhausted: the next request is served by the model.
-	resp = forecastReq(t, ts.URL, ForecastRequest{Indicators: tail})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-fault status = %d", resp.StatusCode)
-	}
-	if out := decodeForecast(t, resp); out.Degraded {
-		t.Fatal("healthy request after exhausted fault still degraded")
-	}
-	// One failure in a 20-wide window must not trip the breaker.
-	if g := reg.Gauge("rptcn_circuit_open", "").Value(); g != 0 {
-		t.Fatalf("circuit open after single failure: gauge = %v", g)
+			// The injection is exhausted: the next request is served by
+			// the model.
+			f.expectServed("after the exhausted fault")
+			f.expectCounts("panic", 1, 1)
+			// One failure in a 20-wide window must not trip the breaker.
+			if g := reg.Gauge("rptcn_circuit_open", "").Value(); g != 0 {
+				t.Fatalf("circuit open after single failure: gauge = %v", g)
+			}
+		})
 	}
 }
 
 // TestInvalidModelOutputDegrades: a NaN poisoned into the model's output
-// tensor must be caught before it reaches the client — degraded fallback,
-// counted under reason="invalid_output".
+// tensor must be caught before it reaches the client — degraded fallback
+// on either route, counted under reason="invalid_output".
 func TestInvalidModelOutputDegrades(t *testing.T) {
 	p, e := fitted(t)
-	reg := obs.NewRegistry()
-	ts := httptest.NewServer(New(p, WithRegistry(reg), quiet))
-	defer ts.Close()
+	for _, route := range degradeRoutes {
+		t.Run(route, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			f := newRouteFixture(t, route, New(p, WithRegistry(reg), quiet), reg, e)
 
-	inj := fault.NewInjector(fault.Rule{Scope: "model.forward.out", Kind: fault.KindNaN, Times: 1})
-	defer fault.Activate(inj)()
+			inj := fault.NewInjector(fault.Rule{Scope: "model.forward.out", Kind: fault.KindNaN, Times: 1})
+			defer fault.Activate(inj)()
 
-	resp := forecastReq(t, ts.URL, ForecastRequest{Indicators: tailOf(e, 64)})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (degraded)", resp.StatusCode)
-	}
-	out := decodeForecast(t, resp)
-	if !out.Degraded {
-		t.Fatal("NaN model output not degraded")
-	}
-	for _, v := range out.Forecast {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("non-finite value leaked to the client: %v", out.Forecast)
-		}
-	}
-	if got := counterVal(reg, degradedName, obs.L("reason", "invalid_output")); got != 1 {
-		t.Fatalf("degraded{reason=invalid_output} = %v, want 1", got)
-	}
-	if inj.Probes("model.forward.out") == 0 {
-		t.Fatal("model.forward.out fault point never probed")
+			f.expectDegraded("NaN model output")
+			f.expectCounts("invalid_output", 1, 1)
+			if inj.Fired("model.forward.out") != 1 {
+				t.Fatal("model.forward.out fault never fired")
+			}
+		})
 	}
 }
 
 // TestInferenceTimeoutDegrades: inference slower than the request budget
-// degrades to the fallback instead of hanging the caller.
+// degrades to the fallback on either route instead of hanging the caller.
 func TestInferenceTimeoutDegrades(t *testing.T) {
 	p, e := fitted(t)
-	reg := obs.NewRegistry()
-	ts := httptest.NewServer(New(p, WithRegistry(reg), quiet,
-		WithResilience(ResilienceConfig{RequestTimeout: 20 * time.Millisecond})))
-	defer ts.Close()
+	for _, route := range degradeRoutes {
+		t.Run(route, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			srv := New(p, WithRegistry(reg), quiet,
+				WithResilience(ResilienceConfig{RequestTimeout: 20 * time.Millisecond}))
+			f := newRouteFixture(t, route, srv, reg, e)
 
-	inj := fault.NewInjector(fault.Rule{
-		Scope: "server.forecast", Kind: fault.KindLatency,
-		Latency: 300 * time.Millisecond, Times: 1,
-	})
-	defer fault.Activate(inj)()
+			inj := fault.NewInjector(fault.Rule{
+				Scope: "server.forecast", Kind: fault.KindLatency,
+				Latency: 300 * time.Millisecond, Times: 1,
+			})
+			defer fault.Activate(inj)()
 
-	start := time.Now()
-	resp := forecastReq(t, ts.URL, ForecastRequest{Indicators: tailOf(e, 64)})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200 (degraded)", resp.StatusCode)
-	}
-	if elapsed := time.Since(start); elapsed >= 300*time.Millisecond {
-		t.Fatalf("request waited out the injected latency (%v); deadline did not cut it short", elapsed)
-	}
-	if out := decodeForecast(t, resp); !out.Degraded {
-		t.Fatal("timed-out inference not degraded")
-	}
-	if got := counterVal(reg, degradedName, obs.L("reason", "timeout")); got != 1 {
-		t.Fatalf("degraded{reason=timeout} = %v, want 1", got)
+			start := time.Now()
+			f.expectDegraded("timed-out inference")
+			if elapsed := time.Since(start); elapsed >= 300*time.Millisecond {
+				t.Fatalf("request waited out the injected latency (%v); deadline did not cut it short", elapsed)
+			}
+			f.expectCounts("timeout", 1, 1)
+		})
 	}
 }
 
-// TestBreakerOpensThenRecovers drives the full breaker cycle: repeated
-// model failures open it (requests short-circuit to the fallback without
-// touching the model), and after the cooldown a half-open probe that
-// succeeds closes it again.
+// TestBreakerOpensThenRecovers drives the full breaker cycle on either
+// route: repeated model failures open it (requests short-circuit to the
+// fallback without touching the model), and after the cooldown a
+// half-open probe that succeeds closes it again.
 func TestBreakerOpensThenRecovers(t *testing.T) {
 	p, e := fitted(t)
-	reg := obs.NewRegistry()
-	srv := New(p, WithRegistry(reg), quiet)
-	gauge := reg.Gauge("rptcn_circuit_open", "")
-	srv.breaker = newBreaker(4, 0.5, 300*time.Millisecond, gauge)
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	tail := tailOf(e, 64)
+	for _, route := range degradeRoutes {
+		t.Run(route, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			srv := New(p, WithRegistry(reg), quiet)
+			gauge := reg.Gauge("rptcn_circuit_open", "")
+			srv.breaker = newBreaker(4, 0.5, 300*time.Millisecond, gauge)
+			f := newRouteFixture(t, route, srv, reg, e)
 
-	// Exactly 4 panics: enough to fill the window and trip the breaker.
-	inj := fault.NewInjector(fault.Rule{Scope: "server.forecast", Kind: fault.KindPanic, Times: 4})
-	defer fault.Activate(inj)()
+			// Exactly 4 panics: enough to fill the window and trip the
+			// breaker.
+			inj := fault.NewInjector(fault.Rule{Scope: "server.forecast", Kind: fault.KindPanic, Times: 4})
+			defer fault.Activate(inj)()
 
-	for i := 0; i < 4; i++ {
-		resp := forecastReq(t, ts.URL, ForecastRequest{Indicators: tail})
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("request %d status = %d", i, resp.StatusCode)
-		}
-		if out := decodeForecast(t, resp); !out.Degraded {
-			t.Fatalf("request %d not degraded", i)
-		}
-	}
-	if gauge.Value() != 1 {
-		t.Fatalf("breaker not open after %d consecutive failures", 4)
-	}
+			for i := 0; i < 4; i++ {
+				f.expectDegraded(fmt.Sprintf("panic %d", i))
+			}
+			if gauge.Value() != 1 {
+				t.Fatalf("breaker not open after %d consecutive failures", 4)
+			}
 
-	// While open, requests degrade without probing the model at all.
-	probesBefore := inj.Probes("server.forecast")
-	resp := forecastReq(t, ts.URL, ForecastRequest{Indicators: tail})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("open-breaker status = %d", resp.StatusCode)
-	}
-	if out := decodeForecast(t, resp); !out.Degraded {
-		t.Fatal("open-breaker request not degraded")
-	}
-	if got := counterVal(reg, degradedName, obs.L("reason", "breaker_open")); got != 1 {
-		t.Fatalf("degraded{reason=breaker_open} = %v, want 1", got)
-	}
-	if inj.Probes("server.forecast") != probesBefore {
-		t.Fatal("open breaker still let a request reach the model")
-	}
+			// While open, requests degrade without probing the model at all.
+			probesBefore := inj.Probes("server.forecast")
+			f.expectDegraded("open breaker")
+			f.expectCounts("breaker_open", 1, 5)
+			if inj.Probes("server.forecast") != probesBefore {
+				t.Fatal("open breaker still let a request reach the model")
+			}
 
-	// After the cooldown the half-open probe hits the (now healthy) model
-	// and closes the breaker.
-	time.Sleep(400 * time.Millisecond)
-	resp = forecastReq(t, ts.URL, ForecastRequest{Indicators: tail})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("post-cooldown status = %d", resp.StatusCode)
-	}
-	if out := decodeForecast(t, resp); out.Degraded {
-		t.Fatal("successful half-open probe still served degraded")
-	}
-	if gauge.Value() != 0 {
-		t.Fatal("breaker did not close after a successful probe")
-	}
-	if got := counterVal(reg, degradedName, obs.L("reason", "panic")); got != 4 {
-		t.Fatalf("degraded{reason=panic} = %v, want 4", got)
+			// After the cooldown the half-open probe hits the (now
+			// healthy) model and closes the breaker.
+			time.Sleep(400 * time.Millisecond)
+			f.expectServed("half-open probe")
+			if gauge.Value() != 0 {
+				t.Fatal("breaker did not close after a successful probe")
+			}
+			f.expectCounts("panic", 4, 5)
+		})
 	}
 }
 
@@ -356,23 +412,28 @@ func TestClientDisconnectIs499NotServerError(t *testing.T) {
 }
 
 // TestOversizedBodyRejected413: a request body past the cap is refused
-// with 413 before it can exhaust memory.
+// with 413 before it can exhaust memory, on both JSON routes.
 func TestOversizedBodyRejected413(t *testing.T) {
 	p, _ := fitted(t)
 	ts := httptest.NewServer(New(p, quiet, WithRegistry(obs.NewRegistry())))
 	defer ts.Close()
 
-	var body bytes.Buffer
-	body.WriteString(`{"indicators":[[`)
-	body.Write(bytes.Repeat([]byte("1,"), (maxBodyBytes/2)+1024))
-	body.WriteString(`1]]}`)
-	resp, err := http.Post(ts.URL+"/v1/forecast", "application/json", &body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized body status = %d, want 413", resp.StatusCode)
+	for _, tc := range []struct{ path, open, close string }{
+		{"/v1/forecast", `{"indicators":[[`, `1]]}`},
+		{"/v1/observe", `{"t0":0,"values":[`, `1]}`},
+	} {
+		var body bytes.Buffer
+		body.WriteString(tc.open)
+		body.Write(bytes.Repeat([]byte("1,"), (maxBodyBytes/2)+1024))
+		body.WriteString(tc.close)
+		resp, err := http.Post(ts.URL+tc.path, "application/json", &body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s: oversized body status = %d, want 413", tc.path, resp.StatusCode)
+		}
 	}
 }
 

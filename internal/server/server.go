@@ -10,6 +10,9 @@
 //	GET  /metrics        Prometheus text-format metrics
 //	GET  /v1/model       model metadata (scenario, window, screening, size)
 //	POST /v1/forecast    {"indicators": [[...],...]} → {"forecast": [...]}
+//	POST /v1/ingest      usage CSV rows into per-entity sample rings
+//	GET  /v1/entities    entities with ring state (paginated)
+//	GET  /v1/forecast/{entity}  forecast from the entity's ring
 //	POST /v1/observe     ground-truth ingestion for forecast-quality joins
 //	GET  /debug/quality  live forecast-quality status (JSON, ?format=html)
 //	GET  /debug/fleet    per-entity fleet telemetry: top-K heavy hitters,
@@ -18,9 +21,17 @@
 //	GET  /debug          index page linking every diagnostic endpoint
 //	GET  /debug/traces   sampled span journal (JSONL, when tracing is on)
 //
+// The two forecast routes differ only in where the window comes from:
+// each handler checks its own request and hands it to one serving body,
+// serveForecast, which runs the protected inference (guardedInfer),
+// maps every outcome to the same status on both routes, and on a model
+// failure serves the same last-value fallback, flagged degraded.
+//
 // Every route is instrumented through internal/obs: request counters by
 // path and status code, an in-flight gauge, per-route latency histograms,
-// and the rptcn_forecast_latency_seconds SLO histogram.
+// and the rptcn_forecast_latency_seconds SLO histogram. The forecast
+// routes report their entity and degradation on the middleware's status
+// recorder, which feeds the /debug/fleet sketches and the exemplars.
 //
 // Forecast quality is measured online by internal/quality: each served
 // forecast is remembered, and when ground truth for its target times
@@ -490,17 +501,13 @@ func readSized(r io.Reader, contentLength int64) ([]byte, error) {
 	}
 }
 
+// handleForecast serves POST /v1/forecast: it reads and decodes the body
+// and rejects ragged windows; serveForecast does the rest.
 func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 	var req ForecastRequest
 	body, err := readSized(http.MaxBytesReader(w, r.Body, maxBodyBytes), r.ContentLength)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unreadable body: %v", err))
+		s.writeReadError(w, err)
 		return
 	}
 	if err := decodeForecastRequest(body, &req); err != nil {
@@ -522,174 +529,199 @@ func (s *Server) handleForecast(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	s.serveForecast(w, r.Context(), req.Entity, "", &req)
+}
 
-	// Report the entity to the instrumentation middleware, which feeds
-	// the fleet sketches and latency exemplars after the response is out.
-	ft := telemetryFrom(r.Context())
-	ft.set(req.Entity, false)
+// writeReadError answers a request whose body could not be read: 413 past
+// the size cap, 400 otherwise.
+func (s *Server) writeReadError(w http.ResponseWriter, err error) {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		s.writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+		return
+	}
+	s.writeError(w, http.StatusBadRequest, fmt.Sprintf("unreadable body: %v", err))
+}
 
-	o, res := s.infer(r.Context(), req.Entity, req.Indicators)
-	forecast := o.forecast
-	switch res.kind {
-	case inferOK:
-		// Quality is measured off the request path: the input summary
-		// feeds the engine's drift detectors, and a forecast tagged with t
-		// resolves against the actuals that follow it (see feedQuality).
-		s.feedQuality(&req, forecast)
-		// Shadow evaluation: mirror the served forecast (and its exact
-		// prepared input) to the adaptation supervisor. A cheap atomic
-		// no-op unless a candidate is actually being scored.
-		if s.adapt != nil && req.T != nil {
-			s.adapt.MirrorForecast(req.Entity, *req.T, o.in, forecast)
-		}
-		s.writeJSON(w, http.StatusOK, ForecastResponse{
-			Forecast:   forecast,
-			Target:     targetName(s.predictor),
-			Horizon:    s.predictor.Cfg.Horizon,
-			Generation: o.gen,
-		})
-	case inferBadInput:
-		if errors.Is(res.err, shard.ErrClosed) {
-			// Caught by shutdown: a server state, not a client error.
-			s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
-			return
-		}
-		s.writeError(w, http.StatusUnprocessableEntity, res.err.Error())
-	case inferCanceled:
+// serveForecast is the one serving body of both forecast routes: post is
+// the decoded POST /v1/forecast body, or nil for GET
+// /v1/forecast/{entity}, which reads the entity's ring (from the named
+// registry model when model is set). It runs guardedInfer and answers
+// every outcome the same way on both routes: 200 with the forecast; 404
+// for an unknown entity or model, 503 once the router is closed, 422 for
+// any other input error, 499 when the client went away; and on a
+// degradation 200 with the last-value fallback, flagged degraded.
+//
+// The entity and the degraded flag go on the middleware's status
+// recorder, which feeds them to the fleet sketches and the latency
+// exemplars once the response is out. The middleware runs on this
+// goroutine, so the recorder needs no lock.
+func (s *Server) serveForecast(w http.ResponseWriter, ctx context.Context, entity, model string, post *ForecastRequest) {
+	rec, _ := w.(*statusRecorder)
+	if rec != nil {
+		rec.entity = entity
+	}
+	o := s.guardedInfer(ctx, entity, model, post)
+	switch {
+	case o.canceled:
 		// The client went away mid-inference. 499, not a 5xx: the model
 		// did nothing wrong, so neither the error counter nor the
 		// breaker hears about it.
 		s.canceled.Inc()
 		s.writeError(w, StatusClientClosedRequest, "client closed request")
-	default: // degraded: fall back to the last-value forecast
-		fb, ok := s.fallbackForecast(req.Indicators)
+	case errors.Is(o.err, shard.ErrUnknownEntity):
+		s.writeError(w, http.StatusNotFound, fmt.Sprintf("entity %q has no ingested samples", entity))
+	case errors.Is(o.err, registry.ErrUnknownModel):
+		s.writeError(w, http.StatusNotFound, o.err.Error())
+	case errors.Is(o.err, shard.ErrClosed):
+		// Caught by shutdown: a server state, not a client error.
+		s.writeError(w, http.StatusServiceUnavailable, "server shutting down")
+	case o.err != nil:
+		s.writeError(w, http.StatusUnprocessableEntity, o.err.Error())
+	case o.degraded != "":
+		fb, ok := s.fallbackForecast(entity, post)
 		if !ok {
 			s.writeError(w, http.StatusServiceUnavailable,
 				"model unavailable and history too short for a fallback forecast")
 			return
 		}
-		ft.set(req.Entity, true)
-		s.degradedInc(res.reason)
-		s.log.Warn("serving degraded forecast", "reason", res.reason)
+		if rec != nil {
+			rec.degraded = true
+		}
+		s.degradedInc(o.degraded)
+		s.log.Warn("serving degraded forecast", "entity", entity, "reason", o.degraded)
 		s.writeJSON(w, http.StatusOK, ForecastResponse{
 			Forecast: fb,
 			Target:   targetName(s.predictor),
 			Horizon:  s.predictor.Cfg.Horizon,
 			Degraded: true,
 		})
+	default:
+		if post != nil {
+			// The input summary feeds the quality engine's drift
+			// detectors, and a forecast tagged with t resolves against
+			// the actuals that follow it (see feedQuality).
+			s.feedQuality(post, o.forecast)
+			// Shadow evaluation: mirror the served forecast (and its exact
+			// prepared input) to the adaptation supervisor. A cheap atomic
+			// no-op unless a candidate is actually being scored.
+			if s.adapt != nil && post.T != nil {
+				s.adapt.MirrorForecast(entity, *post.T, o.in, o.forecast)
+			}
+		}
+		resp := ForecastResponse{
+			Forecast:   o.forecast,
+			Target:     targetName(s.predictor),
+			Horizon:    s.predictor.Cfg.Horizon,
+			Generation: o.gen,
+			Model:      model,
+		}
+		if model != "" {
+			// A named model has its own target/horizon; report what was
+			// actually served rather than the default model's metadata.
+			resp.Target = ""
+			resp.Horizon = len(o.forecast)
+		}
+		s.writeJSON(w, http.StatusOK, resp)
 	}
 }
 
-// infer outcome kinds.
-const (
-	inferOK = iota
-	inferBadInput
-	inferCanceled
-	inferDegraded
-)
-
-type inferResult struct {
-	kind   int
-	reason string // degradation reason, when kind == inferDegraded
-	err    error  // client-side input error, when kind == inferBadInput
-}
-
-// infer runs one model inference with the full protection stack: the
-// circuit breaker may short-circuit it, a panic anywhere on the model
-// path is recovered, the request deadline and the client's context bound
-// every wait, a canceled client context is surfaced as such, and a
-// non-finite forecast is rejected as a model failure.
-//
-// All of it runs on the request's own goroutine: PrepareInput (read-only,
-// so requests prepare in parallel), then the shard — the named entity's,
-// or any for an anonymous request — where the request either takes the
-// idle shard's lead and runs its forward itself, fused with whatever
-// queued meanwhile, or queues for a leader to serve it. Every protection
-// is still per-request: each waiter has its own deadline, its own breaker
-// outcome, and its own degradation decision.
-func (s *Server) infer(ctx context.Context, entity string, series [][]float64) (inferOutcome, inferResult) {
-	return s.guardedInfer(ctx, func(deadline time.Time) inferOutcome {
-		in, err := s.predictor.PrepareInput(series)
-		if err != nil {
-			return inferOutcome{err: err}
-		}
-		sr := s.rings.ForecastPrepared(ctx, deadline, entity, in)
-		return inferOutcome{forecast: sr.Forecast, in: in, gen: sr.Gen, err: sr.Err, panicked: sr.Panicked}
-	})
-}
-
-// inferOutcome is one protected inference attempt's result. in and gen
-// ride along for the adaptation supervisor: the prepared input lets the
-// shadow candidate re-run exactly what the live model saw, and the
-// generation attributes the forecast to one set of weights.
-type inferOutcome struct {
+// outcome is one protected inference attempt. in and gen ride along for
+// the adaptation supervisor: the prepared input lets the shadow candidate
+// re-run exactly what the live model saw, and the generation attributes
+// the forecast to one set of weights. After guardedInfer at most one of
+// err, degraded and canceled is set, and the forecast only when none is.
+type outcome struct {
 	forecast []float64
 	in       *core.PreparedInput
 	gen      int64
-	err      error
+	err      error  // input error: the client's, or the router closing
+	degraded string // degradation reason: panic, timeout, invalid_output, breaker_open
+	canceled bool
 	panicked bool
 }
 
 // guardedInfer runs one inference attempt under the full protection
-// stack (breaker admission, panic recovery, request timeout,
-// client-cancel detection, finite-output validation), inline on the
-// handler's goroutine. run does the actual work — prepare + batched
-// forward for the JSON path, ring window + batched forward for the
-// entity path — and must bound its waits by the request context and the
-// deadline it is given. A forward itself is never interrupted: one that
-// overruns the deadline is reported as a timeout once it returns.
-func (s *Server) guardedInfer(ctx context.Context, run func(deadline time.Time) inferOutcome) (inferOutcome, inferResult) {
+// stack: the circuit breaker may short-circuit it, a panic anywhere on
+// the model path is recovered, the request deadline and the client's
+// context bound every wait, a canceled client context is surfaced as
+// such, and a non-finite forecast is rejected as a model failure. A
+// forward itself is never interrupted: one that overruns the deadline is
+// reported as a timeout once it returns.
+//
+// All of it runs on the request's own goroutine, where the request
+// either takes its idle shard's lead and runs the forward itself, fused
+// with whatever queued meanwhile, or queues for a leader to serve it.
+// Every protection is still per request: each waiter has its own
+// deadline, its own breaker outcome, and its own degradation decision.
+func (s *Server) guardedInfer(ctx context.Context, entity, model string, post *ForecastRequest) outcome {
 	if !s.breaker.allow() {
-		return inferOutcome{}, inferResult{kind: inferDegraded, reason: "breaker_open"}
+		return outcome{degraded: "breaker_open"}
 	}
 	deadline := time.Now().Add(s.resilience.RequestTimeout)
-	o := s.runRecovered(ctx, deadline, run)
+	o := s.runRecovered(ctx, deadline, entity, model, post)
 	switch {
 	case o.panicked:
 		s.breaker.record(true)
-		return inferOutcome{}, inferResult{kind: inferDegraded, reason: "panic"}
+		return outcome{degraded: "panic"}
 	case ctx.Err() != nil:
 		// No outcome to record: a disconnect says nothing about model
 		// health, but a half-open probe slot must be handed back.
 		s.breaker.release()
-		return inferOutcome{}, inferResult{kind: inferCanceled}
+		return outcome{canceled: true}
 	case errors.Is(o.err, context.DeadlineExceeded) || time.Now().After(deadline):
 		s.breaker.record(true)
-		return inferOutcome{}, inferResult{kind: inferDegraded, reason: "timeout"}
+		return outcome{degraded: "timeout"}
 	case o.err != nil:
 		// Errors here are input-validation failures (the client's
 		// problem) or the router closing under the request — never the
 		// model's; the breaker stays out.
 		s.breaker.release()
-		return inferOutcome{}, inferResult{kind: inferBadInput, err: o.err}
+		return outcome{err: o.err}
 	case !finiteAll(o.forecast):
 		s.breaker.record(true)
-		return inferOutcome{}, inferResult{kind: inferDegraded, reason: "invalid_output"}
+		return outcome{degraded: "invalid_output"}
 	default:
 		s.breaker.record(false)
-		return o, inferResult{kind: inferOK}
+		return o
 	}
 }
 
-// runRecovered calls run behind the server.forecast fault point, turning
-// a panic into a panicked outcome. When the point's injected latency
-// outlasts the request's bounds, run is not called at all.
-func (s *Server) runRecovered(ctx context.Context, deadline time.Time, run func(time.Time) inferOutcome) (o inferOutcome) {
+// runRecovered runs one forecast behind the server.forecast fault point,
+// turning a panic into a panicked outcome. A POST prepares its window
+// (read-only, so requests prepare in parallel) and hands it to the shard
+// router — the named entity's shard, or any for an anonymous request; an
+// entity read has its window read from the ring inside the shard's
+// batch. When the fault point's injected latency outlasts the request's
+// bounds, no forecast runs at all.
+func (s *Server) runRecovered(ctx context.Context, deadline time.Time, entity, model string, post *ForecastRequest) (o outcome) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.panics.Inc()
 			s.log.Error("panic recovered in inference",
 				"panic", p, "stack", string(debug.Stack()))
-			o = inferOutcome{panicked: true}
+			o = outcome{panicked: true}
 		}
 	}()
 	// Chaos hook: the server.forecast fault point injects latency or
 	// panics here, upstream of the real model call.
 	fault.DisruptWithin(ctx, deadline, "server.forecast")
 	if ctx.Err() != nil || time.Now().After(deadline) {
-		return inferOutcome{}
+		return outcome{}
 	}
-	return run(deadline)
+	var sr shard.Result
+	if post == nil {
+		sr = s.rings.ForecastWithin(ctx, deadline, entity, model)
+	} else {
+		o.in, o.err = s.predictor.PrepareInput(post.Indicators)
+		if o.err != nil {
+			return o
+		}
+		sr = s.rings.ForecastPrepared(ctx, deadline, entity, o.in)
+	}
+	o.forecast, o.gen, o.err, o.panicked = sr.Forecast, sr.Gen, sr.Err, sr.Panicked
+	return o
 }
 
 func targetName(p *core.Predictor) string {

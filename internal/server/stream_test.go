@@ -257,3 +257,26 @@ func TestEntityHitAllocations(t *testing.T) {
 		t.Fatalf("a read with nothing new allocates %.1f objects, want ≤ 4", allocs)
 	}
 }
+
+// TestEntityForecastAllocations pins what one stream-hit GET
+// /v1/forecast/{entity} allocates through ServeHTTP, request and recorder
+// included: ≤ 25 objects (27 while a telemetry slot rode the request
+// context).
+func TestEntityForecastAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation defeats escape analysis; allocation counts are meaningless")
+	}
+	f := newStreamFleet(t, 0)
+	f.ingest("a", 100)
+	f.read("a", "first read")
+	get := func() {
+		rr := httptest.NewRecorder()
+		f.srv.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/v1/forecast/a", nil))
+		if rr.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rr.Code, rr.Body)
+		}
+	}
+	if allocs := testing.AllocsPerRun(200, get); allocs > 25 {
+		t.Fatalf("one GET /v1/forecast/{entity} allocates %.0f objects, want ≤ 25", allocs)
+	}
+}
