@@ -10,7 +10,7 @@ type InputBounds struct {
 
 // InputSummary is one request's input as the input detectors see it: the
 // fraction of values outside the training bounds, where min–max scaling
-// clips (HasOOR false without bounds), and the mean of the target's
+// extrapolates (HasOOR false without bounds), and the mean of the target's
 // trailing window, NaNs skipped.
 type InputSummary struct {
 	OOR, Mean       float64

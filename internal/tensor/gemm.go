@@ -7,37 +7,59 @@ import (
 	"repro/internal/par"
 )
 
-// This file is the packed, cache-blocked GEMM engine behind MatMul,
-// MatMulT and TMatMul. The classic blocked structure (pack B once into
-// column panels, pack A row-panel by row-panel, compute MR×NR register
-// tiles) is specialized to one extra requirement the rest of the system
-// depends on: bitwise determinism. Every output element is produced by
-// folding one fused multiply-add per k-step into a single accumulator in
-// ascending-k order, and by nothing else. That makes the value of
-// C[i][j] a function of row i of A and column j of B alone — independent
-// of the worker count, of how rows are chunked, of tile shape, and of
-// how many other rows or columns the operation carries. The batched
-// inference path leans on exactly this property: row i of a batch-32
-// forward is bitwise the row a batch-1 forward would produce.
+// This file is the GEMM engine behind MatMul, MatMulT, TMatMul and the
+// PackedB products. One MR×NR register-tile microkernel computes every
+// element; the driver around it hands the kernel its operands in place
+// wherever their layout allows and copies only what the kernel cannot
+// read. The one requirement the rest of the system depends on is bitwise
+// determinism: every output element is produced by folding one fused
+// multiply-add per k-step into a single accumulator in ascending-k
+// order, and by nothing else. That makes the value of C[i][j] a function
+// of row i of A and column j of B alone — independent of the worker
+// count, of how rows are chunked, of whether an operand was copied first,
+// and of how many other rows or columns the operation carries. The
+// batched inference path leans on exactly this property: row i of a
+// batch-32 forward is bitwise the row a batch-1 forward would produce.
 //
 // Fused arithmetic is used in all paths: the AVX2+FMA microkernel on
 // amd64 hardware that supports it (runtime CPUID check), and math.FMA —
 // exactly-rounded by spec, hardware or not — in the portable fallback.
 // Both produce identical bits for identical inputs.
 //
-// Blocking parameters: the microkernel computes an MR×NR = 4×8 tile
-// held entirely in registers (8 YMM accumulators on amd64), streaming a
-// packed MR-wide A panel and a packed NR-wide B panel over the full k
-// extent. Panels are packed so the kernel reads both operands
-// sequentially: ap[p*MR+r], bp[p*NR+c]. A 4×8 tile over k=512 touches
-// ~16 KiB of A panel + ~32 KiB of B panel — the A panel and the active
-// slice of B live in L1/L2 while C stays in registers; there is no
-// k-blocking because splitting k would need partial-sum merges that
-// change rounding order.
+// The microkernel computes an MR×NR = 4×8 tile held entirely in
+// registers (8 YMM accumulators on amd64) over the full k extent,
+// reading A(r, p) at a[r·lda + p·sa] and row p of B at b[p·ldb]:
+//   - A is read in place, 4 rows at a time: row-major (lda=k, sa=1) or
+//     transposed (lda=1, sa=m). Only a short last panel (m%MR rows) is
+//     copied, with zero pad rows (lda=1, sa=MR).
+//   - A row-major B is read in place (ldb=n) when n is a whole number of
+//     NR-wide panels and k·n ≤ inPlaceBElems. Otherwise — a transposed
+//     B, a ragged n, a large B — B is copied once per call into
+//     zero-padded NR-wide column panels (ldb=NR), which a PackedB holds
+//     ready-made.
+//
+// There is no k-blocking because splitting k would need partial-sum
+// merges that change rounding order.
 const (
 	gemmMR = 4
 	gemmNR = 8
 )
+
+// inPlaceBElems is the largest row-major B, in elements (k·n), that the
+// kernel reads in place rather than packed. Every A panel walks B's k
+// rows at a stride of n: while B stays in cache that costs nothing, and
+// the pack it saves — one copy of B per call, serial before any split —
+// is a large share of a small product. A B that outgrows the cache is
+// streamed again by every A panel through strided rows, which the
+// contiguous panels avoid. Measured with m = k = n products and a few
+// m = 256 ones on a 2-vCPU Xeon (48 KiB L1d, 2 MiB L2; go1.24), six
+// alternating runs at GOMAXPROCS 1 and 2: every B of at most 2^16
+// elements ran faster in place at both (256³ 0.93× and 0.88× the packed
+// time); between 2^16 and 2^17 the ratio ranged 0.87–1.03×; beyond, in
+// place lost at 1 proc from 384³ (1.09×) and at both from 448³ (1.46×
+// and 1.13×; 512³ 1.48× and 1.41×). BENCH_compute.json
+// "pr47-gemm-inplace-paired" keeps the runs.
+const inPlaceBElems = 1 << 16
 
 // gemmOp describes one C = A·B (or C += A·B) in row-major storage.
 // aTrans means a holds the k×m transpose of the logical m×k A;
@@ -48,7 +70,7 @@ type gemmOp struct {
 	aTrans    bool
 	bTrans    bool
 	acc       bool      // accumulate into dst instead of overwriting
-	bp        []float64 // B already in column panels (a PackedB's); b is then unused
+	bp        []float64 // B in column panels (a PackedB's, or packed here); b is then unused
 }
 
 // gemmScratch carries the packed-B buffer and a pre-bound worker closure
@@ -56,7 +78,7 @@ type gemmOp struct {
 // scratch (and the closure capturing it) is built once per pooled object
 // and reused across calls.
 type gemmScratch struct {
-	bp  []float64 // packed B of an op that brought none: ceil(n/NR) panels of NR*k
+	bp  []float64 // packed B of an op that cannot read its B in place: ceil(n/NR) panels of NR*k
 	op  gemmOp
 	run func(lo, hi int) // processes A row-panels [lo,hi)
 }
@@ -67,9 +89,10 @@ var gemmScratchPool = sync.Pool{New: func() any {
 	return s
 }}
 
-// panelScratch is the per-goroutine packing buffer: one A panel and one
-// spill tile for ragged tile edges. Pooled separately from gemmScratch
-// because several workers pack A panels for the same operation at once.
+// panelScratch is the per-goroutine buffer for ragged edges: the
+// zero-padded copy of a short last A panel and a spill tile for ragged
+// tiles. Pooled separately from gemmScratch because several workers may
+// run ragged tiles of the same operation at once.
 type panelScratch struct {
 	ap []float64 // MR * k
 	ct [gemmMR * gemmNR]float64
@@ -77,7 +100,7 @@ type panelScratch struct {
 
 var panelScratchPool = sync.Pool{New: func() any { return &panelScratch{} }}
 
-// gemm executes op on the packed kernel, parallelizing across A
+// gemm executes op on the register-tile kernel, parallelizing across A
 // row-panels when the op is large enough to amortize pool dispatch.
 // Chunk boundaries are in whole panels, so no two workers ever share a
 // panel and the per-element arithmetic order never depends on the split.
@@ -93,7 +116,7 @@ func gemm(op gemmOp) {
 	}
 	s := gemmScratchPool.Get().(*gemmScratch)
 	s.op = op
-	if op.bp == nil {
+	if packsB(&op) {
 		s.bp = packPanels(s.bp, op.b, op.k, op.n, op.bTrans)
 		s.op.bp = s.bp
 	}
@@ -105,6 +128,13 @@ func gemm(op gemmOp) {
 	}
 	s.op = gemmOp{} // do not retain caller slices in the pool
 	gemmScratchPool.Put(s)
+}
+
+// packsB reports whether op's B must be packed before the kernel can
+// read it: it is not already a PackedB's and is transposed, ragged in n
+// or larger than inPlaceBElems.
+func packsB(op *gemmOp) bool {
+	return op.bp == nil && (op.bTrans || op.n%gemmNR != 0 || op.k*op.n > inPlaceBElems)
 }
 
 func zeroRect(dst []float64, m, n int) {
@@ -165,34 +195,39 @@ func packPanels(bp, b []float64, k, n int, bTrans bool) []float64 {
 	return bp
 }
 
-// runPanels computes A row-panels [lo,hi): pack the panel, then sweep
-// every B panel with the register-tile kernel. Ragged edges (m%MR rows,
-// n%NR cols) run the same kernel into a spill tile and copy the valid
-// rectangle, so every element sees the identical FMA chain.
+// runPanels computes A row-panels [lo,hi), each against every NR-wide
+// column panel of B with the register-tile kernel. Ragged edges (m%MR
+// rows, n%NR cols) run the same kernel into a spill tile and copy the
+// valid rectangle, so every element sees the identical FMA chain.
 func (s *gemmScratch) runPanels(lo, hi int) {
 	op := &s.op
-	k, n := op.k, op.n
+	m, k, n := op.m, op.k, op.n
+	lda, sa := k, 1 // A(i, p) at a[i*lda + p*sa]
+	if op.aTrans {
+		lda, sa = 1, m
+	}
+	b, ldb, bjc := op.bp, gemmNR, k // column jc of B starts at b[jc*bjc]
+	if b == nil {
+		b, ldb, bjc = op.b, n, 1
+	}
 	padN := (n + gemmNR - 1) / gemmNR * gemmNR
 	ps := panelScratchPool.Get().(*panelScratch)
-	if cap(ps.ap) < gemmMR*k {
-		ps.ap = make([]float64, gemmMR*k)
-	}
-	ap := ps.ap[:gemmMR*k]
 	for panel := lo; panel < hi; panel++ {
 		i0 := panel * gemmMR
-		rows := op.m - i0
-		if rows > gemmMR {
-			rows = gemmMR
-		}
-		packA(ap, op, i0, rows)
-		for jc := 0; jc < padN; jc += gemmNR {
-			bpanel := op.bp[jc*k : jc*k+gemmNR*k]
-			cols := n - jc
-			if cols > gemmNR {
-				cols = gemmNR
+		rows := min(m-i0, gemmMR)
+		a, alda, asa := op.a[i0*lda:], lda, sa
+		if rows < gemmMR {
+			if cap(ps.ap) < gemmMR*k {
+				ps.ap = make([]float64, gemmMR*k)
 			}
+			a, alda, asa = ps.ap[:gemmMR*k], 1, gemmMR
+			packA(a, op.a[i0*lda:], rows, k, lda, sa)
+		}
+		for jc := 0; jc < padN; jc += gemmNR {
+			bpanel := b[jc*bjc:]
+			cols := min(n-jc, gemmNR)
 			if rows == gemmMR && cols == gemmNR {
-				gemmKernel(ap, bpanel, op.dst[i0*n+jc:], k, n, op.acc)
+				gemmKernel(a, bpanel, op.dst[i0*n+jc:], k, alda, asa, ldb, n, op.acc)
 				continue
 			}
 			// Ragged tile: preload the valid rectangle (zeros elsewhere)
@@ -207,7 +242,7 @@ func (s *gemmScratch) runPanels(lo, hi int) {
 					copy(ct[r*gemmNR:r*gemmNR+cols], op.dst[(i0+r)*n+jc:(i0+r)*n+jc+cols])
 				}
 			}
-			gemmKernel(ap, bpanel, ct[:], k, gemmNR, true)
+			gemmKernel(a, bpanel, ct[:], k, alda, asa, ldb, gemmNR, true)
 			for r := 0; r < rows; r++ {
 				copy(op.dst[(i0+r)*n+jc:(i0+r)*n+jc+cols], ct[r*gemmNR:r*gemmNR+cols])
 			}
@@ -216,64 +251,42 @@ func (s *gemmScratch) runPanels(lo, hi int) {
 	panelScratchPool.Put(ps)
 }
 
-// packA packs rows [i0, i0+rows) of logical A as ap[p*MR+r], zeroing
-// the pad rows of a short final panel.
-func packA(ap []float64, op *gemmOp, i0, rows int) {
-	k := op.k
-	if op.aTrans {
-		// a is k×m; logical row i is column i of a.
-		m := op.m
-		if rows == gemmMR {
-			for p := 0; p < k; p++ {
-				src := op.a[p*m+i0 : p*m+i0+gemmMR]
-				dst := ap[p*gemmMR : p*gemmMR+gemmMR]
-				dst[0], dst[1], dst[2], dst[3] = src[0], src[1], src[2], src[3]
+// packA copies a short last A panel — rows r < rows of a, A(r, p) at
+// a[r*lda + p*sa] — as ap[p*MR+r], zeroing the pad rows, so the kernel
+// reads a full MR-row panel without reading past the end of A.
+func packA(ap, a []float64, rows, k, lda, sa int) {
+	for p := 0; p < k; p++ {
+		dst := ap[p*gemmMR : p*gemmMR+gemmMR]
+		for r := range dst {
+			dst[r] = 0
+			if r < rows {
+				dst[r] = a[r*lda+p*sa]
 			}
-			return
-		}
-		for p := 0; p < k; p++ {
-			src := op.a[p*m+i0:]
-			dst := ap[p*gemmMR : p*gemmMR+gemmMR]
-			for r := 0; r < rows; r++ {
-				dst[r] = src[r]
-			}
-			for r := rows; r < gemmMR; r++ {
-				dst[r] = 0
-			}
-		}
-		return
-	}
-	for r := 0; r < rows; r++ {
-		arow := op.a[(i0+r)*k : (i0+r+1)*k]
-		for p, v := range arow {
-			ap[p*gemmMR+r] = v
-		}
-	}
-	for r := rows; r < gemmMR; r++ {
-		for p := 0; p < k; p++ {
-			ap[p*gemmMR+r] = 0
 		}
 	}
 }
 
-// gemmKernel computes the MR×NR tile c[r*ldc+j] (+)= Σ_p ap[p*MR+r] ·
-// bp[p*NR+j], one exactly-rounded fused multiply-add per product in
+// gemmKernel computes the MR×NR tile c[r*ldc+j] (+)= Σ_p a[r*lda+p*sa] ·
+// b[p*ldb+j], one exactly-rounded fused multiply-add per product in
 // ascending p. On capable amd64 hardware this dispatches to the AVX2
 // microkernel; everywhere else to the math.FMA tile below. Both produce
 // identical bits.
-func gemmKernel(ap, bp, c []float64, k, ldc int, acc bool) {
+func gemmKernel(a, b, c []float64, k, lda, sa, ldb, ldc int, acc bool) {
 	if useFMAKernel {
-		fmaKernel4x8(&ap[0], &bp[0], &c[0], k, ldc, acc)
+		fmaKernel4x8(&a[0], &b[0], &c[0], k, lda, sa, ldb, ldc, acc)
 		return
 	}
-	gemmKernelGeneric(ap, bp, c, k, ldc, acc)
+	gemmKernelGeneric(a, b, c, k, lda, sa, ldb, ldc, acc)
 }
 
 // gemmKernelGeneric is the portable register tile: 32 scalar
-// accumulators streaming the packed panels with math.FMA. math.FMA is
-// exactly rounded whether or not the hardware has a fused instruction,
-// so this matches the assembly kernel bit for bit.
-func gemmKernelGeneric(ap, bp, c []float64, k, ldc int, acc bool) {
+// accumulators streaming the operands through their strides with
+// math.FMA. math.FMA is exactly rounded whether or not the hardware has
+// a fused instruction, so this matches the assembly kernel bit for bit.
+// Its slice indexing is bounds-checked, so an address the strides carry
+// past the end of an operand panics here where the assembly kernel
+// would read it silently.
+func gemmKernelGeneric(a, b, c []float64, k, lda, sa, ldb, ldc int, acc bool) {
 	var c00, c01, c02, c03, c04, c05, c06, c07 float64
 	var c10, c11, c12, c13, c14, c15, c16, c17 float64
 	var c20, c21, c22, c23, c24, c25, c26, c27 float64
@@ -289,9 +302,8 @@ func gemmKernelGeneric(ap, bp, c []float64, k, ldc int, acc bool) {
 		c30, c31, c32, c33, c34, c35, c36, c37 = r3[0], r3[1], r3[2], r3[3], r3[4], r3[5], r3[6], r3[7]
 	}
 	for p := 0; p < k; p++ {
-		bpp := bp[p*gemmNR : p*gemmNR+gemmNR : p*gemmNR+gemmNR]
-		app := ap[p*gemmMR : p*gemmMR+gemmMR : p*gemmMR+gemmMR]
-		a0 := app[0]
+		bpp := b[p*ldb : p*ldb+gemmNR : p*ldb+gemmNR]
+		a0 := a[p*sa]
 		c00 = math.FMA(a0, bpp[0], c00)
 		c01 = math.FMA(a0, bpp[1], c01)
 		c02 = math.FMA(a0, bpp[2], c02)
@@ -300,7 +312,7 @@ func gemmKernelGeneric(ap, bp, c []float64, k, ldc int, acc bool) {
 		c05 = math.FMA(a0, bpp[5], c05)
 		c06 = math.FMA(a0, bpp[6], c06)
 		c07 = math.FMA(a0, bpp[7], c07)
-		a1 := app[1]
+		a1 := a[lda+p*sa]
 		c10 = math.FMA(a1, bpp[0], c10)
 		c11 = math.FMA(a1, bpp[1], c11)
 		c12 = math.FMA(a1, bpp[2], c12)
@@ -309,7 +321,7 @@ func gemmKernelGeneric(ap, bp, c []float64, k, ldc int, acc bool) {
 		c15 = math.FMA(a1, bpp[5], c15)
 		c16 = math.FMA(a1, bpp[6], c16)
 		c17 = math.FMA(a1, bpp[7], c17)
-		a2 := app[2]
+		a2 := a[2*lda+p*sa]
 		c20 = math.FMA(a2, bpp[0], c20)
 		c21 = math.FMA(a2, bpp[1], c21)
 		c22 = math.FMA(a2, bpp[2], c22)
@@ -318,7 +330,7 @@ func gemmKernelGeneric(ap, bp, c []float64, k, ldc int, acc bool) {
 		c25 = math.FMA(a2, bpp[5], c25)
 		c26 = math.FMA(a2, bpp[6], c26)
 		c27 = math.FMA(a2, bpp[7], c27)
-		a3 := app[3]
+		a3 := a[3*lda+p*sa]
 		c30 = math.FMA(a3, bpp[0], c30)
 		c31 = math.FMA(a3, bpp[1], c31)
 		c32 = math.FMA(a3, bpp[2], c32)

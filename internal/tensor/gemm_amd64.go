@@ -1,10 +1,13 @@
 package tensor
 
-// fmaKernel4x8 is the AVX2+FMA microkernel in gemm_amd64.s. ap and bp
-// point at packed panels of at least k*MR and k*NR elements; c points at
-// the top-left of a 4×8 tile with row stride ldc (the tile must be fully
-// in bounds). k must be ≥ 1.
-func fmaKernel4x8(ap, bp, c *float64, k, ldc int, acc bool)
+// fmaKernel4x8 is the AVX2+FMA microkernel in gemm_amd64.s. It computes
+// the 4×8 tile c[r*ldc+j] (+)= Σ_p a[r*lda+p*sa] · b[p*ldb+j], reading
+// both operands in place through their strides: a row-major A is
+// (lda=k, sa=1), a transposed one (lda=1, sa=m), a packed ragged panel
+// (lda=1, sa=MR); B is a row-major matrix (ldb=n) or a packed column
+// panel (ldb=NR). Every address it forms must be in bounds, the C tile
+// included. k must be ≥ 1.
+func fmaKernel4x8(a, b, c *float64, k, lda, sa, ldb, ldc int, acc bool)
 
 func cpuidRaw(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)

@@ -1,25 +1,32 @@
 #include "textflag.h"
 
-// func fmaKernel4x8(ap, bp, c *float64, k, ldc int, acc bool)
+// func fmaKernel4x8(a, b, c *float64, k, lda, sa, ldb, ldc int, acc bool)
 //
 // The 4x8 register-tile GEMM microkernel: 8 YMM accumulators hold the
-// whole C tile while the packed panels stream past. Per k-step it issues
-// 2 B-panel loads, 4 A broadcasts and 8 fused multiply-adds — one
+// whole C tile while the operands stream past, read through strides —
+// A(r, p) at a[r*lda + p*sa], row p of B at b[p*ldb]. Per k-step it
+// issues 2 B-row loads, 4 A broadcasts and 8 fused multiply-adds — one
 // exactly-rounded FMA per product, ascending k, matching the portable
 // math.FMA kernel bit for bit.
-TEXT ·fmaKernel4x8(SB), NOSPLIT, $0-41
-	MOVQ ap+0(FP), SI
-	MOVQ bp+8(FP), DX
+TEXT ·fmaKernel4x8(SB), NOSPLIT, $0-65
+	MOVQ a+0(FP), SI
+	MOVQ b+8(FP), DX
 	MOVQ c+16(FP), DI
 	MOVQ k+24(FP), CX
-	MOVQ ldc+32(FP), R8
+	MOVQ lda+32(FP), AX
+	SHLQ $3, AX
+	LEAQ (AX)(AX*2), BX
+	MOVQ sa+40(FP), R12
+	SHLQ $3, R12
+	MOVQ ldb+48(FP), R13
+	SHLQ $3, R13
+	MOVQ ldc+56(FP), R8
 	SHLQ $3, R8
 	LEAQ (DI)(R8*1), R9
 	LEAQ (DI)(R8*2), R10
 	LEAQ (R9)(R8*2), R11
-	MOVBLZX acc+40(FP), AX
-	TESTB AL, AL
-	JZ   zero
+	CMPB acc+64(FP), $0
+	JEQ  zero
 	VMOVUPD (DI), Y0
 	VMOVUPD 32(DI), Y1
 	VMOVUPD (R9), Y2
@@ -44,17 +51,17 @@ loop:
 	VBROADCASTSD (SI), Y10
 	VFMADD231PD Y8, Y10, Y0
 	VFMADD231PD Y9, Y10, Y1
-	VBROADCASTSD 8(SI), Y11
+	VBROADCASTSD (SI)(AX*1), Y11
 	VFMADD231PD Y8, Y11, Y2
 	VFMADD231PD Y9, Y11, Y3
-	VBROADCASTSD 16(SI), Y10
+	VBROADCASTSD (SI)(AX*2), Y10
 	VFMADD231PD Y8, Y10, Y4
 	VFMADD231PD Y9, Y10, Y5
-	VBROADCASTSD 24(SI), Y11
+	VBROADCASTSD (SI)(BX*1), Y11
 	VFMADD231PD Y8, Y11, Y6
 	VFMADD231PD Y9, Y11, Y7
-	ADDQ $64, DX
-	ADDQ $32, SI
+	ADDQ R13, DX
+	ADDQ R12, SI
 	DECQ CX
 	JNZ  loop
 	VMOVUPD Y0, (DI)

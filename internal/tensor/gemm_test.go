@@ -270,3 +270,76 @@ func TestPackedBZeroAlloc(t *testing.T) {
 		t.Fatalf("MatMulPackedInto allocates %.1f times per op, want 0", allocs)
 	}
 }
+
+// TestGemmOperandLayouts checks every element of C against the FMA oracle
+// for each way the kernel can read its operands: A row-major or
+// transposed, read in place or (its short last panel, m%4 rows) copied;
+// B read in place, packed because it is transposed, ragged in n or over
+// inPlaceBElems, or handed over as a PackedB; acc on and off. Every
+// operand is sliced to its exact length, so under -tags purego a stride
+// that carries the portable kernel one element past an operand panics.
+func TestGemmOperandLayouts(t *testing.T) {
+	exact := func(s []float64) []float64 { return s[:len(s):len(s)] }
+	layouts := []struct {
+		name                 string
+		k, n                 int
+		trans, packed, packs bool // packs: gemm packs this B itself
+	}{
+		{"B in place", 9, 16, false, false, false},
+		{"B transposed", 9, 16, true, false, true},
+		{"B ragged in n", 9, 13, false, false, true},
+		{"B over the in-place bound", inPlaceBElems/128 + 1, 128, false, false, true},
+		{"PackedB", 9, 20, false, true, false},
+		{"PackedB of a transpose", 9, 20, true, true, false},
+	}
+	r := NewRNG(14)
+	for _, l := range layouts {
+		k, n := l.k, l.n
+		for m := 1; m <= 8; m++ {
+			for _, aTrans := range []bool{false, true} {
+				for _, acc := range []bool{false, true} {
+					a := exact(RandN(r, m*k).Data)
+					b := exact(RandN(r, k*n).Data)
+					dst := exact(RandN(r, m*n).Data)
+					init := append([]float64(nil), dst...)
+					op := gemmOp{a: a, b: b, dst: dst, m: m, k: k, n: n, aTrans: aTrans, bTrans: l.trans, acc: acc}
+					switch {
+					case l.packed && l.trans:
+						op.b, op.bp = nil, exact(PackBT(FromSlice(b, n, k)).bp)
+					case l.packed:
+						op.b, op.bp = nil, exact(PackB(FromSlice(b, k, n)).bp)
+					}
+					if packsB(&op) != l.packs {
+						t.Fatalf("%s: k=%d n=%d packs B = %v", l.name, k, n, !l.packs)
+					}
+					gemm(op)
+					for i := 0; i < m; i++ {
+						for j := 0; j < n; j++ {
+							start := 0.0
+							if acc {
+								start = init[i*n+j]
+							}
+							want := fmaOracle(start,
+								func(p int) float64 {
+									if aTrans {
+										return a[p*m+i]
+									}
+									return a[i*k+p]
+								},
+								func(p int) float64 {
+									if l.trans {
+										return b[j*k+p]
+									}
+									return b[p*n+j]
+								}, k)
+							if math.Float64bits(dst[i*n+j]) != math.Float64bits(want) {
+								t.Fatalf("%s, m=%d aTrans=%v acc=%v: C[%d][%d] = %g, want %g",
+									l.name, m, aTrans, acc, i, j, dst[i*n+j], want)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

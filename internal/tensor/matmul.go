@@ -9,15 +9,16 @@ import "fmt"
 // Tuning evidence (Xeon @ 2.10GHz, go1.24): BenchmarkParDispatch in
 // internal/par puts the fixed cost of waking a 4-worker pool and claiming
 // all chunks of a Run at ~0.8µs (vs ~0.3µs for the inline 1-worker path).
-// The ikj kernel sustains roughly 2 mul-adds/ns single-threaded, so the
-// crossover 32·64·64 ≈ 131k mul-adds ≈ 65µs of work: a 2-worker split
-// (~33µs + 1µs dispatch) already halves the wall clock, and dispatch
-// stays ~1.5% of the op. One step smaller (32³ ≈ 17µs,
-// BenchmarkMatMulSmall) the split still wins at 4+ workers but is
-// marginal at 2, so small ops stay sequential to protect latency.
+// The value dates from a scalar matmul of roughly 2 mul-adds/ns, where
+// 32·64·64 ≈ 131k mul-adds was ~65µs of work and a 2-worker split halved
+// it. The register-tile GEMM (gemm.go) runs 13–17 mul-adds/ns
+// single-threaded from 32³ to 128³ on a 2-vCPU Xeon, so the threshold is
+// now ~8µs of work: there a 64³ product took ~23µs split over
+// GOMAXPROCS=2 against ~16µs on one core, and the split paid only from
+// about 192³ up. The value stands until it is tuned again.
 const parallelFlops = 32 * 64 * 64
 
-// MatMul returns the matrix product t × u for 2-D tensors via the packed
+// MatMul returns the matrix product t × u for 2-D tensors via the
 // register-tile GEMM kernel (see gemm.go).
 func (t *Tensor) MatMul(u *Tensor) *Tensor {
 	m, _, n := matmulDims(t, u, "MatMul")
@@ -124,8 +125,9 @@ func checkDst(dst *Tensor, m, n int, op string) {
 
 // PackedB is the right-hand operand B (k×n) of a product, laid out once
 // in the column panels the GEMM kernel streams. A product against it
-// skips the per-call pack, which for a one-row product is most of the
-// work, and is bitwise the product against B itself: packing only moves
+// skips the per-call pack that a transposed, ragged or large B takes,
+// which for a one-row product is most of the work, and is bitwise the
+// product against B itself: packing only moves
 // values. It is immutable, so any number of goroutines may share one. A
 // PackedB is a copy: it does not follow later writes to the tensor it
 // was packed from.
