@@ -22,10 +22,10 @@ import (
 //
 // Every forward and data-gradient kernel is per row, and a parameter
 // gradient is one FMA chain over the batch in order (a convolution's
-// continues from one chunk's block of columns to the next through
-// MatMulAcc), so a split pass is bitwise the whole-batch pass at any
-// worker count. Below the pass nothing dispatches: the pool runs a Run
-// issued inside a running task inline (see par.Pool).
+// reads the whole batch's taps in place, in one product), so a split
+// pass is bitwise the whole-batch pass at any worker count. Below the
+// pass nothing dispatches: the pool runs a Run issued inside a running
+// task inline (see par.Pool).
 //
 // The arena (serving) path, a batch of at most rowGrain, and a chain
 // holding a layer that cannot split rows (an LSTM, a standalone ReLU,
@@ -200,7 +200,7 @@ func (u *unit) backward(g *tensor.Tensor) *tensor.Tensor {
 func (u *unit) gradJobs(jobs []gradJob, g *tensor.Tensor, chunk int) []gradJob {
 	switch {
 	case u.run.layers != nil:
-		return u.run.gradJobs(jobs, chunk)
+		return u.run.gradJobs(jobs)
 	case u.row != nil:
 		return append(jobs, gradJob{w: u.w, row: u.row, g: g, n: chunk})
 	}
@@ -209,8 +209,8 @@ func (u *unit) gradJobs(jobs []gradJob, g *tensor.Tensor, chunk int) []gradJob {
 
 // gradJob is one layer's parameter gradients over the whole batch of a
 // pass, timed into w: a convolution's (conv) from its output gradient g
-// and the acol blocks of n columns the pass's chunks wrote, or a row
-// layer's from g, the pass having run in chunks of n samples.
+// and the taps of the pass, or a row layer's from g, the pass having run
+// in chunks of n samples.
 type gradJob struct {
 	w    *Profiled
 	conv *CausalConv1D
@@ -222,7 +222,7 @@ type gradJob struct {
 func (j *gradJob) run() {
 	t0 := j.w.start()
 	if j.conv != nil {
-		j.conv.kernelGrads(j.g, j.n)
+		j.conv.kernelGrads(j.g)
 	} else {
 		j.row.paramGrads(j.g, j.n)
 	}

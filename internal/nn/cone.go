@@ -25,6 +25,12 @@ import (
 // computing every step gives wherever they are defined.
 //
 // The step lists are plain ints, planned once per (block, window length).
+// Where a tap list lies on a grid — tap kk of output step j reading input
+// position b + a·j + δ·kk, none of them in the causal padding — the
+// im2col matrix is a two-level strided view of the input (tensor.View),
+// and the GEMM reads the taps in place in both passes: no copy. Every
+// list of a cone inside the window is on a grid; a list that reads the
+// padding (a convolution over every step) is gathered first.
 
 // steps addresses activations as (sample, channel, position): the
 // element sits at data[bi·sb + ci·sc + pos·sp]. Two layouts occur: a
@@ -69,22 +75,23 @@ func tapRun(idx []int) (pad int, ok bool) {
 	return pad, true
 }
 
-// gatherTaps is im2col over the listed steps only: row p = ci·k + kk of
-// acol ([in·k, batch·n]) holds, for every (sample, step), the input
-// position tap kk of that step reads, or zero where it falls in the
-// causal padding.
+// gatherTaps copies the listed taps of the samples x holds into acol, for
+// a tap list that is not on a grid (see tapList): tap kk of step j of
+// channel ci of sample bi lands at ((bi·c + ci)·k + kk)·n + j, or is
+// zero where it falls in the causal padding. Seen as gathered steps the
+// copy has its taps on a grid (see gathered), so the GEMM reads it
+// through the same view as an input whose taps need no copy.
 func gatherTaps(acol []float64, x steps, k int, taps []int) {
 	n := len(taps) / k
-	m := x.b * n
 	for kk := 0; kk < k; kk++ {
 		idx := taps[kk*n : (kk+1)*n]
 		pad, run := tapRun(idx)
 		run = run && x.sp == 1
-		for ci := 0; ci < x.c; ci++ {
-			row := acol[(ci*k+kk)*m : (ci*k+kk+1)*m]
-			for bi := 0; bi < x.b; bi++ {
+		for bi := 0; bi < x.b; bi++ {
+			for ci := 0; ci < x.c; ci++ {
 				src := x.data[bi*x.sb+ci*x.sc:]
-				dst := row[bi*n : (bi+1)*n]
+				at := ((bi*x.c+ci)*k + kk) * n
+				dst := acol[at : at+n]
 				if run {
 					clear(dst[:pad])
 					if pad < n {
@@ -102,6 +109,13 @@ func gatherTaps(acol []float64, x steps, k int, taps []int) {
 			}
 		}
 	}
+}
+
+// gathered is acol, where gatherTaps copied k taps of n steps of x's
+// samples, as steps — per channel, the k·n positions of its taps — and
+// the grid they lie on: tap kk of step j at position kk·n + j.
+func gathered(acol []float64, x steps, k, n int) (steps, tapGrid) {
+	return steps{data: acol, b: x.b, c: x.c, sb: x.c * k * n, sc: k * n, sp: 1}, tapGrid{a: 1, d: n}
 }
 
 // foldTaps is gatherTaps' adjoint (col2im): row ci·k + kk of dacol is
@@ -226,18 +240,71 @@ func gatherSteps(h steps, y []float64, t int) {
 // of each output step reads: tap kk of step s reads time s − (k−1−kk)·d,
 // which sits at its index in the ascending step list in (nil: the input
 // holds every step, so position is time). −1 marks the causal padding.
-func convTaps(k, d int, out, in []int) []int {
-	taps := make([]int, 0, k*len(out))
+func convTaps(k, d int, out, in []int) tapList {
+	idx := make([]int, 0, k*len(out))
 	for kk := 0; kk < k; kk++ {
 		for _, s := range out {
 			q := s - (k-1-kk)*d
 			if q >= 0 && in != nil {
 				q, _ = slices.BinarySearch(in, q) // planned, so present
 			}
-			taps = append(taps, max(q, -1))
+			idx = append(idx, max(q, -1))
 		}
 	}
-	return taps
+	return newTapList(idx, k)
+}
+
+// tapGrid places tap kk of output step j at input position b + a·j + d·kk.
+type tapGrid struct{ b, a, d int }
+
+// view is the im2col matrix of x's samples — row (sample, step j < n),
+// step (channel, tap kk < k) — for taps on g: x itself, read in place.
+func (g tapGrid) view(x steps, k, n int) tensor.View {
+	return tensor.View{Off: g.b * x.sp, M2: n, T1: x.sb, T2: g.a * x.sp, K2: k, S1: x.sc, S2: g.d * x.sp}
+}
+
+// viewT is view's transpose: row (channel, tap), step (sample, step).
+func (g tapGrid) viewT(x steps, k, n int) tensor.View {
+	return tensor.View{Off: g.b * x.sp, M2: k, T1: x.sc, T2: g.d * x.sp, K2: n, S1: x.sb, S2: g.a * x.sp}
+}
+
+// tapList is a planned tap list: idx as convTaps lists it and, when every
+// tap lies on one grid and none in the causal padding (onGrid), that
+// grid. The GEMM reads the taps of such a list from the input in place;
+// any other list is gathered first (gatherTaps). Every list planned for
+// a cone inside the window is on a grid.
+type tapList struct {
+	idx    []int
+	n      int // output steps
+	grid   tapGrid
+	onGrid bool
+}
+
+func newTapList(idx []int, k int) tapList {
+	n := len(idx) / k
+	t := tapList{idx: idx, n: n}
+	if n == 0 {
+		return t
+	}
+	g := tapGrid{b: idx[0]}
+	if n > 1 {
+		g.a = idx[1] - idx[0]
+	}
+	if k > 1 {
+		g.d = idx[n] - idx[0]
+	}
+	if g.b < 0 || g.a < 0 || g.d < 0 {
+		return t
+	}
+	for kk := 0; kk < k; kk++ {
+		for j, pos := range idx[kk*n : (kk+1)*n] {
+			if pos != g.b+g.a*j+g.d*kk {
+				return t
+			}
+		}
+	}
+	t.grid, t.onGrid = g, true
+	return t
 }
 
 // tapSteps returns, ascending, the time steps a (k, d) convolution
@@ -274,11 +341,11 @@ func stepRange(n int) []int {
 // input each convolution and the residual find what they read.
 type blockSteps struct {
 	t            int
-	dense        bool  // the input is the model's, holding every step; else the block before's out = in
-	out, in      []int // in is what the block before must produce
-	taps1, taps2 []int // conv1 into the input, conv2 into conv1's steps
-	res          []int // input position of each out step: the residual, and the 1×1 downsample's taps
-	seq          []int // 0..len(out)−1: where the downsample's own output holds them
+	dense        bool    // the input is the model's, holding every step; else the block before's out = in
+	out, in      []int   // in is what the block before must produce
+	taps1, taps2 tapList // conv1 into the input, conv2 into conv1's steps
+	res          tapList // input position of each out step: the residual, and the 1×1 downsample's taps
+	seq          []int   // 0..len(out)−1: where the downsample's own output holds them
 }
 
 // planSteps returns the block's plan for producing the steps out (nil:
@@ -367,15 +434,15 @@ func (r *blockRun) begin(a *InferArena, x *tensor.Tensor, train bool) *tensor.Te
 	b, t := x.Dim(0), x.Dim(2)
 	r.plan(t)
 	var one [1]*TemporalBlock
-	c := 0
+	h := denseSteps(x.Data, b, x.Dim(1), t)
 	for _, l := range r.layers {
 		w, _ := l.(*Profiled)
 		w.count(false)
 		for _, blk := range coneBlocks(l, &one) {
-			blk.prepare(a, b, train)
-			c = blk.conv2.OutChannels
+			h = blk.prepare(a, h, train)
 		}
 	}
+	c := h.c
 	if r.last == nil {
 		return a.Get(b, c, t)
 	}
@@ -464,28 +531,29 @@ func (r *blockRun) backwardRows(grad *tensor.Tensor, lo, hi int) {
 
 // gradJobs appends the parameter-gradient jobs of every block, the
 // first block's (the largest) first.
-func (r *blockRun) gradJobs(jobs []gradJob, chunk int) []gradJob {
+func (r *blockRun) gradJobs(jobs []gradJob) []gradJob {
 	for k := len(r.blocks) - 1; k >= 0; k-- {
-		jobs = r.blocks[k].gradJobs(jobs, r.owners[k], r.gs[k], chunk)
+		jobs = r.blocks[k].gradJobs(jobs, r.owners[k], r.gs[k])
 	}
 	return jobs
 }
 
-// prepare readies the block for a pass over batch samples on its plan:
-// the convolutions, and off the arena the ReLU masks and the dropout
-// masks — drawn here, one per (sample, channel) in order, the draws a
-// whole-batch pass makes, so that chunks share them and the streams
-// advance as they always have.
-func (b *TemporalBlock) prepare(a *InferArena, batch int, train bool) {
+// prepare readies the block for a pass over x, the whole batch of its
+// input, on its plan: the convolutions, and off the arena the ReLU masks
+// and the dropout masks — drawn here, one per (sample, channel) in
+// order, the draws a whole-batch pass makes, so that chunks share them
+// and the streams advance as they always have. It returns the whole
+// batch of the block's output, which holds data only off the arena.
+func (b *TemporalBlock) prepare(a *InferArena, x steps, train bool) steps {
 	p := b.plan
-	nMid, nOut := len(p.taps1)/b.conv1.KernelSize, len(p.out)
-	b.conv1.prepare(a, batch*nMid, train)
-	b.conv2.prepare(a, batch*nOut, train)
+	batch, nMid, nOut := x.b, p.taps1.n, len(p.out)
+	mid := b.conv1.prepare(a, x, p.taps1, train)
+	out := b.conv2.prepare(a, mid, p.taps2, train)
 	if b.downsample != nil {
-		b.downsample.prepare(a, batch*nOut, train)
+		b.downsample.prepare(a, x, p.res, train)
 	}
 	if a != nil {
-		return
+		return out
 	}
 	b.fwd = p
 	c := b.conv1.OutChannels
@@ -494,6 +562,7 @@ func (b *TemporalBlock) prepare(a *InferArena, batch int, train bool) {
 	b.finalReLU.size(batch * nOut * c)
 	b.drop1.draw(batch*c, train)
 	b.drop2.draw(batch*c, train)
+	return out
 }
 
 // forwardSteps is TemporalBlock's forward body at the planned steps, for
@@ -515,7 +584,7 @@ func (b *TemporalBlock) forwardSteps(a *InferArena, x steps, lo int) steps {
 	if keep {
 		b.drop2.scale(h, lo)
 	}
-	res, pos := x, p.res
+	res, pos := x, p.res.idx
 	if b.downsample != nil {
 		res, pos = b.downsample.forwardTaps(a, x, lo, p.res), p.seq
 	}
@@ -530,7 +599,7 @@ func (b *TemporalBlock) forwardSteps(a *InferArena, x steps, lo int) steps {
 // the planned input steps, whose rows backwardSteps clears.
 func (b *TemporalBlock) beginBackward(batch int) *tensor.Tensor {
 	p, c1, c2 := b.fwd, b.conv1, b.conv2
-	nOut, nMid := len(p.out), len(p.taps1)/c1.KernelSize
+	nOut, nMid := len(p.out), p.taps1.n
 	c1.readyBackward(batch*nMid, true)
 	c2.readyBackward(batch*nOut, true)
 	if b.downsample != nil {
@@ -548,7 +617,7 @@ func (b *TemporalBlock) beginBackward(batch int) *tensor.Tensor {
 // and dx the block's input gradient, onto whose rows it adds.
 func (b *TemporalBlock) backwardSteps(g, dx *tensor.Tensor, lo, hi int) {
 	p, c1, c2 := b.fwd, b.conv1, b.conv2
-	nOut, nMid, c := len(p.out), len(p.taps1)/c1.KernelSize, c2.OutChannels
+	nOut, nMid, c := len(p.out), p.taps1.n, c2.OutChannels
 	out := g.Data[lo*nOut*c : hi*nOut*c]
 	maskGrad(out, b.finalReLU.mask[lo*nOut*c:])
 	// The residual branch reads g as it stands; F(x) works on a copy.
@@ -559,7 +628,7 @@ func (b *TemporalBlock) backwardSteps(g, dx *tensor.Tensor, lo, hi int) {
 	gm := c1.gcol.Data[lo*nMid*c : hi*nMid*c]
 	clear(gm)
 	mid := compactSteps(gm, hi-lo, c, nMid)
-	c2.backwardTaps(gf, mid, lo, p.taps2)
+	c2.backwardTaps(gf, mid, lo, p.taps2.idx)
 	b.drop1.scale(mid, lo)
 	maskGrad(gm, b.relu1.mask[lo*nMid*c:])
 
@@ -570,90 +639,96 @@ func (b *TemporalBlock) backwardSteps(g, dx *tensor.Tensor, lo, hi int) {
 		in = compactSteps(dx.Data, dx.Dim(0)/len(p.in), c1.InChannels, len(p.in)).rows(lo, hi)
 		clear(in.data)
 	}
-	c1.backwardTaps(gm, in, lo, p.taps1)
+	c1.backwardTaps(gm, in, lo, p.taps1.idx)
 	if b.downsample != nil {
-		b.downsample.backwardTaps(out, in, lo, p.res)
+		b.downsample.backwardTaps(out, in, lo, p.res.idx)
 	} else {
-		addResidual(in, out, p.res)
+		addResidual(in, out, p.res.idx)
 	}
 }
 
 // gradJobs appends one job per convolution of the block: its kernel and
 // bias gradients over the whole batch, timed into w. g is the block's
 // output gradient, what the 1×1 downsample saw.
-func (b *TemporalBlock) gradJobs(jobs []gradJob, w *Profiled, g *tensor.Tensor, chunk int) []gradJob {
-	p := b.fwd
-	nOut, nMid := len(p.out), len(p.taps1)/b.conv1.KernelSize
+func (b *TemporalBlock) gradJobs(jobs []gradJob, w *Profiled, g *tensor.Tensor) []gradJob {
 	jobs = append(jobs,
-		gradJob{w: w, conv: b.conv1, g: b.conv1.gcol, n: chunk * nMid},
-		gradJob{w: w, conv: b.conv2, g: b.conv2.gcol, n: chunk * nOut})
+		gradJob{w: w, conv: b.conv1, g: b.conv1.gcol},
+		gradJob{w: w, conv: b.conv2, g: b.conv2.gcol})
 	if b.downsample != nil {
-		jobs = append(jobs, gradJob{w: w, conv: b.downsample, g: g, n: chunk * nOut})
+		jobs = append(jobs, gradJob{w: w, conv: b.downsample, g: g})
 	}
 	return jobs
 }
 
-// prepare readies the convolution for a pass computing m output columns:
-// off the arena it sizes acol and ycol for all of them, and it bakes the
-// kernel unless the convolution is frozen — once per pass, before any
-// chunk reads it. A frozen convolution's kernel is only read, so a
-// published model's evaluation pass runs beside its serving forwards.
-func (c *CausalConv1D) prepare(a *InferArena, m int, train bool) {
+// prepare readies the convolution for a pass over x, the whole batch of
+// its input, at the taps listed: off the arena it sizes ycol — and acol,
+// if the taps are not on a grid — and keeps where kernelGrads reads the
+// pass's taps: x itself, which must then stay as it is until the
+// gradient jobs have run, or acol. It bakes the kernel unless the
+// convolution is frozen — once per pass, before any chunk reads it. A
+// frozen convolution's kernel is only read, so a published model's
+// evaluation pass runs beside its serving forwards. It returns the whole
+// batch of the output, compact, which holds data only off the arena.
+func (c *CausalConv1D) prepare(a *InferArena, x steps, taps tapList, train bool) steps {
 	if train {
 		c.pwt = nil // the weights are about to move
-	}
-	if a == nil {
-		c.acol, c.ycol = scratch2D(c.acol, c.InChannels*c.KernelSize, m), scratch2D(c.ycol, m, c.OutChannels)
 	}
 	if c.pwt == nil {
 		c.bakeKernel()
 	}
-}
-
-// colBlock returns the [rows, cols] block of the [rows, m] scratch buf
-// that holds columns [col, col+cols) — buf itself when that is all of
-// them. A chunk's columns of acol and dacol are laid out together, each
-// chunk's block after the last one's, so that its GEMM operand is
-// contiguous; kernelGrads walks the blocks in the same order.
-func colBlock(buf *tensor.Tensor, col, cols int) *tensor.Tensor {
-	rows := buf.Dim(0)
-	if col == 0 && cols == buf.Dim(1) {
-		return buf
+	k, n, out := c.KernelSize, taps.n, c.OutChannels
+	y := steps{b: x.b, c: out, sb: n * out, sc: 1, sp: out}
+	if a != nil {
+		return y
 	}
-	return tensor.FromSlice(buf.Data[rows*col:rows*(col+cols)], rows, cols)
+	c.ycol = scratch2D(c.ycol, x.b*n, out)
+	y.data = c.ycol.Data
+	c.src, c.srcGrid = x, taps.grid
+	if !taps.onGrid {
+		c.acol = scratch2D(c.acol, x.b, x.c*k*n)
+		c.src, c.srcGrid = gathered(c.acol.Data, x, k, n)
+	}
+	return y
 }
 
 // forwardTaps is the convolution's forward kernel, the only one, for the
-// samples x holds, the batch's from lo on: gather the listed taps (see
-// convTaps), seed the output rows with the bias and accumulate acolᵀ·wt
-// on the packed GEMM against the kernel prepare baked. The [samples·n,
-// out] output comes back as compact steps. Serving draws both buffers
-// from the arena; otherwise they are the chunk's block of acol and rows
-// of ycol, and acol stays for kernelGrads.
-func (c *CausalConv1D) forwardTaps(a *InferArena, x steps, lo int, taps []int) steps {
+// samples x holds, the batch's from lo on: seed the output rows with the
+// bias and accumulate A·wt on the GEMM against the kernel prepare baked,
+// where A, the im2col matrix of the listed taps (see convTaps), is a
+// view of x — or, for taps not on a grid, of their copy in acol
+// (gatherTaps). The [samples·n, out] output comes back as compact steps.
+// Serving draws its buffers from the arena; otherwise they are the
+// chunk's rows of ycol and acol.
+func (c *CausalConv1D) forwardTaps(a *InferArena, x steps, lo int, taps tapList) steps {
 	if x.c != c.InChannels {
 		panic(fmt.Sprintf("nn: CausalConv1D channel mismatch: input %d, layer %d", x.c, c.InChannels))
 	}
-	kk, n := c.InChannels*c.KernelSize, len(taps)/c.KernelSize
+	k, n := c.KernelSize, taps.n
 	m := x.b * n
-	var acol, ycol *tensor.Tensor
+	var ycol *tensor.Tensor
 	if a != nil {
-		acol, ycol = a.Get(kk, m), a.Get(m, c.OutChannels)
+		ycol = a.Get(m, c.OutChannels)
 	} else {
-		acol, ycol = colBlock(c.acol, lo*n, m), c.ycol.Rows(lo*n, lo*n+m)
+		ycol = c.ycol.Rows(lo*n, lo*n+m)
 	}
-	gatherTaps(acol.Data, x, c.KernelSize, taps)
+	src, grid := x, taps.grid
+	if !taps.onGrid {
+		var acol *tensor.Tensor
+		if a != nil {
+			acol = a.Get(x.b, x.c*k*n)
+		} else {
+			acol = c.acol.Rows(lo, lo+x.b)
+		}
+		gatherTaps(acol.Data, x, k, taps.idx)
+		src, grid = gathered(acol.Data, x, k, n)
+	}
 	seedRows(ycol.Data, c.B.Value.Data)
-	if c.pwt != nil {
-		acol.TMatMulAccPacked(c.pwt, ycol)
-	} else {
-		acol.TMatMulAcc(c.wt, ycol)
-	}
+	tensor.MatMulViewAcc(src.data, grid.view(src, k, n), c.wt, c.pwt, ycol)
 	return compactSteps(ycol.Data, x.b, c.OutChannels, n)
 }
 
 // readyBackward readies the backward of the last pass off the arena over
-// m output columns: the buffers of the gradient of the gathered columns
+// m output columns: the buffers of the gradient of the im2col matrix
 // and, with out, of the gradient of the output, which the rows fill.
 func (c *CausalConv1D) readyBackward(m int, out bool) {
 	c.pwt = nil
@@ -663,10 +738,22 @@ func (c *CausalConv1D) readyBackward(m int, out bool) {
 	}
 }
 
+// colBlock returns the [rows, cols] block of the [rows, m] scratch buf
+// that holds columns [col, col+cols) — buf itself when that is all of
+// them. A chunk's columns of dacol are laid out together, each chunk's
+// block after the last one's, so that the GEMM writes its block whole.
+func colBlock(buf *tensor.Tensor, col, cols int) *tensor.Tensor {
+	rows := buf.Dim(0)
+	if col == 0 && cols == buf.Dim(1) {
+		return buf
+	}
+	return tensor.FromSlice(buf.Data[rows*col:rows*(col+cols)], rows, cols)
+}
+
 // backwardTaps is the data half of the convolution's backward, for the
 // samples dx holds, the batch's from lo on: g is the gradient of their
-// compact output rows, and foldTaps adds the gradient of the gathered
-// columns, dacol = wt·gᵀ on the packed GEMM, onto dx. Every dacol element
+// compact output rows, and foldTaps adds the gradient of the im2col
+// matrix, dacol = wt·gᵀ on the packed GEMM, onto dx. Every dacol element
 // is one ascending FMA chain and every dx element a fixed ascending sum
 // over taps, so a sample's dx depends neither on the rest of the batch
 // nor on the worker count.
@@ -678,12 +765,13 @@ func (c *CausalConv1D) backwardTaps(g []float64, dx steps, lo int, taps []int) {
 }
 
 // kernelGrads is the parameter half: the bias gradient is g's column
-// sums and the kernel gradient dwt = acol·g, where g is the gradient of
-// the last pass's whole compact output and acol that pass's columns, in
-// blocks of cols columns (see colBlock). Each dwt element is one FMA
-// chain over the batch in order, continued from block to block by
-// MatMulAcc, so it does not depend on how the pass was chunked.
-func (c *CausalConv1D) kernelGrads(g *tensor.Tensor, cols int) {
+// sums and the kernel gradient dwt = Aᵀ·g, where g is the gradient of
+// the last pass's whole compact output and A that pass's im2col matrix,
+// read in place through the transposed view of the taps prepare kept —
+// one product over the whole batch. Each dwt element is one FMA chain
+// over the batch in order, so it does not depend on how the pass was
+// chunked.
+func (c *CausalConv1D) kernelGrads(g *tensor.Tensor) {
 	in, out, k := c.InChannels, c.OutChannels, c.KernelSize
 	kk, m := in*k, g.Dim(0)
 	if c.dwt == nil {
@@ -696,15 +784,8 @@ func (c *CausalConv1D) kernelGrads(g *tensor.Tensor, cols int) {
 			db[co] += v
 		}
 	}
-	for lo := 0; lo < m; lo += cols {
-		hi := min(lo+cols, m)
-		acol, gb := colBlock(c.acol, lo, hi-lo), g.Rows(lo, hi)
-		if lo == 0 {
-			acol.MatMulInto(gb, c.dwt)
-		} else {
-			acol.MatMulAcc(gb, c.dwt)
-		}
-	}
+	clear(c.dwt.Data)
+	tensor.MatMulViewAcc(c.src.data, c.srcGrid.viewT(c.src, k, m/c.src.b), g, nil, c.dwt)
 	dW := c.dwScratch
 	for p := 0; p < kk; p++ {
 		for co, v := range c.dwt.Data[p*out : (p+1)*out] {
@@ -723,8 +804,8 @@ func requireSeq(layer string, x *tensor.Tensor) {
 
 // fullTaps returns the taps of every step of a length-t window, for a
 // convolution that is not part of a temporal block.
-func (c *CausalConv1D) fullTaps(t int) []int {
-	if len(c.taps) != c.KernelSize*t {
+func (c *CausalConv1D) fullTaps(t int) tapList {
+	if c.taps.idx == nil || c.taps.n != t {
 		c.taps = convTaps(c.KernelSize, c.Dilation, stepRange(t), nil)
 	}
 	return c.taps

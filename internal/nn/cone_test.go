@@ -289,3 +289,65 @@ func TestFreezeLifecycle(t *testing.T) {
 		requireBitwiseTensors(t, infer(), forward(), "after "+name)
 	}
 }
+
+// convsOf lists every convolution under l.
+func convsOf(l Layer) []*CausalConv1D {
+	var cs []*CausalConv1D
+	VisitLayers(l, func(l Layer) {
+		if c, ok := l.(*CausalConv1D); ok {
+			cs = append(cs, c)
+		}
+	})
+	return cs
+}
+
+// TestConvReadsTapsInPlace pins where the convolution's taps come from.
+// The reference cone — k=3, dilations 1/2/4, 16 channels, window 32 —
+// plans every tap list on a grid, so a fit (training steps split into
+// chunks, an evaluation pass) and a frozen model's served forward read
+// every input in place: no convolution allocates acol, and no arena
+// forward gathers. A convolution that computes every step of the window
+// (CNN-LSTM's), or a cone whose receptive field exceeds the window,
+// reads causal padding and takes the gather path.
+func TestConvReadsTapsInPlace(t *testing.T) {
+	r := tensor.NewRNG(21)
+	model, tcn := coneStack(3, []int{1, 2, 4}, 4, 16, true, 0.1)
+	x := tensor.RandN(r, 32, 4, 32)
+	for range 2 {
+		trainStep(model, x, tensor.RandN(r, 32, 2))
+	}
+	model.Forward(tensor.RandN(r, 256, 4, 32), false)
+	Freeze(model)
+	Infer(model, NewInferArena(), x.Rows(0, 1))
+	for i, blk := range tcn.Blocks {
+		p := blk.plan
+		for name, taps := range map[string]tapList{"conv1": p.taps1, "conv2": p.taps2, "residual": p.res} {
+			if !taps.onGrid {
+				t.Errorf("block %d: %s taps %v are not on a grid", i, name, taps.idx)
+			}
+		}
+	}
+	for i, c := range convsOf(model) {
+		if c.acol != nil {
+			t.Errorf("reference cone: conv %d allocated acol %v", i, c.acol.Shape())
+		}
+	}
+
+	cnnLSTM := NewSequential(NewCausalConv1D(r, 4, 16, 3, 1, false), &ReLU{}, NewLSTM(r, 16, 8, false), NewDense(r, 8, 2))
+	trainStep(cnnLSTM, x, tensor.RandN(r, 32, 2))
+	if c := convsOf(cnnLSTM)[0]; c.acol == nil || c.taps.onGrid {
+		t.Error("CNN-LSTM's every-step conv did not gather its taps")
+	}
+
+	wide, _ := coneStack(3, []int{1, 2, 4}, 4, 16, true, 0.1)
+	trainStep(wide, tensor.RandN(r, 9, 4, 8), tensor.RandN(r, 9, 2))
+	gathers := 0
+	for _, c := range convsOf(wide) {
+		if c.acol != nil {
+			gathers++
+		}
+	}
+	if gathers == 0 {
+		t.Error("a cone whose receptive field (29) exceeds the window (8) gathered nothing")
+	}
+}

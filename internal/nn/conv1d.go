@@ -16,15 +16,17 @@ import (
 // Fig. 6) the effective kernel is W = g · V/‖V‖, where the norm is taken
 // per output channel; g and V are the trainable parameters.
 //
-// Forward lowers the convolution to one GEMM (im2col) over a list of
-// output steps — every step here, the receptive cone inside a temporal
-// block (see cone.go): the input is gathered into a column matrix with
-// one row per (in-channel, tap) pair and the packed tensor kernel does
-// the arithmetic. Every output sample is a single bias-seeded FMA chain
-// ascending over those pairs, so the result is row-independent — bitwise
-// identical for any batch size and any worker count. Backward runs on
-// the same kernel against the columns Forward gathered, so its outputs
-// are single ascending FMA chains too and carry the same guarantee.
+// Forward lowers the convolution to one GEMM over a list of output steps
+// — every step here, the receptive cone inside a temporal block (see
+// cone.go) — whose A is the im2col matrix, one row per (sample, step) and
+// one column per (in-channel, tap) pair. Where the listed taps lie on a
+// grid that matrix is a strided view of the input, read in place;
+// otherwise the taps are gathered into a copy first. Every output sample
+// is a single bias-seeded FMA chain ascending over those pairs, so the
+// result is row-independent — bitwise identical for any batch size and
+// any worker count. Backward runs on the same kernel against the same
+// matrix, so its outputs are single ascending FMA chains too and carry
+// the same guarantee.
 type CausalConv1D struct {
 	InChannels  int
 	OutChannels int
@@ -43,15 +45,19 @@ type CausalConv1D struct {
 	vNorms  []float64      // per-output-channel ‖V‖ from the last forward
 
 	// Scratch of the forward and backward kernels off the arena (see
-	// cone.go), each sized for the whole batch of a pass. kernelGrads
-	// reads acol as the forward left it. The batch-sized buffers only
-	// ever grow (see scratch2D).
-	acol      *tensor.Tensor // [in·k, b·n] gathered input columns
+	// cone.go), each sized for the whole batch of a pass. The batch-sized
+	// buffers only ever grow (see scratch2D).
+	acol      *tensor.Tensor // [b, in·k·n] gathered taps, for taps not on a grid only
 	ycol      *tensor.Tensor // [b·n, out] GEMM output, bias-seeded
 	gcol      *tensor.Tensor // [b·n, out] output gradient, laid out like ycol
-	dacol     *tensor.Tensor // [in·k, b·n] gradient w.r.t. acol
+	dacol     *tensor.Tensor // [in·k, b·n] gradient w.r.t. the im2col matrix
 	dwt       *tensor.Tensor // [in·k, out] gradient w.r.t. wt
 	dwScratch *tensor.Tensor // [out, in, k] effective-kernel gradient
+
+	// src is the whole batch of the last pass's taps off the arena, on
+	// srcGrid: its input, or acol. kernelGrads reads them in place.
+	src     steps
+	srcGrid tapGrid
 
 	// wt is the effective kernel — weight norm already applied — in its
 	// transposed GEMM layout; a forward rebakes it unless the convolution
@@ -60,7 +66,7 @@ type CausalConv1D struct {
 	// window length seen outside a temporal block.
 	wt   *tensor.Tensor // [in·k, out]
 	pwt  *tensor.PackedB
-	taps []int
+	taps tapList
 }
 
 // NewCausalConv1D builds the layer with He-normal initialization
@@ -155,8 +161,7 @@ func (c *CausalConv1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 func (c *CausalConv1D) beginForward(a *InferArena, x *tensor.Tensor, train bool) *tensor.Tensor {
 	requireSeq("CausalConv1D", x)
 	b, t := x.Dim(0), x.Dim(2)
-	c.fullTaps(t)
-	c.prepare(a, b*t, train)
+	c.prepare(a, denseSteps(x.Data, b, x.Dim(1), t), c.fullTaps(t), train)
 	return a.Get(b, c.OutChannels, t)
 }
 
@@ -182,12 +187,12 @@ func (c *CausalConv1D) backwardRows(g, dx *tensor.Tensor, lo, hi int) {
 	out, t := c.OutChannels, g.Dim(2)
 	gr := c.gcol.Data[lo*t*out : hi*t*out]
 	gatherSteps(compactSteps(gr, hi-lo, out, t), g.Data[lo*out*t:], t)
-	c.backwardTaps(gr, denseSteps(dx.Data, dx.Dim(0), c.InChannels, t).rows(lo, hi), lo, c.taps)
+	c.backwardTaps(gr, denseSteps(dx.Data, dx.Dim(0), c.InChannels, t).rows(lo, hi), lo, c.taps.idx)
 }
 
 // paramGrads implements rowLayer.
-func (c *CausalConv1D) paramGrads(g *tensor.Tensor, chunk int) {
-	c.kernelGrads(c.gcol, chunk*g.Dim(2))
+func (c *CausalConv1D) paramGrads(*tensor.Tensor, int) {
+	c.kernelGrads(c.gcol)
 }
 
 // scratch2D returns a [rows, cols] scratch tensor, reusing buf's storage

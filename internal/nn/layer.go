@@ -30,7 +30,9 @@ func (p *Param) ZeroGrad() { p.Grad.Zero() }
 // Layer is a differentiable module. Forward must cache whatever Backward
 // needs; Backward consumes the gradient w.r.t. the layer's output and
 // returns the gradient w.r.t. its input, accumulating parameter gradients
-// along the way.
+// along the way. Forward may keep its input by reference for Backward
+// (Dense's weight gradient and a convolution's kernel gradient read it in
+// place), so the caller leaves it unchanged until Backward returns.
 type Layer interface {
 	// Forward computes the layer output. train toggles training-only
 	// behaviour such as dropout.

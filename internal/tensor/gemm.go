@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -27,11 +28,16 @@ import (
 // Both produce identical bits for identical inputs.
 //
 // The microkernel computes an MR×NR = 4×8 tile held entirely in
-// registers (8 YMM accumulators on amd64) over the full k extent,
-// reading A(r, p) at a[r·lda + p·sa] and row p of B at b[p·ldb]:
-//   - A is read in place, 4 rows at a time: row-major (lda=k, sa=1) or
-//     transposed (lda=1, sa=m). Only a short last panel (m%MR rows) is
-//     copied, with zero pad rows (lda=1, sa=MR).
+// registers (8 YMM accumulators on amd64) over the full k extent. It
+// reads A through a two-level strided View: row r of the tile starts at
+// its own offset ro[r], and step p = q1·k2 + q2 adds q1·s1 + q2·s2, so
+// A(r, p) is a[ro[r] + q1·s1 + q2·s2]; row p of B is b[p·ldb]:
+//   - A is read in place, 4 rows at a time, through its View. A plain
+//     matrix is the case of one step group (k1 = 1): row-major (row i at
+//     i·k, step stride 1) or transposed (row i at i, step stride m). A
+//     convolution's im2col matrix is a View of its input (see MatMulViewAcc):
+//     nothing is gathered. Only a short last panel (m%MR rows) is
+//     copied, through the View, with zero pad rows.
 //   - A row-major B is read in place (ldb=n) when n is a whole number of
 //     NR-wide panels and k·n ≤ inPlaceBElems. Otherwise — a transposed
 //     B, a ragged n, a large B — B is copied once per call into
@@ -61,13 +67,54 @@ const (
 // "pr47-gemm-inplace-paired" keeps the runs.
 const inPlaceBElems = 1 << 16
 
-// gemmOp describes one C = A·B (or C += A·B) in row-major storage.
-// aTrans means a holds the k×m transpose of the logical m×k A;
-// bTrans means b holds the n×k transpose of the logical k×n B.
+// View is an m×k matrix A read in place from a slice at two levels of
+// stride: row i starts at Off + (i/M2)·T1 + (i%M2)·T2, and step p lies
+// (p/K2)·S1 + (p%K2)·S2 past it, so
+//
+//	A(i, p) = a[Off + (i/M2)·T1 + (i%M2)·T2 + (p/K2)·S1 + (p%K2)·S2].
+//
+// A row-major matrix is View{M2: 1, T1: k, K2: k, S2: 1}, its transpose
+// View{M2: 1, T1: 1, K2: k, S2: m}. The im2col matrix of a convolution
+// over [batch, channels, time] input — row (sample, step), step
+// (channel, tap) — is one too when its taps are evenly spaced and none
+// falls in the causal padding. M2 and K2
+// must be ≥ 1, K2 must divide k, and the offsets and strides must not be
+// negative.
+type View struct {
+	Off        int
+	M2, T1, T2 int
+	K2, S1, S2 int
+}
+
+func rowMajor(k int) View      { return View{M2: 1, T1: k, K2: k, S2: 1} }
+func transposed(m, k int) View { return View{M2: 1, T1: 1, K2: k, S2: m} }
+
+// reach returns one past the largest index of a that v reads for an m×k
+// A, and panics if v is malformed.
+func (v View) reach(m, k int) int {
+	if v.M2 < 1 || v.K2 < 1 || k%v.K2 != 0 || min(v.Off, v.T1, v.T2, v.S1, v.S2) < 0 {
+		panic(fmt.Sprintf("tensor: malformed view %+v of a %d×%d matrix", v, m, k))
+	}
+	// The largest (i/n2)·t1 + (i%n2)·t2 over i < n, strides ≥ 0: at the
+	// last i, or at the end of the group before it.
+	last := func(n, n2, t1, t2 int) int {
+		q, r := (n-1)/n2, (n-1)%n2
+		hi := q*t1 + r*t2
+		if q > 0 {
+			hi = max(hi, (q-1)*t1+(n2-1)*t2)
+		}
+		return hi
+	}
+	return v.Off + last(m, v.M2, v.T1, v.T2) + last(k, v.K2, v.S1, v.S2) + 1
+}
+
+// gemmOp describes one C = A·B (or C += A·B) in row-major storage. A is
+// the m×k matrix av views in a; bTrans means b holds the n×k transpose
+// of the logical k×n B.
 type gemmOp struct {
 	a, b, dst []float64
+	av        View
 	m, k, n   int
-	aTrans    bool
 	bTrans    bool
 	acc       bool      // accumulate into dst instead of overwriting
 	bp        []float64 // B in column panels (a PackedB's, or packed here); b is then unused
@@ -113,6 +160,11 @@ func gemm(op gemmOp) {
 			zeroRect(op.dst, op.m, op.n)
 		}
 		return
+	}
+	// The kernel reads A through the view unchecked; this is its bounds
+	// check, once per call.
+	if r := op.av.reach(op.m, op.k); r > len(op.a) {
+		panic(fmt.Sprintf("tensor: view %+v of a %d×%d matrix reads index %d of %d", op.av, op.m, op.k, r-1, len(op.a)))
 	}
 	s := gemmScratchPool.Get().(*gemmScratch)
 	s.op = op
@@ -201,11 +253,11 @@ func packPanels(bp, b []float64, k, n int, bTrans bool) []float64 {
 // valid rectangle, so every element sees the identical FMA chain.
 func (s *gemmScratch) runPanels(lo, hi int) {
 	op := &s.op
-	m, k, n := op.m, op.k, op.n
-	lda, sa := k, 1 // A(i, p) at a[i*lda + p*sa]
-	if op.aTrans {
-		lda, sa = 1, m
-	}
+	m, k, n, v := op.m, op.k, op.n, op.av
+	groups := k / v.K2
+	// Row i of A starts at Off + q·T1 + r·T2 with q = i/M2, r = i%M2; the
+	// cursor (q, r) walks the rows in order, dividing once per call.
+	q, r := lo*gemmMR/v.M2, lo*gemmMR%v.M2
 	b, ldb, bjc := op.bp, gemmNR, k // column jc of B starts at b[jc*bjc]
 	if b == nil {
 		b, ldb, bjc = op.b, n, 1
@@ -215,19 +267,26 @@ func (s *gemmScratch) runPanels(lo, hi int) {
 	for panel := lo; panel < hi; panel++ {
 		i0 := panel * gemmMR
 		rows := min(m-i0, gemmMR)
-		a, alda, asa := op.a[i0*lda:], lda, sa
+		var ro [gemmMR]int
+		for j := 0; j < rows; j++ {
+			ro[j] = v.Off + q*v.T1 + r*v.T2
+			if r++; r == v.M2 {
+				q, r = q+1, 0
+			}
+		}
+		a, k1, k2, s1, s2 := op.a, groups, v.K2, v.S1, v.S2
 		if rows < gemmMR {
 			if cap(ps.ap) < gemmMR*k {
 				ps.ap = make([]float64, gemmMR*k)
 			}
-			a, alda, asa = ps.ap[:gemmMR*k], 1, gemmMR
-			packA(a, op.a[i0*lda:], rows, k, lda, sa)
+			packA(ps.ap[:gemmMR*k], a, &ro, rows, k1, k2, s1, s2)
+			a, ro, k1, k2, s1, s2 = ps.ap[:gemmMR*k], [gemmMR]int{0, 1, 2, 3}, 1, k, 0, gemmMR
 		}
 		for jc := 0; jc < padN; jc += gemmNR {
 			bpanel := b[jc*bjc:]
 			cols := min(n-jc, gemmNR)
 			if rows == gemmMR && cols == gemmNR {
-				gemmKernel(a, bpanel, op.dst[i0*n+jc:], k, alda, asa, ldb, n, op.acc)
+				gemmKernel(a, &ro, bpanel, op.dst[i0*n+jc:], k1, k2, s1, s2, ldb, n, op.acc)
 				continue
 			}
 			// Ragged tile: preload the valid rectangle (zeros elsewhere)
@@ -242,7 +301,7 @@ func (s *gemmScratch) runPanels(lo, hi int) {
 					copy(ct[r*gemmNR:r*gemmNR+cols], op.dst[(i0+r)*n+jc:(i0+r)*n+jc+cols])
 				}
 			}
-			gemmKernel(a, bpanel, ct[:], k, alda, asa, ldb, gemmNR, true)
+			gemmKernel(a, &ro, bpanel, ct[:], k1, k2, s1, s2, ldb, gemmNR, true)
 			for r := 0; r < rows; r++ {
 				copy(op.dst[(i0+r)*n+jc:(i0+r)*n+jc+cols], ct[r*gemmNR:r*gemmNR+cols])
 			}
@@ -251,32 +310,39 @@ func (s *gemmScratch) runPanels(lo, hi int) {
 	panelScratchPool.Put(ps)
 }
 
-// packA copies a short last A panel — rows r < rows of a, A(r, p) at
-// a[r*lda + p*sa] — as ap[p*MR+r], zeroing the pad rows, so the kernel
-// reads a full MR-row panel without reading past the end of A.
-func packA(ap, a []float64, rows, k, lda, sa int) {
-	for p := 0; p < k; p++ {
-		dst := ap[p*gemmMR : p*gemmMR+gemmMR]
-		for r := range dst {
-			dst[r] = 0
-			if r < rows {
-				dst[r] = a[r*lda+p*sa]
+// packA copies a short last A panel — its rows r < rows, step q1·k2 + q2
+// of row r at a[ro[r] + q1·s1 + q2·s2] — as ap[p*MR+r], zeroing the pad
+// rows, so the kernel reads a full MR-row panel without reading past the
+// end of A.
+func packA(ap, a []float64, ro *[gemmMR]int, rows, k1, k2, s1, s2 int) {
+	p := 0
+	for q1 := 0; q1 < k1; q1++ {
+		for q2 := 0; q2 < k2; q2++ {
+			off := q1*s1 + q2*s2
+			dst := ap[p*gemmMR : p*gemmMR+gemmMR]
+			for r := range dst {
+				dst[r] = 0
+				if r < rows {
+					dst[r] = a[ro[r]+off]
+				}
 			}
+			p++
 		}
 	}
 }
 
-// gemmKernel computes the MR×NR tile c[r*ldc+j] (+)= Σ_p a[r*lda+p*sa] ·
-// b[p*ldb+j], one exactly-rounded fused multiply-add per product in
-// ascending p. On capable amd64 hardware this dispatches to the AVX2
-// microkernel; everywhere else to the math.FMA tile below. Both produce
-// identical bits.
-func gemmKernel(a, b, c []float64, k, lda, sa, ldb, ldc int, acc bool) {
+// gemmKernel computes the MR×NR tile c[r*ldc+j] (+)= Σ_p A(r, p) ·
+// b[p*ldb+j], A(r, q1·k2 + q2) = a[ro[r] + q1·s1 + q2·s2], one
+// exactly-rounded fused multiply-add per product in ascending p. On
+// capable amd64 hardware this dispatches to the AVX2 microkernel;
+// everywhere else to the math.FMA tile below. Both produce identical
+// bits.
+func gemmKernel(a []float64, ro *[gemmMR]int, b, c []float64, k1, k2, s1, s2, ldb, ldc int, acc bool) {
 	if useFMAKernel {
-		fmaKernel4x8(&a[0], &b[0], &c[0], k, lda, sa, ldb, ldc, acc)
+		fmaKernel4x8(&a[0], ro, &b[0], &c[0], k1, k2, s1, s2, ldb, ldc, acc)
 		return
 	}
-	gemmKernelGeneric(a, b, c, k, lda, sa, ldb, ldc, acc)
+	gemmKernelGeneric(a, ro, b, c, k1, k2, s1, s2, ldb, ldc, acc)
 }
 
 // gemmKernelGeneric is the portable register tile: 32 scalar
@@ -284,9 +350,9 @@ func gemmKernel(a, b, c []float64, k, lda, sa, ldb, ldc int, acc bool) {
 // math.FMA. math.FMA is exactly rounded whether or not the hardware has
 // a fused instruction, so this matches the assembly kernel bit for bit.
 // Its slice indexing is bounds-checked, so an address the strides carry
-// past the end of an operand panics here where the assembly kernel
-// would read it silently.
-func gemmKernelGeneric(a, b, c []float64, k, lda, sa, ldb, ldc int, acc bool) {
+// past the end of an operand panics here; the assembly kernel reads
+// wherever they point, so gemm checks A's view once per call.
+func gemmKernelGeneric(a []float64, ro *[gemmMR]int, b, c []float64, k1, k2, s1, s2, ldb, ldc int, acc bool) {
 	var c00, c01, c02, c03, c04, c05, c06, c07 float64
 	var c10, c11, c12, c13, c14, c15, c16, c17 float64
 	var c20, c21, c22, c23, c24, c25, c26, c27 float64
@@ -301,44 +367,50 @@ func gemmKernelGeneric(a, b, c []float64, k, lda, sa, ldb, ldc int, acc bool) {
 		r3 := c[3*ldc : 3*ldc+8]
 		c30, c31, c32, c33, c34, c35, c36, c37 = r3[0], r3[1], r3[2], r3[3], r3[4], r3[5], r3[6], r3[7]
 	}
-	for p := 0; p < k; p++ {
-		bpp := b[p*ldb : p*ldb+gemmNR : p*ldb+gemmNR]
-		a0 := a[p*sa]
-		c00 = math.FMA(a0, bpp[0], c00)
-		c01 = math.FMA(a0, bpp[1], c01)
-		c02 = math.FMA(a0, bpp[2], c02)
-		c03 = math.FMA(a0, bpp[3], c03)
-		c04 = math.FMA(a0, bpp[4], c04)
-		c05 = math.FMA(a0, bpp[5], c05)
-		c06 = math.FMA(a0, bpp[6], c06)
-		c07 = math.FMA(a0, bpp[7], c07)
-		a1 := a[lda+p*sa]
-		c10 = math.FMA(a1, bpp[0], c10)
-		c11 = math.FMA(a1, bpp[1], c11)
-		c12 = math.FMA(a1, bpp[2], c12)
-		c13 = math.FMA(a1, bpp[3], c13)
-		c14 = math.FMA(a1, bpp[4], c14)
-		c15 = math.FMA(a1, bpp[5], c15)
-		c16 = math.FMA(a1, bpp[6], c16)
-		c17 = math.FMA(a1, bpp[7], c17)
-		a2 := a[2*lda+p*sa]
-		c20 = math.FMA(a2, bpp[0], c20)
-		c21 = math.FMA(a2, bpp[1], c21)
-		c22 = math.FMA(a2, bpp[2], c22)
-		c23 = math.FMA(a2, bpp[3], c23)
-		c24 = math.FMA(a2, bpp[4], c24)
-		c25 = math.FMA(a2, bpp[5], c25)
-		c26 = math.FMA(a2, bpp[6], c26)
-		c27 = math.FMA(a2, bpp[7], c27)
-		a3 := a[3*lda+p*sa]
-		c30 = math.FMA(a3, bpp[0], c30)
-		c31 = math.FMA(a3, bpp[1], c31)
-		c32 = math.FMA(a3, bpp[2], c32)
-		c33 = math.FMA(a3, bpp[3], c33)
-		c34 = math.FMA(a3, bpp[4], c34)
-		c35 = math.FMA(a3, bpp[5], c35)
-		c36 = math.FMA(a3, bpp[6], c36)
-		c37 = math.FMA(a3, bpp[7], c37)
+	ro0, ro1, ro2, ro3 := ro[0], ro[1], ro[2], ro[3]
+	p := 0
+	for q1 := 0; q1 < k1; q1++ {
+		for q2 := 0; q2 < k2; q2++ {
+			off := q1*s1 + q2*s2
+			bpp := b[p*ldb : p*ldb+gemmNR : p*ldb+gemmNR]
+			a0 := a[ro0+off]
+			c00 = math.FMA(a0, bpp[0], c00)
+			c01 = math.FMA(a0, bpp[1], c01)
+			c02 = math.FMA(a0, bpp[2], c02)
+			c03 = math.FMA(a0, bpp[3], c03)
+			c04 = math.FMA(a0, bpp[4], c04)
+			c05 = math.FMA(a0, bpp[5], c05)
+			c06 = math.FMA(a0, bpp[6], c06)
+			c07 = math.FMA(a0, bpp[7], c07)
+			a1 := a[ro1+off]
+			c10 = math.FMA(a1, bpp[0], c10)
+			c11 = math.FMA(a1, bpp[1], c11)
+			c12 = math.FMA(a1, bpp[2], c12)
+			c13 = math.FMA(a1, bpp[3], c13)
+			c14 = math.FMA(a1, bpp[4], c14)
+			c15 = math.FMA(a1, bpp[5], c15)
+			c16 = math.FMA(a1, bpp[6], c16)
+			c17 = math.FMA(a1, bpp[7], c17)
+			a2 := a[ro2+off]
+			c20 = math.FMA(a2, bpp[0], c20)
+			c21 = math.FMA(a2, bpp[1], c21)
+			c22 = math.FMA(a2, bpp[2], c22)
+			c23 = math.FMA(a2, bpp[3], c23)
+			c24 = math.FMA(a2, bpp[4], c24)
+			c25 = math.FMA(a2, bpp[5], c25)
+			c26 = math.FMA(a2, bpp[6], c26)
+			c27 = math.FMA(a2, bpp[7], c27)
+			a3 := a[ro3+off]
+			c30 = math.FMA(a3, bpp[0], c30)
+			c31 = math.FMA(a3, bpp[1], c31)
+			c32 = math.FMA(a3, bpp[2], c32)
+			c33 = math.FMA(a3, bpp[3], c33)
+			c34 = math.FMA(a3, bpp[4], c34)
+			c35 = math.FMA(a3, bpp[5], c35)
+			c36 = math.FMA(a3, bpp[6], c36)
+			c37 = math.FMA(a3, bpp[7], c37)
+			p++
+		}
 	}
 	r0 := c[0*ldc : 0*ldc+8]
 	r0[0], r0[1], r0[2], r0[3], r0[4], r0[5], r0[6], r0[7] = c00, c01, c02, c03, c04, c05, c06, c07

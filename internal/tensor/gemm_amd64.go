@@ -1,13 +1,16 @@
 package tensor
 
 // fmaKernel4x8 is the AVX2+FMA microkernel in gemm_amd64.s. It computes
-// the 4×8 tile c[r*ldc+j] (+)= Σ_p a[r*lda+p*sa] · b[p*ldb+j], reading
-// both operands in place through their strides: a row-major A is
-// (lda=k, sa=1), a transposed one (lda=1, sa=m), a packed ragged panel
-// (lda=1, sa=MR); B is a row-major matrix (ldb=n) or a packed column
-// panel (ldb=NR). Every address it forms must be in bounds, the C tile
-// included. k must be ≥ 1.
-func fmaKernel4x8(a, b, c *float64, k, lda, sa, ldb, ldc int, acc bool)
+// the 4×8 tile c[r*ldc+j] (+)= Σ_p A(r, p) · b[p*ldb+j], reading both
+// operands in place: step p = q1·k2 + q2 of row r of A at
+// a[ro[r] + q1·s1 + q2·s2] (a plain matrix is k1 = 1: row-major
+// ro[r] = r·k, s2 = 1; transposed ro[r] = r, s2 = m; a packed ragged
+// panel ro[r] = r, s2 = MR), and B a row-major matrix (ldb=n) or a
+// packed column panel (ldb=NR). Every address it forms must be in
+// bounds, the C tile included. k1 and k2 must be ≥ 1.
+//
+//go:noescape
+func fmaKernel4x8(a *float64, ro *[gemmMR]int, b, c *float64, k1, k2, s1, s2, ldb, ldc int, acc bool)
 
 func cpuidRaw(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv0() (eax, edx uint32)

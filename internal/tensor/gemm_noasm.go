@@ -7,6 +7,6 @@ package tensor
 // is not a euphemism for slow there.
 const useFMAKernel = false
 
-func fmaKernel4x8(a, b, c *float64, k, lda, sa, ldb, ldc int, acc bool) {
+func fmaKernel4x8(a *float64, ro *[gemmMR]int, b, c *float64, k1, k2, s1, s2, ldb, ldc int, acc bool) {
 	panic("tensor: fmaKernel4x8 without assembly support")
 }

@@ -43,6 +43,7 @@ var gemmShapes = []struct{ m, k, n int }{
 	{128, 1, 64},
 	{1, 64, 256},
 	{64, 128, 96},
+	{130, 97, 89},
 }
 
 func TestMatMulMatchesFMAOracle(t *testing.T) {
@@ -100,11 +101,12 @@ func TestTMatMulAccMatchesFMAOracle(t *testing.T) {
 	}
 }
 
-// TestMatMulAccContinuesTheChain pins what a split training pass relies
-// on for its kernel gradients: a product over k computed as consecutive
-// runs of k — A's columns with B's rows, a first MatMulInto and then
-// MatMulAcc for each later run — is bitwise the product over all of k,
-// for every split point and on both sides of the parallel threshold.
+// TestMatMulAccContinuesTheChain pins what a product over a long k
+// relies on when it runs in pieces: a product over k computed as
+// consecutive runs of k — A's columns, read in place through a view,
+// with B's rows, each accumulated into the last — is bitwise the product
+// over all of k, for every split point and on both sides of the parallel
+// threshold.
 func TestMatMulAccContinuesTheChain(t *testing.T) {
 	r := NewRNG(12)
 	for _, sh := range gemmShapes {
@@ -114,17 +116,10 @@ func TestMatMulAccContinuesTheChain(t *testing.T) {
 			got := New(sh.m, sh.n)
 			for lo := 0; lo < sh.k; lo += run {
 				hi := min(lo+run, sh.k)
-				ab := New(sh.m, hi-lo) // columns [lo, hi) of a
-				for i := 0; i < sh.m; i++ {
-					copy(ab.Data[i*(hi-lo):(i+1)*(hi-lo)], a.Data[i*sh.k+lo:i*sh.k+hi])
-				}
-				if lo == 0 {
-					ab.MatMulInto(b.Rows(lo, hi), got)
-				} else {
-					ab.MatMulAcc(b.Rows(lo, hi), got)
-				}
+				cols := View{Off: lo, M2: 1, T1: sh.k, K2: hi - lo, S2: 1} // columns [lo, hi) of a
+				MatMulViewAcc(a.Data, cols, b.Rows(lo, hi), nil, got)
 			}
-			requireBitwise(t, got, want, "MatMulAcc over runs of k")
+			requireBitwise(t, got, want, "MatMulViewAcc over runs of k")
 		}
 	}
 }
@@ -174,7 +169,7 @@ func TestGemmRowIndependence(t *testing.T) {
 // 1, 2 and 4 workers and demands bitwise identical results.
 func TestGemmWorkerCountInvariance(t *testing.T) {
 	r := NewRNG(7)
-	const m, k, n = 130, 67, 75 // crosses parallelFlops, ragged in every dim
+	const m, k, n = 161, 97, 75 // crosses parallelFlops, ragged in every dim
 	a := RandN(r, m, k)
 	b := RandN(r, k, n)
 	bT := RandN(r, n, k)
@@ -250,7 +245,7 @@ func TestPackedBMatchesUnpacked(t *testing.T) {
 		seed := RandN(r, sh.m, sh.n)
 		want := seed.Clone()
 		at.TMatMulAcc(b, want)
-		requireBitwise(t, at.TMatMulAccPacked(pb, seed.Clone()), want, "TMatMulAccPacked")
+		requireBitwise(t, MatMulViewAcc(at.Data, transposed(sh.m, sh.k), nil, pb, seed.Clone()), want, "MatMulViewAcc (PackB)")
 
 		b.Zero()
 		requireBitwise(t, a.MatMulPackedInto(pb, New(sh.m, sh.n)), ab, "MatMulPackedInto after a write to b")
@@ -271,13 +266,54 @@ func TestPackedBZeroAlloc(t *testing.T) {
 	}
 }
 
+// gemmViews are the ways TestGemmOperandLayouts reads an m×k A: plain
+// row-major and transposed matrices, and two-level views whose rows and
+// steps both come in groups of 3 — a convolution's taps, with rows
+// (sample, output step) and steps (channel, tap), and their transpose,
+// with rows (channel, tap) and steps (sample, output step). With groups
+// of 3 every 4-row tile crosses a group boundary. k must be a multiple
+// of 3.
+var gemmViews = []struct {
+	name string
+	view func(m, k int) View
+}{
+	{"row-major", func(m, k int) View { return rowMajor(k) }},
+	{"transposed", func(m, k int) View { return transposed(m, k) }},
+	{"conv taps", func(m, k int) View {
+		// Channel c spans 7 positions and a sample k/3 channels; step j
+		// reads from 2j on, tap kk at kk past that.
+		return View{Off: 2, M2: 3, T1: k / 3 * 7, T2: 2, K2: 3, S1: 7, S2: 1}
+	}},
+	{"conv taps transposed", func(m, k int) View {
+		// Channel c spans 7 positions, a sample (m+2)/3 channels.
+		return View{Off: 1, M2: 3, T1: 7, T2: 1, K2: 3, S1: (m + 2) / 3 * 7, S2: 2}
+	}},
+}
+
+// viewAt is the index of A(i, p) of a view, by its definition.
+func viewAt(v View, i, p int) int {
+	return v.Off + i/v.M2*v.T1 + i%v.M2*v.T2 + p/v.K2*v.S1 + p%v.K2*v.S2
+}
+
+// viewSpan is one past the largest index an m×k view reads, by search.
+func viewSpan(v View, m, k int) int {
+	span := 0
+	for i := 0; i < m; i++ {
+		for p := 0; p < k; p++ {
+			span = max(span, viewAt(v, i, p)+1)
+		}
+	}
+	return span
+}
+
 // TestGemmOperandLayouts checks every element of C against the FMA oracle
-// for each way the kernel can read its operands: A row-major or
-// transposed, read in place or (its short last panel, m%4 rows) copied;
+// for each way the kernel can read its operands: A through each of
+// gemmViews, read in place or (its short last panel, m%4 rows) copied;
 // B read in place, packed because it is transposed, ragged in n or over
 // inPlaceBElems, or handed over as a PackedB; acc on and off. Every
-// operand is sliced to its exact length, so under -tags purego a stride
-// that carries the portable kernel one element past an operand panics.
+// operand is sliced to its exact length — A to one past the largest
+// index its view reads — so under -tags purego a stride that carries the
+// portable kernel one element past an operand panics.
 func TestGemmOperandLayouts(t *testing.T) {
 	exact := func(s []float64) []float64 { return s[:len(s):len(s)] }
 	layouts := []struct {
@@ -296,13 +332,15 @@ func TestGemmOperandLayouts(t *testing.T) {
 	for _, l := range layouts {
 		k, n := l.k, l.n
 		for m := 1; m <= 8; m++ {
-			for _, aTrans := range []bool{false, true} {
+			for _, av := range gemmViews {
+				v := av.view(m, k)
+				span := viewSpan(v, m, k)
 				for _, acc := range []bool{false, true} {
-					a := exact(RandN(r, m*k).Data)
+					a := exact(RandN(r, span).Data)
 					b := exact(RandN(r, k*n).Data)
 					dst := exact(RandN(r, m*n).Data)
 					init := append([]float64(nil), dst...)
-					op := gemmOp{a: a, b: b, dst: dst, m: m, k: k, n: n, aTrans: aTrans, bTrans: l.trans, acc: acc}
+					op := gemmOp{a: a, av: v, b: b, dst: dst, m: m, k: k, n: n, bTrans: l.trans, acc: acc}
 					switch {
 					case l.packed && l.trans:
 						op.b, op.bp = nil, exact(PackBT(FromSlice(b, n, k)).bp)
@@ -320,12 +358,7 @@ func TestGemmOperandLayouts(t *testing.T) {
 								start = init[i*n+j]
 							}
 							want := fmaOracle(start,
-								func(p int) float64 {
-									if aTrans {
-										return a[p*m+i]
-									}
-									return a[i*k+p]
-								},
+								func(p int) float64 { return a[viewAt(v, i, p)] },
 								func(p int) float64 {
 									if l.trans {
 										return b[j*k+p]
@@ -333,13 +366,46 @@ func TestGemmOperandLayouts(t *testing.T) {
 									return b[p*n+j]
 								}, k)
 							if math.Float64bits(dst[i*n+j]) != math.Float64bits(want) {
-								t.Fatalf("%s, m=%d aTrans=%v acc=%v: C[%d][%d] = %g, want %g",
-									l.name, m, aTrans, acc, i, j, dst[i*n+j], want)
+								t.Fatalf("%s, A %s, m=%d acc=%v: C[%d][%d] = %g, want %g",
+									l.name, av.name, m, acc, i, j, dst[i*n+j], want)
 							}
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestGemmViewBoundsChecked: a view that reads one element past its
+// slice, or that is malformed, panics before the kernel runs, in the
+// assembly build as in the portable one — the assembly kernel itself
+// would read past the slice silently.
+func TestGemmViewBoundsChecked(t *testing.T) {
+	const m, k, n = 5, 6, 8
+	r := NewRNG(15)
+	b := RandN(r, k, n)
+	fits := View{Off: 1, M2: 2, T1: 9, T2: 3, K2: 3, S1: 4, S2: 1}
+	span := viewSpan(fits, m, k)
+	a := RandN(r, span).Data
+	MatMulViewAcc(a, fits, b, nil, New(m, n)) // reads a[span-1] and stops there
+	for _, c := range []struct {
+		name string
+		a    []float64
+		v    View
+	}{
+		{"one element short", a[:span-1], fits},
+		{"offset past the end", a, View{Off: span - k + 1, M2: 1, T1: 0, K2: k, S2: 1}},
+		{"K2 not dividing k", a, View{M2: 1, K2: 4, S2: 1}},
+		{"negative stride", a, View{Off: span - 1, M2: 1, K2: k, S2: -1}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: MatMulViewAcc did not panic", c.name)
+				}
+			}()
+			MatMulViewAcc(c.a, c.v, b, nil, New(m, n))
+		}()
 	}
 }

@@ -6,17 +6,17 @@ import "fmt"
 // which a kernel fans out onto the internal/par worker pool. Below it the
 // sequential kernel wins.
 //
-// Tuning evidence (Xeon @ 2.10GHz, go1.24): BenchmarkParDispatch in
-// internal/par puts the fixed cost of waking a 4-worker pool and claiming
-// all chunks of a Run at ~0.8µs (vs ~0.3µs for the inline 1-worker path).
-// The value dates from a scalar matmul of roughly 2 mul-adds/ns, where
-// 32·64·64 ≈ 131k mul-adds was ~65µs of work and a 2-worker split halved
-// it. The register-tile GEMM (gemm.go) runs 13–17 mul-adds/ns
-// single-threaded from 32³ to 128³ on a 2-vCPU Xeon, so the threshold is
-// now ~8µs of work: there a 64³ product took ~23µs split over
-// GOMAXPROCS=2 against ~16µs on one core, and the split paid only from
-// about 192³ up. The value stands until it is tuned again.
-const parallelFlops = 32 * 64 * 64
+// Measured on a 2-vCPU Xeon @ 2.10GHz (go1.24) at GOMAXPROCS=2, each
+// product forced serial or split, medians of 3–6 rounds, split time over
+// serial time: up to ~0.9 M mul-adds the split loses (MatMulInto 32³
+// 1.58×, 64³ 1.20×, 512×24×16 1.47×, 2048×16×16 1.16×, 96³ 1.05×,
+// 64×128×96 1.00–1.05×; that shape 1.06× as TMatMulAcc and 1.19× as
+// MatMulTInto); at 2²⁰ it breaks even (1024×16×64 0.90–0.94×,
+// 128×64×128 0.92×, 128×128×64 1.03×, 2048×16×32 1.11×); from ~1.4 M it
+// wins (112³ 0.92×, 1536×16×64 0.78×, 128³ 0.80×, 256³ 0.56×). At
+// GOMAXPROCS=1 a split runs inline, and so does a product inside a split
+// pass, whatever its size (see par.Pool).
+const parallelFlops = 1 << 20
 
 // MatMul returns the matrix product t × u for 2-D tensors via the
 // register-tile GEMM kernel (see gemm.go).
@@ -32,19 +32,7 @@ func (t *Tensor) MatMul(u *Tensor) *Tensor {
 func (t *Tensor) MatMulInto(u, dst *Tensor) *Tensor {
 	m, k, n := matmulDims(t, u, "MatMulInto")
 	checkDst(dst, m, n, "MatMulInto")
-	gemm(gemmOp{a: t.Data, b: u.Data, dst: dst.Data, m: m, k: k, n: n})
-	return dst
-}
-
-// MatMulAcc accumulates t × u into dst (dst += t × u): every element's
-// FMA chain continues from the value dst holds, so a product over k
-// split into consecutive runs of rows of u, each accumulated in turn, is
-// bitwise the product over all of k at once. dst must be [m, n] and must
-// not alias t or u. It returns dst.
-func (t *Tensor) MatMulAcc(u, dst *Tensor) *Tensor {
-	m, k, n := matmulDims(t, u, "MatMulAcc")
-	checkDst(dst, m, n, "MatMulAcc")
-	gemm(gemmOp{a: t.Data, b: u.Data, dst: dst.Data, m: m, k: k, n: n, acc: true})
+	gemm(gemmOp{a: t.Data, av: rowMajor(k), b: u.Data, dst: dst.Data, m: m, k: k, n: n})
 	return dst
 }
 
@@ -61,7 +49,7 @@ func (t *Tensor) MatMulT(u *Tensor) *Tensor {
 func (t *Tensor) MatMulTInto(u, dst *Tensor) *Tensor {
 	m, k, n := matmulTDims(t, u, "MatMulTInto")
 	checkDst(dst, m, n, "MatMulTInto")
-	gemm(gemmOp{a: t.Data, b: u.Data, dst: dst.Data, m: m, k: k, n: n, bTrans: true})
+	gemm(gemmOp{a: t.Data, av: rowMajor(k), b: u.Data, dst: dst.Data, m: m, k: k, n: n, bTrans: true})
 	return dst
 }
 
@@ -78,7 +66,7 @@ func (t *Tensor) TMatMulAcc(u, dst *Tensor) *Tensor {
 	k, m := tmatmulDims(t, u, "TMatMulAcc")
 	n := u.shape[1]
 	checkDst(dst, m, n, "TMatMulAcc")
-	gemm(gemmOp{a: t.Data, b: u.Data, dst: dst.Data, m: m, k: k, n: n, aTrans: true, acc: true})
+	gemm(gemmOp{a: t.Data, av: transposed(m, k), b: u.Data, dst: dst.Data, m: m, k: k, n: n, acc: true})
 	return dst
 }
 
@@ -136,7 +124,7 @@ type PackedB struct {
 	k, n int
 }
 
-// PackB packs b ([k, n]), the operand of MatMulInto and TMatMulAcc.
+// PackB packs b ([k, n]), the operand of MatMulInto and MatMulViewAcc.
 func PackB(b *Tensor) *PackedB {
 	if b.Dims() != 2 {
 		panic("tensor: PackB requires a 2-D tensor")
@@ -164,19 +152,30 @@ func (t *Tensor) MatMulPackedInto(pb *PackedB, dst *Tensor) *Tensor {
 	}
 	m := t.shape[0]
 	checkDst(dst, m, pb.n, "MatMulPackedInto")
-	gemm(gemmOp{a: t.Data, dst: dst.Data, m: m, k: pb.k, n: pb.n, bp: pb.bp})
+	gemm(gemmOp{a: t.Data, av: rowMajor(pb.k), dst: dst.Data, m: m, k: pb.k, n: pb.n, bp: pb.bp})
 	return dst
 }
 
-// TMatMulAccPacked accumulates tᵀ × B into dst (dst += tᵀ × B): what
-// TMatMulAcc computes against the tensor pb was packed from. dst must be
-// [cols(t), n] and must not alias t. It returns dst.
-func (t *Tensor) TMatMulAccPacked(pb *PackedB, dst *Tensor) *Tensor {
-	if t.Dims() != 2 || t.shape[0] != pb.k {
-		panic(fmt.Sprintf("tensor: TMatMulAccPacked inner dimension mismatch %vᵀ × [%d %d]", t.dims(), pb.k, pb.n))
+// MatMulViewAcc accumulates A·B into dst (dst += A·B) without
+// materializing A: A is the [m, k] matrix v views in a (m = rows of dst),
+// read in place, and B is the matrix pb was packed from or, when pb is
+// nil, b ([k, n]). Every element is one FMA chain continued from dst in
+// ascending k, like every other product here. A view that reads past
+// the end of a panics. dst must not alias a or B. It returns dst.
+func MatMulViewAcc(a []float64, v View, b *Tensor, pb *PackedB, dst *Tensor) *Tensor {
+	if dst.Dims() != 2 {
+		panic("tensor: MatMulViewAcc requires a 2-D destination")
 	}
-	m := t.shape[1]
-	checkDst(dst, m, pb.n, "TMatMulAccPacked")
-	gemm(gemmOp{a: t.Data, dst: dst.Data, m: m, k: pb.k, n: pb.n, aTrans: true, acc: true, bp: pb.bp})
+	m, n := dst.shape[0], dst.shape[1]
+	op := gemmOp{a: a, av: v, dst: dst.Data, m: m, n: n, acc: true}
+	switch {
+	case pb != nil && pb.n == n:
+		op.bp, op.k = pb.bp, pb.k
+	case pb == nil && b != nil && b.Dims() == 2 && b.shape[1] == n:
+		op.b, op.k = b.Data, b.shape[0]
+	default:
+		panic(fmt.Sprintf("tensor: MatMulViewAcc operand does not fit destination %v", dst.dims()))
+	}
+	gemm(op)
 	return dst
 }
