@@ -10,7 +10,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/optim"
 	"repro/internal/stats"
 )
 
@@ -73,7 +72,7 @@ func Fit(series []float64, cfg Config) (*Model, error) {
 	}
 	best := x0
 	if cfg.Q > 0 || cfg.P > 0 {
-		best, _ = optim.NelderMead(objective, x0, optim.NelderMeadConfig{MaxIter: 300 * len(x0)})
+		best, _ = nelderMead(objective, x0, 300*len(x0))
 	}
 	m.Intercept = best[0]
 	m.AR = append([]float64(nil), best[1:1+cfg.P]...)

@@ -80,10 +80,9 @@ func TestFrozenModelFollowsEveryWeightWriter(t *testing.T) {
 }
 
 // TestProfiledPredictorServesTheCone: with a Profiler attached every
-// stage is wrapped, so the cone has to find the blocks through the
-// wrappers — and still match the stage-by-stage forward bitwise, and
-// still count one inference call per stage per forward, across a
-// hot-swap's re-wrap.
+// stage is timed, and the cone must still match the stage-by-stage
+// forward bitwise and count one inference call per stage per forward,
+// across a hot-swap's re-profiling.
 func TestProfiledPredictorServesTheCone(t *testing.T) {
 	prof := nn.NewProfiler()
 	series := syntheticSeries(200)

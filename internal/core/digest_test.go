@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/par"
 	"repro/internal/trace"
 	"repro/internal/train"
@@ -71,6 +72,33 @@ func TestTrainingDigest(t *testing.T) {
 			if got != c.want {
 				t.Errorf("%s at %d workers: digest %s, want %s", c.name, workers, got, c.want)
 			}
+		}
+	}
+}
+
+// TestProfiledTrainingDigest: timing the stages changes no bit of
+// training. The serving config, fitted with a Profiler attached at 1 and
+// 2 pool workers — the row chunks timed from two goroutines at once —
+// commits the digest the unprofiled fit does.
+func TestProfiledTrainingDigest(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("digests are recorded on amd64 (see TestTrainingDigest)")
+	}
+	series := trace.Generate(trace.GeneratorConfig{
+		Entities: 1, Kind: trace.Container, Samples: 600, Seed: 31,
+	})[0].Matrix()
+	c := digestConfigs[1]
+	for _, workers := range []int{1, 2} {
+		cfg := c.cfg
+		cfg.Profiler = nn.NewProfiler()
+		prev := par.SetWorkers(workers)
+		got, _ := fitDigest(t, cfg, series)
+		par.SetWorkers(prev)
+		if got != c.want {
+			t.Errorf("%s profiled at %d workers: digest %s, want %s", c.name, workers, got, c.want)
+		}
+		if st := cfg.Profiler.Stats(); len(st) != 7 || st[0].FwdCalls == 0 || st[0].BwdCalls == 0 {
+			t.Errorf("%s at %d workers: the profiler saw %+v", c.name, workers, st)
 		}
 	}
 }

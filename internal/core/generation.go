@@ -36,14 +36,14 @@ type snapshot struct {
 }
 
 // prepareServing readies m to be read by many forwards at once: the
-// profiler wraps its stages, nn.Freeze bakes its kernels, and its blocks
+// profiler times its stages, nn.Freeze bakes its kernels, and its blocks
 // plan the serving window — what an arena forward would otherwise write.
 // Preparing a prepared model writes nothing, so a model that still serves
 // can be published again (a rollback).
 func (p *Predictor) prepareServing(m *Model) {
 	m.Profile(p.Cfg.Profiler)
 	nn.Freeze(m)
-	nn.PlanChain(m.stages, p.Cfg.Window)
+	nn.PlanChain(m.stages.Layers, p.Cfg.Window)
 }
 
 // prepareSnapshot prepares s's model for serving and numbers s.

@@ -92,10 +92,10 @@ func TestFitWeightsBitwiseThroughOracle(t *testing.T) {
 	}
 }
 
-// TestProfiledStagesCountTrainingCalls: inside a fused run the profiling
-// wrappers are not called, they are timed by the chains — and every
-// stage, the blocks and LastStep included, must still count one forward
-// and one backward per training batch, each with time on it. It trains
+// TestProfiledStagesCountTrainingCalls: inside a fused run the stage
+// chain times each stage's share into the stage's timer — and every
+// stage, the blocks and LastStep included, must count one forward and
+// one backward per training batch, each with time on it. It trains
 // at 2 pool workers, so each batch of 16 runs as two row chunks whose
 // stage timers are fed from two goroutines at once: under -race this is
 // the profiled step's race test.

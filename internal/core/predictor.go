@@ -114,8 +114,8 @@ type PredictorConfig struct {
 	// root with dataprep.* stage children and the nested train.fit run.
 	// Runtime wiring like Hooks; nil (or disabled) is free.
 	Tracer *obstrace.Tracer `json:"-"`
-	// Profiler, when set, wraps every model stage with per-layer timing
-	// (see Model.Profile); read the breakdown with Profiler.Table().
+	// Profiler, when set, times every model stage (see Model.Profile);
+	// read the breakdown with Profiler.Table().
 	Profiler *nn.Profiler `json:"-"`
 }
 

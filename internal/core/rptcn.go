@@ -130,12 +130,11 @@ type Model struct {
 	attn *nn.FeatureAttention
 	out  *nn.Dense
 
-	// stages is the Fig. 5 data path as an ordered pipeline — each TCN
-	// block its own stage, then last/fc/attention/out — and names labels
-	// it. Forward and Backward run through it, so Profile can splice
-	// timing wrappers in without touching the concrete fields that back
-	// serialization.
-	stages []nn.Layer
+	// stages is the Fig. 5 data path as one chain — each TCN block its
+	// own stage, then last/fc/attention/out — and names labels it for
+	// Profile. Forward and Backward run through it; the concrete fields
+	// above back Params and serialization.
+	stages nn.Sequential
 	names  []string
 }
 
@@ -166,7 +165,7 @@ func NewModel(r *tensor.RNG, cfg Config) *Model {
 	m.out = nn.NewDense(r, width, cfg.Horizon)
 
 	stage := func(name string, l nn.Layer) {
-		m.names, m.stages = append(m.names, name), append(m.stages, l)
+		m.names, m.stages.Layers = append(m.names, name), append(m.stages.Layers, l)
 	}
 	for i, b := range m.tcn.Blocks {
 		stage(fmt.Sprintf("tcn[%d]", i), b)
@@ -182,8 +181,8 @@ func NewModel(r *tensor.RNG, cfg Config) *Model {
 	return m
 }
 
-// Forward implements nn.Layer. The TCN stages feed LastStep, so
-// nn.ForwardChain computes them — and Backward their gradients — inside
+// Forward implements nn.Layer. The TCN stages feed LastStep, so the
+// stage chain computes them — and Backward their gradients — inside
 // the receptive cone of the final time step only, in training and in
 // evaluation. Two fault points cover the chaos suite: "model.forward"
 // can inject a layer panic or latency, and "model.forward.out" can
@@ -191,50 +190,41 @@ func NewModel(r *tensor.RNG, cfg Config) *Model {
 // when no injector is active.
 func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	fault.Disrupt("model.forward")
-	x = nn.ForwardChain(m.stages, x, train)
+	x = m.stages.Forward(x, train)
 	fault.Corrupt("model.forward.out", x.Data)
 	return x
 }
 
 // InferForward implements nn.InferLayer: the grad-free arena forward
 // used by batched serving. It visits the same fault points as Forward
-// and runs the same receptive cone (nn.InferChain), so its output is
-// bitwise identical to Forward(x, false), but it draws every
+// and runs the same receptive cone through the stage chain, so its
+// output is bitwise identical to Forward(x, false), but it draws every
 // intermediate from the arena — a warmed-up pass allocates nothing —
 // and serves from the kernels nn.Freeze baked.
 func (m *Model) InferForward(a *nn.InferArena, x *tensor.Tensor) *tensor.Tensor {
 	fault.Disrupt("model.forward")
-	x = nn.InferChain(a, m.stages, x)
+	x = m.stages.InferForward(a, x)
 	fault.Corrupt("model.forward.out", x.Data)
 	return x
 }
 
-// Children implements nn.ChildLayers, exposing the stage pipeline (the
-// profiled wrappers when Profile was called) so generic traversals reach
-// the dropout layers' random streams for checkpointing.
-func (m *Model) Children() []nn.Layer { return m.stages }
+// Children implements nn.ChildLayers, exposing the stage pipeline so
+// generic traversals reach the dropout layers' random streams for
+// checkpointing.
+func (m *Model) Children() []nn.Layer { return m.stages.Layers }
 
 // Backward implements nn.Layer.
 func (m *Model) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return nn.BackwardChain(m.stages, grad)
+	return m.stages.Backward(grad)
 }
 
-// Profile wraps every stage of the data path with p's timing wrappers,
-// yielding a per-stage cost breakdown (tcn[0..n], last, fc, attention,
-// out) after the next forward/backward passes. Weights, Params order and
-// serialization are unaffected: the wrappers delegate Params and the
-// concrete fields stay unwrapped. A nil profiler is a no-op, and a stage
-// already wrapped stays as it is, so profiling twice counts once.
-func (m *Model) Profile(p *nn.Profiler) {
-	if p == nil {
-		return
-	}
-	for i, l := range m.stages {
-		if _, wrapped := l.(*nn.Profiled); !wrapped {
-			m.stages[i] = p.Wrap(m.names[i], l)
-		}
-	}
-}
+// Profile times every stage of the data path into p, yielding a
+// per-stage cost breakdown (tcn[0..n], last, fc, attention, out) after
+// the next forward/backward passes. The timers belong to the stage
+// chain, so the layers, Params order and serialization are unaffected. A
+// nil profiler is a no-op, and a model already profiled keeps its
+// timers, so profiling twice counts once.
+func (m *Model) Profile(p *nn.Profiler) { p.WrapSequential(&m.stages, m.names...) }
 
 // Params implements nn.Layer.
 func (m *Model) Params() []*nn.Param {

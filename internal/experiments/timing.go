@@ -148,7 +148,7 @@ func RunTimingStudy(o Options) (*TimingStudy, error) {
 	return study, nil
 }
 
-// profileEpoch trains model for one epoch with prof's wrappers in place
+// profileEpoch trains model for one epoch with prof's timers attached
 // and returns the captured per-layer breakdown.
 func profileEpoch(label string, model nn.Layer, prof *nn.Profiler, p *preparedData, o Options) LayerProfile {
 	cfg := deepTrainConfig(o, o.Seed)

@@ -89,7 +89,7 @@ func slotShaped(t *tensor.Tensor, shape []int) bool {
 
 // InferLayer is the optional capability of the layers a served model is
 // made of — CausalConv1D, TemporalBlock, TCN, LastStep, Dense,
-// FeatureAttention, the containers Sequential and Profiled, and
+// FeatureAttention, the container Sequential, and
 // core.Model: a grad-free forward that draws every intermediate from an
 // InferArena. InferForward and Forward call one body per layer, so the
 // output is bitwise Forward(x, false)'s; on the arena that body writes

@@ -34,19 +34,19 @@ func NewFeatureAttention(r *tensor.RNG, features int) *FeatureAttention {
 	}
 }
 
-// Forward implements Layer (see ForwardChain).
+// Forward implements Layer (see runChain).
 func (f *FeatureAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return ForwardChain([]Layer{f}, x, train)
+	return runChain(nil, solo(f), x, train)
 }
 
 // InferForward implements InferLayer.
 func (f *FeatureAttention) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return InferChain(a, []Layer{f}, x)
+	return runChain(a, solo(f), x, false)
 }
 
 // Backward implements Layer.
 func (f *FeatureAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return BackwardChain([]Layer{f}, grad)
+	return backwardChain(solo(f), grad)
 }
 
 // beginForward implements rowLayer. The output comes from the arena; off

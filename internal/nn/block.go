@@ -46,21 +46,21 @@ func NewTemporalBlock(r *tensor.RNG, cfg TemporalBlockConfig) *TemporalBlock {
 
 // Forward implements Layer: every step of the block's output, through
 // the one block body in cone.go (a block that feeds a LastStep is pruned
-// to the receptive cone by ForwardChain). x is never written and the
+// to the receptive cone by runChain). x is never written and the
 // returned tensor is fresh.
 func (b *TemporalBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return ForwardChain([]Layer{b}, x, train)
+	return runChain(nil, solo(b), x, train)
 }
 
 // InferForward implements InferLayer: the same body on the arena.
 func (b *TemporalBlock) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return InferChain(a, []Layer{b}, x)
+	return runChain(a, solo(b), x, false)
 }
 
 // Backward implements Layer. grad belongs to the caller and is left
 // alone.
 func (b *TemporalBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return BackwardChain([]Layer{b}, grad)
+	return backwardChain(solo(b), grad)
 }
 
 // Params implements Layer.
@@ -119,17 +119,17 @@ func NewTCN(r *tensor.RNG, cfg TCNConfig) *TCN {
 
 // Forward implements Layer: every step, as TemporalBlock.Forward.
 func (t *TCN) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return ForwardChain([]Layer{t}, x, train)
+	return runChain(nil, solo(t), x, train)
 }
 
 // InferForward implements InferLayer.
 func (t *TCN) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return InferChain(a, []Layer{t}, x)
+	return runChain(a, solo(t), x, false)
 }
 
 // Backward implements Layer.
 func (t *TCN) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return BackwardChain([]Layer{t}, grad)
+	return backwardChain(solo(t), grad)
 }
 
 // Params implements Layer.

@@ -5,10 +5,10 @@ import (
 	"repro/internal/tensor"
 )
 
-// This file runs a chain of layers — Sequential's, core.Model's, a single
-// layer's own Forward and Backward — over a batch. Training and
-// evaluation split the batch into chunks of rowGrain samples and run the
-// chunks on the par pool, one dispatch per pass:
+// This file runs a chain of layers — a Sequential's (core.Model's stages
+// are one), a single layer's own Forward and Backward — over a batch.
+// Training and evaluation split the batch into chunks of rowGrain
+// samples and run the chunks on the par pool, one dispatch per pass:
 //
 //  1. Forward: every unit of the chain readies the pass over the whole
 //     batch — sizes the buffers its rows write, bakes its kernels, draws
@@ -34,6 +34,13 @@ import (
 // that cannot split runs through its own Forward and Backward. The arena
 // path runs as the pool's task in flight (par.Inline), so nothing inside
 // a served forward dispatches: serving's parallelism is across shards.
+//
+// A profiled chain times each step into the step's own timer (see
+// Profiler): a row layer's share of each chunk, a block run's per layer
+// and for its LastStep, a layer that cannot split around its own Forward
+// and Backward, and every parameter-gradient job into its step's. A
+// pass counts one call per step. An untimed step's timer is nil, which
+// costs the pass one nil check per step.
 
 // rowGrain is the samples per chunk of a split pass. Chunk boundaries
 // depend on the batch size alone. It is the fastest of the grains
@@ -63,72 +70,87 @@ type rowLayer interface {
 	paramGrads(g *tensor.Tensor, chunk int)
 }
 
+// chain is the steps a pass runs: layers and, when profiled, the timer
+// of each (see Profiler.WrapSequential) — timers is nil, or as long as
+// layers.
+type chain struct {
+	layers []Layer
+	timers []*stepTimes
+}
+
+// timer returns step i's timer, nil when the chain is not timed.
+func (c chain) timer(i int) *stepTimes {
+	if i < len(c.timers) {
+		return c.timers[i]
+	}
+	return nil
+}
+
+// split returns c's first n steps and the rest.
+func (c chain) split(n int) (chain, chain) {
+	k := min(n, len(c.timers))
+	return chain{c.layers[:n], c.timers[:k]}, chain{c.layers[n:], c.timers[k:]}
+}
+
 // unit is one step of a chain: a run of temporal blocks (run.layers
-// non-nil), or one layer l, maybe profiled (w), which splits rows when
-// its unwrapped self is a rowLayer (row).
+// non-nil), or one layer l, timed into t, which splits rows when it is a
+// rowLayer (row).
 type unit struct {
 	run blockRun
 	l   Layer
-	w   *Profiled
+	t   *stepTimes
 	row rowLayer
 }
 
-// nextUnit returns the unit layers starts with and how many layers it
-// takes: every temporal-block layer in a row and the LastStep they feed,
-// if one follows — the one place that pair is recognised — or one layer.
-func nextUnit(layers []Layer) (unit, int) {
+// next returns the unit c starts with and the rest of c. A unit is every
+// temporal-block layer in a row and the LastStep they feed, if one
+// follows — the one place that pair is recognised — or one layer.
+func (c chain) next() (unit, chain) {
 	var one [1]*TemporalBlock
 	n := 0
-	for n < len(layers) && coneBlocks(layers[n], &one) != nil {
+	for n < len(c.layers) && coneBlocks(c.layers[n], &one) != nil {
 		n++
 	}
-	if n > 0 {
-		u := unit{run: blockRun{layers: layers[:n]}}
-		if n < len(layers) {
-			if _, ok := unwrap(layers[n]).(*LastStep); ok {
-				u.run.last = layers[n]
-				n++
-			}
+	if n == 0 {
+		u := unit{l: c.layers[0], t: c.timer(0)}
+		u.row, _ = u.l.(rowLayer)
+		_, rest := c.split(1)
+		return u, rest
+	}
+	run, rest := c.split(n)
+	u := unit{run: blockRun{chain: run}}
+	if len(rest.layers) > 0 {
+		if _, ok := rest.layers[0].(*LastStep); ok {
+			u.run.last, u.run.lastT = true, rest.timer(0)
+			_, rest = rest.split(1)
 		}
-		return u, n
 	}
-	u := unit{l: layers[0]}
-	u.w, _ = u.l.(*Profiled)
-	u.row, _ = unwrap(u.l).(rowLayer)
-	return u, 1
+	return u, rest
 }
 
-// unwrap sees through a profiling wrapper.
-func unwrap(l Layer) Layer {
-	if w, ok := l.(*Profiled); ok {
-		return w.inner
-	}
-	return l
-}
-
-func chainUnits(layers []Layer) []unit {
+func chainUnits(c chain) []unit {
 	var us []unit
-	for len(layers) > 0 {
-		u, n := nextUnit(layers)
+	for len(c.layers) > 0 {
+		var u unit
+		u, c = c.next()
 		us = append(us, u)
-		layers = layers[n:]
 	}
 	return us
 }
 
-// chunkRows is the samples per chunk of a pass of batch b over layers off
-// the arena: rowGrain when every unit splits rows, b — one chunk —
+// chunkRows is the samples per chunk of a pass of batch b over c off the
+// arena: rowGrain when every unit splits rows, b — one chunk —
 // otherwise. Forward and backward both ask, so they agree.
-func chunkRows(layers []Layer, b int) int {
-	if b <= rowGrain || len(layers) == 0 {
+func chunkRows(c chain, b int) int {
+	if b <= rowGrain || len(c.layers) == 0 {
 		return b
 	}
-	for len(layers) > 0 {
-		u, n := nextUnit(layers)
+	for len(c.layers) > 0 {
+		var u unit
+		u, c = c.next()
 		if !u.splits() {
 			return b
 		}
-		layers = layers[n:]
 	}
 	return rowGrain
 }
@@ -139,7 +161,7 @@ func (u *unit) begin(a *InferArena, x *tensor.Tensor, train bool) *tensor.Tensor
 	if u.run.layers != nil {
 		return u.run.begin(a, x, train)
 	}
-	u.w.count(false)
+	u.t.count(false)
 	return u.row.beginForward(a, x, train)
 }
 
@@ -148,29 +170,35 @@ func (u *unit) rows(a *InferArena, x, y *tensor.Tensor, lo, hi int) {
 		u.run.rows(a, x, y, lo, hi)
 		return
 	}
-	t0 := u.w.start()
+	t0 := u.t.start()
 	u.row.forwardRows(a, x, y, lo, hi)
-	u.w.observe(t0, false)
+	u.t.observe(t0, false)
 }
 
-// forward runs the unit over the whole batch as one chunk.
+// forward runs the unit over the whole batch as one chunk; a layer that
+// cannot split rows runs its own Forward or InferForward, timed whole.
 func (u *unit) forward(a *InferArena, x *tensor.Tensor, train bool) *tensor.Tensor {
-	switch {
-	case u.splits():
+	if u.splits() {
 		y := u.begin(a, x, train)
 		u.rows(a, x, y, 0, x.Dim(0))
 		return y
-	case a != nil:
-		return Infer(u.l, a, x)
 	}
-	return u.l.Forward(x, train)
+	t0 := u.t.start()
+	if a != nil {
+		x = Infer(u.l, a, x)
+	} else {
+		x = u.l.Forward(x, train)
+	}
+	u.t.observe(t0, false)
+	u.t.count(false)
+	return x
 }
 
 func (u *unit) beginBackward(g *tensor.Tensor) *tensor.Tensor {
 	if u.run.layers != nil {
 		return u.run.beginBackward(g)
 	}
-	u.w.count(true)
+	u.t.count(true)
 	return u.row.beginBackward(g)
 }
 
@@ -179,20 +207,24 @@ func (u *unit) backwardRows(g, dx *tensor.Tensor, lo, hi int) {
 		u.run.backwardRows(g, lo, hi)
 		return
 	}
-	t0 := u.w.start()
+	t0 := u.t.start()
 	u.row.backwardRows(g, dx, lo, hi)
-	u.w.observe(t0, true)
+	u.t.observe(t0, true)
 }
 
 // backward is the data path over the whole batch as one chunk; a layer
 // that cannot split rows runs its own Backward, parameter gradients
-// included.
+// included, timed whole.
 func (u *unit) backward(g *tensor.Tensor) *tensor.Tensor {
-	if !u.splits() {
-		return u.l.Backward(g)
+	if u.splits() {
+		dx := u.beginBackward(g)
+		u.backwardRows(g, dx, 0, g.Dim(0))
+		return dx
 	}
-	dx := u.beginBackward(g)
-	u.backwardRows(g, dx, 0, g.Dim(0))
+	t0 := u.t.start()
+	dx := u.l.Backward(g)
+	u.t.observe(t0, true)
+	u.t.count(true)
 	return dx
 }
 
@@ -202,17 +234,17 @@ func (u *unit) gradJobs(jobs []gradJob, g *tensor.Tensor, chunk int) []gradJob {
 	case u.run.layers != nil:
 		return u.run.gradJobs(jobs)
 	case u.row != nil:
-		return append(jobs, gradJob{w: u.w, row: u.row, g: g, n: chunk})
+		return append(jobs, gradJob{t: u.t, row: u.row, g: g, n: chunk})
 	}
 	return jobs
 }
 
 // gradJob is one layer's parameter gradients over the whole batch of a
-// pass, timed into w: a convolution's (conv) from its output gradient g
-// and the taps of the pass, or a row layer's from g, the pass having run
-// in chunks of n samples.
+// pass, timed into its step's timer t: a convolution's (conv) from its
+// output gradient g and the taps of the pass, or a row layer's from g,
+// the pass having run in chunks of n samples.
 type gradJob struct {
-	w    *Profiled
+	t    *stepTimes
 	conv *CausalConv1D
 	row  rowLayer
 	g    *tensor.Tensor
@@ -220,37 +252,38 @@ type gradJob struct {
 }
 
 func (j *gradJob) run() {
-	t0 := j.w.start()
+	t0 := j.t.start()
 	if j.conv != nil {
 		j.conv.kernelGrads(j.g)
 	} else {
 		j.row.paramGrads(j.g, j.n)
 	}
-	j.w.observe(t0, true)
+	j.t.observe(t0, true)
 }
 
-// runChain runs layers over x — on the arena path when a is non-nil —
-// in row chunks when the pass splits, as one chunk otherwise (see the
-// top of this file). The output is bitwise what calling the layers one
-// by one gives.
-func runChain(a *InferArena, layers []Layer, x *tensor.Tensor, train bool) *tensor.Tensor {
+// runChain runs c over x — on the arena path when a is non-nil — in row
+// chunks when the pass splits, as one chunk otherwise (see the top of
+// this file). The output is bitwise what calling the layers one by one
+// gives. It is Sequential's Forward and InferForward, and a single
+// layer's as a chain of one.
+func runChain(a *InferArena, c chain, x *tensor.Tensor, train bool) *tensor.Tensor {
 	b := x.Dim(0)
 	whole := func() {
-		for len(layers) > 0 {
-			u, n := nextUnit(layers)
+		for rest := c; len(rest.layers) > 0; {
+			var u unit
+			u, rest = rest.next()
 			x = u.forward(a, x, train)
-			layers = layers[n:]
 		}
 	}
 	switch {
 	case a != nil:
 		par.Inline(whole)
 		return x
-	case chunkRows(layers, b) == b:
+	case chunkRows(c, b) == b:
 		whole()
 		return x
 	}
-	us := chainUnits(layers)
+	us := chainUnits(c)
 	xs := make([]*tensor.Tensor, len(us)+1)
 	xs[0] = x
 	for i := range us {
@@ -264,42 +297,36 @@ func runChain(a *InferArena, layers []Layer, x *tensor.Tensor, train bool) *tens
 	return xs[len(us)]
 }
 
+// solo is l as a chain of one untimed step: how a layer runs its own
+// Forward, InferForward and Backward.
+func solo(l Layer) chain { return chain{layers: []Layer{l}} }
+
 // PlanChain plans every run of temporal blocks in layers for a length-t
 // window, as the first forward over such a window would. A model shared
 // by many arena forwards is planned before it is shared: a forward writes
 // its blocks' plans only when the window changes, and otherwise only
 // reads the model.
 func PlanChain(layers []Layer, t int) {
-	for len(layers) > 0 {
-		u, n := nextUnit(layers)
+	for c := (chain{layers: layers}); len(c.layers) > 0; {
+		var u unit
+		u, c = c.next()
 		if u.run.layers != nil {
 			u.run.plan(t)
 		}
-		layers = layers[n:]
 	}
 }
 
-// ForwardChain is Sequential's and core.Model's Forward: see runChain.
-func ForwardChain(layers []Layer, x *tensor.Tensor, train bool) *tensor.Tensor {
-	return runChain(nil, layers, x, train)
-}
-
-// InferChain is their InferForward: see runChain.
-func InferChain(a *InferArena, layers []Layer, x *tensor.Tensor) *tensor.Tensor {
-	return runChain(a, layers, x, false)
-}
-
-// BackwardChain is the mirror of ForwardChain over the same units and
+// backwardChain is the mirror of runChain over the same units and
 // chunks: the data path back to front in one dispatch, then the
 // parameter gradients as jobs across the pool. grad belongs to the caller
 // and is left alone.
-func BackwardChain(layers []Layer, grad *tensor.Tensor) *tensor.Tensor {
+func backwardChain(c chain, grad *tensor.Tensor) *tensor.Tensor {
 	b := grad.Dim(0)
-	chunk := chunkRows(layers, b)
+	chunk := chunkRows(c, b)
 	if chunk == b {
-		return backwardWhole(layers, grad)
+		return backwardWhole(c, grad)
 	}
-	us := chainUnits(layers)
+	us := chainUnits(c)
 	gs := make([]*tensor.Tensor, len(us)+1)
 	gs[len(us)] = grad
 	for i := len(us) - 1; i >= 0; i-- {
@@ -322,15 +349,15 @@ func BackwardChain(layers []Layer, grad *tensor.Tensor) *tensor.Tensor {
 	return gs[0]
 }
 
-// backwardWhole is BackwardChain as one chunk: unit by unit, back to
+// backwardWhole is backwardChain as one chunk: unit by unit, back to
 // front, each unit's parameter gradients right after its data path. It
 // recurses rather than listing the units, so it allocates no list.
-func backwardWhole(layers []Layer, grad *tensor.Tensor) *tensor.Tensor {
-	if len(layers) == 0 {
+func backwardWhole(c chain, grad *tensor.Tensor) *tensor.Tensor {
+	if len(c.layers) == 0 {
 		return grad
 	}
-	u, n := nextUnit(layers)
-	g := backwardWhole(layers[n:], grad)
+	u, rest := c.next()
+	g := backwardWhole(rest, grad)
 	dx := u.backward(g)
 	var buf [1]gradJob
 	for _, job := range u.gradJobs(buf[:0], g, g.Dim(0)) {

@@ -375,12 +375,9 @@ func (b *TemporalBlock) planSteps(t int, out []int, dense bool) *blockSteps {
 }
 
 // coneBlocks returns the temporal blocks l consists of — a TCN's, or a
-// TemporalBlock itself (in one, so the hot path allocates nothing) —
-// seen through a profiling wrapper; nil for any other layer.
+// TemporalBlock itself (in one, so the hot path allocates nothing); nil
+// for any other layer.
 func coneBlocks(l Layer, one *[1]*TemporalBlock) []*TemporalBlock {
-	if w, ok := l.(*Profiled); ok {
-		l = w.inner
-	}
 	switch v := l.(type) {
 	case *TCN:
 		return v.Blocks
@@ -392,20 +389,21 @@ func coneBlocks(l Layer, one *[1]*TemporalBlock) []*TemporalBlock {
 }
 
 // blockRun is a stretch of temporal-block layers — a TCN's blocks, or
-// TemporalBlocks staged one by one, each maybe profiled — and the
-// LastStep they feed, if any (last, maybe profiled). With last the run
-// computes the receptive cone of the final time step and its output is
-// LastStep's [batch, channels]; without, every step, [batch, channels,
-// time]. In between, activations stay in the GEMM's compact layout.
+// TemporalBlocks staged one by one — with their timers, and whether they
+// feed a LastStep (last, timed into lastT). With last the run computes
+// the receptive cone of the final time step and its output is LastStep's
+// [batch, channels]; without, every step, [batch, channels, time]. In
+// between, activations stay in the GEMM's compact layout.
 type blockRun struct {
-	layers []Layer
-	last   Layer
+	chain
+	last  bool
+	lastT *stepTimes
 
-	// The last backward's blocks back to front, the profiling wrapper of
-	// the layer each belongs to, and the gradients between them: gs[k] is
-	// the output gradient of blocks[k], gs[k+1] its input gradient.
+	// The last backward's blocks back to front, the timer of the layer
+	// each belongs to, and the gradients between them: gs[k] is the
+	// output gradient of blocks[k], gs[k+1] its input gradient.
 	blocks []*TemporalBlock
-	owners []*Profiled
+	owners []*stepTimes
 	gs     []*tensor.Tensor
 }
 
@@ -415,7 +413,7 @@ func (r *blockRun) plan(t int) {
 	var one [1]*TemporalBlock
 	var last [1]int
 	var out []int
-	if r.last != nil {
+	if r.last {
 		last[0] = t - 1
 		out = last[:]
 	}
@@ -435,46 +433,43 @@ func (r *blockRun) begin(a *InferArena, x *tensor.Tensor, train bool) *tensor.Te
 	r.plan(t)
 	var one [1]*TemporalBlock
 	h := denseSteps(x.Data, b, x.Dim(1), t)
-	for _, l := range r.layers {
-		w, _ := l.(*Profiled)
-		w.count(false)
+	for i, l := range r.layers {
+		r.timer(i).count(false)
 		for _, blk := range coneBlocks(l, &one) {
 			h = blk.prepare(a, h, train)
 		}
 	}
 	c := h.c
-	if r.last == nil {
+	if !r.last {
 		return a.Get(b, c, t)
 	}
-	w, _ := r.last.(*Profiled)
-	w.count(false)
+	r.lastT.count(false)
 	return a.Get(b, c)
 }
 
 // rows runs samples [lo, hi) through the blocks, each layer's share timed
-// into its profiling wrapper, and writes their rows of y: the final step
+// into its timer, and writes their rows of y: the final step
 // — copied, timed as last's share, because it sits in a buffer the next
 // forward overwrites — or every step.
 func (r *blockRun) rows(a *InferArena, x, y *tensor.Tensor, lo, hi int) {
 	t := x.Dim(2)
 	h := denseSteps(x.Data, x.Dim(0), x.Dim(1), t).rows(lo, hi)
 	var one [1]*TemporalBlock
-	for _, l := range r.layers {
-		w, _ := l.(*Profiled)
-		t0 := w.start()
+	for i, l := range r.layers {
+		tm := r.timer(i)
+		t0 := tm.start()
 		for _, blk := range coneBlocks(l, &one) {
 			h = blk.forwardSteps(a, h, lo)
 		}
-		w.observe(t0, false)
+		tm.observe(t0, false)
 	}
-	if r.last == nil {
+	if !r.last {
 		scatterSteps(y.Data[lo*h.c*t:], h, t)
 		return
 	}
-	w, _ := r.last.(*Profiled)
-	t0 := w.start()
+	t0 := r.lastT.start()
 	copy(y.Data[lo*h.c:hi*h.c], h.data)
-	w.observe(t0, false)
+	r.lastT.observe(t0, false)
 }
 
 // beginBackward readies the backward of the run's last pass off the
@@ -486,9 +481,8 @@ func (r *blockRun) rows(a *InferArena, x, y *tensor.Tensor, lo, hi int) {
 func (r *blockRun) beginBackward(grad *tensor.Tensor) *tensor.Tensor {
 	b := grad.Dim(0)
 	var g *tensor.Tensor
-	if r.last != nil {
-		w, _ := r.last.(*Profiled)
-		w.count(true)
+	if r.last {
+		r.lastT.count(true)
 		g = tensor.New(b, grad.Dim(1))
 	} else {
 		requireSeq("TemporalBlock", grad)
@@ -497,11 +491,11 @@ func (r *blockRun) beginBackward(grad *tensor.Tensor) *tensor.Tensor {
 	r.blocks, r.owners, r.gs = r.blocks[:0], r.owners[:0], append(r.gs[:0], g)
 	var one [1]*TemporalBlock
 	for i := len(r.layers) - 1; i >= 0; i-- {
-		w, _ := r.layers[i].(*Profiled)
-		w.count(true)
+		tm := r.timer(i)
+		tm.count(true)
 		blocks := coneBlocks(r.layers[i], &one)
 		for j := len(blocks) - 1; j >= 0; j-- {
-			r.blocks, r.owners = append(r.blocks, blocks[j]), append(r.owners, w)
+			r.blocks, r.owners = append(r.blocks, blocks[j]), append(r.owners, tm)
 			r.gs = append(r.gs, blocks[j].beginBackward(b))
 		}
 	}
@@ -512,12 +506,11 @@ func (r *blockRun) beginBackward(grad *tensor.Tensor) *tensor.Tensor {
 // blocks.
 func (r *blockRun) backwardRows(grad *tensor.Tensor, lo, hi int) {
 	g := r.gs[0]
-	if r.last != nil {
-		w, _ := r.last.(*Profiled)
-		t0 := w.start()
+	if r.last {
+		t0 := r.lastT.start()
 		c := grad.Dim(1)
 		copy(g.Data[lo*c:hi*c], grad.Data[lo*c:hi*c])
-		w.observe(t0, true)
+		r.lastT.observe(t0, true)
 	} else {
 		c, t := grad.Dim(1), grad.Dim(2)
 		gatherSteps(compactSteps(g.Data, grad.Dim(0), c, t).rows(lo, hi), grad.Data[lo*c*t:], t)
@@ -648,14 +641,14 @@ func (b *TemporalBlock) backwardSteps(g, dx *tensor.Tensor, lo, hi int) {
 }
 
 // gradJobs appends one job per convolution of the block: its kernel and
-// bias gradients over the whole batch, timed into w. g is the block's
+// bias gradients over the whole batch, timed into t. g is the block's
 // output gradient, what the 1×1 downsample saw.
-func (b *TemporalBlock) gradJobs(jobs []gradJob, w *Profiled, g *tensor.Tensor) []gradJob {
+func (b *TemporalBlock) gradJobs(jobs []gradJob, t *stepTimes, g *tensor.Tensor) []gradJob {
 	jobs = append(jobs,
-		gradJob{w: w, conv: b.conv1, g: b.conv1.gcol},
-		gradJob{w: w, conv: b.conv2, g: b.conv2.gcol})
+		gradJob{t: t, conv: b.conv1, g: b.conv1.gcol},
+		gradJob{t: t, conv: b.conv2, g: b.conv2.gcol})
 	if b.downsample != nil {
-		jobs = append(jobs, gradJob{w: w, conv: b.downsample, g: g})
+		jobs = append(jobs, gradJob{t: t, conv: b.downsample, g: g})
 	}
 	return jobs
 }

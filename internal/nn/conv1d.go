@@ -141,19 +141,19 @@ func (c *CausalConv1D) effectiveKernel() *tensor.Tensor {
 }
 
 // Forward implements Layer: every step of the window, through the
-// kernels in cone.go (see ForwardChain).
+// kernels in cone.go (see runChain).
 func (c *CausalConv1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return ForwardChain([]Layer{c}, x, train)
+	return runChain(nil, solo(c), x, train)
 }
 
 // InferForward implements InferLayer.
 func (c *CausalConv1D) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return InferChain(a, []Layer{c}, x)
+	return runChain(a, solo(c), x, false)
 }
 
 // Backward implements Layer.
 func (c *CausalConv1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return BackwardChain([]Layer{c}, grad)
+	return backwardChain(solo(c), grad)
 }
 
 // beginForward implements rowLayer for a convolution nobody prunes: it

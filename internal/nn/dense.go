@@ -24,19 +24,19 @@ func NewDense(r *tensor.RNG, in, out int) *Dense {
 	}
 }
 
-// Forward implements Layer (see ForwardChain).
+// Forward implements Layer (see runChain).
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return ForwardChain([]Layer{d}, x, train)
+	return runChain(nil, solo(d), x, train)
 }
 
 // InferForward implements InferLayer.
 func (d *Dense) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return InferChain(a, []Layer{d}, x)
+	return runChain(a, solo(d), x, false)
 }
 
 // Backward implements Layer.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return BackwardChain([]Layer{d}, grad)
+	return backwardChain(solo(d), grad)
 }
 
 // beginForward implements rowLayer. The output comes from the arena; off

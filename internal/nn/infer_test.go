@@ -12,7 +12,7 @@ import (
 
 // inferStacks builds one model per shape a served model takes: the TCN
 // residual pipeline with attention head, pruned to the cone, that cone
-// seen through profiling wrappers, and a convolution and a TCN nobody
+// run with its stages timed, and a convolution and a TCN nobody
 // takes the last step of.
 func inferStacks(features int) map[string]*Sequential {
 	r := tensor.NewRNG(41)

@@ -44,8 +44,11 @@ type Layer interface {
 }
 
 // Sequential chains layers, feeding each output into the next layer.
+// Profiler.WrapSequential times its steps (timers: one per layer, or
+// nil).
 type Sequential struct {
 	Layers []Layer
+	timers []*stepTimes
 }
 
 // NewSequential builds a Sequential from the given layers.
@@ -53,19 +56,19 @@ func NewSequential(layers ...Layer) *Sequential {
 	return &Sequential{Layers: layers}
 }
 
-// Forward runs all layers in order (see ForwardChain).
+// Forward runs all layers in order (see runChain).
 func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return ForwardChain(s.Layers, x, train)
+	return runChain(nil, chain{s.Layers, s.timers}, x, train)
 }
 
-// InferForward implements InferLayer (see InferChain).
+// InferForward implements InferLayer (see runChain).
 func (s *Sequential) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return InferChain(a, s.Layers, x)
+	return runChain(a, chain{s.Layers, s.timers}, x, false)
 }
 
-// Backward runs all layers in reverse order.
+// Backward runs all layers in reverse order (see backwardChain).
 func (s *Sequential) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return BackwardChain(s.Layers, grad)
+	return backwardChain(chain{s.Layers, s.timers}, grad)
 }
 
 // Params returns the concatenated parameters of all layers.
@@ -124,19 +127,19 @@ type LastStep struct {
 	inShape []int
 }
 
-// Forward implements Layer (see ForwardChain).
+// Forward implements Layer (see runChain).
 func (l *LastStep) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return ForwardChain([]Layer{l}, x, train)
+	return runChain(nil, solo(l), x, train)
 }
 
 // InferForward implements InferLayer.
 func (l *LastStep) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return InferChain(a, []Layer{l}, x)
+	return runChain(a, solo(l), x, false)
 }
 
 // Backward implements Layer.
 func (l *LastStep) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return BackwardChain([]Layer{l}, grad)
+	return backwardChain(solo(l), grad)
 }
 
 // beginForward implements rowLayer. The output comes from the arena; off

@@ -7,26 +7,28 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"repro/internal/tensor"
 )
 
-// Profiler accumulates per-layer forward/backward wall time through
-// Profiled wrappers, so any model — RPTCN's stage pipeline, a baseline
-// Sequential — gets a per-layer cost breakdown without editing a single
-// layer implementation. Wrap the layers once before training:
+// Profiler accumulates per-step forward/backward time of the chains it
+// times, so any model — RPTCN's stage pipeline, a baseline Sequential —
+// gets a per-layer cost breakdown without editing a single layer
+// implementation. Attach it to a Sequential once before training:
 //
 //	p := nn.NewProfiler()
 //	model := nn.NewSequential(
-//		p.Wrap("lstm", nn.NewLSTM(r, in, hidden, false)),
-//		p.Wrap("out", nn.NewDense(r, hidden, horizon)),
+//		nn.NewLSTM(r, in, hidden, false),
+//		nn.NewDense(r, hidden, horizon),
 //	)
+//	p.WrapSequential(model) // steps "0:lstm" and "1:dense"
 //	... train ...
 //	fmt.Print(p.Table())
 //
+// The timers belong to the chain that runs the Sequential's steps
+// (chain.go), one per step, not to the layer graph: the layers, their
+// parameters and every traversal of them are what they are unprofiled.
 // Counters are atomics, so concurrent forward passes (e.g. fleet
 // training) and the row chunks of one pass accumulate correctly; the
-// measured overhead is two time.Now calls per wrapped layer per chunk.
+// measured overhead is two time.Now calls per timed step per chunk.
 //
 // A stage's call count is one per pass. Its time is summed over the
 // pass's row chunks (see chain.go), which run on several workers at
@@ -36,127 +38,89 @@ import (
 type Profiler struct {
 	mu    sync.Mutex
 	order []string
-	byKey map[string]*layerTimes
+	byKey map[string]*stepTimes
 }
 
-// layerTimes holds the atomic counters of one named entry. Wrapping the
-// same name twice shares one layerTimes, merging the accumulation.
-type layerTimes struct {
+// stepTimes holds the atomic counters of one named step. Steps timed
+// under one name share one stepTimes, merging the accumulation. A nil
+// *stepTimes is an untimed step: its methods record nothing.
+type stepTimes struct {
 	fwdCalls, bwdCalls atomic.Int64
 	fwdNanos, bwdNanos atomic.Int64
 }
 
 // NewProfiler returns an empty profiler.
 func NewProfiler() *Profiler {
-	return &Profiler{byKey: make(map[string]*layerTimes)}
+	return &Profiler{byKey: make(map[string]*stepTimes)}
 }
 
-// Wrap registers l under name and returns the timing wrapper. A nil
-// Profiler (or nil layer) returns l unchanged, so instrumentation
-// points can wrap unconditionally and pay nothing when profiling is
-// off. Wrapping the same name twice accumulates into one entry.
-func (p *Profiler) Wrap(name string, l Layer) Layer {
-	if p == nil || l == nil {
-		return l
-	}
+// timer returns the counters of name, registering it on first use.
+func (p *Profiler) timer(name string) *stepTimes {
 	p.mu.Lock()
-	lt, ok := p.byKey[name]
+	defer p.mu.Unlock()
+	t, ok := p.byKey[name]
 	if !ok {
-		lt = &layerTimes{}
-		p.byKey[name] = lt
+		t = &stepTimes{}
+		p.byKey[name] = t
 		p.order = append(p.order, name)
 	}
-	p.mu.Unlock()
-	return &Profiled{name: name, inner: l, times: lt}
+	return t
 }
 
-// WrapSequential replaces every layer of s in place with a profiled
-// wrapper named "<index>:<kind>" ("0:lstm", "1:dense", ...).
-func (p *Profiler) WrapSequential(s *Sequential) {
-	if p == nil || s == nil {
+// WrapSequential times every layer of s as a step named names[i] (one
+// name per layer) or, given no names, "<index>:<kind>" ("0:lstm",
+// "1:dense", ...). The layers stay as they are. A nil Profiler does nothing, and a Sequential
+// already timed keeps its timers, so profiling twice counts once and
+// profiling a model that serves writes nothing.
+func (p *Profiler) WrapSequential(s *Sequential, names ...string) {
+	if p == nil || s == nil || s.timers != nil {
 		return
 	}
+	timers := make([]*stepTimes, len(s.Layers))
 	for i, l := range s.Layers {
-		s.Layers[i] = p.Wrap(fmt.Sprintf("%d:%s", i, LayerKind(l)), l)
+		name := fmt.Sprintf("%d:%s", i, LayerKind(l))
+		if names != nil {
+			name = names[i]
+		}
+		timers[i] = p.timer(name)
 	}
+	s.timers = timers
 }
 
-// Profiled wraps a Layer and times every Forward/Backward call. It is
-// itself a Layer, delegating Params to the wrapped layer, so wrapping
-// never changes training semantics or serialized weights.
-type Profiled struct {
-	name  string
-	inner Layer
-	times *layerTimes
-}
-
-// Forward implements Layer.
-func (w *Profiled) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
-	return w.forward(nil, x, train)
-}
-
-// InferForward implements InferLayer: the wrapped layer's arena forward,
-// timed into the same counters as its other forwards.
-func (w *Profiled) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return w.forward(a, x, false)
-}
-
-func (w *Profiled) forward(a *InferArena, x *tensor.Tensor, train bool) *tensor.Tensor {
-	t0 := w.start()
-	out := runChain(a, []Layer{w.inner}, x, train)
-	w.observe(t0, false)
-	w.count(false)
-	return out
-}
-
-// Backward implements Layer.
-func (w *Profiled) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	t0 := w.start()
-	out := w.inner.Backward(grad)
-	w.observe(t0, true)
-	w.count(true)
-	return out
-}
-
-// start returns the time a profiled stage begins; free on a nil wrapper.
-// The chains in cone.go time a stage's share of a fused run with it.
-func (w *Profiled) start() (t0 time.Time) {
-	if w != nil {
+// start returns the time a timed step begins; free on an untimed one.
+func (t *stepTimes) start() (t0 time.Time) {
+	if t != nil {
 		t0 = time.Now()
 	}
 	return t0
 }
 
-// observe adds the time since t0 to the stage's forward or backward
-// total — one chunk's share of a pass; a no-op on a nil wrapper.
-func (w *Profiled) observe(t0 time.Time, backward bool) {
-	if w == nil {
+// observe adds the time since t0 to the step's forward or backward
+// total — one chunk's share of a pass.
+func (t *stepTimes) observe(t0 time.Time, backward bool) {
+	if t == nil {
 		return
 	}
-	nanos := &w.times.fwdNanos
+	nanos := &t.fwdNanos
 	if backward {
-		nanos = &w.times.bwdNanos
+		nanos = &t.bwdNanos
 	}
 	nanos.Add(int64(time.Since(t0)))
 }
 
-// count records one forward or backward pass through the stage; a no-op
-// on a nil wrapper.
-func (w *Profiled) count(backward bool) {
-	if w == nil {
+// count records one forward or backward pass through the step.
+func (t *stepTimes) count(backward bool) {
+	if t == nil {
 		return
 	}
-	calls := &w.times.fwdCalls
+	calls := &t.fwdCalls
 	if backward {
-		calls = &w.times.bwdCalls
+		calls = &t.bwdCalls
 	}
 	calls.Add(1)
 }
 
-// Params implements Layer.
-func (w *Profiled) Params() []*Param { return w.inner.Params() }
-
-// LayerStats is a point-in-time snapshot of one wrapped layer's cost.
+// LayerStats is a point-in-time snapshot of one timed step's cost.
 type LayerStats struct {
 	Name     string
 	FwdCalls int64
@@ -168,33 +132,33 @@ type LayerStats struct {
 // Total returns forward + backward time.
 func (s LayerStats) Total() time.Duration { return s.Fwd + s.Bwd }
 
-// Stats returns per-layer totals in wrap order.
+// Stats returns per-step totals in the order the names were first timed.
 func (p *Profiler) Stats() []LayerStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	out := make([]LayerStats, 0, len(p.order))
 	for _, name := range p.order {
-		lt := p.byKey[name]
+		st := p.byKey[name]
 		out = append(out, LayerStats{
 			Name:     name,
-			FwdCalls: lt.fwdCalls.Load(),
-			BwdCalls: lt.bwdCalls.Load(),
-			Fwd:      time.Duration(lt.fwdNanos.Load()),
-			Bwd:      time.Duration(lt.bwdNanos.Load()),
+			FwdCalls: st.fwdCalls.Load(),
+			BwdCalls: st.bwdCalls.Load(),
+			Fwd:      time.Duration(st.fwdNanos.Load()),
+			Bwd:      time.Duration(st.bwdNanos.Load()),
 		})
 	}
 	return out
 }
 
-// Reset zeroes all counters (the set of wrapped layers is kept).
+// Reset zeroes all counters (the set of timed steps is kept).
 func (p *Profiler) Reset() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for _, lt := range p.byKey {
-		lt.fwdCalls.Store(0)
-		lt.bwdCalls.Store(0)
-		lt.fwdNanos.Store(0)
-		lt.bwdNanos.Store(0)
+	for _, st := range p.byKey {
+		st.fwdCalls.Store(0)
+		st.bwdCalls.Store(0)
+		st.fwdNanos.Store(0)
+		st.bwdNanos.Store(0)
 	}
 }
 
@@ -235,9 +199,7 @@ func (p *Profiler) Table() string {
 // LayerKind names a layer by its architectural kind ("conv1d", "dense",
 // "attention", "lstm", ...), for profile labels and run journals.
 func LayerKind(l Layer) string {
-	switch v := l.(type) {
-	case *Profiled:
-		return LayerKind(v.inner)
+	switch l.(type) {
 	case *Dense:
 		return "dense"
 	case *CausalConv1D:

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -8,42 +9,55 @@ import (
 	"repro/internal/tensor"
 )
 
+// TestProfiledPreservesSemantics: timing a chain changes no bit of its
+// forward, its input gradient or its parameter gradients, and leaves the
+// layers and their parameters as they were. The batch of 12 runs as row
+// chunks through a block run, LastStep, dropout and Dense.
 func TestProfiledPreservesSemantics(t *testing.T) {
-	r := tensor.NewRNG(7)
-	plain := NewDense(r, 4, 3)
-	wrapped := NewProfiler().Wrap("dense", plain).(*Profiled)
-
-	x := tensor.New(2, 4)
-	for i := range x.Data {
-		x.Data[i] = float64(i) * 0.1
+	build := func() *Sequential {
+		r := tensor.NewRNG(7)
+		return NewSequential(
+			NewTCN(r, TCNConfig{InChannels: 2, Channels: []int{4, 4}, KernelSize: 3, Dropout: 0.2, WeightNorm: true}),
+			&LastStep{},
+			NewDense(r, 4, 3),
+		)
 	}
-	out := wrapped.Forward(x, true)
-	grad := tensor.New(out.Shape()...)
-	for i := range grad.Data {
-		grad.Data[i] = 1
-	}
-	wrapped.Backward(grad)
-
-	// Params must be the wrapped layer's own (same pointers), so
-	// optimizers and serialization see through the wrapper.
-	ps, inner := wrapped.Params(), plain.Params()
-	if len(ps) != len(inner) {
-		t.Fatalf("params: %d vs %d", len(ps), len(inner))
-	}
-	for i := range ps {
-		if ps[i] != inner[i] {
-			t.Fatalf("param %d not shared through wrapper", i)
+	plain, timed := build(), build()
+	layers := append([]Layer(nil), timed.Layers...)
+	p := NewProfiler()
+	p.WrapSequential(timed)
+	for i, l := range timed.Layers {
+		if l != layers[i] {
+			t.Fatalf("layer %d replaced by %T", i, l)
 		}
 	}
-	if wrapped.inner != Layer(plain) {
-		t.Fatal("the wrapper lost the inner layer")
+	x := tensor.RandN(tensor.NewRNG(8), 12, 2, 10)
+	for step := 0; step < 2; step++ {
+		want, got := plain.Forward(x, true), timed.Forward(x, true)
+		requireBitwiseTensors(t, got, want, "forward")
+		g := tensor.RandN(tensor.NewRNG(9), want.Shape()...)
+		requireBitwiseTensors(t, timed.Backward(g), plain.Backward(g), "input gradient")
+	}
+	ps, qs := timed.Params(), plain.Params()
+	for i := range ps {
+		for j, v := range qs[i].Grad.Data {
+			if math.Float64bits(ps[i].Grad.Data[j]) != math.Float64bits(v) {
+				t.Fatalf("%s grad %d: %g, want %g", ps[i].Name, j, ps[i].Grad.Data[j], v)
+			}
+		}
+	}
+	for _, s := range p.Stats() {
+		if s.FwdCalls != 2 || s.BwdCalls != 2 {
+			t.Errorf("step %s: %d forward and %d backward calls, want 2 each", s.Name, s.FwdCalls, s.BwdCalls)
+		}
 	}
 }
 
 func TestProfilerAccumulates(t *testing.T) {
 	p := NewProfiler()
 	r := tensor.NewRNG(1)
-	l := p.Wrap("fc", NewDense(r, 8, 8))
+	l := NewSequential(NewDense(r, 8, 8))
+	p.WrapSequential(l)
 	x := tensor.New(4, 8)
 	for i := 0; i < 5; i++ {
 		out := l.Forward(x, true)
@@ -54,7 +68,7 @@ func TestProfilerAccumulates(t *testing.T) {
 		t.Fatalf("got %d entries", len(stats))
 	}
 	s := stats[0]
-	if s.Name != "fc" || s.FwdCalls != 5 || s.BwdCalls != 5 {
+	if s.Name != "0:dense" || s.FwdCalls != 5 || s.BwdCalls != 5 {
 		t.Fatalf("bad stats: %+v", s)
 	}
 	if s.Fwd <= 0 || s.Bwd <= 0 {
@@ -69,8 +83,10 @@ func TestProfilerAccumulates(t *testing.T) {
 func TestProfilerSharedNameMergesAndIsConcurrencySafe(t *testing.T) {
 	p := NewProfiler()
 	r := tensor.NewRNG(2)
-	a := p.Wrap("dense", NewDense(r, 4, 4))
-	b := p.Wrap("dense", NewDense(r, 4, 4))
+	a := NewSequential(NewDense(r, 4, 4))
+	b := NewSequential(NewDense(r, 4, 4))
+	p.WrapSequential(a, "dense")
+	p.WrapSequential(b, "dense")
 	x := tensor.New(1, 4)
 	var wg sync.WaitGroup
 	for _, l := range []Layer{a, b} {
@@ -104,13 +120,18 @@ func TestProfilerSharedNameMergesAndIsConcurrencySafe(t *testing.T) {
 func TestNilProfilerIsPassthrough(t *testing.T) {
 	var p *Profiler
 	r := tensor.NewRNG(3)
-	l := NewDense(r, 2, 2)
-	if got := p.Wrap("x", l); got != Layer(l) {
-		t.Fatal("nil profiler must return the layer unchanged")
+	s := NewSequential(NewDense(r, 2, 2))
+	p.WrapSequential(s) // must not panic
+	p.WrapSequential(nil)
+	if s.timers != nil {
+		t.Fatal("a nil profiler timed the chain")
 	}
-	p.WrapSequential(NewSequential(l)) // must not panic
 }
 
+// TestWrapSequentialNamesByKind names the steps by index and kind, and
+// times an LSTM — a step that cannot split rows — around its own Forward
+// and Backward: one call each way per pass, with time on both, as for
+// the Dense after it. Profiling twice counts once.
 func TestWrapSequentialNamesByKind(t *testing.T) {
 	p := NewProfiler()
 	r := tensor.NewRNG(4)
@@ -119,16 +140,21 @@ func TestWrapSequentialNamesByKind(t *testing.T) {
 		NewDense(r, 4, 1),
 	)
 	p.WrapSequential(s)
-	for _, l := range s.Layers {
-		if _, ok := l.(*Profiled); !ok {
-			t.Fatalf("layer %T not wrapped", l)
-		}
-	}
+	p.WrapSequential(s)
 	x := tensor.New(1, 2, 6)
-	s.Forward(x, false)
+	out := s.Forward(x, true)
+	s.Backward(tensor.Full(1, out.Shape()...))
 	stats := p.Stats()
 	if len(stats) != 2 || stats[0].Name != "0:lstm" || stats[1].Name != "1:dense" {
 		t.Fatalf("unexpected names: %+v", stats)
+	}
+	for _, st := range stats {
+		if st.FwdCalls != 1 || st.BwdCalls != 1 {
+			t.Errorf("%s: %d forward and %d backward calls, want 1 each", st.Name, st.FwdCalls, st.BwdCalls)
+		}
+		if st.Fwd <= 0 || st.Bwd <= 0 {
+			t.Errorf("%s: no time recorded (fwd %v, bwd %v)", st.Name, st.Fwd, st.Bwd)
+		}
 	}
 	table := p.Table()
 	if !strings.Contains(table, "0:lstm") || !strings.Contains(table, "share") {

@@ -89,10 +89,6 @@ func (b *TemporalBlock) Children() []Layer {
 	return append(out, &b.finalReLU)
 }
 
-// Children implements ChildLayers: traversals see through the profiling
-// wrapper to the wrapped layer.
-func (w *Profiled) Children() []Layer { return []Layer{w.inner} }
-
 // RNGState implements RandomStream.
 func (d *Dropout) RNGState() tensor.RNGState { return d.rng.State() }
 

@@ -74,11 +74,12 @@ func TestSetRNGStatesCountMismatch(t *testing.T) {
 	}
 }
 
+// TestProfiledIsTransparentToWalk: the timers belong to the chain, so a
+// profiled model walks as it did unprofiled.
 func TestProfiledIsTransparentToWalk(t *testing.T) {
 	model, _ := buildDropoutModel(7)
-	p := NewProfiler()
-	wrapped := p.Wrap("model", model)
-	if got := len(RNGStates(wrapped)); got != 5 {
+	NewProfiler().WrapSequential(model.(*Sequential))
+	if got := len(RNGStates(model)); got != 5 {
 		t.Fatalf("profiled walk found %d streams, want 5", got)
 	}
 }
