@@ -23,7 +23,7 @@ func NewLSTM(r *tensor.RNG, cfg LSTMConfig) nn.Layer {
 		cfg.Hidden = 32
 	}
 	return nn.NewSequential(
-		nn.NewLSTM(r, cfg.InChannels, cfg.Hidden, false),
+		nn.NewLSTM(r, cfg.InChannels, cfg.Hidden),
 		nn.NewDense(r, cfg.Hidden, cfg.Horizon),
 	)
 }
@@ -59,7 +59,7 @@ func NewCNNLSTM(r *tensor.RNG, cfg CNNLSTMConfig) nn.Layer {
 		layers = append(layers, nn.NewSpatialDropout1D(r, cfg.Dropout))
 	}
 	layers = append(layers,
-		nn.NewLSTM(r, cfg.ConvChannels, cfg.Hidden, false),
+		nn.NewLSTM(r, cfg.ConvChannels, cfg.Hidden),
 		nn.NewDense(r, cfg.Hidden, cfg.Horizon),
 	)
 	return nn.NewSequential(layers...)

@@ -60,7 +60,7 @@ func BenchmarkTemporalBlockForwardBackward(b *testing.B) {
 
 func benchLSTM(b *testing.B, batch int) {
 	r := tensor.NewRNG(4)
-	l := NewLSTM(r, 12, 32, false)
+	l := NewLSTM(r, 12, 32)
 	x := tensor.RandN(r, batch, 12, 32)
 	g := tensor.RandN(r, batch, 32)
 	b.ResetTimer()

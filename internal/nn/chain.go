@@ -11,29 +11,30 @@ import (
 // samples and run the chunks on the par pool, one dispatch per pass:
 //
 //  1. Forward: every unit of the chain readies the pass over the whole
-//     batch — sizes the buffers its rows write, bakes its kernels, draws
-//     its dropout masks in the order a whole-batch pass draws them — then
-//     each chunk runs every unit's rows, front to back.
+//     batch — sizes the buffers its rows write, bakes or packs its
+//     kernels, draws its dropout masks in the order a whole-batch pass
+//     draws them — then each chunk runs every unit's rows, front to back.
 //  2. Backward, the data path: every unit readies its input gradient,
 //     then each chunk runs every unit's rows, back to front.
 //  3. Backward, the parameter gradients: one job per parameter-owning
 //     layer, spread over the pool, each reading the whole batch's
 //     operands in ascending order, as a whole-batch pass does.
 //
-// Every forward and data-gradient kernel is per row, and a parameter
-// gradient is one FMA chain over the batch in order (a convolution's
-// reads the whole batch's taps in place, in one product), so a split
-// pass is bitwise the whole-batch pass at any worker count. Below the
-// pass nothing dispatches: the pool runs a Run issued inside a running
-// task inline (see par.Pool).
+// Every forward and data-gradient kernel is per row (an LSTM's per
+// sample, through every step), and a parameter gradient is one FMA chain
+// over the batch in order (a convolution's reads the whole batch's taps
+// in place, in one product), so a split pass is bitwise the whole-batch
+// pass at any worker count. These dispatches are the only parallelism
+// under a pass: no kernel below them dispatches, and the pool runs a Run
+// issued inside a running task inline (see par.Pool).
 //
 // The arena (serving) path, a batch of at most rowGrain, and a chain
-// holding a layer that cannot split rows (an LSTM, a standalone ReLU,
-// dropout or Tanh, a nested chain) run the same machinery as one chunk:
-// each unit readies and runs all its rows before the next, and a layer
-// that cannot split runs through its own Forward and Backward. The arena
-// path runs as the pool's task in flight (par.Inline), so nothing inside
-// a served forward dispatches: serving's parallelism is across shards.
+// holding a layer that cannot split rows (a standalone ReLU, dropout or
+// Tanh, a nested chain) run the same machinery as one chunk on the
+// caller: each unit readies and runs all its rows before the next, and a
+// layer that cannot split runs through its own Forward and Backward.
+// Nothing inside a served forward dispatches: serving's parallelism is
+// across shards.
 //
 // A profiled chain times each step into the step's own timer (see
 // Profiler): a row layer's share of each chunk, a block run's per layer
@@ -49,10 +50,10 @@ import (
 const rowGrain = 8
 
 // rowLayer is a layer whose passes split by batch rows: Dense,
-// FeatureAttention, LastStep and a standalone CausalConv1D. (Temporal
-// blocks split inside a blockRun.) The begin methods run once per pass,
-// serially; the rows methods once per chunk, concurrently, each writing
-// only its chunk's rows of the buffers begin readied.
+// FeatureAttention, LastStep, LSTM and a standalone CausalConv1D.
+// (Temporal blocks split inside a blockRun.) The begin methods run once
+// per pass, serially; the rows methods once per chunk, concurrently,
+// each writing only its chunk's rows of the buffers begin readied.
 type rowLayer interface {
 	// beginForward readies a pass over the batch x and returns the output
 	// buffer the rows fill. Off the arena (a == nil) it keeps what the
@@ -268,19 +269,12 @@ func (j *gradJob) run() {
 // layer's as a chain of one.
 func runChain(a *InferArena, c chain, x *tensor.Tensor, train bool) *tensor.Tensor {
 	b := x.Dim(0)
-	whole := func() {
+	if a != nil || chunkRows(c, b) == b {
 		for rest := c; len(rest.layers) > 0; {
 			var u unit
 			u, rest = rest.next()
 			x = u.forward(a, x, train)
 		}
-	}
-	switch {
-	case a != nil:
-		par.Inline(whole)
-		return x
-	case chunkRows(c, b) == b:
-		whole()
 		return x
 	}
 	us := chainUnits(c)

@@ -333,7 +333,7 @@ func TestConvReadsTapsInPlace(t *testing.T) {
 		}
 	}
 
-	cnnLSTM := NewSequential(NewCausalConv1D(r, 4, 16, 3, 1, false), &ReLU{}, NewLSTM(r, 16, 8, false), NewDense(r, 8, 2))
+	cnnLSTM := NewSequential(NewCausalConv1D(r, 4, 16, 3, 1, false), &ReLU{}, NewLSTM(r, 16, 8), NewDense(r, 8, 2))
 	trainStep(cnnLSTM, x, tensor.RandN(r, 32, 2))
 	if c := convsOf(cnnLSTM)[0]; c.acol == nil || c.taps.onGrid {
 		t.Error("CNN-LSTM's every-step conv did not gather its taps")

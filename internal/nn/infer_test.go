@@ -159,7 +159,7 @@ func TestInferDoesNotDisturbTraining(t *testing.T) {
 // is refused by name, not run through Forward behind the arena's back.
 func TestInferRefusesLayerWithoutArenaPath(t *testing.T) {
 	r := tensor.NewRNG(23)
-	model := NewSequential(NewLSTM(r, 4, 5, false), NewDense(r, 5, 2))
+	model := NewSequential(NewLSTM(r, 4, 5), NewDense(r, 5, 2))
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "*nn.LSTM") {
 			t.Fatalf("Infer over an LSTM: recovered %q, want a panic naming *nn.LSTM", msg)
@@ -169,8 +169,7 @@ func TestInferRefusesLayerWithoutArenaPath(t *testing.T) {
 }
 
 // TestInferArenaZeroAllocSteadyState proves a warmed-up arena forward
-// performs no heap allocations, for every stack and at a batch size large
-// enough to engage the parallel GEMM path.
+// performs no heap allocations, for every stack and at a batch of 32.
 func TestInferArenaZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation defeats escape analysis; allocation counts are meaningless")

@@ -3,7 +3,6 @@ package nn
 import (
 	"math"
 
-	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -17,31 +16,21 @@ type Loss interface {
 	Backward() *tensor.Tensor
 }
 
-// lossGrain is the fixed reduction chunk size for loss forwards. Chunk
-// boundaries depend only on the element count, and the per-chunk partial
-// sums are folded in chunk-index order, so the loss value is bitwise
-// identical for any worker count (see internal/par).
+// lossGrain is the fixed reduction chunk size for loss forwards. The sum
+// adds one partial per chunk of lossGrain elements, in chunk order, so
+// its bits depend on the element count alone.
 const lossGrain = 4096
 
-// lossReduce sums f(pred[i], target[i]) over all elements via the
-// deterministic chunked reduction. partials is a scratch slice reused
-// across calls.
-func lossReduce(pred, target *tensor.Tensor, partials *[]float64, f func(p, t float64) float64) float64 {
-	n := pred.Size()
-	chunks := par.NumChunks(n, lossGrain)
-	if cap(*partials) < chunks {
-		*partials = make([]float64, chunks)
-	}
-	parts := (*partials)[:chunks]
-	par.RunChunks(n, lossGrain, func(chunk, lo, hi int) {
+// lossReduce sums f(pred[i], target[i]) over all elements: a partial sum
+// per chunk, the partials added in chunk order.
+func lossReduce(pred, target *tensor.Tensor, f func(p, t float64) float64) float64 {
+	total := 0.0
+	for lo := 0; lo < len(pred.Data); lo += lossGrain {
+		hi := min(lo+lossGrain, len(pred.Data))
 		s := 0.0
 		for i := lo; i < hi; i++ {
 			s += f(pred.Data[i], target.Data[i])
 		}
-		parts[chunk] = s
-	})
-	total := 0.0
-	for _, s := range parts {
 		total += s
 	}
 	return total
@@ -64,7 +53,6 @@ func lossGrad(pred *tensor.Tensor, buf **tensor.Tensor, f func(i int) float64) *
 type MSELoss struct {
 	pred, target *tensor.Tensor
 	grad         *tensor.Tensor
-	partials     []float64
 }
 
 // Forward implements Loss.
@@ -73,7 +61,7 @@ func (l *MSELoss) Forward(pred, target *tensor.Tensor) float64 {
 		panic("nn: MSELoss shape mismatch")
 	}
 	l.pred, l.target = pred, target
-	s := lossReduce(pred, target, &l.partials, func(p, t float64) float64 {
+	s := lossReduce(pred, target, func(p, t float64) float64 {
 		d := p - t
 		return d * d
 	})
@@ -94,7 +82,6 @@ func (l *MSELoss) Backward() *tensor.Tensor {
 type MAELoss struct {
 	pred, target *tensor.Tensor
 	grad         *tensor.Tensor
-	partials     []float64
 }
 
 // Forward implements Loss.
@@ -103,7 +90,7 @@ func (l *MAELoss) Forward(pred, target *tensor.Tensor) float64 {
 		panic("nn: MAELoss shape mismatch")
 	}
 	l.pred, l.target = pred, target
-	s := lossReduce(pred, target, &l.partials, func(p, t float64) float64 {
+	s := lossReduce(pred, target, func(p, t float64) float64 {
 		return math.Abs(p - t)
 	})
 	return s / float64(pred.Size())

@@ -4,35 +4,30 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
-// parFlops is the mul-add count above which the LSTM's kernels fan out
-// onto the internal/par pool — the tensor matmuls' crossover (see
-// internal/tensor/matmul.go). An LSTM keeps a chain in one chunk (see
-// chain.go), so its own kernels are where its parallelism lives.
-const parFlops = 32 * 64 * 64
-
 // LSTM is a standard long short-term memory layer with full
-// backpropagation through time. Input is [batch, features, time]. When
-// ReturnSequences is true the output is [batch, hidden, time]; otherwise it
-// is the final hidden state [batch, hidden].
+// backpropagation through time. Input is [batch, features, time]; the
+// output is the final hidden state [batch, hidden].
 //
 // Gate order in the stacked weight matrices is (input, forget, cell,
 // output). The forget-gate bias is initialized to 1, the usual trick to
 // ease gradient flow early in training.
 //
-// Instead of T small sequential matmuls, the input projection X·Wxᵀ for
-// every timestep is computed as one large parallel matmul up front (and
-// likewise dWx/dx as single matmuls over the stacked per-step gradients in
-// the backward pass); only the h·Whᵀ recurrence remains per-step. All
-// per-step state lives in contiguous scratch buffers reused across calls,
-// so a steady-state training step allocates only its outputs.
+// The layer is a rowLayer (see chain.go): each sample's recurrence is
+// independent of the others', so a pass runs its batch in row chunks
+// like every other row layer. Its state lives in scratch laid out
+// time-major for the whole batch — step t of sample i is row t·B+i — and
+// a chunk of samples [lo, hi) runs rows t·B+lo … t·B+hi of each step,
+// through per-step products against weights packed once per pass. The
+// parameter gradients are three products over all T·B rows in t-major
+// order, run once after the chunks. Every output element is one FMA
+// chain wherever its row sits, so the bits do not depend on the
+// chunking. The scratch is reused across calls.
 type LSTM struct {
-	InFeatures      int
-	Hidden          int
-	ReturnSequences bool
+	InFeatures int
+	Hidden     int
 
 	Wx *Param // [4H, F]
 	Wh *Param // [4H, H]
@@ -47,7 +42,7 @@ type lstmScratch struct {
 	b, t int // shape the buffers were sized for
 
 	xAll  *tensor.Tensor // [T*B, F] input, time-major
-	zAll  *tensor.Tensor // [T*B, 4H] pre-activations (x-side, then +h-side)
+	zAll  *tensor.Tensor // [T*B, 4H] x-side pre-activations
 	hAll  *tensor.Tensor // [(T+1)*B, H]; block 0 is h_{-1}=0, block t+1 is h_t
 	cAll  *tensor.Tensor // [(T+1)*B, H]; same layout for the cell state
 	tanhC *tensor.Tensor // [T*B, H]
@@ -57,15 +52,15 @@ type lstmScratch struct {
 	go_   *tensor.Tensor // [T*B, H] output gate
 	zh    *tensor.Tensor // [B, 4H] per-step recurrent projection
 
-	hPrevView []*tensor.Tensor // [B,H] views of hAll blocks 0..T-1
+	// The weights of the pass, packed: Wxᵀ and Whᵀ for the forward, Wx
+	// and Wh for the backward.
+	wxT, whT, wx, wh *tensor.PackedB
 
 	// Backward workspaces.
-	dzAll  *tensor.Tensor   // [T*B, 4H]
-	dh     *tensor.Tensor   // [B, H]
-	dc     *tensor.Tensor   // [B, H]
-	dcPrev *tensor.Tensor   // [B, H]
-	dxAll  *tensor.Tensor   // [T*B, F]
-	dzView []*tensor.Tensor // [B,4H] views of dzAll blocks
+	dzAll *tensor.Tensor // [T*B, 4H]
+	dh    *tensor.Tensor // [B, H]
+	dc    *tensor.Tensor // [B, H]
+	dxAll *tensor.Tensor // [T*B, F]
 }
 
 func (s *lstmScratch) ensure(b, t, f, h int) {
@@ -86,25 +81,17 @@ func (s *lstmScratch) ensure(b, t, f, h int) {
 	s.dzAll = tensor.New(t*b, 4*h)
 	s.dh = tensor.New(b, h)
 	s.dc = tensor.New(b, h)
-	s.dcPrev = tensor.New(b, h)
 	s.dxAll = tensor.New(t*b, f)
-	s.hPrevView = make([]*tensor.Tensor, t)
-	s.dzView = make([]*tensor.Tensor, t)
-	for step := 0; step < t; step++ {
-		s.hPrevView[step] = tensor.FromSlice(s.hAll.Data[step*b*h:(step+1)*b*h], b, h)
-		s.dzView[step] = tensor.FromSlice(s.dzAll.Data[step*b*4*h:(step+1)*b*4*h], b, 4*h)
-	}
 }
 
 // NewLSTM builds the layer with Xavier-uniform weights.
-func NewLSTM(r *tensor.RNG, inFeatures, hidden int, returnSequences bool) *LSTM {
+func NewLSTM(r *tensor.RNG, inFeatures, hidden int) *LSTM {
 	l := &LSTM{
-		InFeatures:      inFeatures,
-		Hidden:          hidden,
-		ReturnSequences: returnSequences,
-		Wx:              NewParam("lstm.Wx", XavierUniform(r, inFeatures, hidden, 4*hidden, inFeatures)),
-		Wh:              NewParam("lstm.Wh", XavierUniform(r, hidden, hidden, 4*hidden, hidden)),
-		B:               NewParam("lstm.B", tensor.New(4*hidden)),
+		InFeatures: inFeatures,
+		Hidden:     hidden,
+		Wx:         NewParam("lstm.Wx", XavierUniform(r, inFeatures, hidden, 4*hidden, inFeatures)),
+		Wh:         NewParam("lstm.Wh", XavierUniform(r, hidden, hidden, 4*hidden, hidden)),
+		B:          NewParam("lstm.B", tensor.New(4*hidden)),
 	}
 	// Forget-gate bias = 1.
 	for j := hidden; j < 2*hidden; j++ {
@@ -113,186 +100,166 @@ func NewLSTM(r *tensor.RNG, inFeatures, hidden int, returnSequences bool) *LSTM 
 	return l
 }
 
-// gatherTimeMajor fills dst [T*B, F] (time-major) from x [B, F, T]. The
-// range body lives in a named function so the small-size inline path
-// allocates no closure.
-func gatherTimeMajor(dst, x *tensor.Tensor, b, f, t int) {
-	if t*b*f < parFlops {
-		gatherTimeMajorRange(dst, x, b, f, t, 0, t*b)
-		return
-	}
-	par.Run(t*b, func(lo, hi int) { gatherTimeMajorRange(dst, x, b, f, t, lo, hi) })
+// Forward implements Layer (see runChain).
+func (l *LSTM) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return runChain(nil, solo(l), x, train)
 }
 
-func gatherTimeMajorRange(dst, x *tensor.Tensor, b, f, t, lo, hi int) {
-	for r := lo; r < hi; r++ {
-		tt, bi := r/b, r%b
-		row := dst.Data[r*f : (r+1)*f]
-		for fi := 0; fi < f; fi++ {
-			row[fi] = x.Data[(bi*f+fi)*t+tt]
-		}
-	}
+// Backward implements Layer.
+func (l *LSTM) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	return backwardChain(solo(l), grad)
 }
 
-// Forward implements Layer.
-func (l *LSTM) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+// beginForward implements rowLayer: it sizes the scratch for x and packs
+// the weights for the pass. The LSTM has no arena forward.
+func (l *LSTM) beginForward(a *InferArena, x *tensor.Tensor, _ bool) *tensor.Tensor {
+	if a != nil {
+		panic(fmt.Sprintf("nn: %T has no arena forward; run it through Forward", l))
+	}
 	if x.Dims() != 3 {
 		panic(fmt.Sprintf("nn: LSTM requires [batch, features, time], got %v", x.Shape()))
 	}
 	if x.Dim(1) != l.InFeatures {
 		panic(fmt.Sprintf("nn: LSTM feature mismatch: input %d, layer %d", x.Dim(1), l.InFeatures))
 	}
-	b, T := x.Dim(0), x.Dim(2)
-	H, F := l.Hidden, l.InFeatures
-	s := &l.s
-	s.ensure(b, T, F, H)
-
-	gatherTimeMajor(s.xAll, x, b, F, T)
-	// The whole input projection in one parallel matmul.
-	s.xAll.MatMulTInto(l.Wx.Value, s.zAll)
-
-	// h_{-1} = c_{-1} = 0.
-	for i := 0; i < b*H; i++ {
-		s.hAll.Data[i] = 0
-		s.cAll.Data[i] = 0
-	}
-
-	bias := l.B.Value.Data
-	for t := 0; t < T; t++ {
-		hPrev := s.hPrevView[t]
-		hPrev.MatMulTInto(l.Wh.Value, s.zh)
-		base := t * b // row offset of step t in the T*B-major buffers
-		step := func(lo, hi int) {
-			for bi := lo; bi < hi; bi++ {
-				zrow := s.zAll.Data[(base+bi)*4*H : (base+bi+1)*4*H]
-				zhrow := s.zh.Data[bi*4*H : (bi+1)*4*H]
-				off := (base + bi) * H
-				cPrev := s.cAll.Data[t*b*H+bi*H : t*b*H+(bi+1)*H]
-				cNew := s.cAll.Data[(t+1)*b*H+bi*H : (t+1)*b*H+(bi+1)*H]
-				hNew := s.hAll.Data[(t+1)*b*H+bi*H : (t+1)*b*H+(bi+1)*H]
-				for j := 0; j < H; j++ {
-					iv := sigmoid(zrow[j] + zhrow[j] + bias[j])
-					fv := sigmoid(zrow[H+j] + zhrow[H+j] + bias[H+j])
-					gv := math.Tanh(zrow[2*H+j] + zhrow[2*H+j] + bias[2*H+j])
-					ov := sigmoid(zrow[3*H+j] + zhrow[3*H+j] + bias[3*H+j])
-					s.gi.Data[off+j] = iv
-					s.gf.Data[off+j] = fv
-					s.gg.Data[off+j] = gv
-					s.go_.Data[off+j] = ov
-					cv := fv*cPrev[j] + iv*gv
-					cNew[j] = cv
-					tc := math.Tanh(cv)
-					s.tanhC.Data[off+j] = tc
-					hNew[j] = ov * tc
-				}
-			}
-		}
-		if b*H < parFlops/8 {
-			step(0, b)
-		} else {
-			par.Run(b, step)
-		}
-	}
-
-	if l.ReturnSequences {
-		seq := tensor.New(b, H, T)
-		scatter := func(lo, hi int) {
-			for r := lo; r < hi; r++ {
-				bi, j := r/H, r%H
-				for t := 0; t < T; t++ {
-					seq.Data[r*T+t] = s.hAll.Data[(t+1)*b*H+bi*H+j]
-				}
-			}
-		}
-		if b*H*T < parFlops {
-			scatter(0, b*H)
-		} else {
-			par.Run(b*H, scatter)
-		}
-		return seq
-	}
-	out := tensor.New(b, H)
-	copy(out.Data, s.hAll.Data[T*b*H:(T+1)*b*H])
-	return out
+	l.s.ensure(x.Dim(0), x.Dim(2), l.InFeatures, l.Hidden)
+	l.s.wxT, l.s.whT = tensor.PackBT(l.Wx.Value), tensor.PackBT(l.Wh.Value)
+	return tensor.New(x.Dim(0), l.Hidden)
 }
 
-// Backward implements Layer.
-func (l *LSTM) Backward(grad *tensor.Tensor) *tensor.Tensor {
+// forwardRows runs the recurrence of samples [lo, hi): at step t, rows
+// t·B+lo … t·B+hi of the scratch.
+func (l *LSTM) forwardRows(_ *InferArena, x, y *tensor.Tensor, lo, hi int) {
 	s := &l.s
-	b, T := s.b, s.t
-	H, F := l.Hidden, l.InFeatures
-	dx := tensor.New(b, F, T)
-	s.dh.Zero()
-	s.dc.Zero()
+	b, T, H, F := s.b, s.t, l.Hidden, l.InFeatures
+	for t := 0; t < T; t++ {
+		for bi := lo; bi < hi; bi++ {
+			row := s.xAll.Data[(t*b+bi)*F : (t*b+bi+1)*F]
+			for fi := range row {
+				row[fi] = x.Data[(bi*F+fi)*T+t]
+			}
+		}
+	}
+	// h_{-1} = c_{-1} = 0.
+	clear(s.hAll.Data[lo*H : hi*H])
+	clear(s.cAll.Data[lo*H : hi*H])
 
+	bias := l.B.Value.Data
+	zh := s.zh.Rows(lo, hi)
+	// Step t's rows of xAll, zAll and hAll: one header each, re-pointed
+	// every step, so the recurrence allocates none.
+	xt, zt, ht := stepRows(s.xAll, lo, hi), stepRows(s.zAll, lo, hi), stepRows(s.hAll, lo, hi)
+	for t := 0; t < T; t++ {
+		base := t * b // row offset of step t in the T*B-major buffers
+		xt.Data = s.xAll.Data[(base+lo)*F : (base+hi)*F]
+		zt.Data = s.zAll.Data[(base+lo)*4*H : (base+hi)*4*H]
+		ht.Data = s.hAll.Data[(base+lo)*H : (base+hi)*H]
+		xt.MatMulPackedInto(s.wxT, zt)
+		ht.MatMulPackedInto(s.whT, zh)
+		for bi := lo; bi < hi; bi++ {
+			zrow := s.zAll.Data[(base+bi)*4*H : (base+bi+1)*4*H]
+			zhrow := s.zh.Data[bi*4*H : (bi+1)*4*H]
+			off := (base + bi) * H
+			cPrev := s.cAll.Data[off : off+H]
+			cNew := s.cAll.Data[off+b*H : off+b*H+H]
+			hNew := s.hAll.Data[off+b*H : off+b*H+H]
+			for j := 0; j < H; j++ {
+				iv := sigmoid(zrow[j] + zhrow[j] + bias[j])
+				fv := sigmoid(zrow[H+j] + zhrow[H+j] + bias[H+j])
+				gv := math.Tanh(zrow[2*H+j] + zhrow[2*H+j] + bias[2*H+j])
+				ov := sigmoid(zrow[3*H+j] + zhrow[3*H+j] + bias[3*H+j])
+				s.gi.Data[off+j] = iv
+				s.gf.Data[off+j] = fv
+				s.gg.Data[off+j] = gv
+				s.go_.Data[off+j] = ov
+				cv := fv*cPrev[j] + iv*gv
+				cNew[j] = cv
+				tc := math.Tanh(cv)
+				s.tanhC.Data[off+j] = tc
+				hNew[j] = ov * tc
+			}
+		}
+	}
+	copy(y.Data[lo*H:hi*H], s.hAll.Data[(T*b+lo)*H:(T*b+hi)*H])
+}
+
+// beginBackward implements rowLayer: it packs the weights for the
+// backward and returns the input gradient's buffer.
+func (l *LSTM) beginBackward(*tensor.Tensor) *tensor.Tensor {
+	l.s.wx, l.s.wh = tensor.PackB(l.Wx.Value), tensor.PackB(l.Wh.Value)
+	return tensor.New(l.s.b, l.InFeatures, l.s.t)
+}
+
+// backwardRows runs the backward recurrence of samples [lo, hi), back to
+// front, in the chunk's own rows of dh and dc.
+func (l *LSTM) backwardRows(g, dx *tensor.Tensor, lo, hi int) {
+	s := &l.s
+	b, T, H, F := s.b, s.t, l.Hidden, l.InFeatures
+	dh := s.dh.Rows(lo, hi)
+	clear(dh.Data)
+	clear(s.dc.Data[lo*H : hi*H])
+	// The output is h_{T−1}: its gradient arrives at the last step.
+	for i, v := range g.Data[lo*H : hi*H] {
+		dh.Data[i] += v
+	}
+
+	dz, dxt := stepRows(s.dzAll, lo, hi), stepRows(s.dxAll, lo, hi)
 	for t := T - 1; t >= 0; t-- {
-		// Fold in the gradient arriving at h_t from the layer output.
-		if l.ReturnSequences {
-			for bi := 0; bi < b; bi++ {
-				for j := 0; j < H; j++ {
-					s.dh.Data[bi*H+j] += grad.Data[(bi*H+j)*T+t]
-				}
-			}
-		} else if t == T-1 {
-			s.dh.AddInPlace(grad)
-		}
-
 		base := t * b
-		// Elementwise gate gradients for the whole step, written into the
-		// step's block of dzAll.
-		stepBack := func(lo, hi int) {
-			for bi := lo; bi < hi; bi++ {
-				off := (base + bi) * H
-				dzrow := s.dzAll.Data[(base+bi)*4*H : (base+bi+1)*4*H]
-				cPrev := s.cAll.Data[t*b*H+bi*H : t*b*H+(bi+1)*H]
-				for j := 0; j < H; j++ {
-					dhv := s.dh.Data[bi*H+j]
-					tc := s.tanhC.Data[off+j]
-					iv := s.gi.Data[off+j]
-					fv := s.gf.Data[off+j]
-					gv := s.gg.Data[off+j]
-					ov := s.go_.Data[off+j]
-					dcv := s.dc.Data[bi*H+j] + dhv*ov*(1-tc*tc)
-					dzrow[j] = dcv * gv * iv * (1 - iv)
-					dzrow[H+j] = dcv * cPrev[j] * fv * (1 - fv)
-					dzrow[2*H+j] = dcv * iv * (1 - gv*gv)
-					dzrow[3*H+j] = dhv * tc * ov * (1 - ov)
-					s.dcPrev.Data[bi*H+j] = dcv * fv
-				}
+		// Elementwise gate gradients, written into the step's rows of
+		// dzAll; dc becomes the gradient at c_{t−1}.
+		for bi := lo; bi < hi; bi++ {
+			off := (base + bi) * H
+			dzrow := s.dzAll.Data[(base+bi)*4*H : (base+bi+1)*4*H]
+			cPrev := s.cAll.Data[off : off+H]
+			dhRow := s.dh.Data[bi*H : (bi+1)*H]
+			dc := s.dc.Data[bi*H : (bi+1)*H]
+			for j := 0; j < H; j++ {
+				dhv := dhRow[j]
+				tc := s.tanhC.Data[off+j]
+				iv := s.gi.Data[off+j]
+				fv := s.gf.Data[off+j]
+				gv := s.gg.Data[off+j]
+				ov := s.go_.Data[off+j]
+				dcv := dc[j] + dhv*ov*(1-tc*tc)
+				dzrow[j] = dcv * gv * iv * (1 - iv)
+				dzrow[H+j] = dcv * cPrev[j] * fv * (1 - fv)
+				dzrow[2*H+j] = dcv * iv * (1 - gv*gv)
+				dzrow[3*H+j] = dhv * tc * ov * (1 - ov)
+				dc[j] = dcv * fv
 			}
 		}
-		if b*H < parFlops/8 {
-			stepBack(0, b)
-		} else {
-			par.Run(b, stepBack)
-		}
-		// Gradient to h_{t−1} via the recurrence.
-		s.dzView[t].MatMulInto(l.Wh.Value, s.dh)
-		s.dc, s.dcPrev = s.dcPrev, s.dc
+		// Gradient to h_{t−1} via the recurrence, and to x_t.
+		dz.Data = s.dzAll.Data[(base+lo)*4*H : (base+hi)*4*H]
+		dxt.Data = s.dxAll.Data[(base+lo)*F : (base+hi)*F]
+		dz.MatMulPackedInto(s.wh, dh)
+		dz.MatMulPackedInto(s.wx, dxt)
 	}
+	for t := 0; t < T; t++ {
+		for bi := lo; bi < hi; bi++ {
+			row := s.dxAll.Data[(t*b+bi)*F : (t*b+bi+1)*F]
+			for fi, v := range row {
+				dx.Data[(bi*F+fi)*T+t] = v
+			}
+		}
+	}
+}
 
-	// Stacked parameter and input gradients as single large matmuls:
-	// rows 0..T*B of hAll are exactly h_{t−1} for every step.
-	hPrevAll := tensor.FromSlice(s.hAll.Data[:T*b*H], T*b, H)
+// stepRows returns a fresh [hi−lo, cols] header on rows [lo, hi) of buf,
+// which a chunk re-points at the same rows of each step's block.
+func stepRows(buf *tensor.Tensor, lo, hi int) *tensor.Tensor {
+	cols := buf.Dim(1)
+	return tensor.FromSlice(buf.Data[lo*cols:hi*cols], hi-lo, cols)
+}
+
+// paramGrads implements rowLayer: the stacked parameter gradients over
+// every step of the whole batch, t-major. Rows 0..T·B of hAll are
+// exactly h_{t−1} for every step.
+func (l *LSTM) paramGrads(*tensor.Tensor, int) {
+	s := &l.s
 	s.dzAll.TMatMulAcc(s.xAll, l.Wx.Grad)
-	s.dzAll.TMatMulAcc(hPrevAll, l.Wh.Grad)
+	s.dzAll.TMatMulAcc(s.hAll.Rows(0, s.t*s.b), l.Wh.Grad)
 	s.dzAll.SumRowsAcc(l.B.Grad)
-	s.dzAll.MatMulInto(l.Wx.Value, s.dxAll)
-	scatter := func(lo, hi int) {
-		for r := lo; r < hi; r++ {
-			tt, bi := r/b, r%b
-			row := s.dxAll.Data[r*F : (r+1)*F]
-			for fi := 0; fi < F; fi++ {
-				dx.Data[(bi*F+fi)*T+tt] = row[fi]
-			}
-		}
-	}
-	if T*b*F < parFlops {
-		scatter(0, T*b)
-	} else {
-		par.Run(T*b, scatter)
-	}
-	return dx
 }
 
 // Params implements Layer.

@@ -1,9 +1,11 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
+	"repro/internal/par"
 	"repro/internal/tensor"
 )
 
@@ -329,50 +331,58 @@ func TestFeatureAttentionGradients(t *testing.T) {
 
 func TestLSTMShapes(t *testing.T) {
 	r := tensor.NewRNG(23)
-	l := NewLSTM(r, 3, 4, false)
+	l := NewLSTM(r, 3, 4)
 	x := tensor.RandN(r, 2, 3, 6)
 	y := l.Forward(x, false)
 	if y.Dim(0) != 2 || y.Dim(1) != 4 {
 		t.Fatalf("LSTM last-state shape = %v", y.Shape())
 	}
-	ls := NewLSTM(r, 3, 4, true)
-	ys := ls.Forward(x, false)
-	if ys.Dim(0) != 2 || ys.Dim(1) != 4 || ys.Dim(2) != 6 {
-		t.Fatalf("LSTM sequence shape = %v", ys.Shape())
-	}
-}
-
-func TestLSTMSequenceLastStepMatchesFinalState(t *testing.T) {
-	r := tensor.NewRNG(24)
-	l1 := NewLSTM(r, 2, 3, false)
-	l2 := &LSTM{
-		InFeatures: 2, Hidden: 3, ReturnSequences: true,
-		Wx: l1.Wx, Wh: l1.Wh, B: l1.B,
-	}
-	x := tensor.RandN(r, 2, 2, 5)
-	h := l1.Forward(x, false)
-	seq := l2.Forward(x, false)
-	for b := 0; b < 2; b++ {
-		for j := 0; j < 3; j++ {
-			if math.Abs(h.At(b, j)-seq.At(b, j, 4)) > 1e-12 {
-				t.Fatal("sequence output last step differs from final hidden state")
-			}
-		}
-	}
 }
 
 func TestLSTMGradientsLastState(t *testing.T) {
 	r := tensor.NewRNG(25)
-	l := NewLSTM(r, 2, 3, false)
+	l := NewLSTM(r, 2, 3)
 	x := tensor.RandN(r, 2, 2, 5)
 	requireGrad(t, l, x)
 }
 
-func TestLSTMGradientsSequences(t *testing.T) {
-	r := tensor.NewRNG(26)
-	l := NewLSTM(r, 2, 2, true)
-	x := tensor.RandN(r, 2, 2, 4)
-	requireGrad(t, l, x)
+// TestLSTMRowSplitMatchesOneChunk: LSTM → Dense splits rows; the same
+// weights followed by Flatten, which cannot split and on [b, h] is only a
+// reshape, run as one chunk. At batch 12 (chunks of 8 and 4) and batch 5
+// (one chunk either way), at 1 and 2 workers, the output, the input
+// gradient and every parameter gradient agree bitwise, over two steps.
+func TestLSTMRowSplitMatchesOneChunk(t *testing.T) {
+	for _, batch := range []int{12, 5} {
+		for _, workers := range []int{1, 2} {
+			r := tensor.NewRNG(28)
+			lstm, dense := NewLSTM(r, 3, 6), NewDense(r, 6, 2)
+			split := NewSequential(lstm, dense)
+			whole := NewSequential(&LSTM{InFeatures: 3, Hidden: 6, Wx: clone(lstm.Wx), Wh: clone(lstm.Wh), B: clone(lstm.B)},
+				&Dense{W: clone(dense.W), B: clone(dense.B)}, &Flatten{})
+			want := min(batch, rowGrain)
+			if got := chunkRows(chain{layers: split.Layers}, batch); got != want {
+				t.Fatalf("batch %d: LSTM → Dense runs chunks of %d, want %d", batch, got, want)
+			}
+			if got := chunkRows(chain{layers: whole.Layers}, batch); got != batch {
+				t.Fatalf("batch %d: the chain ending in Flatten runs chunks of %d, want one chunk", batch, got)
+			}
+			prev := par.SetWorkers(workers)
+			for step := 0; step < 2; step++ {
+				x, g := tensor.RandN(r, batch, 3, 7), tensor.RandN(r, batch, 2)
+				got, ref := trainStep(split, x, g), trainStep(whole, x, g)
+				for i := range ref {
+					requireBitwiseTensors(t, got[i], ref[i], fmt.Sprintf("batch %d, workers %d, step %d: tensor %d (0 output, 1 dx, then gradients)", batch, workers, step, i))
+				}
+				nudge(split, whole)
+			}
+			par.SetWorkers(prev)
+		}
+	}
+}
+
+// clone is a copy of p, value and gradient.
+func clone(p *Param) *Param {
+	return &Param{Name: p.Name, Value: p.Value.Clone(), Grad: p.Grad.Clone()}
 }
 
 func TestFlattenRoundTrip(t *testing.T) {

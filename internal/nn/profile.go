@@ -16,7 +16,7 @@ import (
 //
 //	p := nn.NewProfiler()
 //	model := nn.NewSequential(
-//		nn.NewLSTM(r, in, hidden, false),
+//		nn.NewLSTM(r, in, hidden),
 //		nn.NewDense(r, hidden, horizon),
 //	)
 //	p.WrapSequential(model) // steps "0:lstm" and "1:dense"
@@ -164,7 +164,8 @@ func (p *Profiler) Reset() {
 
 // Table renders the per-layer breakdown as a fixed-width text table,
 // sorted by total time descending, with per-call means and each layer's
-// share of the summed layer time.
+// share of the summed layer time. Totals are rounded to the microsecond;
+// per-call means see perCall.
 func (p *Profiler) Table() string {
 	stats := p.Stats()
 	sort.SliceStable(stats, func(i, j int) bool { return stats[i].Total() > stats[j].Total() })
@@ -176,24 +177,31 @@ func (p *Profiler) Table() string {
 	fmt.Fprintf(&b, "%-24s %9s %12s %12s %12s %12s %6s\n",
 		"layer", "calls", "fwd total", "fwd/call", "bwd total", "bwd/call", "share")
 	for _, s := range stats {
-		fwdPer, bwdPer := time.Duration(0), time.Duration(0)
-		if s.FwdCalls > 0 {
-			fwdPer = s.Fwd / time.Duration(s.FwdCalls)
-		}
-		if s.BwdCalls > 0 {
-			bwdPer = s.Bwd / time.Duration(s.BwdCalls)
-		}
 		share := 0.0
 		if total > 0 {
 			share = float64(s.Total()) / float64(total) * 100
 		}
 		fmt.Fprintf(&b, "%-24s %9d %12s %12s %12s %12s %5.1f%%\n",
 			s.Name, s.FwdCalls,
-			s.Fwd.Round(time.Microsecond), fwdPer.Round(time.Microsecond),
-			s.Bwd.Round(time.Microsecond), bwdPer.Round(time.Microsecond),
+			s.Fwd.Round(time.Microsecond), perCall(s.Fwd, s.FwdCalls),
+			s.Bwd.Round(time.Microsecond), perCall(s.Bwd, s.BwdCalls),
 			share)
 	}
 	return b.String()
+}
+
+// perCall is the mean of total over calls, rounded to 10 ns below 10 µs,
+// so a step of a few hundred nanoseconds a call does not read 0s, and to
+// the microsecond above.
+func perCall(total time.Duration, calls int64) time.Duration {
+	if calls == 0 {
+		return 0
+	}
+	d := total / time.Duration(calls)
+	if d < 10*time.Microsecond {
+		return d.Round(10 * time.Nanosecond)
+	}
+	return d.Round(time.Microsecond)
 }
 
 // LayerKind names a layer by its architectural kind ("conv1d", "dense",

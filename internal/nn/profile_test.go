@@ -129,14 +129,16 @@ func TestNilProfilerIsPassthrough(t *testing.T) {
 }
 
 // TestWrapSequentialNamesByKind names the steps by index and kind, and
-// times an LSTM — a step that cannot split rows — around its own Forward
-// and Backward: one call each way per pass, with time on both, as for
-// the Dense after it. Profiling twice counts once.
+// times a standalone ReLU — a step that cannot split rows — around its
+// own Forward and Backward: one call each way per pass, with time on
+// both, as for the LSTM and the Dense around it. Profiling twice counts
+// once.
 func TestWrapSequentialNamesByKind(t *testing.T) {
 	p := NewProfiler()
 	r := tensor.NewRNG(4)
 	s := NewSequential(
-		NewLSTM(r, 2, 4, false),
+		NewLSTM(r, 2, 4),
+		&ReLU{},
 		NewDense(r, 4, 1),
 	)
 	p.WrapSequential(s)
@@ -145,7 +147,7 @@ func TestWrapSequentialNamesByKind(t *testing.T) {
 	out := s.Forward(x, true)
 	s.Backward(tensor.Full(1, out.Shape()...))
 	stats := p.Stats()
-	if len(stats) != 2 || stats[0].Name != "0:lstm" || stats[1].Name != "1:dense" {
+	if len(stats) != 3 || stats[0].Name != "0:lstm" || stats[1].Name != "1:relu" || stats[2].Name != "2:dense" {
 		t.Fatalf("unexpected names: %+v", stats)
 	}
 	for _, st := range stats {
@@ -159,5 +161,26 @@ func TestWrapSequentialNamesByKind(t *testing.T) {
 	table := p.Table()
 	if !strings.Contains(table, "0:lstm") || !strings.Contains(table, "share") {
 		t.Fatalf("table missing content:\n%s", table)
+	}
+}
+
+// TestTableKeepsSubMicrosecondMeans: a step that averages ~300 ns a call
+// prints that mean, not 0s, and a step of milliseconds a call prints its
+// mean to the microsecond.
+func TestTableKeepsSubMicrosecondMeans(t *testing.T) {
+	p := NewProfiler()
+	fast := p.timer("fast")
+	fast.fwdCalls.Store(1000)
+	fast.fwdNanos.Store(312_345)
+	fast.bwdCalls.Store(1000)
+	fast.bwdNanos.Store(298_765)
+	slow := p.timer("slow")
+	slow.fwdCalls.Store(2)
+	slow.fwdNanos.Store(10_804_374)
+	table := p.Table()
+	for _, want := range []string{"310ns", "300ns", "5.402ms"} {
+		if !strings.Contains(table, want) {
+			t.Fatalf("table lacks the per-call mean %s:\n%s", want, table)
+		}
 	}
 }

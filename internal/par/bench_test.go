@@ -3,9 +3,8 @@ package par
 import "testing"
 
 // BenchmarkParDispatch measures the fixed cost of waking the pool and
-// claiming all chunks of an empty task — the overhead a kernel must
-// amortize before parallelizing. The threshold comments in
-// internal/tensor/matmul.go cite this number.
+// claiming all chunks of an empty task — the overhead each dispatch of a
+// pass's row chunks (internal/nn/chain.go) must amortize.
 func BenchmarkParDispatch(b *testing.B) {
 	p := NewPool(4)
 	defer p.Close()

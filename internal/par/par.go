@@ -1,6 +1,8 @@
-// Package par is the shared parallel-compute substrate for the numeric
-// kernels: a persistent worker pool that splits index ranges across
-// GOMAXPROCS workers with zero goroutine spawns per operation.
+// Package par is the one worker pool: a persistent pool that splits index
+// ranges across GOMAXPROCS workers with zero goroutine spawns per
+// operation. A training or evaluation pass dispatches its batch's row
+// chunks onto it (internal/nn/chain.go), and the trace generator its
+// series; no kernel under a pass dispatches.
 //
 // Determinism contract: the chunk boundaries of Run/RunChunks depend only
 // on the range length and the grain — never on the worker count or on
@@ -111,8 +113,8 @@ func (t *task) runChunk(c int) {
 // from inside one of its chunks, or from another goroutine — runs inline
 // on its caller, with the same chunk boundaries, so its results are
 // unchanged and it never hands work to a helper that is busy with the
-// first task. Parallelism therefore lives at the outermost dispatch (a
-// training step's row chunks), and every kernel below it runs inline.
+// first task. Parallelism lives at the outermost dispatch, a pass's row
+// chunks; the kernels below it do not dispatch at all.
 //
 // A helper that has finished a task stays awake for spinFor, polling for
 // the next one, before it parks (see nextTask).
@@ -215,11 +217,11 @@ func (p *Pool) RunGrain(n, grain int, fn func(lo, hi int)) {
 	}
 	t := getTask()
 	t.fnRange = fn
-	t.n, t.grain, t.chunks = n, grain, NumChunks(n, grain)
+	t.n, t.grain, t.chunks = n, grain, numChunks(n, grain)
 	p.dispatch(t)
 }
 
-// RunChunks splits [0,n) into NumChunks(n, grain) chunks of size grain
+// RunChunks splits [0,n) into numChunks(n, grain) chunks of size grain
 // (the last possibly shorter) and calls fn(chunk, lo, hi) for each. The
 // chunk index is the deterministic reduction slot: kernels accumulate one
 // partial per chunk and fold partials in chunk order after RunChunks
@@ -231,7 +233,7 @@ func (p *Pool) RunChunks(n, grain int, fn func(chunk, lo, hi int)) {
 	if grain < 1 {
 		grain = 1
 	}
-	chunks := NumChunks(n, grain)
+	chunks := numChunks(n, grain)
 	if p.inline(chunks == 1) {
 		// Inline path: same chunk boundaries, zero scheduling.
 		runInline(n, grain, chunks, fn)
@@ -241,14 +243,6 @@ func (p *Pool) RunChunks(n, grain int, fn func(chunk, lo, hi int)) {
 	t.fn = fn
 	t.n, t.grain, t.chunks = n, grain, chunks
 	p.dispatch(t)
-}
-
-// Inline runs fn on the caller as a task in flight: every Run and
-// RunChunks issued until it returns, fn's own included, runs inline.
-func (p *Pool) Inline(fn func()) {
-	p.inFlight.Add(1)
-	defer p.inFlight.Add(-1)
-	fn()
 }
 
 // inline reports whether a range runs on the caller alone: when it is one
@@ -311,10 +305,9 @@ func runInline(n, grain, chunks int, fn func(chunk, lo, hi int)) {
 	}
 }
 
-// NumChunks returns the number of chunks RunChunks uses for a range of n
-// elements at the given grain — the size reduction kernels need for their
-// per-chunk partial buffers.
-func NumChunks(n, grain int) int {
+// numChunks returns the number of chunks RunChunks uses for a range of n
+// elements at the given grain.
+func numChunks(n, grain int) int {
 	if n <= 0 {
 		return 0
 	}
@@ -362,10 +355,6 @@ func Run(n int, fn func(lo, hi int)) { Default().Run(n, fn) }
 
 // RunGrain executes fn over [0,n) in chunks of grain on the default pool.
 func RunGrain(n, grain int, fn func(lo, hi int)) { Default().RunGrain(n, grain, fn) }
-
-// Inline runs fn as a task in flight on the default pool. See
-// (*Pool).Inline.
-func Inline(fn func()) { Default().Inline(fn) }
 
 // RunChunks executes fn over [0,n) in indexed chunks on the default pool.
 // See (*Pool).RunChunks.

@@ -33,7 +33,7 @@ func TestRunChunksBoundariesIndependentOfWorkers(t *testing.T) {
 		p := NewPool(workers)
 		defer p.Close()
 		n, grain := 1003, 17
-		out := make([][2]int, NumChunks(n, grain))
+		out := make([][2]int, numChunks(n, grain))
 		p.RunChunks(n, grain, func(chunk, lo, hi int) {
 			out[chunk] = [2]int{lo, hi}
 		})
@@ -61,7 +61,7 @@ func TestChunkedReductionBitwiseStable(t *testing.T) {
 		p := NewPool(workers)
 		defer p.Close()
 		const grain = 256
-		partials := make([]float64, NumChunks(len(data), grain))
+		partials := make([]float64, numChunks(len(data), grain))
 		p.RunChunks(len(data), grain, func(chunk, lo, hi int) {
 			s := 0.0
 			for _, v := range data[lo:hi] {
@@ -162,11 +162,10 @@ func TestNestedRunDoesNotDeadlock(t *testing.T) {
 }
 
 // TestRunInsideATaskMakesNoHandOff: a Run or RunChunks issued while the
-// pool has a task in flight — a dispatched one, or Inline's — hands
-// nothing to a helper. The inner Run is one inline call over its whole
-// range, and the inner chunks run in order on the goroutine that issued
-// them — their unsynchronised record would be a data race under -race if
-// one ran elsewhere.
+// pool has a task in flight hands nothing to a helper. The inner Run is
+// one inline call over its whole range, and the inner chunks run in order
+// on the goroutine that issued them — their unsynchronised record would
+// be a data race under -race if one ran elsewhere.
 func TestRunInsideATaskMakesNoHandOff(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -194,11 +193,6 @@ func TestRunInsideATaskMakesNoHandOff(t *testing.T) {
 	})
 	if outer.Load() != 8 {
 		t.Fatalf("outer task ran %d of 8 chunks", outer.Load())
-	}
-	calls := 0
-	p.Inline(func() { p.Run(1024, func(int, int) { calls++ }) })
-	if calls != 1 {
-		t.Fatalf("Run inside Inline made %d calls, want 1", calls)
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-
-	"repro/internal/par"
 )
 
 // This file is the GEMM engine behind MatMul, MatMulT, TMatMul and the
@@ -120,37 +118,21 @@ type gemmOp struct {
 	bp        []float64 // B in column panels (a PackedB's, or packed here); b is then unused
 }
 
-// gemmScratch carries the packed-B buffer and a pre-bound worker closure
-// so a steady-state gemm call performs zero heap allocations: the
-// scratch (and the closure capturing it) is built once per pooled object
-// and reused across calls.
+// gemmScratch is the pooled workspace of one gemm call, so a
+// steady-state call performs no heap allocations: the packed B of an op
+// that cannot read its B in place, the zero-padded copy of a short last A
+// panel, and a spill tile for ragged tiles.
 type gemmScratch struct {
-	bp  []float64 // packed B of an op that cannot read its B in place: ceil(n/NR) panels of NR*k
-	op  gemmOp
-	run func(lo, hi int) // processes A row-panels [lo,hi)
-}
-
-var gemmScratchPool = sync.Pool{New: func() any {
-	s := &gemmScratch{}
-	s.run = func(lo, hi int) { s.runPanels(lo, hi) }
-	return s
-}}
-
-// panelScratch is the per-goroutine buffer for ragged edges: the
-// zero-padded copy of a short last A panel and a spill tile for ragged
-// tiles. Pooled separately from gemmScratch because several workers may
-// run ragged tiles of the same operation at once.
-type panelScratch struct {
+	bp []float64 // ceil(n/NR) panels of NR*k
 	ap []float64 // MR * k
 	ct [gemmMR * gemmNR]float64
 }
 
-var panelScratchPool = sync.Pool{New: func() any { return &panelScratch{} }}
+var gemmScratchPool = sync.Pool{New: func() any { return &gemmScratch{} }}
 
-// gemm executes op on the register-tile kernel, parallelizing across A
-// row-panels when the op is large enough to amortize pool dispatch.
-// Chunk boundaries are in whole panels, so no two workers ever share a
-// panel and the per-element arithmetic order never depends on the split.
+// gemm executes op on the register-tile kernel, on its caller: the
+// parallelism of a product is its pass's row chunks (see
+// internal/nn/chain.go), never a split of its own.
 func gemm(op gemmOp) {
 	if op.m == 0 || op.n == 0 {
 		return
@@ -167,18 +149,11 @@ func gemm(op gemmOp) {
 		panic(fmt.Sprintf("tensor: view %+v of a %d×%d matrix reads index %d of %d", op.av, op.m, op.k, r-1, len(op.a)))
 	}
 	s := gemmScratchPool.Get().(*gemmScratch)
-	s.op = op
 	if packsB(&op) {
 		s.bp = packPanels(s.bp, op.b, op.k, op.n, op.bTrans)
-		s.op.bp = s.bp
+		op.bp = s.bp
 	}
-	panels := (op.m + gemmMR - 1) / gemmMR
-	if op.m*op.n*op.k < parallelFlops || panels < 2 {
-		s.run(0, panels)
-	} else {
-		par.Run(panels, s.run)
-	}
-	s.op = gemmOp{} // do not retain caller slices in the pool
+	s.runPanels(&op)
 	gemmScratchPool.Put(s)
 }
 
@@ -247,25 +222,22 @@ func packPanels(bp, b []float64, k, n int, bTrans bool) []float64 {
 	return bp
 }
 
-// runPanels computes A row-panels [lo,hi), each against every NR-wide
-// column panel of B with the register-tile kernel. Ragged edges (m%MR
-// rows, n%NR cols) run the same kernel into a spill tile and copy the
-// valid rectangle, so every element sees the identical FMA chain.
-func (s *gemmScratch) runPanels(lo, hi int) {
-	op := &s.op
+// runPanels computes every A row-panel of op against every NR-wide
+// column panel of B with the register-tile kernel. Ragged edges (m%MR rows,
+// n%NR cols) run the same kernel into a spill tile and copy the valid
+// rectangle, so every element sees the identical FMA chain.
+func (s *gemmScratch) runPanels(op *gemmOp) {
 	m, k, n, v := op.m, op.k, op.n, op.av
 	groups := k / v.K2
 	// Row i of A starts at Off + q·T1 + r·T2 with q = i/M2, r = i%M2; the
-	// cursor (q, r) walks the rows in order, dividing once per call.
-	q, r := lo*gemmMR/v.M2, lo*gemmMR%v.M2
+	// cursor (q, r) walks the rows in order.
+	q, r := 0, 0
 	b, ldb, bjc := op.bp, gemmNR, k // column jc of B starts at b[jc*bjc]
 	if b == nil {
 		b, ldb, bjc = op.b, n, 1
 	}
 	padN := (n + gemmNR - 1) / gemmNR * gemmNR
-	ps := panelScratchPool.Get().(*panelScratch)
-	for panel := lo; panel < hi; panel++ {
-		i0 := panel * gemmMR
+	for i0 := 0; i0 < m; i0 += gemmMR {
 		rows := min(m-i0, gemmMR)
 		var ro [gemmMR]int
 		for j := 0; j < rows; j++ {
@@ -276,11 +248,11 @@ func (s *gemmScratch) runPanels(lo, hi int) {
 		}
 		a, k1, k2, s1, s2 := op.a, groups, v.K2, v.S1, v.S2
 		if rows < gemmMR {
-			if cap(ps.ap) < gemmMR*k {
-				ps.ap = make([]float64, gemmMR*k)
+			if cap(s.ap) < gemmMR*k {
+				s.ap = make([]float64, gemmMR*k)
 			}
-			packA(ps.ap[:gemmMR*k], a, &ro, rows, k1, k2, s1, s2)
-			a, ro, k1, k2, s1, s2 = ps.ap[:gemmMR*k], [gemmMR]int{0, 1, 2, 3}, 1, k, 0, gemmMR
+			packA(s.ap[:gemmMR*k], a, &ro, rows, k1, k2, s1, s2)
+			a, ro, k1, k2, s1, s2 = s.ap[:gemmMR*k], [gemmMR]int{0, 1, 2, 3}, 1, k, 0, gemmMR
 		}
 		for jc := 0; jc < padN; jc += gemmNR {
 			bpanel := b[jc*bjc:]
@@ -292,7 +264,7 @@ func (s *gemmScratch) runPanels(lo, hi int) {
 			// Ragged tile: preload the valid rectangle (zeros elsewhere)
 			// and run with acc=true — starting the FMA chain from 0 or
 			// from dst is exactly what the interior tiles do.
-			ct := &ps.ct
+			ct := &s.ct
 			for i := range ct {
 				ct[i] = 0
 			}
@@ -307,7 +279,6 @@ func (s *gemmScratch) runPanels(lo, hi int) {
 			}
 		}
 	}
-	panelScratchPool.Put(ps)
 }
 
 // packA copies a short last A panel — its rows r < rows, step q1·k2 + q2

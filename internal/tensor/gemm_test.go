@@ -3,8 +3,6 @@ package tensor
 import (
 	"math"
 	"testing"
-
-	"repro/internal/par"
 )
 
 // fmaOracle computes one element the way every gemm path must: a single
@@ -29,7 +27,7 @@ func requireBitwise(t *testing.T, got, want *Tensor, what string) {
 }
 
 // gemmShapes covers interior-only, ragged-edge, tall-skinny, wide, and
-// sub-tile shapes, plus one big enough to cross the parallel threshold.
+// sub-tile shapes, plus one of many panels.
 var gemmShapes = []struct{ m, k, n int }{
 	{1, 1, 1},
 	{1, 5, 1},
@@ -105,8 +103,7 @@ func TestTMatMulAccMatchesFMAOracle(t *testing.T) {
 // relies on when it runs in pieces: a product over k computed as
 // consecutive runs of k — A's columns, read in place through a view,
 // with B's rows, each accumulated into the last — is bitwise the product
-// over all of k, for every split point and on both sides of the parallel
-// threshold.
+// over all of k, for every split point.
 func TestMatMulAccContinuesTheChain(t *testing.T) {
 	r := NewRNG(12)
 	for _, sh := range gemmShapes {
@@ -162,33 +159,6 @@ func TestGemmRowIndependence(t *testing.T) {
 					i, j, full.Data[i*n+j], single.Data[j])
 			}
 		}
-	}
-}
-
-// TestGemmWorkerCountInvariance reruns the same large products under
-// 1, 2 and 4 workers and demands bitwise identical results.
-func TestGemmWorkerCountInvariance(t *testing.T) {
-	r := NewRNG(7)
-	const m, k, n = 161, 97, 75 // crosses parallelFlops, ragged in every dim
-	a := RandN(r, m, k)
-	b := RandN(r, k, n)
-	bT := RandN(r, n, k)
-	aT := RandN(r, k, m)
-	acc0 := RandN(r, m, n)
-
-	type result struct{ mm, mmt, tmm *Tensor }
-	runAll := func(workers int) result {
-		prev := par.SetWorkers(workers)
-		defer par.SetWorkers(prev)
-		acc := FromSlice(append([]float64(nil), acc0.Data...), m, n)
-		return result{a.MatMul(b), a.MatMulT(bT), aT.TMatMulAcc(b, acc)}
-	}
-	base := runAll(1)
-	for _, w := range []int{2, 4} {
-		got := runAll(w)
-		requireBitwise(t, got.mm, base.mm, "MatMul workers")
-		requireBitwise(t, got.mmt, base.mmt, "MatMulT workers")
-		requireBitwise(t, got.tmm, base.tmm, "TMatMulAcc workers")
 	}
 }
 

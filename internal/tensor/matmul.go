@@ -2,22 +2,6 @@ package tensor
 
 import "fmt"
 
-// parallelFlops is the number of multiply-adds (m·n·k for a matmul) above
-// which a kernel fans out onto the internal/par worker pool. Below it the
-// sequential kernel wins.
-//
-// Measured on a 2-vCPU Xeon @ 2.10GHz (go1.24) at GOMAXPROCS=2, each
-// product forced serial or split, medians of 3–6 rounds, split time over
-// serial time: up to ~0.9 M mul-adds the split loses (MatMulInto 32³
-// 1.58×, 64³ 1.20×, 512×24×16 1.47×, 2048×16×16 1.16×, 96³ 1.05×,
-// 64×128×96 1.00–1.05×; that shape 1.06× as TMatMulAcc and 1.19× as
-// MatMulTInto); at 2²⁰ it breaks even (1024×16×64 0.90–0.94×,
-// 128×64×128 0.92×, 128×128×64 1.03×, 2048×16×32 1.11×); from ~1.4 M it
-// wins (112³ 0.92×, 1536×16×64 0.78×, 128³ 0.80×, 256³ 0.56×). At
-// GOMAXPROCS=1 a split runs inline, and so does a product inside a split
-// pass, whatever its size (see par.Pool).
-const parallelFlops = 1 << 20
-
 // MatMul returns the matrix product t × u for 2-D tensors via the
 // register-tile GEMM kernel (see gemm.go).
 func (t *Tensor) MatMul(u *Tensor) *Tensor {

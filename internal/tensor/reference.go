@@ -1,11 +1,11 @@
 package tensor
 
 // Reference kernels: the pre-GEMM naive loops, kept as an independent
-// implementation for correctness cross-checks and for the packed-vs-naive
+// implementation for correctness cross-checks and for the kernel-vs-naive
 // speedup table in cmd/experiments. They use unfused multiply-then-add,
-// so they agree with the packed kernels only to rounding error — the
-// packed paths are validated bitwise against a scalar math.FMA oracle in
-// the tests instead.
+// so they agree with the GEMM only to rounding error — the GEMM is
+// validated bitwise against a scalar math.FMA oracle in the tests
+// instead.
 
 // ReferenceMatMulInto computes dst = t × u with the naive ikj loop.
 func (t *Tensor) ReferenceMatMulInto(u, dst *Tensor) *Tensor {

@@ -1,8 +1,10 @@
 // Package tensor provides dense, row-major float64 tensors and the numeric
 // kernels the neural-network stack is built on. It is deliberately small:
 // shapes are explicit, there is no implicit broadcasting beyond the few
-// documented helpers, and all parallel kernels are deterministic — results
-// are bitwise identical regardless of the worker count (see internal/par).
+// documented helpers, and every kernel runs on its caller and is
+// deterministic: an output row's bits do not depend on which other rows
+// the call carries, so a pass may split its batch across workers (see
+// internal/nn/chain.go) without changing a bit.
 package tensor
 
 import (

@@ -176,18 +176,18 @@ func TestMatMulDimensionMismatchPanics(t *testing.T) {
 	a.MatMul(b)
 }
 
-// TestMatMulParallelMatchesSequential checks that the goroutine-parallel
-// kernel used for large matrices agrees with the small sequential kernel.
+// TestMatMulParallelMatchesSequential checks a product of many panels,
+// ragged in every dimension, against the reference loops.
 func TestMatMulParallelMatchesSequential(t *testing.T) {
 	r := NewRNG(1)
-	const m, k, n = 97, 53, 89 // m*n > parallelThreshold
+	const m, k, n = 97, 53, 89
 	a := RandN(r, m, k)
 	b := RandN(r, k, n)
 	got := a.MatMul(b)
 	want := New(m, n)
 	a.ReferenceMatMulInto(b, want)
 	if !got.Equal(want, 1e-12) {
-		t.Fatal("parallel MatMul disagrees with sequential kernel")
+		t.Fatal("MatMul disagrees with the reference loops")
 	}
 }
 
