@@ -72,7 +72,8 @@ func requireBitwiseEqual(t *testing.T, name string, a, b []float64) {
 // determinism contract end to end: a full training run produces
 // bitwise-identical loss histories no matter how many workers execute the
 // parallel kernels. Chunk boundaries and reduction order depend only on
-// the problem shape, never on the worker count. Batches of 12 — not a
+// the problem shape, never on the worker count. CNN-LSTM draws spatial
+// dropout masks, which every chunk of a pass shares. Batches of 12 — not a
 // divisor of 32 — split into a row chunk and a short one and end in a
 // tail of exactly one chunk; batches of 5 are each smaller than a chunk.
 func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
@@ -90,6 +91,9 @@ func TestFitDeterministicAcrossWorkerCounts(t *testing.T) {
 		},
 		"LSTM": func(r *tensor.RNG) nn.Layer {
 			return models.NewLSTM(r, models.LSTMConfig{InChannels: 3, Hidden: 12, Horizon: 1})
+		},
+		"CNN-LSTM": func(r *tensor.RNG) nn.Layer {
+			return models.NewCNNLSTM(r, models.CNNLSTMConfig{InChannels: 3, ConvChannels: 6, Hidden: 12, Horizon: 1, Dropout: 0.2})
 		},
 	}
 	for name, build := range builders {

@@ -195,7 +195,7 @@ func (m *Model) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return x
 }
 
-// InferForward implements nn.InferLayer: the grad-free arena forward
+// InferForward is the grad-free arena forward
 // used by batched serving. It visits the same fault points as Forward
 // and runs the same receptive cone through the stage chain, so its
 // output is bitwise identical to Forward(x, false), but it draws every

@@ -1,10 +1,6 @@
 package nn
 
-import (
-	"fmt"
-
-	"repro/internal/tensor"
-)
+import "repro/internal/tensor"
 
 // InferArena is a record/replay bump allocator for the grad-free forward
 // path. A model's inference pass requests every intermediate tensor
@@ -26,6 +22,10 @@ import (
 //     the arena and are only valid until the next Reset.
 //   - An arena (and the layers it feeds, which keep per-call kernel state)
 //     must not be used from two goroutines at once.
+//
+// Sequential.InferForward (core.Model's is one) runs each layer's one
+// forward body on the arena, writing none of the caches Backward reads.
+// The LSTM, never served, refuses an arena by name.
 type InferArena struct {
 	slots []*tensor.Tensor
 	next  int
@@ -85,29 +85,4 @@ func slotShaped(t *tensor.Tensor, shape []int) bool {
 		}
 	}
 	return true
-}
-
-// InferLayer is the optional capability of the layers a served model is
-// made of — CausalConv1D, TemporalBlock, TCN, LastStep, Dense,
-// FeatureAttention, the container Sequential, and
-// core.Model: a grad-free forward that draws every intermediate from an
-// InferArena. InferForward and Forward call one body per layer, so the
-// output is bitwise Forward(x, false)'s; on the arena that body writes
-// none of the caches Backward reads and allocates nothing in steady
-// state. It is not part of Layer because the recurrent baselines are
-// trained and evaluated through Forward and never served: an LSTM would
-// take an arena it cannot honour.
-type InferLayer interface {
-	InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor
-}
-
-// Infer runs one layer's arena forward. A layer without one panics:
-// detouring through Forward(x, false) would allocate and overwrite the
-// training caches behind an arena that promises neither.
-func Infer(l Layer, a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	il, ok := l.(InferLayer)
-	if !ok {
-		panic(fmt.Sprintf("nn: %T has no arena forward; run it through Forward", l))
-	}
-	return il.InferForward(a, x)
 }

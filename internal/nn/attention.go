@@ -39,11 +39,6 @@ func (f *FeatureAttention) Forward(x *tensor.Tensor, train bool) *tensor.Tensor 
 	return runChain(nil, solo(f), x, train)
 }
 
-// InferForward implements InferLayer.
-func (f *FeatureAttention) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return runChain(a, solo(f), x, false)
-}
-
 // Backward implements Layer.
 func (f *FeatureAttention) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return backwardChain(solo(f), grad)
@@ -126,7 +121,7 @@ func (f *FeatureAttention) backwardRows(g, dx *tensor.Tensor, lo, hi int) {
 }
 
 // paramGrads implements rowLayer: the linear map's gradients.
-func (f *FeatureAttention) paramGrads(_ *tensor.Tensor, _ int) {
+func (f *FeatureAttention) paramGrads() {
 	f.dS.TMatMulAcc(f.x, f.W.Grad)
 	f.dS.SumRowsAcc(f.B.Grad)
 }

@@ -52,11 +52,6 @@ func (b *TemporalBlock) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return runChain(nil, solo(b), x, train)
 }
 
-// InferForward implements InferLayer: the same body on the arena.
-func (b *TemporalBlock) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return runChain(a, solo(b), x, false)
-}
-
 // Backward implements Layer. grad belongs to the caller and is left
 // alone.
 func (b *TemporalBlock) Backward(grad *tensor.Tensor) *tensor.Tensor {
@@ -120,11 +115,6 @@ func NewTCN(r *tensor.RNG, cfg TCNConfig) *TCN {
 // Forward implements Layer: every step, as TemporalBlock.Forward.
 func (t *TCN) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return runChain(nil, solo(t), x, train)
-}
-
-// InferForward implements InferLayer.
-func (t *TCN) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return runChain(a, solo(t), x, false)
 }
 
 // Backward implements Layer.

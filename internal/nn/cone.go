@@ -8,7 +8,7 @@ import (
 )
 
 // This file is the training and the inference path of the convolutional
-// layers: one kernel (forwardTaps; backwardTaps and kernelGrads) and one
+// layers: one kernel (forwardTaps; backwardTaps and paramGrads) and one
 // block body (forwardSteps, backwardSteps), each working on the batch
 // rows of one chunk of a pass (see chain.go). A causal convolution is
 // computed only at the time steps somebody reads: a run of temporal
@@ -644,18 +644,17 @@ func (b *TemporalBlock) backwardSteps(g, dx *tensor.Tensor, lo, hi int) {
 // bias gradients over the whole batch, timed into t. g is the block's
 // output gradient, what the 1×1 downsample saw.
 func (b *TemporalBlock) gradJobs(jobs []gradJob, t *stepTimes, g *tensor.Tensor) []gradJob {
-	jobs = append(jobs,
-		gradJob{t: t, conv: b.conv1, g: b.conv1.gcol},
-		gradJob{t: t, conv: b.conv2, g: b.conv2.gcol})
+	jobs = append(jobs, gradJob{t: t, row: b.conv1}, gradJob{t: t, row: b.conv2})
 	if b.downsample != nil {
-		jobs = append(jobs, gradJob{t: t, conv: b.downsample, g: g})
+		b.downsample.gcol = g // the gradient of its output is the block's
+		jobs = append(jobs, gradJob{t: t, row: b.downsample})
 	}
 	return jobs
 }
 
 // prepare readies the convolution for a pass over x, the whole batch of
 // its input, at the taps listed: off the arena it sizes ycol — and acol,
-// if the taps are not on a grid — and keeps where kernelGrads reads the
+// if the taps are not on a grid — and keeps where paramGrads reads the
 // pass's taps: x itself, which must then stay as it is until the
 // gradient jobs have run, or acol. It bakes the kernel unless the
 // convolution is frozen — once per pass, before any chunk reads it. A
@@ -757,15 +756,15 @@ func (c *CausalConv1D) backwardTaps(g []float64, dx steps, lo int, taps []int) {
 	foldTaps(dx, dacol.Data, c.KernelSize, taps)
 }
 
-// kernelGrads is the parameter half: the bias gradient is g's column
-// sums and the kernel gradient dwt = Aᵀ·g, where g is the gradient of
-// the last pass's whole compact output and A that pass's im2col matrix,
-// read in place through the transposed view of the taps prepare kept —
-// one product over the whole batch. Each dwt element is one FMA chain
-// over the batch in order, so it does not depend on how the pass was
-// chunked.
-func (c *CausalConv1D) kernelGrads(g *tensor.Tensor) {
-	in, out, k := c.InChannels, c.OutChannels, c.KernelSize
+// paramGrads implements rowLayer, the parameter half: the bias gradient
+// is g's column sums and the kernel gradient dwt = Aᵀ·g, where g (gcol)
+// is the gradient of the last pass's whole compact output and A that
+// pass's im2col matrix, read in place through the transposed view of the
+// taps prepare kept — one product over the whole batch. Each dwt element
+// is one FMA chain over the batch in order, so it does not depend on how
+// the pass was chunked.
+func (c *CausalConv1D) paramGrads() {
+	in, out, k, g := c.InChannels, c.OutChannels, c.KernelSize, c.gcol
 	kk, m := in*k, g.Dim(0)
 	if c.dwt == nil {
 		c.dwt = tensor.New(kk, out)
@@ -842,7 +841,7 @@ func setFrozen(l Layer, frozen bool) {
 		case *CausalConv1D:
 			if frozen && v.pwt == nil {
 				v.bakeKernel()
-				v.pwt = tensor.PackB(v.wt)
+				v.pwt = tensor.PackInto(nil, v.wt, false)
 			} else if !frozen && v.pwt != nil {
 				v.pwt = nil
 			}
@@ -860,7 +859,7 @@ func setFrozen(l Layer, frozen bool) {
 func setPacked(pw **tensor.PackedB, frozen bool, w *tensor.Tensor) {
 	switch {
 	case frozen && *pw == nil:
-		*pw = tensor.PackBT(w)
+		*pw = tensor.PackInto(nil, w, true)
 	case !frozen && *pw != nil:
 		*pw = nil
 	}

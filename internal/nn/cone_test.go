@@ -88,7 +88,7 @@ func TestConeMatchesForwardGrid(t *testing.T) {
 			arena := NewInferArena()
 			for pass := 0; pass < 2; pass++ {
 				arena.Reset()
-				requireBitwiseTensors(t, Infer(model, arena, x), want, name+" arena")
+				requireBitwiseTensors(t, model.InferForward(arena, x), want, name+" arena")
 				requireBitwiseTensors(t, model.Forward(x, false), want, name+" Forward")
 			}
 			par.SetWorkers(prev)
@@ -204,7 +204,7 @@ func TestConeStepsMatchDependencyTrace(t *testing.T) {
 		}
 		win := 1 + int(r.Uint64()%40)
 		model, tcn := coneStack(k, dil, 2, 3, false, 0.1)
-		Infer(model, NewInferArena(), tensor.RandN(r, 1, 2, win))
+		model.InferForward(NewInferArena(), tensor.RandN(r, 1, 2, win))
 		for i, b := range tcn.Blocks {
 			var want []int
 			for s := 0; s < win; s++ {
@@ -248,7 +248,7 @@ func TestFreezeLifecycle(t *testing.T) {
 	arena := NewInferArena()
 	infer := func() *tensor.Tensor {
 		arena.Reset()
-		return Infer(model, arena, x).Clone()
+		return model.InferForward(arena, x).Clone()
 	}
 	scribble := func() {
 		for _, p := range model.Params() {
@@ -318,7 +318,7 @@ func TestConvReadsTapsInPlace(t *testing.T) {
 	}
 	model.Forward(tensor.RandN(r, 256, 4, 32), false)
 	Freeze(model)
-	Infer(model, NewInferArena(), x.Rows(0, 1))
+	model.InferForward(NewInferArena(), x.Rows(0, 1))
 	for i, blk := range tcn.Blocks {
 		p := blk.plan
 		for name, taps := range map[string]tapList{"conv1": p.taps1, "conv2": p.taps2, "residual": p.res} {

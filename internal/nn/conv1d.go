@@ -49,13 +49,13 @@ type CausalConv1D struct {
 	// buffers only ever grow (see scratch2D).
 	acol      *tensor.Tensor // [b, in·k·n] gathered taps, for taps not on a grid only
 	ycol      *tensor.Tensor // [b·n, out] GEMM output, bias-seeded
-	gcol      *tensor.Tensor // [b·n, out] output gradient, laid out like ycol
+	gcol      *tensor.Tensor // [b·n, out] output gradient, laid out like ycol (a downsample's is its block's)
 	dacol     *tensor.Tensor // [in·k, b·n] gradient w.r.t. the im2col matrix
 	dwt       *tensor.Tensor // [in·k, out] gradient w.r.t. wt
 	dwScratch *tensor.Tensor // [out, in, k] effective-kernel gradient
 
 	// src is the whole batch of the last pass's taps off the arena, on
-	// srcGrid: its input, or acol. kernelGrads reads them in place.
+	// srcGrid: its input, or acol. paramGrads reads them in place.
 	src     steps
 	srcGrid tapGrid
 
@@ -146,11 +146,6 @@ func (c *CausalConv1D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return runChain(nil, solo(c), x, train)
 }
 
-// InferForward implements InferLayer.
-func (c *CausalConv1D) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return runChain(a, solo(c), x, false)
-}
-
 // Backward implements Layer.
 func (c *CausalConv1D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return backwardChain(solo(c), grad)
@@ -188,11 +183,6 @@ func (c *CausalConv1D) backwardRows(g, dx *tensor.Tensor, lo, hi int) {
 	gr := c.gcol.Data[lo*t*out : hi*t*out]
 	gatherSteps(compactSteps(gr, hi-lo, out, t), g.Data[lo*out*t:], t)
 	c.backwardTaps(gr, denseSteps(dx.Data, dx.Dim(0), c.InChannels, t).rows(lo, hi), lo, c.taps.idx)
-}
-
-// paramGrads implements rowLayer.
-func (c *CausalConv1D) paramGrads(*tensor.Tensor, int) {
-	c.kernelGrads(c.gcol)
 }
 
 // scratch2D returns a [rows, cols] scratch tensor, reusing buf's storage

@@ -13,6 +13,7 @@ type Dense struct {
 	B *Param // [out]
 
 	x  *tensor.Tensor  // cached input for the backward pass
+	g  *tensor.Tensor  // the output gradient of the last backward
 	pw *tensor.PackedB // W packed by Freeze; nil when not frozen
 }
 
@@ -27,11 +28,6 @@ func NewDense(r *tensor.RNG, in, out int) *Dense {
 // Forward implements Layer (see runChain).
 func (d *Dense) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return runChain(nil, solo(d), x, train)
-}
-
-// InferForward implements InferLayer.
-func (d *Dense) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return runChain(a, solo(d), x, false)
 }
 
 // Backward implements Layer.
@@ -67,7 +63,7 @@ func (d *Dense) forwardRows(_ *InferArena, x, y *tensor.Tensor, lo, hi int) {
 
 // beginBackward implements rowLayer.
 func (d *Dense) beginBackward(g *tensor.Tensor) *tensor.Tensor {
-	d.pw = nil
+	d.pw, d.g = nil, g
 	return tensor.New(g.Dim(0), d.W.Value.Dim(1))
 }
 
@@ -78,9 +74,9 @@ func (d *Dense) backwardRows(g, dx *tensor.Tensor, lo, hi int) {
 
 // paramGrads implements rowLayer: dW = gradᵀ · x ; db = column sums of
 // grad.
-func (d *Dense) paramGrads(g *tensor.Tensor, _ int) {
-	g.TMatMulAcc(d.x, d.W.Grad)
-	g.SumRowsAcc(d.B.Grad)
+func (d *Dense) paramGrads() {
+	d.g.TMatMulAcc(d.x, d.W.Grad)
+	d.g.SumRowsAcc(d.B.Grad)
 }
 
 // Params implements Layer.

@@ -84,7 +84,7 @@ func FuzzConeTrainStep(f *testing.F) {
 			arena := NewInferArena()
 			for pass := 0; pass < 2; pass++ {
 				arena.Reset()
-				requireBitwiseTensors(t, Infer(model, arena, x), want, name+": arena")
+				requireBitwiseTensors(t, model.InferForward(arena, x), want, name+": arena")
 			}
 			par.SetWorkers(prev)
 		}

@@ -81,7 +81,7 @@ func TestInferForwardMatchesForward(t *testing.T) {
 				requireBitwiseTensors(t, model.Forward(x, false), want, name+" Forward")
 				for pass := 0; pass < 3; pass++ {
 					arena.Reset()
-					got := Infer(model, arena, x)
+					got := model.InferForward(arena, x)
 					requireBitwiseTensors(t, got, want, name)
 				}
 			}
@@ -101,7 +101,7 @@ func TestInferWorkerCountInvariance(t *testing.T) {
 				prev := par.SetWorkers(workers)
 				defer par.SetWorkers(prev)
 				arena := NewInferArena()
-				out := Infer(model, arena, x)
+				out := model.InferForward(arena, x)
 				return out.Clone()
 			}
 			base := run(1)
@@ -120,7 +120,7 @@ func TestInferWorkerCountInvariance(t *testing.T) {
 // and dropout draws, LastStep's shape, the Dense and attention inputs.
 func TestInferDoesNotDisturbTraining(t *testing.T) {
 	const features, timeSteps, batch = 4, 12, 3
-	build := func() Layer {
+	build := func() *Sequential {
 		r := tensor.NewRNG(21)
 		return NewSequential(
 			NewCausalConv1D(r, features, 6, 3, 1, true),
@@ -140,7 +140,7 @@ func TestInferDoesNotDisturbTraining(t *testing.T) {
 		m := build()
 		m.Forward(x, true)
 		if interleave {
-			Infer(m, NewInferArena(), xInfer)
+			m.InferForward(NewInferArena(), xInfer)
 		}
 		gs := []*tensor.Tensor{m.Backward(grad.Clone())}
 		for _, p := range m.Params() {
@@ -162,10 +162,10 @@ func TestInferRefusesLayerWithoutArenaPath(t *testing.T) {
 	model := NewSequential(NewLSTM(r, 4, 5), NewDense(r, 5, 2))
 	defer func() {
 		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "*nn.LSTM") {
-			t.Fatalf("Infer over an LSTM: recovered %q, want a panic naming *nn.LSTM", msg)
+			t.Fatalf("InferForward over an LSTM: recovered %q, want a panic naming *nn.LSTM", msg)
 		}
 	}()
-	Infer(model, NewInferArena(), tensor.RandN(r, 2, 4, 6))
+	model.InferForward(NewInferArena(), tensor.RandN(r, 2, 4, 6))
 }
 
 // TestInferArenaZeroAllocSteadyState proves a warmed-up arena forward
@@ -182,11 +182,11 @@ func TestInferArenaZeroAllocSteadyState(t *testing.T) {
 			arena := NewInferArena()
 			for i := 0; i < 3; i++ { // warm arena slots and kernel pools
 				arena.Reset()
-				Infer(model, arena, x)
+				model.InferForward(arena, x)
 			}
 			allocs := testing.AllocsPerRun(20, func() {
 				arena.Reset()
-				Infer(model, arena, x)
+				model.InferForward(arena, x)
 			})
 			if allocs != 0 {
 				t.Fatalf("steady-state arena inference allocates %.1f times per op, want 0", allocs)
@@ -211,7 +211,7 @@ func TestInferArenaShapeChangeReallocates(t *testing.T) {
 		x := tensor.RandN(r, batch, features, timeSteps)
 		want := model.Forward(x, false)
 		arena.Reset()
-		got := Infer(model, arena, x)
+		got := model.InferForward(arena, x)
 		requireBitwiseTensors(t, got, want, "after shape change")
 	}
 }
@@ -225,12 +225,12 @@ func BenchmarkArenaInference(b *testing.B) {
 	x := tensor.RandN(r, batch, features, timeSteps)
 	arena := NewInferArena()
 	arena.Reset()
-	Infer(model, arena, x)
+	model.InferForward(arena, x)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		arena.Reset()
-		Infer(model, arena, x)
+		model.InferForward(arena, x)
 	}
 }
 

@@ -61,7 +61,8 @@ func (s *Sequential) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return runChain(nil, chain{s.Layers, s.timers}, x, train)
 }
 
-// InferForward implements InferLayer (see runChain).
+// InferForward is the grad-free forward on an arena (see InferArena and
+// runChain): bitwise Forward(x, false), writing nothing Backward reads.
 func (s *Sequential) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
 	return runChain(a, chain{s.Layers, s.timers}, x, false)
 }
@@ -87,6 +88,15 @@ func ZeroGrad(m Layer) {
 	}
 }
 
+// noParams is embedded by the layers that have no parameters.
+type noParams struct{}
+
+// paramGrads implements rowLayer: there are none.
+func (noParams) paramGrads() {}
+
+// Params implements Layer.
+func (noParams) Params() []*Param { return nil }
+
 // ParamCount returns the total number of scalar parameters in the model.
 func ParamCount(m Layer) int {
 	n := 0
@@ -96,45 +106,58 @@ func ParamCount(m Layer) int {
 	return n
 }
 
-// Flatten reshapes [batch, d1, d2, ...] into [batch, d1*d2*...].
+// Flatten reshapes [batch, d1, d2, ...] into [batch, d1*d2*...]. Its
+// output is a view of its input, and its input gradient one of its output
+// gradient.
 type Flatten struct {
+	noParams
 	inShape []int
 }
 
-// Forward implements Layer.
-func (f *Flatten) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
-	f.inShape = x.Shape()
-	batch := f.inShape[0]
-	rest := 1
-	for _, d := range f.inShape[1:] {
-		rest *= d
-	}
-	return x.Reshape(batch, rest)
+// Forward implements Layer (see runChain).
+func (f *Flatten) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	return runChain(nil, solo(f), x, train)
 }
 
 // Backward implements Layer.
 func (f *Flatten) Backward(grad *tensor.Tensor) *tensor.Tensor {
-	return grad.Reshape(f.inShape...)
+	return backwardChain(solo(f), grad)
 }
 
-// Params implements Layer.
-func (f *Flatten) Params() []*Param { return nil }
+// beginForward implements rowLayer: the output is x reshaped; off the
+// arena (a == nil) x's shape is kept for the backward.
+func (f *Flatten) beginForward(a *InferArena, x *tensor.Tensor, _ bool) *tensor.Tensor {
+	shape := x.Shape()
+	if a == nil {
+		f.inShape = shape
+	}
+	rest := 1
+	for _, d := range shape[1:] {
+		rest *= d
+	}
+	return x.Reshape(shape[0], rest)
+}
+
+// forwardRows implements rowLayer: the view holds the rows already.
+func (f *Flatten) forwardRows(*InferArena, *tensor.Tensor, *tensor.Tensor, int, int) {}
+
+// beginBackward implements rowLayer.
+func (f *Flatten) beginBackward(g *tensor.Tensor) *tensor.Tensor { return g.Reshape(f.inShape...) }
+
+// backwardRows implements rowLayer: the view holds the rows already.
+func (f *Flatten) backwardRows(*tensor.Tensor, *tensor.Tensor, int, int) {}
 
 // LastStep selects the final time step of a [batch, channels, time] tensor,
 // producing [batch, channels]. It is the usual head for sequence-to-one
 // forecasting.
 type LastStep struct {
+	noParams
 	inShape []int
 }
 
 // Forward implements Layer (see runChain).
 func (l *LastStep) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return runChain(nil, solo(l), x, train)
-}
-
-// InferForward implements InferLayer.
-func (l *LastStep) InferForward(a *InferArena, x *tensor.Tensor) *tensor.Tensor {
-	return runChain(a, solo(l), x, false)
 }
 
 // Backward implements Layer.
@@ -171,9 +194,3 @@ func (l *LastStep) backwardRows(g, dx *tensor.Tensor, lo, hi int) {
 		dx.Data[i*t+t-1] = g.Data[i]
 	}
 }
-
-// paramGrads implements rowLayer: LastStep has none.
-func (l *LastStep) paramGrads(*tensor.Tensor, int) {}
-
-// Params implements Layer.
-func (l *LastStep) Params() []*Param { return nil }

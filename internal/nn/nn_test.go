@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math"
+	"runtime/debug"
+	"strings"
 	"testing"
 
 	"repro/internal/par"
@@ -245,7 +247,7 @@ func TestTemporalBlockResidualIdentity(t *testing.T) {
 	b.conv2.B.Value.Zero()
 	x := tensor.RandN(r, 2, 3, 7)
 	y := b.Forward(x, false)
-	want := x.Apply(func(v float64) float64 { return math.Max(0, v) })
+	want := (&ReLU{}).Forward(x, false)
 	if !y.Equal(want, 1e-12) {
 		t.Fatal("zeroed temporal block should equal ReLU(x)")
 	}
@@ -346,38 +348,100 @@ func TestLSTMGradientsLastState(t *testing.T) {
 	requireGrad(t, l, x)
 }
 
-// TestLSTMRowSplitMatchesOneChunk: LSTM → Dense splits rows; the same
-// weights followed by Flatten, which cannot split and on [b, h] is only a
-// reshape, run as one chunk. At batch 12 (chunks of 8 and 4) and batch 5
-// (one chunk either way), at 1 and 2 workers, the output, the input
-// gradient and every parameter gradient agree bitwise, over two steps.
-func TestLSTMRowSplitMatchesOneChunk(t *testing.T) {
+// oneChunk runs a Sequential's chain as one chunk of the machinery a
+// split pass runs: each unit readies and runs all its rows, then its
+// parameter gradients right after its data path. It is the reference a
+// split pass is held to.
+type oneChunk struct{ *Sequential }
+
+func (o oneChunk) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	for c := (chain{layers: o.Layers}); len(c.layers) > 0; {
+		var u unit
+		u, c = c.next()
+		y := u.begin(nil, x, train)
+		u.rows(nil, x, y, 0, x.Dim(0))
+		x = y
+	}
+	return x
+}
+
+func (o oneChunk) Backward(grad *tensor.Tensor) *tensor.Tensor {
+	us := chainUnits(chain{layers: o.Layers})
+	for i := len(us) - 1; i >= 0; i-- {
+		dx := us[i].beginBackward(grad)
+		us[i].backwardRows(grad, dx, 0, grad.Dim(0))
+		for _, job := range us[i].gradJobs(nil) {
+			job.run()
+		}
+		grad = dx
+	}
+	return grad
+}
+
+// requireSplitMatchesOneChunk builds two copies of a chain and holds a
+// training step of one, in the chunks chunkRows gives, to the same step
+// of the other as oneChunk: at batch 12 (chunks of 8 and 4) and batch 5
+// (one chunk either way), at 1 and 2 workers, over two steps with the
+// weights moved in between, the output, the input gradient, every
+// parameter gradient and the dropout streams agree bitwise.
+func requireSplitMatchesOneChunk(t *testing.T, name string, build func(r *tensor.RNG) *Sequential, in, win, out int) {
+	t.Helper()
 	for _, batch := range []int{12, 5} {
 		for _, workers := range []int{1, 2} {
-			r := tensor.NewRNG(28)
-			lstm, dense := NewLSTM(r, 3, 6), NewDense(r, 6, 2)
-			split := NewSequential(lstm, dense)
-			whole := NewSequential(&LSTM{InFeatures: 3, Hidden: 6, Wx: clone(lstm.Wx), Wh: clone(lstm.Wh), B: clone(lstm.B)},
-				&Dense{W: clone(dense.W), B: clone(dense.B)}, &Flatten{})
-			want := min(batch, rowGrain)
-			if got := chunkRows(chain{layers: split.Layers}, batch); got != want {
-				t.Fatalf("batch %d: LSTM → Dense runs chunks of %d, want %d", batch, got, want)
-			}
-			if got := chunkRows(chain{layers: whole.Layers}, batch); got != batch {
-				t.Fatalf("batch %d: the chain ending in Flatten runs chunks of %d, want one chunk", batch, got)
-			}
+			split, whole := build(tensor.NewRNG(28)), build(tensor.NewRNG(28))
+			r := tensor.NewRNG(uint64(batch))
 			prev := par.SetWorkers(workers)
 			for step := 0; step < 2; step++ {
-				x, g := tensor.RandN(r, batch, 3, 7), tensor.RandN(r, batch, 2)
-				got, ref := trainStep(split, x, g), trainStep(whole, x, g)
-				for i := range ref {
-					requireBitwiseTensors(t, got[i], ref[i], fmt.Sprintf("batch %d, workers %d, step %d: tensor %d (0 output, 1 dx, then gradients)", batch, workers, step, i))
+				x, g := tensor.RandN(r, batch, in, win), tensor.RandN(r, batch, out)
+				if got, want := chunkRows(x), min(batch, rowGrain); got != want {
+					t.Fatalf("%s, batch %d: chunks of %d, want %d", name, batch, got, want)
 				}
+				got, ref := trainStep(split, x, g), trainStep(oneChunk{whole}, x, g)
+				requireSameStep(t, fmt.Sprintf("%s, batch %d, workers %d, step %d", name, batch, workers, step), got, ref, split, whole)
 				nudge(split, whole)
 			}
 			par.SetWorkers(prev)
 		}
 	}
+}
+
+// TestLSTMRowSplitMatchesOneChunk: LSTM → Dense splits rows and matches
+// the same chain run as one chunk (see requireSplitMatchesOneChunk). A
+// 2-D batch, whatever its size, is one chunk.
+func TestLSTMRowSplitMatchesOneChunk(t *testing.T) {
+	requireSplitMatchesOneChunk(t, "LSTM → Dense", func(r *tensor.RNG) *Sequential {
+		return NewSequential(NewLSTM(r, 3, 6), NewDense(r, 6, 2))
+	}, 3, 7, 2)
+	if got := chunkRows(tensor.New(12, 6)); got != 12 {
+		t.Fatalf("a 2-D batch of 12 runs chunks of %d, want one chunk", got)
+	}
+}
+
+// TestChainsSplitMatchOneChunk: the chains whose standalone activations,
+// dropouts and Flatten are row layers — CNN-LSTM's, and one of Tanh,
+// plain Dropout and Flatten — split rows and match one chunk bitwise,
+// dropout in force (see requireSplitMatchesOneChunk).
+func TestChainsSplitMatchOneChunk(t *testing.T) {
+	requireSplitMatchesOneChunk(t, "CNN-LSTM", func(r *tensor.RNG) *Sequential {
+		return NewSequential(NewCausalConv1D(r, 3, 4, 3, 1, false), &ReLU{}, NewSpatialDropout1D(r, 0.3),
+			NewLSTM(r, 4, 6), NewDense(r, 6, 2))
+	}, 3, 7, 2)
+	requireSplitMatchesOneChunk(t, "Tanh → Dropout → Flatten → Dense", func(r *tensor.RNG) *Sequential {
+		return NewSequential(&Tanh{}, NewDropout(r, 0.3), &Flatten{}, NewDense(r, 3*7, 2))
+	}, 3, 7, 2)
+}
+
+// TestChainRefusesNestedSequential: a chain runs row layers and temporal
+// blocks; a Sequential inside one is refused by name.
+func TestChainRefusesNestedSequential(t *testing.T) {
+	r := tensor.NewRNG(29)
+	model := NewSequential(NewSequential(NewDense(r, 3, 3)), NewDense(r, 3, 1))
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "*nn.Sequential") {
+			t.Fatalf("a nested Sequential: recovered %q, want a panic naming *nn.Sequential", msg)
+		}
+	}()
+	model.Forward(tensor.RandN(r, 2, 3), false)
 }
 
 // clone is a copy of p, value and gradient.
@@ -514,6 +578,38 @@ func TestZeroGrad(t *testing.T) {
 			if v != 0 {
 				t.Fatal("ZeroGrad left nonzero gradient")
 			}
+		}
+	}
+}
+
+// TestLSTMAllocationsDoNotGrowWithBatch: a warmed-up LSTM forward and
+// backward allocates per pass, never per row chunk — the same count at
+// batch 32, 64 and 256 — and at most 74 times (BenchmarkLSTMForwardBackward's
+// layer and shapes). The collector is off while counting: a collection
+// empties the sync.Pool that holds par's tasks, and refilling it
+// allocates a varying few times that depend on the heap, not the pass.
+func TestLSTMAllocationsDoNotGrowWithBatch(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation defeats escape analysis; allocation counts are meaningless")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var first float64
+	for _, batch := range []int{32, 64, 256} {
+		r := tensor.NewRNG(4)
+		l := NewLSTM(r, 12, 32)
+		x, g := tensor.RandN(r, batch, 12, 32), tensor.RandN(r, batch, 32)
+		step := func() {
+			l.Forward(x, true)
+			l.Backward(g)
+		}
+		step()
+		allocs := testing.AllocsPerRun(10, step)
+		t.Logf("batch %d: %.0f allocations per forward+backward", batch, allocs)
+		if batch == 32 {
+			first = allocs
+		}
+		if allocs != first || allocs > 74 {
+			t.Fatalf("batch %d: %.0f allocations per forward+backward, want %.0f (batch 32's) and at most 74", batch, allocs, first)
 		}
 	}
 }

@@ -129,10 +129,9 @@ func TestNilProfilerIsPassthrough(t *testing.T) {
 }
 
 // TestWrapSequentialNamesByKind names the steps by index and kind, and
-// times a standalone ReLU — a step that cannot split rows — around its
-// own Forward and Backward: one call each way per pass, with time on
-// both, as for the LSTM and the Dense around it. Profiling twice counts
-// once.
+// times each over a batch that splits into row chunks: a standalone ReLU
+// like the LSTM and the Dense around it, one call each way per pass,
+// with time on both. Profiling twice counts once.
 func TestWrapSequentialNamesByKind(t *testing.T) {
 	p := NewProfiler()
 	r := tensor.NewRNG(4)
@@ -143,7 +142,7 @@ func TestWrapSequentialNamesByKind(t *testing.T) {
 	)
 	p.WrapSequential(s)
 	p.WrapSequential(s)
-	x := tensor.New(1, 2, 6)
+	x := tensor.New(12, 2, 6)
 	out := s.Forward(x, true)
 	s.Backward(tensor.Full(1, out.Shape()...))
 	stats := p.Stats()

@@ -88,15 +88,3 @@ func (b *TemporalBlock) Children() []Layer {
 	}
 	return append(out, &b.finalReLU)
 }
-
-// RNGState implements RandomStream.
-func (d *Dropout) RNGState() tensor.RNGState { return d.rng.State() }
-
-// SetRNGState implements RandomStream.
-func (d *Dropout) SetRNGState(s tensor.RNGState) { d.rng.SetState(s) }
-
-// RNGState implements RandomStream.
-func (d *SpatialDropout1D) RNGState() tensor.RNGState { return d.rng.State() }
-
-// SetRNGState implements RandomStream.
-func (d *SpatialDropout1D) SetRNGState(s tensor.RNGState) { d.rng.SetState(s) }

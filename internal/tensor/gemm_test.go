@@ -197,25 +197,29 @@ func TestGemmZeroAllocSteadyState(t *testing.T) {
 
 // TestPackedBMatchesUnpacked: a product against a PackedB is bitwise the
 // product against the tensor it was packed from, in both layouts and
-// both product forms the layers use, and the handle is a copy that
+// both product forms the layers use, also when packed into the panels of
+// one packed before at another shape, and the handle is a copy that
 // later writes to that tensor do not reach.
 func TestPackedBMatchesUnpacked(t *testing.T) {
 	r := NewRNG(11)
+	var reused *PackedB
 	for _, sh := range gemmShapes {
 		a := RandN(r, sh.m, sh.k)
 		b := RandN(r, sh.k, sh.n)
 		bt := RandN(r, sh.n, sh.k)
-		pb, pbt := PackB(b), PackBT(bt)
+		pb, pbt := PackInto(nil, b, false), PackInto(nil, bt, true)
 
 		ab := a.MatMul(b)
 		requireBitwise(t, a.MatMulPackedInto(pb, New(sh.m, sh.n)), ab, "MatMulPackedInto")
-		requireBitwise(t, a.MatMulPackedInto(pbt, New(sh.m, sh.n)), a.MatMulT(bt), "MatMulPackedInto (PackBT)")
+		requireBitwise(t, a.MatMulPackedInto(pbt, New(sh.m, sh.n)), a.MatMulT(bt), "MatMulPackedInto (transposed)")
+		reused = PackInto(reused, bt, true)
+		requireBitwise(t, a.MatMulPackedInto(reused, New(sh.m, sh.n)), a.MatMulT(bt), "MatMulPackedInto (packed into used panels)")
 
 		at := RandN(r, sh.k, sh.m)
 		seed := RandN(r, sh.m, sh.n)
 		want := seed.Clone()
 		at.TMatMulAcc(b, want)
-		requireBitwise(t, MatMulViewAcc(at.Data, transposed(sh.m, sh.k), nil, pb, seed.Clone()), want, "MatMulViewAcc (PackB)")
+		requireBitwise(t, MatMulViewAcc(at.Data, transposed(sh.m, sh.k), nil, pb, seed.Clone()), want, "MatMulViewAcc (packed)")
 
 		b.Zero()
 		requireBitwise(t, a.MatMulPackedInto(pb, New(sh.m, sh.n)), ab, "MatMulPackedInto after a write to b")
@@ -228,7 +232,7 @@ func TestPackedBZeroAlloc(t *testing.T) {
 	}
 	r := NewRNG(12)
 	a := RandN(r, 1, 48)
-	pb := PackBT(RandN(r, 64, 48))
+	pb := PackInto(nil, RandN(r, 64, 48), true)
 	dst := New(1, 64)
 	a.MatMulPackedInto(pb, dst)
 	if allocs := testing.AllocsPerRun(20, func() { a.MatMulPackedInto(pb, dst) }); allocs != 0 {
@@ -313,9 +317,9 @@ func TestGemmOperandLayouts(t *testing.T) {
 					op := gemmOp{a: a, av: v, b: b, dst: dst, m: m, k: k, n: n, bTrans: l.trans, acc: acc}
 					switch {
 					case l.packed && l.trans:
-						op.b, op.bp = nil, exact(PackBT(FromSlice(b, n, k)).bp)
+						op.b, op.bp = nil, exact(PackInto(nil, FromSlice(b, n, k), true).bp)
 					case l.packed:
-						op.b, op.bp = nil, exact(PackB(FromSlice(b, k, n)).bp)
+						op.b, op.bp = nil, exact(PackInto(nil, FromSlice(b, k, n), false).bp)
 					}
 					if packsB(&op) != l.packs {
 						t.Fatalf("%s: k=%d n=%d packs B = %v", l.name, k, n, !l.packs)

@@ -99,36 +99,36 @@ func checkDst(dst *Tensor, m, n int, op string) {
 // in the column panels the GEMM kernel streams. A product against it
 // skips the per-call pack that a transposed, ragged or large B takes,
 // which for a one-row product is most of the work, and is bitwise the
-// product against B itself: packing only moves
-// values. It is immutable, so any number of goroutines may share one. A
-// PackedB is a copy: it does not follow later writes to the tensor it
-// was packed from.
+// product against B itself: packing only moves values. Any number of
+// goroutines may read one while nobody packs into it. A PackedB is a
+// copy: it does not follow later writes to the tensor it was packed from.
 type PackedB struct {
 	bp   []float64
 	k, n int
 }
 
-// PackB packs b ([k, n]), the operand of MatMulInto and MatMulViewAcc.
-func PackB(b *Tensor) *PackedB {
+// PackInto packs B into dst's panels, reusing their storage, and returns
+// dst; a nil dst gets fresh ones. B is b ([k, n]), the operand of
+// MatMulInto and MatMulViewAcc, or with trans the transpose of b ([n, k]),
+// the operand of MatMulTInto.
+func PackInto(dst *PackedB, b *Tensor, trans bool) *PackedB {
 	if b.Dims() != 2 {
-		panic("tensor: PackB requires a 2-D tensor")
+		panic("tensor: PackInto requires a 2-D tensor")
 	}
 	k, n := b.shape[0], b.shape[1]
-	return &PackedB{bp: packPanels(nil, b.Data, k, n, false), k: k, n: n}
-}
-
-// PackBT packs the transpose of b ([n, k]), the operand of MatMulTInto.
-func PackBT(b *Tensor) *PackedB {
-	if b.Dims() != 2 {
-		panic("tensor: PackBT requires a 2-D tensor")
+	if trans {
+		k, n = n, k
 	}
-	n, k := b.shape[0], b.shape[1]
-	return &PackedB{bp: packPanels(nil, b.Data, k, n, true), k: k, n: n}
+	if dst == nil {
+		dst = &PackedB{}
+	}
+	dst.bp, dst.k, dst.n = packPanels(dst.bp, b.Data, k, n, trans), k, n
+	return dst
 }
 
 // MatMulPackedInto computes dst = t × B, reusing dst's storage: what
 // MatMulInto computes against the tensor pb was packed from (MatMulTInto
-// against the one PackBT packed). dst must be [m, n] and must not alias
+// against the one packed transposed). dst must be [m, n] and must not alias
 // t. It returns dst.
 func (t *Tensor) MatMulPackedInto(pb *PackedB, dst *Tensor) *Tensor {
 	if t.Dims() != 2 || t.shape[1] != pb.k {

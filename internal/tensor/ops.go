@@ -61,15 +61,6 @@ func (t *Tensor) ScaleInPlace(c float64) *Tensor {
 	return t
 }
 
-// Apply returns a new tensor with f applied to every element.
-func (t *Tensor) Apply(f func(float64) float64) *Tensor {
-	out := NewLike(t)
-	for i, v := range t.Data {
-		out.Data[i] = f(v)
-	}
-	return out
-}
-
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {
 	s := 0.0

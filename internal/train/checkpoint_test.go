@@ -256,11 +256,16 @@ func TestCheckpointWriteFailureNonFatal(t *testing.T) {
 	}
 }
 
-// nanToggle passes its input through until poisoned, then emits NaN —
-// a stand-in for a layer whose activations diverge mid-run.
-type nanToggle struct{ poisoned bool }
+// nanToggle is a model whose output passes through until poisoned, then
+// is NaN — a stand-in for a model whose activations diverge mid-run. It
+// wraps the model: a Sequential runs only nn's own layers.
+type nanToggle struct {
+	nn.Layer
+	poisoned bool
+}
 
-func (n *nanToggle) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
+func (n *nanToggle) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
+	x = n.Layer.Forward(x, train)
 	if !n.poisoned {
 		return x
 	}
@@ -270,8 +275,6 @@ func (n *nanToggle) Forward(x *tensor.Tensor, _ bool) *tensor.Tensor {
 	}
 	return out
 }
-func (n *nanToggle) Backward(g *tensor.Tensor) *tensor.Tensor { return g }
-func (n *nanToggle) Params() []*nn.Param                      { return nil }
 
 // TestGuardSkipsInjectedNaNBatches: with the guard on, batches whose
 // loss is poisoned by the train.batch.loss fault point are skipped and
@@ -362,10 +365,8 @@ func TestGuardRollsBackOnNaNValidation(t *testing.T) {
 	d := sineDataset(120)
 	tr, va, _, _ := Split(d, 0.6, 0.2)
 	r := tensor.NewRNG(31)
-	toggle := &nanToggle{}
-	model := nn.NewSequential(
-		nn.NewDense(r, 1, 8), &nn.Tanh{}, nn.NewDense(r, 8, 1), toggle,
-	)
+	toggle := &nanToggle{Layer: nn.NewSequential(nn.NewDense(r, 1, 8), &nn.Tanh{}, nn.NewDense(r, 8, 1))}
+	model := toggle
 	var rolledBackAt []int
 	hist := Fit(model, tr, va, Config{
 		Epochs: 5, BatchSize: 8, Optimizer: opt.NewAdam(0.01),
@@ -415,10 +416,8 @@ func TestNaNValidationNeverBecomesBest(t *testing.T) {
 	d := sineDataset(120)
 	tr, va, _, _ := Split(d, 0.6, 0.2)
 	r := tensor.NewRNG(37)
-	toggle := &nanToggle{}
-	model := nn.NewSequential(
-		nn.NewDense(r, 1, 8), &nn.Tanh{}, nn.NewDense(r, 8, 1), toggle,
-	)
+	toggle := &nanToggle{Layer: nn.NewSequential(nn.NewDense(r, 1, 8), &nn.Tanh{}, nn.NewDense(r, 8, 1))}
+	model := toggle
 	hist := Fit(model, tr, va, Config{
 		Epochs: 4, BatchSize: 8, Optimizer: opt.NewAdam(0.01),
 		RestoreBest: true,

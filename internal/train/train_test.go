@@ -276,7 +276,7 @@ func TestRestoreUnfreezes(t *testing.T) {
 	}
 	x := tensor.RandN(r, 2, 2, 8)
 	want := fresh.Forward(x, false)
-	got := nn.Infer(model, nn.NewInferArena(), x)
+	got := model.InferForward(nn.NewInferArena(), x)
 	for i := range want.Data {
 		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
 			t.Fatalf("elem %d: arena path %g, training path %g after restore", i, got.Data[i], want.Data[i])
